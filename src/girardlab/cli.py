@@ -43,8 +43,8 @@ from .residuation import (
     lukasiewicz_chain,
     residuated_structure,
 )
-from .search import BoundExceeded, confirm_boolean_forcing, enumerate_lattices, \
-    search_integral_residuation, search_unital_residuation
+from .search import MAX_ENUM, MAX_SWEEP, BoundExceeded, confirm_boolean_forcing, \
+    enumerate_lattices, search_integral_residuation, search_unital_residuation
 from .structfile import StructError, build_lattice, build_ortholattice, build_poset, from_lattice, \
     load, serialize
 from .subspaces import (
@@ -223,6 +223,9 @@ def cmd_blocks(args) -> int:
 
 def cmd_enumerate(args) -> int:
     filters = ("complemented",) if args.complemented else ()
+    if args.confirm_thm2 and MAX_SWEEP < args.max_n <= MAX_ENUM:
+        # refuse before enumerating, not after printing the counts
+        raise BoundExceeded(f"confirmation sweep is bounded at {MAX_SWEEP} elements")
     result = enumerate_lattices(args.max_n, filters)
     for size in sorted(result.counts):
         print(f"n={size}: {result.counts[size]}")
@@ -317,6 +320,13 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="girardlab",
                                      description="finite residuated/ortholattice structure toolkit")
@@ -350,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-residuation", help="exhaustive/budgeted multiplication search")
     p.add_argument("file")
     p.add_argument("--mode", choices=("integral", "unital"), required=True)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=positive_int, default=200_000)
     p.set_defaults(func=cmd_search_residuation)
 
     p = sub.add_parser("rn", help="verify the subspace-quantale laws of R^n on random trials")

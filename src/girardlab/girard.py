@@ -13,7 +13,8 @@ from typing import List
 
 import numpy as np
 
-from .orders import check_inversion, enumerate_inversions, is_boolean
+from .orders import check_inversion, enumerate_inversions, first_violation, is_boolean, \
+    least_witness
 from .ortho import OrthoLattice, blocks, check_orthomodular, compatible, downset_oml
 from .reports import LawReport, law_fail, law_pass, law_skip
 from .residuation import ResiduatedStructure, check_associative
@@ -34,20 +35,19 @@ class GirardCertificate:
 
 def is_cyclic(s: ResiduatedStructure, d: int) -> LawReport:
     """PASS iff x*y <= d exactly when y*x <= d, for all pairs."""
-    leq, mul = s.poset.leq, s.mul
-    for x in range(s.n):
-        for y in range(s.n):
-            if leq[mul[x, y], d] != leq[mul[y, x], d]:
-                return law_fail("cyclic-element", (x, y), f"d={d}")
+    below = s.poset.leq[s.mul, d]  # below[x, y]: x*y <= d
+    w = first_violation(below != below.T)
+    if w is not None:
+        return law_fail("cyclic-element", w, f"d={d}")
     return law_pass("cyclic-element", f"d={d}")
 
 
 def is_dualizing(s: ResiduatedStructure, d: int) -> LawReport:
     """PASS iff d <- (x -> d) = x = (d <- x) -> d for all x."""
-    rres, lres = s.rres, s.lres
-    for x in range(s.n):
-        if lres[d, rres[x, d]] != x or rres[lres[d, x], d] != x:
-            return law_fail("dualizing-element", (x,), f"d={d}")
+    rres, lres, x = s.rres, s.lres, np.arange(s.n)
+    w = first_violation((lres[d, rres[x, d]] != x) | (rres[lres[d, x], d] != x))
+    if w is not None:
+        return law_fail("dualizing-element", w, f"d={d}")
     return law_pass("dualizing-element", f"d={d}")
 
 
@@ -60,25 +60,25 @@ def find_cyclic_dualizing(s: ResiduatedStructure) -> List[GirardCertificate]:
     indicates a broken table and raises instead of certifying.
     """
     out = []
-    mul, rres, lres = s.mul, s.rres, s.lres
+    mul, rres, lres, idx = s.mul, s.rres, s.lres, np.arange(s.n)
     for d in range(s.n):
         if is_cyclic(s, d).failed or is_dualizing(s, d).failed:
             continue
-        neg = tuple(int(rres[x, d]) for x in range(s.n))
-        for x in range(s.n):
-            if lres[d, x] != neg[x]:
-                raise RuntimeError(f"cyclic d={d} with diverging one-sided negations at {x}")
+        neg = rres[:, d]
+        w = first_violation(lres[d] != neg)
+        if w is not None:
+            raise RuntimeError(f"cyclic d={d} with diverging one-sided negations at {w[0]}")
         if check_inversion(s.poset, neg).failed:
             raise RuntimeError(f"negation induced by d={d} is not an inversion")
-        e = neg[d]
-        for x in range(s.n):
-            if mul[e, x] != x or mul[x, e] != x:
-                raise RuntimeError(f"neg(d)={e} fails the unit law at {x}")
-        for x in range(s.n):
-            for y in range(s.n):
-                if rres[x, y] != neg[mul[x, neg[y]]] or lres[y, x] != neg[mul[neg[y], x]]:
-                    raise RuntimeError(f"residuum/negation identity fails at ({x},{y})")
-        out.append(GirardCertificate(s, d, neg, e))
+        e = int(neg[d])
+        w = first_violation((mul[e] != idx) | (mul[:, e] != idx))
+        if w is not None:
+            raise RuntimeError(f"neg(d)={e} fails the unit law at {w[0]}")
+        w = least_witness(lambda x, y: (rres[x, y] != neg[mul[x, neg[y]]])
+                          | (lres[y, x] != neg[mul[neg[y], x]]), s.n, 2)
+        if w is not None:
+            raise RuntimeError(f"residuum/negation identity fails at ({w[0]},{w[1]})")
+        out.append(GirardCertificate(s, d, tuple(neg.tolist()), e))
     return out
 
 
@@ -90,10 +90,6 @@ class GirardEquivalenceReport:
     has_negation_by_residuation: bool
     has_exchange_inversion: bool
     agreement: LawReport
-
-    @property
-    def all_girard(self) -> bool:
-        return self.has_cyclic_dualizer
 
 
 def _candidate_inversions(s: ResiduatedStructure, inversion, limit: int):
@@ -125,24 +121,20 @@ def girard_equivalences(
     e = s.flags.unit
     if e is None:
         raise ValueError("agreement check needs a unital structure")
-    inversions = _candidate_inversions(s, inversion, limit)
+    inversions = [np.array(f) for f in _candidate_inversions(s, inversion, limit)]
     leq, mul, rres, lres = s.poset.leq, s.mul, s.rres, s.lres
 
     d1 = bool(find_cyclic_dualizing(s))
 
     def matches_residuation(f) -> bool:
         fe = f[e]
-        return all(f[x] == rres[x, fe] and f[x] == lres[fe, x] for x in range(s.n))
+        return bool(((f == rres[:, fe]) & (f == lres[fe])).all())
 
     d2 = any(matches_residuation(f) for f in inversions)
 
     def exchange(f) -> bool:
-        for t in range(s.n):
-            for x in range(s.n):
-                for y in range(s.n):
-                    if leq[mul[t, x], f[y]] != leq[mul[y, t], f[x]]:
-                        return False
-        return True
+        return least_witness(lambda t, x, y: leq[mul[t, x], f[y]] != leq[mul[y, t], f[x]],
+                             s.n, 3) is None
 
     d3 = any(exchange(f) for f in inversions)
 
@@ -163,22 +155,21 @@ def check_dualizer_join_formula(s: ResiduatedStructure, cert: GirardCertificate)
     """
     if s.lattice is None:
         return law_skip("dualizer-join-formula", "needs a lattice for joins")
-    lat, mul, neg, d = s.lattice, s.mul, cert.neg, cert.d
-    leq = lat.leq
-    acc = lat.bottom
-    for x in range(s.n):
-        p = int(mul[x, neg[x]])
-        if not leq[p, d] or not leq[mul[neg[x], x], d]:
-            return law_fail("dualizer-join-formula", (x,), "self-product escapes d")
-        acc = int(lat.join[acc, p])
+    leq, mul, neg, d = s.lattice.leq, s.mul, np.array(cert.neg), cert.d
+    idx = np.arange(s.n)
+    p = mul[idx, neg]  # the self-products x * neg(x)
+    w = first_violation(~leq[p, d] | ~leq[mul[neg, idx], d])
+    if w is not None:
+        return law_fail("dualizer-join-formula", w, "self-product escapes d")
+    upper = leq[p].all(axis=0)  # common upper bounds of the self-products
+    acc = int((upper & leq[:, upper].all(axis=1)).argmax())  # their least one
     if acc != d:
         return law_fail("dualizer-join-formula", (acc,), f"join of self-products is {acc}, not d={d}")
     for d2 in range(s.n):
         if d2 == d:
             continue
         if is_cyclic(s, d2).passed and is_dualizing(s, d2).passed:
-            neg2 = tuple(int(s.rres[x, d2]) for x in range(s.n))
-            if neg2 == neg:
+            if (s.rres[:, d2] == neg).all():
                 return law_fail("dualizer-join-formula", (d2,), "second dualizer with same negation")
     return law_pass("dualizer-join-formula", f"d={d}")
 
@@ -200,10 +191,8 @@ def check_boolean_idempotent_criterion(s: ResiduatedStructure) -> LawReport:
             (int(lhs), int(rhs)),
             "sides of the biconditional disagree",
         )
-    if lhs and not (s.mul == s.lattice.meet).all():
-        bad = next(
-            (x, y) for x in range(s.n) for y in range(s.n) if s.mul[x, y] != s.lattice.meet[x, y]
-        )
+    bad = first_violation(s.mul != s.lattice.meet)
+    if lhs and bad is not None:
         return law_fail("boolean-iff-idempotent-bottom-dualizer", bad, "Boolean but product is not meet")
     return law_pass("boolean-iff-idempotent-bottom-dualizer", f"both sides {lhs}")
 
@@ -218,18 +207,31 @@ def check_quantale(l, m) -> LawReport:
     assoc = check_associative(t)
     if assoc.failed:
         return law_fail("quantale", assoc.witness, "multiplication not associative")
-    n, join, bottom = l.n, l.join, l.bottom
-    for x in range(n):
-        if t[x, bottom] != bottom or t[bottom, x] != bottom:
-            return law_fail("quantale", (x,), "zero law fails")
-    for x in range(n):
-        for a in range(n):
-            for b in range(n):
-                if t[x, join[a, b]] != join[t[x, a], t[x, b]]:
-                    return law_fail("quantale", (x, a, b), "join distribution fails on the right")
-                if t[join[a, b], x] != join[t[a, x], t[b, x]]:
-                    return law_fail("quantale", (a, b, x), "join distribution fails on the left")
-    return law_pass("quantale")
+    bottom = l.bottom
+    w = first_violation((t[:, bottom] != bottom) | (t[bottom] != bottom))
+    if w is not None:
+        return law_fail("quantale", w, "zero law fails")
+    w = join_distribution_failure(l.join, t)
+    if w is None:
+        return law_pass("quantale")
+    (x, a, b), right = w
+    if right:
+        return law_fail("quantale", (x, a, b), "join distribution fails on the right")
+    return law_fail("quantale", (a, b, x), "join distribution fails on the left")
+
+
+def join_distribution_failure(join: np.ndarray, t: np.ndarray):
+    """Least (x, a, b) at which x * (a \\/ b) = x*a \\/ x*b (the right law) or
+    (a \\/ b) * x = a*x \\/ b*x (the left law) fails, with a flag that is
+    True when the right law fails there; None when both always hold."""
+    def right(x, a, b):
+        return t[x, join[a, b]] != join[t[x, a], t[x, b]]
+
+    def left(x, a, b):
+        return t[join[a, b], x] != join[t[a, x], t[b, x]]
+
+    w = least_witness(lambda x, a, b: right(x, a, b) | left(x, a, b), len(t), 3)
+    return None if w is None else (w, bool(right(*w)))
 
 
 def check_involutive_quantale(l, m, star) -> LawReport:
@@ -237,21 +239,19 @@ def check_involutive_quantale(l, m, star) -> LawReport:
     quant = check_quantale(l, m)
     if quant.failed:
         return law_skip("involutive-quantale", "quantale laws fail, involution not examined")
-    f = orders.as_order_map(star, l.n)
-    t = np.asarray(m, dtype=np.intp)
-    for x in range(l.n):
-        if f[f[x]] != x:
-            return law_fail("involutive-quantale", (x,), "star is not involutive")
-    for a in range(l.n):
-        for b in range(l.n):
-            if f[t[a, b]] != t[f[b], f[a]]:
-                return law_fail("involutive-quantale", (a, b), "star is not an antihomomorphism")
+    f = np.array(orders.as_order_map(star, l.n))
+    t, join = np.asarray(m, dtype=np.intp), l.join
+    w = first_violation(f[f] != np.arange(l.n))
+    if w is not None:
+        return law_fail("involutive-quantale", w, "star is not involutive")
+    w = least_witness(lambda a, b: f[t[a, b]] != t[f[b], f[a]], l.n, 2)
+    if w is not None:
+        return law_fail("involutive-quantale", w, "star is not an antihomomorphism")
     if f[l.bottom] != l.bottom:
         return law_fail("involutive-quantale", (l.bottom,), "star moves the bottom")
-    for a in range(l.n):
-        for b in range(l.n):
-            if f[l.join[a, b]] != l.join[f[a], f[b]]:
-                return law_fail("involutive-quantale", (a, b), "star does not preserve joins")
+    w = least_witness(lambda a, b: f[join[a, b]] != join[f[a], f[b]], l.n, 2)
+    if w is not None:
+        return law_fail("involutive-quantale", w, "star does not preserve joins")
     return law_pass("involutive-quantale")
 
 
@@ -272,12 +272,12 @@ def check_unit_downset_boolean(o: OrthoLattice, s: ResiduatedStructure) -> LawRe
     down = downset_oml(o, e)
     if not is_boolean(down.lattice).passed:
         return law_fail(law, (e,), "downset of the unit is not Boolean")
-    members = [u for u in range(o.n) if o.lattice.leq[u, e]]
-    for x in members:
-        for y in members:
-            if not compatible(o, x, y):
-                return law_fail(law, (x, y), "unit-downset pair incompatible in the ambient lattice")
-    target = set(members) | {u for u in range(o.n) if o.lattice.leq[o.ortho[e], u]}
+    members = np.flatnonzero(o.lattice.leq[:, e])
+    w = first_violation(~compatible(o, members[:, None], members))
+    if w is not None:
+        return law_fail(law, (int(members[w[0]]), int(members[w[1]])),
+                        "unit-downset pair incompatible in the ambient lattice")
+    target = set(members.tolist()) | set(np.flatnonzero(o.lattice.leq[o.ortho[e]]).tolist())
     for b in blocks(o):
         if target <= set(b):
             return law_pass(law, f"e={e}, contained in block {b}")

@@ -3,11 +3,15 @@
 Elements are the indices 0..n-1.  A poset is an n x n boolean matrix
 ``leq`` with ``leq[i, j]`` meaning i <= j; a lattice adds integer meet and
 join tables.  All containers are immutable after construction and safe to
-share between threads; every law scan visits tuples in ascending index
-order, so a reported witness is the lexicographically least one.
+share between threads.
+
+Every law scan is one boolean mask over index tuples, built by numpy
+broadcasting from index grids (see `least_witness`), and reports the
+first True cell in C order: the lexicographically least witness.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -45,6 +49,69 @@ class NotBounded(OrderError):
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+# A slab of a scan covers as many first indices as fit in this many cells
+# (at least one), so a scan's temporaries stay O(n^(arity-1)) per step.
+_SLAB_CELLS = 1 << 14
+
+
+def first_violation(mask: np.ndarray) -> Optional[tuple]:
+    """Index tuple of the first True cell of `mask` in C order, or None.
+
+    C order visits index tuples lexicographically, so this is the least
+    witness of whatever law `mask` marks the violations of.
+    """
+    k = int(mask.argmax())
+    if not mask.flat[k]:
+        return None
+    return tuple(int(i) for i in np.unravel_index(k, mask.shape))
+
+
+@functools.lru_cache(maxsize=64)
+def index_slabs(n: int, arity: int) -> tuple:
+    """Broadcast index grids over [0, n)^arity, cut along the first index.
+
+    Returns (lo, grids) pairs: grids[0] holds first indices lo, lo+1, ...
+    shaped (k, 1, ..., 1); grids[i] for i >= 1 holds 0..n-1 along axis i.
+    The arrays are read-only and shared between callers.
+    """
+    idx = np.arange(n)
+    idx.flags.writeable = False
+    rest = tuple(idx.reshape((n,) + (1,) * (arity - 1 - i)) for i in range(1, arity))
+    step = max(1, _SLAB_CELLS // max(n, 1) ** (arity - 1))
+    return tuple(
+        (lo, (idx[lo:lo + step].reshape((-1,) + (1,) * (arity - 1)),) + rest)
+        for lo in range(0, n, step)
+    )
+
+
+def least_witness(law, n: int, arity: int) -> Optional[tuple]:
+    """Least tuple in [0, n)^arity at which `law` marks a violation.
+
+    `law(*grids)` is the law's violation condition written with index
+    grids in place of loop variables, e.g. ``t[t[x, y], z] != t[x, t[y, z]]``
+    for associativity; it must return a mask of the full slab shape.
+    Slabs are scanned in order, so the first hit is the least witness.
+    """
+    for lo, grids in index_slabs(n, arity):
+        w = first_violation(law(*grids))
+        if w is not None:
+            return (w[0] + lo,) + w[1:]
+    return None
+
+
+def greatest(cand: np.ndarray, leq: np.ndarray):
+    """Greatest element of each candidate set, under the order `leq`.
+
+    cand[..., c] marks c as a member of the set at index `...`.  Returns
+    (best, found): found says whether the set has a greatest element and
+    best is that element where it does.  A member m is greatest when no
+    member c has c </= m, which one matrix product counts for every m.
+    """
+    outside = cand @ (~leq).astype(np.float32)  # counts stay exact far past any n
+    top = cand & (outside == 0)
+    return top.argmax(axis=-1), top.any(axis=-1)
 
 
 def _norm_labels(n: int, labels) -> Optional[tuple]:
@@ -89,25 +156,15 @@ def validate_poset(relation, labels=None) -> FinitePoset:
     if n < 1:
         raise ValueError("poset needs at least one element")
 
-    diag = leq.diagonal()
-    if not diag.all():
-        i = int(np.flatnonzero(~diag)[0])
-        raise PosetViolation("reflexivity", (i,))
-
-    sym = leq & leq.T
-    np.fill_diagonal(sym, False)
-    if sym.any():
-        i, j = (int(x) for x in np.argwhere(sym)[0])
-        raise PosetViolation("antisymmetry", (i, j))
-
-    gap = leq @ leq & ~leq
-    if gap.any():
-        for i in range(n):
-            for j in range(n):
-                if leq[i, j]:
-                    for k in range(n):
-                        if leq[j, k] and not leq[i, k]:
-                            raise PosetViolation("transitivity", (i, j, k))
+    w = first_violation(~leq.diagonal())
+    if w is not None:
+        raise PosetViolation("reflexivity", w)
+    w = first_violation(leq & leq.T & ~np.eye(n, dtype=bool))
+    if w is not None:
+        raise PosetViolation("antisymmetry", w)
+    w = least_witness(lambda i, j, k: leq[i, j] & leq[j, k] & ~leq[i, k], n, 3)
+    if w is not None:
+        raise PosetViolation("transitivity", w)
     return FinitePoset(n, _frozen(leq), _norm_labels(n, labels))
 
 
@@ -154,37 +211,31 @@ class FiniteLattice:
 def compute_lattice(p: FinitePoset) -> FiniteLattice:
     """Derive meet/join tables, or raise NotALattice / NotBounded.
 
-    Uses the upper-set trick: the common upper bounds of {i, j} form a
-    principal upset exactly when the pair has a least upper bound.
+    The join of {i, j} is the least of its common upper bounds and the
+    meet the greatest of its common lower bounds; a pair lacking either
+    is reported, the least upper bound first.
     """
     n, leq = p.n, p.leq
     lt = leq & ~np.eye(n, dtype=bool)
-    bottoms = [i for i in range(n) if leq[i, :].all()]
-    if not bottoms:
-        minimal = [i for i in range(n) if not lt[:, i].any()]
-        raise NotBounded("bottom", minimal)
-    tops = [i for i in range(n) if leq[:, i].all()]
-    if not tops:
-        maximal = [i for i in range(n) if not lt[i, :].any()]
-        raise NotBounded("top", maximal)
+    bottoms = np.flatnonzero(leq.all(axis=1))
+    if not bottoms.size:
+        raise NotBounded("bottom", np.flatnonzero(~lt.any(axis=0)).tolist())
+    tops = np.flatnonzero(leq.all(axis=0))
+    if not tops.size:
+        raise NotBounded("top", np.flatnonzero(~lt.any(axis=1)).tolist())
 
-    up_of = {leq[i, :].tobytes(): i for i in range(n)}
-    down_of = {leq[:, i].tobytes(): i for i in range(n)}
-    meet = np.zeros((n, n), dtype=np.intp)
-    join = np.zeros((n, n), dtype=np.intp)
-    for i in range(n):
-        for j in range(n):
-            uppers = (leq[i, :] & leq[j, :]).tobytes()
-            u = up_of.get(uppers)
-            if u is None:
-                raise NotALattice((i, j), "least upper bound")
-            join[i, j] = u
-            lowers = (leq[:, i] & leq[:, j]).tobytes()
-            d = down_of.get(lowers)
-            if d is None:
-                raise NotALattice((i, j), "greatest lower bound")
-            meet[i, j] = d
-    return FiniteLattice(p, _frozen(meet), _frozen(join), bottoms[0], tops[0])
+    meet = np.empty((n, n), dtype=np.intp)
+    join = np.empty((n, n), dtype=np.intp)
+    for lo, (i, j, k) in index_slabs(n, 3):
+        ub, has_join = greatest(leq[i, k] & leq[j, k], leq.T)
+        lb, has_meet = greatest(leq[k, i] & leq[k, j], leq)
+        w = first_violation(~(has_join & has_meet))
+        if w is not None:
+            kind = "greatest lower bound" if has_join[w] else "least upper bound"
+            raise NotALattice((w[0] + lo, w[1]), kind)
+        join[lo:lo + len(i)] = ub
+        meet[lo:lo + len(i)] = lb
+    return FiniteLattice(p, _frozen(meet), _frozen(join), int(bottoms[0]), int(tops[0]))
 
 
 def lattice_from_covers(covers, labels=None) -> FiniteLattice:
@@ -195,13 +246,9 @@ def lattice_from_covers(covers, labels=None) -> FiniteLattice:
 
 def is_distributive(l: FiniteLattice) -> LawReport:
     """PASS iff x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z) for all triples."""
-    n, meet, join = l.n, l.meet, l.join
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if meet[x, join[y, z]] != join[meet[x, y], meet[x, z]]:
-                    return law_fail("distributivity", (x, y, z))
-    return law_pass("distributivity")
+    meet, join = l.meet, l.join
+    w = least_witness(lambda x, y, z: meet[x, join[y, z]] != join[meet[x, y], meet[x, z]], l.n, 3)
+    return law_pass("distributivity") if w is None else law_fail("distributivity", w)
 
 
 def is_complemented(l: FiniteLattice):
@@ -211,16 +258,11 @@ def is_complemented(l: FiniteLattice):
     element, the least-index y with x /\\ y = bottom and x \\/ y = top,
     or None alongside a FAIL report naming the first uncomplemented x.
     """
-    n, meet, join = l.n, l.meet, l.join
-    comps = []
-    for x in range(n):
-        for y in range(n):
-            if meet[x, y] == l.bottom and join[x, y] == l.top:
-                comps.append(y)
-                break
-        else:
-            return law_fail("complementation", (x,)), None
-    return law_pass("complementation"), tuple(comps)
+    comp = (l.meet == l.bottom) & (l.join == l.top)
+    w = first_violation(~comp.any(axis=1))
+    if w is not None:
+        return law_fail("complementation", w), None
+    return law_pass("complementation"), tuple(comp.argmax(axis=1).tolist())
 
 
 def is_boolean(l: FiniteLattice) -> LawReport:
@@ -247,15 +289,14 @@ def as_order_map(f, n: int) -> tuple:
 
 def check_inversion(p: FinitePoset, f) -> LawReport:
     """PASS iff f is involutive and x <= y iff f(y) <= f(x)."""
-    f = as_order_map(f, p.n)
+    f = np.array(as_order_map(f, p.n))
     leq = p.leq
-    for i in range(p.n):
-        if f[f[i]] != i:
-            return law_fail("inversion", (i,), "not involutive")
-    for i in range(p.n):
-        for j in range(p.n):
-            if leq[i, j] != leq[f[j], f[i]]:
-                return law_fail("inversion", (i, j), "not order-reversing")
+    w = first_violation(f[f] != np.arange(p.n))
+    if w is not None:
+        return law_fail("inversion", w, "not involutive")
+    w = least_witness(lambda i, j: leq[i, j] != leq[f[j], f[i]], p.n, 2)
+    if w is not None:
+        return law_fail("inversion", w, "not order-reversing")
     return law_pass("inversion")
 
 
@@ -268,11 +309,9 @@ def hasse_covers(p: FinitePoset) -> list:
 
 def join_irreducibles(l: FiniteLattice) -> list:
     """Elements with exactly one lower cover (excludes bottom)."""
-    covers = hasse_covers(l.poset)
-    n_lower = [0] * l.n
-    for _, j in covers:
-        n_lower[j] += 1
-    return [i for i in range(l.n) if i != l.bottom and n_lower[i] == 1]
+    lt = l.leq & ~np.eye(l.n, dtype=bool)
+    n_lower = (lt & ~(lt @ lt)).sum(axis=0)
+    return np.flatnonzero(n_lower == 1).tolist()
 
 
 def enumerate_inversions(p: FinitePoset) -> list:

@@ -16,7 +16,9 @@ from .orders import (
     as_order_map,
     check_inversion,
     compute_lattice,
+    first_violation,
     is_boolean,
+    least_witness,
     validate_poset,
 )
 from .reports import LawReport, law_fail, law_pass
@@ -49,19 +51,18 @@ class OrthoLattice:
 def check_ortholattice(l: FiniteLattice, f) -> LawReport:
     """PASS iff f is an inversion with x /\\ f(x) = 0 and x \\/ f(x) = 1,
     and joins agree with the De Morgan dual of meets under f."""
-    f = as_order_map(f, l.n)
+    f = np.array(as_order_map(f, l.n))
     inv = check_inversion(l.poset, f)
     if inv.failed:
         return law_fail("ortholattice", inv.witness, f"inversion: {inv.note}")
-    for x in range(l.n):
-        if l.meet[x, f[x]] != l.bottom:
-            return law_fail("ortholattice", (x,), "x /\\ x' != 0")
-        if l.join[x, f[x]] != l.top:
-            return law_fail("ortholattice", (x,), "x \\/ x' != 1")
-    for i in range(l.n):
-        for j in range(l.n):
-            if l.join[i, j] != f[l.meet[f[i], f[j]]]:
-                return law_fail("ortholattice", (i, j), "join is not the De Morgan dual of meet")
+    meet, join, x = l.meet, l.join, np.arange(l.n)
+    no_zero = meet[x, f] != l.bottom
+    w = first_violation(no_zero | (join[x, f] != l.top))
+    if w is not None:
+        return law_fail("ortholattice", w, "x /\\ x' != 0" if no_zero[w] else "x \\/ x' != 1")
+    w = least_witness(lambda i, j: join[i, j] != f[meet[f[i], f[j]]], l.n, 2)
+    if w is not None:
+        return law_fail("ortholattice", w, "join is not the De Morgan dual of meet")
     return law_pass("ortholattice")
 
 
@@ -72,19 +73,15 @@ def check_orthomodular(o: OrthoLattice) -> List[LawReport]:
     the classical equivalence, which the suite verifies instance-wise
     rather than assuming.
     """
-    lat, f = o.lattice, o.ortho
+    lat, f = o.lattice, np.asarray(o.ortho)
     n, meet, join, leq = lat.n, lat.meet, lat.join, lat.leq
 
     def scan(violates):
-        for x in range(n):
-            for y in range(n):
-                if leq[x, y] and violates(x, y):
-                    return (x, y)
-        return None
+        return least_witness(lambda x, y: leq[x, y] & violates(x, y), n, 2)
 
     w1 = scan(lambda x, y: join[x, meet[f[x], y]] != y)
     w2 = scan(lambda x, y: meet[y, join[f[y], x]] != x)
-    w3 = scan(lambda x, y: meet[f[x], y] == lat.bottom and x != y)
+    w3 = scan(lambda x, y: (meet[f[x], y] == lat.bottom) & (x != y))
     out = []
     for law, w in (
         ("orthomodular-join-form", w1),
@@ -120,10 +117,10 @@ def downset_oml(o: OrthoLattice, a: int) -> OrthoLattice:
     return OrthoLattice(sub, ortho)
 
 
-def compatible(o: OrthoLattice, x: int, y: int) -> bool:
-    """Truth of x = (x /\\ y) \\/ (x /\\ y')."""
-    lat, f = o.lattice, o.ortho
-    return int(lat.join[lat.meet[x, y], lat.meet[x, f[y]]]) == x
+def compatible(o: OrthoLattice, x, y):
+    """Truth of x = (x /\\ y) \\/ (x /\\ y'), elementwise over index arrays."""
+    lat, f = o.lattice, np.asarray(o.ortho)
+    return lat.join[lat.meet[x, y], lat.meet[x, f[y]]] == x
 
 
 def _maximal_cliques(adj: np.ndarray) -> list:
@@ -161,22 +158,17 @@ def blocks(o: OrthoLattice) -> list:
         raise NotOrthomodularInput("blocks are defined for orthomodular lattices")
     lat, f = o.lattice, o.ortho
     n = lat.n
-    comp = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            comp[i, j] = compatible(o, i, j)
+    idx = np.arange(n)
+    comp = compatible(o, idx[:, None], idx)
     comp &= comp.T
 
     found = set()
     for clique in _maximal_cliques(comp):
         members = {i for i in range(n) if clique >> i & 1}
         while True:
-            grown = set(members)
-            grown.update(f[i] for i in members)
-            for i in members:
-                for j in members:
-                    grown.add(int(lat.meet[i, j]))
-                    grown.add(int(lat.join[i, j]))
+            pairs = np.ix_(list(members), list(members))
+            products = np.concatenate([lat.meet[pairs].ravel(), lat.join[pairs].ravel()])
+            grown = members | {f[i] for i in members} | set(products.tolist())
             if grown == members:
                 break
             members = grown

@@ -5,9 +5,9 @@ table through the adjointness condition
 
     x*y <= z  iff  x <= rres[y][z]  iff  y <= lres[z][x]
 
-by taking the maximum (join, on lattices) of the candidate set, and the
-full triple biconditional is re-verified afterwards, since pointwise
-maxima alone do not imply it.
+by taking the maximum of each candidate set, and the full triple
+biconditional is re-verified afterwards, since pointwise maxima alone do
+not imply it.
 """
 from __future__ import annotations
 
@@ -20,9 +20,13 @@ import numpy as np
 from .orders import (
     FiniteLattice,
     FinitePoset,
+    first_violation,
+    greatest,
+    index_slabs,
     is_boolean,
     is_complemented,
     lattice_from_covers,
+    least_witness,
 )
 from .reports import LawReport, law_fail, law_pass
 
@@ -63,13 +67,8 @@ def as_mul_table(m, n: int) -> np.ndarray:
 def check_associative(m) -> LawReport:
     """PASS iff (x*y)*z = x*(y*z) for all triples."""
     t = np.asarray(m, dtype=np.intp)
-    n = t.shape[0]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if t[t[x, y], z] != t[x, t[y, z]]:
-                    return law_fail("associativity", (x, y, z))
-    return law_pass("associativity")
+    w = least_witness(lambda x, y, z: t[t[x, y], z] != t[x, t[y, z]], t.shape[0], 3)
+    return law_pass("associativity") if w is None else law_fail("associativity", w)
 
 
 @dataclass(frozen=True)
@@ -112,61 +111,55 @@ def derive_residua(order: Union[FinitePoset, FiniteLattice], mul) -> Tuple[np.nd
     and AdjointnessFailure when the tables exist pointwise but the triple
     biconditional does not hold (multiplication not monotone, say).
     """
-    poset, lat = _order_parts(order)
+    poset, _ = _order_parts(order)
     n, leq = poset.n, poset.leq
     t = as_mul_table(mul, n)
-
-    def maximum(cand, pair, kind):
-        if not cand:
-            raise NoResiduum(pair, kind, "empty candidate set")
-        if lat is not None:
-            m = cand[0]
-            for c in cand[1:]:
-                m = int(lat.join[m, c])
-            if m not in cand:
-                raise NoResiduum(pair, kind, "candidate set has no maximum")
-            return m
-        for m in cand:
-            if all(leq[c, m] for c in cand):
-                return m
-        raise NoResiduum(pair, kind, "candidate set has no maximum")
-
-    rres = np.zeros((n, n), dtype=np.intp)
-    lres = np.zeros((n, n), dtype=np.intp)
-    for y in range(n):
-        for z in range(n):
-            rres[y, z] = maximum([x for x in range(n) if leq[t[x, y], z]], (y, z), "right")
-    for z in range(n):
-        for x in range(n):
-            lres[z, x] = maximum([y for y in range(n) if leq[t[x, y], z]], (z, x), "left")
-
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                a = leq[t[x, y], z]
-                if a != leq[x, rres[y, z]] or a != leq[y, lres[z, x]]:
-                    raise AdjointnessFailure((x, y, z))
-    rres.flags.writeable = False
-    lres.flags.writeable = False
+    rres = _residuum(lambda y, z, x: leq[t[x, y], z], leq, "right")
+    lres = _residuum(lambda z, x, y: leq[t[x, y], z], leq, "left")
+    _check_adjointness(leq, t, rres, lres)
     return rres, lres
+
+
+def _residuum(candidate, leq: np.ndarray, kind: str) -> np.ndarray:
+    """res[p, q] = the maximum c with candidate(p, q, c), pairs in order;
+    raises NoResiduum at the first pair whose candidate set has none."""
+    n = len(leq)
+    res = np.empty((n, n), dtype=np.intp)
+    for lo, (p, q, c) in index_slabs(n, 3):
+        cand = candidate(p, q, c)
+        best, found = greatest(cand, leq)
+        w = first_violation(~found)
+        if w is not None:
+            detail = "candidate set has no maximum" if cand[w].any() else "empty candidate set"
+            raise NoResiduum((w[0] + lo, w[1]), kind, detail)
+        res[lo:lo + len(p)] = best
+    res.flags.writeable = False
+    return res
+
+
+def _check_adjointness(leq: np.ndarray, t: np.ndarray, rres: np.ndarray, lres: np.ndarray):
+    """Raise AdjointnessFailure at the least (x, y, z) where x*y <= z,
+    x <= y -> z and y <= z <- x do not all agree."""
+    def broken(x, y, z):
+        a = leq[t[x, y], z]
+        return (a != leq[x, rres[y, z]]) | (a != leq[y, lres[z, x]])
+
+    w = least_witness(broken, len(leq), 3)
+    if w is not None:
+        raise AdjointnessFailure(w)
 
 
 def classify(order: Union[FinitePoset, FiniteLattice], mul) -> Flags:
     """Exhaustively scan for commutativity, idempotency, unit, integrality."""
-    poset, lat = _order_parts(order)
-    n = poset.n
+    poset, _ = _order_parts(order)
+    idx = np.arange(poset.n)
     t = np.asarray(mul, dtype=np.intp)
     commutative = bool((t == t.T).all())
-    idempotent = all(t[i, i] == i for i in range(n))
-    unit = None
-    for e in range(n):
-        if all(t[e, x] == x and t[x, e] == x for x in range(n)):
-            unit = e
-            break
-    top = lat.top if lat is not None else next(
-        (i for i in range(n) if poset.leq[:, i].all()), None
-    )
-    integral = unit is not None and unit == top
+    idempotent = bool((t.diagonal() == idx).all())
+    units = first_violation((t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0))
+    unit = None if units is None else units[0]
+    top = first_violation(poset.leq.all(axis=0))
+    integral = unit is not None and (unit,) == top
     return Flags(commutative, idempotent, unit, integral)
 
 
@@ -182,12 +175,10 @@ def check_integral_consequences(s: ResiduatedStructure) -> LawReport:
     """On integral structures, x*y must sit below both factors."""
     if not s.flags.integral:
         raise ValueError("structure is not integral")
-    leq = s.poset.leq
-    for x in range(s.n):
-        for y in range(s.n):
-            m = s.mul[x, y]
-            if not (leq[m, x] and leq[m, y]):
-                return law_fail("integral-product-below-factors", (x, y))
+    leq, mul = s.poset.leq, s.mul
+    w = least_witness(lambda x, y: ~(leq[mul[x, y], x] & leq[mul[x, y], y]), s.n, 2)
+    if w is not None:
+        return law_fail("integral-product-below-factors", w)
     return law_pass("integral-product-below-factors")
 
 
@@ -198,19 +189,9 @@ def boolean_residuation(l: FiniteLattice) -> ResiduatedStructure:
     if not report.passed:
         raise NotBoolean(report.note or "lattice is not Boolean")
     _, comps = is_complemented(l)
-    n = l.n
-    rres = np.zeros((n, n), dtype=np.intp)
-    lres = np.zeros((n, n), dtype=np.intp)
-    for y in range(n):
-        for z in range(n):
-            rres[y, z] = l.join[comps[y], z]
-            lres[z, y] = l.join[comps[y], z]
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                a = l.leq[l.meet[x, y], z]
-                if a != l.leq[x, rres[y, z]] or a != l.leq[y, lres[z, x]]:
-                    raise AdjointnessFailure((x, y, z))
+    rres = l.join[list(comps)]  # rres[y, z] = y' \/ z
+    lres = rres.T.copy()  # lres[z, y] = y' \/ z
+    _check_adjointness(l.leq, l.meet, rres, lres)
     rres.flags.writeable = False
     lres.flags.writeable = False
     flags = Flags(commutative=True, idempotent=True, unit=l.top, integral=True)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .girard import check_unit_downset_boolean
+from .girard import check_unit_downset_boolean, join_distribution_failure
 from .orders import FiniteLattice, compute_lattice, is_boolean, is_complemented, is_distributive, \
     join_irreducibles, validate_poset, enumerate_inversions
 from .ortho import NotOrthomodularInput, OrthoLattice, is_orthomodular
@@ -26,6 +26,7 @@ from .residuation import ResiduatedStructure, ResiduationError, check_associativ
     residuated_structure
 
 MAX_ENUM = 10
+MAX_SWEEP = 8
 FILTERS = ("complemented", "orthocomplemented", "nondistributive")
 
 
@@ -144,10 +145,9 @@ def _rows_to_lattice(rows: Tuple[int, ...]) -> FiniteLattice:
 
 
 def _has_orthocomplement(l: FiniteLattice) -> bool:
-    for f in enumerate_inversions(l.poset):
-        if all(l.meet[x, f[x]] == l.bottom and l.join[x, f[x]] == l.top for x in range(l.n)):
-            return True
-    return False
+    x = np.arange(l.n)
+    return any(((l.meet[x, f] == l.bottom) & (l.join[x, f] == l.top)).all()
+               for f in map(list, enumerate_inversions(l.poset)))
 
 
 @dataclass
@@ -229,9 +229,10 @@ class _IrreducibleTableSearch:
     height-sorted cell order guarantees.
     """
 
-    def __init__(self, l: FiniteLattice, check_associativity: bool = True,
+    def __init__(self, l: FiniteLattice, e: int, check_associativity: bool = True,
                  reverse_values: bool = False):
         self.l = l
+        self.e = e  # the unit
         self.check_associativity = check_associativity
         heights = l.leq.sum(axis=0)
         self.irr = sorted(join_irreducibles(l), key=lambda i: (int(heights[i]), i))
@@ -259,17 +260,8 @@ class _IrreducibleTableSearch:
         """Called when row i is complete: unit column and the row's join
         consistency must already hold for the partial extension."""
         l = self.l
-        ext = [self._partial_row(i, y) for y in range(l.n)]
-        if not self.row_constraint(i, ext):
-            return False
-        for y in range(l.n):
-            for z in range(l.n):
-                if ext[int(l.join[y, z])] != l.join[ext[y], ext[z]]:
-                    return False
-        return True
-
-    def row_constraint(self, i: int, ext: List[int]) -> bool:
-        raise NotImplementedError
+        ext = np.array([self._partial_row(i, y) for y in range(l.n)])
+        return ext[self.e] == i and bool((ext[l.join] == l.join[ext[:, None], ext]).all())
 
     def monotone_ok(self, i: int, j: int, v: int) -> bool:
         l = self.l
@@ -289,27 +281,16 @@ class _IrreducibleTableSearch:
         return m
 
     def table_ok(self, m: np.ndarray) -> bool:
-        l = self.l
-        for (i, j), v in self.assign.items():
-            if m[i, j] != v:
-                return False
-        for x in range(l.n):
-            for a in range(l.n):
-                for b in range(l.n):
-                    j = int(l.join[a, b])
-                    if m[x, j] != l.join[m[x, a], m[x, b]]:
-                        return False
-                    if m[j, x] != l.join[m[a, x], m[b, x]]:
-                        return False
-        if self.check_associativity and check_associative(m).failed:
-            return False
-        return True
+        return (all(m[cell] == v for cell, v in self.assign.items())
+                and join_distribution_failure(self.l.join, m) is None
+                and not (self.check_associativity and check_associative(m).failed))
 
     def ceiling(self, i: int, j: int) -> int:
         raise NotImplementedError
 
     def leaf_ok(self, m: np.ndarray) -> bool:
-        raise NotImplementedError
+        x = np.arange(self.l.n)
+        return bool(((m[:, self.e] == x) & (m[self.e] == x)).all())
 
     def run(self, budget: Optional[int] = None):
         found: List[np.ndarray] = []
@@ -332,9 +313,9 @@ class _IrreducibleTableSearch:
                 return True
             i, j = self.cells[k]
             for v in self.domain(i, j, self.ceiling(i, j)):
-                nodes += 1
-                if budget is not None and nodes > budget:
+                if budget is not None and nodes >= budget:
                     return False
+                nodes += 1
                 if not self.monotone_ok(i, j, v):
                     continue
                 self.assign[(i, j)] = v
@@ -354,24 +335,16 @@ class _IntegralSearch(_IrreducibleTableSearch):
     """Unit fixed at the top; products capped by the meet, which every
     integral residuated multiplication satisfies."""
 
+    def __init__(self, l: FiniteLattice, **kw):
+        super().__init__(l, l.top, **kw)
+
     def ceiling(self, i: int, j: int) -> int:
         return int(self.l.meet[i, j])
-
-    def row_constraint(self, i: int, ext: List[int]) -> bool:
-        return ext[self.l.top] == i
-
-    def leaf_ok(self, m: np.ndarray) -> bool:
-        l = self.l
-        return all(m[x, l.top] == x and m[l.top, x] == x for x in range(l.n))
 
 
 class _UnitalSearch(_IrreducibleTableSearch):
     """Unit anywhere; cell values range over the whole carrier except
     where the unit law pins a lone extension cell outright."""
-
-    def __init__(self, l: FiniteLattice, e: int, **kw):
-        super().__init__(l, **kw)
-        self.e = e
 
     def ceiling(self, i: int, j: int) -> int:
         return self.l.top
@@ -383,13 +356,6 @@ class _UnitalSearch(_IrreducibleTableSearch):
         if i == e and self.below_irr[e] == [e] and self.below_irr[j] == [j]:
             return [j]
         return super().domain(i, j, ceiling)
-
-    def row_constraint(self, i: int, ext: List[int]) -> bool:
-        return ext[self.e] == i
-
-    def leaf_ok(self, m: np.ndarray) -> bool:
-        e = self.e
-        return all(m[x, e] == x and m[e, x] == x for x in range(self.l.n))
 
 
 def search_integral_residuation(l: FiniteLattice, _check_associativity: bool = True,
@@ -446,8 +412,8 @@ def confirm_boolean_forcing(max_n: int) -> LawReport:
     integral residuated multiplication exists exactly when the lattice
     is Boolean, and on Boolean lattices the only one is the meet (hence
     idempotent).  Verified by exhaustive enumeration plus search."""
-    if max_n > 8:
-        raise BoundExceeded("confirmation sweep is bounded at 8 elements")
+    if max_n > MAX_SWEEP:
+        raise BoundExceeded(f"confirmation sweep is bounded at {MAX_SWEEP} elements")
     enum = enumerate_lattices(max_n, filters=("complemented",))
     for idx, lat in enumerate(enum.lattices):
         res = search_integral_residuation(lat)

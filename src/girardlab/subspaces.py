@@ -41,7 +41,6 @@ class QuantaleContext:
     n: int
     tau_rank: float = 1e-9
     tau_eq: Optional[float] = None
-    seed: int = 0
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_DIM:

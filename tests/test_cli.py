@@ -119,6 +119,19 @@ class TestEnumerate:
         assert code == 0
         assert "complemented-integral-iff-boolean" in out
 
+    @pytest.mark.parametrize("max_n", ["9", "10"])
+    def test_confirm_bound_refused_before_enumerating(self, capsys, monkeypatch, max_n):
+        def enumerate_lattices(*args):
+            raise AssertionError("enumerated before the sweep bound was checked")
+
+        monkeypatch.setattr("girardlab.cli.enumerate_lattices", enumerate_lattices)
+        code, out, err = run(capsys, "enumerate", "--max-n", max_n, "--confirm-thm2")
+        assert (code, out, err) == (2, "", "error: confirmation sweep is bounded at 8 elements\n")
+
+    def test_enumeration_bound_still_reported_first(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--max-n", "11", "--confirm-thm2")
+        assert (code, out, err) == (2, "", "error: max_n must be in 1..10\n")
+
 
 class TestSearchResiduation:
     def test_integral_m3_empty(self, capsys, structures_dir):
@@ -154,6 +167,21 @@ class TestSearchResiduation:
         )
         assert code == 0
         assert "exhausted=False" in out and "unit-downset-boolean-block" in out
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_rejected(self, capsys, structures_dir, budget):
+        with pytest.raises(SystemExit) as exc:
+            main(["search-residuation", str(structures_dir / "boolean-4.struct"),
+                  "--mode", "unital", "--budget", budget])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"--budget: must be at least 1, got {budget}" in err
+
+    def test_budget_bounds_the_node_count(self, capsys, structures_dir):
+        code, out, _ = run(capsys, "search-residuation", str(structures_dir / "boolean-4.struct"),
+                           "--mode", "unital", "--budget", "50")
+        assert code == 0
+        assert out.splitlines()[0].endswith(" exhausted=False nodes=50")
 
 
 class TestRn:

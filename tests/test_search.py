@@ -164,6 +164,19 @@ class TestUnitalSearch:
         result = search_unital_residuation(horizontal_sum_mo(2), budget=0)
         assert result.found == [] and not result.exhausted
 
+    @pytest.mark.parametrize("budget", [1, 50, 102])  # the whole search takes 103 nodes
+    def test_nodes_never_exceed_the_budget(self, budget):
+        result = search_unital_residuation(boolean_ortho(2), budget=budget)
+        assert not result.exhausted and result.nodes == budget
+
+    def test_budget_cut_keeps_the_found_set(self):
+        # a budget that runs out inside the last unit's search finds what
+        # the unbounded search finds before that point
+        full = search_unital_residuation(boolean_ortho(2), budget=10_000)
+        cut = search_unital_residuation(boolean_ortho(2), budget=full.nodes - 1)
+        assert full.exhausted and not cut.exhausted and cut.nodes == full.nodes - 1
+        assert {m.tobytes() for m in cut.found} <= {m.tobytes() for m in full.found}
+
     def test_mo2_budgeted_hits_satisfy_downset_conclusions(self):
         result = search_unital_residuation(horizontal_sum_mo(2), budget=20_000)
         assert not result.exhausted  # full exploration needs a few million nodes
