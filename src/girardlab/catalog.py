@@ -18,10 +18,12 @@ def chain(m: int, labels=None) -> FiniteLattice:
 
 def boolean_cube(k: int) -> FiniteLattice:
     """Powerset of k atoms ordered by inclusion; element i is a bitmask."""
+    atoms = "abcdefgh"
     if k < 0:
         raise ValueError("need k >= 0 atoms")
+    if k > len(atoms):
+        raise ValueError(f"at most {len(atoms)} atoms are supported")
     n = 1 << k
-    atoms = "abcdefgh"[:k]
     labels = []
     for s in range(n):
         name = "".join(atoms[t] for t in range(k) if s >> t & 1)

@@ -183,7 +183,12 @@ def cmd_girard(args) -> int:
     order = _build_order(sf)
     if sf.mul is None:
         raise StructError("girard analysis needs a mul section")
-    s = residuated_structure(order, np.array(sf.mul, dtype=np.intp))
+    m = np.array(sf.mul, dtype=np.intp)
+    assoc = check_associative(m)
+    if assoc.failed:
+        print(render_report([("multiplication", [assoc])], "human"), end="")
+        return 1
+    s = residuated_structure(order, m)
     labels = _labels(order)
     certs = find_cyclic_dualizing(s)
     if certs:

@@ -134,13 +134,6 @@ class FinitePoset:
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
 
-    def below(self, i: int) -> np.ndarray:
-        """Boolean mask of the principal downset of i."""
-        return self.leq[:, i]
-
-    def above(self, i: int) -> np.ndarray:
-        return self.leq[i, :]
-
 
 def validate_poset(relation, labels=None) -> FinitePoset:
     """Check reflexivity, antisymmetry and transitivity of a relation.

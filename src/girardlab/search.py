@@ -1,14 +1,14 @@
 """Exhaustive enumeration of small lattices and residuation searches.
 
-Lattices are enumerated up to isomorphism by growing bounded posets one
-maximal element at a time (a lattice always reaches the empty frontier
-of that process because deleting a maximal element keeps the bottom),
-with canonical-form rejection at every size.  Residuation searches
-backtrack only over products of join-irreducible pairs: a residuated
-multiplication preserves joins, so it is determined by those values and
-the search stays exhaustive.  Every solution a search emits is
-re-verified through derive_residua, which shares no code with the
-searcher's pruning.
+Lattices are enumerated up to isomorphism by growing lattices one coatom
+at a time, with canonical-form rejection at every size: deleting a
+coatom, which is meet-irreducible, from a finite lattice leaves a
+lattice, so every lattice is reached and every frontier holds lattices
+only.  Residuation searches backtrack only over products of
+join-irreducible pairs: a residuated multiplication preserves joins, so
+it is determined by those values and the search stays exhaustive.
+Every solution a search emits is re-verified through derive_residua,
+which shares no code with the searcher's pruning.
 """
 from __future__ import annotations
 
@@ -120,22 +120,22 @@ def _is_lattice_rows(rows: Tuple[int, ...]) -> bool:
 
 
 def _grow(rows: Tuple[int, ...]):
-    """All one-larger bounded posets: add a maximal element above a
-    down-closed subset containing the bottom."""
+    """All one-larger lattices with a new coatom: the new element sits
+    under the top, which is element 0 of every grown lattice, above a
+    down-closed set of non-top elements."""
     n = len(rows)
     downs = _down_masks(rows)
-    bottom = rows.index((1 << n) - 1)
     new_bit = 1 << n
-    for d in range(1 << n):
-        if not d >> bottom & 1:
-            continue
+    for d in range(0, 1 << n, 2):  # the even masks leave out element 0
         closed = 0
         for i in range(n):
             if d >> i & 1:
                 closed |= downs[i]
         if closed != d:
             continue
-        yield tuple(rows[i] | (new_bit if d >> i & 1 else 0) for i in range(n)) + (new_bit,)
+        ext = tuple(rows[i] | (new_bit if d >> i & 1 else 0) for i in range(n)) + (new_bit | 1,)
+        if _is_lattice_rows(ext):
+            yield ext
 
 
 def _rows_to_lattice(rows: Tuple[int, ...]) -> FiniteLattice:
@@ -177,10 +177,7 @@ def enumerate_lattices(max_n: int, filters: tuple = ()) -> EnumerationResult:
     for size in range(1, max_n + 1):
         kept = 0
         for key in sorted(frontier):
-            rows = frontier[key]
-            if not _is_lattice_rows(rows):
-                continue
-            lat = _rows_to_lattice(rows)
+            lat = _rows_to_lattice(frontier[key])
             if "complemented" in filters and not is_complemented(lat)[0].passed:
                 continue
             if "nondistributive" in filters and is_distributive(lat).passed:

@@ -96,6 +96,18 @@ class TestGirard:
         )
         assert code == 0 and "exchange=True" in out
 
+    def test_non_associative_table_exit_one(self, capsys, tmp_path):
+        # residua exist for this table, so only the associativity check stops it
+        bad = tmp_path / "nonassoc.struct"
+        bad.write_text(
+            "elements: [0, m, 1]\ncovers: [[0,1], [1,2]]\n"
+            "mul: [[0,0,0], [0,0,1], [0,1,1]]\n"
+        )
+        code, out, err = run(capsys, "girard", str(bad))
+        assert code == 1 and err == ""
+        assert out == run(capsys, "residuate", str(bad))[1]
+        assert out.startswith("multiplication:\n") and "[FAIL] associativity" in out
+
 
 class TestBlocks:
     def test_mo2_two_lines(self, capsys, structures_dir):
@@ -231,6 +243,11 @@ class TestGen:
         assert code == 0
         sf = parse(out)
         assert sf.mul is not None and sf.unit is not None
+
+    def test_boolean_atom_bound_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "gen", "boolean", "--atoms", "9")
+        assert code == 2 and out == ""
+        assert err == "error: at most 8 atoms are supported\n"
 
 
 class TestExportDot:

@@ -1,6 +1,7 @@
 """Lattice enumeration and the residuation searches."""
 import numpy as np
 import pytest
+from reference_search import reference_enumeration
 
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
     horizontal_sum_mo
@@ -16,8 +17,8 @@ from girardlab.search import (
     search_unital_residuation,
 )
 
-# number of lattices per carrier size, one per isomorphism class
-LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
+# number of lattices per carrier size, one per isomorphism class (OEIS A006966)
+LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078}
 
 
 def rows_of(lat):
@@ -28,8 +29,27 @@ def rows_of(lat):
 class TestEnumeration:
     def test_counts_to_six(self):
         result = enumerate_lattices(6)
+        expected = {n: c for n, c in LATTICE_COUNTS.items() if n <= 6}
+        assert result.counts == expected
+        assert len(result.lattices) == sum(expected.values())
+
+    def test_counts_to_nine_match_a006966(self):
+        result = enumerate_lattices(9)
         assert result.counts == LATTICE_COUNTS
         assert len(result.lattices) == sum(LATTICE_COUNTS.values())
+
+    @pytest.mark.parametrize("filters", [(), ("complemented",), ("orthocomplemented",),
+                                         ("complemented", "nondistributive")])
+    def test_matches_bounded_poset_enumerator(self, filters):
+        """Coatom growth emits, size by size and in the same order, the
+        isomorphism classes the old bounded-poset enumerator kept."""
+        keys, counts = reference_enumeration(8, filters)
+        result = enumerate_lattices(8, filters)
+        assert result.counts == counts
+        got = {size: [] for size in counts}
+        for lat in result.lattices:
+            got[lat.n].append(canonical_key(rows_of(lat)))
+        assert got == keys
 
     def test_single_element(self):
         result = enumerate_lattices(1)
