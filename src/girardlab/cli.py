@@ -236,7 +236,7 @@ def cmd_enumerate(args) -> int:
         print(f"n={size}: {result.counts[size]}")
     print(f"total: {len(result.lattices)}" + (f" (filters: {', '.join(filters)})" if filters else ""))
     if args.confirm_thm2:
-        report = confirm_boolean_forcing(args.max_n)
+        report = confirm_boolean_forcing(args.max_n, result.lattices)
         sections = [("search", [report])]
         print(render_report(sections, "human"), end="")
         return exit_code(sections)

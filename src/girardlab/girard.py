@@ -13,8 +13,8 @@ from typing import List
 
 import numpy as np
 
-from .orders import check_inversion, enumerate_inversions, first_violation, is_boolean, \
-    least_witness
+from .orders import check_inversion, enumerate_inversions, first_violation, index_slabs, \
+    is_boolean, least_witness
 from .ortho import OrthoLattice, blocks, check_orthomodular, compatible, downset_oml
 from .reports import LawReport, law_fail, law_pass, law_skip
 from .residuation import ResiduatedStructure, check_associative
@@ -224,14 +224,20 @@ def join_distribution_failure(join: np.ndarray, t: np.ndarray):
     """Least (x, a, b) at which x * (a \\/ b) = x*a \\/ x*b (the right law) or
     (a \\/ b) * x = a*x \\/ b*x (the left law) fails, with a flag that is
     True when the right law fails there; None when both always hold."""
-    def right(x, a, b):
-        return t[x, join[a, b]] != join[t[x, a], t[x, b]]
+    def broken(rows):
+        # broken[k, a, b]: rows[k] maps a \/ b elsewhere than to rows[k][a] \/ rows[k][b]
+        return rows[:, join] != join[rows[:, :, None], rows[:, None, :]]
 
-    def left(x, a, b):
-        return t[join[a, b], x] != join[t[a, x], t[b, x]]
-
-    w = least_witness(lambda x, a, b: right(x, a, b) | left(x, a, b), len(t), 3)
-    return None if w is None else (w, bool(right(*w)))
+    # the right law at x is a law of row x of t, the left law one of
+    # column x; a contiguous copy of the columns keeps their gathers fast
+    columns = np.ascontiguousarray(t.T)
+    for lo, (x, _, _) in index_slabs(len(t), 3):
+        hi = lo + len(x)
+        right = broken(t[lo:hi])
+        w = first_violation(right | broken(columns[lo:hi]))
+        if w is not None:
+            return (w[0] + lo,) + w[1:], bool(right[w])
+    return None
 
 
 def check_involutive_quantale(l, m, star) -> LawReport:

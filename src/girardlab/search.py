@@ -7,8 +7,11 @@ lattice, so every lattice is reached and every frontier holds lattices
 only.  Residuation searches backtrack only over products of
 join-irreducible pairs: a residuated multiplication preserves joins, so
 it is determined by those values and the search stays exhaustive.
-Every solution a search emits is re-verified through derive_residua,
-which shares no code with the searcher's pruning.
+A node costs a few list lookups: monotonicity is one lower bound
+precomputed per cell, and each irreducible's row is join-extended once,
+when it is complete (see _IrreducibleTableSearch).  Every solution a
+search emits is re-verified through derive_residua, which shares no
+code with the searcher's pruning.
 """
 from __future__ import annotations
 
@@ -217,13 +220,38 @@ def _lattice_id(l: FiniteLattice) -> str:
     return f"n={l.n};covers={hasse_covers(l.poset)}"
 
 
+def _true_columns(mask: np.ndarray) -> List[List[int]]:
+    """For each row of a boolean matrix, the indices of its True cells."""
+    columns: List[List[int]] = [[] for _ in range(len(mask))]
+    for k, c in zip(*(ix.tolist() for ix in np.nonzero(mask))):
+        columns[k].append(c)
+    return columns
+
+
+def _greatest(members: np.ndarray, lt: np.ndarray) -> np.ndarray:
+    """members[x, s] marks s as a member of set x; keeps the members that
+    lie strictly below no other member, lt[s, s2] meaning s < s2."""
+    return members & ~(members.astype(np.intp) @ lt.T.astype(np.intp) > 0)
+
+
 class _IrreducibleTableSearch:
     """Backtracking over products of join-irreducible pairs.
 
-    The full table is the join-extension of the assigned cells; the row
-    of an irreducible can be extended, and therefore checked, as soon as
-    the rows of all irreducibles below it are complete, which the
-    height-sorted cell order guarantees.
+    The full table is the join-extension of the assigned cells.  Cells
+    are visited in one fixed order, irreducibles sorted by height, and
+    each cell's bookkeeping is set up once per search.  The search keeps
+    the assigned values monotone: a(i, j) <= a(i2, j2) whenever
+    i <= i2 and j <= j2.  So only the greatest members of a set of
+    cells or irreducibles count in a join over their values:
+
+    - a value v of a cell passes the monotonicity test iff lo <= v, lo
+      the join of the values of the greatest earlier cells below it.
+      No earlier cell lies above a later one, as an irreducible lies
+      below one of no greater height only when the two are equal;
+    - when the row of irreducible i is complete, its join-extension
+      R_i[y] = \\/ {a(i, j) : j <= y irreducible} is computed and cached.
+      By monotonicity it is row i of the full extension, and row x is
+      the join of R_i over the greatest irreducibles i <= x.
     """
 
     def __init__(self, l: FiniteLattice, e: int, check_associativity: bool = True,
@@ -231,51 +259,68 @@ class _IrreducibleTableSearch:
         self.l = l
         self.e = e  # the unit
         self.check_associativity = check_associativity
-        heights = l.leq.sum(axis=0)
-        self.irr = sorted(join_irreducibles(l), key=lambda i: (int(heights[i]), i))
-        self.below_irr = [
-            [j for j in self.irr if l.leq[j, x]] for x in range(l.n)
-        ]
-        self.cells = [(i, j) for i in self.irr for j in self.irr]
         self.reverse_values = reverse_values
+        heights = l.leq.sum(axis=0).tolist()
+        self.irr = sorted(join_irreducibles(l), key=lambda i: (heights[i], i))
+        r = len(self.irr)
+        irr = np.array(self.irr, dtype=np.intp)
+        below, irr_leq = l.leq[irr].T, l.leq[np.ix_(irr, irr)]
+        self.below_irr = [[self.irr[s] for s in pos] for pos in _true_columns(below)]
+        # positions in self.irr of the greatest irreducibles below each element
+        self.tops = _true_columns(_greatest(below, irr_leq & ~np.eye(r, dtype=bool)))
+        self.position = {i: t for t, i in enumerate(self.irr)}
+        self.cells = [(i, j) for i in self.irr for j in self.irr]
         self.assign: Dict[tuple, int] = {}
+        self.leq_rows, self.join_rows = l.leq.tolist(), l.join.tolist()
+        # cell k is (irr[k // r], irr[k % r]); cell_leq[k, k2] iff cell k <= cell k2
+        cell_leq = (irr_leq[:, None, :, None] & irr_leq[None, :, None, :]).reshape(r * r, r * r)
+        # the greatest earlier cells k2 < k below cell k
+        cell_lt = cell_leq & ~np.eye(r * r, dtype=bool)
+        self.lows = _true_columns(_greatest(np.tril(cell_leq.T, -1), cell_lt))
+        # only incomparable pairs can break the join consistency of a
+        # monotone row: for a <= b it reads row[b] = row[a] \/ row[b]
+        a, b = np.nonzero(np.triu(~(l.leq | l.leq.T)))
+        self.incomparable = list(zip(a.tolist(), b.tolist(), l.join[a, b].tolist()))
+        self.downs = _true_columns(l.leq.T)
+        self.domains = [self.domain(i, j, self.ceiling(i, j)) for i, j in self.cells]
+        self.values = [l.bottom] * len(self.cells)  # values[k]: the value of cell k
+        self.rows: List[Optional[List[int]]] = [None] * r  # R_i, by position of i
 
     def domain(self, i: int, j: int, ceiling: int) -> List[int]:
-        down = [v for v in range(self.l.n) if self.l.leq[v, ceiling]]
-        return list(reversed(down)) if self.reverse_values else down
-
-    def _partial_row(self, i: int, y: int) -> int:
-        """Extension value at (i, y) from the assigned cells."""
-        l = self.l
-        acc = l.bottom
-        for i2 in self.below_irr[i]:
-            for j2 in self.below_irr[y]:
-                acc = int(l.join[acc, self.assign[(i2, j2)]])
-        return acc
+        down = self.downs[ceiling]
+        return down[::-1] if self.reverse_values else down
 
     def row_ok(self, i: int) -> bool:
-        """Called when row i is complete: unit column and the row's join
-        consistency must already hold for the partial extension."""
-        l = self.l
-        ext = np.array([self._partial_row(i, y) for y in range(l.n)])
-        return ext[self.e] == i and bool((ext[l.join] == l.join[ext[:, None], ext]).all())
-
-    def monotone_ok(self, i: int, j: int, v: int) -> bool:
-        l = self.l
-        for (i2, j2), v2 in self.assign.items():
-            if l.leq[i2, i] and l.leq[j2, j] and not l.leq[v2, v]:
-                return False
-            if l.leq[i, i2] and l.leq[j, j2] and not l.leq[v, v2]:
+        """Called when row i is complete: caches R_i, then the unit
+        column and the row's join consistency must already hold for the
+        partial extension."""
+        join, bottom, t = self.join_rows, self.l.bottom, self.position[i]
+        products = self.values[t * len(self.irr):(t + 1) * len(self.irr)]
+        row = []
+        for tops in self.tops:
+            acc = bottom
+            for s in tops:
+                acc = join[acc][products[s]]
+            row.append(acc)
+        self.rows[t] = row
+        if row[self.e] != i:
+            return False
+        for a, b, ab in self.incomparable:
+            if row[ab] != join[row[a]][row[b]]:
                 return False
         return True
 
     def extension(self) -> np.ndarray:
-        l = self.l
-        m = np.empty((l.n, l.n), dtype=np.intp)
-        for x in range(l.n):
-            for y in range(l.n):
-                m[x, y] = self._partial_row(x, y) if self.below_irr[x] else l.bottom
-        return m
+        join, rows, table = self.join_rows, self.rows, []
+        for tops in self.tops:
+            if not tops:
+                table.append([self.l.bottom] * self.l.n)
+                continue
+            row = rows[tops[0]]
+            for s in tops[1:]:
+                row = [join[u][w] for u, w in zip(row, rows[s])]
+            table.append(row)
+        return np.array(table, dtype=np.intp)
 
     def table_ok(self, m: np.ndarray) -> bool:
         return (all(m[cell] == v for cell, v in self.assign.items())
@@ -290,42 +335,46 @@ class _IrreducibleTableSearch:
         return bool(((m[:, self.e] == x) & (m[self.e] == x)).all())
 
     def run(self, budget: Optional[int] = None):
-        found: List[np.ndarray] = []
+        """(hits, exhausted, nodes): hits pairs each found table with its
+        verified structure, sorted by table."""
+        cells, values, domains, lows = self.cells, self.values, self.domains, self.lows
+        leq, join, bottom = self.leq_rows, self.join_rows, self.l.bottom
+        limit = float("inf") if budget is None else budget
+        # the irreducible whose row cell k completes, or None
+        completes = [i if k + 1 == len(cells) or cells[k + 1][0] != i else None
+                     for k, (i, _) in enumerate(cells)]
+        hits: List[Tuple[np.ndarray, ResiduatedStructure]] = []
         nodes = 0
-        exhausted = True
-        row_ends = {}
-        for k, (i, j) in enumerate(self.cells):
-            row_ends[k] = k + 1 == len(self.cells) or self.cells[k + 1][0] != i
 
         def rec(k: int) -> bool:
             nonlocal nodes
-            if k == len(self.cells):
+            if k == len(cells):
+                self.assign = dict(zip(cells, values))
                 m = self.extension()
                 if self.table_ok(m) and self.leaf_ok(m):
                     try:
-                        residuated_structure(self.l, m)
+                        hits.append((m, residuated_structure(self.l, m)))
                     except ResiduationError:
-                        return True
-                    found.append(m)
+                        pass
                 return True
-            i, j = self.cells[k]
-            for v in self.domain(i, j, self.ceiling(i, j)):
-                if budget is not None and nodes >= budget:
+            lo = bottom
+            for k2 in lows[k]:
+                lo = join[lo][values[k2]]
+            above_lo, i = leq[lo], completes[k]
+            for v in domains[k]:
+                if nodes >= limit:
                     return False
                 nodes += 1
-                if not self.monotone_ok(i, j, v):
+                if not above_lo[v]:
                     continue
-                self.assign[(i, j)] = v
-                if not row_ends[k] or self.row_ok(i):
-                    if not rec(k + 1):
-                        del self.assign[(i, j)]
-                        return False
-                del self.assign[(i, j)]
+                values[k] = v
+                if (i is None or self.row_ok(i)) and not rec(k + 1):
+                    return False
             return True
 
         exhausted = rec(0)
-        found.sort(key=lambda m: tuple(m.ravel()))
-        return found, exhausted, nodes
+        hits.sort(key=lambda hit: tuple(hit[0].ravel()))
+        return hits, exhausted, nodes
 
 
 class _IntegralSearch(_IrreducibleTableSearch):
@@ -366,9 +415,9 @@ def search_integral_residuation(l: FiniteLattice, _check_associativity: bool = T
     set."""
     search = _IntegralSearch(l, check_associativity=_check_associativity,
                              reverse_values=_reverse_values)
-    found, exhausted, nodes = search.run(budget=None)
-    structures = [residuated_structure(l, m) for m in found]
-    return ResiduationSearchResult(_lattice_id(l), "integral", found, structures, exhausted, nodes)
+    hits, exhausted, nodes = search.run(budget=None)
+    return ResiduationSearchResult(_lattice_id(l), "integral", [m for m, _ in hits],
+                                   [s for _, s in hits], exhausted, nodes)
 
 
 def search_unital_residuation(o: OrthoLattice, budget: int = 200_000) -> ResiduationSearchResult:
@@ -380,7 +429,7 @@ def search_unital_residuation(o: OrthoLattice, budget: int = 200_000) -> Residua
     if not is_orthomodular(o):
         raise NotOrthomodularInput("unital search expects an orthomodular carrier")
     l = o.lattice
-    found: List[np.ndarray] = []
+    hits: List[Tuple[np.ndarray, ResiduatedStructure]] = []
     nodes_total = 0
     exhausted = True
     units = [l.top] if l.n == 1 else [e for e in range(l.n) if e != l.bottom]
@@ -390,29 +439,37 @@ def search_unital_residuation(o: OrthoLattice, budget: int = 200_000) -> Residua
             exhausted = False
             break
         search = _UnitalSearch(l, e)
-        hits, done, nodes = search.run(budget=remaining)
+        unit_hits, done, nodes = search.run(budget=remaining)
         nodes_total += nodes
-        found.extend(hits)
+        hits.extend(unit_hits)
         if not done:
             exhausted = False
             break
-    found.sort(key=lambda m: tuple(m.ravel()))
-    structures = [residuated_structure(l, m) for m in found]
+    hits.sort(key=lambda hit: tuple(hit[0].ravel()))
+    structures = [s for _, s in hits]
     reports = [check_unit_downset_boolean(o, s) for s in structures]
     return ResiduationSearchResult(
-        _lattice_id(l), "unital", found, structures, exhausted, nodes_total, reports
+        _lattice_id(l), "unital", [m for m, _ in hits], structures, exhausted, nodes_total,
+        reports
     )
 
 
-def confirm_boolean_forcing(max_n: int) -> LawReport:
+def confirm_boolean_forcing(max_n: int,
+                            lattices: Optional[List[FiniteLattice]] = None) -> LawReport:
     """For every complemented lattice on at most max_n elements, an
     integral residuated multiplication exists exactly when the lattice
     is Boolean, and on Boolean lattices the only one is the meet (hence
-    idempotent).  Verified by exhaustive enumeration plus search."""
+    idempotent).  Verified by exhaustive enumeration plus search.
+
+    `lattices`, when given, is what enumerate_lattices(max_n) returned,
+    possibly filtered; the complemented ones among them are checked
+    instead of enumerating again."""
     if max_n > MAX_SWEEP:
         raise BoundExceeded(f"confirmation sweep is bounded at {MAX_SWEEP} elements")
-    enum = enumerate_lattices(max_n, filters=("complemented",))
-    for idx, lat in enumerate(enum.lattices):
+    if lattices is None:
+        lattices = enumerate_lattices(max_n).lattices
+    complemented = [lat for lat in lattices if is_complemented(lat)[0].passed]
+    for idx, lat in enumerate(complemented):
         res = search_integral_residuation(lat)
         boolean = is_boolean(lat).passed
         if bool(res.found) != boolean:
@@ -434,8 +491,9 @@ def confirm_boolean_forcing(max_n: int) -> LawReport:
                     (lat.n, idx),
                     "meet multiplication not idempotent",
                 )
-    sizes = ", ".join(f"{k}:{v}" for k, v in sorted(enum.counts.items()))
+    sizes = ", ".join(f"{size}:{sum(lat.n == size for lat in complemented)}"
+                      for size in range(1, max_n + 1))
     return law_pass(
         "complemented-integral-iff-boolean",
-        f"{len(enum.lattices)} complemented lattices checked (per size {sizes})",
+        f"{len(complemented)} complemented lattices checked (per size {sizes})",
     )

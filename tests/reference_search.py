@@ -1,17 +1,31 @@
-"""The bounded-poset lattice enumerator, kept as a reference.
+"""Earlier forms of the enumerator and of the residuation searcher, kept
+as references.
 
-Before girardlab grew lattices one coatom at a time, its enumerator grew
-every bounded-below poset one maximal element at a time and kept only
-the lattices when it emitted each size.  That process reaches every
-lattice because deleting a maximal element keeps the bottom.  It shares
-the canonical form, the output order and the filters with the current
-enumerator but not the growth, so it serves, only here, as the oracle
-of the differential test in tests/test_search.py.
+The bounded-poset lattice enumerator.  Before girardlab grew lattices
+one coatom at a time, its enumerator grew every bounded-below poset one
+maximal element at a time and kept only the lattices when it emitted
+each size.  That process reaches every lattice because deleting a
+maximal element keeps the bottom.  It shares the canonical form, the
+output order and the filters with the current enumerator but not the
+growth, so it serves, only here, as the oracle of the differential test
+in tests/test_search.py.
+
+The searcher's node bookkeeping.  `_IrreducibleTableSearch` used to
+rescan every assigned cell for monotonicity and to recompute every
+extension cell from the assigned cells, for the row check and for the
+table at each leaf.  `LoopSearch` restores those scans and the loop that
+called them; mixed in ahead of `_IntegralSearch` or `_UnitalSearch` it
+shares only their value domains and leaf checks, so the searches built
+from it must visit the same nodes and find the same tables.
 """
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from girardlab import search
 from girardlab.orders import is_complemented, is_distributive
+from girardlab.residuation import ResiduationError, residuated_structure
 from girardlab.search import _down_masks, _has_orthocomplement, _is_lattice_rows, \
     _rows_to_lattice, canonical_key
 
@@ -67,3 +81,82 @@ def reference_enumeration(max_n: int, filters: tuple = ()):
                 continue
             keys[size].append(key)
     return keys, {size: len(k) for size, k in keys.items()}
+
+
+class LoopSearch:
+    """_IrreducibleTableSearch's bookkeeping, loop form."""
+
+    def _partial_row(self, i: int, y: int) -> int:
+        """Extension value at (i, y) from the assigned cells."""
+        l = self.l
+        acc = l.bottom
+        for i2 in self.below_irr[i]:
+            for j2 in self.below_irr[y]:
+                acc = int(l.join[acc, self.assign[(i2, j2)]])
+        return acc
+
+    def row_ok(self, i: int) -> bool:
+        l = self.l
+        ext = np.array([self._partial_row(i, y) for y in range(l.n)])
+        return ext[self.e] == i and bool((ext[l.join] == l.join[ext[:, None], ext]).all())
+
+    def monotone_ok(self, i: int, j: int, v: int) -> bool:
+        l = self.l
+        for (i2, j2), v2 in self.assign.items():
+            if l.leq[i2, i] and l.leq[j2, j] and not l.leq[v2, v]:
+                return False
+            if l.leq[i, i2] and l.leq[j, j2] and not l.leq[v, v2]:
+                return False
+        return True
+
+    def extension(self) -> np.ndarray:
+        l = self.l
+        m = np.empty((l.n, l.n), dtype=np.intp)
+        for x in range(l.n):
+            for y in range(l.n):
+                m[x, y] = self._partial_row(x, y) if self.below_irr[x] else l.bottom
+        return m
+
+    def run(self, budget: Optional[int] = None):
+        hits = []
+        nodes = 0
+        row_ends = {}
+        for k, (i, j) in enumerate(self.cells):
+            row_ends[k] = k + 1 == len(self.cells) or self.cells[k + 1][0] != i
+
+        def rec(k: int) -> bool:
+            nonlocal nodes
+            if k == len(self.cells):
+                m = self.extension()
+                if self.table_ok(m) and self.leaf_ok(m):
+                    try:
+                        hits.append((m, residuated_structure(self.l, m)))
+                    except ResiduationError:
+                        pass
+                return True
+            i, j = self.cells[k]
+            for v in self.domain(i, j, self.ceiling(i, j)):
+                if budget is not None and nodes >= budget:
+                    return False
+                nodes += 1
+                if not self.monotone_ok(i, j, v):
+                    continue
+                self.assign[(i, j)] = v
+                if not row_ends[k] or self.row_ok(i):
+                    if not rec(k + 1):
+                        del self.assign[(i, j)]
+                        return False
+                del self.assign[(i, j)]
+            return True
+
+        exhausted = rec(0)
+        hits.sort(key=lambda hit: tuple(hit[0].ravel()))
+        return hits, exhausted, nodes
+
+
+class LoopIntegralSearch(LoopSearch, search._IntegralSearch):
+    pass
+
+
+class LoopUnitalSearch(LoopSearch, search._UnitalSearch):
+    pass

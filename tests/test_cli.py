@@ -1,10 +1,12 @@
 """Command surface and exit-code contract."""
 import pytest
 
+from girardlab import search
 from girardlab.cli import main
 from girardlab.render import export_dot, render_report
 from girardlab.reports import law_fail, law_pass
 from girardlab.catalog import chain, diamond_m3
+from girardlab.search import confirm_boolean_forcing
 from girardlab.structfile import parse
 
 
@@ -139,6 +141,26 @@ class TestEnumerate:
         monkeypatch.setattr("girardlab.cli.enumerate_lattices", enumerate_lattices)
         code, out, err = run(capsys, "enumerate", "--max-n", max_n, "--confirm-thm2")
         assert (code, out, err) == (2, "", "error: confirmation sweep is bounded at 8 elements\n")
+
+    def test_confirm_enumerates_once(self, capsys, monkeypatch):
+        # the sweep checks the lattices the counts came from, and its
+        # report equals a sweep that enumerates on its own
+        expected = render_report([("search", [confirm_boolean_forcing(6)])], "human")
+        calls, real = [], search.enumerate_lattices
+
+        def enumerate_lattices(*args):
+            calls.append(args)
+            return real(*args)
+
+        def no_enumeration(*args):
+            raise AssertionError("the sweep enumerated again")
+
+        monkeypatch.setattr("girardlab.cli.enumerate_lattices", enumerate_lattices)
+        monkeypatch.setattr("girardlab.search.enumerate_lattices", no_enumeration)
+        for flags in ([], ["--complemented"]):
+            code, out, _ = run(capsys, "enumerate", "--max-n", "6", "--confirm-thm2", *flags)
+            assert code == 0 and out.endswith(expected)
+        assert len(calls) == 2
 
     def test_enumeration_bound_still_reported_first(self, capsys):
         code, out, err = run(capsys, "enumerate", "--max-n", "11", "--confirm-thm2")

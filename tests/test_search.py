@@ -1,8 +1,11 @@
 """Lattice enumeration and the residuation searches."""
+import pathlib
+
 import numpy as np
 import pytest
-from reference_search import reference_enumeration
+from reference_search import LoopIntegralSearch, LoopUnitalSearch, reference_enumeration
 
+from girardlab import search
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
     horizontal_sum_mo
 from girardlab.orders import hasse_covers, is_boolean
@@ -16,6 +19,7 @@ from girardlab.search import (
     search_integral_residuation,
     search_unital_residuation,
 )
+from girardlab.structfile import build_lattice, build_ortholattice, load
 
 # number of lattices per carrier size, one per isomorphism class (OEIS A006966)
 LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078}
@@ -212,3 +216,67 @@ class TestUnitalSearch:
     def test_lattice_id_mentions_covers(self):
         result = search_unital_residuation(boolean_ortho(1), budget=1000)
         assert str(hasse_covers(boolean_cube(1).poset)) in result.lattice_id
+
+
+def _outcome(result):
+    return ([m.tolist() for m in result.found], [s.flags.unit for s in result.structures],
+            result.exhausted, result.nodes)
+
+
+def _loop_outcome(monkeypatch, run, *args):
+    """The outcome of a search built from the loop-form bookkeeping."""
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_IntegralSearch", LoopIntegralSearch)
+        patch.setattr(search, "_UnitalSearch", LoopUnitalSearch)
+        return _outcome(run(*args))
+
+
+STRUCTURES = pathlib.Path(__file__).resolve().parent.parent / "structures"
+STRUCTURE_FILES = sorted(STRUCTURES.glob("*.struct"))
+
+
+class TestSearchBookkeeping:
+    """The monotonicity bound and cached rows against the scans they
+    replaced: the same nodes, in the same order, find the same tables."""
+
+    def test_no_earlier_cell_lies_above_a_later_one(self):
+        # why monotonicity needs only the lower bound from earlier cells
+        for lat in enumerate_lattices(6).lattices:
+            cells = search._IntegralSearch(lat).cells
+            for k, (i, j) in enumerate(cells):
+                assert not any(lat.leq[i, i2] and lat.leq[j, j2] for i2, j2 in cells[:k])
+
+    @pytest.mark.parametrize("path", STRUCTURE_FILES, ids=lambda p: p.stem)
+    def test_integral_on_structure_files(self, monkeypatch, path):
+        lat = build_lattice(load(path))
+        assert _outcome(search_integral_residuation(lat)) == \
+            _loop_outcome(monkeypatch, search_integral_residuation, lat)
+
+    def test_integral_on_every_lattice_to_six(self):
+        # the budget exhausts every search but the 6-chain's, which takes
+        # 589915 nodes (about 26 s in loop form)
+        def outcome(run):
+            hits, exhausted, nodes = run(budget=40_000)
+            return [(m.tolist(), s.flags.unit) for m, s in hits], exhausted, nodes
+
+        cut = 0
+        for lat in enumerate_lattices(6).lattices:
+            new = outcome(search._IntegralSearch(lat).run)
+            assert new == outcome(LoopIntegralSearch(lat).run)
+            cut += not new[1]
+        assert cut == 1
+
+    @pytest.mark.parametrize("name", ["boolean-2", "boolean-4"])
+    def test_unital_exhaustive(self, monkeypatch, name):
+        o = build_ortholattice(load(STRUCTURES / f"{name}.struct"))
+        new = _outcome(search_unital_residuation(o))
+        assert new[2]  # exhausted
+        assert new == _loop_outcome(monkeypatch, search_unital_residuation, o)
+
+    @pytest.mark.parametrize("name", ["mo2", "mo3"])
+    @pytest.mark.parametrize("budget", [1, 37, 5000, 20_000])
+    def test_unital_budgeted(self, monkeypatch, name, budget):
+        o = build_ortholattice(load(STRUCTURES / f"{name}.struct"))
+        new = _outcome(search_unital_residuation(o, budget=budget))
+        assert new[3] == budget and not new[2]
+        assert new == _loop_outcome(monkeypatch, search_unital_residuation, o, budget)
