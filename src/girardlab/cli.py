@@ -43,8 +43,8 @@ from .residuation import (
     lukasiewicz_chain,
     residuated_structure,
 )
-from .search import MAX_ENUM, MAX_SWEEP, BoundExceeded, confirm_boolean_forcing, \
-    enumerate_lattices, search_integral_residuation, search_unital_residuation
+from .search import BoundExceeded, confirm_boolean_forcing, enumerate_lattices, \
+    search_integral_residuation, search_unital_residuation
 from .structfile import StructError, build_lattice, build_ortholattice, build_poset, from_lattice, \
     load, serialize
 from .subspaces import (
@@ -189,6 +189,10 @@ def cmd_girard(args) -> int:
         print(render_report([("multiplication", [assoc])], "human"), end="")
         return 1
     s = residuated_structure(order, m)
+    inversion = None
+    if args.inversion:
+        inversion = tuple(int(x) for x in args.inversion.split(","))
+    eq = girard_equivalences(s, inversion=inversion)  # rejects a bad inversion before any output
     labels = _labels(order)
     certs = find_cyclic_dualizing(s)
     if certs:
@@ -197,16 +201,7 @@ def cmd_girard(args) -> int:
             print(f"cyclic dualizing element d={labels[c.d]}  unit e={labels[c.e]}  negation: {neg}")
     else:
         print("no cyclic dualizing element")
-    inversion = None
-    if args.inversion:
-        inversion = tuple(int(x) for x in args.inversion.split(","))
-    reports = []
-    try:
-        eq = girard_equivalences(s, inversion=inversion)
-        reports.append(eq.agreement)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    reports = [eq.agreement]
     for c in certs:
         reports.append(check_dualizer_join_formula(s, c))
     reports.append(check_boolean_idempotent_criterion(s))
@@ -228,9 +223,6 @@ def cmd_blocks(args) -> int:
 
 def cmd_enumerate(args) -> int:
     filters = ("complemented",) if args.complemented else ()
-    if args.confirm_thm2 and MAX_SWEEP < args.max_n <= MAX_ENUM:
-        # refuse before enumerating, not after printing the counts
-        raise BoundExceeded(f"confirmation sweep is bounded at {MAX_SWEEP} elements")
     result = enumerate_lattices(args.max_n, filters)
     for size in sorted(result.counts):
         print(f"n={size}: {result.counts[size]}")
@@ -246,12 +238,14 @@ def cmd_enumerate(args) -> int:
 def cmd_search_residuation(args) -> int:
     sf = load(args.file)
     if args.mode == "integral":
-        result = search_integral_residuation(build_lattice(sf))
+        lattice = build_lattice(sf)
+        result = search_integral_residuation(lattice)
     else:
-        result = search_unital_residuation(build_ortholattice(sf), budget=args.budget)
+        o = build_ortholattice(sf)
+        lattice = o.lattice
+        result = search_unital_residuation(o, budget=args.budget)
     print(f"mode={result.mode} found={len(result.found)} exhausted={result.exhausted} "
           f"nodes={result.nodes}")
-    lattice = build_lattice(sf)
     for k, (table, s) in enumerate(zip(result.found, result.structures)):
         out = from_lattice(lattice, ortho=sf.ortho, mul=table, unit=s.flags.unit)
         print(f"# solution {k}")
@@ -271,7 +265,7 @@ def cmd_rn(args) -> int:
     return exit_code(sections)
 
 
-def _parse_vectors(text: str, n: int, ctx: QuantaleContext):
+def _parse_vectors(text: str, ctx: QuantaleContext):
     if not text:
         return span(ctx, [])
     vectors = []
@@ -285,14 +279,14 @@ def _parse_vectors(text: str, n: int, ctx: QuantaleContext):
 
 def cmd_rn_op(args) -> int:
     ctx = QuantaleContext(args.dim)
-    a = _parse_vectors(args.a, args.dim, ctx)
+    a = _parse_vectors(args.a, ctx)
     ops = {"mul": mul, "meet": meet, "join": join, "residuum": residuum}
     if args.op == "ortho":
         result = ortho(ctx, a)
     else:
         if args.b is None:
             raise DimensionMismatch(f"op {args.op} needs --b")
-        b = _parse_vectors(args.b, args.dim, ctx)
+        b = _parse_vectors(args.b, ctx)
         result = ops[args.op](ctx, a, b)
     print(f"dim: {result.dim}")
     for row in result.basis.T:

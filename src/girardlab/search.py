@@ -11,7 +11,10 @@ A node costs a few list lookups: monotonicity is one lower bound
 precomputed per cell, and each irreducible's row is join-extended once,
 when it is complete (see _IrreducibleTableSearch).  Every solution a
 search emits is re-verified through derive_residua, which shares no
-code with the searcher's pruning.
+code with the searcher's pruning.  A leaf is one check: the two-sided
+unit law, then associativity, then residuated_structure.  Adjointness
+makes each one-sided product a left adjoint, so a table that passes
+preserves joins in each argument and needs no separate join scan.
 """
 from __future__ import annotations
 
@@ -20,16 +23,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .girard import check_unit_downset_boolean, join_distribution_failure
-from .orders import FiniteLattice, compute_lattice, is_boolean, is_complemented, is_distributive, \
-    join_irreducibles, validate_poset, enumerate_inversions
+from .girard import check_unit_downset_boolean
+from .orders import FiniteLattice, compute_lattice, hasse_covers, is_boolean, is_complemented, \
+    is_distributive, join_irreducibles, validate_poset, enumerate_inversions
 from .ortho import NotOrthomodularInput, OrthoLattice, is_orthomodular
 from .reports import LawReport, law_fail, law_pass
 from .residuation import ResiduatedStructure, ResiduationError, check_associative, \
     residuated_structure
 
 MAX_ENUM = 10
-MAX_SWEEP = 8
 FILTERS = ("complemented", "orthocomplemented", "nondistributive")
 
 
@@ -215,8 +217,6 @@ class ResiduationSearchResult:
 
 
 def _lattice_id(l: FiniteLattice) -> str:
-    from .orders import hasse_covers
-
     return f"n={l.n};covers={hasse_covers(l.poset)}"
 
 
@@ -237,10 +237,10 @@ def _greatest(members: np.ndarray, lt: np.ndarray) -> np.ndarray:
 class _IrreducibleTableSearch:
     """Backtracking over products of join-irreducible pairs.
 
-    The full table is the join-extension of the assigned cells.  Cells
+    The full table is the join-extension of the cells' values.  Cells
     are visited in one fixed order, irreducibles sorted by height, and
     each cell's bookkeeping is set up once per search.  The search keeps
-    the assigned values monotone: a(i, j) <= a(i2, j2) whenever
+    the cells' values monotone: a(i, j) <= a(i2, j2) whenever
     i <= i2 and j <= j2.  So only the greatest members of a set of
     cells or irreducibles count in a join over their values:
 
@@ -254,12 +254,9 @@ class _IrreducibleTableSearch:
       the join of R_i over the greatest irreducibles i <= x.
     """
 
-    def __init__(self, l: FiniteLattice, e: int, check_associativity: bool = True,
-                 reverse_values: bool = False):
+    def __init__(self, l: FiniteLattice, e: int):
         self.l = l
         self.e = e  # the unit
-        self.check_associativity = check_associativity
-        self.reverse_values = reverse_values
         heights = l.leq.sum(axis=0).tolist()
         self.irr = sorted(join_irreducibles(l), key=lambda i: (heights[i], i))
         r = len(self.irr)
@@ -270,7 +267,6 @@ class _IrreducibleTableSearch:
         self.tops = _true_columns(_greatest(below, irr_leq & ~np.eye(r, dtype=bool)))
         self.position = {i: t for t, i in enumerate(self.irr)}
         self.cells = [(i, j) for i in self.irr for j in self.irr]
-        self.assign: Dict[tuple, int] = {}
         self.leq_rows, self.join_rows = l.leq.tolist(), l.join.tolist()
         # cell k is (irr[k // r], irr[k % r]); cell_leq[k, k2] iff cell k <= cell k2
         cell_leq = (irr_leq[:, None, :, None] & irr_leq[None, :, None, :]).reshape(r * r, r * r)
@@ -282,13 +278,13 @@ class _IrreducibleTableSearch:
         a, b = np.nonzero(np.triu(~(l.leq | l.leq.T)))
         self.incomparable = list(zip(a.tolist(), b.tolist(), l.join[a, b].tolist()))
         self.downs = _true_columns(l.leq.T)
-        self.domains = [self.domain(i, j, self.ceiling(i, j)) for i, j in self.cells]
+        self.domains = [self.domain(i, j) for i, j in self.cells]
         self.values = [l.bottom] * len(self.cells)  # values[k]: the value of cell k
         self.rows: List[Optional[List[int]]] = [None] * r  # R_i, by position of i
 
-    def domain(self, i: int, j: int, ceiling: int) -> List[int]:
-        down = self.downs[ceiling]
-        return down[::-1] if self.reverse_values else down
+    def domain(self, i: int, j: int) -> List[int]:
+        """The values cell (i, j) ranges over, in search order."""
+        raise NotImplementedError
 
     def row_ok(self, i: int) -> bool:
         """Called when row i is complete: caches R_i, then the unit
@@ -322,17 +318,17 @@ class _IrreducibleTableSearch:
             table.append(row)
         return np.array(table, dtype=np.intp)
 
-    def table_ok(self, m: np.ndarray) -> bool:
-        return (all(m[cell] == v for cell, v in self.assign.items())
-                and join_distribution_failure(self.l.join, m) is None
-                and not (self.check_associativity and check_associative(m).failed))
-
-    def ceiling(self, i: int, j: int) -> int:
-        raise NotImplementedError
-
-    def leaf_ok(self, m: np.ndarray) -> bool:
+    def leaf(self, m: np.ndarray) -> Optional[ResiduatedStructure]:
+        """The verified structure of a leaf table, or None when the
+        table has no two-sided unit e, is not associative or is not
+        residuated."""
         x = np.arange(self.l.n)
-        return bool(((m[:, self.e] == x) & (m[self.e] == x)).all())
+        if not ((m[:, self.e] == x) & (m[self.e] == x)).all() or check_associative(m).failed:
+            return None
+        try:
+            return residuated_structure(self.l, m)
+        except ResiduationError:
+            return None
 
     def run(self, budget: Optional[int] = None):
         """(hits, exhausted, nodes): hits pairs each found table with its
@@ -349,13 +345,10 @@ class _IrreducibleTableSearch:
         def rec(k: int) -> bool:
             nonlocal nodes
             if k == len(cells):
-                self.assign = dict(zip(cells, values))
                 m = self.extension()
-                if self.table_ok(m) and self.leaf_ok(m):
-                    try:
-                        hits.append((m, residuated_structure(self.l, m)))
-                    except ResiduationError:
-                        pass
+                s = self.leaf(m)
+                if s is not None:
+                    hits.append((m, s))
                 return True
             lo = bottom
             for k2 in lows[k]:
@@ -381,40 +374,30 @@ class _IntegralSearch(_IrreducibleTableSearch):
     """Unit fixed at the top; products capped by the meet, which every
     integral residuated multiplication satisfies."""
 
-    def __init__(self, l: FiniteLattice, **kw):
-        super().__init__(l, l.top, **kw)
+    def __init__(self, l: FiniteLattice):
+        super().__init__(l, l.top)
 
-    def ceiling(self, i: int, j: int) -> int:
-        return int(self.l.meet[i, j])
+    def domain(self, i: int, j: int) -> List[int]:
+        return self.downs[self.l.meet[i, j]]
 
 
 class _UnitalSearch(_IrreducibleTableSearch):
     """Unit anywhere; cell values range over the whole carrier except
     where the unit law pins a lone extension cell outright."""
 
-    def ceiling(self, i: int, j: int) -> int:
-        return self.l.top
-
-    def domain(self, i: int, j: int, ceiling: int) -> List[int]:
+    def domain(self, i: int, j: int) -> List[int]:
         e = self.e
         if j == e and self.below_irr[e] == [e] and self.below_irr[i] == [i]:
             return [i]
         if i == e and self.below_irr[e] == [e] and self.below_irr[j] == [j]:
             return [j]
-        return super().domain(i, j, ceiling)
+        return self.downs[self.l.top]
 
 
-def search_integral_residuation(l: FiniteLattice, _check_associativity: bool = True,
-                                _reverse_values: bool = False) -> ResiduationSearchResult:
+def search_integral_residuation(l: FiniteLattice) -> ResiduationSearchResult:
     """Exhaustive search for multiplications making l an integral
-    residuated lattice.  Always runs to exhaustion.
-
-    The private knobs exist for mutation testing of the search oracle:
-    disabling the associativity check admits tables that satisfy every
-    other law, and reversing the value order must not change the found
-    set."""
-    search = _IntegralSearch(l, check_associativity=_check_associativity,
-                             reverse_values=_reverse_values)
+    residuated lattice.  Always runs to exhaustion."""
+    search = _IntegralSearch(l)
     hits, exhausted, nodes = search.run(budget=None)
     return ResiduationSearchResult(_lattice_id(l), "integral", [m for m, _ in hits],
                                    [s for _, s in hits], exhausted, nodes)
@@ -464,8 +447,6 @@ def confirm_boolean_forcing(max_n: int,
     `lattices`, when given, is what enumerate_lattices(max_n) returned,
     possibly filtered; the complemented ones among them are checked
     instead of enumerating again."""
-    if max_n > MAX_SWEEP:
-        raise BoundExceeded(f"confirmation sweep is bounded at {MAX_SWEEP} elements")
     if lattices is None:
         lattices = enumerate_lattices(max_n).lattices
     complemented = [lat for lat in lattices if is_complemented(lat)[0].passed]

@@ -96,6 +96,8 @@ def span(ctx: QuantaleContext, vectors: Sequence[Sequence[float]]) -> Subspace:
         if v.shape != (ctx.n,):
             raise DimensionMismatch(f"expected vectors of length {ctx.n}")
     a = np.stack(rows, axis=1) if rows else np.zeros((ctx.n, 0))
+    if not np.isfinite(a).all():
+        raise ValueError("vector coordinates must be finite")
     return Subspace(_orthonormal_range(a, ctx.tau_rank))
 
 

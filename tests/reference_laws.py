@@ -362,26 +362,3 @@ def check_involutive_quantale(l, m, star):
             if f[l.join[a, b]] != l.join[f[a], f[b]]:
                 return law_fail("involutive-quantale", (a, b), "star does not preserve joins")
     return law_pass("involutive-quantale")
-
-
-# ---------------------------------------------------------------------------
-# search
-# ---------------------------------------------------------------------------
-
-def table_ok(search, m):
-    """_IrreducibleTableSearch.table_ok, loop form."""
-    l = search.l
-    for (i, j), v in search.assign.items():
-        if m[i, j] != v:
-            return False
-    for x in range(l.n):
-        for a in range(l.n):
-            for b in range(l.n):
-                j = int(l.join[a, b])
-                if m[x, j] != l.join[m[x, a], m[x, b]]:
-                    return False
-                if m[j, x] != l.join[m[a, x], m[b, x]]:
-                    return False
-    if search.check_associativity and check_associative(m).failed:
-        return False
-    return True

@@ -15,7 +15,7 @@ rescan every assigned cell for monotonicity and to recompute every
 extension cell from the assigned cells, for the row check and for the
 table at each leaf.  `LoopSearch` restores those scans and the loop that
 called them; mixed in ahead of `_IntegralSearch` or `_UnitalSearch` it
-shares only their value domains and leaf checks, so the searches built
+shares only their value domains and leaf check, so the searches built
 from it must visit the same nodes and find the same tables.
 """
 from functools import lru_cache
@@ -25,7 +25,6 @@ import numpy as np
 
 from girardlab import search
 from girardlab.orders import is_complemented, is_distributive
-from girardlab.residuation import ResiduationError, residuated_structure
 from girardlab.search import _down_masks, _has_orthocomplement, _is_lattice_rows, \
     _rows_to_lattice, canonical_key
 
@@ -118,6 +117,7 @@ class LoopSearch:
         return m
 
     def run(self, budget: Optional[int] = None):
+        self.assign = {}
         hits = []
         nodes = 0
         row_ends = {}
@@ -128,14 +128,12 @@ class LoopSearch:
             nonlocal nodes
             if k == len(self.cells):
                 m = self.extension()
-                if self.table_ok(m) and self.leaf_ok(m):
-                    try:
-                        hits.append((m, residuated_structure(self.l, m)))
-                    except ResiduationError:
-                        pass
+                s = self.leaf(m)
+                if s is not None:
+                    hits.append((m, s))
                 return True
             i, j = self.cells[k]
-            for v in self.domain(i, j, self.ceiling(i, j)):
+            for v in self.domains[k]:
                 if budget is not None and nodes >= budget:
                     return False
                 nodes += 1

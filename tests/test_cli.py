@@ -98,6 +98,13 @@ class TestGirard:
         )
         assert code == 0 and "exchange=True" in out
 
+    def test_bad_inversion_prints_nothing_on_stdout(self, capsys, structures_dir):
+        # the inversion is checked before any certificate line is printed
+        code, out, err = run(
+            capsys, "girard", str(structures_dir / "lukasiewicz-3.struct"), "--inversion", "0",
+        )
+        assert (code, out, err) == (2, "", "error: map must have length 3, got 1\n")
+
     def test_non_associative_table_exit_one(self, capsys, tmp_path):
         # residua exist for this table, so only the associativity check stops it
         bad = tmp_path / "nonassoc.struct"
@@ -133,14 +140,12 @@ class TestEnumerate:
         assert code == 0
         assert "complemented-integral-iff-boolean" in out
 
-    @pytest.mark.parametrize("max_n", ["9", "10"])
-    def test_confirm_bound_refused_before_enumerating(self, capsys, monkeypatch, max_n):
-        def enumerate_lattices(*args):
-            raise AssertionError("enumerated before the sweep bound was checked")
-
-        monkeypatch.setattr("girardlab.cli.enumerate_lattices", enumerate_lattices)
-        code, out, err = run(capsys, "enumerate", "--max-n", max_n, "--confirm-thm2")
-        assert (code, out, err) == (2, "", "error: confirmation sweep is bounded at 8 elements\n")
+    def test_confirm_to_nine(self, capsys):
+        # the sweep is bounded only by the enumeration bound
+        code, out, err = run(capsys, "enumerate", "--max-n", "9", "--confirm-thm2")
+        assert code == 0 and err == ""
+        assert ("407 complemented lattices checked "
+                "(per size 1:1, 2:1, 3:0, 4:1, 5:2, 6:6, 7:18, 8:71, 9:307)") in out
 
     def test_confirm_enumerates_once(self, capsys, monkeypatch):
         # the sweep checks the lattices the counts came from, and its
@@ -246,6 +251,11 @@ class TestRnOp:
     def test_ortho(self, capsys):
         code, out, _ = run(capsys, "rn-op", "--dim", "3", "--op", "ortho", "--a", "1,1,1")
         assert code == 0 and out.startswith("dim: 2")
+
+    @pytest.mark.parametrize("a", ["1,inf", "1,nan"])
+    def test_non_finite_coordinate_is_an_input_error(self, capsys, a):
+        code, out, err = run(capsys, "rn-op", "--dim", "2", "--op", "ortho", f"--a={a}")
+        assert (code, out, err) == (2, "", "error: vector coordinates must be finite\n")
 
     def test_meet_requires_b(self, capsys):
         code, _, err = run(capsys, "rn-op", "--dim", "2", "--op", "meet", "--a", "1,0")

@@ -10,6 +10,7 @@ from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, di
     horizontal_sum_mo
 from girardlab.orders import hasse_covers, is_boolean
 from girardlab.ortho import NotOrthomodularInput
+from girardlab.reports import law_pass
 from girardlab.residuation import check_associative, derive_residua, lukasiewicz_chain
 from girardlab.search import (
     BoundExceeded,
@@ -133,19 +134,24 @@ class TestIntegralSearch:
                 assert all(table[x, lat.top] == x for x in range(lat.n))
 
     def test_order_independence(self):
-        for lat in (chain(4), diamond_m3(), boolean_cube(2)):
-            forward = search_integral_residuation(lat)
-            backward = search_integral_residuation(lat, _reverse_values=True)
-            assert [t.tolist() for t in forward.found] == [t.tolist() for t in backward.found]
-            assert forward.exhausted == backward.exhausted
+        class Backward(search._IntegralSearch):
+            def domain(self, i, j):
+                return super().domain(i, j)[::-1]
 
-    def test_skipping_associativity_flips_the_found_set(self):
+        for lat in (chain(4), diamond_m3(), boolean_cube(2)):
+            forward, done, _ = search._IntegralSearch(lat).run()
+            backward, backward_done, _ = Backward(lat).run()
+            assert [t.tolist() for t, _ in forward] == [t.tolist() for t, _ in backward]
+            assert done == backward_done
+
+    def test_skipping_associativity_flips_the_found_set(self, monkeypatch):
         # sensitivity of the search oracle: without the associativity
         # check, the four-chain admits extra tables, every one of which
         # still satisfies adjointness and is rejected only by that law
         lat = chain(4)
         strict = search_integral_residuation(lat)
-        loose = search_integral_residuation(lat, _check_associativity=False)
+        monkeypatch.setattr(search, "check_associative", lambda m: law_pass("associativity"))
+        loose = search_integral_residuation(lat)
         strict_tables = {tuple(m.ravel()) for m in strict.found}
         loose_tables = {tuple(m.ravel()) for m in loose.found}
         assert strict_tables < loose_tables
@@ -171,7 +177,7 @@ class TestConfirmBooleanForcing:
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):
-            confirm_boolean_forcing(9)
+            confirm_boolean_forcing(11)
 
 
 class TestUnitalSearch:
