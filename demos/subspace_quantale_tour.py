@@ -27,7 +27,8 @@ ctx = QuantaleContext(2)
 print(f"context: R^{ctx.n}, rank cutoff {ctx.tau_rank}, equality tolerance {ctx.tau_eq:.2e}")
 
 # ---------------------------------------------------------------------------
-# Subspaces are orthonormal bases; equality goes through projectors.
+# Subspaces are orthonormal bases carrying a basis of their complement;
+# equality goes through projectors.
 # ---------------------------------------------------------------------------
 x_axis = span(ctx, [(1.0, 0.0)])
 diag = span(ctx, [(1.0, 1.0), (2.0, 2.0)])  # collinear rows collapse to dim 1
@@ -35,7 +36,8 @@ print(f"\nx-axis dim: {x_axis.dim},  diagonal dim: {diag.dim}")
 print(f"x-axis <= plane: {leq(ctx, x_axis, full(ctx))}")
 
 # Orthocomplement solves the annihilation equations: for the diagonal,
-# a1 + a2 = 0 gives the antidiagonal.
+# a1 + a2 = 0 gives the antidiagonal.  span already found it, in the
+# same SVD as the diagonal's basis.
 anti = ortho(ctx, diag)
 print(f"ortho(diagonal) equals span((1,-1)): {equal(ctx, anti, span(ctx, [(1.0, -1.0)]))}")
 

@@ -155,45 +155,46 @@ def cmd_verify(args) -> int:
     return exit_code(sections)
 
 
-def cmd_residuate(args) -> int:
+def _residuated(args):
+    """The file's residuated structure, or None after printing the
+    associativity or residuation FAIL under `multiplication`."""
     sf = load(args.file)
     order = _build_order(sf)
     if sf.mul is None:
         raise StructError("file has no mul section")
     m = np.array(sf.mul, dtype=np.intp)
-    assoc = check_associative(m)
-    if assoc.failed:
-        print(render_report([("multiplication", [assoc])], "human"), end="")
+    rep = check_associative(m)
+    if rep.passed:
+        try:
+            return sf, residuated_structure(order, m)
+        except ResiduationError as exc:
+            rep = law_fail("residuation", exc.witness, str(exc))
+    print(render_report([("multiplication", [rep])], "human"), end="")
+    return None
+
+
+def cmd_residuate(args) -> int:
+    found = _residuated(args)
+    if found is None:
         return 1
-    try:
-        rres, lres = derive_residua(order, m)
-    except ResiduationError as exc:
-        rep = law_fail("residuation", exc.witness, str(exc))
-        print(render_report([("multiplication", [rep])], "human"), end="")
-        return 1
-    labels = _labels(order)
-    _print_table("right residuum (row -> col)", rres, labels)
-    _print_table("left residuum (row <- col)", lres, labels)
-    print(f"flags: {classify(order, m)}")
+    _, s = found
+    labels = _labels(s)
+    _print_table("right residuum (row -> col)", s.rres, labels)
+    _print_table("left residuum (row <- col)", s.lres, labels)
+    print(f"flags: {s.flags}")
     return 0
 
 
 def cmd_girard(args) -> int:
-    sf = load(args.file)
-    order = _build_order(sf)
-    if sf.mul is None:
-        raise StructError("girard analysis needs a mul section")
-    m = np.array(sf.mul, dtype=np.intp)
-    assoc = check_associative(m)
-    if assoc.failed:
-        print(render_report([("multiplication", [assoc])], "human"), end="")
+    found = _residuated(args)
+    if found is None:
         return 1
-    s = residuated_structure(order, m)
+    sf, s = found
     inversion = None
     if args.inversion:
         inversion = tuple(int(x) for x in args.inversion.split(","))
     eq = girard_equivalences(s, inversion=inversion)  # rejects a bad inversion before any output
-    labels = _labels(order)
+    labels = _labels(s)
     certs = find_cyclic_dualizing(s)
     if certs:
         for c in certs:

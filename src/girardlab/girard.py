@@ -92,22 +92,20 @@ class GirardEquivalenceReport:
     agreement: LawReport
 
 
-def _candidate_inversions(s: ResiduatedStructure, inversion, limit: int):
+def _candidate_inversions(s: ResiduatedStructure, inversion):
     if inversion is not None:
         inv = orders.as_order_map(inversion, s.n)
         if check_inversion(s.poset, inv).failed:
             raise ValueError("supplied map is not an inversion of the carrier order")
         return [inv]
-    if s.n > limit:
+    if s.n > INVERSION_SEARCH_LIMIT:
         raise ValueError(
-            f"carrier has {s.n} > {limit} elements; supply a candidate inversion"
+            f"carrier has {s.n} > {INVERSION_SEARCH_LIMIT} elements; supply a candidate inversion"
         )
     return enumerate_inversions(s.poset)
 
 
-def girard_equivalences(
-    s: ResiduatedStructure, inversion=None, limit: int = INVERSION_SEARCH_LIMIT
-) -> GirardEquivalenceReport:
+def girard_equivalences(s: ResiduatedStructure, inversion=None) -> GirardEquivalenceReport:
     """Run the three Girard recognitions independently and compare.
 
     (1) some element is cyclic and dualizing; (2) some inversion f equals
@@ -115,13 +113,13 @@ def girard_equivalences(
     exchange law t*x <= f(y) iff y*t <= f(x).  On unital residuated
     structures the three agree; the report carries the verdicts plus an
     agreement law so disagreement is loud.  Candidate inversions are
-    enumerated exhaustively up to `limit` elements, beyond which a
-    user-supplied inversion is required.
+    enumerated exhaustively up to INVERSION_SEARCH_LIMIT elements, beyond
+    which a user-supplied inversion is required.
     """
     e = s.flags.unit
     if e is None:
         raise ValueError("agreement check needs a unital structure")
-    inversions = [np.array(f) for f in _candidate_inversions(s, inversion, limit)]
+    inversions = [np.array(f) for f in _candidate_inversions(s, inversion)]
     leq, mul, rres, lres = s.poset.leq, s.mul, s.rres, s.lres
 
     d1 = bool(find_cyclic_dualizing(s))

@@ -19,9 +19,10 @@ class LawReport:
     """Outcome of checking one law on one structure.
 
     A FAIL always carries a witness: the lexicographically least tuple of
-    element indices (or, for the numerical engine, the offending data)
-    that violates the law when replayed.  SKIPPED marks a check whose
-    hypotheses do not hold, as opposed to one that was violated.
+    element indices that violates the law, or, for the numerical engine,
+    the (seed, trial) of the first failing trial, which replays it
+    exactly.  SKIPPED marks a check whose hypotheses do not hold, as
+    opposed to one that was violated.
     """
 
     law: str

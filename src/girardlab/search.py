@@ -157,10 +157,8 @@ def _has_orthocomplement(l: FiniteLattice) -> bool:
 
 @dataclass
 class EnumerationResult:
-    size: int
     lattices: List[FiniteLattice]
     counts: Dict[int, int]
-    filters: tuple
 
 
 def enumerate_lattices(max_n: int, filters: tuple = ()) -> EnumerationResult:
@@ -198,7 +196,7 @@ def enumerate_lattices(max_n: int, filters: tuple = ()) -> EnumerationResult:
                 for ext in _grow(rows):
                     grown.setdefault(canonical_key(ext), ext)
             frontier = grown
-    return EnumerationResult(max_n, lattices, counts, tuple(filters))
+    return EnumerationResult(lattices, counts)
 
 
 # ---------------------------------------------------------------------------

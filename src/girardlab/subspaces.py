@@ -1,15 +1,20 @@
 """The lattice of subspaces of R^n as a commutative quantale, numerically.
 
-A subspace is held as an orthonormal basis (n x r matrix); equality and
-containment are decided through orthogonal projectors, never through the
-bases themselves, which are non-canonical.  The quantale product of two
-subspaces is the span of the componentwise (Hadamard) products of their
-basis vectors; bilinearity makes the result independent of the bases
-chosen.  The unit is the line through (1, ..., 1) and the dualizing
-element is its orthogonal complement, the hyperplane of coordinate-sum
-zero.  verify_quantale_laws drives seeded random trials through every
-law family that makes this an orthomodular commutative Girard structure
-whose orthocomplement is the linear negation.
+A subspace is held as an orthonormal basis (n x r matrix) together with
+an orthonormal basis of its orthogonal complement (n x (n - r)).  Both
+come from one SVD: the n x n factor U of a matrix A splits after its
+rank r into bases of range(A) and of range(A)^perp, so the
+orthocomplement is a swap of the two fields and costs no decomposition.
+Equality and containment are decided through orthogonal projectors,
+never through the bases themselves, which are non-canonical.  The
+quantale product of two subspaces is the span of the componentwise
+(Hadamard) products of their basis vectors; bilinearity makes the
+result independent of the bases chosen.  The unit is the line through
+(1, ..., 1) and the dualizing element is its orthogonal complement, the
+hyperplane of coordinate-sum zero.  verify_quantale_laws drives seeded
+random trials through every law family that makes this an orthomodular
+commutative Girard structure whose orthocomplement is the linear
+negation.
 
 Numerical policy: ranks are decided by singular values at a relative
 cutoff tau_rank, and subspace equality by projector Frobenius distance
@@ -53,9 +58,11 @@ class QuantaleContext:
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of R^n, carried by an orthonormal n x r basis."""
+    """A subspace of R^n: an orthonormal n x r basis of it and an
+    orthonormal n x (n - r) basis of its orthogonal complement."""
 
     basis: np.ndarray
+    complement: np.ndarray
 
     @property
     def n(self) -> int:
@@ -75,14 +82,20 @@ def _check_same_ambient(ctx: QuantaleContext, *spaces: Subspace):
             raise DimensionMismatch(f"subspace lives in R^{s.n}, context is R^{ctx.n}")
 
 
-def _orthonormal_range(a: np.ndarray, tau_rank: float) -> np.ndarray:
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], 0))
-    u, sigma, _ = np.linalg.svd(a, full_matrices=False)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        return np.zeros((a.shape[0], 0))
-    r = int(np.count_nonzero(sigma >= tau_rank * sigma[0]))
-    return u[:, :r].copy()
+def _split(a: np.ndarray, tau_rank: float) -> Subspace:
+    """range(A) and its complement from one SVD of the n x k matrix A.
+
+    The rank r is the number of singular values at least tau_rank times
+    the largest; an empty or all-zero A has rank 0.  U is n x n (full
+    when A is tall, thin otherwise): its first r columns span range(A)
+    and the rest span the complement.
+    """
+    n, k = a.shape
+    if k == 0:
+        return Subspace(np.zeros((n, 0)), np.eye(n))
+    u, sigma, _ = np.linalg.svd(a, full_matrices=k < n)
+    r = int(np.count_nonzero(sigma >= tau_rank * sigma[0])) if sigma[0] > 0.0 else 0
+    return Subspace(u[:, :r], u[:, r:])
 
 
 def span(ctx: QuantaleContext, vectors: Sequence[Sequence[float]]) -> Subspace:
@@ -98,15 +111,15 @@ def span(ctx: QuantaleContext, vectors: Sequence[Sequence[float]]) -> Subspace:
     a = np.stack(rows, axis=1) if rows else np.zeros((ctx.n, 0))
     if not np.isfinite(a).all():
         raise ValueError("vector coordinates must be finite")
-    return Subspace(_orthonormal_range(a, ctx.tau_rank))
+    return _split(a, ctx.tau_rank)
 
 
 def zero(ctx: QuantaleContext) -> Subspace:
-    return Subspace(np.zeros((ctx.n, 0)))
+    return Subspace(np.zeros((ctx.n, 0)), np.eye(ctx.n))
 
 
 def full(ctx: QuantaleContext) -> Subspace:
-    return Subspace(np.eye(ctx.n))
+    return Subspace(np.eye(ctx.n), np.zeros((ctx.n, 0)))
 
 
 def leq(ctx: QuantaleContext, s: Subspace, t: Subspace) -> bool:
@@ -123,23 +136,20 @@ def equal(ctx: QuantaleContext, s: Subspace, t: Subspace) -> bool:
 
 
 def ortho(ctx: QuantaleContext, s: Subspace) -> Subspace:
-    """Orthogonal complement; dimensions always add up to n exactly."""
+    """Orthogonal complement: the two carried bases swap places, so the
+    dimensions add up to n exactly and no decomposition is taken."""
     _check_same_ambient(ctx, s)
-    r = s.dim
-    if r == 0:
-        return full(ctx)
-    u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return Subspace(u[:, r:].copy())
+    return Subspace(s.complement, s.basis)
 
 
 def join(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
     """Smallest subspace containing both: span of the stacked bases."""
     _check_same_ambient(ctx, s, t)
-    return Subspace(_orthonormal_range(np.hstack([s.basis, t.basis]), ctx.tau_rank))
+    return _split(np.hstack([s.basis, t.basis]), ctx.tau_rank)
 
 
 def meet(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
-    """Intersection, computed as the complement of the join of complements."""
+    """Intersection: the complement of the join of complements, one SVD."""
     return ortho(ctx, join(ctx, ortho(ctx, s), ortho(ctx, t)))
 
 
@@ -149,13 +159,13 @@ def mul(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
     if s.dim == 0 or t.dim == 0:
         return zero(ctx)
     products = (s.basis[:, :, None] * t.basis[:, None, :]).reshape(ctx.n, -1)
-    return Subspace(_orthonormal_range(products, ctx.tau_rank))
+    return _split(products, ctx.tau_rank)
 
 
 def unit(ctx: QuantaleContext) -> Subspace:
     """The line through (1, ..., 1), neutral for the Hadamard product."""
     ones = np.ones((ctx.n, 1)) / math.sqrt(ctx.n)
-    return Subspace(ones)
+    return Subspace(ones, _split(ones, ctx.tau_rank).complement)
 
 
 def dualizing(ctx: QuantaleContext) -> Subspace:
@@ -164,7 +174,8 @@ def dualizing(ctx: QuantaleContext) -> Subspace:
 
 
 def residuum(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
-    """s -> t as the complement of s * complement(t) (commutative case)."""
+    """s -> t as the complement of s * complement(t) (commutative case);
+    one SVD."""
     return ortho(ctx, mul(ctx, s, ortho(ctx, t)))
 
 
@@ -172,7 +183,7 @@ def random_subspace(ctx: QuantaleContext, rng: np.random.Generator, dim: Optiona
     """Rotation-invariant random subspace; dimension uniform on 0..n."""
     if dim is None:
         dim = int(rng.integers(0, ctx.n + 1))
-    return Subspace(_orthonormal_range(rng.standard_normal((ctx.n, dim)), ctx.tau_rank))
+    return _split(rng.standard_normal((ctx.n, dim)), ctx.tau_rank)
 
 
 def random_subspace_within(ctx: QuantaleContext, s: Subspace, rng: np.random.Generator) -> Subspace:
@@ -180,7 +191,7 @@ def random_subspace_within(ctx: QuantaleContext, s: Subspace, rng: np.random.Gen
     k = int(rng.integers(0, s.dim + 1))
     if k == 0 or s.dim == 0:
         return zero(ctx)
-    return Subspace(_orthonormal_range(s.basis @ rng.standard_normal((s.dim, k)), ctx.tau_rank))
+    return _split(s.basis @ rng.standard_normal((s.dim, k)), ctx.tau_rank)
 
 
 def rebased(s: Subspace, rng: np.random.Generator) -> Subspace:
@@ -189,32 +200,20 @@ def rebased(s: Subspace, rng: np.random.Generator) -> Subspace:
         return s
     q, r = np.linalg.qr(rng.standard_normal((s.dim, s.dim)))
     q = q * np.sign(np.diag(r))
-    return Subspace(s.basis @ q)
+    return Subspace(s.basis @ q, s.complement)
 
 
-class _Tally:
-    """Per-law pass counter keeping the first failing trial for replay."""
-
-    def __init__(self, law: str):
-        self.law = law
-        self.checked = 0
-        self.first_failure = None
-
-    def record(self, ok: bool, trial: int, seed: int, data: dict):
-        self.checked += 1
-        if not ok and self.first_failure is None:
-            self.first_failure = (seed, trial, data)
-
-    def report(self) -> LawReport:
-        if self.first_failure is None:
-            return law_pass(self.law, f"{self.checked} checks")
-        seed, trial, data = self.first_failure
-        bases = tuple(sorted(data.items()))
-        return law_fail(
-            self.law,
-            (seed, trial, bases),
-            f"first failure at seed={seed} trial={trial}",
-        )
+_LAWS = (
+    "mul-commutative",
+    "mul-associative",
+    "unit-law",
+    "join-distributive",
+    "cyclicity-pivot",
+    "adjointness",
+    "double-negation",
+    "ortho-is-linear-negation",
+    "orthomodular",
+)
 
 
 def verify_quantale_laws(ctx: QuantaleContext, trials: int, seed: int) -> List[LawReport]:
@@ -228,74 +227,50 @@ def verify_quantale_laws(ctx: QuantaleContext, trials: int, seed: int) -> List[L
     true), the adjointness biconditional, double negation through the
     dualizer, orthocomplement = linear negation, and orthomodularity on
     a constructed comparable pair.  Each trial draws its own generator
-    from (seed, trial), so any failure replays exactly.
+    from (seed, trial), so a FAIL's witness (seed, trial) names the
+    first failing trial and replays it exactly.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     e = unit(ctx)
     d = dualizing(ctx)
-    laws = {
-        name: _Tally(name)
-        for name in (
-            "mul-commutative",
-            "mul-associative",
-            "unit-law",
-            "join-distributive",
-            "cyclicity-pivot",
-            "adjointness",
-            "double-negation",
-            "ortho-is-linear-negation",
-            "orthomodular",
-        )
-    }
+    first_failure = {}
 
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
         s = random_subspace(ctx, rng)
         t = random_subspace(ctx, rng)
         u = random_subspace(ctx, rng)
-        data = {"S": s.basis, "T": t.basis, "U": u.basis}
-
         st = mul(ctx, s, t)
-        laws["mul-commutative"].record(equal(ctx, st, mul(ctx, t, s)), trial, seed, data)
-        laws["mul-associative"].record(
-            equal(ctx, mul(ctx, st, u), mul(ctx, s, mul(ctx, t, u))), trial, seed, data
-        )
-        laws["unit-law"].record(equal(ctx, mul(ctx, e, s), s), trial, seed, data)
-        laws["join-distributive"].record(
-            equal(ctx, mul(ctx, s, join(ctx, t, u)), join(ctx, st, mul(ctx, s, u))),
-            trial,
-            seed,
-            data,
-        )
-
         ortho_s, ortho_u = ortho(ctx, s), ortho(ctx, u)
-        pivot_free = leq(ctx, st, ortho_u) == leq(ctx, mul(ctx, u, t), ortho_s)
         uc = random_subspace_within(ctx, ortho(ctx, st), rng)
-        pivot_made = leq(ctx, mul(ctx, uc, t), ortho_s)
-        laws["cyclicity-pivot"].record(
-            pivot_free and pivot_made, trial, seed, {**data, "Uc": uc.basis}
-        )
-
         r = residuum(ctx, s, t)
         x = random_subspace(ctx, rng)
         x_in = random_subspace_within(ctx, r, rng)
-        adj = (
+        neg_s = residuum(ctx, s, d)
+        x_om = random_subspace_within(ctx, t, rng)
+
+        verdicts = (
+            equal(ctx, st, mul(ctx, t, s)),
+            equal(ctx, mul(ctx, st, u), mul(ctx, s, mul(ctx, t, u))),
+            equal(ctx, mul(ctx, e, s), s),
+            equal(ctx, mul(ctx, s, join(ctx, t, u)), join(ctx, st, mul(ctx, s, u))),
+            leq(ctx, st, ortho_u) == leq(ctx, mul(ctx, u, t), ortho_s)
+            and leq(ctx, mul(ctx, uc, t), ortho_s),
             leq(ctx, mul(ctx, x, s), t) == leq(ctx, x, r)
             and leq(ctx, mul(ctx, x_in, s), t)
-            and leq(ctx, mul(ctx, r, s), t)
+            and leq(ctx, mul(ctx, r, s), t),
+            equal(ctx, residuum(ctx, neg_s, d), s),
+            equal(ctx, ortho_s, neg_s),
+            equal(ctx, t, join(ctx, x_om, meet(ctx, ortho(ctx, x_om), t))),
         )
-        laws["adjointness"].record(adj, trial, seed, {**data, "X": x.basis, "Xin": x_in.basis})
+        for law, ok in zip(_LAWS, verdicts):
+            if not ok:
+                first_failure.setdefault(law, trial)
 
-        neg_s = residuum(ctx, s, d)
-        laws["double-negation"].record(
-            equal(ctx, residuum(ctx, neg_s, d), s), trial, seed, data
-        )
-        laws["ortho-is-linear-negation"].record(equal(ctx, ortho_s, neg_s), trial, seed, data)
-
-        y = t
-        x_om = random_subspace_within(ctx, y, rng)
-        om = equal(ctx, y, join(ctx, x_om, meet(ctx, ortho(ctx, x_om), y)))
-        laws["orthomodular"].record(om, trial, seed, {"Y": y.basis, "X": x_om.basis})
-
-    return [tally.report() for tally in laws.values()]
+    return [
+        law_fail(law, (seed, first_failure[law]),
+                 f"first failure at seed={seed} trial={first_failure[law]}")
+        if law in first_failure else law_pass(law, f"{trials} checks")
+        for law in _LAWS
+    ]

@@ -117,6 +117,19 @@ class TestGirard:
         assert out == run(capsys, "residuate", str(bad))[1]
         assert out.startswith("multiplication:\n") and "[FAIL] associativity" in out
 
+    def test_non_residuated_table_exit_one(self, capsys, tmp_path):
+        # associative, but 1 * 1 = 0 leaves 1 -> 0 without adjointness
+        bad = tmp_path / "nonresiduated.struct"
+        bad.write_text(
+            "elements: [0, m, 1]\ncovers: [[0,1], [1,2]]\n"
+            "mul: [[0,0,0], [0,1,0], [0,0,2]]\n"
+        )
+        code, out, err = run(capsys, "girard", str(bad))
+        assert code == 1 and err == ""
+        assert out == run(capsys, "residuate", str(bad))[1]
+        assert out.startswith("multiplication:\n") and "[FAIL] residuation" in out
+        assert run(capsys, "verify", str(bad))[0] == 1
+
 
 class TestBlocks:
     def test_mo2_two_lines(self, capsys, structures_dir):
@@ -239,6 +252,18 @@ class TestRn:
     def test_bad_dim(self, capsys):
         code, _, err = run(capsys, "rn", "--dim", "0", "--trials", "5", "--seed", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_failure_witness_is_seed_and_trial(self, capsys, fmt):
+        # an equality tolerance of 1e-300 fails every law that compares subspaces
+        argv = ["rn", "--dim", "3", "--trials", "2", "--seed", "1", "--tol-eq", "1e-300",
+                "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        if fmt == "machine":
+            assert "mul-associative\tFAIL\t[1, 0]" in out.splitlines()
+        else:
+            assert "  [FAIL] mul-associative  witness=[1, 0]  (" in out
 
 
 class TestRnOp:

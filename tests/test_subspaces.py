@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_subspaces as ref
 from girardlab.subspaces import (
     DimensionMismatch,
     QuantaleContext,
@@ -18,6 +19,7 @@ from girardlab.subspaces import (
     mul,
     ortho,
     random_subspace,
+    random_subspace_within,
     rebased,
     residuum,
     span,
@@ -224,6 +226,91 @@ class TestContext:
             QuantaleContext(65)
         with pytest.raises(ValueError):
             QuantaleContext(0)
+
+
+def _same(ctx, got, want):
+    """got (a Subspace) and want (a reference basis) are the same subspace."""
+    assert got.dim == want.shape[1]
+    assert got.complement.shape == (ctx.n, ctx.n - got.dim)
+    assert np.linalg.norm(got.projector() - want @ want.T) <= ctx.tau_eq
+
+
+def _near_parallel(n, ratio, rng):
+    """Two lines whose stacked unit bases have sigma_2 / sigma_1 = ratio."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+    a, b = q[:, 0], q[:, 1]
+    angle = 2 * math.atan(ratio)  # sigma ratio of [a, rotated a] is tan(angle / 2)
+    return [a], [math.cos(angle) * a + math.sin(angle) * b]
+
+
+class TestKernelDifferential:
+    """Each operation against the former kernel in tests/reference_subspaces.py,
+    which took a thin SVD per rank and a separate full SVD per complement."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    def test_random_operands(self, n):
+        ctx = QuantaleContext(n)
+        tau = ctx.tau_rank
+        rng = np.random.default_rng(n)
+        for _ in range(8 if n == 64 else 40):
+            # vectors, not bases: span takes the rank decision in both kernels
+            a = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+            b = rng.standard_normal((n, int(rng.integers(0, n + 1))))
+            s, t = span(ctx, list(a.T)), span(ctx, list(b.T))
+            s0, t0 = ref.orthonormal_range(a, tau), ref.orthonormal_range(b, tau)
+            _same(ctx, s, s0)
+            _same(ctx, ortho(ctx, s), ref.ortho(s0))
+            _same(ctx, join(ctx, s, t), ref.join(s0, t0, tau))
+            _same(ctx, meet(ctx, s, t), ref.meet(s0, t0, tau))
+            _same(ctx, mul(ctx, s, t), ref.mul(s0, t0, tau))
+            _same(ctx, residuum(ctx, s, t), ref.residuum(s0, t0, tau))
+            seed = int(rng.integers(2**32))
+            _same(ctx, random_subspace_within(ctx, s, np.random.default_rng(seed)),
+                  ref.random_subspace_within(s.basis, np.random.default_rng(seed), tau))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    @pytest.mark.parametrize("ratio, rank", [(1e-8, 2), (3e-9, 2), (3e-10, 1), (1e-10, 1)])
+    def test_near_parallel_lines(self, n, ratio, rank):
+        # the join's second singular value sits within a factor 10 of tau_rank = 1e-9
+        ctx = QuantaleContext(n)
+        tau = ctx.tau_rank
+        va, vb = _near_parallel(n, ratio, np.random.default_rng(n))
+        a, b = np.array(va).T, np.array(vb).T
+        s, t = span(ctx, va), span(ctx, vb)
+        s0, t0 = ref.orthonormal_range(a, tau), ref.orthonormal_range(b, tau)
+        # A kept direction with sigma ratio rho is only determined to about
+        # eps / rho (Wedin's theorem), so near the cutoff both kernels, and one
+        # kernel under swapped operands, agree only to a few times that.
+        tol = 100 * np.finfo(float).eps / ratio if rank == 2 else ctx.tau_eq
+        pairs = [
+            (span(ctx, va + vb), ref.orthonormal_range(np.hstack([a, b]), tau)),
+            (join(ctx, s, t), ref.join(s0, t0, tau)),
+            # nearly parallel hyperplanes: their meet decides the same rank
+            (meet(ctx, ortho(ctx, s), ortho(ctx, t)), ref.meet(ref.ortho(s0), ref.ortho(t0), tau)),
+            (mul(ctx, s, t), ref.mul(s0, t0, tau)),
+            (residuum(ctx, s, t), ref.residuum(s0, t0, tau)),
+        ]
+        assert [got.dim for got, _ in pairs[:3]] == [rank, rank, n - rank]
+        for got, want in pairs:
+            assert got.dim == want.shape[1]
+            assert np.linalg.norm(got.projector() - want @ want.T) <= tol
+
+    def test_svd_calls(self, monkeypatch):
+        ctx = QuantaleContext(8)
+        rng = np.random.default_rng(5)
+        s, t = random_subspace(ctx, rng, 3), random_subspace(ctx, rng, 5)
+        calls = []
+        real = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for op, operands, want in ((ortho, (s,), 0), (meet, (s, t), 1), (residuum, (s, t), 1)):
+            calls.clear()
+            op(ctx, *operands)
+            assert len(calls) == want, op.__name__
 
 
 @settings(max_examples=50, deadline=None)
