@@ -320,11 +320,19 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(1, text)
+
+
+def non_negative_int(text: str) -> int:
+    return _int_at_least(0, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -366,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rn", help="verify the subspace-quantale laws of R^n on random trials")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--tol-rank", type=float, default=1e-9)
     p.add_argument("--tol-eq", type=float, default=None)
     p.add_argument("--format", choices=("human", "machine"), default="human")

@@ -20,7 +20,10 @@ Numerical policy: ranks are decided by singular values at a relative
 cutoff tau_rank, and subspace equality by projector Frobenius distance
 at tau_eq (default 1e-8 * sqrt(n)).  Both live in QuantaleContext; the
 dimension is capped because the product of an r-dimensional and an
-s-dimensional subspace spans r*s candidate vectors.
+s-dimensional subspace spans r*s candidate vectors.  A spanning matrix
+with more than 8n columns is decomposed as QR, then an SVD of the
+n x n factor R; that SVD has the same singular values, so tau_rank
+decides the rank exactly as for a direct SVD.
 """
 from __future__ import annotations
 
@@ -33,6 +36,9 @@ import numpy as np
 from .reports import LawReport, law_fail, law_pass
 
 MAX_DIM = 64
+# QR before the SVD pays off above _WIDE * n spanning columns; at n <= 8 it
+# is slower even on the widest products (n^2 columns).
+_WIDE = 8
 
 
 class DimensionMismatch(Exception):
@@ -89,11 +95,29 @@ def _split(a: np.ndarray, tau_rank: float) -> Subspace:
     the largest; an empty or all-zero A has rank 0.  U is n x n (full
     when A is tall, thin otherwise): its first r columns span range(A)
     and the rest span the complement.
+
+    A wide A (k > _WIDE * n) is decomposed as QR, then an SVD of R
+    (Chan, ACM TOMS 1982): A^T = QR gives A = R^T Q^T, so the n x n
+    factor R has A's singular values and its right singular vectors are
+    A's left ones.  This skips the k x n right factor a direct SVD would
+    form; tau_rank applies unchanged.  Below _WIDE * n columns the QR
+    costs more than it saves.  A product of an r- and an s-dimensional
+    subspace has r*s <= n^2 columns, so among the operations only mul
+    (and residuum through it) at n > _WIDE takes this path.
+
+    Near the cutoff, equality at tau_eq is tighter than the numerics can
+    decide: a kept direction with sigma ratio rho is only determined to
+    about eps / rho, so at rho = 3e-9 in R^64 two correct evaluations of
+    one meet can differ by more than tau_eq.
     """
     n, k = a.shape
     if k == 0:
         return Subspace(np.zeros((n, 0)), np.eye(n))
-    u, sigma, _ = np.linalg.svd(a, full_matrices=k < n)
+    if k > _WIDE * n:
+        _, sigma, vh = np.linalg.svd(np.linalg.qr(a.T, mode="r"), full_matrices=False)
+        u = vh.T
+    else:
+        u, sigma, _ = np.linalg.svd(a, full_matrices=k < n)
     r = int(np.count_nonzero(sigma >= tau_rank * sigma[0])) if sigma[0] > 0.0 else 0
     return Subspace(u[:, :r], u[:, r:])
 

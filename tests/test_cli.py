@@ -253,6 +253,13 @@ class TestRn:
         code, _, err = run(capsys, "rn", "--dim", "0", "--trials", "5", "--seed", "0")
         assert code == 2
 
+    def test_negative_seed_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rn", "--dim", "2", "--trials", "5", "--seed", "-1"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "--seed: must be at least 0, got -1" in err
+
     @pytest.mark.parametrize("fmt", ["human", "machine"])
     def test_failure_witness_is_seed_and_trial(self, capsys, fmt):
         # an equality tolerance of 1e-300 fails every law that compares subspaces

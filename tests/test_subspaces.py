@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_subspaces as ref
+from girardlab.cli import main
 from girardlab.subspaces import (
     DimensionMismatch,
     QuantaleContext,
@@ -311,6 +312,100 @@ class TestKernelDifferential:
             calls.clear()
             op(ctx, *operands)
             assert len(calls) == want, op.__name__
+
+    # Products with more than 8n spanning columns take QR, then an SVD of R.
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_wide_random_products(self, n):
+        ctx = QuantaleContext(n)
+        tau = ctx.tau_rank
+        rng = np.random.default_rng(100 + n)
+        for _ in range(6):
+            r = int(rng.integers(9, n + 1))
+            k = int(rng.integers(8 * n // r + 1, n + 1))
+            a, b = rng.standard_normal((n, r)), rng.standard_normal((n, k))
+            s, t = span(ctx, list(a.T)), span(ctx, list(b.T))
+            s0, t0 = ref.orthonormal_range(a, tau), ref.orthonormal_range(b, tau)
+            assert s.dim * t.dim > 8 * n
+            _same(ctx, mul(ctx, s, t), ref.mul(s0, t0, tau))
+            # s -> complement(t) is the complement of s * t
+            _same(ctx, residuum(ctx, s, ortho(ctx, t)), ref.residuum(s0, ref.ortho(t0), tau))
+
+    @pytest.mark.parametrize("n, a, b", [(16, range(0, 12), range(4, 16)),
+                                         (32, range(0, 24), range(8, 32)),
+                                         (64, range(0, 48), range(16, 64)),
+                                         (64, range(0, 32), range(0, 32))])
+    def test_wide_rank_deficient_products(self, n, a, b):
+        # coordinate subspaces in rotated bases: their product is exactly the
+        # coordinate subspace on the common indices, from |a| * |b| columns
+        ctx = QuantaleContext(n)
+        tau = ctx.tau_rank
+        rng = np.random.default_rng(n + len(a))
+        s = rebased(span(ctx, list(np.eye(n)[list(a)])), rng)
+        t = rebased(span(ctx, list(np.eye(n)[list(b)])), rng)
+        common = sorted(set(a) & set(b))
+        product = mul(ctx, s, t)
+        assert len(a) * len(b) > 8 * n and product.dim == len(common)
+        _same(ctx, product, ref.mul(s.basis, t.basis, tau))
+        _same(ctx, product, np.eye(n)[:, common])
+        _same(ctx, residuum(ctx, s, ortho(ctx, t)), ref.residuum(s.basis, t.complement, tau))
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("ratio, kept", [(1e-8, True), (3e-9, True), (3e-10, False),
+                                             (1e-10, False)])
+    def test_wide_near_cutoff_products(self, n, ratio, kept):
+        # s is the coordinate subspace on the first 3n/4 indices and t a generic
+        # subspace of e_0's complement whose first basis vector is tilted towards
+        # e_0.  The product is spanned by those e_i with singular values
+        # |P_t e_i|, so e_0 sits at the given sigma ratio to the largest.
+        ctx = QuantaleContext(n)
+        tau = ctx.tau_rank
+        m = 3 * n // 4
+        rng = np.random.default_rng(n)
+        s = rebased(span(ctx, list(np.eye(n)[:m])), rng)
+        t_basis, _ = np.linalg.qr(rng.standard_normal((n, m)) * (np.arange(n) > 0)[:, None])
+        largest = np.linalg.norm(t_basis[1:m], axis=1).max()
+        angle = math.asin(ratio * largest)
+        t_basis[:, 0] = math.cos(angle) * t_basis[:, 0] + math.sin(angle) * np.eye(n)[0]
+        t = span(ctx, list(t_basis.T))
+        products = (s.basis[:, :, None] * t.basis[:, None, :]).reshape(n, -1)
+        sigma = np.linalg.svd(products, compute_uv=False)
+        assert products.shape[1] > 8 * n
+        assert sigma[m - 1] / sigma[0] == pytest.approx(ratio, rel=1e-3)
+        got, want = mul(ctx, s, t), ref.mul(s.basis, t.basis, tau)
+        assert got.dim == want.shape[1] == (m if kept else m - 1)
+        tol = 100 * np.finfo(float).eps / ratio if kept else ctx.tau_eq
+        assert np.linalg.norm(got.projector() - want @ want.T) <= tol
+        neg = residuum(ctx, s, ortho(ctx, t))
+        assert neg.dim == n - got.dim
+        assert np.linalg.norm(neg.projector() - (np.eye(n) - want @ want.T)) <= tol
+
+    def test_wide_product_decompositions(self, monkeypatch):
+        ctx = QuantaleContext(16)
+        rng = np.random.default_rng(7)
+        s, t = random_subspace(ctx, rng, 12), random_subspace(ctx, rng, 12)
+        calls = []
+        real_svd, real_qr = np.linalg.svd, np.linalg.qr
+
+        def svd(a, *args, **kwargs):
+            calls.append(("svd", a.shape, kwargs.get("full_matrices", True)))
+            return real_svd(a, *args, **kwargs)
+
+        def qr(a, *args, **kwargs):
+            calls.append(("qr", a.shape))
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        mul(ctx, s, t)
+        # one QR of the 144 x 16 transpose, then a thin SVD of the square R
+        assert calls == [("qr", (144, 16)), ("svd", (16, 16), False)]
+        calls.clear()
+        join(ctx, s, t)
+        assert [c[0] for c in calls] == ["svd"]
+        calls.clear()
+        assert main(["rn", "--dim", "8", "--trials", "20", "--seed", "1"]) == 0
+        assert calls and all(c[0] == "svd" for c in calls)
 
 
 @settings(max_examples=50, deadline=None)
