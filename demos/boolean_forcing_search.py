@@ -9,6 +9,7 @@ as a budgeted search on MO2 demonstrates.
 from girardlab import (
     confirm_boolean_forcing,
     enumerate_lattices,
+    is_complemented,
     search_integral_residuation,
     search_unital_residuation,
 )
@@ -20,8 +21,8 @@ from girardlab.catalog import boolean_cube, chain, diamond_m3, horizontal_sum_mo
 result = enumerate_lattices(7)
 print("lattices per size:", result.counts)
 
-complemented = enumerate_lattices(7, filters=("complemented",))
-print("complemented:     ", complemented.counts)
+complemented = [lat for lat in result.lattices if is_complemented(lat)[0].passed]
+print("complemented:     ", {n: sum(lat.n == n for lat in complemented) for n in result.counts})
 
 # ---------------------------------------------------------------------------
 # Integral searches on individual lattices.

@@ -38,7 +38,6 @@ from .residuation import (
     boolean_residuation,
     check_associative,
     classify,
-    derive_residua,
     godel_chain,
     lukasiewicz_chain,
     residuated_structure,
@@ -127,11 +126,12 @@ def cmd_verify(args) -> int:
         reports = [check_associative(m)]
         if reports[0].passed:
             try:
-                derive_residua(order, m)
+                s = residuated_structure(order, m)
+                flags = s.flags
                 reports.append(law_pass("residuation"))
             except ResiduationError as exc:
+                s, flags = None, classify(order, m)
                 reports.append(law_fail("residuation", exc.witness, str(exc)))
-            flags = classify(order, m)
             info.append(f"flags: {flags}")
             if sf.unit is not None:
                 ok = flags.unit == sf.unit
@@ -139,8 +139,7 @@ def cmd_verify(args) -> int:
                     law_pass("declared-unit") if ok
                     else law_fail("declared-unit", (sf.unit,), f"actual unit is {flags.unit}")
                 )
-            if sf.dualizing is not None and reports[1].passed:
-                s = residuated_structure(order, m)
+            if sf.dualizing is not None and s is not None:
                 cyc = is_cyclic(s, sf.dualizing)
                 dua = is_dualizing(s, sf.dualizing)
                 reports.append(cyc if cyc.failed else law_pass("declared-dualizer-cyclic"))
@@ -190,9 +189,9 @@ def cmd_girard(args) -> int:
     if found is None:
         return 1
     sf, s = found
-    inversion = None
-    if args.inversion:
-        inversion = tuple(int(x) for x in args.inversion.split(","))
+    inversion = args.inversion
+    if inversion is not None:
+        inversion = _entries(inversion, int, "inversion", "an integer")
     eq = girard_equivalences(s, inversion=inversion)  # rejects a bad inversion before any output
     labels = _labels(s)
     certs = find_cyclic_dualizing(s)
@@ -223,13 +222,14 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    filters = ("complemented",) if args.complemented else ()
-    result = enumerate_lattices(args.max_n, filters)
-    for size in sorted(result.counts):
-        print(f"n={size}: {result.counts[size]}")
-    print(f"total: {len(result.lattices)}" + (f" (filters: {', '.join(filters)})" if filters else ""))
+    lattices = enumerate_lattices(args.max_n).lattices
+    if args.complemented:
+        lattices = [lat for lat in lattices if is_complemented(lat)[0].passed]
+    for size in range(1, args.max_n + 1):
+        print(f"n={size}: {sum(lat.n == size for lat in lattices)}")
+    print(f"total: {len(lattices)}" + (" (filters: complemented)" if args.complemented else ""))
     if args.confirm_thm2:
-        report = confirm_boolean_forcing(args.max_n, result.lattices)
+        report = confirm_boolean_forcing(args.max_n, lattices)
         sections = [("search", [report])]
         print(render_report(sections, "human"), end="")
         return exit_code(sections)
@@ -266,16 +266,20 @@ def cmd_rn(args) -> int:
     return exit_code(sections)
 
 
+def _entries(text: str, convert, what: str, kind: str) -> list:
+    """Comma-separated entries through convert; a rejected entry is named."""
+    values = []
+    for x in text.split(","):
+        try:
+            values.append(convert(x))
+        except ValueError:
+            raise ValueError(f"{what} entry {x.strip()!r} is not {kind}") from None
+    return values
+
+
 def _parse_vectors(text: str, ctx: QuantaleContext):
-    if not text:
-        return span(ctx, [])
-    vectors = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        vectors.append([float(x) for x in part.split(",")])
-    return span(ctx, vectors)
+    parts = [part.strip() for part in text.split(";")]
+    return span(ctx, [_entries(part, float, "vector", "a number") for part in parts if part])
 
 
 def cmd_rn_op(args) -> int:

@@ -16,7 +16,8 @@ def export_dot(p: FinitePoset) -> str:
     """Hasse diagram as DOT, one edge per cover, bottom-up rank."""
     lines = ["digraph poset {", "  rankdir=BT;"]
     for i in range(p.n):
-        lines.append(f'  n{i} [label="{p.label(i)}"];')
+        label = p.label(i).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{i} [label="{label}"];')
     for i, j in hasse_covers(p):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")

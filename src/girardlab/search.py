@@ -25,14 +25,13 @@ import numpy as np
 
 from .girard import check_unit_downset_boolean
 from .orders import FiniteLattice, compute_lattice, hasse_covers, is_boolean, is_complemented, \
-    is_distributive, join_irreducibles, validate_poset, enumerate_inversions
+    join_irreducibles, validate_poset
 from .ortho import NotOrthomodularInput, OrthoLattice, is_orthomodular
 from .reports import LawReport, law_fail, law_pass
 from .residuation import ResiduatedStructure, ResiduationError, check_associative, \
     residuated_structure
 
 MAX_ENUM = 10
-FILTERS = ("complemented", "orthocomplemented", "nondistributive")
 
 
 class BoundExceeded(Exception):
@@ -149,47 +148,26 @@ def _rows_to_lattice(rows: Tuple[int, ...]) -> FiniteLattice:
     return compute_lattice(validate_poset(leq))
 
 
-def _has_orthocomplement(l: FiniteLattice) -> bool:
-    x = np.arange(l.n)
-    return any(((l.meet[x, f] == l.bottom) & (l.join[x, f] == l.top)).all()
-               for f in map(list, enumerate_inversions(l.poset)))
-
-
 @dataclass
 class EnumerationResult:
     lattices: List[FiniteLattice]
     counts: Dict[int, int]
 
 
-def enumerate_lattices(max_n: int, filters: tuple = ()) -> EnumerationResult:
-    """All lattices on at most max_n elements, one per isomorphism class.
-
-    Filters, applied after enumeration: 'complemented',
-    'orthocomplemented' (admits some inversion with x /\\ x' = 0),
-    'nondistributive'.  Counts tally the returned (filtered) list.
+def enumerate_lattices(max_n: int) -> EnumerationResult:
+    """All lattices on at most max_n elements, one per isomorphism class,
+    by size and in canonical-key order within a size.  Every lattice
+    grown is returned; callers that want a subclass filter the list.
     """
     if not 1 <= max_n <= MAX_ENUM:
         raise BoundExceeded(f"max_n must be in 1..{MAX_ENUM}")
-    for f in filters:
-        if f not in FILTERS:
-            raise ValueError(f"unknown filter {f!r}; expected one of {FILTERS}")
 
     lattices: List[FiniteLattice] = []
     counts: Dict[int, int] = {}
     frontier: Dict[tuple, Tuple[int, ...]] = {canonical_key((1,)): (1,)}
     for size in range(1, max_n + 1):
-        kept = 0
-        for key in sorted(frontier):
-            lat = _rows_to_lattice(frontier[key])
-            if "complemented" in filters and not is_complemented(lat)[0].passed:
-                continue
-            if "nondistributive" in filters and is_distributive(lat).passed:
-                continue
-            if "orthocomplemented" in filters and not _has_orthocomplement(lat):
-                continue
-            lattices.append(lat)
-            kept += 1
-        counts[size] = kept
+        lattices.extend(_rows_to_lattice(frontier[key]) for key in sorted(frontier))
+        counts[size] = len(frontier)
         if size < max_n:
             grown: Dict[tuple, Tuple[int, ...]] = {}
             for rows in frontier.values():

@@ -5,10 +5,10 @@ The bounded-poset lattice enumerator.  Before girardlab grew lattices
 one coatom at a time, its enumerator grew every bounded-below poset one
 maximal element at a time and kept only the lattices when it emitted
 each size.  That process reaches every lattice because deleting a
-maximal element keeps the bottom.  It shares the canonical form, the
-output order and the filters with the current enumerator but not the
-growth, so it serves, only here, as the oracle of the differential test
-in tests/test_search.py.
+maximal element keeps the bottom.  It shares the canonical form and the
+output order with the current enumerator but not the growth, so it
+serves, only here, as the oracle of the differential test in
+tests/test_search.py.
 
 The searcher's node bookkeeping.  `_IrreducibleTableSearch` used to
 rescan every assigned cell for monotonicity and to recompute every
@@ -24,9 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from girardlab import search
-from girardlab.orders import is_complemented, is_distributive
-from girardlab.search import _down_masks, _has_orthocomplement, _is_lattice_rows, \
-    _rows_to_lattice, canonical_key
+from girardlab.search import _down_masks, _is_lattice_rows, canonical_key
 
 
 def grow_bounded_poset(rows: Tuple[int, ...]):
@@ -61,24 +59,13 @@ def poset_frontiers(max_n: int) -> Tuple[Dict[tuple, Tuple[int, ...]], ...]:
     return tuple(frontiers)
 
 
-def reference_enumeration(max_n: int, filters: tuple = ()):
+def reference_enumeration(max_n: int):
     """(keys, counts): the canonical keys each size emits, in output
-    order, and the per-size counts, filtering the poset frontier."""
+    order, and the per-size counts, keeping the lattices of the poset
+    frontier."""
     keys: Dict[int, List[tuple]] = {}
     for size, frontier in enumerate(poset_frontiers(max_n), start=1):
-        keys[size] = []
-        for key in sorted(frontier):
-            rows = frontier[key]
-            if not _is_lattice_rows(rows):
-                continue
-            lat = _rows_to_lattice(rows)
-            if "complemented" in filters and not is_complemented(lat)[0].passed:
-                continue
-            if "nondistributive" in filters and is_distributive(lat).passed:
-                continue
-            if "orthocomplemented" in filters and not _has_orthocomplement(lat):
-                continue
-            keys[size].append(key)
+        keys[size] = [key for key in sorted(frontier) if _is_lattice_rows(frontier[key])]
     return keys, {size: len(k) for size, k in keys.items()}
 
 

@@ -1,7 +1,7 @@
 """Command surface and exit-code contract."""
 import pytest
 
-from girardlab import search
+from girardlab import residuation, search
 from girardlab.cli import main
 from girardlab.render import export_dot, render_report
 from girardlab.reports import law_fail, law_pass
@@ -30,6 +30,20 @@ class TestVerify:
     def test_every_golden_file_verifies_clean(self, capsys, structures_dir, name):
         code, out, _ = run(capsys, "verify", str(structures_dir / f"{name}.struct"))
         assert code == 0, out
+
+    def test_residua_derived_once(self, capsys, structures_dir, monkeypatch):
+        # the file declares a dualizing element, which is checked on the
+        # same structure the residuation law came from
+        calls, real = [], residuation.derive_residua
+
+        def derive_residua(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(residuation, "derive_residua", derive_residua)
+        code, out, _ = run(capsys, "verify", str(structures_dir / "lukasiewicz-4.struct"))
+        assert code == 0 and "declared-dualizer-dualizing" in out
+        assert len(calls) == 1
 
     def test_machine_format(self, capsys, structures_dir):
         code, out, _ = run(
@@ -105,6 +119,14 @@ class TestGirard:
         )
         assert (code, out, err) == (2, "", "error: map must have length 3, got 1\n")
 
+    @pytest.mark.parametrize("inversion, bad", [("x,y", "x"), ("2,,0", ""), ("", "")])
+    def test_inversion_entry_not_an_integer(self, capsys, structures_dir, inversion, bad):
+        code, out, err = run(
+            capsys, "girard", str(structures_dir / "lukasiewicz-3.struct"),
+            f"--inversion={inversion}",
+        )
+        assert (code, out, err) == (2, "", f"error: inversion entry {bad!r} is not an integer\n")
+
     def test_non_associative_table_exit_one(self, capsys, tmp_path):
         # residua exist for this table, so only the associativity check stops it
         bad = tmp_path / "nonassoc.struct"
@@ -159,6 +181,13 @@ class TestEnumerate:
         assert code == 0 and err == ""
         assert ("407 complemented lattices checked "
                 "(per size 1:1, 2:1, 3:0, 4:1, 5:2, 6:6, 7:18, 8:71, 9:307)") in out
+
+    def test_complemented_counts_to_nine(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--max-n", "9", "--complemented")
+        assert code == 0 and err == ""
+        counts = [1, 1, 0, 1, 2, 6, 18, 71, 307]
+        assert out.splitlines() == [f"n={n}: {c}" for n, c in enumerate(counts, start=1)] + [
+            "total: 407 (filters: complemented)"]
 
     def test_confirm_enumerates_once(self, capsys, monkeypatch):
         # the sweep checks the lattices the counts came from, and its
@@ -289,6 +318,11 @@ class TestRnOp:
         code, out, err = run(capsys, "rn-op", "--dim", "2", "--op", "ortho", f"--a={a}")
         assert (code, out, err) == (2, "", "error: vector coordinates must be finite\n")
 
+    @pytest.mark.parametrize("a, bad", [("a,b", "a"), ("1,0;1,x", "x"), ("1,", "")])
+    def test_coordinate_not_a_number(self, capsys, a, bad):
+        code, out, err = run(capsys, "rn-op", "--dim", "2", "--op", "ortho", f"--a={a}")
+        assert (code, out, err) == (2, "", f"error: vector entry {bad!r} is not a number\n")
+
     def test_meet_requires_b(self, capsys):
         code, _, err = run(capsys, "rn-op", "--dim", "2", "--op", "meet", "--a", "1,0")
         assert code == 2
@@ -319,6 +353,13 @@ class TestExportDot:
         code, out, _ = run(capsys, "export-dot", str(structures_dir / "m3.struct"))
         assert code == 0
         assert out.count("->") == 6 and "rankdir=BT" in out
+
+    @pytest.mark.parametrize("label, quoted", [('a"b', r'"a\"b"'), ("a\\", r'"a\\"')])
+    def test_label_quote_and_backslash_escaped(self, capsys, tmp_path, label, quoted):
+        f = tmp_path / "labels.struct"
+        f.write_text(f"elements: [0, {label}, 1]\ncovers: [[0,1], [1,2]]\n")
+        code, out, _ = run(capsys, "export-dot", str(f))
+        assert code == 0 and f"  n1 [label={quoted}];\n" in out
 
     def test_library_function_counts(self):
         assert export_dot(chain(2).poset).count("->") == 1
