@@ -26,7 +26,6 @@ from .orders import (
     PosetViolation,
     check_inversion,
     compute_lattice,
-    is_boolean,
     is_complemented,
     is_distributive,
 )
@@ -104,10 +103,9 @@ def cmd_verify(args) -> int:
     sections.append(("order", order_reports))
 
     if lattice is not None:
-        info.append(f"distributive: {is_distributive(lattice).passed}")
-        comp, _ = is_complemented(lattice)
-        info.append(f"complemented: {comp.passed}")
-        info.append(f"boolean: {is_boolean(lattice).passed}")
+        dist = is_distributive(lattice).passed
+        comp = is_complemented(lattice)[0].passed
+        info += [f"distributive: {dist}", f"complemented: {comp}", f"boolean: {dist and comp}"]
 
     if sf.ortho is not None:
         reports = [check_inversion(poset, sf.ortho)]
@@ -185,13 +183,13 @@ def cmd_residuate(args) -> int:
 
 
 def cmd_girard(args) -> int:
+    inversion = args.inversion
+    if inversion is not None:
+        inversion = _entries(inversion, int, "inversion", "an integer")
     found = _residuated(args)
     if found is None:
         return 1
     sf, s = found
-    inversion = args.inversion
-    if inversion is not None:
-        inversion = _entries(inversion, int, "inversion", "an integer")
     eq = girard_equivalences(s, inversion=inversion)  # rejects a bad inversion before any output
     labels = _labels(s)
     certs = find_cyclic_dualizing(s)

@@ -3,10 +3,12 @@
 Lattices are enumerated up to isomorphism by growing lattices one coatom
 at a time, with canonical-form rejection at every size: deleting a
 coatom, which is meet-irreducible, from a finite lattice leaves a
-lattice, so every lattice is reached and every frontier holds lattices
-only.  Residuation searches backtrack only over products of
-join-irreducible pairs: a residuated multiplication preserves joins, so
-it is determined by those values and the search stays exhaustive.
+lattice, so every lattice is reached.  A child is a lattice exactly when
+the new coatom's down-set holds the bottom and the join of any two of
+its members is in it or is the top (see _grow).  Residuation searches
+backtrack only over products of join-irreducible pairs: a residuated
+multiplication preserves joins, so it is determined by those values and
+the search stays exhaustive.
 A node costs a few list lookups: monotonicity is one lower bound
 precomputed per cell, and each irreducible's row is join-extended once,
 when it is complete (see _IrreducibleTableSearch).  Every solution a
@@ -106,40 +108,30 @@ def canonical_key(rows: Tuple[int, ...]) -> tuple:
     return (tuple(slot_class), best)
 
 
-def _is_lattice_rows(rows: Tuple[int, ...]) -> bool:
-    n = len(rows)
-    full = (1 << n) - 1
-    downs = _down_masks(rows)
-    if full not in rows or full not in downs:
-        return False
-    up_of = {rows[i]: i for i in range(n)}
-    down_of = {downs[i]: i for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i] & rows[j] not in up_of:
-                return False
-            if downs[i] & downs[j] not in down_of:
-                return False
-    return True
-
-
 def _grow(rows: Tuple[int, ...]):
-    """All one-larger lattices with a new coatom: the new element sits
-    under the top, which is element 0 of every grown lattice, above a
-    down-closed set of non-top elements."""
+    """All one-larger lattices with a new coatom c: c sits under the top,
+    element 0 of every grown lattice, above a down-closed set d of
+    non-top elements.  The child is a lattice exactly when d holds the
+    bottom (any d when the parent has one element) and the join of any
+    two members of d is in d or is the top, because:
+    - the child has a bottom exactly when d holds the parent's, and a
+      finite poset with a bottom is a lattice when all pairs have joins;
+    - c \\/ x is c when x is in d, and the top otherwise;
+    - a pair not wholly inside d keeps its parent join: c bounds neither;
+    - for x, y in d with parent join j, the join is j if j is in d and c
+      if j is the top; else j and c are two minimal upper bounds.
+    """
     n = len(rows)
     downs = _down_masks(rows)
-    new_bit = 1 << n
+    up_of = {r: i for i, r in enumerate(rows)}
+    joins = [[up_of[rx & ry] for ry in rows] for rx in rows]
+    bottom, new_bit = rows.index((1 << n) - 1), 1 << n
     for d in range(0, 1 << n, 2):  # the even masks leave out element 0
-        closed = 0
-        for i in range(n):
-            if d >> i & 1:
-                closed |= downs[i]
-        if closed != d:
-            continue
-        ext = tuple(rows[i] | (new_bit if d >> i & 1 else 0) for i in range(n)) + (new_bit | 1,)
-        if _is_lattice_rows(ext):
-            yield ext
+        allowed = d | 1  # d and the top, which is the bottom when n == 1
+        members = [i for i in range(n) if d >> i & 1]
+        if (allowed >> bottom & 1 and not any(downs[i] & ~d for i in members)
+                and all(allowed >> joins[x][y] & 1 for x in members for y in members)):
+            yield tuple(rows[i] | (new_bit if d >> i & 1 else 0) for i in range(n)) + (new_bit | 1,)
 
 
 def _rows_to_lattice(rows: Tuple[int, ...]) -> FiniteLattice:

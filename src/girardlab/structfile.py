@@ -19,7 +19,8 @@ reproduces f.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -37,6 +38,7 @@ from .residuation import ResiduatedStructure, residuated_structure
 
 KEYS = ("elements", "covers", "leq", "ortho", "mul", "unit", "dualizing")
 _LABEL_FORBIDDEN = set(" \t\n#,:[]")
+_TOKEN = re.compile(r"[\[\],]|[^\s\[\],]+")
 
 
 class StructError(Exception):
@@ -67,7 +69,6 @@ class StructureFile:
     mul: Optional[tuple] = None
     unit: Optional[int] = None
     dualizing: Optional[int] = None
-    lines: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -75,26 +76,9 @@ class StructureFile:
 
 
 def _tokenize(text: str, base_line: int):
-    tokens = []
-    cur = ""
-    line = base_line
-    for ch in text:
-        if ch == "\n":
-            line += 1
-        if ch in "[],":
-            if cur:
-                tokens.append((cur, line))
-                cur = ""
-            tokens.append((ch, line))
-        elif ch.isspace():
-            if cur:
-                tokens.append((cur, line))
-                cur = ""
-        else:
-            cur += ch
-    if cur:
-        tokens.append((cur, line))
-    return tokens
+    """(token, line) pairs: brackets, commas and the words between them."""
+    return [(m.group(), line) for line, part in enumerate(text.split("\n"), start=base_line)
+            for m in _TOKEN.finditer(part)]
 
 
 def _parse_value(text: str, base_line: int):
@@ -164,17 +148,15 @@ def parse(text: str) -> StructureFile:
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
         head = line.split(":", 1)
-        if not line[0].isspace() and len(head) == 2 and head[0].strip().isidentifier():
+        if line and not line[0].isspace() and len(head) == 2 and head[0].strip().isidentifier():
             key = head[0].strip()
             current = [key, lineno, head[1]]
             sections.append(current)
-        else:
-            if current is None:
-                raise ParseError(lineno, "a 'key:' section header")
-            current[2] += "\n" + line
+        elif current is not None:
+            current[2] += "\n" + line  # blank lines too, so body lines stay file lines
+        elif line:
+            raise ParseError(lineno, "a 'key:' section header")
 
     fields: dict = {}
     lines: dict = {}
@@ -238,7 +220,7 @@ def parse(text: str) -> StructureFile:
         if "dualizing" in fields
         else None
     )
-    return StructureFile(tuple(labels), covers, leq_pairs, ortho, mul, unit, dualizing, lines)
+    return StructureFile(tuple(labels), covers, leq_pairs, ortho, mul, unit, dualizing)
 
 
 def serialize(sf: StructureFile) -> str:

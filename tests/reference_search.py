@@ -6,9 +6,9 @@ one coatom at a time, its enumerator grew every bounded-below poset one
 maximal element at a time and kept only the lattices when it emitted
 each size.  That process reaches every lattice because deleting a
 maximal element keeps the bottom.  It shares the canonical form and the
-output order with the current enumerator but not the growth, so it
-serves, only here, as the oracle of the differential test in
-tests/test_search.py.
+output order with the current enumerator but neither the growth nor the
+lattice test, which here is compute_lattice, so it serves, only here, as
+the oracle of the differential tests in tests/test_search.py.
 
 The searcher's node bookkeeping.  `_IrreducibleTableSearch` used to
 rescan every assigned cell for monotonicity and to recompute every
@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from girardlab import search
-from girardlab.search import _down_masks, _is_lattice_rows, canonical_key
+from girardlab.orders import NotALattice, NotBounded, compute_lattice, validate_poset
+from girardlab.search import _down_masks, canonical_key
 
 
 def grow_bounded_poset(rows: Tuple[int, ...]):
@@ -46,6 +47,17 @@ def grow_bounded_poset(rows: Tuple[int, ...]):
         yield tuple(rows[i] | (new_bit if d >> i & 1 else 0) for i in range(n)) + (new_bit,)
 
 
+def is_lattice(rows: Tuple[int, ...]) -> bool:
+    """compute_lattice's verdict on the poset whose upsets are rows."""
+    n = len(rows)
+    leq = np.array([[bool(rows[i] >> j & 1) for j in range(n)] for i in range(n)])
+    try:
+        compute_lattice(validate_poset(leq))
+    except (NotALattice, NotBounded):
+        return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def poset_frontiers(max_n: int) -> Tuple[Dict[tuple, Tuple[int, ...]], ...]:
     """The frontier of bounded-below posets at each size 1..max_n."""
@@ -62,10 +74,10 @@ def poset_frontiers(max_n: int) -> Tuple[Dict[tuple, Tuple[int, ...]], ...]:
 def reference_enumeration(max_n: int):
     """(keys, counts): the canonical keys each size emits, in output
     order, and the per-size counts, keeping the lattices of the poset
-    frontier."""
+    frontier that compute_lattice accepts."""
     keys: Dict[int, List[tuple]] = {}
     for size, frontier in enumerate(poset_frontiers(max_n), start=1):
-        keys[size] = [key for key in sorted(frontier) if _is_lattice_rows(frontier[key])]
+        keys[size] = [key for key in sorted(frontier) if is_lattice(frontier[key])]
     return keys, {size: len(k) for size, k in keys.items()}
 
 

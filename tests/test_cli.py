@@ -127,6 +127,15 @@ class TestGirard:
         )
         assert (code, out, err) == (2, "", f"error: inversion entry {bad!r} is not an integer\n")
 
+    def test_inversion_parsed_before_the_table(self, capsys, tmp_path):
+        # the join of a 3-chain is not residuated, yet the bad inversion is the error
+        join = tmp_path / "join.struct"
+        join.write_text("elements: [0, m, 1]\ncovers: [[0,1], [1,2]]\n"
+                        "mul: [[0,1,2], [1,1,2], [2,2,2]]\n")
+        assert run(capsys, "girard", str(join))[0] == 1
+        code, out, err = run(capsys, "girard", str(join), "--inversion", "x")
+        assert (code, out, err) == (2, "", "error: inversion entry 'x' is not an integer\n")
+
     def test_non_associative_table_exit_one(self, capsys, tmp_path):
         # residua exist for this table, so only the associativity check stops it
         bad = tmp_path / "nonassoc.struct"

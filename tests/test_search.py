@@ -3,7 +3,8 @@ import pathlib
 
 import numpy as np
 import pytest
-from reference_search import LoopIntegralSearch, LoopUnitalSearch, reference_enumeration
+from reference_search import LoopIntegralSearch, LoopUnitalSearch, is_lattice, \
+    reference_enumeration
 
 from girardlab import search
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
@@ -53,6 +54,19 @@ class TestEnumeration:
         for lat in result.lattices:
             got[lat.n].append(canonical_key(rows_of(lat)))
         assert got == keys
+
+    def test_growth_rule_matches_compute_lattice(self):
+        """_grow yields, in order, the extensions by a coatom above a
+        down-closed set d of non-top elements that compute_lattice
+        accepts; d is down-closed when nothing outside it lies below a
+        member."""
+        for lat in enumerate_lattices(7).lattices:
+            rows = rows_of(lat)
+            n = len(rows)
+            extensions = [tuple(rows[i] | (d >> i & 1) << n for i in range(n)) + (1 << n | 1,)
+                          for d in range(0, 1 << n, 2)
+                          if not any(rows[i] & d for i in range(n) if not d >> i & 1)]
+            assert list(search._grow(rows)) == [ext for ext in extensions if is_lattice(ext)]
 
     def test_single_element(self):
         result = enumerate_lattices(1)

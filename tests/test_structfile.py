@@ -56,6 +56,16 @@ covers: [[0,1], [0,2],
             parse(text)
         assert exc.value.line == 3  # the mul section starts here
 
+    @pytest.mark.parametrize("text, line", [
+        ("elements: [a, b]\ncovers: [[0,1]]\nunit: 0 1\n  0\n", 3),  # a stray token ends line 3
+        # comment and blank lines inside a value still count
+        ("elements: [a, b]\ncovers: [[0,1]]\nmul: [\n# rows\n\n  [0, 0],\n  [0, 1]]\n]\n", 8),
+    ])
+    def test_value_error_names_the_token_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.line == line
+
     def test_unknown_key(self):
         with pytest.raises(ParseError):
             parse(MINIMAL + "colour: 3\n")
