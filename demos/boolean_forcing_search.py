@@ -47,7 +47,7 @@ print(confirm_boolean_forcing(7))
 # ---------------------------------------------------------------------------
 # Dropping integrality changes everything.  MO2 is orthomodular and not
 # Boolean, yet admits hundreds of unital multiplications (248 at full
-# exploration, roughly 2.4 million search nodes); a small budget already
+# exploration, about half a million search nodes); a small budget already
 # finds several, each with its unit sitting inside one block.
 # ---------------------------------------------------------------------------
 res = search_unital_residuation(horizontal_sum_mo(2), budget=50_000)

@@ -238,7 +238,7 @@ def cmd_search_residuation(args) -> int:
     sf = load(args.file)
     if args.mode == "integral":
         lattice = build_lattice(sf)
-        result = search_integral_residuation(lattice)
+        result = search_integral_residuation(lattice, budget=args.budget)
     else:
         o = build_ortholattice(sf)
         lattice = o.lattice

@@ -10,13 +10,18 @@ backtrack only over products of join-irreducible pairs: a residuated
 multiplication preserves joins, so it is determined by those values and
 the search stays exhaustive.
 A node costs a few list lookups: monotonicity is one lower bound
-precomputed per cell, and each irreducible's row is join-extended once,
-when it is complete (see _IrreducibleTableSearch).  Every solution a
-search emits is re-verified through derive_residua, which shares no
-code with the searcher's pruning.  A leaf is one check: the two-sided
-unit law, then associativity, then residuated_structure.  Adjointness
-makes each one-sided product a left adjoint, so a table that passes
-preserves joins in each argument and needs no separate join scan.
+precomputed per cell, and each irreducible's row is join-extended when
+it completes, from the row without its last cell, which is joined once
+per parent node (see _IrreducibleTableSearch).  A completed row also
+finalises the full table rows of the elements whose irreducibles all
+have rows by then, and two laws every solution satisfies prune on them:
+L, the join law in the left argument, and A, associativity on pairs of
+irreducibles.  Both read only rows of the current branch.  Every
+solution a search emits is re-verified through derive_residua, which
+shares no code with the searcher's pruning.  A leaf is one check: the
+two-sided unit law, then associativity, then residuated_structure.
+Adjointness makes each one-sided product a left adjoint, so a table that
+passes preserves joins in each argument and needs no separate join scan.
 """
 from __future__ import annotations
 
@@ -206,20 +211,45 @@ class _IrreducibleTableSearch:
     """Backtracking over products of join-irreducible pairs.
 
     The full table is the join-extension of the cells' values.  Cells
-    are visited in one fixed order, irreducibles sorted by height, and
-    each cell's bookkeeping is set up once per search.  The search keeps
-    the cells' values monotone: a(i, j) <= a(i2, j2) whenever
-    i <= i2 and j <= j2.  So only the greatest members of a set of
-    cells or irreducibles count in a join over their values:
+    are visited in one fixed order, row by row over the irreducibles
+    sorted by height, and each cell's bookkeeping is set up once per
+    search.  The search keeps the cells' values monotone:
+    a(i, j) <= a(i2, j2) whenever i <= i2 and j <= j2.  So only the
+    greatest members of a set of cells or irreducibles count in a join
+    over their values:
 
     - a value v of a cell passes the monotonicity test iff lo <= v, lo
       the join of the values of the greatest earlier cells below it.
       No earlier cell lies above a later one, as an irreducible lies
       below one of no greater height only when the two are equal;
-    - when the row of irreducible i is complete, its join-extension
-      R_i[y] = \\/ {a(i, j) : j <= y irreducible} is computed and cached.
-      By monotonicity it is row i of the full extension, and row x is
-      the join of R_i over the greatest irreducibles i <= x.
+    - when the row of the irreducible i at position t is complete, its
+      join-extension R_t[y] = \\/ {a(i, j) : j <= y irreducible} is
+      computed and cached.  By monotonicity it is row i of the full
+      extension, and row x, full(x), is the join of R_s over the
+      positions s of the greatest irreducibles below x.
+
+    The row is completed incrementally.  The last irreducible of the
+    order has the greatest height, so it is one of the greatest
+    irreducibles below every element above it.  The row without its last
+    cell is joined once per parent node; each value v of the last cell
+    then changes only the entries above the last irreducible.
+
+    full(x) is final once every irreducible below x has its row, that
+    is when the row at position maxpos[x], the greatest position of an
+    irreducible below x, completes; it is cached then.  Every row and
+    full row read at position t was written on the current branch, as
+    only those at positions up to t are read.  A leaf table is the
+    join-extension, and leaf rejects it unless it is associative and
+    residuated, hence join-preserving in each argument.  So two laws
+    that only final rows enter prune soundly when row t completes:
+
+    - L, the left law: full(a \\/ b) = full(a) \\/ full(b) for each
+      incomparable pair a, b with maxpos[a \\/ b] = t (comparable pairs
+      hold by monotonicity);
+    - A, associativity on irreducibles: full(x*y)[z] = R_x[R_y[z]] for
+      all z, for irreducibles x, y at positions p, q with
+      max(p, q, maxpos[x*y]) = t.  Before that, one of the rows it reads
+      is not final.
     """
 
     def __init__(self, l: FiniteLattice, e: int):
@@ -233,7 +263,6 @@ class _IrreducibleTableSearch:
         self.below_irr = [[self.irr[s] for s in pos] for pos in _true_columns(below)]
         # positions in self.irr of the greatest irreducibles below each element
         self.tops = _true_columns(_greatest(below, irr_leq & ~np.eye(r, dtype=bool)))
-        self.position = {i: t for t, i in enumerate(self.irr)}
         self.cells = [(i, j) for i in self.irr for j in self.irr]
         self.leq_rows, self.join_rows = l.leq.tolist(), l.join.tolist()
         # cell k is (irr[k // r], irr[k % r]); cell_leq[k, k2] iff cell k <= cell k2
@@ -248,43 +277,81 @@ class _IrreducibleTableSearch:
         self.downs = _true_columns(l.leq.T)
         self.domains = [self.domain(i, j) for i, j in self.cells]
         self.values = [l.bottom] * len(self.cells)  # values[k]: the value of cell k
-        self.rows: List[Optional[List[int]]] = [None] * r  # R_i, by position of i
+        self.rows: List[Optional[List[int]]] = [None] * r  # R_t, by position t
+        self.full: List[Optional[List[int]]] = [None] * l.n  # full(x), once final
+        self.full[l.bottom] = [l.bottom] * l.n
+        # the row without its last cell joins the other greatest irreducibles;
+        # the last cell's value joins in at the elements above irr[r - 1]
+        # (tops lists positions in increasing order)
+        ends_last = [bool(tops) and tops[-1] == r - 1 for tops in self.tops]
+        self.tops_but_last = [tops[:-1] if last else tops
+                              for tops, last in zip(self.tops, ends_last)]
+        self.above_last = [y for y, last in enumerate(ends_last) if last]
+        self.maxpos = [tops[-1] if tops else -1 for tops in self.tops]
+        # what row t's completion finalises and checks, by position t:
+        # full rows and L by maxpos, A over the cells (p, q) with p, q <= t
+        self.finals: List[list] = [[] for _ in range(r)]
+        self.left_law: List[list] = [[] for _ in range(r)]
+        for x, tops in enumerate(self.tops):
+            if tops:
+                self.finals[self.maxpos[x]].append((x, tops))
+        for a, b, ab in self.incomparable:
+            self.left_law[self.maxpos[ab]].append((a, b, ab))
+        pairs = []  # (max(p, q), cell index, p, q), by max(p, q)
+        for t in range(r):
+            pairs += [(t, t * r + s, t, s) for s in range(t)]
+            pairs += [(t, s * r + t, s, t) for s in range(t + 1)]
+        self.assoc = [pairs[:(t + 1) ** 2] for t in range(r)]
 
     def domain(self, i: int, j: int) -> List[int]:
         """The values cell (i, j) ranges over, in search order."""
         raise NotImplementedError
 
-    def row_ok(self, i: int) -> bool:
-        """Called when row i is complete: caches R_i, then the unit
-        column and the row's join consistency must already hold for the
-        partial extension."""
-        join, bottom, t = self.join_rows, self.l.bottom, self.position[i]
-        products = self.values[t * len(self.irr):(t + 1) * len(self.irr)]
+    def partial_row(self, t: int) -> List[int]:
+        """Row t's join-extension without the value of its last cell."""
+        join, bottom, r = self.join_rows, self.l.bottom, len(self.irr)
+        products = self.values[t * r:(t + 1) * r]
         row = []
-        for tops in self.tops:
+        for tops in self.tops_but_last:
             acc = bottom
             for s in tops:
                 acc = join[acc][products[s]]
             row.append(acc)
-        self.rows[t] = row
-        if row[self.e] != i:
+        return row
+
+    def row_ok(self, t: int, partial: List[int], v: int) -> bool:
+        """Called when row t completes with last value v: the unit column
+        and the row's join consistency must hold; then R_t and the full
+        rows it finalises are cached, and L and A must hold."""
+        join, rows, full = self.join_rows, self.rows, self.full
+        row, join_v = partial[:], join[v]
+        for y in self.above_last:
+            row[y] = join_v[row[y]]
+        if row[self.e] != self.irr[t]:
             return False
         for a, b, ab in self.incomparable:
             if row[ab] != join[row[a]][row[b]]:
                 return False
+        rows[t] = row
+        for x, tops in self.finals[t]:
+            acc = rows[tops[0]]
+            for s in tops[1:]:
+                acc = [join[u][w] for u, w in zip(acc, rows[s])]
+            full[x] = acc
+        for a, b, ab in self.left_law[t]:
+            if [join[u][w] for u, w in zip(full[a], full[b])] != full[ab]:
+                return False
+        values, maxpos = self.values, self.maxpos
+        for pq, k, p, q in self.assoc[t]:
+            xy = values[k]
+            if max(pq, maxpos[xy]) == t:
+                row_x = rows[p]
+                if [row_x[u] for u in rows[q]] != full[xy]:
+                    return False
         return True
 
     def extension(self) -> np.ndarray:
-        join, rows, table = self.join_rows, self.rows, []
-        for tops in self.tops:
-            if not tops:
-                table.append([self.l.bottom] * self.l.n)
-                continue
-            row = rows[tops[0]]
-            for s in tops[1:]:
-                row = [join[u][w] for u, w in zip(row, rows[s])]
-            table.append(row)
-        return np.array(table, dtype=np.intp)
+        return np.array(self.full, dtype=np.intp)
 
     def leaf(self, m: np.ndarray) -> Optional[ResiduatedStructure]:
         """The verified structure of a leaf table, or None when the
@@ -302,11 +369,10 @@ class _IrreducibleTableSearch:
         """(hits, exhausted, nodes): hits pairs each found table with its
         verified structure, sorted by table."""
         cells, values, domains, lows = self.cells, self.values, self.domains, self.lows
-        leq, join, bottom = self.leq_rows, self.join_rows, self.l.bottom
+        leq, join, bottom, r = self.leq_rows, self.join_rows, self.l.bottom, len(self.irr)
         limit = float("inf") if budget is None else budget
-        # the irreducible whose row cell k completes, or None
-        completes = [i if k + 1 == len(cells) or cells[k + 1][0] != i else None
-                     for k, (i, _) in enumerate(cells)]
+        # the position of the row cell k completes, or None
+        completes = [k // r if (k + 1) % r == 0 else None for k in range(len(cells))]
         hits: List[Tuple[np.ndarray, ResiduatedStructure]] = []
         nodes = 0
 
@@ -321,7 +387,8 @@ class _IrreducibleTableSearch:
             lo = bottom
             for k2 in lows[k]:
                 lo = join[lo][values[k2]]
-            above_lo, i = leq[lo], completes[k]
+            above_lo, t = leq[lo], completes[k]
+            partial = None if t is None else self.partial_row(t)
             for v in domains[k]:
                 if nodes >= limit:
                     return False
@@ -329,7 +396,7 @@ class _IrreducibleTableSearch:
                 if not above_lo[v]:
                     continue
                 values[k] = v
-                if (i is None or self.row_ok(i)) and not rec(k + 1):
+                if (t is None or self.row_ok(t, partial, v)) and not rec(k + 1):
                     return False
             return True
 
@@ -362,11 +429,13 @@ class _UnitalSearch(_IrreducibleTableSearch):
         return self.downs[self.l.top]
 
 
-def search_integral_residuation(l: FiniteLattice) -> ResiduationSearchResult:
-    """Exhaustive search for multiplications making l an integral
-    residuated lattice.  Always runs to exhaustion."""
+def search_integral_residuation(l: FiniteLattice,
+                                budget: Optional[int] = None) -> ResiduationSearchResult:
+    """Search for multiplications making l an integral residuated
+    lattice: exhaustive without a budget, else exhausted=False once
+    budget nodes are spent, with whatever was found so far."""
     search = _IntegralSearch(l)
-    hits, exhausted, nodes = search.run(budget=None)
+    hits, exhausted, nodes = search.run(budget=budget)
     return ResiduationSearchResult(_lattice_id(l), "integral", [m for m, _ in hits],
                                    [s for _, s in hits], exhausted, nodes)
 

@@ -10,13 +10,23 @@ output order with the current enumerator but neither the growth nor the
 lattice test, which here is compute_lattice, so it serves, only here, as
 the oracle of the differential tests in tests/test_search.py.
 
+The searcher before row-completion pruning.  `_IrreducibleTableSearch`
+used to rebuild a row's whole join-extension for every value of the
+row's last cell, and it checked only the unit column and the row's own
+join consistency when a row completed: it did not check the left law
+or associativity before the leaf.  `PlainSearch` restores that loop;
+mixed in ahead of `_IntegralSearch` or `_UnitalSearch` it shares their
+cells, monotonicity bounds, value domains and leaf check, and nothing
+of their row completion.  It visits every node the current searcher
+visits, in the same order, and more, and it must find the same tables.
+
 The searcher's node bookkeeping.  `_IrreducibleTableSearch` used to
 rescan every assigned cell for monotonicity and to recompute every
 extension cell from the assigned cells, for the row check and for the
 table at each leaf.  `LoopSearch` restores those scans and the loop that
 called them; mixed in ahead of `_IntegralSearch` or `_UnitalSearch` it
-shares only their value domains and leaf check, so the searches built
-from it must visit the same nodes and find the same tables.
+shares only their value domains and leaf check, so it must visit the
+same nodes as `PlainSearch` and find the same tables.
 """
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -79,6 +89,87 @@ def reference_enumeration(max_n: int):
     for size, frontier in enumerate(poset_frontiers(max_n), start=1):
         keys[size] = [key for key in sorted(frontier) if is_lattice(frontier[key])]
     return keys, {size: len(k) for size, k in keys.items()}
+
+
+class PlainSearch:
+    """_IrreducibleTableSearch without row-completion pruning."""
+
+    def row_ok(self, i: int) -> bool:
+        """Caches R_i; the unit column and the row's join consistency
+        must hold."""
+        join, bottom, r = self.join_rows, self.l.bottom, len(self.irr)
+        t = self.irr.index(i)
+        products = self.values[t * r:(t + 1) * r]
+        row = []
+        for tops in self.tops:
+            acc = bottom
+            for s in tops:
+                acc = join[acc][products[s]]
+            row.append(acc)
+        self.rows[t] = row
+        if row[self.e] != i:
+            return False
+        for a, b, ab in self.incomparable:
+            if row[ab] != join[row[a]][row[b]]:
+                return False
+        return True
+
+    def extension(self) -> np.ndarray:
+        join, rows, table = self.join_rows, self.rows, []
+        for tops in self.tops:
+            if not tops:
+                table.append([self.l.bottom] * self.l.n)
+                continue
+            row = rows[tops[0]]
+            for s in tops[1:]:
+                row = [join[u][w] for u, w in zip(row, rows[s])]
+            table.append(row)
+        return np.array(table, dtype=np.intp)
+
+    def run(self, budget: Optional[int] = None):
+        cells, values, domains, lows = self.cells, self.values, self.domains, self.lows
+        leq, join, bottom = self.leq_rows, self.join_rows, self.l.bottom
+        limit = float("inf") if budget is None else budget
+        # the irreducible whose row cell k completes, or None
+        completes = [i if k + 1 == len(cells) or cells[k + 1][0] != i else None
+                     for k, (i, _) in enumerate(cells)]
+        hits = []
+        nodes = 0
+
+        def rec(k: int) -> bool:
+            nonlocal nodes
+            if k == len(cells):
+                m = self.extension()
+                s = self.leaf(m)
+                if s is not None:
+                    hits.append((m, s))
+                return True
+            lo = bottom
+            for k2 in lows[k]:
+                lo = join[lo][values[k2]]
+            above_lo, i = leq[lo], completes[k]
+            for v in domains[k]:
+                if nodes >= limit:
+                    return False
+                nodes += 1
+                if not above_lo[v]:
+                    continue
+                values[k] = v
+                if (i is None or self.row_ok(i)) and not rec(k + 1):
+                    return False
+            return True
+
+        exhausted = rec(0)
+        hits.sort(key=lambda hit: tuple(hit[0].ravel()))
+        return hits, exhausted, nodes
+
+
+class PlainIntegralSearch(PlainSearch, search._IntegralSearch):
+    pass
+
+
+class PlainUnitalSearch(PlainSearch, search._UnitalSearch):
+    pass
 
 
 class LoopSearch:

@@ -273,6 +273,16 @@ class TestSearchResiduation:
         assert code == 0
         assert out.splitlines()[0].endswith(" exhausted=False nodes=50")
 
+    def test_budget_bounds_the_integral_search(self, capsys, tmp_path):
+        # unbounded, the integral search on this chain runs for minutes
+        code, out, _ = run(capsys, "gen", "godel", "--size", "20")
+        f = tmp_path / "godel-20.struct"
+        f.write_text(out)
+        code, out, _ = run(capsys, "search-residuation", str(f), "--mode", "integral",
+                           "--budget", "5000")
+        assert code == 0
+        assert out.splitlines()[0].endswith(" exhausted=False nodes=5000")
+
 
 class TestRn:
     def test_small_run(self, capsys):

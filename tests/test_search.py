@@ -3,8 +3,8 @@ import pathlib
 
 import numpy as np
 import pytest
-from reference_search import LoopIntegralSearch, LoopUnitalSearch, is_lattice, \
-    reference_enumeration
+from reference_search import LoopIntegralSearch, LoopUnitalSearch, PlainIntegralSearch, \
+    PlainUnitalSearch, is_lattice, reference_enumeration
 
 from girardlab import search
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
@@ -140,11 +140,18 @@ class TestIntegralSearch:
 
     def test_skipping_associativity_flips_the_found_set(self, monkeypatch):
         # sensitivity of the search oracle: without the associativity
-        # check, the four-chain admits extra tables, every one of which
-        # still satisfies adjointness and is rejected only by that law
+        # checks, at the leaf and at row completion (A), the four-chain
+        # admits extra tables, every one of which still satisfies
+        # adjointness and is rejected only by that law
+        class NoPartialAssociativity(search._IntegralSearch):
+            def __init__(self, l):
+                super().__init__(l)
+                self.assoc = [[] for _ in self.assoc]
+
         lat = chain(4)
         strict = search_integral_residuation(lat)
         monkeypatch.setattr(search, "check_associative", lambda m: law_pass("associativity"))
+        monkeypatch.setattr(search, "_IntegralSearch", NoPartialAssociativity)
         loose = search_integral_residuation(lat)
         strict_tables = {tuple(m.ravel()) for m in strict.found}
         loose_tables = {tuple(m.ravel()) for m in loose.found}
@@ -203,7 +210,7 @@ class TestUnitalSearch:
 
     def test_mo2_budgeted_hits_satisfy_downset_conclusions(self):
         result = search_unital_residuation(horizontal_sum_mo(2), budget=20_000)
-        assert not result.exhausted  # full exploration needs a few million nodes
+        assert not result.exhausted  # full exploration needs 500944 nodes
         assert result.found  # non-Boolean orthomodular carriers with units exist
         assert all(r.passed for r in result.downset_unit_reports)
         for s in result.structures:
@@ -223,21 +230,62 @@ def _outcome(result):
             result.exhausted, result.nodes)
 
 
-def _loop_outcome(monkeypatch, run, *args):
-    """The outcome of a search built from the loop-form bookkeeping."""
+def _reference_outcome(monkeypatch, reference, run, *args):
+    """The outcome of a search built from a reference searcher,
+    reference[mode] standing in for the searcher of that mode."""
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_IntegralSearch", LoopIntegralSearch)
-        patch.setattr(search, "_UnitalSearch", LoopUnitalSearch)
+        patch.setattr(search, "_IntegralSearch", reference["integral"])
+        patch.setattr(search, "_UnitalSearch", reference["unital"])
         return _outcome(run(*args))
+
+
+LOOP = {"integral": LoopIntegralSearch, "unital": LoopUnitalSearch}
+PLAIN = {"integral": PlainIntegralSearch, "unital": PlainUnitalSearch}
+
+
+def _assert_same_tables(new, reference):
+    """Pruning keeps the found tables, their units and `exhausted` of an
+    exhaustive reference run, in fewer nodes or as many; an outcome's
+    node count comes last."""
+    assert new[:-1] == reference[:-1]
+    assert new[-1] <= reference[-1]
+
+
+def _run_outcome(run, budget=None):
+    hits, exhausted, nodes = run(budget=budget)
+    return [(m.tolist(), s.flags.unit) for m, s in hits], exhausted, nodes
 
 
 STRUCTURES = pathlib.Path(__file__).resolve().parent.parent / "structures"
 STRUCTURE_FILES = sorted(STRUCTURES.glob("*.struct"))
 
 
+@pytest.fixture(scope="module")
+def lattices_to_six():
+    """Each lattice on at most 6 elements with the outcome of the
+    searcher before row-completion pruning; the 6-chain alone takes
+    589915 nodes."""
+    return [(lat, _run_outcome(PlainIntegralSearch(lat).run))
+            for lat in enumerate_lattices(6).lattices]
+
+
+@pytest.fixture(scope="module")
+def mo2_tables():
+    """The byte strings of the 248 tables of the exhaustive MO2 search."""
+    result = search_unital_residuation(build_ortholattice(load(STRUCTURES / "mo2.struct")),
+                                       budget=3_000_000)
+    assert result.exhausted and len(result.found) == 248
+    return {m.tobytes() for m in result.found}
+
+
 class TestSearchBookkeeping:
-    """The monotonicity bound and cached rows against the scans they
-    replaced: the same nodes, in the same order, find the same tables."""
+    """The searcher against the reference searchers of
+    tests/reference_search.py: the loop form of its bookkeeping, and the
+    searcher before row-completion pruning.  Pruning removes only
+    subtrees without a solution and keeps the node order, so exhaustive
+    runs find the same tables, with the same units, in at most as many
+    nodes, and a budgeted run finds at least what the reference finds
+    within the same budget."""
 
     def test_no_earlier_cell_lies_above_a_later_one(self):
         # why monotonicity needs only the lower bound from earlier cells
@@ -249,34 +297,63 @@ class TestSearchBookkeeping:
     @pytest.mark.parametrize("path", STRUCTURE_FILES, ids=lambda p: p.stem)
     def test_integral_on_structure_files(self, monkeypatch, path):
         lat = build_lattice(load(path))
-        assert _outcome(search_integral_residuation(lat)) == \
-            _loop_outcome(monkeypatch, search_integral_residuation, lat)
+        new = _outcome(search_integral_residuation(lat))
+        assert new[2]  # exhausted
+        _assert_same_tables(new, _reference_outcome(monkeypatch, LOOP,
+                                                    search_integral_residuation, lat))
 
-    def test_integral_on_every_lattice_to_six(self):
-        # the budget exhausts every search but the 6-chain's, which takes
-        # 589915 nodes (about 26 s in loop form)
-        def outcome(run):
-            hits, exhausted, nodes = run(budget=40_000)
-            return [(m.tolist(), s.flags.unit) for m, s in hits], exhausted, nodes
+    def test_integral_on_every_lattice_to_six(self, lattices_to_six):
+        for lat, reference in lattices_to_six:
+            _assert_same_tables(_run_outcome(search._IntegralSearch(lat).run), reference)
 
+    def test_reversed_domains_on_every_lattice_to_six(self, lattices_to_six):
+        # a row completed on another branch must never be read: reversed
+        # domains revisit each row with other values in another order
+        class Backward(search._IntegralSearch):
+            def domain(self, i, j):
+                return super().domain(i, j)[::-1]
+
+        for lat, reference in lattices_to_six:
+            hits, exhausted, _ = _run_outcome(Backward(lat).run)
+            assert sorted(hits) == reference[0] and exhausted
+
+    def test_plain_matches_loop_node_for_node(self):
+        # the bookkeeping both searchers share with the current one, held
+        # to the scans; the budget cuts only the 6-chain
         cut = 0
         for lat in enumerate_lattices(6).lattices:
-            new = outcome(search._IntegralSearch(lat).run)
-            assert new == outcome(LoopIntegralSearch(lat).run)
-            cut += not new[1]
+            plain = _run_outcome(PlainIntegralSearch(lat).run, budget=40_000)
+            assert plain == _run_outcome(LoopIntegralSearch(lat).run, budget=40_000)
+            cut += not plain[1]
         assert cut == 1
+
+    @pytest.mark.parametrize("mode", ["integral", "unital"])
+    @pytest.mark.parametrize("atoms", [0, 1])
+    def test_one_and_two_elements(self, monkeypatch, mode, atoms):
+        # the 1-element lattice has no join-irreducibles, hence no cells
+        o = boolean_ortho(atoms)
+        run, carrier = ((search_integral_residuation, o.lattice) if mode == "integral"
+                        else (search_unital_residuation, o))
+        new = _outcome(run(carrier))
+        assert len(new[0]) == 1 and new[2]
+        assert new == _reference_outcome(monkeypatch, PLAIN, run, carrier)
 
     @pytest.mark.parametrize("name", ["boolean-2", "boolean-4"])
     def test_unital_exhaustive(self, monkeypatch, name):
         o = build_ortholattice(load(STRUCTURES / f"{name}.struct"))
         new = _outcome(search_unital_residuation(o))
         assert new[2]  # exhausted
-        assert new == _loop_outcome(monkeypatch, search_unital_residuation, o)
+        _assert_same_tables(new, _reference_outcome(monkeypatch, LOOP,
+                                                    search_unital_residuation, o))
 
     @pytest.mark.parametrize("name", ["mo2", "mo3"])
     @pytest.mark.parametrize("budget", [1, 37, 5000, 20_000])
-    def test_unital_budgeted(self, monkeypatch, name, budget):
+    def test_unital_budgeted(self, monkeypatch, mo2_tables, name, budget):
         o = build_ortholattice(load(STRUCTURES / f"{name}.struct"))
-        new = _outcome(search_unital_residuation(o, budget=budget))
-        assert new[3] == budget and not new[2]
-        assert new == _loop_outcome(monkeypatch, search_unital_residuation, o, budget)
+        result = search_unital_residuation(o, budget=budget)
+        assert result.nodes == budget and not result.exhausted
+        tables = {m.tobytes() for m in result.found}
+        reference = _reference_outcome(monkeypatch, LOOP, search_unital_residuation, o, budget)
+        assert {np.array(m).tobytes() for m in reference[0]} <= tables
+        if name == "mo2":
+            assert tables <= mo2_tables
