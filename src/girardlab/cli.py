@@ -1,10 +1,12 @@
 """Command surface tying the engines together.
 
-Exit codes: 0 all checks passed, 1 some law failed, 2 input error.
+Exit codes: 0 all checks passed, 1 some law failed or stdout was closed
+early (a broken pipe, reported silently), 2 input error.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -413,6 +415,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader left; on devnull the flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (StructError, OSError, OrderError, NotOrthomodularInput, DimensionMismatch,
             ResiduationError, BoundExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

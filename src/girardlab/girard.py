@@ -13,9 +13,9 @@ from typing import List
 
 import numpy as np
 
-from .orders import check_inversion, enumerate_inversions, first_violation, index_slabs, \
-    is_boolean, least_witness
-from .ortho import OrthoLattice, blocks, check_orthomodular, compatible, downset_oml
+from .orders import check_inversion, enumerate_inversions, first_violation, is_boolean, \
+    least_witness
+from .ortho import OrthoLattice, blocks, compatible, downset_oml, is_orthomodular
 from .reports import LawReport, law_fail, law_pass, law_skip
 from .residuation import ResiduatedStructure, check_associative
 from . import orders
@@ -209,33 +209,21 @@ def check_quantale(l, m) -> LawReport:
     w = first_violation((t[:, bottom] != bottom) | (t[bottom] != bottom))
     if w is not None:
         return law_fail("quantale", w, "zero law fails")
-    w = join_distribution_failure(l.join, t)
+    join = l.join
+
+    def right(x, a, b):
+        return t[x, join[a, b]] != join[t[x, a], t[x, b]]
+
+    def left(x, a, b):
+        return t[join[a, b], x] != join[t[a, x], t[b, x]]
+
+    w = least_witness(lambda x, a, b: right(x, a, b) | left(x, a, b), l.n, 3)
     if w is None:
         return law_pass("quantale")
-    (x, a, b), right = w
-    if right:
-        return law_fail("quantale", (x, a, b), "join distribution fails on the right")
+    if right(*w):
+        return law_fail("quantale", w, "join distribution fails on the right")
+    x, a, b = w
     return law_fail("quantale", (a, b, x), "join distribution fails on the left")
-
-
-def join_distribution_failure(join: np.ndarray, t: np.ndarray):
-    """Least (x, a, b) at which x * (a \\/ b) = x*a \\/ x*b (the right law) or
-    (a \\/ b) * x = a*x \\/ b*x (the left law) fails, with a flag that is
-    True when the right law fails there; None when both always hold."""
-    def broken(rows):
-        # broken[k, a, b]: rows[k] maps a \/ b elsewhere than to rows[k][a] \/ rows[k][b]
-        return rows[:, join] != join[rows[:, :, None], rows[:, None, :]]
-
-    # the right law at x is a law of row x of t, the left law one of
-    # column x; a contiguous copy of the columns keeps their gathers fast
-    columns = np.ascontiguousarray(t.T)
-    for lo, (x, _, _) in index_slabs(len(t), 3):
-        hi = lo + len(x)
-        right = broken(t[lo:hi])
-        w = first_violation(right | broken(columns[lo:hi]))
-        if w is not None:
-            return (w[0] + lo,) + w[1:], bool(right[w])
-    return None
 
 
 def check_involutive_quantale(l, m, star) -> LawReport:
@@ -270,7 +258,7 @@ def check_unit_downset_boolean(o: OrthoLattice, s: ResiduatedStructure) -> LawRe
         return law_skip(law, "structure has no unit")
     if o.n != s.n:
         raise ValueError("carrier size mismatch")
-    if any(r.failed for r in check_orthomodular(o)):
+    if not is_orthomodular(o):
         return law_skip(law, "carrier is not orthomodular")
     e = s.flags.unit
     down = downset_oml(o, e)

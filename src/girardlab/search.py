@@ -444,12 +444,14 @@ def search_unital_residuation(o: OrthoLattice, budget: int = 200_000) -> Residua
     """Budgeted search for unital join-preserving associative tables on
     an orthomodular lattice, the unit anywhere in the carrier.
 
-    Every hit is fed to the unit-downset check; a consumed budget is
-    reported as exhausted=False with whatever was found so far."""
+    Every hit is listed with its unit's unit-downset report, made once
+    per unit; a consumed budget is reported as exhausted=False with
+    whatever was found so far."""
     if not is_orthomodular(o):
         raise NotOrthomodularInput("unital search expects an orthomodular carrier")
     l = o.lattice
     hits: List[Tuple[np.ndarray, ResiduatedStructure]] = []
+    unit_reports = {}
     nodes_total = 0
     exhausted = True
     units = [l.top] if l.n == 1 else [e for e in range(l.n) if e != l.bottom]
@@ -462,12 +464,14 @@ def search_unital_residuation(o: OrthoLattice, budget: int = 200_000) -> Residua
         unit_hits, done, nodes = search.run(budget=remaining)
         nodes_total += nodes
         hits.extend(unit_hits)
+        if unit_hits:
+            unit_reports[e] = check_unit_downset_boolean(o, unit_hits[0][1])
         if not done:
             exhausted = False
             break
     hits.sort(key=lambda hit: tuple(hit[0].ravel()))
     structures = [s for _, s in hits]
-    reports = [check_unit_downset_boolean(o, s) for s in structures]
+    reports = [unit_reports[s.flags.unit] for s in structures]
     return ResiduationSearchResult(
         _lattice_id(l), "unital", [m for m, _ in hits], structures, exhausted, nodes_total,
         reports

@@ -1,4 +1,8 @@
 """Command surface and exit-code contract."""
+import os
+import subprocess
+import sys
+
 import pytest
 
 from girardlab import residuation, search
@@ -161,6 +165,21 @@ class TestGirard:
         assert out.startswith("multiplication:\n") and "[FAIL] residuation" in out
         assert run(capsys, "verify", str(bad))[0] == 1
 
+    def test_non_ortholattice_skips_unit_downset(self, capsys, tmp_path):
+        # M3 whose ortho is not involutive: the three orthomodularity
+        # forms hold, but the carrier is not an orthomodular lattice
+        f = tmp_path / "m3-ortho.struct"
+        f.write_text(
+            "elements: [0, a, b, c, 1]\n"
+            "covers: [[0,1], [0,2], [0,3], [1,4], [2,4], [3,4]]\n"
+            "ortho: [4, 2, 1, 1, 0]\n"
+            "mul: [[0,0,0,0,0], [0,1,2,3,4], [0,2,0,2,2], [0,3,2,1,4], [0,4,2,4,4]]\n"
+        )
+        code, out, err = run(capsys, "girard", str(f))
+        assert code == 0 and err == ""
+        assert "  [  --] unit-downset-boolean-block  (carrier is not orthomodular)\n" in out
+        assert out.endswith("5 laws, 0 failures\n")
+
 
 class TestBlocks:
     def test_mo2_two_lines(self, capsys, structures_dir):
@@ -257,6 +276,24 @@ class TestSearchResiduation:
         )
         assert code == 0
         assert "exhausted=False" in out and "unit-downset-boolean-block" in out
+
+    def test_closed_stdout_exits_one_silently(self, structures_dir):
+        # the exhaustive MO2 search writes 89751 bytes, more than a pipe
+        # buffer holds, so writing fails once the reader has gone
+        src = str(structures_dir.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "girardlab.cli", "search-residuation",
+             str(structures_dir / "mo2.struct"), "--mode", "unital", "--budget", "3000000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert first == b"mode=unital found=248 exhausted=True nodes=500944\n"
+        assert err == b""
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_rejected(self, capsys, structures_dir, budget):

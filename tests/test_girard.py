@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from girardlab.catalog import boolean_cube, boolean_ortho, chain, mo2_subspace_model
+from girardlab.catalog import boolean_cube, boolean_ortho, chain, diamond_m3, mo2_subspace_model
 from girardlab.girard import (
     check_boolean_idempotent_criterion,
     check_dualizer_join_formula,
@@ -15,6 +15,7 @@ from girardlab.girard import (
     is_dualizing,
 )
 from girardlab.orders import check_inversion
+from girardlab.ortho import OrthoLattice, check_orthomodular
 from girardlab.residuation import (
     boolean_residuation,
     check_associative,
@@ -249,3 +250,15 @@ class TestUnitDownset:
         s = residuated_structure(lat, m)
         report = check_unit_downset_boolean(o, s)
         assert report.verdict.value == "SKIPPED"
+
+    def test_skips_on_a_non_ortholattice(self):
+        # on M3, c -> a -> b is not involutive, yet the three
+        # orthomodularity forms hold: the carrier is still not orthomodular
+        o = OrthoLattice(diamond_m3(), (4, 2, 1, 1, 0))
+        assert all(r.passed for r in check_orthomodular(o))
+        mul = np.array([[0, 0, 0, 0, 0], [0, 1, 2, 3, 4], [0, 2, 0, 2, 2],
+                        [0, 3, 2, 1, 4], [0, 4, 2, 4, 4]])
+        s = residuated_structure(o.lattice, mul)
+        report = check_unit_downset_boolean(o, s)
+        assert report.verdict.value == "SKIPPED"
+        assert report.note == "carrier is not orthomodular"

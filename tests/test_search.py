@@ -9,6 +9,7 @@ from reference_search import LoopIntegralSearch, LoopUnitalSearch, PlainIntegral
 from girardlab import search
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
     horizontal_sum_mo
+from girardlab.girard import check_unit_downset_boolean
 from girardlab.orders import hasse_covers
 from girardlab.ortho import NotOrthomodularInput
 from girardlab.reports import law_pass
@@ -215,6 +216,13 @@ class TestUnitalSearch:
         assert all(r.passed for r in result.downset_unit_reports)
         for s in result.structures:
             assert s.flags.unit is not None and not s.flags.integral
+
+    def test_mo2_exhaustive_one_report_per_unit(self):
+        o = horizontal_sum_mo(2)
+        result = search_unital_residuation(o, budget=3_000_000)
+        assert result.exhausted and len(result.found) == 248
+        assert result.downset_unit_reports == [check_unit_downset_boolean(o, s)
+                                               for s in result.structures]
 
     def test_requires_orthomodular(self):
         with pytest.raises(NotOrthomodularInput):
