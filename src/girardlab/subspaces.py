@@ -20,10 +20,16 @@ Numerical policy: ranks are decided by singular values at a relative
 cutoff tau_rank, and subspace equality by projector Frobenius distance
 at tau_eq (default 1e-8 * sqrt(n)).  Both live in QuantaleContext; the
 dimension is capped because the product of an r-dimensional and an
-s-dimensional subspace spans r*s candidate vectors.  A spanning matrix
-with more than 8n columns is decomposed as QR, then an SVD of the
-n x n factor R; that SVD has the same singular values, so tau_rank
-decides the rank exactly as for a direct SVD.
+s-dimensional subspace spans r*s candidate vectors.  An n x k spanning
+matrix A with k >= n is first tested for full rank from its first n
+columns B: if sigma_n(B) >= tau_rank * ||A||_F, A spans R^n and no
+further decomposition is taken.  The rule is exact, since adding
+columns never lowers sigma_n (AA^T >= BB^T) and ||A||_F >= sigma_0(A),
+so sigma_n(A) >= tau_rank * sigma_0(A).  Otherwise a spanning matrix
+with more than 8n columns, in practice a rank-deficient one, is
+decomposed as QR, then an SVD of the n x n factor R; that SVD has the
+same singular values, so tau_rank decides the rank exactly as for a
+direct SVD.
 """
 from __future__ import annotations
 
@@ -96,7 +102,18 @@ def _split(a: np.ndarray, tau_rank: float) -> Subspace:
     when A is tall, thin otherwise): its first r columns span range(A)
     and the rest span the complement.
 
-    A wide A (k > _WIDE * n) is decomposed as QR, then an SVD of R
+    When k >= n, the singular values of the first n columns B alone
+    (no U factor) may certify rank n first: if sigma_n(B) >=
+    tau_rank * ||A||_F, the result is R^n with the standard basis.
+    Adding columns never lowers sigma_n, because AA^T - BB^T is positive
+    semidefinite, and ||A||_F >= sigma_0(A); so the certificate implies
+    sigma_n(A) >= tau_rank * sigma_0(A), the rule above for rank n.
+    When it fails the SVD below decides, so only a float tie at the
+    cutoff could come out differently.  Products of generic subspaces
+    spanning R^n, the bulk of the work at large n, end here.
+
+    A wide A (k > _WIDE * n) that the certificate leaves open, in
+    practice a rank-deficient one, is decomposed as QR, then an SVD of R
     (Chan, ACM TOMS 1982): A^T = QR gives A = R^T Q^T, so the n x n
     factor R has A's singular values and its right singular vectors are
     A's left ones.  This skips the k x n right factor a direct SVD would
@@ -113,6 +130,15 @@ def _split(a: np.ndarray, tau_rank: float) -> Subspace:
     n, k = a.shape
     if k == 0:
         return Subspace(np.zeros((n, 0)), np.eye(n))
+    if k >= n:
+        # ||A||_F >= sigma_0(A) unless squares of entries overflow (an
+        # infinite bound) or underflow (a bound below 1e-140 may have lost
+        # them); then the SVD below decides
+        with np.errstate(over="ignore"):
+            bound = np.linalg.norm(a)
+        if 1e-140 < bound < np.inf and \
+                np.linalg.svd(a[:, :n], compute_uv=False)[-1] >= tau_rank * bound:
+            return Subspace(np.eye(n), np.zeros((n, 0)))
     if k > _WIDE * n:
         _, sigma, vh = np.linalg.svd(np.linalg.qr(a.T, mode="r"), full_matrices=False)
         u = vh.T

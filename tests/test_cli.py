@@ -347,15 +347,17 @@ class TestRn:
 
     @pytest.mark.parametrize("fmt", ["human", "machine"])
     def test_failure_witness_is_seed_and_trial(self, capsys, fmt):
-        # an equality tolerance of 1e-300 fails every law that compares subspaces
+        # an equality tolerance of 1e-300 fails every law whose two sides
+        # are different bases of one subspace; trial 1 compares the unit
+        # times a 2-dimensional s with s itself
         argv = ["rn", "--dim", "3", "--trials", "2", "--seed", "1", "--tol-eq", "1e-300",
                 "--format", fmt]
         code, out, _ = run(capsys, *argv)
         assert code == 1
         if fmt == "machine":
-            assert "mul-associative\tFAIL\t[1, 0]" in out.splitlines()
+            assert "unit-law\tFAIL\t[1, 0]" in out.splitlines()
         else:
-            assert "  [FAIL] mul-associative  witness=[1, 0]  (" in out
+            assert "  [FAIL] unit-law  witness=[1, 0]  (" in out
 
 
 class TestRnOp:
@@ -368,6 +370,22 @@ class TestRnOp:
     def test_ortho(self, capsys):
         code, out, _ = run(capsys, "rn-op", "--dim", "3", "--op", "ortho", "--a", "1,1,1")
         assert code == 0 and out.startswith("dim: 2")
+
+    def test_full_result_prints_standard_basis(self, capsys):
+        code, out, _ = run(capsys, "rn-op", "--dim", "3", "--op", "mul", "--a", "1,2,3",
+                           "--b", "1,1,1;0,1,0;0,0,1")
+        assert (code, out) == (0, "dim: 3\n1;0;0\n0;1;0\n0;0;1\n")
+
+    def test_huge_finite_coordinates_do_not_warn(self, structures_dir):
+        # a subprocess, so that a RuntimeWarning reaches stderr as a user sees it
+        src = str(structures_dir.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "girardlab.cli", "rn-op", "--dim", "2", "--op", "ortho",
+             "--a", "1e308,1e308;1e308,-1e308"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "dim: 0\n", "")
 
     @pytest.mark.parametrize("a", ["1,inf", "1,nan"])
     def test_non_finite_coordinate_is_an_input_error(self, capsys, a):

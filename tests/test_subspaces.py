@@ -1,5 +1,6 @@
 """Numerical subspace quantale: exact small cases and sampled laws."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,17 @@ class TestSpan:
     def test_dimension_mismatch(self, r2):
         with pytest.raises(DimensionMismatch):
             span(r2, [(1.0, 2.0, 3.0)])
+
+    def test_huge_and_tiny_coordinates(self, r2):
+        # squares of these entries over- or underflow; the rank decision
+        # must neither warn nor change
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = span(r2, [(1e308, 1e308), (1e308, -1e308)])
+            assert huge.dim == 2 and ortho(r2, huge).dim == 0
+            assert span(r2, [(1e308, 0.0), (1e308, 1e296)]).dim == 1
+            assert span(r2, [(1e-200, 0.0), (1e-200, 1e-212)]).dim == 1
+            assert span(r2, [(1e-200, 0.0), (1e-200, 1e-203)]).dim == 2
 
     def test_basis_orthonormal(self, r3):
         s = span(r3, [(1, 2, 3), (4, 5, 6), (7, 8, 10)])
@@ -313,7 +325,109 @@ class TestKernelDifferential:
             op(ctx, *operands)
             assert len(calls) == want, op.__name__
 
-    # Products with more than 8n spanning columns take QR, then an SVD of R.
+    # Spanning matrices with at least n columns: the first n columns may
+    # certify rank n; otherwise the SVD (or QR, then SVD) decides.
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
+    def test_random_spanning_matrices(self, n):
+        ctx = QuantaleContext(n)
+        rng = np.random.default_rng(200 + n)
+        widths = {n, n * n, min(8 * n, n * n), min(8 * n + 1, n * n)}
+        widths |= {int(k) for k in rng.integers(n, n * n + 1, size=6)}
+        for k in sorted(widths):
+            a = rng.standard_normal((n, k))
+            _same(ctx, span(ctx, list(a.T)), ref.orthonormal_range(a, ctx.tau_rank))
+
+    def test_zero_product(self):
+        # coordinate subspaces on disjoint index sets: 64 Hadamard products,
+        # every one exactly zero
+        ctx = QuantaleContext(16)
+        s, t = span(ctx, list(np.eye(16)[:8])), span(ctx, list(np.eye(16)[8:]))
+        assert not (s.basis[:, :, None] * t.basis[:, None, :]).any()
+        product = mul(ctx, s, t)
+        assert product.dim == 0
+        _same(ctx, product, ref.mul(s.basis, t.basis, ctx.tau_rank))
+        _same(ctx, residuum(ctx, s, ortho(ctx, t)), ref.residuum(s.basis, t.complement, ctx.tau_rank))
+
+    @pytest.mark.parametrize("n, k", [(3, 6), (8, 16), (8, 80), (16, 200), (64, 600)])
+    def test_full_rank_behind_deficient_leading_columns(self, n, k):
+        # the first n columns span one line, so the certificate fails and the
+        # decomposition of all k columns must still find rank n
+        ctx = QuantaleContext(n)
+        rng = np.random.default_rng(n + k)
+        line = rng.standard_normal((n, 1)) * rng.standard_normal(n)
+        a = np.hstack([line, rng.standard_normal((n, k - n))])
+        assert np.linalg.matrix_rank(a[:, :n]) == 1
+        got = span(ctx, list(a.T))
+        assert got.dim == n
+        _same(ctx, got, ref.orthonormal_range(a, ctx.tau_rank))
+
+    def test_small_leading_columns(self):
+        # the first 3 columns are well conditioned but 1e-15 of the rest,
+        # which span a plane: only the Frobenius norm of all of A tells
+        ctx = QuantaleContext(3)
+        rng = np.random.default_rng(0)
+        a = np.hstack([1e-12 * np.eye(3), 1e3 * rng.standard_normal((3, 2)) @ rng.standard_normal((2, 20))])
+        got = span(ctx, list(a.T))
+        assert got.dim == 2
+        _same(ctx, got, ref.orthonormal_range(a, ctx.tau_rank))
+
+    def test_underflowing_squares(self):
+        # sigma_1 / sigma_0 = 1.3e-10, so A has rank 1; most squares of its
+        # entries underflow to 0, and the computed ||A||_F = 1e-161 falls
+        # far below sigma_0 = 1.5e-160
+        ctx = QuantaleContext(2)
+        a = np.zeros((2, 10000))
+        a[0] = 1.5e-162
+        a[0, 0], a[1, 1] = 1e-161, 2e-170
+        got = span(ctx, list(a.T))
+        assert got.dim == 1
+        _same(ctx, got, ref.orthonormal_range(a, ctx.tau_rank))
+
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("wide", [False, True], ids=["n-8n", "over-8n"])
+    @pytest.mark.parametrize("layout", ["leading", "generic"])
+    @pytest.mark.parametrize("ratio, kept", [(1e-8, True), (3e-9, True), (3e-10, False),
+                                             (1e-10, False)])
+    def test_near_cutoff_spanning_matrices(self, monkeypatch, n, wide, layout, ratio, kept):
+        # A has sigma_n / sigma_0 = ratio.  "leading" is [B, 1e-3 B, ...]:
+        # its first n columns carry its spectrum, so the certificate alone
+        # keeps rank n.  "generic" is U diag(sigma) V^T for a random V.
+        ctx = QuantaleContext(n)
+        rng = np.random.default_rng([n, int(wide)])
+        copies = 10 if wide else 3
+        k = copies * n
+        sigma = np.full(n, 1e-3)
+        sigma[0], sigma[-1] = 1.0, ratio
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        if layout == "leading":
+            w, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            b = (u * sigma) @ w.T
+            a = np.hstack([b] + [1e-3 * b] * (copies - 1))
+        else:
+            v, _ = np.linalg.qr(rng.standard_normal((k, n)))
+            a = (u * sigma) @ v.T
+        assert (k > 8 * n) == wide
+        spectrum = np.linalg.svd(a, compute_uv=False)
+        assert spectrum[n - 1] / spectrum[0] == pytest.approx(ratio, rel=1e-3)
+        calls = []
+        real_svd = np.linalg.svd
+
+        def svd(*args, **kwargs):
+            calls.append(kwargs)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        got = span(ctx, list(a.T))
+        monkeypatch.undo()
+        if layout == "leading":
+            assert len(calls) == (1 if kept else 2)
+        want = ref.orthonormal_range(a, ctx.tau_rank)
+        assert got.dim == want.shape[1] == (n if kept else n - 1)
+        _same(ctx, got, want)
+
+    # Products with more than 8n spanning columns take QR, then an SVD of R,
+    # unless their first n columns certify rank n.
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_wide_random_products(self, n):
@@ -388,7 +502,7 @@ class TestKernelDifferential:
         real_svd, real_qr = np.linalg.svd, np.linalg.qr
 
         def svd(a, *args, **kwargs):
-            calls.append(("svd", a.shape, kwargs.get("full_matrices", True)))
+            calls.append(("svd", a.shape, kwargs))
             return real_svd(a, *args, **kwargs)
 
         def qr(a, *args, **kwargs):
@@ -397,12 +511,22 @@ class TestKernelDifferential:
 
         monkeypatch.setattr(np.linalg, "svd", svd)
         monkeypatch.setattr(np.linalg, "qr", qr)
-        mul(ctx, s, t)
-        # one QR of the 144 x 16 transpose, then a thin SVD of the square R
-        assert calls == [("qr", (144, 16)), ("svd", (16, 16), False)]
+        assert mul(ctx, s, t).dim == 16
+        # the singular values of the first 16 of 144 columns certify rank 16
+        certificate = ("svd", (16, 16), {"compute_uv": False})
+        assert calls == [certificate]
         calls.clear()
         join(ctx, s, t)
-        assert [c[0] for c in calls] == ["svd"]
+        assert calls == [certificate]
+        calls.clear()
+        # coordinate subspaces on 0..11 and 4..15: their product is the one on
+        # 4..11, so the certificate fails and one QR of the 144 x 16
+        # transpose, then a thin SVD of the square R decide
+        s = rebased(span(ctx, list(np.eye(16)[:12])), rng)
+        t = rebased(span(ctx, list(np.eye(16)[4:])), rng)
+        calls.clear()
+        assert mul(ctx, s, t).dim == 8
+        assert calls == [certificate, ("qr", (144, 16)), ("svd", (16, 16), {"full_matrices": False})]
         calls.clear()
         assert main(["rn", "--dim", "8", "--trials", "20", "--seed", "1"]) == 0
         assert calls and all(c[0] == "svd" for c in calls)
