@@ -21,15 +21,12 @@ cutoff tau_rank, and subspace equality by projector Frobenius distance
 at tau_eq (default 1e-8 * sqrt(n)).  Both live in QuantaleContext; the
 dimension is capped because the product of an r-dimensional and an
 s-dimensional subspace spans r*s candidate vectors.  An n x k spanning
-matrix A with k >= n is first tested for full rank from its first n
-columns B: if sigma_n(B) >= tau_rank * ||A||_F, A spans R^n and no
-further decomposition is taken.  The rule is exact, since adding
-columns never lowers sigma_n (AA^T >= BB^T) and ||A||_F >= sigma_0(A),
-so sigma_n(A) >= tau_rank * sigma_0(A).  Otherwise a spanning matrix
-with more than 8n columns, in practice a rank-deficient one, is
-decomposed as QR, then an SVD of the n x n factor R; that SVD has the
-same singular values, so tau_rank decides the rank exactly as for a
-direct SVD.
+matrix A with k >= n is first tested for full rank on its fold B, the
+n x n sum of its n-column blocks: if sigma_n(B) >= tau_rank * sqrt(w) *
+||A||_F with w = ceil(k / n), A spans R^n and no further decomposition
+is taken.  The rule is exact, since B = AG with G^T G <= w I gives
+sigma_n(A) >= sigma_n(B) / sqrt(w), and ||A||_F >= sigma_0(A), so
+sigma_n(A) >= tau_rank * sigma_0(A).  Otherwise one SVD of A decides.
 """
 from __future__ import annotations
 
@@ -42,9 +39,6 @@ import numpy as np
 from .reports import LawReport, law_fail, law_pass
 
 MAX_DIM = 64
-# QR before the SVD pays off above _WIDE * n spanning columns; at n <= 8 it
-# is slower even on the widest products (n^2 columns).
-_WIDE = 8
 
 
 class DimensionMismatch(Exception):
@@ -102,25 +96,21 @@ def _split(a: np.ndarray, tau_rank: float) -> Subspace:
     when A is tall, thin otherwise): its first r columns span range(A)
     and the rest span the complement.
 
-    When k >= n, the singular values of the first n columns B alone
-    (no U factor) may certify rank n first: if sigma_n(B) >=
-    tau_rank * ||A||_F, the result is R^n with the standard basis.
-    Adding columns never lowers sigma_n, because AA^T - BB^T is positive
-    semidefinite, and ||A||_F >= sigma_0(A); so the certificate implies
-    sigma_n(A) >= tau_rank * sigma_0(A), the rule above for rank n.
-    When it fails the SVD below decides, so only a float tie at the
-    cutoff could come out differently.  Products of generic subspaces
-    spanning R^n, the bulk of the work at large n, end here.
-
-    A wide A (k > _WIDE * n) that the certificate leaves open, in
-    practice a rank-deficient one, is decomposed as QR, then an SVD of R
-    (Chan, ACM TOMS 1982): A^T = QR gives A = R^T Q^T, so the n x n
-    factor R has A's singular values and its right singular vectors are
-    A's left ones.  This skips the k x n right factor a direct SVD would
-    form; tau_rank applies unchanged.  Below _WIDE * n columns the QR
-    costs more than it saves.  A product of an r- and an s-dimensional
-    subspace has r*s <= n^2 columns, so among the operations only mul
-    (and residuum through it) at n > _WIDE takes this path.
+    When k >= n, the singular values of an n x n fold B of A (no U
+    factor) may certify rank n first.  B adds column c of A into column
+    c mod n, so B = AG for a 0/1 matrix G with G^T G diagonal, its
+    entries at most w = ceil(k / n); then BB^T <= w AA^T, so sigma_n(A) >=
+    sigma_n(B) / sqrt(w), and ||A||_F >= sigma_0(A).  The certificate
+    sigma_n(B) >= tau_rank * sqrt(w) * ||A||_F therefore implies
+    sigma_n(A) >= tau_rank * sigma_0(A), the rule above for rank n, and
+    the result is R^n with the standard basis.  When it fails the SVD
+    decides, so only a float tie at the cutoff could come out
+    differently; a full-rank A whose sigma_n / sigma_0 lies within a
+    factor sqrt(w) * ||A||_F / sigma_0 of tau_rank reaches the SVD.
+    Products of generic subspaces spanning R^n, the bulk of the work at
+    large n, end here.  The fold meets every column: a product with R^n
+    in its standard basis as the left operand has columns e_i t_j[i] in
+    runs of one axis each, so its first n columns alone span few axes.
 
     Near the cutoff, equality at tau_eq is tighter than the numerics can
     decide: a kept direction with sigma ratio rho is only determined to
@@ -132,18 +122,18 @@ def _split(a: np.ndarray, tau_rank: float) -> Subspace:
         return Subspace(np.zeros((n, 0)), np.eye(n))
     if k >= n:
         # ||A||_F >= sigma_0(A) unless squares of entries overflow (an
-        # infinite bound) or underflow (a bound below 1e-140 may have lost
+        # infinite norm) or underflow (a norm below 1e-140 may have lost
         # them); then the SVD below decides
         with np.errstate(over="ignore"):
-            bound = np.linalg.norm(a)
-        if 1e-140 < bound < np.inf and \
-                np.linalg.svd(a[:, :n], compute_uv=False)[-1] >= tau_rank * bound:
-            return Subspace(np.eye(n), np.zeros((n, 0)))
-    if k > _WIDE * n:
-        _, sigma, vh = np.linalg.svd(np.linalg.qr(a.T, mode="r"), full_matrices=False)
-        u = vh.T
-    else:
-        u, sigma, _ = np.linalg.svd(a, full_matrices=k < n)
+            norm = np.linalg.norm(a)
+        if 1e-140 < norm < np.inf:
+            blocks, rest = divmod(k, n)
+            b = a[:, :blocks * n].reshape(n, blocks, n).sum(axis=1)
+            b[:, :rest] += a[:, blocks * n:]
+            w = blocks + (rest > 0)
+            if np.linalg.svd(b, compute_uv=False)[-1] >= tau_rank * math.sqrt(w) * norm:
+                return Subspace(np.eye(n), np.zeros((n, 0)))
+    u, sigma, _ = np.linalg.svd(a, full_matrices=k < n)
     r = int(np.count_nonzero(sigma >= tau_rank * sigma[0])) if sigma[0] > 0.0 else 0
     return Subspace(u[:, :r], u[:, r:])
 

@@ -325,8 +325,8 @@ class TestKernelDifferential:
             op(ctx, *operands)
             assert len(calls) == want, op.__name__
 
-    # Spanning matrices with at least n columns: the first n columns may
-    # certify rank n; otherwise the SVD (or QR, then SVD) decides.
+    # Spanning matrices with at least n columns: their n x n fold may
+    # certify rank n; otherwise the SVD decides.
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
     def test_random_spanning_matrices(self, n):
@@ -351,35 +351,46 @@ class TestKernelDifferential:
 
     @pytest.mark.parametrize("n, k", [(3, 6), (8, 16), (8, 80), (16, 200), (64, 600)])
     def test_full_rank_behind_deficient_leading_columns(self, n, k):
-        # the first n columns span one line, so the certificate fails and the
+        # the first n columns span one line and the n-wide column blocks
+        # sum to a matrix of rank n - 1, so the certificate fails and the
         # decomposition of all k columns must still find rank n
         ctx = QuantaleContext(n)
         rng = np.random.default_rng(n + k)
-        line = rng.standard_normal((n, 1)) * rng.standard_normal(n)
-        a = np.hstack([line, rng.standard_normal((n, k - n))])
+        a = rng.standard_normal((n, k))
+        a[:, :n] = rng.standard_normal((n, 1)) * rng.standard_normal(n)
+
+        def fold(m):
+            return np.hstack([m, np.zeros((n, -k % n))]).reshape(n, -1, n).sum(axis=1)
+
+        a[:, n:2 * n] += rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, n)) - fold(a)
         assert np.linalg.matrix_rank(a[:, :n]) == 1
+        assert np.linalg.matrix_rank(fold(a)) == n - 1
         got = span(ctx, list(a.T))
         assert got.dim == n
         _same(ctx, got, ref.orthonormal_range(a, ctx.tau_rank))
 
     def test_small_leading_columns(self):
-        # the first 3 columns are well conditioned but 1e-15 of the rest,
-        # which span a plane: only the Frobenius norm of all of A tells
+        # the first 3 columns, and the fold, where the two copies of the
+        # plane cancel, are well conditioned but 1e-15 of the rest, which
+        # span a plane: only the Frobenius norm of all of A tells
         ctx = QuantaleContext(3)
         rng = np.random.default_rng(0)
-        a = np.hstack([1e-12 * np.eye(3), 1e3 * rng.standard_normal((3, 2)) @ rng.standard_normal((2, 20))])
+        plane = 1e3 * rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3))
+        a = np.hstack([1e-12 * np.eye(3), plane, -plane])
         got = span(ctx, list(a.T))
         assert got.dim == 2
         _same(ctx, got, ref.orthonormal_range(a, ctx.tau_rank))
 
     def test_underflowing_squares(self):
-        # sigma_1 / sigma_0 = 1.3e-10, so A has rank 1; most squares of its
+        # sigma_1 / sigma_0 = 5e-10, so A has rank 1; most squares of its
         # entries underflow to 0, and the computed ||A||_F = 1e-161 falls
-        # far below sigma_0 = 1.5e-160
+        # far below sigma_0 = 1.5e-160.  Row 1 alternates in sign, so the
+        # fold keeps its direction: trusted, that norm would certify rank 2
         ctx = QuantaleContext(2)
         a = np.zeros((2, 10000))
         a[0] = 1.5e-162
-        a[0, 0], a[1, 1] = 1e-161, 2e-170
+        a[0, 0] = 1e-161
+        a[1] = 7.5e-172 * (-1.0) ** np.arange(10000)
         got = span(ctx, list(a.T))
         assert got.dim == 1
         _same(ctx, got, ref.orthonormal_range(a, ctx.tau_rank))
@@ -391,8 +402,10 @@ class TestKernelDifferential:
                                              (1e-10, False)])
     def test_near_cutoff_spanning_matrices(self, monkeypatch, n, wide, layout, ratio, kept):
         # A has sigma_n / sigma_0 = ratio.  "leading" is [B, 1e-3 B, ...]:
-        # its first n columns carry its spectrum, so the certificate alone
-        # keeps rank n.  "generic" is U diag(sigma) V^T for a random V.
+        # its folded columns are (1 + 1e-3 (copies - 1)) B, so the
+        # certificate alone keeps rank n whenever that fold's sigma_n
+        # reaches tau_rank * sqrt(copies) * ||A||_F; otherwise the SVD keeps
+        # it.  "generic" is U diag(sigma) V^T for a random V.
         ctx = QuantaleContext(n)
         rng = np.random.default_rng([n, int(wide)])
         copies = 10 if wide else 3
@@ -421,13 +434,33 @@ class TestKernelDifferential:
         got = span(ctx, list(a.T))
         monkeypatch.undo()
         if layout == "leading":
-            assert len(calls) == (1 if kept else 2)
+            folded = ratio * (1 + 1e-3 * (copies - 1))
+            certified = folded >= ctx.tau_rank * math.sqrt(copies) * np.linalg.norm(a)
+            # at ten copies the fold's reach ends between 1e-8 and 3e-9
+            assert certified == (kept and (ratio == 1e-8 or not wide))
+            assert len(calls) == (1 if certified else 2)
         want = ref.orthonormal_range(a, ctx.tau_rank)
         assert got.dim == want.shape[1] == (n if kept else n - 1)
         _same(ctx, got, want)
 
-    # Products with more than 8n spanning columns take QR, then an SVD of R,
-    # unless their first n columns certify rank n.
+    @pytest.mark.parametrize("n", [4, 64])
+    @pytest.mark.parametrize("ratio, kept", [(2e-9, True), (5e-10, False)])
+    def test_repeated_blocks_near_cutoff(self, n, ratio, kept):
+        # A = [C, ..., C] ten times folds to 10 C, whose sigma_n is sqrt(10)
+        # times A's: at ratio 5e-10 only the factor sqrt(w) in the
+        # certificate keeps it from claiming rank n
+        ctx = QuantaleContext(n)
+        rng = np.random.default_rng(n)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        sigma = np.full(n, 1e-6)
+        sigma[0], sigma[-1] = 1.0, ratio
+        a = np.hstack([(u * sigma) @ v.T] * 10)
+        got, want = span(ctx, list(a.T)), ref.orthonormal_range(a, ctx.tau_rank)
+        assert got.dim == want.shape[1] == (n if kept else n - 1)
+        _same(ctx, got, want)
+
+    # Products with more than 8n spanning columns.
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_wide_random_products(self, n):
@@ -512,7 +545,7 @@ class TestKernelDifferential:
         monkeypatch.setattr(np.linalg, "svd", svd)
         monkeypatch.setattr(np.linalg, "qr", qr)
         assert mul(ctx, s, t).dim == 16
-        # the singular values of the first 16 of 144 columns certify rank 16
+        # the singular values of the 16 x 16 fold of 144 columns certify rank 16
         certificate = ("svd", (16, 16), {"compute_uv": False})
         assert calls == [certificate]
         calls.clear()
@@ -520,16 +553,37 @@ class TestKernelDifferential:
         assert calls == [certificate]
         calls.clear()
         # coordinate subspaces on 0..11 and 4..15: their product is the one on
-        # 4..11, so the certificate fails and one QR of the 144 x 16
-        # transpose, then a thin SVD of the square R decide
+        # 4..11, so the certificate fails and one thin SVD of the 16 x 144
+        # spanning matrix decides
         s = rebased(span(ctx, list(np.eye(16)[:12])), rng)
         t = rebased(span(ctx, list(np.eye(16)[4:])), rng)
         calls.clear()
         assert mul(ctx, s, t).dim == 8
-        assert calls == [certificate, ("qr", (144, 16)), ("svd", (16, 16), {"full_matrices": False})]
+        assert calls == [certificate, ("svd", (16, 144), {"full_matrices": False})]
         calls.clear()
-        assert main(["rn", "--dim", "8", "--trials", "20", "--seed", "1"]) == 0
+        assert main(["rn", "--dim", "16", "--trials", "20", "--seed", "1"]) == 0
         assert calls and all(c[0] == "svd" for c in calls)
+
+    def test_full_operand_products(self, monkeypatch):
+        # a certified result is R^n in the standard basis.  As the left
+        # operand of a product its columns e_i t_j[i] come in runs of one
+        # axis, so the first n of them span ceil(n / dim t) axes; the fold
+        # must still certify rank n with one SVD
+        ctx = QuantaleContext(16)
+        rng = np.random.default_rng(11)
+        e, t = full(ctx), random_subspace(ctx, rng, 12)
+        calls = []
+        real_svd = np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            calls.append((a.shape, kwargs))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for s, u in ((e, t), (t, e), (e, e), (mul(ctx, t, t), t)):
+            calls.clear()
+            assert mul(ctx, s, u).dim == 16
+            assert calls == [((16, 16), {"compute_uv": False})]
 
 
 @settings(max_examples=50, deadline=None)
