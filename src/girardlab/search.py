@@ -8,7 +8,10 @@ the new coatom's down-set holds the bottom and the join of any two of
 its members is in it or is the top (see _grow).  Residuation searches
 backtrack only over products of join-irreducible pairs: a residuated
 multiplication preserves joins, so it is determined by those values and
-the search stays exhaustive.
+the search stays exhaustive.  One searcher serves both modes, one unit at
+a time: the unit e bounds each product, x*y <= y when x <= e and
+x*y <= x when y <= e, so integral mode is the search with its one unit
+at the top, where the bound is the meet.
 A node costs a few list lookups: monotonicity is one lower bound
 precomputed per cell, and each irreducible's row is join-extended when
 it completes, from the row without its last cell, which is joined once
@@ -208,12 +211,15 @@ def _greatest(members: np.ndarray, lt: np.ndarray) -> np.ndarray:
 
 
 class _IrreducibleTableSearch:
-    """Backtracking over products of join-irreducible pairs.
+    """Backtracking over products of join-irreducible pairs, for the unit e.
 
     The full table is the join-extension of the cells' values.  Cells
     are visited in one fixed order, row by row over the irreducibles
     sorted by height, and each cell's bookkeeping is set up once per
-    search.  The search keeps the cells' values monotone:
+    search.  A cell (i, j) ranges over the values its unit allows (see
+    domain): those below j when i <= e and below i when j <= e, so below
+    the meet when e is the top, and only i or j where the unit law pins
+    the cell.  The search keeps the cells' values monotone:
     a(i, j) <= a(i2, j2) whenever i <= i2 and j <= j2.  So only the
     greatest members of a set of cells or irreducibles count in a join
     over their values:
@@ -304,8 +310,21 @@ class _IrreducibleTableSearch:
         self.assoc = [pairs[:(t + 1) ** 2] for t in range(r)]
 
     def domain(self, i: int, j: int) -> List[int]:
-        """The values cell (i, j) ranges over, in search order."""
-        raise NotImplementedError
+        """The values cell (i, j) ranges over, in search order.  The unit
+        law pins a lone extension cell outright; otherwise the unit bounds
+        the cell: x <= e gives x*y <= e*y = y, and likewise on the right."""
+        e, below_irr, l = self.e, self.below_irr, self.l
+        if below_irr[e] == [e]:
+            if j == e and below_irr[i] == [i]:
+                return [i]
+            if i == e and below_irr[j] == [j]:
+                return [j]
+        bound = l.top
+        if l.leq[i, e]:
+            bound = j
+        if l.leq[j, e]:
+            bound = l.meet[bound, i]
+        return self.downs[bound]
 
     def partial_row(self, t: int) -> List[int]:
         """Row t's join-extension without the value of its last cell."""
@@ -367,7 +386,7 @@ class _IrreducibleTableSearch:
 
     def run(self, budget: Optional[int] = None):
         """(hits, exhausted, nodes): hits pairs each found table with its
-        verified structure, sorted by table."""
+        verified structure, in search order."""
         cells, values, domains, lows = self.cells, self.values, self.domains, self.lows
         leq, join, bottom, r = self.leq_rows, self.join_rows, self.l.bottom, len(self.irr)
         limit = float("inf") if budget is None else budget
@@ -401,43 +420,35 @@ class _IrreducibleTableSearch:
             return True
 
         exhausted = rec(0)
-        hits.sort(key=lambda hit: tuple(hit[0].ravel()))
         return hits, exhausted, nodes
 
 
-class _IntegralSearch(_IrreducibleTableSearch):
-    """Unit fixed at the top; products capped by the meet, which every
-    integral residuated multiplication satisfies."""
-
-    def __init__(self, l: FiniteLattice):
-        super().__init__(l, l.top)
-
-    def domain(self, i: int, j: int) -> List[int]:
-        return self.downs[self.l.meet[i, j]]
-
-
-class _UnitalSearch(_IrreducibleTableSearch):
-    """Unit anywhere; cell values range over the whole carrier except
-    where the unit law pins a lone extension cell outright."""
-
-    def domain(self, i: int, j: int) -> List[int]:
-        e = self.e
-        if j == e and self.below_irr[e] == [e] and self.below_irr[i] == [i]:
-            return [i]
-        if i == e and self.below_irr[e] == [e] and self.below_irr[j] == [j]:
-            return [j]
-        return self.downs[self.l.top]
+def _search(l: FiniteLattice, mode: str, units: List[int],
+            budget: Optional[int]) -> ResiduationSearchResult:
+    """The searches for each unit in turn, sharing the budget, with their
+    hits sorted by table.  Each search is left the budget that remains, so
+    one that needs no node exhausts at any budget."""
+    hits: List[Tuple[np.ndarray, ResiduatedStructure]] = []
+    nodes, exhausted = 0, True
+    for e in units:
+        remaining = None if budget is None else budget - nodes
+        unit_hits, exhausted, unit_nodes = _IrreducibleTableSearch(l, e).run(budget=remaining)
+        hits += unit_hits
+        nodes += unit_nodes
+        if not exhausted:
+            break
+    hits.sort(key=lambda hit: tuple(hit[0].ravel()))
+    return ResiduationSearchResult(_lattice_id(l), mode, [m for m, _ in hits],
+                                   [s for _, s in hits], exhausted, nodes)
 
 
 def search_integral_residuation(l: FiniteLattice,
                                 budget: Optional[int] = None) -> ResiduationSearchResult:
     """Search for multiplications making l an integral residuated
-    lattice: exhaustive without a budget, else exhausted=False once
-    budget nodes are spent, with whatever was found so far."""
-    search = _IntegralSearch(l)
-    hits, exhausted, nodes = search.run(budget=budget)
-    return ResiduationSearchResult(_lattice_id(l), "integral", [m for m, _ in hits],
-                                   [s for _, s in hits], exhausted, nodes)
+    lattice, the unit at the top: exhaustive without a budget, else
+    exhausted=False once budget nodes are spent, with whatever was found
+    so far."""
+    return _search(l, "integral", [l.top], budget)
 
 
 def search_unital_residuation(o: OrthoLattice, budget: int = 200_000) -> ResiduationSearchResult:
@@ -450,32 +461,14 @@ def search_unital_residuation(o: OrthoLattice, budget: int = 200_000) -> Residua
     if not is_orthomodular(o):
         raise NotOrthomodularInput("unital search expects an orthomodular carrier")
     l = o.lattice
-    hits: List[Tuple[np.ndarray, ResiduatedStructure]] = []
-    unit_reports = {}
-    nodes_total = 0
-    exhausted = True
     units = [l.top] if l.n == 1 else [e for e in range(l.n) if e != l.bottom]
-    for e in units:
-        remaining = budget - nodes_total
-        if remaining <= 0:
-            exhausted = False
-            break
-        search = _UnitalSearch(l, e)
-        unit_hits, done, nodes = search.run(budget=remaining)
-        nodes_total += nodes
-        hits.extend(unit_hits)
-        if unit_hits:
-            unit_reports[e] = check_unit_downset_boolean(o, unit_hits[0][1])
-        if not done:
-            exhausted = False
-            break
-    hits.sort(key=lambda hit: tuple(hit[0].ravel()))
-    structures = [s for _, s in hits]
-    reports = [unit_reports[s.flags.unit] for s in structures]
-    return ResiduationSearchResult(
-        _lattice_id(l), "unital", [m for m, _ in hits], structures, exhausted, nodes_total,
-        reports
-    )
+    result = _search(l, "unital", units, budget)
+    reports: Dict[int, LawReport] = {}
+    for s in result.structures:
+        if s.flags.unit not in reports:
+            reports[s.flags.unit] = check_unit_downset_boolean(o, s)
+    result.downset_unit_reports = [reports[s.flags.unit] for s in result.structures]
+    return result
 
 
 def confirm_boolean_forcing(max_n: int,

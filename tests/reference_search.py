@@ -10,23 +10,34 @@ output order with the current enumerator but neither the growth nor the
 lattice test, which here is compute_lattice, so it serves, only here, as
 the oracle of the differential tests in tests/test_search.py.
 
+The searcher's value domains before the unit bound.  Integral mode
+capped each cell by the meet of its irreducibles, and unital mode let
+each cell range over the whole carrier unless the unit law pinned it.
+`MeetBound` and `UnitPins` restore those domains, and `UnitPinSearch`
+is the unital searcher as it was: the current one with `UnitPins`.  The
+unit bound removes only values that lie on no solution and keeps the
+order of the rest, so the current searcher must find the same tables in
+as many nodes or fewer.
+
 The searcher before row-completion pruning.  `_IrreducibleTableSearch`
 used to rebuild a row's whole join-extension for every value of the
 row's last cell, and it checked only the unit column and the row's own
 join consistency when a row completed: it did not check the left law
 or associativity before the leaf.  `PlainSearch` restores that loop;
-mixed in ahead of `_IntegralSearch` or `_UnitalSearch` it shares their
-cells, monotonicity bounds, value domains and leaf check, and nothing
-of their row completion.  It visits every node the current searcher
-visits, in the same order, and more, and it must find the same tables.
+mixed in ahead of `_IrreducibleTableSearch` it shares its cells,
+monotonicity bounds and leaf check, and nothing of its row completion.
+It visits every node the current searcher visits, in the same order,
+and more, and it must find the same tables.
 
 The searcher's node bookkeeping.  `_IrreducibleTableSearch` used to
 rescan every assigned cell for monotonicity and to recompute every
 extension cell from the assigned cells, for the row check and for the
 table at each leaf.  `LoopSearch` restores those scans and the loop that
-called them; mixed in ahead of `_IntegralSearch` or `_UnitalSearch` it
-shares only their value domains and leaf check, so it must visit the
-same nodes as `PlainSearch` and find the same tables.
+called them; mixed in ahead of `_IrreducibleTableSearch` it shares only
+its leaf check, so with the same domains it must visit the same nodes as
+`PlainSearch` and find the same tables.
+
+Each search runs one unit and returns its hits in search order.
 """
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -160,15 +171,39 @@ class PlainSearch:
             return True
 
         exhausted = rec(0)
-        hits.sort(key=lambda hit: tuple(hit[0].ravel()))
         return hits, exhausted, nodes
 
 
-class PlainIntegralSearch(PlainSearch, search._IntegralSearch):
+class MeetBound:
+    """Integral mode's domains before the unit bound: each cell capped
+    by the meet of its irreducibles."""
+
+    def domain(self, i: int, j: int) -> List[int]:
+        return self.downs[self.l.meet[i, j]]
+
+
+class UnitPins:
+    """Unital mode's domains before the unit bound: the whole carrier
+    except where the unit law pins a lone extension cell outright."""
+
+    def domain(self, i: int, j: int) -> List[int]:
+        e = self.e
+        if j == e and self.below_irr[e] == [e] and self.below_irr[i] == [i]:
+            return [i]
+        if i == e and self.below_irr[e] == [e] and self.below_irr[j] == [j]:
+            return [j]
+        return self.downs[self.l.top]
+
+
+class UnitPinSearch(UnitPins, search._IrreducibleTableSearch):
     pass
 
 
-class PlainUnitalSearch(PlainSearch, search._UnitalSearch):
+class PlainIntegralSearch(PlainSearch, MeetBound, search._IrreducibleTableSearch):
+    pass
+
+
+class PlainUnitalSearch(PlainSearch, UnitPins, search._IrreducibleTableSearch):
     pass
 
 
@@ -238,13 +273,12 @@ class LoopSearch:
             return True
 
         exhausted = rec(0)
-        hits.sort(key=lambda hit: tuple(hit[0].ravel()))
         return hits, exhausted, nodes
 
 
-class LoopIntegralSearch(LoopSearch, search._IntegralSearch):
+class LoopIntegralSearch(LoopSearch, MeetBound, search._IrreducibleTableSearch):
     pass
 
 
-class LoopUnitalSearch(LoopSearch, search._UnitalSearch):
+class LoopUnitalSearch(LoopSearch, UnitPins, search._IrreducibleTableSearch):
     pass

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 from reference_search import LoopIntegralSearch, LoopUnitalSearch, PlainIntegralSearch, \
-    PlainUnitalSearch, is_lattice, reference_enumeration
+    PlainUnitalSearch, UnitPinSearch, is_lattice, reference_enumeration
 
 from girardlab import search
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
@@ -129,30 +129,29 @@ class TestIntegralSearch:
                 assert all(table[x, lat.top] == x for x in range(lat.n))
 
     def test_order_independence(self):
-        class Backward(search._IntegralSearch):
+        class Backward(search._IrreducibleTableSearch):
             def domain(self, i, j):
                 return super().domain(i, j)[::-1]
 
         for lat in (chain(4), diamond_m3(), boolean_cube(2)):
-            forward, done, _ = search._IntegralSearch(lat).run()
-            backward, backward_done, _ = Backward(lat).run()
-            assert [t.tolist() for t, _ in forward] == [t.tolist() for t, _ in backward]
-            assert done == backward_done
+            forward = _run_outcome(search._IrreducibleTableSearch(lat, lat.top).run)
+            backward = _run_outcome(Backward(lat, lat.top).run)
+            assert forward[:2] == backward[:2]
 
     def test_skipping_associativity_flips_the_found_set(self, monkeypatch):
         # sensitivity of the search oracle: without the associativity
         # checks, at the leaf and at row completion (A), the four-chain
         # admits extra tables, every one of which still satisfies
         # adjointness and is rejected only by that law
-        class NoPartialAssociativity(search._IntegralSearch):
-            def __init__(self, l):
-                super().__init__(l)
+        class NoPartialAssociativity(search._IrreducibleTableSearch):
+            def __init__(self, l, e):
+                super().__init__(l, e)
                 self.assoc = [[] for _ in self.assoc]
 
         lat = chain(4)
         strict = search_integral_residuation(lat)
         monkeypatch.setattr(search, "check_associative", lambda m: law_pass("associativity"))
-        monkeypatch.setattr(search, "_IntegralSearch", NoPartialAssociativity)
+        monkeypatch.setattr(search, "_IrreducibleTableSearch", NoPartialAssociativity)
         loose = search_integral_residuation(lat)
         strict_tables = {tuple(m.ravel()) for m in strict.found}
         loose_tables = {tuple(m.ravel()) for m in loose.found}
@@ -196,7 +195,15 @@ class TestUnitalSearch:
         result = search_unital_residuation(horizontal_sum_mo(2), budget=0)
         assert result.found == [] and not result.exhausted
 
-    @pytest.mark.parametrize("budget", [1, 50, 102])  # the whole search takes 103 nodes
+    @pytest.mark.parametrize("mode", ["integral", "unital"])
+    def test_zero_budget_on_one_element(self, mode):
+        # the 1-element lattice's search needs no node, so it exhausts
+        o = boolean_ortho(0)
+        result = (search_integral_residuation(o.lattice, budget=0) if mode == "integral"
+                  else search_unital_residuation(o, budget=0))
+        assert len(result.found) == 1 and result.exhausted and result.nodes == 0
+
+    @pytest.mark.parametrize("budget", [1, 15, 29])  # the whole search takes 30 nodes
     def test_nodes_never_exceed_the_budget(self, budget):
         result = search_unital_residuation(boolean_ortho(2), budget=budget)
         assert not result.exhausted and result.nodes == budget
@@ -211,7 +218,7 @@ class TestUnitalSearch:
 
     def test_mo2_budgeted_hits_satisfy_downset_conclusions(self):
         result = search_unital_residuation(horizontal_sum_mo(2), budget=20_000)
-        assert not result.exhausted  # full exploration needs 500944 nodes
+        assert not result.exhausted  # full exploration needs 474534 nodes
         assert result.found  # non-Boolean orthomodular carriers with units exist
         assert all(r.passed for r in result.downset_unit_reports)
         for s in result.structures:
@@ -239,16 +246,17 @@ def _outcome(result):
 
 
 def _reference_outcome(monkeypatch, reference, run, *args):
-    """The outcome of a search built from a reference searcher,
-    reference[mode] standing in for the searcher of that mode."""
+    """The outcome of the search run built from a reference searcher,
+    reference[run] standing in for the searcher it runs."""
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_IntegralSearch", reference["integral"])
-        patch.setattr(search, "_UnitalSearch", reference["unital"])
+        patch.setattr(search, "_IrreducibleTableSearch", reference[run])
         return _outcome(run(*args))
 
 
-LOOP = {"integral": LoopIntegralSearch, "unital": LoopUnitalSearch}
-PLAIN = {"integral": PlainIntegralSearch, "unital": PlainUnitalSearch}
+LOOP = {search_integral_residuation: LoopIntegralSearch,
+        search_unital_residuation: LoopUnitalSearch}
+PLAIN = {search_integral_residuation: PlainIntegralSearch,
+         search_unital_residuation: PlainUnitalSearch}
 
 
 def _assert_same_tables(new, reference):
@@ -260,8 +268,9 @@ def _assert_same_tables(new, reference):
 
 
 def _run_outcome(run, budget=None):
+    """The outcome of one searcher's run, its hits sorted."""
     hits, exhausted, nodes = run(budget=budget)
-    return [(m.tolist(), s.flags.unit) for m, s in hits], exhausted, nodes
+    return sorted((m.tolist(), s.flags.unit) for m, s in hits), exhausted, nodes
 
 
 STRUCTURES = pathlib.Path(__file__).resolve().parent.parent / "structures"
@@ -273,7 +282,7 @@ def lattices_to_six():
     """Each lattice on at most 6 elements with the outcome of the
     searcher before row-completion pruning; the 6-chain alone takes
     589915 nodes."""
-    return [(lat, _run_outcome(PlainIntegralSearch(lat).run))
+    return [(lat, _run_outcome(PlainIntegralSearch(lat, lat.top).run))
             for lat in enumerate_lattices(6).lattices]
 
 
@@ -298,7 +307,7 @@ class TestSearchBookkeeping:
     def test_no_earlier_cell_lies_above_a_later_one(self):
         # why monotonicity needs only the lower bound from earlier cells
         for lat in enumerate_lattices(6).lattices:
-            cells = search._IntegralSearch(lat).cells
+            cells = search._IrreducibleTableSearch(lat, lat.top).cells
             for k, (i, j) in enumerate(cells):
                 assert not any(lat.leq[i, i2] and lat.leq[j, j2] for i2, j2 in cells[:k])
 
@@ -312,39 +321,56 @@ class TestSearchBookkeeping:
 
     def test_integral_on_every_lattice_to_six(self, lattices_to_six):
         for lat, reference in lattices_to_six:
-            _assert_same_tables(_run_outcome(search._IntegralSearch(lat).run), reference)
+            _assert_same_tables(_run_outcome(search._IrreducibleTableSearch(lat, lat.top).run),
+                                reference)
 
     def test_reversed_domains_on_every_lattice_to_six(self, lattices_to_six):
         # a row completed on another branch must never be read: reversed
         # domains revisit each row with other values in another order
-        class Backward(search._IntegralSearch):
+        class Backward(search._IrreducibleTableSearch):
             def domain(self, i, j):
                 return super().domain(i, j)[::-1]
 
         for lat, reference in lattices_to_six:
-            hits, exhausted, _ = _run_outcome(Backward(lat).run)
-            assert sorted(hits) == reference[0] and exhausted
+            hits, exhausted, _ = _run_outcome(Backward(lat, lat.top).run)
+            assert hits == reference[0] and exhausted
 
     def test_plain_matches_loop_node_for_node(self):
         # the bookkeeping both searchers share with the current one, held
         # to the scans; the budget cuts only the 6-chain
         cut = 0
         for lat in enumerate_lattices(6).lattices:
-            plain = _run_outcome(PlainIntegralSearch(lat).run, budget=40_000)
-            assert plain == _run_outcome(LoopIntegralSearch(lat).run, budget=40_000)
+            plain = _run_outcome(PlainIntegralSearch(lat, lat.top).run, budget=40_000)
+            assert plain == _run_outcome(LoopIntegralSearch(lat, lat.top).run, budget=40_000)
             cut += not plain[1]
         assert cut == 1
+
+    def test_unit_bound_on_every_unit_to_six(self, lattices_to_six):
+        # the unit bound against the unital domains without it, pruning
+        # alike: where the reference exhausts within the budget the
+        # outcomes agree, else the searcher finds at least as much within
+        # it (without the bound, the 6-chain at its top takes 403128 nodes)
+        budget = 100_000
+        for lat, _ in lattices_to_six:
+            for e in range(lat.n):
+                reference = _run_outcome(UnitPinSearch(lat, e).run, budget)
+                new = _run_outcome(search._IrreducibleTableSearch(lat, e).run, budget)
+                if reference[1]:
+                    _assert_same_tables(new, reference)
+                else:
+                    assert all(hit in new[0] for hit in reference[0])
 
     @pytest.mark.parametrize("mode", ["integral", "unital"])
     @pytest.mark.parametrize("atoms", [0, 1])
     def test_one_and_two_elements(self, monkeypatch, mode, atoms):
-        # the 1-element lattice has no join-irreducibles, hence no cells
+        # the 1-element lattice has no join-irreducibles, hence no cells;
+        # on the 2-element lattice the unit pins the one cell in both modes
         o = boolean_ortho(atoms)
         run, carrier = ((search_integral_residuation, o.lattice) if mode == "integral"
                         else (search_unital_residuation, o))
         new = _outcome(run(carrier))
-        assert len(new[0]) == 1 and new[2]
-        assert new == _reference_outcome(monkeypatch, PLAIN, run, carrier)
+        assert len(new[0]) == 1 and new[2] and new[3] == atoms
+        _assert_same_tables(new, _reference_outcome(monkeypatch, PLAIN, run, carrier))
 
     @pytest.mark.parametrize("name", ["boolean-2", "boolean-4"])
     def test_unital_exhaustive(self, monkeypatch, name):
