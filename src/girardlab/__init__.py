@@ -7,7 +7,7 @@ when Boolean; and a numerical realization of the subspaces of R^n as a
 commutative quantale whose orthocomplement is the linear negation.
 """
 
-from .reports import LawReport, Verdict, law_fail, law_pass, law_skip
+from .reports import InputError, LawReport, Verdict, law_fail, law_pass, law_skip
 from .orders import (
     FiniteLattice,
     FinitePoset,
@@ -28,7 +28,6 @@ from .orders import (
     validate_poset,
 )
 from .ortho import (
-    NotOrthomodularInput,
     OrthoLattice,
     blocks,
     check_ortholattice,
@@ -68,7 +67,6 @@ from .girard import (
     is_dualizing,
 )
 from .subspaces import (
-    DimensionMismatch,
     QuantaleContext,
     Subspace,
     dualizing,
@@ -89,7 +87,6 @@ from .subspaces import (
     zero,
 )
 from .search import (
-    BoundExceeded,
     EnumerationResult,
     ResiduationSearchResult,
     confirm_boolean_forcing,

@@ -5,6 +5,7 @@ import numpy as np
 
 from .orders import FiniteLattice, lattice_from_covers, validate_poset
 from .ortho import OrthoLattice
+from .reports import InputError
 
 
 def chain(m: int, labels=None) -> FiniteLattice:
@@ -20,9 +21,9 @@ def boolean_cube(k: int) -> FiniteLattice:
     """Powerset of k atoms ordered by inclusion; element i is a bitmask."""
     atoms = "abcdefgh"
     if k < 0:
-        raise ValueError("need k >= 0 atoms")
+        raise InputError("need k >= 0 atoms")
     if k > len(atoms):
-        raise ValueError(f"at most {len(atoms)} atoms are supported")
+        raise InputError(f"at most {len(atoms)} atoms are supported")
     n = 1 << k
     labels = []
     for s in range(n):

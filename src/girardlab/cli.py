@@ -1,7 +1,9 @@
 """Command surface tying the engines together.
 
 Exit codes: 0 all checks passed, 1 some law failed or stdout was closed
-early (a broken pipe, reported silently), 2 input error.
+early (a broken pipe, reported silently), 2 a bad file or argument
+(InputError, OSError), one `error:` line.  Any other exception is a bug
+and ends in a traceback.
 """
 from __future__ import annotations
 
@@ -24,16 +26,15 @@ from .girard import (
 from .orders import (
     NotALattice,
     NotBounded,
-    OrderError,
     PosetViolation,
     check_inversion,
     compute_lattice,
     is_complemented,
     is_distributive,
 )
-from .ortho import NotOrthomodularInput, OrthoLattice, blocks, check_ortholattice, check_orthomodular
+from .ortho import OrthoLattice, blocks, check_ortholattice, check_orthomodular
 from .render import exit_code, export_dot, render_report
-from .reports import law_fail, law_pass
+from .reports import InputError, law_fail, law_pass
 from .residuation import (
     ResiduationError,
     boolean_residuation,
@@ -43,12 +44,11 @@ from .residuation import (
     lukasiewicz_chain,
     residuated_structure,
 )
-from .search import BoundExceeded, confirm_boolean_forcing, enumerate_lattices, \
+from .search import confirm_boolean_forcing, enumerate_lattices, \
     search_integral_residuation, search_unital_residuation
 from .structfile import StructError, build_lattice, build_ortholattice, build_poset, from_lattice, \
     load, serialize
 from .subspaces import (
-    DimensionMismatch,
     QuantaleContext,
     join,
     meet,
@@ -273,7 +273,7 @@ def _entries(text: str, convert, what: str, kind: str) -> list:
         try:
             values.append(convert(x))
         except ValueError:
-            raise ValueError(f"{what} entry {x.strip()!r} is not {kind}") from None
+            raise InputError(f"{what} entry {x.strip()!r} is not {kind}") from None
     return values
 
 
@@ -290,7 +290,7 @@ def cmd_rn_op(args) -> int:
         result = ortho(ctx, a)
     else:
         if args.b is None:
-            raise DimensionMismatch(f"op {args.op} needs --b")
+            raise InputError(f"op {args.op} needs --b")
         b = _parse_vectors(args.b, ctx)
         result = ops[args.op](ctx, a, b)
     print(f"dim: {result.dim}")
@@ -419,8 +419,7 @@ def main(argv=None) -> int:
         # the reader left; on devnull the flush at shutdown cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (StructError, OSError, OrderError, NotOrthomodularInput, DimensionMismatch,
-            ResiduationError, BoundExceeded, ValueError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

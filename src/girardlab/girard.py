@@ -16,7 +16,7 @@ import numpy as np
 from .orders import check_inversion, enumerate_inversions, first_violation, is_boolean, \
     least_witness
 from .ortho import OrthoLattice, blocks, compatible, downset_oml, is_orthomodular
-from .reports import LawReport, law_fail, law_pass, law_skip
+from .reports import InputError, LawReport, law_fail, law_pass, law_skip
 from .residuation import ResiduatedStructure, check_associative
 from . import orders
 
@@ -96,10 +96,10 @@ def _candidate_inversions(s: ResiduatedStructure, inversion):
     if inversion is not None:
         inv = orders.as_order_map(inversion, s.n)
         if check_inversion(s.poset, inv).failed:
-            raise ValueError("supplied map is not an inversion of the carrier order")
+            raise InputError("supplied map is not an inversion of the carrier order")
         return [inv]
     if s.n > INVERSION_SEARCH_LIMIT:
-        raise ValueError(
+        raise InputError(
             f"carrier has {s.n} > {INVERSION_SEARCH_LIMIT} elements; supply a candidate inversion"
         )
     return enumerate_inversions(s.poset)
@@ -118,7 +118,7 @@ def girard_equivalences(s: ResiduatedStructure, inversion=None) -> GirardEquival
     """
     e = s.flags.unit
     if e is None:
-        raise ValueError("agreement check needs a unital structure")
+        raise InputError("agreement check needs a unital structure")
     inversions = [np.array(f) for f in _candidate_inversions(s, inversion)]
     leq, mul, rres, lres = s.poset.leq, s.mul, s.rres, s.lres
 

@@ -17,10 +17,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .reports import LawReport, law_fail, law_pass
+from .reports import InputError, LawReport, law_fail, law_pass
 
 
-class OrderError(Exception):
+class OrderError(InputError):
     """Base class for order-structure construction failures."""
 
 
@@ -273,10 +273,10 @@ def as_order_map(f, n: int) -> tuple:
     """Validate a total self-map given as a sequence of element indices."""
     f = tuple(int(x) for x in f)
     if len(f) != n:
-        raise ValueError(f"map must have length {n}, got {len(f)}")
+        raise InputError(f"map must have length {n}, got {len(f)}")
     for i, x in enumerate(f):
         if not 0 <= x < n:
-            raise ValueError(f"map value {x} at {i} out of range")
+            raise InputError(f"map value {x} at {i} out of range")
     return f
 
 

@@ -21,11 +21,7 @@ from .orders import (
     least_witness,
     validate_poset,
 )
-from .reports import LawReport, law_fail, law_pass
-
-
-class NotOrthomodularInput(Exception):
-    """Raised when an operation requires an orthomodular carrier."""
+from .reports import InputError, LawReport, law_fail, law_pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +102,7 @@ def downset_oml(o: OrthoLattice, a: int) -> OrthoLattice:
     result are the ambient downset members in ascending index order.
     """
     if not is_orthomodular(o):
-        raise NotOrthomodularInput("downset construction needs an orthomodular carrier")
+        raise InputError("downset construction needs an orthomodular carrier")
     lat = o.lattice
     carrier = [u for u in range(lat.n) if lat.leq[u, a]]
     pos = {u: k for k, u in enumerate(carrier)}
@@ -155,7 +151,7 @@ def blocks(o: OrthoLattice) -> list:
     be Boolean subalgebras before being returned.
     """
     if not is_orthomodular(o):
-        raise NotOrthomodularInput("blocks are defined for orthomodular lattices")
+        raise InputError("blocks are defined for orthomodular lattices")
     lat, f = o.lattice, o.ortho
     n = lat.n
     idx = np.arange(n)

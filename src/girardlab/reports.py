@@ -1,8 +1,14 @@
-"""PASS/FAIL law reports shared by every checking engine."""
+"""PASS/FAIL law reports, and InputError for failures that are the
+caller's, shared by every checking engine."""
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+
+class InputError(ValueError):
+    """A bad file, argument or parameter: the caller's fault, not the
+    engine's.  The command line exits 2 on it; other exceptions are bugs."""
 
 
 class Verdict(enum.Enum):

@@ -28,7 +28,7 @@ from .orders import (
     lattice_from_covers,
     least_witness,
 )
-from .reports import LawReport, law_fail, law_pass
+from .reports import InputError, LawReport, law_fail, law_pass
 
 
 class ResiduationError(Exception):
@@ -210,7 +210,7 @@ def lukasiewicz_chain(m: int) -> ResiduatedStructure:
     indices i and j is max(0, i+j-(m-1)).
     """
     if m < 2:
-        raise ValueError("need at least two elements")
+        raise InputError("need at least two elements")
     lat = _chain_with_fraction_labels(m)
     mul = np.fromfunction(
         lambda i, j: np.maximum(0, i + j - (m - 1)), (m, m), dtype=np.intp
@@ -221,7 +221,7 @@ def lukasiewicz_chain(m: int) -> ResiduatedStructure:
 def godel_chain(m: int) -> ResiduatedStructure:
     """The m-element chain under a*b = min(a, b)."""
     if m < 2:
-        raise ValueError("need at least two elements")
+        raise InputError("need at least two elements")
     lat = _chain_with_fraction_labels(m)
     return residuated_structure(lat, lat.meet)
 
@@ -231,7 +231,7 @@ def drastic_chain(m: int) -> ResiduatedStructure:
     one factor is 1, else 0.  Residuated but, for m >= 4, not involutive;
     a handy non-example obtained by flattening the middle of a chain."""
     if m < 2:
-        raise ValueError("need at least two elements")
+        raise InputError("need at least two elements")
     lat = _chain_with_fraction_labels(m)
     mul = np.zeros((m, m), dtype=np.intp)
     mul[m - 1, :] = np.arange(m)

@@ -36,16 +36,12 @@ import numpy as np
 from .girard import check_unit_downset_boolean
 from .orders import FiniteLattice, compute_lattice, hasse_covers, is_boolean, is_complemented, \
     join_irreducibles, validate_poset
-from .ortho import NotOrthomodularInput, OrthoLattice, is_orthomodular
-from .reports import LawReport, law_fail, law_pass
+from .ortho import OrthoLattice, is_orthomodular
+from .reports import InputError, LawReport, law_fail, law_pass
 from .residuation import ResiduatedStructure, ResiduationError, check_associative, \
     residuated_structure
 
 MAX_ENUM = 10
-
-
-class BoundExceeded(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +156,7 @@ def enumerate_lattices(max_n: int) -> EnumerationResult:
     grown is returned; callers that want a subclass filter the list.
     """
     if not 1 <= max_n <= MAX_ENUM:
-        raise BoundExceeded(f"max_n must be in 1..{MAX_ENUM}")
+        raise InputError(f"max_n must be in 1..{MAX_ENUM}")
 
     lattices: List[FiniteLattice] = []
     counts: Dict[int, int] = {}
@@ -459,7 +455,7 @@ def search_unital_residuation(o: OrthoLattice, budget: int = 200_000) -> Residua
     per unit; a consumed budget is reported as exhausted=False with
     whatever was found so far."""
     if not is_orthomodular(o):
-        raise NotOrthomodularInput("unital search expects an orthomodular carrier")
+        raise InputError("unital search expects an orthomodular carrier")
     l = o.lattice
     units = [l.top] if l.n == 1 else [e for e in range(l.n) if e != l.bottom]
     result = _search(l, "unital", units, budget)

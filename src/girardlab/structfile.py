@@ -34,6 +34,7 @@ from .orders import (
     validate_poset,
 )
 from .ortho import OrthoLattice
+from .reports import InputError
 from .residuation import ResiduatedStructure, residuated_structure
 
 KEYS = ("elements", "covers", "leq", "ortho", "mul", "unit", "dualizing")
@@ -41,7 +42,7 @@ _LABEL_FORBIDDEN = set(" \t\n#,:[]")
 _TOKEN = re.compile(r"[\[\],]|[^\s\[\],]+")
 
 
-class StructError(Exception):
+class StructError(InputError):
     pass
 
 
@@ -184,6 +185,8 @@ def parse(text: str) -> StructureFile:
     for item in labels_value:
         if isinstance(item, list):
             raise ParseError(lines["elements"], "flat label tokens")
+        if ":" in item:
+            raise ParseError(lines["elements"], f"a label without ':', not {item!r}")
         labels.append(item)
     if len(set(labels)) != len(labels):
         raise ParseError(lines["elements"], "distinct labels")

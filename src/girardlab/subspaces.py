@@ -36,13 +36,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .reports import LawReport, law_fail, law_pass
+from .reports import InputError, LawReport, law_fail, law_pass
 
 MAX_DIM = 64
-
-
-class DimensionMismatch(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -55,11 +51,11 @@ class QuantaleContext:
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_DIM:
-            raise ValueError(f"dimension must be in 1..{MAX_DIM}")
+            raise InputError(f"dimension must be in 1..{MAX_DIM}")
         if self.tau_eq is None:
             object.__setattr__(self, "tau_eq", 1e-8 * math.sqrt(self.n))
         if not (0 < self.tau_rank < 1 and 0 < self.tau_eq < 1):
-            raise ValueError("tolerances must lie strictly between 0 and 1")
+            raise InputError("tolerances must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +81,7 @@ class Subspace:
 def _check_same_ambient(ctx: QuantaleContext, *spaces: Subspace):
     for s in spaces:
         if s.n != ctx.n:
-            raise DimensionMismatch(f"subspace lives in R^{s.n}, context is R^{ctx.n}")
+            raise InputError(f"subspace lives in R^{s.n}, context is R^{ctx.n}")
 
 
 def _split(a: np.ndarray, tau_rank: float) -> Subspace:
@@ -147,10 +143,10 @@ def span(ctx: QuantaleContext, vectors: Sequence[Sequence[float]]) -> Subspace:
     rows = [np.asarray(v, dtype=float) for v in vectors]
     for v in rows:
         if v.shape != (ctx.n,):
-            raise DimensionMismatch(f"expected vectors of length {ctx.n}")
+            raise InputError(f"expected vectors of length {ctx.n}")
     a = np.stack(rows, axis=1) if rows else np.zeros((ctx.n, 0))
     if not np.isfinite(a).all():
-        raise ValueError("vector coordinates must be finite")
+        raise InputError("vector coordinates must be finite")
     return _split(a, ctx.tau_rank)
 
 
@@ -271,7 +267,7 @@ def verify_quantale_laws(ctx: QuantaleContext, trials: int, seed: int) -> List[L
     first failing trial and replays it exactly.
     """
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise InputError("need at least one trial")
     e = unit(ctx)
     d = dualizing(ctx)
     first_failure = {}

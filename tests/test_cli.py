@@ -5,13 +5,14 @@ import sys
 
 import pytest
 
-from girardlab import residuation, search
+from girardlab import cli, residuation, search
 from girardlab.cli import main
 from girardlab.render import export_dot, render_report
 from girardlab.reports import law_fail, law_pass
 from girardlab.catalog import chain, diamond_m3
+from girardlab.residuation import AdjointnessFailure, godel_chain
 from girardlab.search import confirm_boolean_forcing
-from girardlab.structfile import parse
+from girardlab.structfile import from_lattice, parse, serialize
 
 
 def run(capsys, *argv):
@@ -452,3 +453,105 @@ class TestRender:
     def test_human_marks(self):
         text = render_report([("m", [law_pass("good"), law_fail("bad", (0,))])], "human")
         assert "[  ok] good" in text and "[FAIL] bad" in text
+
+
+# Inputs the checked-in files lack, written to a temporary directory.
+INPUT_FILES = {
+    "no-unit": "elements: [0, 1]\ncovers: [[0,1]]\nmul: [[0, 0], [0, 0]]\n",
+    "antichain": "elements: [a, b]\ncovers: []\northo: [1, 0]\n",
+    "cyclic": "elements: [a, b]\nleq: [[0,0], [1,1], [0,1], [1,0]]\n",
+    "colon-label": "elements: [0, x:y, 1]\ncovers: [[0,1], [1,2]]\n",
+}
+
+L3 = "{structures}/lukasiewicz-3.struct"
+
+# One case per raise site that command-line input reaches, with the exact
+# error line; the id names the site.
+INPUT_ERRORS = [
+    pytest.param(["girard", L3, "--inversion", "x,y"], "inversion entry 'x' is not an integer",
+                 id="cli._entries"),
+    pytest.param(["rn-op", "--dim", "2", "--op", "mul", "--a=1,-1"], "op mul needs --b",
+                 id="cli.cmd_rn_op"),
+    pytest.param(["girard", L3, "--inversion", "0,1"], "map must have length 3, got 2",
+                 id="orders.as_order_map-length"),
+    pytest.param(["girard", L3, "--inversion", "0,1,5"], "map value 5 at 2 out of range",
+                 id="orders.as_order_map-range"),
+    pytest.param(["girard", L3, "--inversion", "0,1,2"],
+                 "supplied map is not an inversion of the carrier order",
+                 id="girard._candidate_inversions-not-an-inversion"),
+    pytest.param(["girard", "{tmp}/godel-13.struct"],
+                 "carrier has 13 > 12 elements; supply a candidate inversion",
+                 id="girard._candidate_inversions-too-large"),
+    pytest.param(["girard", "{tmp}/no-unit.struct"], "agreement check needs a unital structure",
+                 id="girard.girard_equivalences"),
+    pytest.param(["gen", "boolean", "--atoms", "-1"], "need k >= 0 atoms",
+                 id="catalog.boolean_cube-negative"),
+    pytest.param(["gen", "boolean", "--atoms", "9"], "at most 8 atoms are supported",
+                 id="catalog.boolean_cube-too-many"),
+    pytest.param(["gen", "lukasiewicz", "--size", "1"], "need at least two elements",
+                 id="residuation.lukasiewicz_chain"),
+    pytest.param(["gen", "godel", "--size", "1"], "need at least two elements",
+                 id="residuation.godel_chain"),
+    pytest.param(["rn", "--dim", "65"], "dimension must be in 1..64",
+                 id="subspaces.QuantaleContext-dimension"),
+    pytest.param(["rn", "--dim", "3", "--tol-eq", "nan"],
+                 "tolerances must lie strictly between 0 and 1",
+                 id="subspaces.QuantaleContext-tolerance"),
+    pytest.param(["rn-op", "--dim", "2", "--op", "ortho", "--a=1,2,3"],
+                 "expected vectors of length 2", id="subspaces.span-length"),
+    pytest.param(["rn-op", "--dim", "2", "--op", "ortho", "--a=1,inf"],
+                 "vector coordinates must be finite", id="subspaces.span-finite"),
+    pytest.param(["rn", "--dim", "3", "--trials", "0"], "need at least one trial",
+                 id="subspaces.verify_quantale_laws"),
+    pytest.param(["enumerate", "--max-n", "0"], "max_n must be in 1..10",
+                 id="search.enumerate_lattices"),
+    pytest.param(["search-residuation", "{structures}/o6.struct", "--mode", "unital"],
+                 "unital search expects an orthomodular carrier",
+                 id="search.search_unital_residuation"),
+    pytest.param(["blocks", "{structures}/o6.struct"],
+                 "blocks are defined for orthomodular lattices", id="ortho.blocks"),
+    pytest.param(["blocks", "{tmp}/antichain.struct"], "no bottom element; extremes (0, 1)",
+                 id="orders.OrderError"),
+    pytest.param(["export-dot", "{tmp}/cyclic.struct"], "antisymmetry violated at (0, 1)",
+                 id="orders.PosetViolation"),
+    pytest.param(["blocks", "{structures}/m3.struct"], "file has no ortho section",
+                 id="structfile.StructError"),
+]
+
+
+class TestInputErrors:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        for name, text in INPUT_FILES.items():
+            (tmp_path / f"{name}.struct").write_text(text)
+        s = godel_chain(13)
+        (tmp_path / "godel-13.struct").write_text(
+            serialize(from_lattice(s.lattice, mul=s.mul, unit=s.n - 1)))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, message", INPUT_ERRORS)
+    def test_one_error_line_and_exit_two(self, capsys, structures_dir, inputs, argv, message):
+        argv = [a.format(structures=structures_dir, tmp=inputs) for a in argv]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", [["verify"], ["export-dot"],
+                                         ["search-residuation", "--mode", "integral"]])
+    def test_colon_label_rejected_before_any_output(self, capsys, inputs, command):
+        # serialize cannot write the label, so no command may start its output
+        argv = [command[0], str(inputs / "colon-label.struct"), *command[1:]]
+        assert run(capsys, *argv) == (
+            2, "", "error: line 1: expected a label without ':', not 'x:y'\n")
+
+    @pytest.mark.parametrize("name, argv, exc", [
+        ("lukasiewicz_chain", ["gen", "lukasiewicz", "--size", "3"],
+         AdjointnessFailure((0, 0, 0))),
+        ("verify_quantale_laws", ["rn", "--dim", "2", "--trials", "1"], ValueError("internal")),
+    ], ids=["AdjointnessFailure", "ValueError"])
+    def test_engine_failure_is_not_an_input_error(self, monkeypatch, name, argv, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, name, broken)
+        with pytest.raises(type(exc)) as raised:
+            main(argv)
+        assert raised.value is exc

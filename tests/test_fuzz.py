@@ -1,6 +1,7 @@
-"""Mutated structure files through every file command: bad input exits 2
-with one `error:` line, a failed law exits 1, and nothing raises past
-main."""
+"""Mutated structure files through every file command, and random
+arguments through the commands that take no file or an inversion: bad
+input exits 2 with one `error:` line, a failed law exits 1, and nothing
+raises past main."""
 import contextlib
 import io
 import pathlib
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from girardlab.cli import main
+from girardlab.structfile import load
 
 STRUCTURES = pathlib.Path(__file__).resolve().parent.parent / "structures"
 TEXTS = [path.read_text() for path in sorted(STRUCTURES.glob("*.struct"))]
@@ -54,16 +56,93 @@ def mutated_files(draw):
     return text
 
 
+def assert_exit_contract(argv):
+    """main returns 0, 1 or 2, and 2 comes with one `error:` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
 @settings(max_examples=60, deadline=None)
 @given(mutated_files())
 def test_mutated_file_commands(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("fuzz") / "mutated.struct"
     path.write_text(text)
     for command in COMMANDS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command[0], str(path), *command[1:]])
-        assert code in (0, 1, 2), command
-        if code == 2:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
+        assert_exit_contract([command[0], str(path), *command[1:]])
+
+
+SIZES = {path: load(path).n for path in sorted(STRUCTURES.glob("*.struct"))}
+# strings that float() accepts: tolerances in range, then out of it
+TOLERANCES = st.one_of(st.sampled_from(["1e-12", "1e-9", "1e-6", "0.5"]),
+                       st.sampled_from(["nan", "inf", "-inf", "0", "1", "-1", "1e-300"]))
+# finite coordinates; vectors() puts at most one bad entry into an argument
+FINITE = ["0", "1", "-1", "2.5", " 3", "1e308", "-1e308", "5e-324"]
+BAD_ENTRIES = ["inf", "nan", "x", ""]
+
+
+def small(low, high, *outside):
+    """An integer argument in low..high or one of a few values outside it."""
+    return st.one_of(st.integers(low, high), st.sampled_from(outside)).map(str)
+
+
+@st.composite
+def vectors(draw, n):
+    """Up to three vectors of finite coordinates, most of length n; now and
+    then one coordinate is non-finite or not a number."""
+    lengths = st.one_of(st.just(n), st.integers(0, 4))
+    rows = draw(st.lists(lengths.flatmap(
+        lambda k: st.lists(st.sampled_from(FINITE), min_size=k, max_size=k)), max_size=3))
+    if rows and rows[0] and draw(st.integers(0, 3)) == 0:
+        rows[0][draw(st.integers(0, len(rows[0]) - 1))] = draw(st.sampled_from(BAD_ENTRIES))
+    return ";".join(",".join(row) for row in rows)
+
+
+@st.composite
+def argument_lists(draw):
+    """Arguments that the parser accepts, with sizes kept small; `--x=value`
+    keeps a value that starts with '-' from reading as an option."""
+    command = draw(st.sampled_from(["rn", "rn-op", "gen", "enumerate", "girard"]))
+    if command == "rn":
+        argv = ["rn", f"--dim={draw(small(1, 5, -1, 0, 65, 10**6))}",
+                f"--trials={draw(small(1, 3, -1, 0))}", f"--seed={draw(st.integers(0, 9))}",
+                f"--format={draw(st.sampled_from(['human', 'machine']))}"]
+        for flag in ("--tol-rank", "--tol-eq"):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(TOLERANCES)}")
+    elif command == "rn-op":
+        n = draw(st.sampled_from([-1, 0, 1, 2, 2, 3, 3, 4, 65]))
+        op = draw(st.sampled_from(["mul", "meet", "join", "ortho", "residuum"]))
+        argv = ["rn-op", f"--dim={n}", f"--op={op}", f"--a={draw(vectors(max(n, 0)))}"]
+        if draw(st.integers(0, 3)) > 0:
+            argv.append(f"--b={draw(vectors(max(n, 0)))}")
+    elif command == "gen":
+        family = draw(st.sampled_from(["lukasiewicz", "godel", "boolean"]))
+        if family == "boolean":
+            argv = ["gen", family, f"--atoms={draw(small(0, 4, -2, -1, 9, 10**6))}"]
+        else:
+            argv = ["gen", family, f"--size={draw(small(2, 8, -2, 0, 1))}"]
+    elif command == "enumerate":
+        argv = ["enumerate", f"--max-n={draw(small(1, 6, -1, 0, 11, 10**6))}"]
+        argv += [flag for flag in ("--complemented", "--confirm-thm2") if draw(st.booleans())]
+    else:
+        path = draw(st.sampled_from(sorted(SIZES)))
+        n = SIZES[path]
+        entries = draw(st.one_of(
+            st.just(range(n - 1, -1, -1)),  # an inversion of every chain
+            st.permutations(range(n)),
+            st.lists(st.sampled_from(["0", "1", "2", "7", "-1", "99", "1.5", "x", ""]),
+                     max_size=9),
+        ))
+        argv = ["girard", str(path), f"--inversion={','.join(map(str, entries))}"]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argument_lists())
+def test_random_arguments(argv):
+    assert_exit_contract(argv)

@@ -16,6 +16,7 @@ from girardlab.girard import (
 )
 from girardlab.orders import check_inversion
 from girardlab.ortho import OrthoLattice, check_orthomodular
+from girardlab.reports import InputError
 from girardlab.residuation import (
     boolean_residuation,
     check_associative,
@@ -112,12 +113,12 @@ class TestRecognitionAgreement:
         assert report.agreement.passed and report.has_exchange_inversion
 
     def test_rejects_non_inversion(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             girard_equivalences(lukasiewicz_chain(3), inversion=(0, 1, 2))
 
     def test_large_carrier_needs_candidate(self):
         s = lukasiewicz_chain(13)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             girard_equivalences(s)
         report = girard_equivalences(s, inversion=tuple(range(12, -1, -1)))
         assert report.agreement.passed and report.has_cyclic_dualizer

@@ -5,8 +5,8 @@ import pytest
 
 from girardlab.catalog import benzene_o6, boolean_ortho, diamond_m3, horizontal_sum_mo
 from girardlab.orders import is_boolean, compute_lattice, validate_poset
+from girardlab.reports import InputError
 from girardlab.ortho import (
-    NotOrthomodularInput,
     OrthoLattice,
     blocks,
     check_ortholattice,
@@ -96,7 +96,7 @@ class TestDownset:
         assert check_ortholattice(d.lattice, d.ortho).passed
 
     def test_requires_orthomodular(self):
-        with pytest.raises(NotOrthomodularInput):
+        with pytest.raises(InputError):
             downset_oml(benzene_o6(), 1)
 
     @pytest.mark.parametrize("name", list(SHIPPED_OMLS))
@@ -191,7 +191,7 @@ class TestBlocks:
             assert is_boolean(compute_lattice(validate_poset(sub_leq))).passed
 
     def test_requires_orthomodular(self):
-        with pytest.raises(NotOrthomodularInput):
+        with pytest.raises(InputError):
             blocks(benzene_o6())
 
     def test_not_orthomodular_check(self):

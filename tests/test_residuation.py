@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from girardlab.catalog import boolean_cube, chain, diamond_m3, discrete_cyclic_group, \
     mo2_subspace_model
 from girardlab.orders import is_complemented
+from girardlab.reports import InputError
 from girardlab.residuation import (
     AdjointnessFailure,
     NoResiduum,
@@ -181,6 +182,11 @@ class TestChains:
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_adjointness_verified(self, maker, m):
         assert_adjointness(maker(m))
+
+    @pytest.mark.parametrize("maker", [lukasiewicz_chain, godel_chain, drastic_chain])
+    def test_one_element_is_an_input_error(self, maker):
+        with pytest.raises(InputError, match="need at least two elements"):
+            maker(1)
 
     def test_drastic_not_involutive(self):
         s = drastic_chain(4)

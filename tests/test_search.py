@@ -11,11 +11,9 @@ from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, di
     horizontal_sum_mo
 from girardlab.girard import check_unit_downset_boolean
 from girardlab.orders import hasse_covers
-from girardlab.ortho import NotOrthomodularInput
-from girardlab.reports import law_pass
+from girardlab.reports import InputError, law_pass
 from girardlab.residuation import check_associative, derive_residua, lukasiewicz_chain
 from girardlab.search import (
-    BoundExceeded,
     canonical_key,
     confirm_boolean_forcing,
     enumerate_lattices,
@@ -79,9 +77,9 @@ class TestEnumeration:
         assert len(keys) == len(set(keys))
 
     def test_bound(self):
-        with pytest.raises(BoundExceeded):
+        with pytest.raises(InputError):
             enumerate_lattices(11)
-        with pytest.raises(BoundExceeded):
+        with pytest.raises(InputError):
             enumerate_lattices(0)
 
     def test_isomorphism_invariance_of_key(self):
@@ -177,7 +175,7 @@ class TestConfirmBooleanForcing:
         assert confirm_boolean_forcing(4).passed
 
     def test_bound(self):
-        with pytest.raises(BoundExceeded):
+        with pytest.raises(InputError):
             confirm_boolean_forcing(11)
 
 
@@ -232,7 +230,7 @@ class TestUnitalSearch:
                                                for s in result.structures]
 
     def test_requires_orthomodular(self):
-        with pytest.raises(NotOrthomodularInput):
+        with pytest.raises(InputError):
             search_unital_residuation(benzene_o6(), budget=100)
 
     def test_lattice_id_mentions_covers(self):

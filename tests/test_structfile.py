@@ -92,6 +92,13 @@ covers: [[0,1], [0,2],
         with pytest.raises(ParseError):
             parse("elements: [a, a]\ncovers: []\n")
 
+    def test_colon_in_label_rejected_at_the_elements_line(self):
+        # serialize cannot write such a label, so parse must not accept it
+        with pytest.raises(ParseError) as exc:
+            parse("# header\nelements: [0,\n  x:y, 1]\ncovers: [[0,1], [1,2]]\n")
+        assert exc.value.line == 2
+        assert str(exc.value) == "line 2: expected a label without ':', not 'x:y'"
+
     def test_leq_taken_literally(self):
         text = "elements: [0, 1]\nleq: [[0,0], [0,1], [1,1]]\n"
         p = build_poset(parse(text))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import reference_subspaces as ref
 from girardlab.cli import main
+from girardlab.reports import InputError
 from girardlab.subspaces import (
-    DimensionMismatch,
     QuantaleContext,
     dualizing,
     equal,
@@ -55,8 +55,12 @@ class TestSpan:
         assert span(r2, [(1.0, 0.0), (1.0, 1e-3)]).dim == 2
 
     def test_dimension_mismatch(self, r2):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError):
             span(r2, [(1.0, 2.0, 3.0)])
+
+    def test_operand_from_another_ambient(self, r2, r3):
+        with pytest.raises(InputError, match=r"subspace lives in R\^3, context is R\^2"):
+            meet(r2, full(r2), full(r3))
 
     def test_huge_and_tiny_coordinates(self, r2):
         # squares of these entries over- or underflow; the rank decision
@@ -225,7 +229,7 @@ class TestVerifyLaws:
         ]
 
     def test_requires_trials(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             verify_quantale_laws(QuantaleContext(2), 0, 1)
 
 
@@ -235,9 +239,9 @@ class TestContext:
             assert QuantaleContext(n).tau_eq == pytest.approx(1e-8 * math.sqrt(n))
 
     def test_dimension_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             QuantaleContext(65)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             QuantaleContext(0)
 
 
