@@ -185,7 +185,7 @@ def parse(text: str) -> StructureFile:
     for item in labels_value:
         if isinstance(item, list):
             raise ParseError(lines["elements"], "flat label tokens")
-        if ":" in item:
+        if any(c in _LABEL_FORBIDDEN for c in item):
             raise ParseError(lines["elements"], f"a label without ':', not {item!r}")
         labels.append(item)
     if len(set(labels)) != len(labels):
@@ -249,8 +249,11 @@ def serialize(sf: StructureFile) -> str:
 
 
 def load(path) -> StructureFile:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except UnicodeDecodeError as exc:
+        raise StructError(str(exc)) from None
 
 
 def build_poset(sf: StructureFile) -> FinitePoset:
