@@ -379,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--tol-rank", type=float, default=1e-9)
+    p.add_argument("--tol-rank", type=float, default=QuantaleContext.tau_rank)
     p.add_argument("--tol-eq", type=float, default=None)
     p.add_argument("--format", choices=("human", "machine"), default="human")
     p.set_defaults(func=cmd_rn)

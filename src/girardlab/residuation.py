@@ -30,6 +30,8 @@ from .orders import (
 )
 from .reports import InputError, LawReport, law_fail, law_pass
 
+MAX_CHAIN = 256  # the chains stop at the size of the 8-atom Boolean algebra
+
 
 class ResiduationError(Exception):
     pass
@@ -199,6 +201,10 @@ def boolean_residuation(l: FiniteLattice) -> ResiduatedStructure:
 
 
 def _chain_with_fraction_labels(m: int) -> FiniteLattice:
+    if m < 2:
+        raise InputError("need at least two elements")
+    if m > MAX_CHAIN:
+        raise InputError(f"at most {MAX_CHAIN} elements are supported")
     labels = [str(Fraction(k, m - 1)) for k in range(m)]
     return lattice_from_covers([(i, i + 1) for i in range(m - 1)], labels)
 
@@ -209,8 +215,6 @@ def lukasiewicz_chain(m: int) -> ResiduatedStructure:
     Arithmetic is exact: index k stands for k/(m-1), so the product of
     indices i and j is max(0, i+j-(m-1)).
     """
-    if m < 2:
-        raise InputError("need at least two elements")
     lat = _chain_with_fraction_labels(m)
     mul = np.fromfunction(
         lambda i, j: np.maximum(0, i + j - (m - 1)), (m, m), dtype=np.intp
@@ -220,8 +224,6 @@ def lukasiewicz_chain(m: int) -> ResiduatedStructure:
 
 def godel_chain(m: int) -> ResiduatedStructure:
     """The m-element chain under a*b = min(a, b)."""
-    if m < 2:
-        raise InputError("need at least two elements")
     lat = _chain_with_fraction_labels(m)
     return residuated_structure(lat, lat.meet)
 
@@ -230,8 +232,6 @@ def drastic_chain(m: int) -> ResiduatedStructure:
     """The m-element chain under the drastic product: a*b = a /\\ b when
     one factor is 1, else 0.  Residuated but, for m >= 4, not involutive;
     a handy non-example obtained by flattening the middle of a chain."""
-    if m < 2:
-        raise InputError("need at least two elements")
     lat = _chain_with_fraction_labels(m)
     mul = np.zeros((m, m), dtype=np.intp)
     mul[m - 1, :] = np.arange(m)

@@ -53,33 +53,17 @@ def _down_masks(rows: Tuple[int, ...]) -> List[int]:
     return [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
 
 
-def _refine_classes(rows: Tuple[int, ...]) -> List[int]:
-    """Isomorphism-invariant element classes via neighborhood refinement."""
-    n = len(rows)
-    downs = _down_masks(rows)
-    inv = [(bin(rows[i]).count("1"), bin(downs[i]).count("1")) for i in range(n)]
-    for _ in range(2):
-        inv = [
-            (
-                inv[i],
-                tuple(sorted(inv[j] for j in range(n) if rows[i] >> j & 1)),
-                tuple(sorted(inv[j] for j in range(n) if downs[i] >> j & 1)),
-            )
-            for i in range(n)
-        ]
-    order = {v: k for k, v in enumerate(sorted(set(inv)))}
-    return [order[v] for v in inv]
-
-
 def canonical_key(rows: Tuple[int, ...]) -> tuple:
-    """Minimum lexicographic relation encoding over class-preserving
-    relabelings.  Classes refine rank, so the minimum ranges over a
-    subset of the rank-preserving permutations that always contains the
-    isomorphisms; isomorphic posets share the key."""
+    """Minimum lexicographic relation encoding over the relabelings that
+    keep each element's class, its (up-set size, down-set size).  The
+    classes are isomorphism invariants, so the minimum ranges over a set
+    of permutations that always contains the isomorphisms; isomorphic
+    posets share the key.  The encoding fixes the whole relabelled
+    relation, so posets that share the key are isomorphic."""
     n = len(rows)
-    cls = _refine_classes(rows)
+    cls = [(rows[i].bit_count(), sum(r >> i & 1 for r in rows)) for i in range(n)]
     slot_class = sorted(cls)
-    members: Dict[int, List[int]] = {}
+    members: Dict[Tuple[int, int], List[int]] = {}
     for i in range(n):
         members.setdefault(cls[i], []).append(i)
 
@@ -109,7 +93,7 @@ def canonical_key(rows: Tuple[int, ...]) -> tuple:
             used[cand] = False
 
     rec(0, ())
-    return (tuple(slot_class), best)
+    return best
 
 
 def _grow(rows: Tuple[int, ...]):

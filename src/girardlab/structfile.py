@@ -35,7 +35,6 @@ from .orders import (
 )
 from .ortho import OrthoLattice
 from .reports import InputError
-from .residuation import ResiduatedStructure, residuated_structure
 
 KEYS = ("elements", "covers", "leq", "ortho", "mul", "unit", "dualizing")
 _LABEL_FORBIDDEN = set(" \t\n#,:[]")
@@ -276,12 +275,6 @@ def build_ortholattice(sf: StructureFile) -> OrthoLattice:
     if sf.ortho is None:
         raise StructError("file has no ortho section")
     return OrthoLattice(build_lattice(sf), sf.ortho)
-
-
-def build_residuated(sf: StructureFile) -> ResiduatedStructure:
-    if sf.mul is None:
-        raise StructError("file has no mul section")
-    return residuated_structure(build_lattice(sf), np.array(sf.mul, dtype=np.intp))
 
 
 def from_lattice(l: FiniteLattice, ortho=None, mul=None, unit=None, dualizing=None) -> StructureFile:

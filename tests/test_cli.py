@@ -488,9 +488,9 @@ INPUT_ERRORS = [
     pytest.param(["gen", "boolean", "--atoms", "-1"], "need k >= 0 atoms",
                  id="catalog.boolean_cube-negative"),
     pytest.param(["gen", "lukasiewicz", "--size", "1"], "need at least two elements",
-                 id="residuation.lukasiewicz_chain"),
-    pytest.param(["gen", "godel", "--size", "1"], "need at least two elements",
-                 id="residuation.godel_chain"),
+                 id="residuation._chain_with_fraction_labels-too-small"),
+    pytest.param(["gen", "godel", "--size", "100000000000"], "at most 256 elements are supported",
+                 id="residuation._chain_with_fraction_labels-too-large"),
     pytest.param(["rn", "--dim", "65"], "dimension must be in 1..64",
                  id="subspaces.QuantaleContext-dimension"),
     pytest.param(["rn", "--dim", "3", "--tol-eq", "nan"],
@@ -511,6 +511,8 @@ INPUT_ERRORS = [
                  id="orders.PosetViolation"),
     pytest.param(["blocks", "{structures}/m3.struct"], "file has no ortho section",
                  id="structfile.StructError"),
+    pytest.param(["residuate", "{structures}/m3.struct"], "file has no mul section",
+                 id="cli._residuated"),
 ]
 
 

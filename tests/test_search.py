@@ -1,10 +1,11 @@
 """Lattice enumeration and the residuation searches."""
 import pathlib
+import random
 
 import numpy as np
 import pytest
 from reference_search import LoopIntegralSearch, LoopUnitalSearch, PlainIntegralSearch, \
-    PlainUnitalSearch, UnitPinSearch, is_lattice, reference_enumeration
+    PlainUnitalSearch, UnitPinSearch, is_lattice, poset_frontiers, reference_enumeration
 
 from girardlab import search
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
@@ -29,6 +30,15 @@ LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078}
 def rows_of(lat):
     n = lat.n
     return tuple(sum(1 << j for j in range(n) if lat.leq[i, j]) for i in range(n))
+
+
+def relabeled(rows, perm):
+    """The poset of rows with each element i renamed perm[i]."""
+    n = len(rows)
+    new = [0] * n
+    for i in range(n):
+        new[perm[i]] = sum(1 << perm[j] for j in range(n) if rows[i] >> j & 1)
+    return tuple(new)
 
 
 class TestEnumeration:
@@ -83,14 +93,18 @@ class TestEnumeration:
             enumerate_lattices(0)
 
     def test_isomorphism_invariance_of_key(self):
-        lat = diamond_m3()
-        perm = [0, 3, 1, 2, 4]
-        rows = rows_of(lat)
-        relabeled = tuple(
-            sum(1 << perm[j] for j in range(5) if rows[i] >> j & 1) for i in range(5)
-        )
-        relabeled = tuple(relabeled[perm.index(i)] for i in range(5))
-        assert canonical_key(rows) == canonical_key(relabeled)
+        """Seeded random relabelings keep the key: of every lattice on at
+        most 7 elements, of MO4, whose 8 atoms share one class, and of
+        the bounded-below posets on at most 6 elements."""
+        posets = [rows_of(lat) for lat in enumerate_lattices(7).lattices]
+        posets.append(rows_of(horizontal_sum_mo(4).lattice))
+        posets += [rows for frontier in poset_frontiers(6) for rows in frontier.values()]
+        rng = random.Random(16)
+        for rows in posets:
+            key = canonical_key(rows)
+            for _ in range(2):
+                perm = rng.sample(range(len(rows)), len(rows))
+                assert canonical_key(relabeled(rows, perm)) == key, (rows, perm)
 
 
 class TestIntegralSearch:
