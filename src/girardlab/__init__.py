@@ -45,10 +45,8 @@ from .residuation import (
     ResiduationError,
     boolean_residuation,
     check_associative,
-    check_integral_consequences,
     classify,
     derive_residua,
-    drastic_chain,
     godel_chain,
     lukasiewicz_chain,
     residuated_structure,
@@ -58,7 +56,6 @@ from .girard import (
     GirardEquivalenceReport,
     check_boolean_idempotent_criterion,
     check_dualizer_join_formula,
-    check_involutive_quantale,
     check_quantale,
     check_unit_downset_boolean,
     find_cyclic_dualizing,
@@ -79,7 +76,6 @@ from .subspaces import (
     ortho,
     random_subspace,
     random_subspace_within,
-    rebased,
     residuum,
     span,
     unit,

@@ -1,9 +1,7 @@
 """Standard small lattices and ortholattices used throughout the suite."""
 from __future__ import annotations
 
-import numpy as np
-
-from .orders import FiniteLattice, lattice_from_covers, validate_poset
+from .orders import FiniteLattice, lattice_from_covers
 from .ortho import OrthoLattice
 from .reports import InputError
 
@@ -48,12 +46,6 @@ def diamond_m3() -> FiniteLattice:
     return lattice_from_covers(covers, ["0", "a", "b", "c", "1"])
 
 
-def pentagon_n5() -> FiniteLattice:
-    """N5: 0 < a < c < 1 with b incomparable to both a and c."""
-    covers = [(0, 1), (1, 3), (0, 2), (3, 4), (2, 4)]
-    return lattice_from_covers(covers, ["0", "a", "b", "c", "1"])
-
-
 def benzene_o6() -> OrthoLattice:
     """O6: two 2-chains 0<a<b<1 and 0<b'<a'<1 glued at the bounds.
 
@@ -82,20 +74,6 @@ def horizontal_sum_mo(k: int) -> OrthoLattice:
         i, j = 1 + 2 * t, 2 + 2 * t
         ortho[i], ortho[j] = j, i
     return OrthoLattice(lat, tuple(ortho))
-
-
-def discrete_cyclic_group(m: int):
-    """Z_m with the discrete (antichain) order: (poset, addition table).
-
-    The order makes x*y <= z mean x+y = z, so the residuum is plain
-    subtraction and every element is cyclic and dualizing.  A residuated
-    poset that is not a lattice, exercising the order-only code paths.
-    """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    poset = validate_poset(np.eye(m, dtype=bool), labels=[str(i) for i in range(m)])
-    mul = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
-    return poset, mul
 
 
 def mo2_subspace_model():

@@ -163,12 +163,9 @@ def check_dualizer_join_formula(s: ResiduatedStructure, cert: GirardCertificate)
     acc = int((upper & leq[:, upper].all(axis=1)).argmax())  # their least one
     if acc != d:
         return law_fail("dualizer-join-formula", (acc,), f"join of self-products is {acc}, not d={d}")
-    for d2 in range(s.n):
-        if d2 == d:
-            continue
-        if is_cyclic(s, d2).passed and is_dualizing(s, d2).passed:
-            if (s.rres[:, d2] == neg).all():
-                return law_fail("dualizer-join-formula", (d2,), "second dualizer with same negation")
+    for other in find_cyclic_dualizing(s):
+        if other.d != d and other.neg == cert.neg:
+            return law_fail("dualizer-join-formula", (other.d,), "second dualizer with same negation")
     return law_pass("dualizer-join-formula", f"d={d}")
 
 
@@ -224,27 +221,6 @@ def check_quantale(l, m) -> LawReport:
         return law_fail("quantale", w, "join distribution fails on the right")
     x, a, b = w
     return law_fail("quantale", (a, b, x), "join distribution fails on the left")
-
-
-def check_involutive_quantale(l, m, star) -> LawReport:
-    """Quantale plus a join-preserving semigroup involution."""
-    quant = check_quantale(l, m)
-    if quant.failed:
-        return law_skip("involutive-quantale", "quantale laws fail, involution not examined")
-    f = np.array(orders.as_order_map(star, l.n))
-    t, join = np.asarray(m, dtype=np.intp), l.join
-    w = first_violation(f[f] != np.arange(l.n))
-    if w is not None:
-        return law_fail("involutive-quantale", w, "star is not involutive")
-    w = least_witness(lambda a, b: f[t[a, b]] != t[f[b], f[a]], l.n, 2)
-    if w is not None:
-        return law_fail("involutive-quantale", w, "star is not an antihomomorphism")
-    if f[l.bottom] != l.bottom:
-        return law_fail("involutive-quantale", (l.bottom,), "star moves the bottom")
-    w = least_witness(lambda a, b: f[join[a, b]] != join[f[a], f[b]], l.n, 2)
-    if w is not None:
-        return law_fail("involutive-quantale", w, "star does not preserve joins")
-    return law_pass("involutive-quantale")
 
 
 def check_unit_downset_boolean(o: OrthoLattice, s: ResiduatedStructure) -> LawReport:

@@ -146,34 +146,25 @@ def _maximal_cliques(adj: np.ndarray) -> list:
 def blocks(o: OrthoLattice) -> list:
     """Maximal Boolean subalgebras, as sorted element tuples, sorted.
 
-    Blocks are found as maximal pairwise-compatible subsets, closed under
-    meet, join and orthocomplement as a safety fixpoint, then verified to
-    be Boolean subalgebras before being returned.
+    In an orthomodular lattice the blocks are exactly the maximal
+    pairwise-compatible subsets (Kalmbach, Orthomodular Lattices, 1983),
+    so they are read off as the maximal cliques of the compatibility
+    relation.  Each is verified to be closed under meet, join and
+    orthocomplement and to be Boolean before being returned.
     """
     if not is_orthomodular(o):
         raise InputError("blocks are defined for orthomodular lattices")
-    lat, f = o.lattice, o.ortho
-    n = lat.n
-    idx = np.arange(n)
+    lat, f = o.lattice, np.asarray(o.ortho)
+    idx = np.arange(lat.n)
     comp = compatible(o, idx[:, None], idx)
     comp &= comp.T
 
-    found = set()
-    for clique in _maximal_cliques(comp):
-        members = {i for i in range(n) if clique >> i & 1}
-        while True:
-            pairs = np.ix_(list(members), list(members))
-            products = np.concatenate([lat.meet[pairs].ravel(), lat.join[pairs].ravel()])
-            grown = members | {f[i] for i in members} | set(products.tolist())
-            if grown == members:
-                break
-            members = grown
-        found.add(tuple(sorted(members)))
-
-    result = sorted(b for b in found if not any(set(b) < set(c) for c in found))
+    result = sorted(tuple(i for i in range(lat.n) if clique >> i & 1)
+                    for clique in _maximal_cliques(comp))
     for b in result:
-        sub_leq = lat.leq[np.ix_(b, b)]
-        sub = compute_lattice(validate_poset(sub_leq))
-        if not is_boolean(sub).passed:
-            raise RuntimeError(f"internal error: block candidate {b} is not Boolean")
+        pairs = np.ix_(b, b)
+        generated = np.concatenate([lat.meet[pairs].ravel(), lat.join[pairs].ravel(), f[list(b)]])
+        sub = compute_lattice(validate_poset(lat.leq[pairs]))
+        if not np.isin(generated, b).all() or not is_boolean(sub).passed:
+            raise RuntimeError(f"internal error: block candidate {b} is not a Boolean subalgebra")
     return result

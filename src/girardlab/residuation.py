@@ -173,17 +173,6 @@ def residuated_structure(order: Union[FinitePoset, FiniteLattice], mul) -> Resid
     return ResiduatedStructure(poset, t, rres, lres, classify(order, t), lat)
 
 
-def check_integral_consequences(s: ResiduatedStructure) -> LawReport:
-    """On integral structures, x*y must sit below both factors."""
-    if not s.flags.integral:
-        raise ValueError("structure is not integral")
-    leq, mul = s.poset.leq, s.mul
-    w = least_witness(lambda x, y: ~(leq[mul[x, y], x] & leq[mul[x, y], y]), s.n, 2)
-    if w is not None:
-        return law_fail("integral-product-below-factors", w)
-    return law_pass("integral-product-below-factors")
-
-
 def boolean_residuation(l: FiniteLattice) -> ResiduatedStructure:
     """The canonical residuation of a Boolean algebra: x*y = x /\\ y and
     y -> z = y' \\/ z.  Raises NotBoolean otherwise."""
@@ -227,13 +216,3 @@ def godel_chain(m: int) -> ResiduatedStructure:
     lat = _chain_with_fraction_labels(m)
     return residuated_structure(lat, lat.meet)
 
-
-def drastic_chain(m: int) -> ResiduatedStructure:
-    """The m-element chain under the drastic product: a*b = a /\\ b when
-    one factor is 1, else 0.  Residuated but, for m >= 4, not involutive;
-    a handy non-example obtained by flattening the middle of a chain."""
-    lat = _chain_with_fraction_labels(m)
-    mul = np.zeros((m, m), dtype=np.intp)
-    mul[m - 1, :] = np.arange(m)
-    mul[:, m - 1] = np.arange(m)
-    return residuated_structure(lat, mul)

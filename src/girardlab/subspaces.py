@@ -192,8 +192,6 @@ def meet(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
 def mul(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
     """Quantale product: span of all Hadamard products of basis columns."""
     _check_same_ambient(ctx, s, t)
-    if s.dim == 0 or t.dim == 0:
-        return zero(ctx)
     products = (s.basis[:, :, None] * t.basis[:, None, :]).reshape(ctx.n, -1)
     return _split(products, ctx.tau_rank)
 
@@ -225,18 +223,7 @@ def random_subspace(ctx: QuantaleContext, rng: np.random.Generator, dim: Optiona
 def random_subspace_within(ctx: QuantaleContext, s: Subspace, rng: np.random.Generator) -> Subspace:
     """Random subspace of s, of dimension uniform on 0..dim(s)."""
     k = int(rng.integers(0, s.dim + 1))
-    if k == 0 or s.dim == 0:
-        return zero(ctx)
     return _split(s.basis @ rng.standard_normal((s.dim, k)), ctx.tau_rank)
-
-
-def rebased(s: Subspace, rng: np.random.Generator) -> Subspace:
-    """Same subspace under a random orthonormal change of basis."""
-    if s.dim == 0:
-        return s
-    q, r = np.linalg.qr(rng.standard_normal((s.dim, s.dim)))
-    q = q * np.sign(np.diag(r))
-    return Subspace(s.basis @ q, s.complement)
 
 
 _LAWS = (

@@ -215,18 +215,6 @@ def classify(order, mul):
     return Flags(commutative, idempotent, unit, unit is not None and unit == top)
 
 
-def check_integral_consequences(s):
-    if not s.flags.integral:
-        raise ValueError("structure is not integral")
-    leq = s.poset.leq
-    for x in range(s.n):
-        for y in range(s.n):
-            m = s.mul[x, y]
-            if not (leq[m, x] and leq[m, y]):
-                return law_fail("integral-product-below-factors", (x, y))
-    return law_pass("integral-product-below-factors")
-
-
 def boolean_residua(l):
     _, comps = is_complemented(l)
     n = l.n
@@ -313,13 +301,9 @@ def check_dualizer_join_formula(s, cert):
         acc = int(lat.join[acc, p])
     if acc != d:
         return law_fail("dualizer-join-formula", (acc,), f"join of self-products is {acc}, not d={d}")
-    for d2 in range(s.n):
-        if d2 == d:
-            continue
-        if is_cyclic(s, d2).passed and is_dualizing(s, d2).passed:
-            neg2 = tuple(int(s.rres[x, d2]) for x in range(s.n))
-            if neg2 == neg:
-                return law_fail("dualizer-join-formula", (d2,), "second dualizer with same negation")
+    for other in find_cyclic_dualizing(s):
+        if other.d != d and other.neg == neg:
+            return law_fail("dualizer-join-formula", (other.d,), "second dualizer with same negation")
     return law_pass("dualizer-join-formula", f"d={d}")
 
 
@@ -340,25 +324,3 @@ def check_quantale(l, m):
                 if t[join[a, b], x] != join[t[a, x], t[b, x]]:
                     return law_fail("quantale", (a, b, x), "join distribution fails on the left")
     return law_pass("quantale")
-
-
-def check_involutive_quantale(l, m, star):
-    quant = check_quantale(l, m)
-    if quant.failed:
-        return law_skip("involutive-quantale", "quantale laws fail, involution not examined")
-    f = as_order_map(star, l.n)
-    t = np.asarray(m, dtype=np.intp)
-    for x in range(l.n):
-        if f[f[x]] != x:
-            return law_fail("involutive-quantale", (x,), "star is not involutive")
-    for a in range(l.n):
-        for b in range(l.n):
-            if f[t[a, b]] != t[f[b], f[a]]:
-                return law_fail("involutive-quantale", (a, b), "star is not an antihomomorphism")
-    if f[l.bottom] != l.bottom:
-        return law_fail("involutive-quantale", (l.bottom,), "star moves the bottom")
-    for a in range(l.n):
-        for b in range(l.n):
-            if f[l.join[a, b]] != l.join[f[a], f[b]]:
-                return law_fail("involutive-quantale", (a, b), "star does not preserve joins")
-    return law_pass("involutive-quantale")

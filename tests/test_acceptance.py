@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from fixtures import drastic_chain, rebased
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, diamond_m3, \
     horizontal_sum_mo
 from girardlab.cli import main
@@ -20,7 +21,6 @@ from girardlab.residuation import (
     boolean_residuation,
     check_associative,
     derive_residua,
-    drastic_chain,
     godel_chain,
     lukasiewicz_chain,
 )
@@ -34,7 +34,6 @@ from girardlab.subspaces import (
     leq,
     mul,
     random_subspace,
-    rebased,
     residuum,
     verify_quantale_laws,
     zero,

@@ -2,11 +2,11 @@
 import numpy as np
 import pytest
 
+from fixtures import drastic_chain
 from girardlab.catalog import boolean_cube, boolean_ortho, chain, diamond_m3, mo2_subspace_model
 from girardlab.girard import (
     check_boolean_idempotent_criterion,
     check_dualizer_join_formula,
-    check_involutive_quantale,
     check_quantale,
     check_unit_downset_boolean,
     find_cyclic_dualizing,
@@ -21,7 +21,6 @@ from girardlab.residuation import (
     boolean_residuation,
     check_associative,
     derive_residua,
-    drastic_chain,
     godel_chain,
     lukasiewicz_chain,
     residuated_structure,
@@ -206,27 +205,6 @@ class TestQuantale:
                 except ResiduationError:
                     rhs = False
             assert lhs == rhs
-
-
-class TestInvolutiveQuantale:
-    def test_identity_star_on_commutative(self):
-        s = lukasiewicz_chain(3)
-        assert check_involutive_quantale(s.lattice, s.mul, (0, 1, 2)).passed
-
-    def test_complement_star_join_reversal(self):
-        lat = boolean_cube(2)
-        star = (3, 2, 1, 0)
-        report = check_involutive_quantale(lat, lat.meet, star)
-        assert report.failed
-        # replay on an element and its complement: the star sends their
-        # join (the top) to the bottom instead of preserving it
-        a, ac = 1, 2
-        assert star[lat.join[a, ac]] != lat.join[star[a], star[ac]]
-
-    def test_skips_when_not_quantale(self):
-        lat = chain(3)
-        report = check_involutive_quantale(lat, lat.join, (2, 1, 0))
-        assert report.verdict.value == "SKIPPED"
 
 
 class TestUnitDownset:

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_laws as ref
+from fixtures import discrete_cyclic_group, drastic_chain
 from girardlab import girard, orders, residuation, search
-from girardlab.catalog import boolean_cube, chain, discrete_cyclic_group, mo2_subspace_model
+from girardlab.catalog import boolean_cube, chain, mo2_subspace_model
 from girardlab.girard import GirardCertificate
 from girardlab.ortho import OrthoLattice, check_ortholattice, check_orthomodular, compatible
 from girardlab.reports import LawReport
@@ -29,7 +30,7 @@ def _valid_tables():
     """(order, mul) pairs that are residuated, several of them Girard."""
     out = [(lat, lat.meet) for lat in LATTICES if orders.is_distributive(lat).passed]
     for m in range(2, 7):
-        for s in (residuation.lukasiewicz_chain(m), residuation.drastic_chain(m)):
+        for s in (residuation.lukasiewicz_chain(m), drastic_chain(m)):
             out.append((s.lattice, s.mul))
     o, mul = mo2_subspace_model()
     out.append((o.lattice, np.array(mul)))
@@ -230,18 +231,6 @@ def test_boolean_residuation(k):
     lat = boolean_cube(k)
     s = residuation.boolean_residuation(lat)
     assert normal((s.rres, s.lres)) == normal(ref.boolean_residua(lat))
-    same(residuation.check_integral_consequences, ref.check_integral_consequences, s)
-
-
-@settings(max_examples=150, deadline=None)
-@given(mutated())
-def test_integral_consequences(case):
-    order, t = case
-    try:
-        s = structure(order, t)
-    except residuation.ResiduationError:
-        return
-    same(residuation.check_integral_consequences, ref.check_integral_consequences, s)
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +291,12 @@ def test_girard_recognitions(s):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(arbitrary(), mutated().map(lambda c: c + ((),))))
+@given(st.one_of(arbitrary().map(lambda c: c[:2]), mutated()))
 def test_quantale_laws(case):
-    order, t, f = case
+    order, t = case
     if not isinstance(order, orders.FiniteLattice):
         return
     same(girard.check_quantale, ref.check_quantale, order, t)
-    star = f or tuple(range(order.n))
-    same(girard.check_involutive_quantale, ref.check_involutive_quantale, order, t, star)
-    if order.n == 4:  # the Boolean square's conjugation swaps the atoms
-        same(girard.check_involutive_quantale, ref.check_involutive_quantale, order, t, (0, 2, 1, 3))
 
 
 # The right and the left distribution law are checked together at each

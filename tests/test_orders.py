@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from girardlab.catalog import boolean_cube, chain, diamond_m3, pentagon_n5
+from girardlab.catalog import boolean_cube, chain, diamond_m3
 from girardlab.orders import (
     NotALattice,
     NotBounded,
@@ -18,6 +18,7 @@ from girardlab.orders import (
     join_irreducibles,
     validate_poset,
 )
+from girardlab.structfile import build_lattice, load
 
 
 def brute_force_poset_axioms(leq):
@@ -112,9 +113,10 @@ class TestComputeLattice:
         with pytest.raises((NotBounded, NotALattice)):
             compute_lattice(validate_poset(rel))
 
-    def test_lattice_equational_laws(self):
+    def test_lattice_equational_laws(self, structures_dir):
         # commutative, associative, idempotent, absorptive on accepted lattices
-        for lat in (chain(4), boolean_cube(3), diamond_m3(), pentagon_n5()):
+        pentagon = build_lattice(load(structures_dir / "n5.struct"))
+        for lat in (chain(4), boolean_cube(3), diamond_m3(), pentagon):
             m, j, n = lat.meet, lat.join, lat.n
             for x in range(n):
                 assert m[x, x] == x and j[x, x] == x
@@ -139,8 +141,8 @@ class TestPredicates:
         assert lat.meet[x, lat.join[y, z]] != lat.join[lat.meet[x, y], lat.meet[x, z]]
         assert {x, y, z} == {1, 2, 3}
 
-    def test_n5_not_distributive(self):
-        assert is_distributive(pentagon_n5()).failed
+    def test_n5_not_distributive(self, structures_dir):
+        assert is_distributive(build_lattice(load(structures_dir / "n5.struct"))).failed
 
     def test_complemented_cube_unique(self):
         lat = boolean_cube(3)

@@ -159,6 +159,21 @@ def brute_force_blocks(o: OrthoLattice):
     return sorted(b for b in candidates if not any(set(b) < set(c) for c in candidates))
 
 
+def product(a: OrthoLattice, b: OrthoLattice) -> OrthoLattice:
+    """Direct product, with (i, j) at index i * b.n + j.  Its blocks are
+    the products of blocks, which overlap in more than 0 and 1."""
+    lat = compute_lattice(validate_poset(np.kron(a.lattice.leq, b.lattice.leq)))
+    return OrthoLattice(lat, tuple(a.ortho[i] * b.n + b.ortho[j]
+                                   for i in range(a.n) for j in range(b.n)))
+
+
+BLOCK_CASES = {
+    **SHIPPED_OMLS,
+    "2xMO2": product(boolean_ortho(1), horizontal_sum_mo(2)),
+    "2xMO3": product(boolean_ortho(1), horizontal_sum_mo(3)),
+}
+
+
 class TestBlocks:
     def test_boolean_cube_single_block(self):
         o = boolean_ortho(3)
@@ -170,9 +185,9 @@ class TestBlocks:
     def test_mo3(self):
         assert blocks(horizontal_sum_mo(3)) == [(0, 1, 2, 7), (0, 3, 4, 7), (0, 5, 6, 7)]
 
-    @pytest.mark.parametrize("name", list(SHIPPED_OMLS))
+    @pytest.mark.parametrize("name", list(BLOCK_CASES))
     def test_matches_brute_force(self, name):
-        o = SHIPPED_OMLS[name]
+        o = BLOCK_CASES[name]
         assert blocks(o) == brute_force_blocks(o)
 
     @pytest.mark.parametrize("name", list(SHIPPED_OMLS))

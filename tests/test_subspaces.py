@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_subspaces as ref
+from fixtures import rebased
 from girardlab.cli import main
 from girardlab.reports import InputError
 from girardlab.subspaces import (
@@ -22,7 +23,6 @@ from girardlab.subspaces import (
     ortho,
     random_subspace,
     random_subspace_within,
-    rebased,
     residuum,
     span,
     unit,
