@@ -1,4 +1,6 @@
 """Cyclic dualizing elements, recognition agreement, quantale checks."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,24 @@ class TestDualizerJoinFormula:
         (cert,) = find_cyclic_dualizing(s)
         assert cert.d == s.lattice.bottom
         assert check_dualizer_join_formula(s, cert).passed
+
+    def test_wrong_dualizer_fails(self):
+        s = lukasiewicz_chain(5)
+        (cert,) = find_cyclic_dualizing(s)
+        report = check_dualizer_join_formula(s, dataclasses.replace(cert, d=1))
+        assert report.failed and report.witness == (0,)
+
+    def test_broken_certificate_raises(self):
+        # 1 * 1/2 = 0 keeps 0 cyclic and, with the residua untouched,
+        # dualizing; the other dualizers come from find_cyclic_dualizing,
+        # which rejects the table instead of certifying it
+        s = lukasiewicz_chain(3)
+        (cert,) = find_cyclic_dualizing(s)
+        bad = np.array(s.mul)
+        bad[2, 1] = bad[1, 2] = 0
+        broken = type(s)(s.poset, bad, s.rres, s.lres, s.flags, s.lattice)
+        with pytest.raises(RuntimeError, match="fails the unit law"):
+            check_dualizer_join_formula(broken, cert)
 
     def test_per_element_products_stay_below_d(self):
         s = lukasiewicz_chain(4)

@@ -1,4 +1,5 @@
 """Ortholattice axioms, orthomodularity, downsets, compatibility, blocks."""
+import sys
 from itertools import combinations
 
 import pytest
@@ -208,6 +209,14 @@ class TestBlocks:
     def test_requires_orthomodular(self):
         with pytest.raises(InputError):
             blocks(benzene_o6())
+
+    @pytest.mark.parametrize("name, clique", [("2^2", 0b0011), ("MO2", 0b111111)],
+                             ids=["not-closed", "not-boolean"])
+    def test_wrong_candidate_raises(self, monkeypatch, name, clique):
+        # {0, 1} in 2^2 misses 1's complement; all of MO2 is closed but not Boolean
+        monkeypatch.setattr(sys.modules[blocks.__module__], "_maximal_cliques", lambda adj: [clique])
+        with pytest.raises(RuntimeError, match="is not a Boolean subalgebra"):
+            blocks(SHIPPED_OMLS[name])
 
     def test_not_orthomodular_check(self):
         assert not is_orthomodular(benzene_o6())

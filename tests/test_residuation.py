@@ -163,7 +163,7 @@ class TestChains:
     def test_adjointness_verified(self, maker, m):
         assert_adjointness(maker(m))
 
-    @pytest.mark.parametrize("maker", [lukasiewicz_chain, godel_chain])
+    @pytest.mark.parametrize("maker", [lukasiewicz_chain, godel_chain, drastic_chain])
     def test_one_element_is_an_input_error(self, maker):
         with pytest.raises(InputError, match="need at least two elements"):
             maker(1)

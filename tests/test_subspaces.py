@@ -171,6 +171,29 @@ class TestMul:
             t = random_subspace(ctx, rng)
             assert equal(ctx, mul(ctx, s, t), mul(ctx, rebased(s, rng), rebased(t, rng)))
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_zero_operand(self, r3, side):
+        # no Hadamard products at all: an n x 0 matrix splits to the zero subspace
+        s = span(r3, [(1, 2, 3), (0, 1, 1)])
+        product = mul(r3, zero(r3), s) if side == "left" else mul(r3, s, zero(r3))
+        assert product.basis.shape == (3, 0)
+        assert equal(r3, product, zero(r3))
+        _same(r3, product, np.zeros((3, 0)))
+
+
+class TestRandomSubspaceWithin:
+    # the zero subspace can only draw dimension 0; seed 11 draws 0 out of 0..2
+    @pytest.mark.parametrize("dims, seed", [((), 5), (((1, 0, 0), (0, 1, 0)), 11)],
+                             ids=["zero-subspace", "zero-dimension-drawn"])
+    def test_zero_result_draws_only_the_dimension(self, r3, dims, seed):
+        # a size-0 normal draw leaves the generator where the dimension draw left it
+        s = span(r3, list(dims))
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_subspace_within(r3, s, rng)
+        assert int(twin.integers(0, s.dim + 1)) == 0
+        assert got.dim == 0 and equal(r3, got, zero(r3))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
 
 class TestUnitDualizing:
     def test_dimension_one_degenerates(self):
