@@ -20,13 +20,12 @@ Numerical policy: ranks are decided by singular values at a relative
 cutoff tau_rank, and subspace equality by projector Frobenius distance
 at tau_eq (default 1e-8 * sqrt(n)).  Both live in QuantaleContext; the
 dimension is capped because the product of an r-dimensional and an
-s-dimensional subspace spans r*s candidate vectors.  An n x k spanning
-matrix A with k >= n is first tested for full rank on its fold B, the
-n x n sum of its n-column blocks: if sigma_n(B) >= tau_rank * sqrt(w) *
-||A||_F with w = ceil(k / n), A spans R^n and no further decomposition
-is taken.  The rule is exact, since B = AG with G^T G <= w I gives
-sigma_n(A) >= sigma_n(B) / sqrt(w), and ||A||_F >= sigma_0(A), so
-sigma_n(A) >= tau_rank * sigma_0(A).  Otherwise one SVD of A decides.
+s-dimensional subspace spans r*s candidate vectors.  A product or join
+whose spanning matrix A has at least n columns is first tested for rank
+n on its n x n Gram matrix G = AA^T, P_S o P_T or P_S + P_T, without
+forming A: a Cholesky factorisation of G - cI, c just above tau_rank^2
+tr(G), proves sigma_n(A) >= tau_rank * sigma_0(A) and gives R^n.
+Otherwise one SVD of A decides.
 """
 from __future__ import annotations
 
@@ -90,23 +89,8 @@ def _split(a: np.ndarray, tau_rank: float) -> Subspace:
     The rank r is the number of singular values at least tau_rank times
     the largest; an empty or all-zero A has rank 0.  U is n x n (full
     when A is tall, thin otherwise): its first r columns span range(A)
-    and the rest span the complement.
-
-    When k >= n, the singular values of an n x n fold B of A (no U
-    factor) may certify rank n first.  B adds column c of A into column
-    c mod n, so B = AG for a 0/1 matrix G with G^T G diagonal, its
-    entries at most w = ceil(k / n); then BB^T <= w AA^T, so sigma_n(A) >=
-    sigma_n(B) / sqrt(w), and ||A||_F >= sigma_0(A).  The certificate
-    sigma_n(B) >= tau_rank * sqrt(w) * ||A||_F therefore implies
-    sigma_n(A) >= tau_rank * sigma_0(A), the rule above for rank n, and
-    the result is R^n with the standard basis.  When it fails the SVD
-    decides, so only a float tie at the cutoff could come out
-    differently; a full-rank A whose sigma_n / sigma_0 lies within a
-    factor sqrt(w) * ||A||_F / sigma_0 of tau_rank reaches the SVD.
-    Products of generic subspaces spanning R^n, the bulk of the work at
-    large n, end here.  The fold meets every column: a product with R^n
-    in its standard basis as the left operand has columns e_i t_j[i] in
-    runs of one axis each, so its first n columns alone span few axes.
+    and the rest span the complement.  Products and joins come here
+    only when _gram_certifies_full declines.
 
     Near the cutoff, equality at tau_eq is tighter than the numerics can
     decide: a kept direction with sigma ratio rho is only determined to
@@ -116,22 +100,34 @@ def _split(a: np.ndarray, tau_rank: float) -> Subspace:
     n, k = a.shape
     if k == 0:
         return Subspace(np.zeros((n, 0)), np.eye(n))
-    if k >= n:
-        # ||A||_F >= sigma_0(A) unless squares of entries overflow (an
-        # infinite norm) or underflow (a norm below 1e-140 may have lost
-        # them); then the SVD below decides
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(a)
-        if 1e-140 < norm < np.inf:
-            blocks, rest = divmod(k, n)
-            b = a[:, :blocks * n].reshape(n, blocks, n).sum(axis=1)
-            b[:, :rest] += a[:, blocks * n:]
-            w = blocks + (rest > 0)
-            if np.linalg.svd(b, compute_uv=False)[-1] >= tau_rank * math.sqrt(w) * norm:
-                return Subspace(np.eye(n), np.zeros((n, 0)))
     u, sigma, _ = np.linalg.svd(a, full_matrices=k < n)
     r = int(np.count_nonzero(sigma >= tau_rank * sigma[0])) if sigma[0] > 0.0 else 0
     return Subspace(u[:, :r], u[:, r:])
+
+
+def _gram_certifies_full(ctx: QuantaleContext, s: Subspace, t: Subspace, g: np.ndarray) -> bool:
+    """Whether G = AA^T proves rank n for the spanning matrix A of a
+    product (G = P_S o P_T) or join (G = P_S + P_T) of s and t.
+
+    sigma_n(A)^2 = lambda_min(G) and sigma_0(A)^2 <= tr(G), so lambda_min(G)
+    >= tau_rank^2 tr(G) gives sigma_n(A) >= tau_rank * sigma_0(A), the
+    SVD's rule for rank n; a Cholesky factorisation of G - cI proves it
+    (Rump, BIT 2006).  With u the unit roundoff and m = n + dim s + dim t
+    + 3, G is formed to within gamma_{m-n-2} tr(G) in the 2-norm (entry ij
+    errs by at most that times z_i z_j, and sum z_i^2 = tr(G)), the shift
+    adds u tr(G), and a completed factorisation is exact for a matrix
+    within gamma_{n+1} tr(G) / (1 - gamma_{n+1}) (Higham, Thm 10.3).  So
+    c = (tau_rank^2 + 4mu) tr(G), plus 16m^2 subnormals for underflow,
+    covers them and its own rounding.  A G with lambda_min / tr(G) below
+    tau_rank^2 + 4mu (at most 9e-14 in R^64) is declined; the SVD decides.
+    """
+    m, f = ctx.n + s.dim + t.dim + 3, np.finfo(float)
+    c = (ctx.tau_rank ** 2 + 2 * m * f.eps) * np.trace(g) + 16 * m * m * f.smallest_subnormal
+    try:
+        np.linalg.cholesky(g - c * np.eye(ctx.n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def span(ctx: QuantaleContext, vectors: Sequence[Sequence[float]]) -> Subspace:
@@ -181,17 +177,21 @@ def ortho(ctx: QuantaleContext, s: Subspace) -> Subspace:
 def join(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
     """Smallest subspace containing both: span of the stacked bases."""
     _check_same_ambient(ctx, s, t)
+    if s.dim + t.dim >= ctx.n and _gram_certifies_full(ctx, s, t, s.projector() + t.projector()):
+        return full(ctx)
     return _split(np.hstack([s.basis, t.basis]), ctx.tau_rank)
 
 
 def meet(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
-    """Intersection: the complement of the join of complements, one SVD."""
+    """Intersection: the complement of the join of complements, at most one SVD."""
     return ortho(ctx, join(ctx, ortho(ctx, s), ortho(ctx, t)))
 
 
 def mul(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
     """Quantale product: span of all Hadamard products of basis columns."""
     _check_same_ambient(ctx, s, t)
+    if s.dim * t.dim >= ctx.n and _gram_certifies_full(ctx, s, t, s.projector() * t.projector()):
+        return full(ctx)
     products = (s.basis[:, :, None] * t.basis[:, None, :]).reshape(ctx.n, -1)
     return _split(products, ctx.tau_rank)
 
@@ -209,7 +209,7 @@ def dualizing(ctx: QuantaleContext) -> Subspace:
 
 def residuum(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
     """s -> t as the complement of s * complement(t) (commutative case);
-    one SVD."""
+    at most one SVD."""
     return ortho(ctx, mul(ctx, s, ortho(ctx, t)))
 
 

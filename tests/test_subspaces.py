@@ -1,6 +1,7 @@
 """Numerical subspace quantale: exact small cases and sampled laws."""
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import reference_subspaces as ref
 from fixtures import rebased
+from girardlab.catalog import mo2_subspace_model
 from girardlab.cli import main
 from girardlab.reports import InputError
 from girardlab.subspaces import (
@@ -283,6 +285,22 @@ def _near_parallel(n, ratio, rng):
     return [a], [math.cos(angle) * a + math.sin(angle) * b]
 
 
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Every np.linalg svd, cholesky and qr call, as (name, shape, kwargs)."""
+    calls = []
+
+    def spy(name, real):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, a.shape, kwargs))
+            return real(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("svd", "cholesky", "qr"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    return calls
+
+
 class TestKernelDifferential:
     """Each operation against the former kernel in tests/reference_subspaces.py,
     which took a thin SVD per rank and a separate full SVD per complement."""
@@ -335,25 +353,79 @@ class TestKernelDifferential:
             assert got.dim == want.shape[1]
             assert np.linalg.norm(got.projector() - want @ want.T) <= tol
 
-    def test_svd_calls(self, monkeypatch):
+    def test_svd_calls(self, linalg_calls):
+        # a product or join that may span R^n first factors its n x n Gram
+        # matrix; the SVD decides only what that Cholesky does not certify
         ctx = QuantaleContext(8)
         rng = np.random.default_rng(5)
         s, t = random_subspace(ctx, rng, 3), random_subspace(ctx, rng, 5)
-        calls = []
-        real = np.linalg.svd
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        for op, operands, want in ((ortho, (s,), 0), (meet, (s, t), 1), (residuum, (s, t), 1)):
-            calls.clear()
+        certificate = ("cholesky", (8, 8), {})
+        for op, operands, want in (
+            (ortho, (s,), []),
+            # complements of dimensions 5 and 3 join to R^8
+            (meet, (s, t), [certificate]),
+            # 3 * 3 Hadamard products of s and t's complement span R^8
+            (residuum, (s, t), [certificate]),
+            # the Gram matrix 2 P of the complement of s has rank 5
+            (meet, (s, s), [certificate, ("svd", (8, 10), {"full_matrices": False})]),
+            (join, (s, s), [("svd", (8, 6), {"full_matrices": True})]),
+            # span takes one SVD of its raw vectors, whatever their number
+            (span, (list(rng.standard_normal((8, 8))),), [("svd", (8, 8), {"full_matrices": False})]),
+        ):
+            linalg_calls.clear()
             op(ctx, *operands)
-            assert len(calls) == want, op.__name__
+            assert linalg_calls == want, op.__name__
 
-    # Spanning matrices with at least n columns: their n x n fold may
-    # certify rank n; otherwise the SVD decides.
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    @pytest.mark.parametrize("op", ["mul", "join"])
+    @pytest.mark.parametrize("ratio", [1e-2, 1e-6, 3e-9, 3e-10])
+    def test_gram_certificate_margin(self, linalg_calls, n, op, ratio):
+        # operands whose spanning matrix A spans R^n with sigma_n / sigma_0 =
+        # ratio.  mul: a rotated basis of R^n times the line through v = (1,
+        # 0.1, ..., ratio), so A = diag(v / |v|) Q.  join: a hyperplane and
+        # a line at angle 2 atan(ratio) to it, so sigma^2 = 1 +- cos(angle)
+        # on their plane and 1 elsewhere.
+        ctx = QuantaleContext(n)
+        tau = ctx.tau_rank
+        rng = np.random.default_rng([n, len(op)])
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        if op == "mul":
+            v = np.full(n, 0.1)
+            v[0], v[-1] = 1.0, ratio
+            s, t = span(ctx, list(q.T)), span(ctx, [v])
+            a = (s.basis[:, :, None] * t.basis[:, None, :]).reshape(n, -1)
+            want = ref.mul(s.basis, t.basis, tau)
+        else:
+            angle = 2 * math.atan(ratio)
+            s = span(ctx, [q[:, 0]] + list(q[:, 2:].T))
+            t = span(ctx, [math.cos(angle) * q[:, 0] + math.sin(angle) * q[:, 1]])
+            a = np.hstack([s.basis, t.basis])
+            want = ref.join(s.basis, t.basis, tau)
+        spectrum = np.linalg.svd(a, compute_uv=False)
+        assert spectrum[-1] / spectrum[0] == pytest.approx(ratio, rel=1e-3)
+        # the written margin: lambda_min(G) / tr(G) must reach tau^2 + 4mu
+        m = n + s.dim + t.dim + 3
+        margin = tau ** 2 + 2 * m * np.finfo(float).eps
+        rho = spectrum[-1] ** 2 / (spectrum ** 2).sum()
+        assert abs(rho - margin) > 0.1 * margin
+        certified = rho > margin
+        # accepted at 1e-2, declined near the cutoff; at 1e-6 only the join
+        # in R^64 falls short of the margin
+        assert certified == (ratio == 1e-2 or ratio == 1e-6 and (n < 64 or op == "mul"))
+        linalg_calls.clear()
+        got = mul(ctx, s, t) if op == "mul" else join(ctx, s, t)
+        certificate = ("cholesky", (n, n), {})
+        if certified:
+            assert linalg_calls == [certificate]
+            assert np.array_equal(got.basis, np.eye(n))
+        else:
+            assert linalg_calls == [certificate, ("svd", a.shape, {"full_matrices": False})]
+        assert got.dim == want.shape[1] == (n if ratio >= tau else n - 1)
+        _same(ctx, got, want)
+
+    # Spanning matrices with at least n columns, laid out to defeat
+    # shortcuts that read only some columns or sums of column blocks: span
+    # decides each with one SVD.
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
     def test_random_spanning_matrices(self, n):
@@ -379,27 +451,27 @@ class TestKernelDifferential:
     @pytest.mark.parametrize("n, k", [(3, 6), (8, 16), (8, 80), (16, 200), (64, 600)])
     def test_full_rank_behind_deficient_leading_columns(self, n, k):
         # the first n columns span one line and the n-wide column blocks
-        # sum to a matrix of rank n - 1, so the certificate fails and the
-        # decomposition of all k columns must still find rank n
+        # sum to a matrix of rank n - 1; the decomposition of all k columns
+        # must still find rank n
         ctx = QuantaleContext(n)
         rng = np.random.default_rng(n + k)
         a = rng.standard_normal((n, k))
         a[:, :n] = rng.standard_normal((n, 1)) * rng.standard_normal(n)
 
-        def fold(m):
+        def block_sum(m):
             return np.hstack([m, np.zeros((n, -k % n))]).reshape(n, -1, n).sum(axis=1)
 
-        a[:, n:2 * n] += rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, n)) - fold(a)
+        a[:, n:2 * n] += rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, n)) - block_sum(a)
         assert np.linalg.matrix_rank(a[:, :n]) == 1
-        assert np.linalg.matrix_rank(fold(a)) == n - 1
+        assert np.linalg.matrix_rank(block_sum(a)) == n - 1
         got = span(ctx, list(a.T))
         assert got.dim == n
         _same(ctx, got, ref.orthonormal_range(a, ctx.tau_rank))
 
     def test_small_leading_columns(self):
-        # the first 3 columns, and the fold, where the two copies of the
-        # plane cancel, are well conditioned but 1e-15 of the rest, which
-        # span a plane: only the Frobenius norm of all of A tells
+        # the first 3 columns, and the sum of the 3-wide column blocks,
+        # where the two copies of the plane cancel, are well conditioned
+        # but 1e-15 of the rest, which span a plane
         ctx = QuantaleContext(3)
         rng = np.random.default_rng(0)
         plane = 1e3 * rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3))
@@ -412,7 +484,7 @@ class TestKernelDifferential:
         # sigma_1 / sigma_0 = 5e-10, so A has rank 1; most squares of its
         # entries underflow to 0, and the computed ||A||_F = 1e-161 falls
         # far below sigma_0 = 1.5e-160.  Row 1 alternates in sign, so the
-        # fold keeps its direction: trusted, that norm would certify rank 2
+        # sum of the 2-wide column blocks keeps its direction
         ctx = QuantaleContext(2)
         a = np.zeros((2, 10000))
         a[0] = 1.5e-162
@@ -427,12 +499,10 @@ class TestKernelDifferential:
     @pytest.mark.parametrize("layout", ["leading", "generic"])
     @pytest.mark.parametrize("ratio, kept", [(1e-8, True), (3e-9, True), (3e-10, False),
                                              (1e-10, False)])
-    def test_near_cutoff_spanning_matrices(self, monkeypatch, n, wide, layout, ratio, kept):
-        # A has sigma_n / sigma_0 = ratio.  "leading" is [B, 1e-3 B, ...]:
-        # its folded columns are (1 + 1e-3 (copies - 1)) B, so the
-        # certificate alone keeps rank n whenever that fold's sigma_n
-        # reaches tau_rank * sqrt(copies) * ||A||_F; otherwise the SVD keeps
-        # it.  "generic" is U diag(sigma) V^T for a random V.
+    def test_near_cutoff_spanning_matrices(self, linalg_calls, n, wide, layout, ratio, kept):
+        # A has sigma_n / sigma_0 = ratio.  "leading" is [B, 1e-3 B, ...],
+        # whose n-wide column blocks all span range(B); "generic" is
+        # U diag(sigma) V^T for a random V.  span takes one SVD of either.
         ctx = QuantaleContext(n)
         rng = np.random.default_rng([n, int(wide)])
         copies = 10 if wide else 3
@@ -450,22 +520,9 @@ class TestKernelDifferential:
         assert (k > 8 * n) == wide
         spectrum = np.linalg.svd(a, compute_uv=False)
         assert spectrum[n - 1] / spectrum[0] == pytest.approx(ratio, rel=1e-3)
-        calls = []
-        real_svd = np.linalg.svd
-
-        def svd(*args, **kwargs):
-            calls.append(kwargs)
-            return real_svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", svd)
+        linalg_calls.clear()
         got = span(ctx, list(a.T))
-        monkeypatch.undo()
-        if layout == "leading":
-            folded = ratio * (1 + 1e-3 * (copies - 1))
-            certified = folded >= ctx.tau_rank * math.sqrt(copies) * np.linalg.norm(a)
-            # at ten copies the fold's reach ends between 1e-8 and 3e-9
-            assert certified == (kept and (ratio == 1e-8 or not wide))
-            assert len(calls) == (1 if certified else 2)
+        assert linalg_calls == [("svd", (n, k), {"full_matrices": False})]
         want = ref.orthonormal_range(a, ctx.tau_rank)
         assert got.dim == want.shape[1] == (n if kept else n - 1)
         _same(ctx, got, want)
@@ -473,9 +530,9 @@ class TestKernelDifferential:
     @pytest.mark.parametrize("n", [4, 64])
     @pytest.mark.parametrize("ratio, kept", [(2e-9, True), (5e-10, False)])
     def test_repeated_blocks_near_cutoff(self, n, ratio, kept):
-        # A = [C, ..., C] ten times folds to 10 C, whose sigma_n is sqrt(10)
-        # times A's: at ratio 5e-10 only the factor sqrt(w) in the
-        # certificate keeps it from claiming rank n
+        # A = [C, ..., C] ten times: its blocks sum to 10 C, whose sigma_n is
+        # sqrt(10) times A's, so at ratio 5e-10 a rule read off that sum
+        # would keep a direction the SVD of A drops
         ctx = QuantaleContext(n)
         rng = np.random.default_rng(n)
         u, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -554,63 +611,120 @@ class TestKernelDifferential:
         assert neg.dim == n - got.dim
         assert np.linalg.norm(neg.projector() - (np.eye(n) - want @ want.T)) <= tol
 
-    def test_wide_product_decompositions(self, monkeypatch):
+    def test_wide_product_decompositions(self, linalg_calls):
         ctx = QuantaleContext(16)
         rng = np.random.default_rng(7)
         s, t = random_subspace(ctx, rng, 12), random_subspace(ctx, rng, 12)
-        calls = []
-        real_svd, real_qr = np.linalg.svd, np.linalg.qr
-
-        def svd(a, *args, **kwargs):
-            calls.append(("svd", a.shape, kwargs))
-            return real_svd(a, *args, **kwargs)
-
-        def qr(a, *args, **kwargs):
-            calls.append(("qr", a.shape))
-            return real_qr(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        monkeypatch.setattr(np.linalg, "qr", qr)
+        # one Cholesky factorisation of the 16 x 16 Gram matrix, P_s o P_t
+        # or P_s + P_t, certifies rank 16; the product's 144 columns are
+        # never formed
+        certificate = ("cholesky", (16, 16), {})
+        linalg_calls.clear()
         assert mul(ctx, s, t).dim == 16
-        # the singular values of the 16 x 16 fold of 144 columns certify rank 16
-        certificate = ("svd", (16, 16), {"compute_uv": False})
-        assert calls == [certificate]
-        calls.clear()
-        join(ctx, s, t)
-        assert calls == [certificate]
-        calls.clear()
+        assert linalg_calls == [certificate]
+        linalg_calls.clear()
+        assert join(ctx, s, t).dim == 16
+        assert linalg_calls == [certificate]
         # coordinate subspaces on 0..11 and 4..15: their product is the one on
         # 4..11, so the certificate fails and one thin SVD of the 16 x 144
         # spanning matrix decides
         s = rebased(span(ctx, list(np.eye(16)[:12])), rng)
         t = rebased(span(ctx, list(np.eye(16)[4:])), rng)
-        calls.clear()
+        linalg_calls.clear()
         assert mul(ctx, s, t).dim == 8
-        assert calls == [certificate, ("svd", (16, 144), {"full_matrices": False})]
-        calls.clear()
+        assert linalg_calls == [certificate, ("svd", (16, 144), {"full_matrices": False})]
+        linalg_calls.clear()
         assert main(["rn", "--dim", "16", "--trials", "20", "--seed", "1"]) == 0
-        assert calls and all(c[0] == "svd" for c in calls)
+        assert {c[0] for c in linalg_calls} == {"svd", "cholesky"}
 
-    def test_full_operand_products(self, monkeypatch):
-        # a certified result is R^n in the standard basis.  As the left
-        # operand of a product its columns e_i t_j[i] come in runs of one
-        # axis, so the first n of them span ceil(n / dim t) axes; the fold
-        # must still certify rank n with one SVD
+    def test_full_operand_products(self, linalg_calls):
+        # a certified result is R^n in the standard basis.  As an operand of
+        # a product its projector is I, so the Gram matrix is I o P_t, the
+        # diagonal of P_t, and one Cholesky still certifies rank n
         ctx = QuantaleContext(16)
         rng = np.random.default_rng(11)
         e, t = full(ctx), random_subspace(ctx, rng, 12)
-        calls = []
-        real_svd = np.linalg.svd
-
-        def svd(a, *args, **kwargs):
-            calls.append((a.shape, kwargs))
-            return real_svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", svd)
         for s, u in ((e, t), (t, e), (e, e), (mul(ctx, t, t), t)):
-            calls.clear()
+            linalg_calls.clear()
             assert mul(ctx, s, u).dim == 16
-            assert calls == [((16, 16), {"compute_uv": False})]
+            assert linalg_calls == [("cholesky", (16, 16), {})]
+
+
+def _exact_rank(vectors) -> int:
+    """Rank over Q of float vectors, each entry at its exact binary value."""
+    rows = [[Fraction(float(x)) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestExactRank:
+    """Integer operands against exact rational row reduction: a product or
+    join whose Hadamard products or stacked vectors have exact rank below n
+    is never R^n, whatever the certificate or the SVD make of them."""
+
+    def test_exact_rank_oracle(self):
+        assert _exact_rank([]) == 0
+        assert _exact_rank([(1e15, 1e15 + 1), (1e15 + 1, 1e15 + 2)]) == 2
+        assert _exact_rank([(1e15, 1e15 + 1), (2e15, 2e15 + 2), (0, 0)]) == 1
+        assert _exact_rank([(1, 2, 3), (4, 5, 6), (7, 8, 9)]) == 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_never_full_below_exact_rank(self, n):
+        ctx = QuantaleContext(n)
+        rng = np.random.default_rng(40 + n)
+        i = np.arange(n)
+        tried = 0
+        for k in (0, 4, 8, 12, 15):
+            # near-degenerate ramps (10^k, 10^k + 1, ...): with the ones they
+            # span the same plane as (0, 1, ...) at every k
+            pool = [np.ones(n), 10.0 ** k + i, 10.0 ** k + 1 + i, i * i, (-1.0) ** i,
+                    10.0 ** k * (-1.0) ** i + i]
+            pool += list(rng.integers(-2, 3, size=(3, n)).astype(float))
+            for _ in range(40):
+                u = [pool[j] for j in rng.choice(len(pool), int(rng.integers(1, 4)), replace=False)]
+                v = [pool[j] for j in rng.choice(len(pool), int(rng.integers(1, 4)), replace=False)]
+                s, t = span(ctx, u), span(ctx, v)
+                products = _exact_rank([x * y for x in u for y in v])
+                stacked = _exact_rank(u + v)
+                assert mul(ctx, s, t).dim <= products
+                assert join(ctx, s, t).dim <= stacked
+                tried += (s.dim * t.dim >= n and products < n) + (s.dim + t.dim >= n and stacked < n)
+        # the certificate is tried, and must decline, on rank-deficient cases
+        assert tried >= 10
+
+
+class TestMO2Bridge:
+    def test_r2_subspaces_are_the_catalog_model(self, r2, linalg_calls):
+        # 0, e, d, the x and y axes and R^2, in the catalog's element order
+        o, table = mo2_subspace_model()
+        x, one = span(r2, [(1, 0)]), full(r2)
+        elements = [zero(r2), span(r2, [(1, 1)]), span(r2, [(1, -1)]), x, span(r2, [(0, 1)]), one]
+
+        def index(a):
+            (k,) = [j for j, b in enumerate(elements) if equal(r2, a, b)]
+            return k
+
+        assert tuple(tuple(index(mul(r2, a, b)) for b in elements) for a in elements) == table
+        assert tuple(index(ortho(r2, a)) for a in elements) == o.ortho
+        assert np.array_equal([[leq(r2, a, b) for b in elements] for a in elements], o.lattice.leq)
+        # 1 * 1 has Gram matrix I and is certified; x * 1 has diag(1, 0), so
+        # the certificate declines and the SVD decides
+        certificate = ("cholesky", (2, 2), {})
+        linalg_calls.clear()
+        mul(r2, one, one)
+        assert linalg_calls == [certificate]
+        linalg_calls.clear()
+        mul(r2, x, one)
+        assert linalg_calls == [certificate, ("svd", (2, 2), {"full_matrices": False})]
 
 
 @settings(max_examples=50, deadline=None)
