@@ -12,6 +12,13 @@ the search stays exhaustive.  One searcher serves both modes, one unit at
 a time: the unit e bounds each product, x*y <= y when x <= e and
 x*y <= x when y <= e, so integral mode is the search with its one unit
 at the top, where the bound is the meet.
+Unital mode searches only the least unit of each orbit under the order
+automorphisms of the lattice (see _search).  An order automorphism sigma
+carries the unit law, associativity and residuation, so the tables for
+the unit sigma[e] are those for e relabelled by sigma; the ortho map is
+never read, so the automorphisms need not preserve it.  Units are taken
+in index order, the searches share the budget, a mapped unit costs no
+node, and the run stops at the first search that runs out of budget.
 A node costs a few list lookups: monotonicity is one lower bound
 precomputed per cell, and each irreducible's row is join-extended when
 it completes, from the row without its last cell, which is joined once
@@ -29,7 +36,7 @@ passes preserves joins in each argument and needs no separate join scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +60,12 @@ def _down_masks(rows: Tuple[int, ...]) -> List[int]:
     return [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
 
 
+def _order_classes(rows: Sequence[int]) -> List[Tuple[int, int]]:
+    """Each element's class, its (up-set size, down-set size).  An order
+    isomorphism maps every element to one of the same class."""
+    return [(r.bit_count(), sum(s >> i & 1 for s in rows)) for i, r in enumerate(rows)]
+
+
 def canonical_key(rows: Tuple[int, ...]) -> tuple:
     """Minimum lexicographic relation encoding over the relabelings that
     keep each element's class, its (up-set size, down-set size).  The
@@ -61,7 +74,7 @@ def canonical_key(rows: Tuple[int, ...]) -> tuple:
     posets share the key.  The encoding fixes the whole relabelled
     relation, so posets that share the key are isomorphic."""
     n = len(rows)
-    cls = [(rows[i].bit_count(), sum(r >> i & 1 for r in rows)) for i in range(n)]
+    cls = _order_classes(rows)
     slot_class = sorted(cls)
     members: Dict[Tuple[int, int], List[int]] = {}
     for i in range(n):
@@ -94,6 +107,42 @@ def canonical_key(rows: Tuple[int, ...]) -> tuple:
 
     rec(0, ())
     return best
+
+
+def _order_automorphism(leq: np.ndarray, a: int, b: int) -> Optional[np.ndarray]:
+    """A permutation sigma of the poset with sigma[a] = b and
+    leq[sigma[x], sigma[y]] == leq[x, y] for all x and y, or None when
+    there is none.  Backtracks over the images of a, then of the other
+    elements in index order, each within its own class, keeping x <= z
+    iff sigma[x] <= sigma[z] against every element already mapped."""
+    n = len(leq)
+    rows = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in leq]
+    cls = _order_classes(rows)
+    if cls[a] != cls[b]:
+        return None
+    members: Dict[Tuple[int, int], List[int]] = {}
+    for y, c in enumerate(cls):
+        members.setdefault(c, []).append(y)
+    order = [a] + [x for x in range(n) if x != a]
+    sigma = [-1] * n
+    used = [False] * n
+
+    def rec(p: int) -> bool:
+        if p == n:
+            return True
+        x = order[p]
+        for y in [b] if p == 0 else members[cls[x]]:
+            if used[y] or any((rows[x] >> z & 1) != (rows[y] >> sigma[z] & 1)
+                              or (rows[z] >> x & 1) != (rows[sigma[z]] >> y & 1)
+                              for z in order[:p]):
+                continue
+            sigma[x], used[y] = y, True
+            if rec(p + 1):
+                return True
+            used[y] = False
+        return False
+
+    return np.array(sigma, dtype=np.intp) if rec(0) else None
 
 
 def _grow(rows: Tuple[int, ...]):
@@ -403,16 +452,52 @@ class _IrreducibleTableSearch:
         return hits, exhausted, nodes
 
 
+def _mapped_hits(l: FiniteLattice, e: int, sigma: np.ndarray,
+                 hits: List[Tuple[np.ndarray, ResiduatedStructure]]
+                 ) -> List[Tuple[np.ndarray, ResiduatedStructure]]:
+    """The hits of the unit sigma^-1[e] carried to the unit e by the order
+    automorphism sigma: table m becomes sigma[m[inverse, inverse]], which
+    sends sigma[x] and sigma[y] to sigma[m[x, y]].  Unit, associativity
+    and residuation carry over, so each mapped table must pass leaf."""
+    if not (l.leq[np.ix_(sigma, sigma)] == l.leq).all():
+        raise RuntimeError(f"{sigma.tolist()} is not an order automorphism")
+    inverse = np.argsort(sigma)
+    leaf = _IrreducibleTableSearch(l, e).leaf
+    mapped = []
+    for m, _ in hits:
+        table = sigma[m[np.ix_(inverse, inverse)]]
+        s = leaf(table)
+        if s is None:
+            raise RuntimeError(f"{sigma.tolist()} maps a table to one that fails for unit {e}")
+        mapped.append((table, s))
+    return mapped
+
+
 def _search(l: FiniteLattice, mode: str, units: List[int],
             budget: Optional[int]) -> ResiduationSearchResult:
-    """The searches for each unit in turn, sharing the budget, with their
-    hits sorted by table.  Each search is left the budget that remains, so
-    one that needs no node exhausts at any budget."""
+    """The hits for the units, taken in index order, sorted by table.
+
+    A unit is searched only when it is the least unit of its orbit under
+    the order automorphisms of l: a unit sigma[rep] for an earlier
+    searched unit rep takes rep's hits, mapped by sigma and verified
+    (see _mapped_hits).  The searches share the budget, and mapping costs
+    no node.  Each search is left the budget that remains, so one that
+    needs no node exhausts at any budget, and the run stops after the
+    first search that runs out of it.  With one unit, as in integral
+    mode, no automorphism is looked for."""
     hits: List[Tuple[np.ndarray, ResiduatedStructure]] = []
+    searched: Dict[int, List[Tuple[np.ndarray, ResiduatedStructure]]] = {}
     nodes, exhausted = 0, True
     for e in units:
+        orbit = next(((rep, sigma) for rep in searched
+                      if (sigma := _order_automorphism(l.leq, rep, e)) is not None), None)
+        if orbit is not None:
+            rep, sigma = orbit
+            hits += _mapped_hits(l, e, sigma, searched[rep])
+            continue
         remaining = None if budget is None else budget - nodes
         unit_hits, exhausted, unit_nodes = _IrreducibleTableSearch(l, e).run(budget=remaining)
+        searched[e] = unit_hits
         hits += unit_hits
         nodes += unit_nodes
         if not exhausted:

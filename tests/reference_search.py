@@ -38,6 +38,13 @@ its leaf check, so with the same domains it must visit the same nodes as
 `PlainSearch` and find the same tables.
 
 Each search runs one unit and returns its hits in search order.
+
+The unital search before unit orbits.  `search._search` used to run the
+searcher on every unit, where it now searches one unit per orbit under
+the order automorphisms and maps that unit's tables to the rest of its
+orbit.  `per_unit_search` restores the loop over every unit; standing in
+for `search._search`, it must give the same tables, units, unit-downset
+reports and `exhausted` on every carrier whose search exhausts.
 """
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -282,3 +289,21 @@ class LoopIntegralSearch(LoopSearch, MeetBound, search._IrreducibleTableSearch):
 
 class LoopUnitalSearch(LoopSearch, UnitPins, search._IrreducibleTableSearch):
     pass
+
+
+def per_unit_search(l, mode: str, units: List[int], budget: Optional[int]):
+    """search._search without unit orbits: the searcher runs on each unit
+    in turn, sharing the budget, and the hits are sorted by table."""
+    hits = []
+    nodes, exhausted = 0, True
+    for e in units:
+        remaining = None if budget is None else budget - nodes
+        searcher = search._IrreducibleTableSearch(l, e)
+        unit_hits, exhausted, unit_nodes = searcher.run(budget=remaining)
+        hits += unit_hits
+        nodes += unit_nodes
+        if not exhausted:
+            break
+    hits.sort(key=lambda hit: tuple(hit[0].ravel()))
+    return search.ResiduationSearchResult(search._lattice_id(l), mode, [m for m, _ in hits],
+                                          [s for _, s in hits], exhausted, nodes)

@@ -279,7 +279,7 @@ class TestSearchResiduation:
         assert "exhausted=False" in out and "unit-downset-boolean-block" in out
 
     def test_closed_stdout_exits_one_silently(self, structures_dir):
-        # the exhaustive MO2 search writes 89751 bytes, more than a pipe
+        # the exhaustive MO2 search writes 89750 bytes, more than a pipe
         # buffer holds, so writing fails once the reader has gone
         src = str(structures_dir.parent / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -293,7 +293,7 @@ class TestSearchResiduation:
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait() == 1
-        assert first == b"mode=unital found=248 exhausted=True nodes=474534\n"
+        assert first == b"mode=unital found=248 exhausted=True nodes=64244\n"
         assert err == b""
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -307,9 +307,9 @@ class TestSearchResiduation:
 
     def test_budget_bounds_the_node_count(self, capsys, structures_dir):
         code, out, _ = run(capsys, "search-residuation", str(structures_dir / "boolean-4.struct"),
-                           "--mode", "unital", "--budget", "20")  # exhausts at 30 nodes
+                           "--mode", "unital", "--budget", "10")  # exhausts at 14 nodes
         assert code == 0
-        assert out.splitlines()[0].endswith(" exhausted=False nodes=20")
+        assert out.splitlines()[0].endswith(" exhausted=False nodes=10")
 
     def test_budget_bounds_the_integral_search(self, capsys, tmp_path):
         # unbounded, the integral search on this chain runs for minutes

@@ -1,17 +1,20 @@
 """Lattice enumeration and the residuation searches."""
+import itertools
 import pathlib
 import random
 
 import numpy as np
 import pytest
 from reference_search import LoopIntegralSearch, LoopUnitalSearch, PlainIntegralSearch, \
-    PlainUnitalSearch, UnitPinSearch, is_lattice, poset_frontiers, reference_enumeration
+    PlainUnitalSearch, UnitPinSearch, is_lattice, per_unit_search, poset_frontiers, \
+    reference_enumeration
 
 from girardlab import search
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
     horizontal_sum_mo
 from girardlab.girard import check_unit_downset_boolean
-from girardlab.orders import hasse_covers
+from girardlab.orders import compute_lattice, hasse_covers, validate_poset
+from girardlab.ortho import OrthoLattice, is_orthomodular
 from girardlab.reports import InputError, law_pass
 from girardlab.residuation import check_associative, derive_residua, lukasiewicz_chain
 from girardlab.search import (
@@ -215,7 +218,7 @@ class TestUnitalSearch:
                   else search_unital_residuation(o, budget=0))
         assert len(result.found) == 1 and result.exhausted and result.nodes == 0
 
-    @pytest.mark.parametrize("budget", [1, 15, 29])  # the whole search takes 30 nodes
+    @pytest.mark.parametrize("budget", [1, 7, 13])  # the whole search takes 14 nodes
     def test_nodes_never_exceed_the_budget(self, budget):
         result = search_unital_residuation(boolean_ortho(2), budget=budget)
         assert not result.exhausted and result.nodes == budget
@@ -230,7 +233,7 @@ class TestUnitalSearch:
 
     def test_mo2_budgeted_hits_satisfy_downset_conclusions(self):
         result = search_unital_residuation(horizontal_sum_mo(2), budget=20_000)
-        assert not result.exhausted  # full exploration needs 474534 nodes
+        assert not result.exhausted  # full exploration needs 64244 nodes
         assert result.found  # non-Boolean orthomodular carriers with units exist
         assert all(r.passed for r in result.downset_unit_reports)
         for s in result.structures:
@@ -403,3 +406,132 @@ class TestSearchBookkeeping:
         assert {np.array(m).tobytes() for m in reference[0]} <= tables
         if name == "mo2":
             assert tables <= mo2_tables
+
+
+def relabeled_ortho(o, perm):
+    """The ortholattice o with each element i renamed perm[i]."""
+    n = o.n
+    leq = np.zeros((n, n), dtype=bool)
+    leq[np.ix_(perm, perm)] = o.lattice.leq
+    ortho = [0] * n
+    for i in range(n):
+        ortho[perm[i]] = perm[o.ortho[i]]
+    return OrthoLattice(compute_lattice(validate_poset(leq)), tuple(ortho))
+
+
+def _is_automorphism(leq, sigma):
+    return (sorted(sigma.tolist()) == list(range(len(leq)))
+            and (leq[np.ix_(sigma, sigma)] == leq).all())
+
+
+def _atoms(lat):
+    return [x for x in range(lat.n) if lat.leq[:, x].sum() == 2]
+
+
+class TestOrderAutomorphism:
+    """search._order_automorphism, which the unital search uses to map
+    one unit's tables to the rest of its orbit."""
+
+    @pytest.mark.parametrize("lat", [diamond_m3(), horizontal_sum_mo(2).lattice, boolean_cube(3)],
+                             ids=["m3", "mo2", "boolean-8"])
+    def test_atoms_map_to_atoms(self, lat):
+        for a in _atoms(lat):
+            for b in _atoms(lat):
+                sigma = search._order_automorphism(lat.leq, a, b)
+                assert sigma is not None and sigma[a] == b and _is_automorphism(lat.leq, sigma)
+
+    def test_no_atom_maps_to_a_coatom_on_boolean_8(self):
+        lat = boolean_cube(3)
+        coatoms = [x for x in range(lat.n) if lat.leq[x].sum() == 2]
+        assert len(coatoms) == 3
+        assert all(search._order_automorphism(lat.leq, a, c) is None
+                   for a in _atoms(lat) for c in coatoms)
+
+    @pytest.mark.parametrize("lat", [build_lattice(load(STRUCTURES / "n5.struct"))]
+                             + [chain(m) for m in range(1, 7)],
+                             ids=["n5"] + [f"chain-{m}" for m in range(1, 7)])
+    def test_only_the_identity(self, lat):
+        for a in range(lat.n):
+            for b in range(lat.n):
+                sigma = search._order_automorphism(lat.leq, a, b)
+                if a == b:
+                    assert sigma.tolist() == list(range(lat.n))
+                else:
+                    assert sigma is None
+
+    def test_matches_brute_force_on_every_lattice_to_six(self):
+        # sigma exists exactly when one of all n! permutations is an order
+        # automorphism sending a to b, and every sigma returned is one
+        for lat in enumerate_lattices(6).lattices:
+            group = [np.array(p) for p in itertools.permutations(range(lat.n))
+                     if _is_automorphism(lat.leq, np.array(p))]
+            for a in range(lat.n):
+                for b in range(lat.n):
+                    sigma = search._order_automorphism(lat.leq, a, b)
+                    assert (sigma is not None) == any(g[a] == b for g in group)
+                    assert sigma is None or (sigma[a] == b and _is_automorphism(lat.leq, sigma))
+
+
+def _orbit_outcome(result):
+    return ([m.tolist() for m in result.found], [s.flags.unit for s in result.structures],
+            result.downset_unit_reports, result.exhausted)
+
+
+def _orthomodular_files():
+    """(name, carrier) for each checked-in file whose ortholattice is orthomodular."""
+    carriers = []
+    for path in STRUCTURE_FILES:
+        sf = load(path)
+        if sf.ortho is not None and is_orthomodular(o := build_ortholattice(sf)):
+            carriers.append((path.stem, o))
+    return carriers
+
+
+ORTHOMODULAR = _orthomodular_files()
+RELABELED = [(f"{name}-relabeled-{seed}",
+              relabeled_ortho(o, random.Random(seed).sample(range(o.n), o.n)))
+             for name, o in ORTHOMODULAR if name in ("mo2", "boolean-8") for seed in (1, 2, 3)]
+
+
+class TestUnitOrbits:
+    """The unital search maps the tables of one unit per orbit to the
+    rest of the orbit, where it used to search every unit."""
+
+    def test_orthomodular_files(self):
+        assert [name for name, _ in ORTHOMODULAR] == ["boolean-2", "boolean-4", "boolean-8",
+                                                       "mo2", "mo3"]
+
+    @pytest.mark.parametrize("name, o", ORTHOMODULAR + RELABELED,
+                             ids=[name for name, _ in ORTHOMODULAR + RELABELED])
+    def test_matches_per_unit_search(self, monkeypatch, name, o):
+        # every carrier but MO3 exhausts within the budget; on MO3 both
+        # searches spend all of it on the first atom
+        budget = 500_000
+        new = search_unital_residuation(o, budget=budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_search", per_unit_search)
+            reference = search_unital_residuation(o, budget=budget)
+        assert _orbit_outcome(new) == _orbit_outcome(reference)
+        assert new.exhausted == (name != "mo3")
+        assert new.nodes <= reference.nodes
+
+    def test_a_wrong_automorphism_is_an_internal_error(self, monkeypatch):
+        # on the 4-element Boolean algebra, swapping the two atoms keeps
+        # the order and swapping the first atom with the top does not
+        def swap(leq, a, b):
+            sigma = np.arange(len(leq))
+            sigma[a], sigma[b] = b, a
+            return sigma
+
+        monkeypatch.setattr(search, "_order_automorphism", swap)
+        with pytest.raises(RuntimeError, match="not an order automorphism"):
+            search_unital_residuation(boolean_ortho(2), budget=10_000)
+
+    def test_a_mapped_table_failing_its_leaf_is_an_internal_error(self, monkeypatch):
+        class FirstUnitOnly(search._IrreducibleTableSearch):
+            def leaf(self, m):
+                return super().leaf(m) if self.e == 1 else None
+
+        monkeypatch.setattr(search, "_IrreducibleTableSearch", FirstUnitOnly)
+        with pytest.raises(RuntimeError, match="fails for unit 2"):
+            search_unital_residuation(boolean_ortho(2), budget=10_000)
