@@ -6,13 +6,11 @@ from .ortho import OrthoLattice
 from .reports import InputError
 
 
-def chain(m: int, labels=None) -> FiniteLattice:
+def chain(m: int) -> FiniteLattice:
     """The m-element chain 0 < 1 < ... < m-1."""
     if m < 1:
         raise ValueError("chain needs at least one element")
-    if labels is None:
-        labels = [str(i) for i in range(m)]
-    return lattice_from_covers([(i, i + 1) for i in range(m - 1)], labels)
+    return lattice_from_covers([(i, i + 1) for i in range(m - 1)], [str(i) for i in range(m)])
 
 
 def boolean_cube(k: int) -> FiniteLattice:

@@ -259,8 +259,7 @@ def cmd_search_residuation(args) -> int:
 
 
 def cmd_rn(args) -> int:
-    ctx = QuantaleContext(args.dim, tau_rank=args.tol_rank, tau_eq=args.tol_eq)
-    reports = verify_quantale_laws(ctx, args.trials, args.seed)
+    reports = verify_quantale_laws(QuantaleContext(args.dim), args.trials, args.seed)
     sections = [(f"subspace-quantale dim={args.dim}", reports)]
     print(render_report(sections, args.format), end="")
     return exit_code(sections)
@@ -379,8 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--tol-rank", type=float, default=QuantaleContext.tau_rank)
-    p.add_argument("--tol-eq", type=float, default=None)
     p.add_argument("--format", choices=("human", "machine"), default="human")
     p.set_defaults(func=cmd_rn)
 

@@ -231,10 +231,9 @@ def compute_lattice(p: FinitePoset) -> FiniteLattice:
     return FiniteLattice(p, _frozen(meet), _frozen(join), int(bottoms[0]), int(tops[0]))
 
 
-def lattice_from_covers(covers, labels=None) -> FiniteLattice:
+def lattice_from_covers(covers, labels) -> FiniteLattice:
     """Convenience: covers -> closure -> validated poset -> lattice."""
-    n = len(labels) if labels is not None else 1 + max(max(c) for c in covers)
-    return compute_lattice(validate_poset(closure_from_covers(n, covers), labels))
+    return compute_lattice(validate_poset(closure_from_covers(len(labels), covers), labels))
 
 
 def is_distributive(l: FiniteLattice) -> LawReport:

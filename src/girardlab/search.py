@@ -254,9 +254,11 @@ class _IrreducibleTableSearch:
     over their values:
 
     - a value v of a cell passes the monotonicity test iff lo <= v, lo
-      the join of the values of the greatest earlier cells below it.
-      No earlier cell lies above a later one, as an irreducible lies
-      below one of no greater height only when the two are equal;
+      the join of the values of the greatest cells below it: (c, j) and
+      (i, c) for each irreducible c that i, resp. j, covers among the
+      irreducibles.  Every cell below a cell comes earlier, as an
+      irreducible lies below one of no greater height only when the two
+      are equal;
     - when the row of the irreducible i at position t is complete, its
       join-extension R_t[y] = \\/ {a(i, j) : j <= y irreducible} is
       computed and cached.  By monotonicity it is row i of the full
@@ -296,15 +298,17 @@ class _IrreducibleTableSearch:
         irr = np.array(self.irr, dtype=np.intp)
         below, irr_leq = l.leq[irr].T, l.leq[np.ix_(irr, irr)]
         self.below_irr = [[self.irr[s] for s in pos] for pos in _true_columns(below)]
+        irr_lt = irr_leq & ~np.eye(r, dtype=bool)
         # positions in self.irr of the greatest irreducibles below each element
-        self.tops = _true_columns(_greatest(below, irr_leq & ~np.eye(r, dtype=bool)))
+        self.tops = _true_columns(_greatest(below, irr_lt))
         self.cells = [(i, j) for i in self.irr for j in self.irr]
         self.leq_rows, self.join_rows = l.leq.tolist(), l.join.tolist()
-        # cell k is (irr[k // r], irr[k % r]); cell_leq[k, k2] iff cell k <= cell k2
-        cell_leq = (irr_leq[:, None, :, None] & irr_leq[None, :, None, :]).reshape(r * r, r * r)
-        # the greatest earlier cells k2 < k below cell k
-        cell_lt = cell_leq & ~np.eye(r * r, dtype=bool)
-        self.lows = _true_columns(_greatest(np.tril(cell_leq.T, -1), cell_lt))
+        # cell k is (irr[k // r], irr[k % r]); the greatest cells below cell
+        # (t, s) are (c, s) and (t, c) for the lower covers c of t and of s
+        # among the irreducibles, and they come earlier, in increasing order
+        covers = _true_columns(_greatest(irr_lt.T, irr_lt))
+        self.lows = [[c * r + s for c in covers[t]] + [t * r + c for c in covers[s]]
+                     for t in range(r) for s in range(r)]
         # only incomparable pairs can break the join consistency of a
         # monotone row: for a <= b it reads row[b] = row[a] \/ row[b]
         a, b = np.nonzero(np.triu(~(l.leq | l.leq.T)))

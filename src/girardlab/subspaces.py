@@ -16,45 +16,46 @@ random trials through every law family that makes this an orthomodular
 commutative Girard structure whose orthocomplement is the linear
 negation.
 
-Numerical policy: ranks are decided by singular values at a relative
-cutoff tau_rank, and subspace equality by projector Frobenius distance
-at tau_eq (default 1e-8 * sqrt(n)).  Both live in QuantaleContext; the
-dimension is capped because the product of an r-dimensional and an
-s-dimensional subspace spans r*s candidate vectors.  A product or join
-whose spanning matrix A has at least n columns is first tested for rank
-n on its n x n Gram matrix G = AA^T, P_S o P_T or P_S + P_T, without
-forming A: a Cholesky factorisation of G - cI, c just above tau_rank^2
-tr(G), proves sigma_n(A) >= tau_rank * sigma_0(A) and gives R^n.
-Otherwise one SVD of A decides.
+Numerical policy, fixed: ranks are decided by singular values at the
+relative cutoff TAU_RANK = 1e-9, and subspace equality by projector
+Frobenius distance at tau_eq = 1e-8 * sqrt(n).  QuantaleContext holds
+only n and reads both as tau_rank and tau_eq; the dimension is capped
+because the product of an r-dimensional and an s-dimensional subspace
+spans r*s candidate vectors.  A product or join whose spanning matrix A
+has at least n columns is first tested for rank n on its n x n Gram
+matrix G = AA^T, P_S o P_T or P_S + P_T, without forming A: a Cholesky
+factorisation of G - cI, c just above tau_rank^2 tr(G), proves
+sigma_n(A) >= tau_rank * sigma_0(A) and gives R^n.  Otherwise one SVD
+of A decides.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from .reports import InputError, LawReport, law_fail, law_pass
 
 MAX_DIM = 64
+TAU_RANK = 1e-9
 
 
 @dataclass(frozen=True)
 class QuantaleContext:
-    """Ambient dimension plus the numerical tolerance policy."""
+    """The ambient dimension n, with the fixed tolerances it implies."""
 
     n: int
-    tau_rank: float = 1e-9
-    tau_eq: Optional[float] = None
+    tau_rank = TAU_RANK
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_DIM:
             raise InputError(f"dimension must be in 1..{MAX_DIM}")
-        if self.tau_eq is None:
-            object.__setattr__(self, "tau_eq", 1e-8 * math.sqrt(self.n))
-        if not (0 < self.tau_rank < 1 and 0 < self.tau_eq < 1):
-            raise InputError("tolerances must lie strictly between 0 and 1")
+
+    @property
+    def tau_eq(self) -> float:
+        return 1e-8 * math.sqrt(self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +84,10 @@ def _check_same_ambient(ctx: QuantaleContext, *spaces: Subspace):
             raise InputError(f"subspace lives in R^{s.n}, context is R^{ctx.n}")
 
 
-def _split(a: np.ndarray, tau_rank: float) -> Subspace:
+def _split(a: np.ndarray) -> Subspace:
     """range(A) and its complement from one SVD of the n x k matrix A.
 
-    The rank r is the number of singular values at least tau_rank times
+    The rank r is the number of singular values at least TAU_RANK times
     the largest; an empty or all-zero A has rank 0.  U is n x n (full
     when A is tall, thin otherwise): its first r columns span range(A)
     and the rest span the complement.  Products and joins come here
@@ -101,7 +102,7 @@ def _split(a: np.ndarray, tau_rank: float) -> Subspace:
     if k == 0:
         return Subspace(np.zeros((n, 0)), np.eye(n))
     u, sigma, _ = np.linalg.svd(a, full_matrices=k < n)
-    r = int(np.count_nonzero(sigma >= tau_rank * sigma[0])) if sigma[0] > 0.0 else 0
+    r = int(np.count_nonzero(sigma >= TAU_RANK * sigma[0])) if sigma[0] > 0.0 else 0
     return Subspace(u[:, :r], u[:, r:])
 
 
@@ -122,7 +123,7 @@ def _gram_certifies_full(ctx: QuantaleContext, s: Subspace, t: Subspace, g: np.n
     tau_rank^2 + 4mu (at most 9e-14 in R^64) is declined; the SVD decides.
     """
     m, f = ctx.n + s.dim + t.dim + 3, np.finfo(float)
-    c = (ctx.tau_rank ** 2 + 2 * m * f.eps) * np.trace(g) + 16 * m * m * f.smallest_subnormal
+    c = (TAU_RANK ** 2 + 2 * m * f.eps) * np.trace(g) + 16 * m * m * f.smallest_subnormal
     try:
         np.linalg.cholesky(g - c * np.eye(ctx.n))
     except np.linalg.LinAlgError:
@@ -143,7 +144,7 @@ def span(ctx: QuantaleContext, vectors: Sequence[Sequence[float]]) -> Subspace:
     a = np.stack(rows, axis=1) if rows else np.zeros((ctx.n, 0))
     if not np.isfinite(a).all():
         raise InputError("vector coordinates must be finite")
-    return _split(a, ctx.tau_rank)
+    return _split(a)
 
 
 def zero(ctx: QuantaleContext) -> Subspace:
@@ -179,7 +180,7 @@ def join(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
     _check_same_ambient(ctx, s, t)
     if s.dim + t.dim >= ctx.n and _gram_certifies_full(ctx, s, t, s.projector() + t.projector()):
         return full(ctx)
-    return _split(np.hstack([s.basis, t.basis]), ctx.tau_rank)
+    return _split(np.hstack([s.basis, t.basis]))
 
 
 def meet(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
@@ -193,13 +194,13 @@ def mul(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
     if s.dim * t.dim >= ctx.n and _gram_certifies_full(ctx, s, t, s.projector() * t.projector()):
         return full(ctx)
     products = (s.basis[:, :, None] * t.basis[:, None, :]).reshape(ctx.n, -1)
-    return _split(products, ctx.tau_rank)
+    return _split(products)
 
 
 def unit(ctx: QuantaleContext) -> Subspace:
     """The line through (1, ..., 1), neutral for the Hadamard product."""
     ones = np.ones((ctx.n, 1)) / math.sqrt(ctx.n)
-    return Subspace(ones, _split(ones, ctx.tau_rank).complement)
+    return Subspace(ones, _split(ones).complement)
 
 
 def dualizing(ctx: QuantaleContext) -> Subspace:
@@ -213,17 +214,16 @@ def residuum(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
     return ortho(ctx, mul(ctx, s, ortho(ctx, t)))
 
 
-def random_subspace(ctx: QuantaleContext, rng: np.random.Generator, dim: Optional[int] = None) -> Subspace:
+def random_subspace(ctx: QuantaleContext, rng: np.random.Generator) -> Subspace:
     """Rotation-invariant random subspace; dimension uniform on 0..n."""
-    if dim is None:
-        dim = int(rng.integers(0, ctx.n + 1))
-    return _split(rng.standard_normal((ctx.n, dim)), ctx.tau_rank)
+    dim = int(rng.integers(0, ctx.n + 1))
+    return _split(rng.standard_normal((ctx.n, dim)))
 
 
 def random_subspace_within(ctx: QuantaleContext, s: Subspace, rng: np.random.Generator) -> Subspace:
     """Random subspace of s, of dimension uniform on 0..dim(s)."""
     k = int(rng.integers(0, s.dim + 1))
-    return _split(s.basis @ rng.standard_normal((s.dim, k)), ctx.tau_rank)
+    return _split(s.basis @ rng.standard_normal((s.dim, k)))
 
 
 _LAWS = (

@@ -13,6 +13,7 @@ from girardlab.catalog import chain, diamond_m3
 from girardlab.residuation import AdjointnessFailure, godel_chain
 from girardlab.search import confirm_boolean_forcing
 from girardlab.structfile import from_lattice, parse, serialize
+from girardlab.subspaces import QuantaleContext
 
 
 def run(capsys, *argv):
@@ -347,18 +348,26 @@ class TestRn:
         assert "--seed: must be at least 0, got -1" in err
 
     @pytest.mark.parametrize("fmt", ["human", "machine"])
-    def test_failure_witness_is_seed_and_trial(self, capsys, fmt):
+    def test_failure_witness_is_seed_and_trial(self, capsys, monkeypatch, fmt):
         # an equality tolerance of 1e-300 fails every law whose two sides
         # are different bases of one subspace; trial 1 compares the unit
         # times a 2-dimensional s with s itself
-        argv = ["rn", "--dim", "3", "--trials", "2", "--seed", "1", "--tol-eq", "1e-300",
-                "--format", fmt]
+        monkeypatch.setattr(QuantaleContext, "tau_eq", 1e-300)
+        argv = ["rn", "--dim", "3", "--trials", "2", "--seed", "1", "--format", fmt]
         code, out, _ = run(capsys, *argv)
         assert code == 1
         if fmt == "machine":
             assert "unit-law\tFAIL\t[1, 0]" in out.splitlines()
         else:
             assert "  [FAIL] unit-law  witness=[1, 0]  (" in out
+
+    @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-eq"])
+    def test_tolerances_are_not_options(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["rn", "--dim", "3", flag, "1e-9"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"unrecognized arguments: {flag} 1e-9" in err
 
 
 class TestRnOp:
@@ -493,9 +502,6 @@ INPUT_ERRORS = [
                  id="residuation._chain_with_fraction_labels-too-large"),
     pytest.param(["rn", "--dim", "65"], "dimension must be in 1..64",
                  id="subspaces.QuantaleContext-dimension"),
-    pytest.param(["rn", "--dim", "3", "--tol-eq", "nan"],
-                 "tolerances must lie strictly between 0 and 1",
-                 id="subspaces.QuantaleContext-tolerance"),
     pytest.param(["rn-op", "--dim", "2", "--op", "ortho", "--a=1,2,3"],
                  "expected vectors of length 2", id="subspaces.span-length"),
     pytest.param(["rn", "--dim", "3", "--trials", "0"], "need at least one trial",

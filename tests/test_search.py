@@ -326,6 +326,21 @@ class TestSearchBookkeeping:
             for k, (i, j) in enumerate(cells):
                 assert not any(lat.leq[i, i2] and lat.leq[j, j2] for i2, j2 in cells[:k])
 
+    def test_lows_are_the_greatest_earlier_cells_below(self):
+        # the closed form from lower covers against a scan over all cell pairs
+        files = [build_lattice(load(path)) for path in STRUCTURE_FILES]
+        for lat in enumerate_lattices(7).lattices + files:
+            searcher = search._IrreducibleTableSearch(lat, lat.top)
+            cells = searcher.cells
+
+            def below(k2, k):
+                return bool(lat.leq[cells[k2][0], cells[k][0]] and lat.leq[cells[k2][1], cells[k][1]])
+
+            for k in range(len(cells)):
+                lower = [k2 for k2 in range(k) if below(k2, k)]
+                greatest = {k2 for k2 in lower if not any(k3 != k2 and below(k2, k3) for k3 in lower)}
+                assert set(searcher.lows[k]) == greatest, (lat.n, k)
+
     @pytest.mark.parametrize("path", STRUCTURE_FILES, ids=lambda p: p.stem)
     def test_integral_on_structure_files(self, monkeypatch, path):
         lat = build_lattice(load(path))

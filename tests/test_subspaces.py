@@ -358,7 +358,8 @@ class TestKernelDifferential:
         # matrix; the SVD decides only what that Cholesky does not certify
         ctx = QuantaleContext(8)
         rng = np.random.default_rng(5)
-        s, t = random_subspace(ctx, rng, 3), random_subspace(ctx, rng, 5)
+        s = span(ctx, list(rng.standard_normal((8, 3)).T))
+        t = span(ctx, list(rng.standard_normal((8, 5)).T))
         certificate = ("cholesky", (8, 8), {})
         for op, operands, want in (
             (ortho, (s,), []),
@@ -614,7 +615,8 @@ class TestKernelDifferential:
     def test_wide_product_decompositions(self, linalg_calls):
         ctx = QuantaleContext(16)
         rng = np.random.default_rng(7)
-        s, t = random_subspace(ctx, rng, 12), random_subspace(ctx, rng, 12)
+        s = span(ctx, list(rng.standard_normal((16, 12)).T))
+        t = span(ctx, list(rng.standard_normal((16, 12)).T))
         # one Cholesky factorisation of the 16 x 16 Gram matrix, P_s o P_t
         # or P_s + P_t, certifies rank 16; the product's 144 columns are
         # never formed
@@ -643,7 +645,7 @@ class TestKernelDifferential:
         # diagonal of P_t, and one Cholesky still certifies rank n
         ctx = QuantaleContext(16)
         rng = np.random.default_rng(11)
-        e, t = full(ctx), random_subspace(ctx, rng, 12)
+        e, t = full(ctx), span(ctx, list(rng.standard_normal((16, 12)).T))
         for s, u in ((e, t), (t, e), (e, e), (mul(ctx, t, t), t)):
             linalg_calls.clear()
             assert mul(ctx, s, u).dim == 16
