@@ -1,17 +1,37 @@
 """Exhaustive enumeration of small lattices and residuation searches.
 
-Lattices are enumerated up to isomorphism by growing lattices one coatom
-at a time, with canonical-form rejection at every size: deleting a
-coatom, which is meet-irreducible, from a finite lattice leaves a
-lattice, so every lattice is reached.  A child is a lattice exactly when
-the new coatom's down-set holds the bottom and the join of any two of
-its members is in it or is the top (see _grow).  Residuation searches
-backtrack only over products of join-irreducible pairs: a residuated
-multiplication preserves joins, so it is determined by those values and
-the search stays exhaustive.  One searcher serves both modes, one unit at
-a time: the unit e bounds each product, x*y <= y when x <= e and
-x*y <= x when y <= e, so integral mode is the search with its one unit
-at the top, where the bound is the meet.
+Lattices are enumerated up to isomorphism by canonical augmentation
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).  The
+children of a lattice P are P + c, with a new coatom c above a down-set
+d of P.  Deleting a coatom, which is meet-irreducible, from a finite
+lattice leaves a lattice, so every lattice is a child.  A child is
+grown only when c has the largest down-set among its coatoms (see
+_grow), and each orbit of masks d under the automorphisms of P gives
+only its least.  When c is the only coatom with that down-set size, the
+child is kept outright; when another coatom ties with c, it is kept
+when its canonical key is new at its size.  Each class is kept exactly
+once, given one parent per class of the size below:
+- kept: a lattice L has a coatom c with the largest down-set; L - c is
+  a lattice, isomorphic to a parent P, so L is isomorphic to a child
+  P + c on some d.  sigma in Aut(P) maps d to the least mask of its
+  orbit and extends to an isomorphism of the children that fixes c.
+  Whether c ties is a property of the class, so that child is kept, or
+  one with the same key before it;
+- once: tie children are kept once per key.  An isomorphism of two
+  kept children without ties maps the one coatom with the largest
+  down-set to the other, so it restricts to an isomorphism of their
+  parents, which are then one parent P, and to an automorphism of P
+  that maps one d to the other.  Both are least in their orbit, so they
+  are equal.
+One routine (_labellings) gives both the keys and the automorphisms.
+Within a size the lattices come in generation order.
+
+Residuation searches backtrack only over products of join-irreducible
+pairs: a residuated multiplication preserves joins, so it is determined
+by those values and the search stays exhaustive.  One searcher serves
+both modes, one unit at a time: the unit e bounds each product,
+x*y <= y when x <= e and x*y <= x when y <= e, so integral mode is the
+search with its one unit at the top, where the bound is the meet.
 Unital mode searches only the least unit of each orbit under the order
 automorphisms of the lattice (see _search).  An order automorphism sigma
 carries the unit law, associativity and residuation, so the tables for
@@ -36,6 +56,7 @@ passes preserves joins in each argument and needs no separate join scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,13 +87,17 @@ def _order_classes(rows: Sequence[int]) -> List[Tuple[int, int]]:
     return [(r.bit_count(), sum(s >> i & 1 for s in rows)) for i, r in enumerate(rows)]
 
 
-def canonical_key(rows: Tuple[int, ...]) -> tuple:
-    """Minimum lexicographic relation encoding over the relabelings that
-    keep each element's class, its (up-set size, down-set size).  The
-    classes are isomorphism invariants, so the minimum ranges over a set
-    of permutations that always contains the isomorphisms; isomorphic
-    posets share the key.  The encoding fixes the whole relabelled
-    relation, so posets that share the key are isomorphic."""
+def _labellings(rows: Tuple[int, ...]) -> Tuple[tuple, List[List[int]]]:
+    """The minimum lexicographic relation encoding over the relabelings
+    that keep each element's class, its (up-set size, down-set size), and
+    every labelling that reaches it: perm[p] is the element put in slot
+    p.  The classes are isomorphism invariants, so the minimum ranges
+    over a set of permutations that always contains the isomorphisms;
+    isomorphic posets share the encoding.  The encoding fixes the whole
+    relabelled relation, so posets that share it are isomorphic, and two
+    labellings that reach it differ by an automorphism.  Only prefixes
+    greater than the best so far are pruned, so every labelling that
+    reaches the minimum is visited."""
     n = len(rows)
     cls = _order_classes(rows)
     slot_class = sorted(cls)
@@ -81,14 +106,17 @@ def canonical_key(rows: Tuple[int, ...]) -> tuple:
         members.setdefault(cls[i], []).append(i)
 
     best: Optional[tuple] = None
+    labellings: List[List[int]] = []
     perm: List[int] = []
     used = [False] * n
 
     def rec(p: int, prefix: tuple):
-        nonlocal best
+        nonlocal best, labellings
         if p == n:
+            # prefix <= best here: its last step was checked against best
             if best is None or prefix < best:
-                best = prefix
+                best, labellings = prefix, []
+            labellings.append(perm[:])
             return
         for cand in members[slot_class[p]]:
             if used[cand]:
@@ -106,7 +134,31 @@ def canonical_key(rows: Tuple[int, ...]) -> tuple:
             used[cand] = False
 
     rec(0, ())
-    return best
+    # rec reaches itself through its closure; deleting the name frees that
+    # cycle, and the labellings it holds, now rather than at a collection
+    del rec
+    return best, labellings
+
+
+def canonical_key(rows: Tuple[int, ...]) -> tuple:
+    """The minimal relation encoding of the poset (see _labellings):
+    two posets share the key exactly when they are isomorphic."""
+    return _labellings(rows)[0]
+
+
+def _automorphisms(rows: Tuple[int, ...]) -> List[List[int]]:
+    """Every order automorphism sigma of the poset, as sigma[x] for each
+    element x, the identity first: sigma maps the element that the first
+    minimal labelling puts in each slot to the one another puts there."""
+    _, labellings = _labellings(rows)
+    first = labellings[0]
+    autos = []
+    for perm in labellings:
+        sigma = [0] * len(rows)
+        for x, y in zip(first, perm):
+            sigma[x] = y
+        autos.append(sigma)
+    return autos
 
 
 def _order_automorphism(leq: np.ndarray, a: int, b: int) -> Optional[np.ndarray]:
@@ -146,29 +198,51 @@ def _order_automorphism(leq: np.ndarray, a: int, b: int) -> Optional[np.ndarray]
 
 
 def _grow(rows: Tuple[int, ...]):
-    """All one-larger lattices with a new coatom c: c sits under the top,
-    element 0 of every grown lattice, above a down-closed set d of
-    non-top elements.  The child is a lattice exactly when d holds the
-    bottom (any d when the parent has one element) and the join of any
-    two members of d is in d or is the top, because:
+    """(d, child, tie) for the one-larger lattices with a new coatom c
+    that has the greatest down-set among the child's coatoms.  c sits
+    under the top, element 0 of every grown lattice, above a down-closed
+    set d of non-top elements, and d is its mask.  The child's other
+    coatoms are the parent's coatoms outside d, with their parent
+    down-sets, and c's down-set has |d| + 1 elements; tie is True when
+    one of those others has as many.  This test is cheap, so it runs
+    first.  The module docstring shows how the tie flag and the orbits of
+    d keep each class once.
+
+    The child is a lattice exactly when d holds the bottom (any d when
+    the parent has one element) and the join of any two members of d is
+    in d or is the top, because:
     - the child has a bottom exactly when d holds the parent's, and a
       finite poset with a bottom is a lattice when all pairs have joins;
     - c \\/ x is c when x is in d, and the top otherwise;
     - a pair not wholly inside d keeps its parent join: c bounds neither;
     - for x, y in d with parent join j, the join is j if j is in d and c
       if j is the top; else j and c are two minimal upper bounds.
+    Both tests are invariant under the parent's automorphisms, so the
+    masks yielded are a union of orbits of them.
     """
     n = len(rows)
     downs = _down_masks(rows)
     up_of = {r: i for i, r in enumerate(rows)}
     joins = [[up_of[rx & ry] for ry in rows] for rx in rows]
     bottom, new_bit = rows.index((1 << n) - 1), 1 << n
+    # the parent's coatoms, the greatest down-set first
+    coatoms = sorted((downs[i].bit_count(), i) for i in range(1, n) if rows[i] == 1 << i | 1)[::-1]
     for d in range(0, 1 << n, 2):  # the even masks leave out element 0
         allowed = d | 1  # d and the top, which is the bottom when n == 1
+        if not allowed >> bottom & 1:
+            continue
+        size, rival = d.bit_count() + 1, 0
+        for s, x in coatoms:
+            if not d >> x & 1:
+                rival = s
+                break
+        if size < rival:
+            continue
         members = [i for i in range(n) if d >> i & 1]
-        if (allowed >> bottom & 1 and not any(downs[i] & ~d for i in members)
+        if (not any(downs[i] & ~d for i in members)
                 and all(allowed >> joins[x][y] & 1 for x in members for y in members)):
-            yield tuple(rows[i] | (new_bit if d >> i & 1 else 0) for i in range(n)) + (new_bit | 1,)
+            child = tuple(rows[i] | (new_bit if d >> i & 1 else 0) for i in range(n))
+            yield d, child + (new_bit | 1,), size == rival
 
 
 def _rows_to_lattice(rows: Tuple[int, ...]) -> FiniteLattice:
@@ -183,25 +257,48 @@ class EnumerationResult:
     counts: Dict[int, int]
 
 
+def _orbit_least(rows: Tuple[int, ...]):
+    """(child, tie) from _grow for the least mask d of each orbit under
+    the parent's automorphisms, in increasing order of d."""
+    grown = list(_grow(rows))
+    # the masks grown are a union of orbits, so a lone mask is one
+    autos = _automorphisms(rows) if len(grown) > 1 else [list(range(len(rows)))]
+    seen = set()
+    for d, child, tie in grown:  # by increasing d, so each orbit's least comes first
+        if d not in seen:
+            members = [i for i in range(len(rows)) if d >> i & 1]
+            seen.update(sum(1 << sigma[i] for i in members) for sigma in autos)
+            yield child, tie
+
+
 def enumerate_lattices(max_n: int) -> EnumerationResult:
     """All lattices on at most max_n elements, one per isomorphism class,
-    by size and in canonical-key order within a size.  Every lattice
-    grown is returned; callers that want a subclass filter the list.
+    by size and in generation order within a size: each parent's kept
+    children follow those of the parents before it.  A child whose new
+    coatom ties is kept when its key is new at its size, any other
+    outright (see the module docstring).  Every lattice grown is
+    returned; callers that want a subclass filter the list.
     """
     if not 1 <= max_n <= MAX_ENUM:
         raise InputError(f"max_n must be in 1..{MAX_ENUM}")
 
     lattices: List[FiniteLattice] = []
     counts: Dict[int, int] = {}
-    frontier: Dict[tuple, Tuple[int, ...]] = {canonical_key((1,)): (1,)}
+    frontier: List[Tuple[int, ...]] = [(1,)]
     for size in range(1, max_n + 1):
-        lattices.extend(_rows_to_lattice(frontier[key]) for key in sorted(frontier))
+        lattices.extend(_rows_to_lattice(rows) for rows in frontier)
         counts[size] = len(frontier)
         if size < max_n:
-            grown: Dict[tuple, Tuple[int, ...]] = {}
-            for rows in frontier.values():
-                for ext in _grow(rows):
-                    grown.setdefault(canonical_key(ext), ext)
+            grown: List[Tuple[int, ...]] = []
+            tie_keys = set()
+            for rows in frontier:
+                for child, tie in _orbit_least(rows):
+                    if tie:
+                        key = canonical_key(child)
+                        if key in tie_keys:
+                            continue
+                        tie_keys.add(key)
+                    grown.append(child)
             frontier = grown
     return EnumerationResult(lattices, counts)
 
@@ -336,11 +433,12 @@ class _IrreducibleTableSearch:
                 self.finals[self.maxpos[x]].append((x, tops))
         for a, b, ab in self.incomparable:
             self.left_law[self.maxpos[ab]].append((a, b, ab))
-        pairs = []  # (max(p, q), cell index, p, q), by max(p, q)
+        # (max(p, q), cell index, p, q), by max(p, q): row t reads the
+        # first (t + 1) ** 2, the cells with p, q <= t
+        self.pairs = []
         for t in range(r):
-            pairs += [(t, t * r + s, t, s) for s in range(t)]
-            pairs += [(t, s * r + t, s, t) for s in range(t + 1)]
-        self.assoc = [pairs[:(t + 1) ** 2] for t in range(r)]
+            self.pairs += [(t, t * r + s, t, s) for s in range(t)]
+            self.pairs += [(t, s * r + t, s, t) for s in range(t + 1)]
 
     def domain(self, i: int, j: int) -> List[int]:
         """The values cell (i, j) ranges over, in search order.  The unit
@@ -394,7 +492,7 @@ class _IrreducibleTableSearch:
             if [join[u][w] for u, w in zip(full[a], full[b])] != full[ab]:
                 return False
         values, maxpos = self.values, self.maxpos
-        for pq, k, p, q in self.assoc[t]:
+        for pq, k, p, q in islice(self.pairs, (t + 1) ** 2):
             xy = values[k]
             if max(pq, maxpos[xy]) == t:
                 row_x = rows[p]

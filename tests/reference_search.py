@@ -5,10 +5,21 @@ The bounded-poset lattice enumerator.  Before girardlab grew lattices
 one coatom at a time, its enumerator grew every bounded-below poset one
 maximal element at a time and kept only the lattices when it emitted
 each size.  That process reaches every lattice because deleting a
-maximal element keeps the bottom.  It shares the canonical form and the
-output order with the current enumerator but neither the growth nor the
-lattice test, which here is compute_lattice, so it serves, only here, as
-the oracle of the differential tests in tests/test_search.py.
+maximal element keeps the bottom.  It shares the canonical form with
+the current enumerator but neither the growth nor the lattice test,
+which here is compute_lattice, so it serves, only here, as the oracle of
+the differential tests in tests/test_search.py.  It emits each size in
+canonical-key order, and the current enumerator in generation order.
+
+The key-per-child coatom enumerator.  Before canonical augmentation,
+girardlab grew lattices one coatom at a time as it does now, but it
+labelled every child that passed the lattice test and kept one child per
+canonical key, sorted by key within a size.  `grow_coatom` is that
+growth and `coatom_enumeration` that loop.  They share only
+`canonical_key` with the current enumerator, which labels a child only
+when its new coatom ties with another on down-set size and otherwise
+keeps the least down-set of each orbit under the parent's automorphisms,
+so the two must emit the same classes at every size.
 
 The searcher's value domains before the unit bound.  Integral mode
 capped each cell by the meet of its irreducibles, and unital mode let
@@ -100,13 +111,47 @@ def poset_frontiers(max_n: int) -> Tuple[Dict[tuple, Tuple[int, ...]], ...]:
 
 
 def reference_enumeration(max_n: int):
-    """(keys, counts): the canonical keys each size emits, in output
-    order, and the per-size counts, keeping the lattices of the poset
-    frontier that compute_lattice accepts."""
+    """(keys, counts): the canonical keys each size emits, sorted, and
+    the per-size counts, keeping the lattices of the poset frontier that
+    compute_lattice accepts."""
     keys: Dict[int, List[tuple]] = {}
     for size, frontier in enumerate(poset_frontiers(max_n), start=1):
         keys[size] = [key for key in sorted(frontier) if is_lattice(frontier[key])]
     return keys, {size: len(k) for size, k in keys.items()}
+
+
+def grow_coatom(rows: Tuple[int, ...]):
+    """All one-larger lattices with a new coatom above a down-closed set
+    d of non-top elements: d must hold the bottom (any d when the parent
+    has one element), and the join of any two members of d must be in d
+    or be the top."""
+    n = len(rows)
+    downs = _down_masks(rows)
+    up_of = {r: i for i, r in enumerate(rows)}
+    joins = [[up_of[rx & ry] for ry in rows] for rx in rows]
+    bottom, new_bit = rows.index((1 << n) - 1), 1 << n
+    for d in range(0, 1 << n, 2):
+        allowed = d | 1
+        members = [i for i in range(n) if d >> i & 1]
+        if (allowed >> bottom & 1 and not any(downs[i] & ~d for i in members)
+                and all(allowed >> joins[x][y] & 1 for x in members for y in members)):
+            yield tuple(rows[i] | (new_bit if d >> i & 1 else 0) for i in range(n)) + (new_bit | 1,)
+
+
+def coatom_enumeration(max_n: int) -> Dict[int, List[tuple]]:
+    """The canonical keys of the lattices of each size 1..max_n, sorted,
+    one per child class of the key-per-child coatom enumerator."""
+    keys: Dict[int, List[tuple]] = {}
+    frontier = {canonical_key((1,)): (1,)}
+    for size in range(1, max_n + 1):
+        keys[size] = sorted(frontier)
+        if size < max_n:
+            grown: Dict[tuple, Tuple[int, ...]] = {}
+            for rows in frontier.values():
+                for ext in grow_coatom(rows):
+                    grown.setdefault(canonical_key(ext), ext)
+            frontier = grown
+    return keys
 
 
 class PlainSearch:

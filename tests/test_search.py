@@ -2,12 +2,13 @@
 import itertools
 import pathlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from reference_search import LoopIntegralSearch, LoopUnitalSearch, PlainIntegralSearch, \
-    PlainUnitalSearch, UnitPinSearch, is_lattice, per_unit_search, poset_frontiers, \
-    reference_enumeration
+    PlainUnitalSearch, UnitPinSearch, coatom_enumeration, is_lattice, per_unit_search, \
+    poset_frontiers, reference_enumeration
 
 from girardlab import search
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
@@ -56,29 +57,52 @@ class TestEnumeration:
         assert result.counts == LATTICE_COUNTS
         assert len(result.lattices) == sum(LATTICE_COUNTS.values())
 
+    def test_count_at_ten_matches_a006966(self):
+        assert enumerate_lattices(10).counts == {**LATTICE_COUNTS, 10: 5994}
+
+    def test_matches_key_per_child_enumerator(self):
+        """Canonical augmentation emits, size by size, the classes that
+        labelling every child and keeping one per key did, each once."""
+        keys = coatom_enumeration(9)
+        got = {size: [] for size in keys}
+        for lat in enumerate_lattices(9).lattices:
+            got[lat.n].append(canonical_key(rows_of(lat)))
+        assert {size: sorted(k) for size, k in got.items()} == keys
+
     def test_matches_bounded_poset_enumerator(self):
-        """Coatom growth emits, size by size and in the same order, the
-        isomorphism classes the old bounded-poset enumerator kept."""
+        """Coatom growth emits, size by size, the isomorphism classes the
+        old bounded-poset enumerator kept, each once; the order within a
+        size differs, so the keys are compared sorted."""
         keys, counts = reference_enumeration(8)
         result = enumerate_lattices(8)
         assert result.counts == counts
         got = {size: [] for size in counts}
         for lat in result.lattices:
             got[lat.n].append(canonical_key(rows_of(lat)))
-        assert got == keys
+        assert {size: sorted(k) for size, k in got.items()} == keys
 
     def test_growth_rule_matches_compute_lattice(self):
-        """_grow yields, in order, the extensions by a coatom above a
-        down-closed set d of non-top elements that compute_lattice
-        accepts; d is down-closed when nothing outside it lies below a
-        member."""
+        """_grow yields, in order of d, the extensions by a coatom c above
+        a down-closed set d of non-top elements that compute_lattice
+        accepts and in which no other coatom has a larger down-set, with
+        tie marking one that has as large a down-set; d is down-closed
+        when nothing outside it lies below a member."""
         for lat in enumerate_lattices(7).lattices:
             rows = rows_of(lat)
             n = len(rows)
-            extensions = [tuple(rows[i] | (d >> i & 1) << n for i in range(n)) + (1 << n | 1,)
-                          for d in range(0, 1 << n, 2)
-                          if not any(rows[i] & d for i in range(n) if not d >> i & 1)]
-            assert list(search._grow(rows)) == [ext for ext in extensions if is_lattice(ext)]
+            expected = []
+            for d in range(0, 1 << n, 2):
+                if any(rows[i] & d for i in range(n) if not d >> i & 1):
+                    continue
+                ext = tuple(rows[i] | (d >> i & 1) << n for i in range(n)) + (1 << n | 1,)
+                if not is_lattice(ext):
+                    continue
+                leq = np.array([[bool(r >> j & 1) for j in range(n + 1)] for r in ext])
+                downs = leq.sum(axis=0)
+                rival = max((downs[x] for x in range(1, n) if leq[x].sum() == 2), default=0)
+                if downs[n] >= rival:
+                    expected.append((d, ext, downs[n] == rival))
+            assert list(search._grow(rows)) == expected
 
     def test_single_element(self):
         result = enumerate_lattices(1)
@@ -161,7 +185,7 @@ class TestIntegralSearch:
         class NoPartialAssociativity(search._IrreducibleTableSearch):
             def __init__(self, l, e):
                 super().__init__(l, e)
-                self.assoc = [[] for _ in self.assoc]
+                self.pairs = []
 
         lat = chain(4)
         strict = search_integral_residuation(lat)
@@ -175,6 +199,18 @@ class TestIntegralSearch:
             table = np.array(extra).reshape(4, 4)
             assert check_associative(table).failed
             derive_residua(lat, table)
+
+    def test_setup_memory_on_the_256_chain(self):
+        # associativity at row t reads the first (t + 1) ** 2 pairs of one
+        # list; r prefix copies of that list would trace about 64 MB here
+        lat = chain(256)
+        tracemalloc.start()
+        try:
+            search._IrreducibleTableSearch(lat, lat.top)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestConfirmBooleanForcing:
@@ -485,6 +521,27 @@ class TestOrderAutomorphism:
                     sigma = search._order_automorphism(lat.leq, a, b)
                     assert (sigma is not None) == any(g[a] == b for g in group)
                     assert sigma is None or (sigma[a] == b and _is_automorphism(lat.leq, sigma))
+
+
+class TestAutomorphisms:
+    """search._automorphisms, the labelling routine's group, which
+    enumeration uses to reduce each parent's down-sets."""
+
+    def test_matches_brute_force_on_every_lattice_to_seven(self):
+        for lat in enumerate_lattices(7).lattices:
+            perms = np.array(list(itertools.permutations(range(lat.n))))
+            kept = (lat.leq[perms[:, :, None], perms[:, None, :]] == lat.leq).all(axis=(1, 2))
+            group = [tuple(sigma) for sigma in search._automorphisms(rows_of(lat))]
+            assert group[0] == tuple(range(lat.n))
+            assert len(group) == len(set(group))
+            assert set(group) == {tuple(p) for p in perms[kept].tolist()}
+
+    @pytest.mark.parametrize("name, order", [("mo2", 24), ("mo3", 720)])
+    def test_group_order(self, name, order):
+        lat = build_lattice(load(STRUCTURES / f"{name}.struct"))
+        group = search._automorphisms(rows_of(lat))
+        assert len(group) == order
+        assert all(_is_automorphism(lat.leq, np.array(sigma)) for sigma in group)
 
 
 def _orbit_outcome(result):
