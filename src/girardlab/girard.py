@@ -13,14 +13,11 @@ from typing import List
 
 import numpy as np
 
-from .orders import check_inversion, enumerate_inversions, first_violation, is_boolean, \
-    least_witness
+from .orders import check_inversion, first_violation, is_boolean, least_witness
 from .ortho import OrthoLattice, blocks, compatible, downset_oml, is_orthomodular
 from .reports import InputError, LawReport, law_fail, law_pass, law_skip
 from .residuation import ResiduatedStructure, check_associative
 from . import orders
-
-INVERSION_SEARCH_LIMIT = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,16 +90,19 @@ class GirardEquivalenceReport:
 
 
 def _candidate_inversions(s: ResiduatedStructure, inversion):
+    """The supplied inversion, or else every residuum map d <- x and
+    x -> d, over all d, that is an inversion.  These hold every
+    inversion that deciders (2) and (3) of girard_equivalences accept:
+    in (2), f is x -> f(e) by definition; in (3), the exchange law at
+    x = e reads t <= f(y) iff y*t <= f(e), so f(y) is the greatest t
+    with y*t <= f(e), which is f(e) <- y."""
     if inversion is not None:
         inv = orders.as_order_map(inversion, s.n)
         if check_inversion(s.poset, inv).failed:
             raise InputError("supplied map is not an inversion of the carrier order")
         return [inv]
-    if s.n > INVERSION_SEARCH_LIMIT:
-        raise InputError(
-            f"carrier has {s.n} > {INVERSION_SEARCH_LIMIT} elements; supply a candidate inversion"
-        )
-    return enumerate_inversions(s.poset)
+    maps = [f for d in range(s.n) for f in (s.rres[:, d].tolist(), s.lres[d].tolist())]
+    return [f for f in dict.fromkeys(map(tuple, maps)) if check_inversion(s.poset, f).passed]
 
 
 def girard_equivalences(s: ResiduatedStructure, inversion=None) -> GirardEquivalenceReport:
@@ -112,29 +112,20 @@ def girard_equivalences(s: ResiduatedStructure, inversion=None) -> GirardEquival
     x -> f(e) = f(e) <- x throughout; (3) some inversion f satisfies the
     exchange law t*x <= f(y) iff y*t <= f(x).  On unital residuated
     structures the three agree; the report carries the verdicts plus an
-    agreement law so disagreement is loud.  Candidate inversions are
-    enumerated exhaustively up to INVERSION_SEARCH_LIMIT elements, beyond
-    which a user-supplied inversion is required.
+    agreement law so disagreement is loud.  Without a supplied inversion,
+    (2) and (3) try the residuum maps that are inversions, which is
+    exhaustive on any carrier (see _candidate_inversions); with one, they
+    try it alone.
     """
     e = s.flags.unit
     if e is None:
         raise InputError("agreement check needs a unital structure")
     inversions = [np.array(f) for f in _candidate_inversions(s, inversion)]
     leq, mul, rres, lres = s.poset.leq, s.mul, s.rres, s.lres
-
     d1 = bool(find_cyclic_dualizing(s))
-
-    def matches_residuation(f) -> bool:
-        fe = f[e]
-        return bool(((f == rres[:, fe]) & (f == lres[fe])).all())
-
-    d2 = any(matches_residuation(f) for f in inversions)
-
-    def exchange(f) -> bool:
-        return least_witness(lambda t, x, y: leq[mul[t, x], f[y]] != leq[mul[y, t], f[x]],
-                             s.n, 3) is None
-
-    d3 = any(exchange(f) for f in inversions)
+    d2 = any(((f == rres[:, f[e]]) & (f == lres[f[e]])).all() for f in inversions)
+    d3 = any(least_witness(lambda t, x, y: leq[mul[t, x], f[y]] != leq[mul[y, t], f[x]],
+                           s.n, 3) is None for f in inversions)
 
     note = f"cyclic-dualizer={d1} negation-residuation={d2} exchange={d3}"
     if d1 == d2 == d3:

@@ -23,7 +23,8 @@ once, given one parent per class of the size below:
   parents, which are then one parent P, and to an automorphism of P
   that maps one d to the other.  Both are least in their orbit, so they
   are equal.
-One routine (_labellings) gives both the keys and the automorphisms.
+One routine (_order_automorphism) gives the automorphisms, here and in
+the unital search.
 Within a size the lattices come in generation order.
 
 Residuation searches backtrack only over products of join-irreducible
@@ -87,17 +88,13 @@ def _order_classes(rows: Sequence[int]) -> List[Tuple[int, int]]:
     return [(r.bit_count(), sum(s >> i & 1 for s in rows)) for i, r in enumerate(rows)]
 
 
-def _labellings(rows: Tuple[int, ...]) -> Tuple[tuple, List[List[int]]]:
+def canonical_key(rows: Tuple[int, ...]) -> tuple:
     """The minimum lexicographic relation encoding over the relabelings
-    that keep each element's class, its (up-set size, down-set size), and
-    every labelling that reaches it: perm[p] is the element put in slot
-    p.  The classes are isomorphism invariants, so the minimum ranges
-    over a set of permutations that always contains the isomorphisms;
-    isomorphic posets share the encoding.  The encoding fixes the whole
-    relabelled relation, so posets that share it are isomorphic, and two
-    labellings that reach it differ by an automorphism.  Only prefixes
-    greater than the best so far are pruned, so every labelling that
-    reaches the minimum is visited."""
+    that keep each element's class, its (up-set size, down-set size).
+    The classes are isomorphism invariants, so the minimum ranges over a
+    set of permutations that always contains the isomorphisms; isomorphic
+    posets share the key.  The encoding fixes the whole relabelled
+    relation, so posets that share the key are isomorphic."""
     n = len(rows)
     cls = _order_classes(rows)
     slot_class = sorted(cls)
@@ -106,17 +103,14 @@ def _labellings(rows: Tuple[int, ...]) -> Tuple[tuple, List[List[int]]]:
         members.setdefault(cls[i], []).append(i)
 
     best: Optional[tuple] = None
-    labellings: List[List[int]] = []
     perm: List[int] = []
     used = [False] * n
 
     def rec(p: int, prefix: tuple):
-        nonlocal best, labellings
+        nonlocal best
         if p == n:
-            # prefix <= best here: its last step was checked against best
             if best is None or prefix < best:
-                best, labellings = prefix, []
-            labellings.append(perm[:])
+                best = prefix
             return
         for cand in members[slot_class[p]]:
             if used[cand]:
@@ -135,66 +129,46 @@ def _labellings(rows: Tuple[int, ...]) -> Tuple[tuple, List[List[int]]]:
 
     rec(0, ())
     # rec reaches itself through its closure; deleting the name frees that
-    # cycle, and the labellings it holds, now rather than at a collection
+    # cycle now rather than at a collection
     del rec
-    return best, labellings
+    return best
 
 
-def canonical_key(rows: Tuple[int, ...]) -> tuple:
-    """The minimal relation encoding of the poset (see _labellings):
-    two posets share the key exactly when they are isomorphic."""
-    return _labellings(rows)[0]
-
-
-def _automorphisms(rows: Tuple[int, ...]) -> List[List[int]]:
-    """Every order automorphism sigma of the poset, as sigma[x] for each
-    element x, the identity first: sigma maps the element that the first
-    minimal labelling puts in each slot to the one another puts there."""
-    _, labellings = _labellings(rows)
-    first = labellings[0]
-    autos = []
-    for perm in labellings:
-        sigma = [0] * len(rows)
-        for x, y in zip(first, perm):
-            sigma[x] = y
-        autos.append(sigma)
-    return autos
-
-
-def _order_automorphism(leq: np.ndarray, a: int, b: int) -> Optional[np.ndarray]:
-    """A permutation sigma of the poset with sigma[a] = b and
-    leq[sigma[x], sigma[y]] == leq[x, y] for all x and y, or None when
-    there is none.  Backtracks over the images of a, then of the other
-    elements in index order, each within its own class, keeping x <= z
-    iff sigma[x] <= sigma[z] against every element already mapped."""
-    n = len(leq)
-    rows = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in leq]
+def _order_automorphism(rows: Sequence[int], a: Optional[int] = None, b: Optional[int] = None):
+    """Yields every order automorphism sigma of the poset, each as a new
+    list of sigma[x] for every element x; with a and b given, only those
+    with sigma[a] = b.  Backtracks over the images of a, if given, then of
+    the other elements in index order, each within its own class, keeping
+    x <= z iff sigma[x] <= sigma[z] against every element already mapped."""
+    n = len(rows)
     cls = _order_classes(rows)
-    if cls[a] != cls[b]:
-        return None
     members: Dict[Tuple[int, int], List[int]] = {}
     for y, c in enumerate(cls):
         members.setdefault(c, []).append(y)
-    order = [a] + [x for x in range(n) if x != a]
-    sigma = [-1] * n
-    used = [False] * n
+    choices = [members[c] for c in cls]
+    if a is not None:
+        choices[a] = [b] if cls[b] == cls[a] else []
+    order = sorted(range(n), key=lambda x: x != a)  # a first
+    sigma, used = [-1] * n, [False] * n
 
-    def rec(p: int) -> bool:
+    def rec(p: int):
         if p == n:
-            return True
+            yield sigma[:]
+            return
         x = order[p]
-        for y in [b] if p == 0 else members[cls[x]]:
+        for y in choices[x]:
             if used[y] or any((rows[x] >> z & 1) != (rows[y] >> sigma[z] & 1)
                               or (rows[z] >> x & 1) != (rows[sigma[z]] >> y & 1)
                               for z in order[:p]):
                 continue
             sigma[x], used[y] = y, True
-            if rec(p + 1):
-                return True
+            yield from rec(p + 1)
             used[y] = False
-        return False
 
-    return np.array(sigma, dtype=np.intp) if rec(0) else None
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # frees the closure cycle, also when the caller stops early
 
 
 def _grow(rows: Tuple[int, ...]):
@@ -262,7 +236,7 @@ def _orbit_least(rows: Tuple[int, ...]):
     the parent's automorphisms, in increasing order of d."""
     grown = list(_grow(rows))
     # the masks grown are a union of orbits, so a lone mask is one
-    autos = _automorphisms(rows) if len(grown) > 1 else [list(range(len(rows)))]
+    autos = list(_order_automorphism(rows)) if len(grown) > 1 else [list(range(len(rows)))]
     seen = set()
     for d, child, tie in grown:  # by increasing d, so each orbit's least comes first
         if d not in seen:
@@ -373,7 +347,7 @@ class _IrreducibleTableSearch:
     irreducible below x, completes; it is cached then.  Every row and
     full row read at position t was written on the current branch, as
     only those at positions up to t are read.  A leaf table is the
-    join-extension, and leaf rejects it unless it is associative and
+    join-extension, and _leaf rejects it unless it is associative and
     residuated, hence join-preserving in each argument.  So two laws
     that only final rows enter prune soundly when row t completes:
 
@@ -503,18 +477,6 @@ class _IrreducibleTableSearch:
     def extension(self) -> np.ndarray:
         return np.array(self.full, dtype=np.intp)
 
-    def leaf(self, m: np.ndarray) -> Optional[ResiduatedStructure]:
-        """The verified structure of a leaf table, or None when the
-        table has no two-sided unit e, is not associative or is not
-        residuated."""
-        x = np.arange(self.l.n)
-        if not ((m[:, self.e] == x) & (m[self.e] == x)).all() or check_associative(m).failed:
-            return None
-        try:
-            return residuated_structure(self.l, m)
-        except ResiduationError:
-            return None
-
     def run(self, budget: Optional[int] = None):
         """(hits, exhausted, nodes): hits pairs each found table with its
         verified structure, in search order."""
@@ -530,7 +492,7 @@ class _IrreducibleTableSearch:
             nonlocal nodes
             if k == len(cells):
                 m = self.extension()
-                s = self.leaf(m)
+                s = _leaf(self.l, self.e, m)
                 if s is not None:
                     hits.append((m, s))
                 return True
@@ -554,21 +516,32 @@ class _IrreducibleTableSearch:
         return hits, exhausted, nodes
 
 
+def _leaf(l: FiniteLattice, e: int, m: np.ndarray) -> Optional[ResiduatedStructure]:
+    """The verified structure of a leaf table, or None when the table has
+    no two-sided unit e, is not associative or is not residuated."""
+    x = np.arange(l.n)
+    if not ((m[:, e] == x) & (m[e] == x)).all() or check_associative(m).failed:
+        return None
+    try:
+        return residuated_structure(l, m)
+    except ResiduationError:
+        return None
+
+
 def _mapped_hits(l: FiniteLattice, e: int, sigma: np.ndarray,
                  hits: List[Tuple[np.ndarray, ResiduatedStructure]]
                  ) -> List[Tuple[np.ndarray, ResiduatedStructure]]:
     """The hits of the unit sigma^-1[e] carried to the unit e by the order
     automorphism sigma: table m becomes sigma[m[inverse, inverse]], which
     sends sigma[x] and sigma[y] to sigma[m[x, y]].  Unit, associativity
-    and residuation carry over, so each mapped table must pass leaf."""
+    and residuation carry over, so each mapped table must pass _leaf."""
     if not (l.leq[np.ix_(sigma, sigma)] == l.leq).all():
         raise RuntimeError(f"{sigma.tolist()} is not an order automorphism")
     inverse = np.argsort(sigma)
-    leaf = _IrreducibleTableSearch(l, e).leaf
     mapped = []
     for m, _ in hits:
         table = sigma[m[np.ix_(inverse, inverse)]]
-        s = leaf(table)
+        s = _leaf(l, e, table)
         if s is None:
             raise RuntimeError(f"{sigma.tolist()} maps a table to one that fails for unit {e}")
         mapped.append((table, s))
@@ -590,12 +563,15 @@ def _search(l: FiniteLattice, mode: str, units: List[int],
     hits: List[Tuple[np.ndarray, ResiduatedStructure]] = []
     searched: Dict[int, List[Tuple[np.ndarray, ResiduatedStructure]]] = {}
     nodes, exhausted = 0, True
+    # the up-set bitmasks that orbit lookups read; one unit makes none
+    rows = ([sum(1 << j for j in np.flatnonzero(row).tolist()) for row in l.leq]
+            if len(units) > 1 else [])
     for e in units:
         orbit = next(((rep, sigma) for rep in searched
-                      if (sigma := _order_automorphism(l.leq, rep, e)) is not None), None)
+                      for sigma in islice(_order_automorphism(rows, rep, e), 1)), None)
         if orbit is not None:
             rep, sigma = orbit
-            hits += _mapped_hits(l, e, sigma, searched[rep])
+            hits += _mapped_hits(l, e, np.array(sigma, dtype=np.intp), searched[rep])
             continue
         remaining = None if budget is None else budget - nodes
         unit_hits, exhausted, unit_nodes = _IrreducibleTableSearch(l, e).run(budget=remaining)

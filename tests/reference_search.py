@@ -203,7 +203,7 @@ class PlainSearch:
             nonlocal nodes
             if k == len(cells):
                 m = self.extension()
-                s = self.leaf(m)
+                s = search._leaf(self.l, self.e, m)
                 if s is not None:
                     hits.append((m, s))
                 return True
@@ -305,7 +305,7 @@ class LoopSearch:
             nonlocal nodes
             if k == len(self.cells):
                 m = self.extension()
-                s = self.leaf(m)
+                s = search._leaf(self.l, self.e, m)
                 if s is not None:
                     hits.append((m, s))
                 return True

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import reference_laws as ref
 from fixtures import drastic_chain
 from girardlab.catalog import boolean_cube, boolean_ortho, chain, diamond_m3, mo2_subspace_model
 from girardlab.girard import (
@@ -16,7 +17,7 @@ from girardlab.girard import (
     is_cyclic,
     is_dualizing,
 )
-from girardlab.orders import check_inversion
+from girardlab.orders import check_inversion, enumerate_inversions
 from girardlab.ortho import OrthoLattice, check_orthomodular
 from girardlab.reports import InputError
 from girardlab.residuation import (
@@ -28,6 +29,8 @@ from girardlab.residuation import (
     residuated_structure,
     ResiduationError,
 )
+from girardlab.search import search_unital_residuation
+from girardlab.structfile import build_ortholattice, load
 
 # smallest non-commutative residuated monoid with a non-cyclic element,
 # found by exhaustive search over integral tables on chains (none exists
@@ -117,12 +120,44 @@ class TestRecognitionAgreement:
         with pytest.raises(InputError):
             girard_equivalences(lukasiewicz_chain(3), inversion=(0, 1, 2))
 
-    def test_large_carrier_needs_candidate(self):
-        s = lukasiewicz_chain(13)
-        with pytest.raises(InputError):
-            girard_equivalences(s)
-        report = girard_equivalences(s, inversion=tuple(range(12, -1, -1)))
-        assert report.agreement.passed and report.has_cyclic_dualizer
+    @pytest.mark.parametrize("s, expected",
+                             [(lukasiewicz_chain(13), True), (godel_chain(13), False)],
+                             ids=["luk13", "godel13"])
+    def test_large_carrier_without_candidate(self, s, expected):
+        # the candidates come from the residua, so no carrier is too large
+        report = girard_equivalences(s)
+        assert report.agreement.passed
+        assert report.has_cyclic_dualizer is expected
+        assert report.has_negation_by_residuation is expected
+        assert report.has_exchange_inversion is expected
+        assert girard_equivalences(s, inversion=tuple(range(12, -1, -1))) == report
+
+
+class TestResiduumCandidates:
+    """Without a supplied inversion, deciders (2) and (3) try only the
+    residuum maps that are inversions; over every inversion of the
+    carrier they must give the same verdicts."""
+
+    @pytest.fixture(scope="class", params=["mo2", "boolean-8"])
+    def unital_tables(self, request, structures_dir):
+        o = build_ortholattice(load(structures_dir / f"{request.param}.struct"))
+        result = search_unital_residuation(o, budget=3_000_000)
+        assert result.exhausted
+        return result.structures
+
+    def test_matches_every_inversion(self, unital_tables):
+        assert len(unital_tables) in (248, 451)
+        inversions = enumerate_inversions(unital_tables[0].poset)
+        girard = 0
+        for s in unital_tables:
+            report = girard_equivalences(s)
+            reference = (bool(ref.find_cyclic_dualizing(s)),
+                         any(ref.matches_residuation(s, f) for f in inversions),
+                         any(ref.exchange(s, f) for f in inversions))
+            assert (report.has_cyclic_dualizer, report.has_negation_by_residuation,
+                    report.has_exchange_inversion) == reference
+            girard += reference[0]
+        assert 0 < girard < len(unital_tables)
 
 
 class TestDualizerJoinFormula:

@@ -480,58 +480,54 @@ def _atoms(lat):
 
 
 class TestOrderAutomorphism:
-    """search._order_automorphism, which the unital search uses to map
-    one unit's tables to the rest of its orbit."""
+    """search._order_automorphism, which yields the group that reduces
+    each parent's down-sets in enumeration, and the first sigma with
+    sigma[a] = b that maps one unit's tables to another's in the unital
+    search."""
 
     @pytest.mark.parametrize("lat", [diamond_m3(), horizontal_sum_mo(2).lattice, boolean_cube(3)],
                              ids=["m3", "mo2", "boolean-8"])
     def test_atoms_map_to_atoms(self, lat):
         for a in _atoms(lat):
             for b in _atoms(lat):
-                sigma = search._order_automorphism(lat.leq, a, b)
-                assert sigma is not None and sigma[a] == b and _is_automorphism(lat.leq, sigma)
+                sigma = np.array(next(search._order_automorphism(rows_of(lat), a, b)))
+                assert sigma[a] == b and _is_automorphism(lat.leq, sigma)
 
     def test_no_atom_maps_to_a_coatom_on_boolean_8(self):
         lat = boolean_cube(3)
         coatoms = [x for x in range(lat.n) if lat.leq[x].sum() == 2]
         assert len(coatoms) == 3
-        assert all(search._order_automorphism(lat.leq, a, c) is None
-                   for a in _atoms(lat) for c in coatoms)
+        assert not any(list(search._order_automorphism(rows_of(lat), a, c))
+                       for a in _atoms(lat) for c in coatoms)
 
     @pytest.mark.parametrize("lat", [build_lattice(load(STRUCTURES / "n5.struct"))]
                              + [chain(m) for m in range(1, 7)],
                              ids=["n5"] + [f"chain-{m}" for m in range(1, 7)])
     def test_only_the_identity(self, lat):
+        identity = list(range(lat.n))
+        assert list(search._order_automorphism(rows_of(lat))) == [identity]
         for a in range(lat.n):
             for b in range(lat.n):
-                sigma = search._order_automorphism(lat.leq, a, b)
-                if a == b:
-                    assert sigma.tolist() == list(range(lat.n))
-                else:
-                    assert sigma is None
+                got = list(search._order_automorphism(rows_of(lat), a, b))
+                assert got == ([identity] if a == b else [])
 
     def test_matches_brute_force_on_every_lattice_to_six(self):
-        # sigma exists exactly when one of all n! permutations is an order
-        # automorphism sending a to b, and every sigma returned is one
+        # for each (a, b), the sigmas yielded are the permutations, of all
+        # n!, that are order automorphisms sending a to b, each once; so
+        # one is yielded exactly when brute force finds one
         for lat in enumerate_lattices(6).lattices:
-            group = [np.array(p) for p in itertools.permutations(range(lat.n))
+            group = [p for p in itertools.permutations(range(lat.n))
                      if _is_automorphism(lat.leq, np.array(p))]
             for a in range(lat.n):
                 for b in range(lat.n):
-                    sigma = search._order_automorphism(lat.leq, a, b)
-                    assert (sigma is not None) == any(g[a] == b for g in group)
-                    assert sigma is None or (sigma[a] == b and _is_automorphism(lat.leq, sigma))
+                    got = [tuple(sigma) for sigma in search._order_automorphism(rows_of(lat), a, b)]
+                    assert sorted(got) == [g for g in group if g[a] == b]
 
-
-class TestAutomorphisms:
-    """search._automorphisms, the labelling routine's group, which
-    enumeration uses to reduce each parent's down-sets."""
-
-    def test_matches_brute_force_on_every_lattice_to_seven(self):
+    def test_group_matches_brute_force_on_every_lattice_to_seven(self):
         for lat in enumerate_lattices(7).lattices:
             perms = np.array(list(itertools.permutations(range(lat.n))))
             kept = (lat.leq[perms[:, :, None], perms[:, None, :]] == lat.leq).all(axis=(1, 2))
-            group = [tuple(sigma) for sigma in search._automorphisms(rows_of(lat))]
+            group = [tuple(sigma) for sigma in search._order_automorphism(rows_of(lat))]
             assert group[0] == tuple(range(lat.n))
             assert len(group) == len(set(group))
             assert set(group) == {tuple(p) for p in perms[kept].tolist()}
@@ -539,7 +535,7 @@ class TestAutomorphisms:
     @pytest.mark.parametrize("name, order", [("mo2", 24), ("mo3", 720)])
     def test_group_order(self, name, order):
         lat = build_lattice(load(STRUCTURES / f"{name}.struct"))
-        group = search._automorphisms(rows_of(lat))
+        group = list(search._order_automorphism(rows_of(lat)))
         assert len(group) == order
         assert all(_is_automorphism(lat.leq, np.array(sigma)) for sigma in group)
 
@@ -590,20 +586,17 @@ class TestUnitOrbits:
     def test_a_wrong_automorphism_is_an_internal_error(self, monkeypatch):
         # on the 4-element Boolean algebra, swapping the two atoms keeps
         # the order and swapping the first atom with the top does not
-        def swap(leq, a, b):
-            sigma = np.arange(len(leq))
+        def swap(rows, a, b):
+            sigma = list(range(len(rows)))
             sigma[a], sigma[b] = b, a
-            return sigma
+            yield sigma
 
         monkeypatch.setattr(search, "_order_automorphism", swap)
         with pytest.raises(RuntimeError, match="not an order automorphism"):
             search_unital_residuation(boolean_ortho(2), budget=10_000)
 
     def test_a_mapped_table_failing_its_leaf_is_an_internal_error(self, monkeypatch):
-        class FirstUnitOnly(search._IrreducibleTableSearch):
-            def leaf(self, m):
-                return super().leaf(m) if self.e == 1 else None
-
-        monkeypatch.setattr(search, "_IrreducibleTableSearch", FirstUnitOnly)
+        leaf = search._leaf
+        monkeypatch.setattr(search, "_leaf", lambda l, e, m: leaf(l, e, m) if e == 1 else None)
         with pytest.raises(RuntimeError, match="fails for unit 2"):
             search_unital_residuation(boolean_ortho(2), budget=10_000)
