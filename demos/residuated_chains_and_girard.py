@@ -39,7 +39,7 @@ assert luk.mul[1, 1] == 0
 # ---------------------------------------------------------------------------
 for s, name in ((luk, "Lukasiewicz"), (godel_chain(3), "Godel")):
     report = girard_equivalences(s)
-    certs = find_cyclic_dualizing(s)
+    certs = report.certificates
     print(f"\n== {name} 3-chain ==")
     print(f"cyclic dualizing elements: {[c.d for c in certs]}")
     print(f"recognition agreement: {report.agreement}")

@@ -18,7 +18,6 @@ from .girard import (
     check_boolean_idempotent_criterion,
     check_dualizer_join_formula,
     check_unit_downset_boolean,
-    find_cyclic_dualizing,
     girard_equivalences,
     is_cyclic,
     is_dualizing,
@@ -194,7 +193,7 @@ def cmd_girard(args) -> int:
     sf, s = found
     eq = girard_equivalences(s, inversion=inversion)  # rejects a bad inversion before any output
     labels = _labels(s)
-    certs = find_cyclic_dualizing(s)
+    certs = eq.certificates
     if certs:
         for c in certs:
             neg = " ".join(f"{labels[x]}->{labels[c.neg[x]]}" for x in range(s.n))
@@ -203,8 +202,8 @@ def cmd_girard(args) -> int:
         print("no cyclic dualizing element")
     reports = [eq.agreement]
     for c in certs:
-        reports.append(check_dualizer_join_formula(s, c))
-    reports.append(check_boolean_idempotent_criterion(s))
+        reports.append(check_dualizer_join_formula(s, c, certs))
+    reports.append(check_boolean_idempotent_criterion(s, certs))
     if sf.ortho is not None and s.lattice is not None:
         olat = OrthoLattice(s.lattice, sf.ortho)
         reports.append(check_unit_downset_boolean(olat, s))
@@ -222,14 +221,16 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    lattices = enumerate_lattices(args.max_n).lattices
+    result = enumerate_lattices(args.max_n)
+    counts = result.counts  # a plain count builds no FiniteLattice
     if args.complemented:
-        lattices = [lat for lat in lattices if is_complemented(lat)[0].passed]
-    for size in range(1, args.max_n + 1):
-        print(f"n={size}: {sum(lat.n == size for lat in lattices)}")
-    print(f"total: {len(lattices)}" + (" (filters: complemented)" if args.complemented else ""))
+        kept = [lat for lat in result.lattices if is_complemented(lat)[0].passed]
+        counts = {size: sum(lat.n == size for lat in kept) for size in counts}
+    for size, count in counts.items():
+        print(f"n={size}: {count}")
+    print(f"total: {sum(counts.values())}" + (" (filters: complemented)" if args.complemented else ""))
     if args.confirm_thm2:
-        report = confirm_boolean_forcing(args.max_n, lattices)
+        report = confirm_boolean_forcing(args.max_n, kept if args.complemented else result.lattices)
         sections = [("search", [report])]
         print(render_report(sections, "human"), end="")
         return exit_code(sections)

@@ -8,8 +8,8 @@ exhaustively on every instance rather than taken on faith.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +87,9 @@ class GirardEquivalenceReport:
     has_negation_by_residuation: bool
     has_exchange_inversion: bool
     agreement: LawReport
+    # decider (1)'s certificates, for callers that print or check them;
+    # reports compare and print by their verdicts
+    certificates: Tuple[GirardCertificate, ...] = field(compare=False, repr=False)
 
 
 def _candidate_inversions(s: ResiduatedStructure, inversion):
@@ -115,14 +118,16 @@ def girard_equivalences(s: ResiduatedStructure, inversion=None) -> GirardEquival
     agreement law so disagreement is loud.  Without a supplied inversion,
     (2) and (3) try the residuum maps that are inversions, which is
     exhaustive on any carrier (see _candidate_inversions); with one, they
-    try it alone.
+    try it alone.  The report keeps the certificates of (1), so a caller
+    that checks them scans the elements no second time.
     """
     e = s.flags.unit
     if e is None:
         raise InputError("agreement check needs a unital structure")
     inversions = [np.array(f) for f in _candidate_inversions(s, inversion)]
     leq, mul, rres, lres = s.poset.leq, s.mul, s.rres, s.lres
-    d1 = bool(find_cyclic_dualizing(s))
+    certs = tuple(find_cyclic_dualizing(s))
+    d1 = bool(certs)
     d2 = any(((f == rres[:, f[e]]) & (f == lres[f[e]])).all() for f in inversions)
     d3 = any(least_witness(lambda t, x, y: leq[mul[t, x], f[y]] != leq[mul[y, t], f[x]],
                            s.n, 3) is None for f in inversions)
@@ -132,15 +137,17 @@ def girard_equivalences(s: ResiduatedStructure, inversion=None) -> GirardEquival
         agreement = law_pass("girard-recognition-agreement", note)
     else:
         agreement = law_fail("girard-recognition-agreement", (int(d1), int(d2), int(d3)), note)
-    return GirardEquivalenceReport(d1, d2, d3, agreement)
+    return GirardEquivalenceReport(d1, d2, d3, agreement, certs)
 
 
-def check_dualizer_join_formula(s: ResiduatedStructure, cert: GirardCertificate) -> LawReport:
+def check_dualizer_join_formula(s: ResiduatedStructure, cert: GirardCertificate,
+                                certs: Optional[Sequence[GirardCertificate]] = None) -> LawReport:
     """The dualizer is the join of all x * neg(x), and is unique.
 
     Checks every x * neg(x) <= d and neg(x) * x <= d, that the join of
     the products equals d exactly, and that no other element is cyclic
-    and dualizing with the same induced negation.
+    and dualizing with the same induced negation.  certs, when given, is
+    what find_cyclic_dualizing(s) returned, and is not scanned again.
     """
     if s.lattice is None:
         return law_skip("dualizer-join-formula", "needs a lattice for joins")
@@ -154,19 +161,23 @@ def check_dualizer_join_formula(s: ResiduatedStructure, cert: GirardCertificate)
     acc = int((upper & leq[:, upper].all(axis=1)).argmax())  # their least one
     if acc != d:
         return law_fail("dualizer-join-formula", (acc,), f"join of self-products is {acc}, not d={d}")
-    for other in find_cyclic_dualizing(s):
+    for other in find_cyclic_dualizing(s) if certs is None else certs:
         if other.d != d and other.neg == cert.neg:
             return law_fail("dualizer-join-formula", (other.d,), "second dualizer with same negation")
     return law_pass("dualizer-join-formula", f"d={d}")
 
 
-def check_boolean_idempotent_criterion(s: ResiduatedStructure) -> LawReport:
+def check_boolean_idempotent_criterion(s: ResiduatedStructure,
+                                       certs: Optional[Sequence[GirardCertificate]] = None
+                                       ) -> LawReport:
     """Instance-level biconditional: the lattice is Boolean exactly when
     the structure is idempotent with a cyclic dualizing element at the
-    bottom; on the Boolean side the product must be the meet."""
+    bottom; on the Boolean side the product must be the meet.  certs,
+    when given, is what find_cyclic_dualizing(s) returned."""
     if s.lattice is None:
         return law_skip("boolean-iff-idempotent-bottom-dualizer", "needs a lattice")
-    certs = find_cyclic_dualizing(s)
+    if certs is None:
+        certs = find_cyclic_dualizing(s)
     if not certs:
         return law_skip("boolean-iff-idempotent-bottom-dualizer", "structure is not Girard")
     lhs = is_boolean(s.lattice).passed

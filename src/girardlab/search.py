@@ -25,7 +25,12 @@ once, given one parent per class of the size below:
   are equal.
 One routine (_order_automorphism) gives the automorphisms, here and in
 the unital search.
-Within a size the lattices come in generation order.
+Within a size the lattices come in generation order.  The enumerator
+keeps each lattice as the up-set bitmasks of its order, and builds its
+FiniteLattice only when the result's lattices are first read, so a run
+that only counts builds none.  _grow lists the down-sets d that hold the
+bottom directly, by an include/exclude pass over the elements, so it
+visits no mask that is not a down-set.
 
 Residuation searches backtrack only over products of join-irreducible
 pairs: a residuated multiplication preserves joins, so it is determined
@@ -57,6 +62,7 @@ passes preserves joins in each argument and needs no separate join scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -173,14 +179,14 @@ def _order_automorphism(rows: Sequence[int], a: Optional[int] = None, b: Optiona
 
 def _grow(rows: Tuple[int, ...]):
     """(d, child, tie) for the one-larger lattices with a new coatom c
-    that has the greatest down-set among the child's coatoms.  c sits
-    under the top, element 0 of every grown lattice, above a down-closed
-    set d of non-top elements, and d is its mask.  The child's other
-    coatoms are the parent's coatoms outside d, with their parent
-    down-sets, and c's down-set has |d| + 1 elements; tie is True when
-    one of those others has as many.  This test is cheap, so it runs
-    first.  The module docstring shows how the tie flag and the orbits of
-    d keep each class once.
+    that has the greatest down-set among the child's coatoms, in
+    increasing order of d.  c sits under the top, element 0 of every
+    grown lattice, above a down-closed set d of non-top elements, and d
+    is its mask.  The child's other coatoms are the parent's coatoms
+    outside d, with their parent down-sets, and c's down-set has |d| + 1
+    elements; tie is True when one of those others has as many.  This
+    test is cheap, so it runs first.  The module docstring shows how the
+    tie flag and the orbits of d keep each class once.
 
     The child is a lattice exactly when d holds the bottom (any d when
     the parent has one element) and the join of any two members of d is
@@ -193,18 +199,36 @@ def _grow(rows: Tuple[int, ...]):
       if j is the top; else j and c are two minimal upper bounds.
     Both tests are invariant under the parent's automorphisms, so the
     masks yielded are a union of orbits of them.
+
+    The down-sets that hold the bottom and leave out the top are listed
+    directly, each once: every other element in turn joins d with its
+    down-set or is left out with its up-set, unless an earlier choice
+    placed it already.  Neither choice contradicts an earlier one, as an
+    element below a member is a member and one above an excluded element
+    is excluded.
     """
     n = len(rows)
     downs = _down_masks(rows)
     up_of = {r: i for i, r in enumerate(rows)}
-    joins = [[up_of[rx & ry] for ry in rows] for rx in rows]
     bottom, new_bit = rows.index((1 << n) - 1), 1 << n
     # the parent's coatoms, the greatest down-set first
     coatoms = sorted((downs[i].bit_count(), i) for i in range(1, n) if rows[i] == 1 << i | 1)[::-1]
-    for d in range(0, 1 << n, 2):  # the even masks leave out element 0
-        allowed = d | 1  # d and the top, which is the bottom when n == 1
-        if not allowed >> bottom & 1:
-            continue
+    # each incomparable pair as the mask of the two, with its join; a
+    # comparable pair in d joins to its greater member, which is in d
+    pairs = [(1 << x | 1 << y, up_of[rows[x] & rows[y]]) for x in range(n) for y in range(x)
+             if not (rows[x] >> y & 1 or rows[y] >> x & 1)]
+    # (d, out): the members so far, down-closed, and the elements left
+    # out, up-closed; the top is out, and the bottom in unless it is the top
+    masks = [(0 if n == 1 else 1 << bottom, 1)]
+    for x in range(1, n):
+        placed = []
+        for d, out in masks:
+            if (d | out) >> x & 1:
+                placed.append((d, out))
+            else:
+                placed += [(d | downs[x], out), (d, out | rows[x])]
+        masks = placed
+    for d in sorted(d for d, _ in masks):
         size, rival = d.bit_count() + 1, 0
         for s, x in coatoms:
             if not d >> x & 1:
@@ -212,9 +236,8 @@ def _grow(rows: Tuple[int, ...]):
                 break
         if size < rival:
             continue
-        members = [i for i in range(n) if d >> i & 1]
-        if (not any(downs[i] & ~d for i in members)
-                and all(allowed >> joins[x][y] & 1 for x in members for y in members)):
+        allowed = d | 1  # d and the top
+        if all(allowed >> j & 1 for both, j in pairs if d & both == both):
             child = tuple(rows[i] | (new_bit if d >> i & 1 else 0) for i in range(n))
             yield d, child + (new_bit | 1,), size == rival
 
@@ -227,8 +250,14 @@ def _rows_to_lattice(rows: Tuple[int, ...]) -> FiniteLattice:
 
 @dataclass
 class EnumerationResult:
-    lattices: List[FiniteLattice]
+    """posets holds each lattice as its up-set bitmasks; lattices builds
+    their FiniteLattice forms, in the same order, when first read."""
+    posets: List[Tuple[int, ...]]
     counts: Dict[int, int]
+
+    @cached_property
+    def lattices(self) -> List[FiniteLattice]:
+        return [_rows_to_lattice(rows) for rows in self.posets]
 
 
 def _orbit_least(rows: Tuple[int, ...]):
@@ -251,16 +280,18 @@ def enumerate_lattices(max_n: int) -> EnumerationResult:
     children follow those of the parents before it.  A child whose new
     coatom ties is kept when its key is new at its size, any other
     outright (see the module docstring).  Every lattice grown is
-    returned; callers that want a subclass filter the list.
+    returned, as the up-set bitmasks of its order in posets; no
+    FiniteLattice is built until the result's lattices are first read.
+    Callers that want a subclass filter that list.
     """
     if not 1 <= max_n <= MAX_ENUM:
         raise InputError(f"max_n must be in 1..{MAX_ENUM}")
 
-    lattices: List[FiniteLattice] = []
+    posets: List[Tuple[int, ...]] = []
     counts: Dict[int, int] = {}
     frontier: List[Tuple[int, ...]] = [(1,)]
     for size in range(1, max_n + 1):
-        lattices.extend(_rows_to_lattice(rows) for rows in frontier)
+        posets += frontier
         counts[size] = len(frontier)
         if size < max_n:
             grown: List[Tuple[int, ...]] = []
@@ -274,7 +305,7 @@ def enumerate_lattices(max_n: int) -> EnumerationResult:
                         tie_keys.add(key)
                     grown.append(child)
             frontier = grown
-    return EnumerationResult(lattices, counts)
+    return EnumerationResult(posets, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,15 @@ when its new coatom ties with another on down-set size and otherwise
 keeps the least down-set of each orbit under the parent's automorphisms,
 so the two must emit the same classes at every size.
 
+The mask scan.  `search._grow` used to scan every mask of non-top
+elements and keep those that are down-closed and hold the bottom, where
+it now lists those down-sets directly.  `scan_masks` is that scan and
+`scan_grow` the old `_grow` on top of it, so the two must yield the same
+(d, child, tie) sequence on every parent.  `eager_enumeration` is the
+enumerator as it was then, when it built a FiniteLattice for every
+lattice it kept; the lattices enumerate_lattices now builds on first
+read must equal its list, in its order.
+
 The searcher's value domains before the unit bound.  Integral mode
 capped each cell by the meet of its irreducibles, and unital mode let
 each cell range over the whole carrier unless the unit law pinned it.
@@ -63,7 +72,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from girardlab import search
-from girardlab.orders import NotALattice, NotBounded, compute_lattice, validate_poset
+from girardlab.orders import FiniteLattice, NotALattice, NotBounded, compute_lattice, \
+    validate_poset
 from girardlab.search import _down_masks, canonical_key
 
 
@@ -120,9 +130,10 @@ def reference_enumeration(max_n: int):
     return keys, {size: len(k) for size, k in keys.items()}
 
 
-def grow_coatom(rows: Tuple[int, ...]):
-    """All one-larger lattices with a new coatom above a down-closed set
-    d of non-top elements: d must hold the bottom (any d when the parent
+def scan_masks(rows: Tuple[int, ...]):
+    """(d, child) for every one-larger lattice with a new coatom above a
+    down-closed set d of non-top elements, by increasing d, found by
+    scanning every mask d: d must hold the bottom (any d when the parent
     has one element), and the join of any two members of d must be in d
     or be the top."""
     n = len(rows)
@@ -135,7 +146,55 @@ def grow_coatom(rows: Tuple[int, ...]):
         members = [i for i in range(n) if d >> i & 1]
         if (allowed >> bottom & 1 and not any(downs[i] & ~d for i in members)
                 and all(allowed >> joins[x][y] & 1 for x in members for y in members)):
-            yield tuple(rows[i] | (new_bit if d >> i & 1 else 0) for i in range(n)) + (new_bit | 1,)
+            yield d, tuple(rows[i] | (new_bit if d >> i & 1 else 0) for i in range(n)) + (new_bit | 1,)
+
+
+def grow_coatom(rows: Tuple[int, ...]):
+    """The children of scan_masks, every coatom kept."""
+    return (child for _, child in scan_masks(rows))
+
+
+def scan_grow(rows: Tuple[int, ...]):
+    """search._grow by the mask scan: (d, child, tie) from scan_masks
+    for the children whose new coatom has a down-set as large as any
+    other coatom's, tie when another has as large a one."""
+    downs = _down_masks(rows)
+    coatoms = sorted((downs[i].bit_count(), i) for i in range(1, len(rows))
+                     if rows[i] == 1 << i | 1)[::-1]
+    for d, child in scan_masks(rows):
+        size = d.bit_count() + 1
+        rival = next((s for s, x in coatoms if not d >> x & 1), 0)
+        if size >= rival:
+            yield d, child, size == rival
+
+
+def eager_enumeration(max_n: int) -> List[FiniteLattice]:
+    """enumerate_lattices(max_n).lattices as it was built eagerly: each
+    kept lattice's FiniteLattice built at its size, the children grown by
+    the mask scan, the least mask of each orbit kept, and a tie child
+    kept when its key is new at its size."""
+    lattices: List[FiniteLattice] = []
+    frontier: List[Tuple[int, ...]] = [(1,)]
+    for size in range(1, max_n + 1):
+        lattices += [search._rows_to_lattice(rows) for rows in frontier]
+        grown: List[Tuple[int, ...]] = []
+        tie_keys = set()
+        for rows in frontier if size < max_n else []:
+            autos = list(search._order_automorphism(rows))
+            seen = set()
+            for d, child, tie in scan_grow(rows):
+                if d in seen:
+                    continue
+                seen.update(sum(1 << sigma[i] for i in range(len(rows)) if d >> i & 1)
+                            for sigma in autos)
+                if tie:
+                    key = canonical_key(child)
+                    if key in tie_keys:
+                        continue
+                    tie_keys.add(key)
+                grown.append(child)
+        frontier = grown
+    return lattices
 
 
 def coatom_enumeration(max_n: int) -> Dict[int, List[tuple]]:

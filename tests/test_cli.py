@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from girardlab import cli, residuation, search
+from girardlab import cli, girard, residuation, search
 from girardlab.cli import main
 from girardlab.render import export_dot, render_report
 from girardlab.reports import law_fail, law_pass
@@ -105,6 +105,19 @@ class TestGirard:
         assert code == 0
         assert "cyclic dualizing element d=0" in out
         assert "girard-recognition-agreement" in out
+
+    @pytest.mark.parametrize("name", ["boolean-8", "lukasiewicz-5", "godel-3"])
+    def test_one_scan_for_dualizers(self, capsys, monkeypatch, structures_dir, name):
+        # the recognitions, the certificate lines and the checks share one scan
+        calls, real = [], girard.find_cyclic_dualizing
+
+        def counted(s):
+            calls.append(s)
+            return real(s)
+
+        monkeypatch.setattr(girard, "find_cyclic_dualizing", counted)
+        code, _, _ = run(capsys, "girard", str(structures_dir / f"{name}.struct"))
+        assert code == 0 and len(calls) == 1
 
     def test_godel_negative(self, capsys, structures_dir):
         code, out, _ = run(capsys, "girard", str(structures_dir / "godel-3.struct"))
@@ -210,6 +223,18 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--max-n", "5")
         assert code == 0
         assert "n=4: 2" in out and "n=5: 5" in out
+
+    def test_counts_build_no_lattice(self, capsys, monkeypatch):
+        # a plain count prints the enumerator's counts and builds nothing
+        def no_build(poset):
+            raise AssertionError("a FiniteLattice was built")
+
+        monkeypatch.setattr(search, "compute_lattice", no_build)
+        code, out, err = run(capsys, "enumerate", "--max-n", "8")
+        counts = [1, 1, 1, 2, 5, 15, 53, 222]
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"n={n}: {c}" for n, c in enumerate(counts, start=1)] + [
+            "total: 300"]
 
     def test_confirm(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-n", "5", "--confirm-thm2")

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from reference_search import LoopIntegralSearch, LoopUnitalSearch, PlainIntegralSearch, \
-    PlainUnitalSearch, UnitPinSearch, coatom_enumeration, is_lattice, per_unit_search, \
-    poset_frontiers, reference_enumeration
+    PlainUnitalSearch, UnitPinSearch, coatom_enumeration, eager_enumeration, is_lattice, \
+    per_unit_search, poset_frontiers, reference_enumeration, scan_grow
 
 from girardlab import search
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
@@ -103,6 +103,36 @@ class TestEnumeration:
                 if downs[n] >= rival:
                     expected.append((d, ext, downs[n] == rival))
             assert list(search._grow(rows)) == expected
+
+    def test_growth_matches_mask_scan(self):
+        """Listing the down-sets directly yields what scanning every mask
+        did, in the same order, on all 1378 parents of at most 9
+        elements."""
+        posets = enumerate_lattices(9).posets
+        assert len(posets) == 1378
+        for rows in posets:
+            assert list(search._grow(rows)) == list(scan_grow(rows)), rows
+
+    def test_lattices_built_on_first_read(self, monkeypatch):
+        """Enumerating builds no FiniteLattice; the first read of
+        lattices builds one per poset, equal element for element and in
+        order to the eager build, and a second read returns that list."""
+        calls, real = [], search.compute_lattice
+
+        def counted(poset):
+            calls.append(poset)
+            return real(poset)
+
+        monkeypatch.setattr(search, "compute_lattice", counted)
+        result = enumerate_lattices(8)
+        assert calls == []
+        lattices = result.lattices
+        assert len(calls) == len(result.posets) == sum(result.counts.values())
+        assert result.lattices is lattices and len(calls) == len(lattices)
+        expected = eager_enumeration(8)
+        assert len(lattices) == len(expected)
+        for got, want in zip(lattices, expected):
+            assert np.array_equal(got.leq, want.leq)
 
     def test_single_element(self):
         result = enumerate_lattices(1)
