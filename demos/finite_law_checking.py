@@ -43,7 +43,7 @@ print(f"boolean?       {is_boolean(m3)}")
 print("note the witness: three distinct atoms violate distributivity")
 
 # Its Hasse diagram, ready for graphviz:
-print(export_dot(m3.poset))
+print(export_dot(m3))
 
 # ---------------------------------------------------------------------------
 # Orthocomplements.  The benzene ring O6 satisfies every ortholattice
@@ -78,5 +78,5 @@ print(f"downset at the atom a: {down.n} elements, ortho map {down.ortho}")
 print("\n== Boolean cube 2^3 ==")
 b3 = boolean_ortho(3)
 print(f"ortholattice?  {check_ortholattice(b3.lattice, b3.ortho)}")
-print(f"inversion?     {check_inversion(b3.lattice.poset, b3.ortho)}")
+print(f"inversion?     {check_inversion(b3.lattice, b3.ortho)}")
 print(f"single block:  {blocks(b3)}")

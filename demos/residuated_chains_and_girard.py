@@ -46,9 +46,9 @@ for s, name in ((luk, "Lukasiewicz"), (godel_chain(3), "Godel")):
     if certs:
         cert = certs[0]
         print(f"negation: {cert.neg}, unit: {cert.e}")
-        print(f"join-of-self-products formula: {check_dualizer_join_formula(s, cert)}")
+        print(f"join-of-self-products formula: {check_dualizer_join_formula(s, cert, certs)}")
     print(f"Boolean iff idempotent with bottom dualizer: "
-          f"{check_boolean_idempotent_criterion(s)}")
+          f"{check_boolean_idempotent_criterion(s, certs)}")
 
 # The Godel chain fails because double negation collapses: 1/2 -> 0 is 0,
 # and 0 -> 0 is 1, so negation is not involutive.

@@ -230,7 +230,7 @@ def cmd_enumerate(args) -> int:
         print(f"n={size}: {count}")
     print(f"total: {sum(counts.values())}" + (" (filters: complemented)" if args.complemented else ""))
     if args.confirm_thm2:
-        report = confirm_boolean_forcing(args.max_n, kept if args.complemented else result.lattices)
+        report = confirm_boolean_forcing(result.lattices)
         sections = [("search", [report])]
         print(render_report(sections, "human"), end="")
         return exit_code(sections)

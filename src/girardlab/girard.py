@@ -9,7 +9,7 @@ exhaustively on every instance rather than taken on faith.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from . import orders
 class GirardCertificate:
     """A cyclic dualizing element together with its induced data."""
 
-    base: ResiduatedStructure
     d: int
     neg: tuple  # x -> d, verified to be an inversion
     e: int      # neg(d), verified to be a unit
@@ -75,7 +74,7 @@ def find_cyclic_dualizing(s: ResiduatedStructure) -> List[GirardCertificate]:
                           | (lres[y, x] != neg[mul[neg[y], x]]), s.n, 2)
         if w is not None:
             raise RuntimeError(f"residuum/negation identity fails at ({w[0]},{w[1]})")
-        out.append(GirardCertificate(s, d, tuple(neg.tolist()), e))
+        out.append(GirardCertificate(d, tuple(neg.tolist()), e))
     return out
 
 
@@ -141,13 +140,13 @@ def girard_equivalences(s: ResiduatedStructure, inversion=None) -> GirardEquival
 
 
 def check_dualizer_join_formula(s: ResiduatedStructure, cert: GirardCertificate,
-                                certs: Optional[Sequence[GirardCertificate]] = None) -> LawReport:
+                                certs: Sequence[GirardCertificate]) -> LawReport:
     """The dualizer is the join of all x * neg(x), and is unique.
 
     Checks every x * neg(x) <= d and neg(x) * x <= d, that the join of
     the products equals d exactly, and that no other element is cyclic
-    and dualizing with the same induced negation.  certs, when given, is
-    what find_cyclic_dualizing(s) returned, and is not scanned again.
+    and dualizing with the same induced negation.  certs is what
+    find_cyclic_dualizing(s) returned.
     """
     if s.lattice is None:
         return law_skip("dualizer-join-formula", "needs a lattice for joins")
@@ -161,23 +160,20 @@ def check_dualizer_join_formula(s: ResiduatedStructure, cert: GirardCertificate,
     acc = int((upper & leq[:, upper].all(axis=1)).argmax())  # their least one
     if acc != d:
         return law_fail("dualizer-join-formula", (acc,), f"join of self-products is {acc}, not d={d}")
-    for other in find_cyclic_dualizing(s) if certs is None else certs:
+    for other in certs:
         if other.d != d and other.neg == cert.neg:
             return law_fail("dualizer-join-formula", (other.d,), "second dualizer with same negation")
     return law_pass("dualizer-join-formula", f"d={d}")
 
 
 def check_boolean_idempotent_criterion(s: ResiduatedStructure,
-                                       certs: Optional[Sequence[GirardCertificate]] = None
-                                       ) -> LawReport:
+                                       certs: Sequence[GirardCertificate]) -> LawReport:
     """Instance-level biconditional: the lattice is Boolean exactly when
     the structure is idempotent with a cyclic dualizing element at the
-    bottom; on the Boolean side the product must be the meet.  certs,
-    when given, is what find_cyclic_dualizing(s) returned."""
+    bottom; on the Boolean side the product must be the meet.  certs is
+    what find_cyclic_dualizing(s) returned."""
     if s.lattice is None:
         return law_skip("boolean-iff-idempotent-bottom-dualizer", "needs a lattice")
-    if certs is None:
-        certs = find_cyclic_dualizing(s)
     if not certs:
         return law_skip("boolean-iff-idempotent-bottom-dualizer", "structure is not Girard")
     lhs = is_boolean(s.lattice).passed

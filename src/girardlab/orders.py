@@ -129,7 +129,7 @@ class FinitePoset:
 
     n: int
     leq: np.ndarray
-    labels: Optional[tuple] = None
+    labels: Optional[tuple]
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
@@ -176,29 +176,13 @@ def closure_from_covers(n: int, covers: Iterable[tuple]) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteLattice:
+class FiniteLattice(FinitePoset):
     """Poset together with total meet/join tables and bounds."""
 
-    poset: FinitePoset
     meet: np.ndarray
     join: np.ndarray
     bottom: int
     top: int
-
-    @property
-    def n(self) -> int:
-        return self.poset.n
-
-    @property
-    def leq(self) -> np.ndarray:
-        return self.poset.leq
-
-    @property
-    def labels(self):
-        return self.poset.labels
-
-    def label(self, i: int) -> str:
-        return self.poset.label(i)
 
 
 def compute_lattice(p: FinitePoset) -> FiniteLattice:
@@ -228,7 +212,8 @@ def compute_lattice(p: FinitePoset) -> FiniteLattice:
             raise NotALattice((w[0] + lo, w[1]), kind)
         join[lo:lo + len(i)] = ub
         meet[lo:lo + len(i)] = lb
-    return FiniteLattice(p, _frozen(meet), _frozen(join), int(bottoms[0]), int(tops[0]))
+    return FiniteLattice(n, leq, p.labels, _frozen(meet), _frozen(join),
+                         int(bottoms[0]), int(tops[0]))
 
 
 def lattice_from_covers(covers, labels) -> FiniteLattice:

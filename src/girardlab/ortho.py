@@ -48,7 +48,7 @@ def check_ortholattice(l: FiniteLattice, f) -> LawReport:
     """PASS iff f is an inversion with x /\\ f(x) = 0 and x \\/ f(x) = 1,
     and joins agree with the De Morgan dual of meets under f."""
     f = np.array(as_order_map(f, l.n))
-    inv = check_inversion(l.poset, f)
+    inv = check_inversion(l, f)
     if inv.failed:
         return law_fail("ortholattice", inv.witness, f"inversion: {inv.note}")
     meet, join, x = l.meet, l.join, np.arange(l.n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -90,7 +90,6 @@ class ResiduatedStructure:
     rres: np.ndarray  # rres[y, z] is the right residuum y -> z
     lres: np.ndarray  # lres[z, x] is the left residuum z <- x
     flags: Flags
-    lattice: Optional[FiniteLattice] = None
 
     @property
     def n(self) -> int:
@@ -99,22 +98,20 @@ class ResiduatedStructure:
     def label(self, i: int) -> str:
         return self.poset.label(i)
 
+    @property
+    def lattice(self) -> Optional[FiniteLattice]:
+        """The carrier when it is a lattice, else None."""
+        return self.poset if isinstance(self.poset, FiniteLattice) else None
 
-def _order_parts(order: Union[FinitePoset, FiniteLattice]):
-    if isinstance(order, FiniteLattice):
-        return order.poset, order
-    return order, None
 
-
-def derive_residua(order: Union[FinitePoset, FiniteLattice], mul) -> Tuple[np.ndarray, np.ndarray]:
+def derive_residua(order: FinitePoset, mul) -> Tuple[np.ndarray, np.ndarray]:
     """Compute both residua tables from adjointness, or fail loudly.
 
     Raises NoResiduum when some candidate set is empty or has no maximum,
     and AdjointnessFailure when the tables exist pointwise but the triple
     biconditional does not hold (multiplication not monotone, say).
     """
-    poset, _ = _order_parts(order)
-    n, leq = poset.n, poset.leq
+    n, leq = order.n, order.leq
     t = as_mul_table(mul, n)
     rres = _residuum(lambda y, z, x: leq[t[x, y], z], leq, "right")
     lres = _residuum(lambda z, x, y: leq[t[x, y], z], leq, "left")
@@ -151,26 +148,24 @@ def _check_adjointness(leq: np.ndarray, t: np.ndarray, rres: np.ndarray, lres: n
         raise AdjointnessFailure(w)
 
 
-def classify(order: Union[FinitePoset, FiniteLattice], mul) -> Flags:
+def classify(order: FinitePoset, mul) -> Flags:
     """Exhaustively scan for commutativity, idempotency, unit, integrality."""
-    poset, _ = _order_parts(order)
-    idx = np.arange(poset.n)
+    idx = np.arange(order.n)
     t = np.asarray(mul, dtype=np.intp)
     commutative = bool((t == t.T).all())
     idempotent = bool((t.diagonal() == idx).all())
     units = first_violation((t == idx).all(axis=1) & (t == idx[:, None]).all(axis=0))
     unit = None if units is None else units[0]
-    top = first_violation(poset.leq.all(axis=0))
+    top = first_violation(order.leq.all(axis=0))
     integral = unit is not None and (unit,) == top
     return Flags(commutative, idempotent, unit, integral)
 
 
-def residuated_structure(order: Union[FinitePoset, FiniteLattice], mul) -> ResiduatedStructure:
+def residuated_structure(order: FinitePoset, mul) -> ResiduatedStructure:
     """Derive residua, classify, and assemble a verified structure."""
-    poset, lat = _order_parts(order)
-    t = as_mul_table(mul, poset.n)
+    t = as_mul_table(mul, order.n)
     rres, lres = derive_residua(order, t)
-    return ResiduatedStructure(poset, t, rres, lres, classify(order, t), lat)
+    return ResiduatedStructure(order, t, rres, lres, classify(order, t))
 
 
 def boolean_residuation(l: FiniteLattice) -> ResiduatedStructure:
@@ -186,7 +181,7 @@ def boolean_residuation(l: FiniteLattice) -> ResiduatedStructure:
     rres.flags.writeable = False
     lres.flags.writeable = False
     flags = Flags(commutative=True, idempotent=True, unit=l.top, integral=True)
-    return ResiduatedStructure(l.poset, l.meet, rres, lres, flags, l)
+    return ResiduatedStructure(l, l.meet, rres, lres, flags)
 
 
 def _chain_with_fraction_labels(m: int) -> FiniteLattice:

@@ -88,10 +88,16 @@ def _down_masks(rows: Tuple[int, ...]) -> List[int]:
     return [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
 
 
-def _order_classes(rows: Sequence[int]) -> List[Tuple[int, int]]:
-    """Each element's class, its (up-set size, down-set size).  An order
-    isomorphism maps every element to one of the same class."""
-    return [(r.bit_count(), sum(s >> i & 1 for s in rows)) for i, r in enumerate(rows)]
+def _order_classes(rows: Sequence[int]):
+    """(cls, members): cls[i] is element i's class, its (up-set size,
+    down-set size), and members maps each class to its elements in index
+    order.  An order isomorphism maps every element to one of the same
+    class."""
+    cls = [(r.bit_count(), sum(s >> i & 1 for s in rows)) for i, r in enumerate(rows)]
+    members: Dict[Tuple[int, int], List[int]] = {}
+    for i, c in enumerate(cls):
+        members.setdefault(c, []).append(i)
+    return cls, members
 
 
 def canonical_key(rows: Tuple[int, ...]) -> tuple:
@@ -102,11 +108,8 @@ def canonical_key(rows: Tuple[int, ...]) -> tuple:
     posets share the key.  The encoding fixes the whole relabelled
     relation, so posets that share the key are isomorphic."""
     n = len(rows)
-    cls = _order_classes(rows)
+    cls, members = _order_classes(rows)
     slot_class = sorted(cls)
-    members: Dict[Tuple[int, int], List[int]] = {}
-    for i in range(n):
-        members.setdefault(cls[i], []).append(i)
 
     best: Optional[tuple] = None
     perm: List[int] = []
@@ -147,10 +150,7 @@ def _order_automorphism(rows: Sequence[int], a: Optional[int] = None, b: Optiona
     the other elements in index order, each within its own class, keeping
     x <= z iff sigma[x] <= sigma[z] against every element already mapped."""
     n = len(rows)
-    cls = _order_classes(rows)
-    members: Dict[Tuple[int, int], List[int]] = {}
-    for y, c in enumerate(cls):
-        members.setdefault(c, []).append(y)
+    cls, members = _order_classes(rows)
     choices = [members[c] for c in cls]
     if a is not None:
         choices[a] = [b] if cls[b] == cls[a] else []
@@ -314,7 +314,6 @@ def enumerate_lattices(max_n: int) -> EnumerationResult:
 
 @dataclass
 class ResiduationSearchResult:
-    lattice_id: str
     mode: str
     found: List[np.ndarray]
     structures: List[ResiduatedStructure]
@@ -324,7 +323,7 @@ class ResiduationSearchResult:
 
 
 def _lattice_id(l: FiniteLattice) -> str:
-    return f"n={l.n};covers={hasse_covers(l.poset)}"
+    return f"n={l.n};covers={hasse_covers(l)}"
 
 
 def _true_columns(mask: np.ndarray) -> List[List[int]]:
@@ -612,8 +611,8 @@ def _search(l: FiniteLattice, mode: str, units: List[int],
         if not exhausted:
             break
     hits.sort(key=lambda hit: tuple(hit[0].ravel()))
-    return ResiduationSearchResult(_lattice_id(l), mode, [m for m, _ in hits],
-                                   [s for _, s in hits], exhausted, nodes)
+    return ResiduationSearchResult(mode, [m for m, _ in hits], [s for _, s in hits],
+                                   exhausted, nodes)
 
 
 def search_integral_residuation(l: FiniteLattice,
@@ -645,18 +644,14 @@ def search_unital_residuation(o: OrthoLattice, budget: int = 200_000) -> Residua
     return result
 
 
-def confirm_boolean_forcing(max_n: int,
-                            lattices: Optional[List[FiniteLattice]] = None) -> LawReport:
-    """For every complemented lattice on at most max_n elements, an
-    integral residuated multiplication exists exactly when the lattice
-    is Boolean, and on Boolean lattices the only one is the meet (hence
-    idempotent).  Verified by exhaustive enumeration plus search.
+def confirm_boolean_forcing(lattices: List[FiniteLattice]) -> LawReport:
+    """For every complemented lattice among lattices, an integral
+    residuated multiplication exists exactly when the lattice is Boolean,
+    and on Boolean lattices the only one is the meet (hence idempotent:
+    the meet's diagonal is the identity).  Verified by exhaustive search.
 
-    `lattices`, when given, is what enumerate_lattices(max_n) returned,
-    possibly filtered; the complemented ones among them are checked
-    instead of enumerating again."""
-    if lattices is None:
-        lattices = enumerate_lattices(max_n).lattices
+    lattices is what enumerate_lattices(max_n) returned, so the counts
+    per size run from 1 to the largest lattice's size."""
     complemented = [lat for lat in lattices if is_complemented(lat)[0].passed]
     for idx, lat in enumerate(complemented):
         res = search_integral_residuation(lat)
@@ -665,23 +660,16 @@ def confirm_boolean_forcing(max_n: int,
             return law_fail(
                 "complemented-integral-iff-boolean",
                 (lat.n, idx),
-                f"boolean={boolean} but search found {len(res.found)} tables on {res.lattice_id}",
+                f"boolean={boolean} but search found {len(res.found)} tables on {_lattice_id(lat)}",
             )
-        if boolean:
-            if len(res.found) != 1 or not (res.found[0] == lat.meet).all():
-                return law_fail(
-                    "complemented-integral-iff-boolean",
-                    (lat.n, idx),
-                    f"Boolean lattice admits {len(res.found)} tables, expected only the meet",
-                )
-            if not res.structures[0].flags.idempotent:
-                return law_fail(
-                    "complemented-integral-iff-boolean",
-                    (lat.n, idx),
-                    "meet multiplication not idempotent",
-                )
+        if boolean and (len(res.found) != 1 or not (res.found[0] == lat.meet).all()):
+            return law_fail(
+                "complemented-integral-iff-boolean",
+                (lat.n, idx),
+                f"Boolean lattice admits {len(res.found)} tables, expected only the meet",
+            )
     sizes = ", ".join(f"{size}:{sum(lat.n == size for lat in complemented)}"
-                      for size in range(1, max_n + 1))
+                      for size in range(1, max(lat.n for lat in lattices) + 1))
     return law_pass(
         "complemented-integral-iff-boolean",
         f"{len(complemented)} complemented lattices checked (per size {sizes})",

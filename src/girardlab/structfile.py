@@ -286,7 +286,7 @@ def from_lattice(l: FiniteLattice, ortho=None, mul=None, unit=None, dualizing=No
         mul_rows = tuple(tuple(int(v) for v in row) for row in m)
     return StructureFile(
         tuple(labels),
-        covers=tuple(hasse_covers(l.poset)),
+        covers=tuple(hasse_covers(l)),
         ortho=tuple(int(x) for x in ortho) if ortho is not None else None,
         mul=mul_rows,
         unit=unit,

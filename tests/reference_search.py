@@ -409,5 +409,5 @@ def per_unit_search(l, mode: str, units: List[int], budget: Optional[int]):
         if not exhausted:
             break
     hits.sort(key=lambda hit: tuple(hit[0].ravel()))
-    return search.ResiduationSearchResult(search._lattice_id(l), mode, [m for m, _ in hits],
-                                          [s for _, s in hits], exhausted, nodes)
+    return search.ResiduationSearchResult(mode, [m for m, _ in hits], [s for _, s in hits],
+                                          exhausted, nodes)

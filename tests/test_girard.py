@@ -169,25 +169,23 @@ class TestDualizerJoinFormula:
     def test_join_of_self_products(self, s):
         (cert,) = find_cyclic_dualizing(s)
         assert cert.d == s.lattice.bottom
-        assert check_dualizer_join_formula(s, cert).passed
+        assert check_dualizer_join_formula(s, cert, [cert]).passed
 
     def test_wrong_dualizer_fails(self):
         s = lukasiewicz_chain(5)
         (cert,) = find_cyclic_dualizing(s)
-        report = check_dualizer_join_formula(s, dataclasses.replace(cert, d=1))
+        report = check_dualizer_join_formula(s, dataclasses.replace(cert, d=1), [cert])
         assert report.failed and report.witness == (0,)
 
     def test_broken_certificate_raises(self):
         # 1 * 1/2 = 0 keeps 0 cyclic and, with the residua untouched,
-        # dualizing; the other dualizers come from find_cyclic_dualizing,
-        # which rejects the table instead of certifying it
+        # dualizing; find_cyclic_dualizing, whose certificates the formula
+        # takes, rejects the table instead of certifying it
         s = lukasiewicz_chain(3)
-        (cert,) = find_cyclic_dualizing(s)
         bad = np.array(s.mul)
         bad[2, 1] = bad[1, 2] = 0
-        broken = type(s)(s.poset, bad, s.rres, s.lres, s.flags, s.lattice)
         with pytest.raises(RuntimeError, match="fails the unit law"):
-            check_dualizer_join_formula(broken, cert)
+            find_cyclic_dualizing(dataclasses.replace(s, mul=bad))
 
     def test_per_element_products_stay_below_d(self):
         s = lukasiewicz_chain(4)
@@ -204,22 +202,23 @@ class TestDualizerJoinFormula:
         # the ambient orthocomplement is the linear negation of d = 2
         assert certs[1].neg == o.ortho
         for cert in certs:
-            assert check_dualizer_join_formula(s, cert).passed
+            assert check_dualizer_join_formula(s, cert, certs).passed
 
 
 class TestBooleanIdempotentCriterion:
     def test_boolean_square(self):
         s = boolean_residuation(boolean_cube(2))
-        report = check_boolean_idempotent_criterion(s)
+        report = check_boolean_idempotent_criterion(s, find_cyclic_dualizing(s))
         assert report.passed and "True" in report.note
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_mv_chains_both_sides_false(self, m):
-        report = check_boolean_idempotent_criterion(lukasiewicz_chain(m))
+        s = lukasiewicz_chain(m)
+        report = check_boolean_idempotent_criterion(s, find_cyclic_dualizing(s))
         assert report.passed and "False" in report.note
 
     def test_not_girard_skipped(self):
-        report = check_boolean_idempotent_criterion(godel_chain(3))
+        report = check_boolean_idempotent_criterion(godel_chain(3), [])
         assert report.verdict.value == "SKIPPED"
 
 

@@ -178,7 +178,7 @@ class TestPredicates:
             lat = boolean_cube(k)
             assert is_boolean(lat).passed
             _, comps = is_complemented(lat)
-            assert check_inversion(lat.poset, comps).passed
+            assert check_inversion(lat, comps).passed
 
 
 class TestInversion:
@@ -188,35 +188,35 @@ class TestInversion:
 
     def test_boolean_complement(self):
         lat = boolean_cube(2)
-        assert check_inversion(lat.poset, (3, 2, 1, 0)).passed
+        assert check_inversion(lat, (3, 2, 1, 0)).passed
 
     def test_three_chain_flip(self):
-        p = chain(3).poset
+        p = chain(3)
         assert check_inversion(p, (2, 1, 0)).passed
         report = check_inversion(p, (1, 2, 0))
         assert report.failed and report.note == "not involutive"
 
     def test_enumerate_inversions_chain(self):
-        assert enumerate_inversions(chain(4).poset) == [(3, 2, 1, 0)]
+        assert enumerate_inversions(chain(4)) == [(3, 2, 1, 0)]
 
     def test_enumerate_inversions_contains_complement(self):
         lat = boolean_cube(3)
         _, comps = is_complemented(lat)
-        found = enumerate_inversions(lat.poset)
+        found = enumerate_inversions(lat)
         assert comps in found
         for f in found:
-            assert check_inversion(lat.poset, f).passed
+            assert check_inversion(lat, f).passed
 
 
 class TestCovers:
     def test_two_chain(self):
-        assert hasse_covers(chain(2).poset) == [(0, 1)]
+        assert hasse_covers(chain(2)) == [(0, 1)]
 
     def test_square(self):
-        assert len(hasse_covers(boolean_cube(2).poset)) == 4
+        assert len(hasse_covers(boolean_cube(2))) == 4
 
     def test_m3(self):
-        covers = hasse_covers(diamond_m3().poset)
+        covers = hasse_covers(diamond_m3())
         assert len(covers) == 6
         # definition replay: no intermediate element within any cover
         lat = diamond_m3()

@@ -14,7 +14,7 @@ from girardlab import search
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
     horizontal_sum_mo
 from girardlab.girard import check_unit_downset_boolean
-from girardlab.orders import compute_lattice, hasse_covers, validate_poset
+from girardlab.orders import compute_lattice, validate_poset
 from girardlab.ortho import OrthoLattice, is_orthomodular
 from girardlab.reports import InputError, law_pass
 from girardlab.residuation import check_associative, derive_residua, lukasiewicz_chain
@@ -243,23 +243,58 @@ class TestIntegralSearch:
         assert peak < 32 * 2 ** 20
 
 
+def sweep(max_n):
+    return confirm_boolean_forcing(enumerate_lattices(max_n).lattices)
+
+
 class TestConfirmBooleanForcing:
     def test_max_four(self):
-        report = confirm_boolean_forcing(4)
+        report = sweep(4)
         assert report.passed
 
     def test_max_six(self):
-        assert confirm_boolean_forcing(6).passed
+        assert sweep(6).passed
 
     def test_monotone_in_bound(self):
         # a pass at six implies the smaller sweeps pass as sub-reports
-        assert confirm_boolean_forcing(6).passed
-        assert confirm_boolean_forcing(5).passed
-        assert confirm_boolean_forcing(4).passed
+        assert sweep(6).passed
+        assert sweep(5).passed
+        assert sweep(4).passed
 
-    def test_bound(self):
-        with pytest.raises(InputError):
-            confirm_boolean_forcing(11)
+    @staticmethod
+    def _tampered_sweep(monkeypatch, max_n, tamper):
+        """The sweep to max_n with each search's tables replaced by
+        tamper(lattice, tables)."""
+        real = search.search_integral_residuation
+
+        def tampered(lat, budget=None):
+            result = real(lat, budget)
+            result.found = tamper(lat, result.found)
+            return result
+
+        monkeypatch.setattr(search, "search_integral_residuation", tampered)
+        return sweep(max_n)
+
+    def test_fails_on_a_table_for_a_non_boolean_lattice(self, monkeypatch):
+        # the complemented lattices to 5 elements are 1, 2, B4, M3, N5;
+        # M3, the first non-Boolean one, is given its meet
+        report = self._tampered_sweep(monkeypatch, 5, lambda lat, found: found or [lat.meet])
+        assert report.failed and report.witness == (5, 3)
+        assert report.note == ("boolean=False but search found 1 tables on "
+                               "n=5;covers=[(1, 2), (1, 3), (1, 4), (2, 0), (3, 0), (4, 0)]")
+
+    def test_fails_on_no_table_for_a_boolean_lattice(self, monkeypatch):
+        report = self._tampered_sweep(monkeypatch, 5,
+                                      lambda lat, found: [] if lat.n == 4 else found)
+        assert report.failed and report.witness == (4, 2)
+        assert report.note == ("boolean=True but search found 0 tables on "
+                               "n=4;covers=[(1, 2), (1, 3), (2, 0), (3, 0)]")
+
+    def test_fails_on_a_non_meet_table_for_a_boolean_lattice(self, monkeypatch):
+        report = self._tampered_sweep(monkeypatch, 5,
+                                      lambda lat, found: [lat.join] if lat.n == 4 else found)
+        assert report.failed and report.witness == (4, 2)
+        assert report.note == "Boolean lattice admits 1 tables, expected only the meet"
 
 
 class TestUnitalSearch:
@@ -315,10 +350,6 @@ class TestUnitalSearch:
     def test_requires_orthomodular(self):
         with pytest.raises(InputError):
             search_unital_residuation(benzene_o6(), budget=100)
-
-    def test_lattice_id_mentions_covers(self):
-        result = search_unital_residuation(boolean_ortho(1), budget=1000)
-        assert str(hasse_covers(boolean_cube(1).poset)) in result.lattice_id
 
 
 def _outcome(result):
