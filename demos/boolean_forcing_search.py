@@ -9,7 +9,6 @@ as a budgeted search on MO2 demonstrates.
 from girardlab import (
     confirm_boolean_forcing,
     enumerate_lattices,
-    is_complemented,
     search_integral_residuation,
     search_unital_residuation,
 )
@@ -21,8 +20,7 @@ from girardlab.catalog import boolean_cube, chain, diamond_m3, horizontal_sum_mo
 result = enumerate_lattices(7)
 print("lattices per size:", result.counts)
 
-complemented = [lat for lat in result.lattices if is_complemented(lat)[0].passed]
-print("complemented:     ", {n: sum(lat.n == n for lat in complemented) for n in result.counts})
+print("complemented:     ", {n: sum(lat.n == n for lat in result.complemented) for n in result.counts})
 
 # ---------------------------------------------------------------------------
 # Integral searches on individual lattices.
@@ -42,7 +40,7 @@ for lat, name in ((boolean_cube(2), "2^2"), (diamond_m3(), "M3"), (chain(3), "3-
 # The full sweep: every complemented lattice on up to 7 elements.
 # ---------------------------------------------------------------------------
 print()
-print(confirm_boolean_forcing(result.lattices))
+print(confirm_boolean_forcing(result))
 
 # ---------------------------------------------------------------------------
 # Dropping integrality changes everything.  MO2 is orthomodular and not

@@ -222,15 +222,15 @@ def cmd_blocks(args) -> int:
 
 def cmd_enumerate(args) -> int:
     result = enumerate_lattices(args.max_n)
-    counts = result.counts  # a plain count builds no FiniteLattice
+    counts = result.counts  # a count, filtered or not, builds no FiniteLattice
     if args.complemented:
-        kept = [lat for lat in result.lattices if is_complemented(lat)[0].passed]
-        counts = {size: sum(lat.n == size for lat in kept) for size in counts}
+        kept = result.complemented_posets
+        counts = {size: sum(len(rows) == size for rows in kept) for size in counts}
     for size, count in counts.items():
         print(f"n={size}: {count}")
     print(f"total: {sum(counts.values())}" + (" (filters: complemented)" if args.complemented else ""))
     if args.confirm_thm2:
-        report = confirm_boolean_forcing(result.lattices)
+        report = confirm_boolean_forcing(result)
         sections = [("search", [report])]
         print(render_report(sections, "human"), end="")
         return exit_code(sections)

@@ -30,7 +30,11 @@ keeps each lattice as the up-set bitmasks of its order, and builds its
 FiniteLattice only when the result's lattices are first read, so a run
 that only counts builds none.  _grow lists the down-sets d that hold the
 bottom directly, by an include/exclude pass over the elements, so it
-visits no mask that is not a down-set.
+visits no mask that is not a down-set.  The Boolean-forcing sweep
+(confirm_boolean_forcing) works in that order too: complementation is
+tested on the bitmasks (_complemented), then only the complemented
+lattices are built, and only those are searched.  Counting them builds
+nothing.
 
 Residuation searches backtrack only over products of join-irreducible
 pairs: a residuated multiplication preserves joins, so it is determined
@@ -61,7 +65,7 @@ passes preserves joins in each argument and needs no separate join scan.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -69,8 +73,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .girard import check_unit_downset_boolean
-from .orders import FiniteLattice, compute_lattice, hasse_covers, is_boolean, is_complemented, \
-    join_irreducibles, validate_poset
+from .orders import FiniteLattice, compute_lattice, hasse_covers, is_distributive, \
+    validate_poset
 from .ortho import OrthoLattice, is_orthomodular
 from .reports import InputError, LawReport, law_fail, law_pass
 from .residuation import ResiduatedStructure, ResiduationError, check_associative, \
@@ -248,16 +252,44 @@ def _rows_to_lattice(rows: Tuple[int, ...]) -> FiniteLattice:
     return compute_lattice(validate_poset(leq))
 
 
+def _complemented(rows: Tuple[int, ...]) -> bool:
+    """Whether every element of the enumerated lattice has a complement.
+    Element 0 is the top and b the bottom, so y complements x exactly
+    when the top is their only common upper bound and b their only
+    common lower bound."""
+    downs = _down_masks(rows)
+    top, bottom = rows[0], downs[rows.index((1 << len(rows)) - 1)]
+    return all(any(rx & ry == top and dx & dy == bottom for ry, dy in zip(rows, downs))
+               for rx, dx in zip(rows, downs))
+
+
 @dataclass
 class EnumerationResult:
-    """posets holds each lattice as its up-set bitmasks; lattices builds
-    their FiniteLattice forms, in the same order, when first read."""
+    """posets holds each lattice as its up-set bitmasks, and
+    complemented_posets those of the complemented ones, in the same
+    order.  lattices and complemented build their FiniteLattice forms
+    when first read, each lattice at most once."""
     posets: List[Tuple[int, ...]]
     counts: Dict[int, int]
+    _built: Dict[Tuple[int, ...], FiniteLattice] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def _lattice(self, rows: Tuple[int, ...]) -> FiniteLattice:
+        if rows not in self._built:
+            self._built[rows] = _rows_to_lattice(rows)
+        return self._built[rows]
 
     @cached_property
     def lattices(self) -> List[FiniteLattice]:
-        return [_rows_to_lattice(rows) for rows in self.posets]
+        return [self._lattice(rows) for rows in self.posets]
+
+    @cached_property
+    def complemented_posets(self) -> List[Tuple[int, ...]]:
+        return [rows for rows in self.posets if _complemented(rows)]
+
+    @cached_property
+    def complemented(self) -> List[FiniteLattice]:
+        return [self._lattice(rows) for rows in self.complemented_posets]
 
 
 def _orbit_least(rows: Tuple[int, ...]):
@@ -326,20 +358,6 @@ def _lattice_id(l: FiniteLattice) -> str:
     return f"n={l.n};covers={hasse_covers(l)}"
 
 
-def _true_columns(mask: np.ndarray) -> List[List[int]]:
-    """For each row of a boolean matrix, the indices of its True cells."""
-    columns: List[List[int]] = [[] for _ in range(len(mask))]
-    for k, c in zip(*(ix.tolist() for ix in np.nonzero(mask))):
-        columns[k].append(c)
-    return columns
-
-
-def _greatest(members: np.ndarray, lt: np.ndarray) -> np.ndarray:
-    """members[x, s] marks s as a member of set x; keeps the members that
-    lie strictly below no other member, lt[s, s2] meaning s < s2."""
-    return members & ~(members.astype(np.intp) @ lt.T.astype(np.intp) > 0)
-
-
 class _IrreducibleTableSearch:
     """Backtracking over products of join-irreducible pairs, for the unit e.
 
@@ -393,28 +411,45 @@ class _IrreducibleTableSearch:
     def __init__(self, l: FiniteLattice, e: int):
         self.l = l
         self.e = e  # the unit
-        heights = l.leq.sum(axis=0).tolist()
-        self.irr = sorted(join_irreducibles(l), key=lambda i: (heights[i], i))
-        r = len(self.irr)
-        irr = np.array(self.irr, dtype=np.intp)
-        below, irr_leq = l.leq[irr].T, l.leq[np.ix_(irr, irr)]
-        self.below_irr = [[self.irr[s] for s in pos] for pos in _true_columns(below)]
-        irr_lt = irr_leq & ~np.eye(r, dtype=bool)
-        # positions in self.irr of the greatest irreducibles below each element
-        self.tops = _true_columns(_greatest(below, irr_lt))
+        n, leq = l.n, l.leq.tolist()
+        self.leq_rows, self.join_rows, self.meet_rows = leq, l.join.tolist(), l.meet.tolist()
+        # downs[y]: the elements below y, in increasing order and as a bitmask
+        self.downs = [[x for x, below in enumerate(col) if below] for col in l.leq.T.tolist()]
+        down_masks = [sum(1 << x for x in downs) for downs in self.downs]
+        # x is join-irreducible iff it has exactly one lower cover c, that is
+        # iff the elements strictly below it are the down-set of c
+        principal = set(down_masks)
+        irr = [x for x, mask in enumerate(down_masks) if mask & ~(1 << x) in principal]
+        self.irr = irr = sorted(irr, key=lambda i: (len(self.downs[i]), i))
+        r = len(irr)
+        # below[x]: the positions in irr of the irreducibles below x, in
+        # increasing order and as a bitmask; above[s]: those strictly above irr[s]
+        below = [[s for s, i in enumerate(irr) if mask >> i & 1] for mask in down_masks]
+        below_masks = [sum(1 << s for s in pos) for pos in below]
+        above = [sum(1 << t for t, i in enumerate(irr) if t != s and below_masks[i] >> s & 1)
+                 for s in range(r)]
+        self.below_irr = [[irr[s] for s in pos] for pos in below]
+        # positions in irr of the greatest irreducibles below each element
+        self.tops = [[s for s in pos if not mask & above[s]] for pos, mask in zip(below, below_masks)]
         self.cells = [(i, j) for i in self.irr for j in self.irr]
-        self.leq_rows, self.join_rows = l.leq.tolist(), l.join.tolist()
         # cell k is (irr[k // r], irr[k % r]); the greatest cells below cell
         # (t, s) are (c, s) and (t, c) for the lower covers c of t and of s
         # among the irreducibles, and they come earlier, in increasing order
-        covers = _true_columns(_greatest(irr_lt.T, irr_lt))
-        self.lows = [[c * r + s for c in covers[t]] + [t * r + c for c in covers[s]]
-                     for t in range(r) for s in range(r)]
+        covers = [[s for s in below[i] if s != t and not below_masks[i] & ~(1 << t) & above[s]]
+                  for t, i in enumerate(irr)]
+        self.lows = [[] for _ in range(r * r)]
+        for t, lower in enumerate(covers):
+            for c in lower:
+                for s in range(r):
+                    self.lows[t * r + s].append(c * r + s)
+        for s, lower in enumerate(covers):
+            for c in lower:
+                for t in range(r):
+                    self.lows[t * r + s].append(t * r + c)
         # only incomparable pairs can break the join consistency of a
         # monotone row: for a <= b it reads row[b] = row[a] \/ row[b]
-        a, b = np.nonzero(np.triu(~(l.leq | l.leq.T)))
-        self.incomparable = list(zip(a.tolist(), b.tolist(), l.join[a, b].tolist()))
-        self.downs = _true_columns(l.leq.T)
+        self.incomparable = [(a, b, self.join_rows[a][b]) for a in range(n) for b in range(a + 1, n)
+                             if not (leq[a][b] or leq[b][a])]
         self.domains = [self.domain(i, j) for i, j in self.cells]
         self.values = [l.bottom] * len(self.cells)  # values[k]: the value of cell k
         self.rows: List[Optional[List[int]]] = [None] * r  # R_t, by position t
@@ -448,17 +483,17 @@ class _IrreducibleTableSearch:
         """The values cell (i, j) ranges over, in search order.  The unit
         law pins a lone extension cell outright; otherwise the unit bounds
         the cell: x <= e gives x*y <= e*y = y, and likewise on the right."""
-        e, below_irr, l = self.e, self.below_irr, self.l
+        e, below_irr, leq = self.e, self.below_irr, self.leq_rows
         if below_irr[e] == [e]:
             if j == e and below_irr[i] == [i]:
                 return [i]
             if i == e and below_irr[j] == [j]:
                 return [j]
-        bound = l.top
-        if l.leq[i, e]:
+        bound = self.l.top
+        if leq[i][e]:
             bound = j
-        if l.leq[j, e]:
-            bound = l.meet[bound, i]
+        if leq[j][e]:
+            bound = self.meet_rows[bound][i]
         return self.downs[bound]
 
     def partial_row(self, t: int) -> List[int]:
@@ -644,18 +679,17 @@ def search_unital_residuation(o: OrthoLattice, budget: int = 200_000) -> Residua
     return result
 
 
-def confirm_boolean_forcing(lattices: List[FiniteLattice]) -> LawReport:
-    """For every complemented lattice among lattices, an integral
+def confirm_boolean_forcing(result: EnumerationResult) -> LawReport:
+    """For every complemented lattice of an enumeration, an integral
     residuated multiplication exists exactly when the lattice is Boolean,
     and on Boolean lattices the only one is the meet (hence idempotent:
-    the meet's diagonal is the identity).  Verified by exhaustive search.
-
-    lattices is what enumerate_lattices(max_n) returned, so the counts
-    per size run from 1 to the largest lattice's size."""
-    complemented = [lat for lat in lattices if is_complemented(lat)[0].passed]
+    the meet's diagonal is the identity).  Verified by exhaustive search
+    on result.complemented, so only the complemented lattices are built;
+    the counts per size run over the sizes of result.counts."""
+    complemented = result.complemented
     for idx, lat in enumerate(complemented):
         res = search_integral_residuation(lat)
-        boolean = is_boolean(lat).passed
+        boolean = is_distributive(lat).passed  # a complemented lattice is Boolean iff distributive
         if bool(res.found) != boolean:
             return law_fail(
                 "complemented-integral-iff-boolean",
@@ -669,7 +703,7 @@ def confirm_boolean_forcing(lattices: List[FiniteLattice]) -> LawReport:
                 f"Boolean lattice admits {len(res.found)} tables, expected only the meet",
             )
     sizes = ", ".join(f"{size}:{sum(lat.n == size for lat in complemented)}"
-                      for size in range(1, max(lat.n for lat in lattices) + 1))
+                      for size in result.counts)
     return law_pass(
         "complemented-integral-iff-boolean",
         f"{len(complemented)} complemented lattices checked (per size {sizes})",

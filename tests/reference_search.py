@@ -59,6 +59,15 @@ its leaf check, so with the same domains it must visit the same nodes as
 
 Each search runs one unit and returns its hits in search order.
 
+The searcher's numpy set-up.  `_IrreducibleTableSearch.__init__` used
+to derive the irreducibles' order, their greatest members below each
+element and each cell's lower neighbours from boolean matrices, with
+about fifteen small numpy calls per searcher, where it now reads nested
+lists and position bitmasks.  `NumpySetup` restores that set-up and its
+`domain`; mixed in ahead of `_IrreducibleTableSearch` it shares the
+search loop, so it must set up the same bookkeeping and visit the same
+nodes.
+
 The unital search before unit orbits.  `search._search` used to run the
 searcher on every unit, where it now searches one unit per orbit under
 the order automorphisms and maps that unit's tables to the rest of its
@@ -73,7 +82,7 @@ import numpy as np
 
 from girardlab import search
 from girardlab.orders import FiniteLattice, NotALattice, NotBounded, compute_lattice, \
-    validate_poset
+    join_irreducibles, validate_poset
 from girardlab.search import _down_masks, canonical_key
 
 
@@ -411,3 +420,80 @@ def per_unit_search(l, mode: str, units: List[int], budget: Optional[int]):
     hits.sort(key=lambda hit: tuple(hit[0].ravel()))
     return search.ResiduationSearchResult(mode, [m for m, _ in hits], [s for _, s in hits],
                                           exhausted, nodes)
+
+
+def _true_columns(mask: np.ndarray) -> List[List[int]]:
+    """For each row of a boolean matrix, the indices of its True cells."""
+    columns: List[List[int]] = [[] for _ in range(len(mask))]
+    for k, c in zip(*(ix.tolist() for ix in np.nonzero(mask))):
+        columns[k].append(c)
+    return columns
+
+
+def _greatest(members: np.ndarray, lt: np.ndarray) -> np.ndarray:
+    """members[x, s] marks s as a member of set x; keeps the members that
+    lie strictly below no other member, lt[s, s2] meaning s < s2."""
+    return members & ~(members.astype(np.intp) @ lt.T.astype(np.intp) > 0)
+
+
+class NumpySetup:
+    """_IrreducibleTableSearch's set-up, from boolean matrices."""
+
+    def __init__(self, l: FiniteLattice, e: int):
+        self.l = l
+        self.e = e
+        heights = l.leq.sum(axis=0).tolist()
+        self.irr = sorted(join_irreducibles(l), key=lambda i: (heights[i], i))
+        r = len(self.irr)
+        irr = np.array(self.irr, dtype=np.intp)
+        below, irr_leq = l.leq[irr].T, l.leq[np.ix_(irr, irr)]
+        self.below_irr = [[self.irr[s] for s in pos] for pos in _true_columns(below)]
+        irr_lt = irr_leq & ~np.eye(r, dtype=bool)
+        self.tops = _true_columns(_greatest(below, irr_lt))
+        self.cells = [(i, j) for i in self.irr for j in self.irr]
+        self.leq_rows, self.join_rows = l.leq.tolist(), l.join.tolist()
+        covers = _true_columns(_greatest(irr_lt.T, irr_lt))
+        self.lows = [[c * r + s for c in covers[t]] + [t * r + c for c in covers[s]]
+                     for t in range(r) for s in range(r)]
+        a, b = np.nonzero(np.triu(~(l.leq | l.leq.T)))
+        self.incomparable = list(zip(a.tolist(), b.tolist(), l.join[a, b].tolist()))
+        self.downs = _true_columns(l.leq.T)
+        self.domains = [self.domain(i, j) for i, j in self.cells]
+        self.values = [l.bottom] * len(self.cells)
+        self.rows: List[Optional[List[int]]] = [None] * r
+        self.full: List[Optional[List[int]]] = [None] * l.n
+        self.full[l.bottom] = [l.bottom] * l.n
+        ends_last = [bool(tops) and tops[-1] == r - 1 for tops in self.tops]
+        self.tops_but_last = [tops[:-1] if last else tops
+                              for tops, last in zip(self.tops, ends_last)]
+        self.above_last = [y for y, last in enumerate(ends_last) if last]
+        self.maxpos = [tops[-1] if tops else -1 for tops in self.tops]
+        self.finals: List[list] = [[] for _ in range(r)]
+        self.left_law: List[list] = [[] for _ in range(r)]
+        for x, tops in enumerate(self.tops):
+            if tops:
+                self.finals[self.maxpos[x]].append((x, tops))
+        for a, b, ab in self.incomparable:
+            self.left_law[self.maxpos[ab]].append((a, b, ab))
+        self.pairs = []
+        for t in range(r):
+            self.pairs += [(t, t * r + s, t, s) for s in range(t)]
+            self.pairs += [(t, s * r + t, s, t) for s in range(t + 1)]
+
+    def domain(self, i: int, j: int) -> List[int]:
+        e, below_irr, l = self.e, self.below_irr, self.l
+        if below_irr[e] == [e]:
+            if j == e and below_irr[i] == [i]:
+                return [i]
+            if i == e and below_irr[j] == [j]:
+                return [j]
+        bound = l.top
+        if l.leq[i, e]:
+            bound = j
+        if l.leq[j, e]:
+            bound = l.meet[bound, i]
+        return self.downs[bound]
+
+
+class NumpySetupSearch(NumpySetup, search._IrreducibleTableSearch):
+    pass

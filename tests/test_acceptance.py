@@ -47,7 +47,7 @@ def announce(number, text):
 
 def test_criterion_1_boolean_forcing_exhaustive_to_eight(capsys):
     started = time.monotonic()
-    report = confirm_boolean_forcing(enumerate_lattices(8).lattices)
+    report = confirm_boolean_forcing(enumerate_lattices(8))
     assert report.passed, str(report)
     with capsys.disabled():
         pass

@@ -225,7 +225,8 @@ class TestEnumerate:
         assert "n=4: 2" in out and "n=5: 5" in out
 
     def test_counts_build_no_lattice(self, capsys, monkeypatch):
-        # a plain count prints the enumerator's counts and builds nothing
+        # a count prints the enumerator's counts, or those of the bitmask
+        # complementation test, and builds nothing
         def no_build(poset):
             raise AssertionError("a FiniteLattice was built")
 
@@ -235,6 +236,23 @@ class TestEnumerate:
         assert (code, err) == (0, "")
         assert out.splitlines() == [f"n={n}: {c}" for n, c in enumerate(counts, start=1)] + [
             "total: 300"]
+        code, out, err = run(capsys, "enumerate", "--max-n", "8", "--complemented")
+        counts = [1, 1, 0, 1, 2, 6, 18, 71]
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"n={n}: {c}" for n, c in enumerate(counts, start=1)] + [
+            "total: 100 (filters: complemented)"]
+
+    def test_sweep_builds_only_complemented_lattices(self, capsys, monkeypatch):
+        calls, real = [], search.compute_lattice
+
+        def counted(poset):
+            calls.append(poset)
+            return real(poset)
+
+        monkeypatch.setattr(search, "compute_lattice", counted)
+        code, out, err = run(capsys, "enumerate", "--max-n", "8", "--confirm-thm2")
+        assert (code, err) == (0, "")
+        assert "100 complemented lattices checked" in out and len(calls) == 100
 
     def test_confirm(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-n", "5", "--confirm-thm2")
@@ -259,7 +277,7 @@ class TestEnumerate:
         # the sweep checks the lattices the counts came from, and its
         # report equals a sweep over a separate enumeration
         expected = render_report([("search", [confirm_boolean_forcing(
-            search.enumerate_lattices(6).lattices)])], "human")
+            search.enumerate_lattices(6))])], "human")
         calls, real = [], search.enumerate_lattices
 
         def enumerate_lattices(*args):

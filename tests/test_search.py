@@ -6,15 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference_search import LoopIntegralSearch, LoopUnitalSearch, PlainIntegralSearch, \
-    PlainUnitalSearch, UnitPinSearch, coatom_enumeration, eager_enumeration, is_lattice, \
-    per_unit_search, poset_frontiers, reference_enumeration, scan_grow
+from reference_search import LoopIntegralSearch, LoopUnitalSearch, NumpySetupSearch, \
+    PlainIntegralSearch, PlainUnitalSearch, UnitPinSearch, coatom_enumeration, eager_enumeration, \
+    is_lattice, per_unit_search, poset_frontiers, reference_enumeration, scan_grow
 
 from girardlab import search
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
-    horizontal_sum_mo
-from girardlab.girard import check_unit_downset_boolean
-from girardlab.orders import compute_lattice, validate_poset
+    horizontal_sum_mo, mo2_subspace_model
+from girardlab.girard import check_unit_downset_boolean, find_cyclic_dualizing
+from girardlab.orders import compute_lattice, is_complemented, validate_poset
 from girardlab.ortho import OrthoLattice, is_orthomodular
 from girardlab.reports import InputError, law_pass
 from girardlab.residuation import check_associative, derive_residua, lukasiewicz_chain
@@ -134,6 +134,34 @@ class TestEnumeration:
         for got, want in zip(lattices, expected):
             assert np.array_equal(got.leq, want.leq)
 
+    def test_complemented_built_alone(self, monkeypatch):
+        """complemented builds the 100 complemented lattices of at most 8
+        elements and nothing else, in the order of lattices; a later read
+        of lattices builds only the other 200 and reuses those objects."""
+        calls, real = [], search.compute_lattice
+
+        def counted(poset):
+            calls.append(poset)
+            return real(poset)
+
+        monkeypatch.setattr(search, "compute_lattice", counted)
+        result = enumerate_lattices(8)
+        assert len(result.complemented_posets) == 100 and calls == []
+        complemented = result.complemented
+        assert len(complemented) == len(calls) == 100
+        lattices = result.lattices
+        assert len(lattices) == 300 and len(calls) == 300
+        wanted = set(result.complemented_posets)
+        kept = [lat for rows, lat in zip(result.posets, lattices) if rows in wanted]
+        assert len(kept) == 100 and all(a is b for a, b in zip(kept, complemented))
+        assert result.complemented is complemented and len(calls) == 300
+
+    def test_bitmask_complementation_matches_is_complemented(self):
+        # on every lattice of at most 9 elements
+        result = enumerate_lattices(9)
+        for rows, lat in zip(result.posets, result.lattices):
+            assert search._complemented(rows) == is_complemented(lat)[0].passed, rows
+
     def test_single_element(self):
         result = enumerate_lattices(1)
         assert result.counts == {1: 1}
@@ -244,7 +272,7 @@ class TestIntegralSearch:
 
 
 def sweep(max_n):
-    return confirm_boolean_forcing(enumerate_lattices(max_n).lattices)
+    return confirm_boolean_forcing(enumerate_lattices(max_n))
 
 
 class TestConfirmBooleanForcing:
@@ -347,6 +375,19 @@ class TestUnitalSearch:
         assert result.downset_unit_reports == [check_unit_downset_boolean(o, s)
                                                for s in result.structures]
 
+    def test_mo2_subspace_model_among_the_exhaustive_hits(self):
+        # the multiplication MO2 inherits from the subspaces of R^2 is one
+        # of the 248 unital tables: commutative and Girard, with the
+        # orthocomplement as the negation of one cyclic dualizing element
+        o, mul = mo2_subspace_model()
+        result = search_unital_residuation(o, budget=3_000_000)
+        assert result.exhausted and len(result.found) == 248
+        (k,) = [k for k, m in enumerate(result.found) if m.tolist() == [list(r) for r in mul]]
+        table, s = result.found[k], result.structures[k]
+        assert (table == table.T).all()
+        certs = find_cyclic_dualizing(s)
+        assert o.ortho in [cert.neg for cert in certs]
+
     def test_requires_orthomodular(self):
         with pytest.raises(InputError):
             search_unital_residuation(benzene_o6(), budget=100)
@@ -445,6 +486,23 @@ class TestSearchBookkeeping:
         assert new[2]  # exhausted
         _assert_same_tables(new, _reference_outcome(monkeypatch, LOOP,
                                                     search_integral_residuation, lat))
+
+    def test_setup_matches_numpy_setup(self):
+        # the list and bitmask set-up against the numpy one, for every
+        # unit of every lattice on at most 7 elements and of each file:
+        # the same bookkeeping, and the same run within a budget
+        fields = ("irr", "tops", "lows", "domains", "incomparable", "finals", "left_law",
+                  "pairs")
+        files = [build_lattice(load(path)) for path in STRUCTURE_FILES]
+        for lat in enumerate_lattices(7).lattices + files:
+            for e in range(lat.n):
+                new, reference = search._IrreducibleTableSearch(lat, e), NumpySetupSearch(lat, e)
+                for name in fields:
+                    assert getattr(new, name) == getattr(reference, name), (lat.n, e, name)
+                outcomes = [searcher.run(budget=2000) for searcher in (new, reference)]
+                (hits, exhausted, nodes), (ref_hits, ref_exhausted, ref_nodes) = outcomes
+                assert [m.tolist() for m, _ in hits] == [m.tolist() for m, _ in ref_hits]
+                assert (exhausted, nodes) == (ref_exhausted, ref_nodes)
 
     def test_integral_on_every_lattice_to_six(self, lattices_to_six):
         for lat, reference in lattices_to_six:
