@@ -23,7 +23,6 @@ from .orders import (
     is_boolean,
     is_complemented,
     is_distributive,
-    join_irreducibles,
     lattice_from_covers,
     validate_poset,
 )

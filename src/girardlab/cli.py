@@ -8,6 +8,7 @@ and ends in a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -43,7 +44,7 @@ from .residuation import (
     lukasiewicz_chain,
     residuated_structure,
 )
-from .search import confirm_boolean_forcing, enumerate_lattices, \
+from .search import DEFAULT_BUDGET, confirm_boolean_forcing, enumerate_lattices, \
     search_integral_residuation, search_unital_residuation
 from .structfile import StructError, build_lattice, build_ortholattice, build_poset, from_lattice, \
     load, serialize
@@ -339,6 +340,7 @@ def non_negative_int(text: str) -> int:
     return _int_at_least(0, text)
 
 
+@functools.cache  # one tree per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="girardlab",
                                      description="finite residuated/ortholattice structure toolkit")
@@ -372,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-residuation", help="exhaustive/budgeted multiplication search")
     p.add_argument("file")
     p.add_argument("--mode", choices=("integral", "unital"), required=True)
-    p.add_argument("--budget", type=positive_int, default=200_000)
+    p.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_search_residuation)
 
     p = sub.add_parser("rn", help="verify the subspace-quantale laws of R^n on random trials")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -284,53 +284,78 @@ def hasse_covers(p: FinitePoset) -> list:
     return [(int(i), int(j)) for i, j in np.argwhere(lt & ~between)]
 
 
-def join_irreducibles(l: FiniteLattice) -> list:
-    """Elements with exactly one lower cover (excludes bottom)."""
-    lt = l.leq & ~np.eye(l.n, dtype=bool)
-    n_lower = (lt & ~(lt @ lt)).sum(axis=0)
-    return np.flatnonzero(n_lower == 1).tolist()
+def _up_masks(leq: np.ndarray) -> list:
+    """Row i of a boolean matrix as the bitmask of its True columns: the
+    up-set of i when the matrix is an order's leq."""
+    return [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in leq]
+
+
+def _order_classes(rows: Sequence[int]):
+    """(cls, members): cls[i] is element i's class, its (up-set size,
+    down-set size), for a poset given by the up-set bitmasks rows, and
+    members maps each class to its elements in index order.  An order
+    isomorphism maps every element to one of the same class."""
+    cls = [(r.bit_count(), sum(s >> i & 1 for s in rows)) for i, r in enumerate(rows)]
+    members: Dict[Tuple[int, int], List[int]] = {}
+    for i, c in enumerate(cls):
+        members.setdefault(c, []).append(i)
+    return cls, members
+
+
+def _order_automorphism(rows: Sequence[int], a: Optional[int] = None, b: Optional[int] = None,
+                        target: Optional[Sequence[int]] = None, involutive: bool = False):
+    """Yields every order isomorphism sigma from the poset of the up-set
+    bitmasks rows onto that of target (rows itself by default, so the
+    automorphisms), each as a new list of sigma[x] for every element x;
+    with a and b given, only those with sigma[a] = b, and with involutive
+    only those with sigma[sigma[x]] = x.  Backtracks over the images of
+    a, if given, then of the other elements in index order, each within
+    its own class in target, keeping x <= z iff sigma[x] <= sigma[z]
+    against every element already mapped.  An involution sends x to a
+    mapped y only when y is sent to x, and to an unmapped y only when x
+    is no image yet.  With a and b not given the maps come in
+    lexicographic order."""
+    target = rows if target is None else target
+    n = len(rows)
+    cls, _ = _order_classes(rows)
+    target_cls, members = _order_classes(target)
+    if sorted(cls) != sorted(target_cls):
+        return
+    choices = [members[c] for c in cls]
+    if a is not None:
+        choices[a] = [b] if target_cls[b] == cls[a] else []
+    order = sorted(range(n), key=lambda x: x != a)  # a first
+    sigma, used = [-1] * n, [False] * n
+
+    def rec(p: int):
+        if p == n:
+            yield sigma[:]
+            return
+        x = order[p]
+        for y in choices[x]:
+            if (used[y] or involutive and sigma[y] != x and (sigma[y] != -1 or used[x])
+                    or any((rows[x] >> z & 1) != (target[y] >> sigma[z] & 1)
+                           or (rows[z] >> x & 1) != (target[sigma[z]] >> y & 1)
+                           for z in order[:p])):
+                continue
+            sigma[x], used[y] = y, True
+            yield from rec(p + 1)
+            sigma[x], used[y] = -1, False
+
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # frees the closure cycle, also when the caller stops early
 
 
 def enumerate_inversions(p: FinitePoset) -> list:
-    """All involutive order-reversing bijections of a finite poset.
+    """All involutive order-reversing bijections of a finite poset, in
+    lexicographic order.
 
-    Backtracks over pairings, pruning by the up/down set-size profile
-    (an inversion must swap downset and upset cardinalities).  Intended
-    for carriers of a dozen elements or so; the count explodes on large
-    antichains.
+    An order-reversing bijection is an isomorphism onto the dual order,
+    whose up-sets are p's down-sets, so these are the involutive ones
+    _order_automorphism yields onto it.  Intended for carriers of a dozen
+    elements or so; the count explodes on large antichains.
     """
-    n, leq = p.n, p.leq
-    down = leq.sum(axis=0)
-    up = leq.sum(axis=1)
-    f = [-1] * n
-    out = []
-
-    def ok(i: int, j: int) -> bool:
-        # can i be sent to j, given the pairs fixed so far?
-        if down[i] != up[j] or up[i] != down[j]:
-            return False
-        for k in range(n):
-            if f[k] >= 0:
-                if leq[i, k] != leq[f[k], j] or leq[k, i] != leq[j, f[k]]:
-                    return False
-        return True
-
-    def backtrack():
-        try:
-            i = f.index(-1)
-        except ValueError:
-            out.append(tuple(f))
-            return
-        for j in range(i, n):  # everything before i is already paired
-            if f[j] != -1:
-                continue
-            if not ok(i, j) or (j != i and not ok(j, i)):
-                continue
-            f[i], f[j] = j, i
-            backtrack()
-            f[i] = -1
-            if j != i:
-                f[j] = -1
-
-    backtrack()
-    return out
+    return [tuple(f) for f in _order_automorphism(_up_masks(p.leq), target=_up_masks(p.leq.T),
+                                                   involutive=True)]

@@ -9,22 +9,26 @@ grown only when c has the largest down-set among its coatoms (see
 _grow), and each orbit of masks d under the automorphisms of P gives
 only its least.  When c is the only coatom with that down-set size, the
 child is kept outright; when another coatom ties with c, it is kept
-when its canonical key is new at its size.  Each class is kept exactly
-once, given one parent per class of the size below:
+unless an earlier kept tie child of its size is isomorphic to it.  Each
+class is kept exactly once, given one parent per class of the size
+below:
 - kept: a lattice L has a coatom c with the largest down-set; L - c is
   a lattice, isomorphic to a parent P, so L is isomorphic to a child
   P + c on some d.  sigma in Aut(P) maps d to the least mask of its
   orbit and extends to an isomorphism of the children that fixes c.
   Whether c ties is a property of the class, so that child is kept, or
-  one with the same key before it;
-- once: tie children are kept once per key.  An isomorphism of two
-  kept children without ties maps the one coatom with the largest
-  down-set to the other, so it restricts to an isomorphism of their
-  parents, which are then one parent P, and to an automorphism of P
-  that maps one d to the other.  Both are least in their orbit, so they
-  are equal.
-One routine (_order_automorphism) gives the automorphisms, here and in
-the unital search.
+  an isomorphic one before it;
+- once: tie children are kept once per isomorphism class.  An
+  isomorphism of two kept children without ties maps the one coatom
+  with the largest down-set to the other, so it restricts to an
+  isomorphism of their parents, which are then one parent P, and to an
+  automorphism of P that maps one d to the other.  Both are least in
+  their orbit, so they are equal.
+Isomorphic posets have the same sorted classes, each element's (up-set
+size, down-set size), so the kept tie children are bucketed by them and
+a new one is tested only against its bucket, up to the first
+isomorphism found.  One routine (orders._order_automorphism) gives the
+automorphisms and those isomorphisms, here and in the unital search.
 Within a size the lattices come in generation order.  The enumerator
 keeps each lattice as the up-set bitmasks of its order, and builds its
 FiniteLattice only when the result's lattices are first read, so a run
@@ -68,19 +72,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .girard import check_unit_downset_boolean
-from .orders import FiniteLattice, compute_lattice, hasse_covers, is_distributive, \
-    validate_poset
+from .orders import FiniteLattice, _order_automorphism, _order_classes, _up_masks, \
+    compute_lattice, hasse_covers, is_distributive, validate_poset
 from .ortho import OrthoLattice, is_orthomodular
 from .reports import InputError, LawReport, law_fail, law_pass
 from .residuation import ResiduatedStructure, ResiduationError, check_associative, \
     residuated_structure
 
 MAX_ENUM = 10
+DEFAULT_BUDGET = 200_000  # nodes of a unital search, and of the CLI's searches
 
 
 # ---------------------------------------------------------------------------
@@ -92,25 +97,17 @@ def _down_masks(rows: Tuple[int, ...]) -> List[int]:
     return [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
 
 
-def _order_classes(rows: Sequence[int]):
-    """(cls, members): cls[i] is element i's class, its (up-set size,
-    down-set size), and members maps each class to its elements in index
-    order.  An order isomorphism maps every element to one of the same
-    class."""
-    cls = [(r.bit_count(), sum(s >> i & 1 for s in rows)) for i, r in enumerate(rows)]
-    members: Dict[Tuple[int, int], List[int]] = {}
-    for i, c in enumerate(cls):
-        members.setdefault(c, []).append(i)
-    return cls, members
-
-
 def canonical_key(rows: Tuple[int, ...]) -> tuple:
     """The minimum lexicographic relation encoding over the relabelings
     that keep each element's class, its (up-set size, down-set size).
     The classes are isomorphism invariants, so the minimum ranges over a
     set of permutations that always contains the isomorphisms; isomorphic
     posets share the key.  The encoding fixes the whole relabelled
-    relation, so posets that share the key are isomorphic."""
+    relation, so posets that share the key are isomorphic.
+
+    The enumerator does not call it: it tests tie children for
+    isomorphism directly.  It stays as the complete invariant the tests
+    compare enumerations by, and perfbench/spans.py traces it by name."""
     n = len(rows)
     cls, members = _order_classes(rows)
     slot_class = sorted(cls)
@@ -145,40 +142,6 @@ def canonical_key(rows: Tuple[int, ...]) -> tuple:
     # cycle now rather than at a collection
     del rec
     return best
-
-
-def _order_automorphism(rows: Sequence[int], a: Optional[int] = None, b: Optional[int] = None):
-    """Yields every order automorphism sigma of the poset, each as a new
-    list of sigma[x] for every element x; with a and b given, only those
-    with sigma[a] = b.  Backtracks over the images of a, if given, then of
-    the other elements in index order, each within its own class, keeping
-    x <= z iff sigma[x] <= sigma[z] against every element already mapped."""
-    n = len(rows)
-    cls, members = _order_classes(rows)
-    choices = [members[c] for c in cls]
-    if a is not None:
-        choices[a] = [b] if cls[b] == cls[a] else []
-    order = sorted(range(n), key=lambda x: x != a)  # a first
-    sigma, used = [-1] * n, [False] * n
-
-    def rec(p: int):
-        if p == n:
-            yield sigma[:]
-            return
-        x = order[p]
-        for y in choices[x]:
-            if used[y] or any((rows[x] >> z & 1) != (rows[y] >> sigma[z] & 1)
-                              or (rows[z] >> x & 1) != (rows[sigma[z]] >> y & 1)
-                              for z in order[:p]):
-                continue
-            sigma[x], used[y] = y, True
-            yield from rec(p + 1)
-            used[y] = False
-
-    try:
-        yield from rec(0)
-    finally:
-        del rec  # frees the closure cycle, also when the caller stops early
 
 
 def _grow(rows: Tuple[int, ...]):
@@ -310,10 +273,11 @@ def enumerate_lattices(max_n: int) -> EnumerationResult:
     """All lattices on at most max_n elements, one per isomorphism class,
     by size and in generation order within a size: each parent's kept
     children follow those of the parents before it.  A child whose new
-    coatom ties is kept when its key is new at its size, any other
-    outright (see the module docstring).  Every lattice grown is
-    returned, as the up-set bitmasks of its order in posets; no
-    FiniteLattice is built until the result's lattices are first read.
+    coatom ties is kept when no earlier kept tie child of its size is
+    isomorphic to it, any other outright (see the module docstring).
+    Every lattice grown is returned, as the up-set bitmasks of its order
+    in posets; no FiniteLattice is built until the result's lattices are
+    first read.
     Callers that want a subclass filter that list.
     """
     if not 1 <= max_n <= MAX_ENUM:
@@ -327,14 +291,16 @@ def enumerate_lattices(max_n: int) -> EnumerationResult:
         counts[size] = len(frontier)
         if size < max_n:
             grown: List[Tuple[int, ...]] = []
-            tie_keys = set()
+            # the kept tie children, by their sorted classes
+            ties: Dict[tuple, List[Tuple[int, ...]]] = {}
             for rows in frontier:
                 for child, tie in _orbit_least(rows):
                     if tie:
-                        key = canonical_key(child)
-                        if key in tie_keys:
+                        kept = ties.setdefault(tuple(sorted(_order_classes(child)[0])), [])
+                        if any(next(_order_automorphism(child, target=other), None) is not None
+                               for other in kept):
                             continue
-                        tie_keys.add(key)
+                        kept.append(child)
                     grown.append(child)
             frontier = grown
     return EnumerationResult(posets, counts)
@@ -629,8 +595,7 @@ def _search(l: FiniteLattice, mode: str, units: List[int],
     searched: Dict[int, List[Tuple[np.ndarray, ResiduatedStructure]]] = {}
     nodes, exhausted = 0, True
     # the up-set bitmasks that orbit lookups read; one unit makes none
-    rows = ([sum(1 << j for j in np.flatnonzero(row).tolist()) for row in l.leq]
-            if len(units) > 1 else [])
+    rows = _up_masks(l.leq) if len(units) > 1 else []
     for e in units:
         orbit = next(((rep, sigma) for rep in searched
                       for sigma in islice(_order_automorphism(rows, rep, e), 1)), None)
@@ -659,7 +624,8 @@ def search_integral_residuation(l: FiniteLattice,
     return _search(l, "integral", [l.top], budget)
 
 
-def search_unital_residuation(o: OrthoLattice, budget: int = 200_000) -> ResiduationSearchResult:
+def search_unital_residuation(o: OrthoLattice,
+                              budget: int = DEFAULT_BUDGET) -> ResiduationSearchResult:
     """Budgeted search for unital join-preserving associative tables on
     an orthomodular lattice, the unit anywhere in the carrier.
 

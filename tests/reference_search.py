@@ -15,11 +15,12 @@ The key-per-child coatom enumerator.  Before canonical augmentation,
 girardlab grew lattices one coatom at a time as it does now, but it
 labelled every child that passed the lattice test and kept one child per
 canonical key, sorted by key within a size.  `grow_coatom` is that
-growth and `coatom_enumeration` that loop.  They share only
-`canonical_key` with the current enumerator, which labels a child only
-when its new coatom ties with another on down-set size and otherwise
-keeps the least down-set of each orbit under the parent's automorphisms,
-so the two must emit the same classes at every size.
+growth and `coatom_enumeration` that loop.  Of the current enumerator's
+code they share only `_down_masks`, which lists the down-sets.  The
+enumerator keeps the least down-set of each orbit under the parent's
+automorphisms and, when the new coatom ties with another on down-set
+size, tests the child for isomorphism with the tie children kept before
+it, so the two must emit the same classes at every size.
 
 The mask scan.  `search._grow` used to scan every mask of non-top
 elements and keep those that are down-closed and hold the bottom, where
@@ -28,7 +29,10 @@ it now lists those down-sets directly.  `scan_masks` is that scan and
 (d, child, tie) sequence on every parent.  `eager_enumeration` is the
 enumerator as it was then, when it built a FiniteLattice for every
 lattice it kept; the lattices enumerate_lattices now builds on first
-read must equal its list, in its order.
+read must equal its list, in its order.  It keeps a tie child when its
+canonical key is new at its size, where the enumerator now looks for an
+isomorphism onto an earlier kept tie child; the key is a complete
+invariant, so both keep the same children.
 
 The searcher's value domains before the unit bound.  Integral mode
 capped each cell by the meet of its irreducibles, and unital mode let
@@ -68,6 +72,12 @@ lists and position bitmasks.  `NumpySetup` restores that set-up and its
 search loop, so it must set up the same bookkeeping and visit the same
 nodes.
 
+The join-irreducibles by lower covers.  `join_irreducibles` counts each
+element's lower covers from boolean matrices, as girardlab's orders
+module once did; the searcher keeps the elements whose down-set less
+themselves is a principal down-set, and `NumpySetup` below uses this
+form.
+
 The unital search before unit orbits.  `search._search` used to run the
 searcher on every unit, where it now searches one unit per orbit under
 the order automorphisms and maps that unit's tables to the rest of its
@@ -81,8 +91,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from girardlab import search
-from girardlab.orders import FiniteLattice, NotALattice, NotBounded, compute_lattice, \
-    join_irreducibles, validate_poset
+from girardlab.orders import FiniteLattice, NotALattice, NotBounded, _order_automorphism, \
+    compute_lattice, validate_poset
 from girardlab.search import _down_masks, canonical_key
 
 
@@ -189,7 +199,7 @@ def eager_enumeration(max_n: int) -> List[FiniteLattice]:
         grown: List[Tuple[int, ...]] = []
         tie_keys = set()
         for rows in frontier if size < max_n else []:
-            autos = list(search._order_automorphism(rows))
+            autos = list(_order_automorphism(rows))
             seen = set()
             for d, child, tie in scan_grow(rows):
                 if d in seen:
@@ -420,6 +430,13 @@ def per_unit_search(l, mode: str, units: List[int], budget: Optional[int]):
     hits.sort(key=lambda hit: tuple(hit[0].ravel()))
     return search.ResiduationSearchResult(mode, [m for m, _ in hits], [s for _, s in hits],
                                           exhausted, nodes)
+
+
+def join_irreducibles(l: FiniteLattice) -> list:
+    """Elements with exactly one lower cover (excludes bottom)."""
+    lt = l.leq & ~np.eye(l.n, dtype=bool)
+    n_lower = (lt & ~(lt @ lt)).sum(axis=0)
+    return np.flatnonzero(n_lower == 1).tolist()
 
 
 def _true_columns(mask: np.ndarray) -> List[List[int]]:

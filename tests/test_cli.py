@@ -1,4 +1,5 @@
 """Command surface and exit-code contract."""
+import argparse
 import os
 import subprocess
 import sys
@@ -572,6 +573,32 @@ INPUT_ERRORS = [
     pytest.param(["residuate", "{structures}/m3.struct"], "file has no mul section",
                  id="cli._residuated"),
 ]
+
+
+class TestParser:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        built, real = [], argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _ in range(2):
+            assert run(capsys, "gen", "lukasiewicz", "--size", "3")[0] == 0
+        assert built.count("girardlab") == 1
+
+    def test_usage_error_repeats_on_the_current_stderr(self, capsys):
+        # the shared parser prints to the stderr of the call, the same text each time
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["enumerate"])
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr())
+        assert errors[0] == errors[1] and errors[0].out == ""
+        assert errors[0].err.startswith("usage: girardlab enumerate")
 
 
 class TestInputErrors:

@@ -1,8 +1,11 @@
 """Posets, lattices, structural predicates, inversions, covers."""
+import itertools
+
 import numpy as np
 import pytest
+from reference_search import join_irreducibles
 
-from girardlab.catalog import boolean_cube, chain, diamond_m3
+from girardlab.catalog import boolean_cube, chain, diamond_m3, horizontal_sum_mo
 from girardlab.orders import (
     NotALattice,
     NotBounded,
@@ -15,9 +18,9 @@ from girardlab.orders import (
     is_boolean,
     is_complemented,
     is_distributive,
-    join_irreducibles,
     validate_poset,
 )
+from girardlab.search import enumerate_lattices
 from girardlab.structfile import build_lattice, load
 
 
@@ -206,6 +209,18 @@ class TestInversion:
         assert comps in found
         for f in found:
             assert check_inversion(lat, f).passed
+
+    def test_enumerate_inversions_matches_brute_force_to_seven(self):
+        # every permutation that is involutive and order-reversing, in the
+        # lexicographic order itertools.permutations gives, on every
+        # lattice of at most 7 elements and on MO3
+        for lat in enumerate_lattices(7).lattices + [horizontal_sum_mo(3).lattice]:
+            perms = np.array(list(itertools.permutations(range(lat.n))))
+            rows = np.arange(len(perms))[:, None]
+            involutive = (perms[rows, perms] == np.arange(lat.n)).all(axis=1)
+            reversing = (lat.leq[perms[:, None, :], perms[:, :, None]] == lat.leq).all(axis=(1, 2))
+            expected = [tuple(p) for p in perms[involutive & reversing].tolist()]
+            assert enumerate_inversions(lat) == expected, lat.leq.tolist()
 
 
 class TestCovers:

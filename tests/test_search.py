@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from reference_search import LoopIntegralSearch, LoopUnitalSearch, NumpySetupSearch, \
     PlainIntegralSearch, PlainUnitalSearch, UnitPinSearch, coatom_enumeration, eager_enumeration, \
-    is_lattice, per_unit_search, poset_frontiers, reference_enumeration, scan_grow
+    is_lattice, join_irreducibles, per_unit_search, poset_frontiers, reference_enumeration, \
+    scan_grow
 
-from girardlab import search
+from girardlab import orders, search
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
     horizontal_sum_mo, mo2_subspace_model
 from girardlab.girard import check_unit_downset_boolean, find_cyclic_dualizing
@@ -133,6 +134,19 @@ class TestEnumeration:
         assert len(lattices) == len(expected)
         for got, want in zip(lattices, expected):
             assert np.array_equal(got.leq, want.leq)
+
+    def test_posets_match_key_rule_to_nine(self):
+        """Keeping a tie child unless an earlier kept one is isomorphic
+        keeps what keeping it when its key is new did, in the same
+        order, at every size through 9."""
+        assert enumerate_lattices(9).posets == [rows_of(lat) for lat in eager_enumeration(9)]
+
+    def test_tie_children_are_not_keyed(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("canonical_key called")
+
+        monkeypatch.setattr(search, "canonical_key", refuse)
+        assert enumerate_lattices(9).counts == LATTICE_COUNTS
 
     def test_complemented_built_alone(self, monkeypatch):
         """complemented builds the 100 complemented lattices of at most 8
@@ -487,6 +501,13 @@ class TestSearchBookkeeping:
         _assert_same_tables(new, _reference_outcome(monkeypatch, LOOP,
                                                     search_integral_residuation, lat))
 
+    def test_irreducibles_match_lower_covers(self):
+        # the principal-down-set test against one lower cover, on every
+        # lattice of at most 7 elements
+        for lat in enumerate_lattices(7).lattices:
+            assert sorted(search._IrreducibleTableSearch(lat, lat.top).irr) \
+                == join_irreducibles(lat), rows_of(lat)
+
     def test_setup_matches_numpy_setup(self):
         # the list and bitmask set-up against the numpy one, for every
         # unit of every lattice on at most 7 elements and of each file:
@@ -599,24 +620,24 @@ def _atoms(lat):
 
 
 class TestOrderAutomorphism:
-    """search._order_automorphism, which yields the group that reduces
-    each parent's down-sets in enumeration, and the first sigma with
+    """orders._order_automorphism, which yields the group that reduces
+    each parent's down-sets in enumeration, the first sigma with
     sigma[a] = b that maps one unit's tables to another's in the unital
-    search."""
+    search, and the first isomorphism onto an earlier kept tie child."""
 
     @pytest.mark.parametrize("lat", [diamond_m3(), horizontal_sum_mo(2).lattice, boolean_cube(3)],
                              ids=["m3", "mo2", "boolean-8"])
     def test_atoms_map_to_atoms(self, lat):
         for a in _atoms(lat):
             for b in _atoms(lat):
-                sigma = np.array(next(search._order_automorphism(rows_of(lat), a, b)))
+                sigma = np.array(next(orders._order_automorphism(rows_of(lat), a, b)))
                 assert sigma[a] == b and _is_automorphism(lat.leq, sigma)
 
     def test_no_atom_maps_to_a_coatom_on_boolean_8(self):
         lat = boolean_cube(3)
         coatoms = [x for x in range(lat.n) if lat.leq[x].sum() == 2]
         assert len(coatoms) == 3
-        assert not any(list(search._order_automorphism(rows_of(lat), a, c))
+        assert not any(list(orders._order_automorphism(rows_of(lat), a, c))
                        for a in _atoms(lat) for c in coatoms)
 
     @pytest.mark.parametrize("lat", [build_lattice(load(STRUCTURES / "n5.struct"))]
@@ -624,10 +645,10 @@ class TestOrderAutomorphism:
                              ids=["n5"] + [f"chain-{m}" for m in range(1, 7)])
     def test_only_the_identity(self, lat):
         identity = list(range(lat.n))
-        assert list(search._order_automorphism(rows_of(lat))) == [identity]
+        assert list(orders._order_automorphism(rows_of(lat))) == [identity]
         for a in range(lat.n):
             for b in range(lat.n):
-                got = list(search._order_automorphism(rows_of(lat), a, b))
+                got = list(orders._order_automorphism(rows_of(lat), a, b))
                 assert got == ([identity] if a == b else [])
 
     def test_matches_brute_force_on_every_lattice_to_six(self):
@@ -639,14 +660,14 @@ class TestOrderAutomorphism:
                      if _is_automorphism(lat.leq, np.array(p))]
             for a in range(lat.n):
                 for b in range(lat.n):
-                    got = [tuple(sigma) for sigma in search._order_automorphism(rows_of(lat), a, b)]
+                    got = [tuple(sigma) for sigma in orders._order_automorphism(rows_of(lat), a, b)]
                     assert sorted(got) == [g for g in group if g[a] == b]
 
     def test_group_matches_brute_force_on_every_lattice_to_seven(self):
         for lat in enumerate_lattices(7).lattices:
             perms = np.array(list(itertools.permutations(range(lat.n))))
             kept = (lat.leq[perms[:, :, None], perms[:, None, :]] == lat.leq).all(axis=(1, 2))
-            group = [tuple(sigma) for sigma in search._order_automorphism(rows_of(lat))]
+            group = [tuple(sigma) for sigma in orders._order_automorphism(rows_of(lat))]
             assert group[0] == tuple(range(lat.n))
             assert len(group) == len(set(group))
             assert set(group) == {tuple(p) for p in perms[kept].tolist()}
@@ -654,9 +675,33 @@ class TestOrderAutomorphism:
     @pytest.mark.parametrize("name, order", [("mo2", 24), ("mo3", 720)])
     def test_group_order(self, name, order):
         lat = build_lattice(load(STRUCTURES / f"{name}.struct"))
-        group = list(search._order_automorphism(rows_of(lat)))
+        group = list(orders._order_automorphism(rows_of(lat)))
         assert len(group) == order
         assert all(_is_automorphism(lat.leq, np.array(sigma)) for sigma in group)
+
+    def test_isomorphism_onto_target_iff_keys_equal(self):
+        """A map onto a target is found exactly when the canonical keys
+        are equal: onto itself, never onto another, for each lattice of
+        at most 9 elements and each one that shares its sorted classes
+        (the first such pairs have 8 elements), and always onto seeded
+        relabellings of the lattices of at most 7 elements and of MO4,
+        whose 8 atoms share one class.  Every map found is an
+        isomorphism onto the target."""
+        by_classes = {}
+        for rows in enumerate_lattices(9).posets:
+            by_classes.setdefault(tuple(sorted(orders._order_classes(rows)[0])), []).append(rows)
+        pairs = [(p, q) for bucket in by_classes.values() for p in bucket for q in bucket]
+        assert sum(p != q for p, q in pairs) == 168
+        rng = random.Random(26)
+        for rows in enumerate_lattices(7).posets + [rows_of(horizontal_sum_mo(4).lattice)]:
+            for _ in range(2):
+                pairs.append((rows, relabeled(rows, rng.sample(range(len(rows)), len(rows)))))
+        keys = {rows: canonical_key(rows) for pair in pairs for rows in pair}
+        for p, q in pairs:
+            sigma = next(orders._order_automorphism(p, target=q), None)
+            assert (sigma is not None) == (keys[p] == keys[q]), (p, q)
+            if sigma is not None:
+                assert relabeled(p, sigma) == q, (p, q, sigma)
 
 
 def _orbit_outcome(result):
