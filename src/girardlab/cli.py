@@ -11,6 +11,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -249,8 +250,10 @@ def cmd_search_residuation(args) -> int:
         result = search_unital_residuation(o, budget=args.budget)
     print(f"mode={result.mode} found={len(result.found)} exhausted={result.exhausted} "
           f"nodes={result.nodes}")
+    # every solution shares the carrier, so its covers are found once
+    carrier = from_lattice(lattice, ortho=sf.ortho)
     for k, (table, s) in enumerate(zip(result.found, result.structures)):
-        out = from_lattice(lattice, ortho=sf.ortho, mul=table, unit=s.flags.unit)
+        out = replace(carrier, mul=tuple(map(tuple, table.tolist())), unit=s.flags.unit)
         print(f"# solution {k}")
         print(serialize(out))
     if result.downset_unit_reports:

@@ -55,12 +55,16 @@ in index order, the searches share the budget, a mapped unit costs no
 node, and the run stops at the first search that runs out of budget.
 A node costs a few list lookups: monotonicity is one lower bound
 precomputed per cell, and each irreducible's row is join-extended when
-it completes, from the row without its last cell, which is joined once
-per parent node (see _IrreducibleTableSearch).  A completed row also
+it completes (see _IrreducibleTableSearch).  A completed row also
 finalises the full table rows of the elements whose irreducibles all
 have rows by then, and two laws every solution satisfies prune on them:
 L, the join law in the left argument, and A, associativity on pairs of
-irreducibles.  Both read only rows of the current branch.  Every
+irreducibles.  Both read only rows of the current branch.  The value of
+a row's last cell changes only the row's entries above the last
+irreducible, so the row checks that read none of them run once per
+visit of that cell, before its values, and the rest once per value.
+When a check of the visit fails, no value passes: the visit charges the
+nodes its value loop would count and visits nothing.  Every
 solution a search emits is re-verified through derive_residua, which
 shares no code with the searcher's pruning.  A leaf is one check: the
 two-sided unit law, then associativity, then residuated_structure.
@@ -350,12 +354,6 @@ class _IrreducibleTableSearch:
       extension, and row x, full(x), is the join of R_s over the
       positions s of the greatest irreducibles below x.
 
-    The row is completed incrementally.  The last irreducible of the
-    order has the greatest height, so it is one of the greatest
-    irreducibles below every element above it.  The row without its last
-    cell is joined once per parent node; each value v of the last cell
-    then changes only the entries above the last irreducible.
-
     full(x) is final once every irreducible below x has its row, that
     is when the row at position maxpos[x], the greatest position of an
     irreducible below x, completes; it is cached then.  Every row and
@@ -372,6 +370,23 @@ class _IrreducibleTableSearch:
       all z, for irreducibles x, y at positions p, q with
       max(p, q, maxpos[x*y]) = t.  Before that, one of the rows it reads
       is not final.
+
+    Row t completes in two steps.  The last irreducible has the greatest
+    height, so it is one of the greatest irreducibles below each element
+    above it, and the value v of the row's last cell enters only the
+    entries at those elements.  row_visit runs once per visit of the last
+    cell: it joins the row without v, the partial row, and checks what v
+    cannot change: the unit column when e is not above, the consistency
+    of the incomparable pairs whose join is not above, that
+    partial[a] \\/ partial[b] is one element for each join a \\/ b above
+    a and b that are not, and that full(a) \\/ full(b) is one row for
+    each a \\/ b over the pairs of L final before t.  When one fails, no
+    value passes: the visit charges the nodes its value loop would
+    count, each value up to the budget, and visits nothing.  row_ok runs
+    the rest per value: one comparison for each such join, the pairs
+    with a member above, the other pairs of L, and A.  Each check is a
+    conjunct of the row's verdict, so the nodes are those of a search
+    that runs every check per value.
     """
 
     def __init__(self, l: FiniteLattice, e: int):
@@ -412,10 +427,6 @@ class _IrreducibleTableSearch:
             for c in lower:
                 for t in range(r):
                     self.lows[t * r + s].append(t * r + c)
-        # only incomparable pairs can break the join consistency of a
-        # monotone row: for a <= b it reads row[b] = row[a] \/ row[b]
-        self.incomparable = [(a, b, self.join_rows[a][b]) for a in range(n) for b in range(a + 1, n)
-                             if not (leq[a][b] or leq[b][a])]
         self.domains = [self.domain(i, j) for i, j in self.cells]
         self.values = [l.bottom] * len(self.cells)  # values[k]: the value of cell k
         self.rows: List[Optional[List[int]]] = [None] * r  # R_t, by position t
@@ -428,22 +439,49 @@ class _IrreducibleTableSearch:
         self.tops_but_last = [tops[:-1] if last else tops
                               for tops, last in zip(self.tops, ends_last)]
         self.above_last = [y for y, last in enumerate(ends_last) if last]
-        self.maxpos = [tops[-1] if tops else -1 for tops in self.tops]
-        # what row t's completion finalises and checks, by position t:
-        # full rows and L by maxpos, A over the cells (p, q) with p, q <= t
+        self.maxpos = maxpos = [tops[-1] if tops else -1 for tops in self.tops]
+        # the unit column reads the last value only when e is above irr[r - 1]
+        self.unit_fixed = not ends_last[e]
+        # only incomparable pairs (a, b) can break the join consistency of a
+        # monotone row: for a <= b it reads row[b] = row[a] \/ row[b].  The
+        # elements above irr[r - 1] are an up-set, so a pair reads the last
+        # value at none of its entries (fixed_pairs), only at a \/ b
+        # (joined_pairs, by a \/ b) or at a or b (value_pairs)
+        self.fixed_pairs, self.value_pairs = [], []
+        joined: Dict[int, list] = {}
+        # what row t's completion finalises and checks, by position t: the
+        # full rows and L by maxpos, L's pairs final before t by a \/ b
         self.finals: List[list] = [[] for _ in range(r)]
+        self.left_fixed: List[list] = [[] for _ in range(r)]
         self.left_law: List[list] = [[] for _ in range(r)]
+        left_fixed: Dict[int, list] = {}
+        join = self.join_rows
+        for a, b, ab in [(a, b, join[a][b]) for a in range(n) for b in range(a + 1, n)
+                         if not (leq[a][b] or leq[b][a])]:
+            if ends_last[a] or ends_last[b]:
+                self.value_pairs.append((a, b, ab))
+            elif ends_last[ab]:
+                joined.setdefault(ab, []).append((a, b))
+            else:
+                self.fixed_pairs.append((a, b, ab))
+            if maxpos[a] < maxpos[ab] > maxpos[b]:
+                left_fixed.setdefault(ab, []).append((a, b))
+            else:
+                self.left_law[maxpos[ab]].append((a, b, ab))
+        self.joined_pairs = list(joined.items())
+        for ab, pairs in left_fixed.items():
+            self.left_fixed[maxpos[ab]].append((ab, pairs))
+        # each element with the positions of its earlier rows
         for x, tops in enumerate(self.tops):
             if tops:
-                self.finals[self.maxpos[x]].append((x, tops))
-        for a, b, ab in self.incomparable:
-            self.left_law[self.maxpos[ab]].append((a, b, ab))
-        # (max(p, q), cell index, p, q), by max(p, q): row t reads the
-        # first (t + 1) ** 2, the cells with p, q <= t
+                self.finals[tops[-1]].append((x, tops[:-1]))
+        # (cell index, p, q) by max(p, q): row t reads the first (t + 1) ** 2,
+        # the cells with p, q <= t, and its own from t ** 2 on, those with
+        # p = t or q = t
         self.pairs = []
         for t in range(r):
-            self.pairs += [(t, t * r + s, t, s) for s in range(t)]
-            self.pairs += [(t, s * r + t, s, t) for s in range(t + 1)]
+            self.pairs += [(t * r + s, t, s) for s in range(t)]
+            self.pairs += [(s * r + t, s, t) for s in range(t + 1)]
 
     def domain(self, i: int, j: int) -> List[int]:
         """The values cell (i, j) ranges over, in search order.  The unit
@@ -462,44 +500,90 @@ class _IrreducibleTableSearch:
             bound = self.meet_rows[bound][i]
         return self.downs[bound]
 
-    def partial_row(self, t: int) -> List[int]:
-        """Row t's join-extension without the value of its last cell."""
-        join, bottom, r = self.join_rows, self.l.bottom, len(self.irr)
-        products = self.values[t * r:(t + 1) * r]
-        row = []
+    def row_visit(self, t: int) -> Optional[tuple]:
+        """Run once per visit of row t's last cell, before its values: the
+        checks of row t that the last value cannot change.  None when one
+        fails, else what row_ok reads for each value: the row without
+        the last value, the join each of joined_pairs must reach, the full
+        row L asks of each of left_fixed[t], and the join of the earlier
+        rows of each element the row finalises, or None when it has none."""
+        join, rows, full, r = self.join_rows, self.rows, self.full, len(self.irr)
+        bottom, products = self.l.bottom, self.values[t * r:(t + 1) * r]
+        partial = []
         for tops in self.tops_but_last:
             acc = bottom
             for s in tops:
                 acc = join[acc][products[s]]
-            row.append(acc)
-        return row
+            partial.append(acc)
+        if self.unit_fixed and partial[self.e] != self.irr[t]:
+            return None
+        for a, b, ab in self.fixed_pairs:
+            if partial[ab] != join[partial[a]][partial[b]]:
+                return None
+        joins = []
+        for ab, pairs in self.joined_pairs:
+            a, b = pairs[0]
+            target = join[partial[a]][partial[b]]
+            for a, b in pairs[1:]:
+                if join[partial[a]][partial[b]] != target:
+                    return None
+            joins.append((partial[ab], target))
+        laws = []
+        for ab, pairs in self.left_fixed[t]:
+            a, b = pairs[0]
+            target = [join[u][w] for u, w in zip(full[a], full[b])]
+            for a, b in pairs[1:]:
+                if [join[u][w] for u, w in zip(full[a], full[b])] != target:
+                    return None
+            laws.append((ab, target))
+        earlier = []
+        for x, tops in self.finals[t]:
+            acc = rows[tops[0]] if tops else None
+            for s in tops[1:]:
+                acc = [join[u][w] for u, w in zip(acc, rows[s])]
+            earlier.append((x, acc))
+        return partial, joins, laws, earlier
 
-    def row_ok(self, t: int, partial: List[int], v: int) -> bool:
-        """Called when row t completes with last value v: the unit column
-        and the row's join consistency must hold; then R_t and the full
-        rows it finalises are cached, and L and A must hold."""
+    def row_ok(self, t: int, v: int, visit: tuple) -> bool:
+        """Called when row t completes with last value v, after row_visit
+        passed: the checks that read v.  Row t's join consistency and the
+        unit column must hold; then R_t and the full rows it finalises
+        are cached, and L and A must hold."""
         join, rows, full = self.join_rows, self.rows, self.full
-        row, join_v = partial[:], join[v]
+        partial, joins, laws, earlier = visit
+        join_v = join[v]
+        for at_ab, target in joins:
+            if join_v[at_ab] != target:
+                return False
+        row = partial[:]
         for y in self.above_last:
             row[y] = join_v[row[y]]
         if row[self.e] != self.irr[t]:
             return False
-        for a, b, ab in self.incomparable:
+        for a, b, ab in self.value_pairs:
             if row[ab] != join[row[a]][row[b]]:
                 return False
         rows[t] = row
-        for x, tops in self.finals[t]:
-            acc = rows[tops[0]]
-            for s in tops[1:]:
-                acc = [join[u][w] for u, w in zip(acc, rows[s])]
-            full[x] = acc
+        for x, acc in earlier:
+            full[x] = row if acc is None else [join[u][w] for u, w in zip(acc, row)]
+        for ab, target in laws:
+            if full[ab] != target:
+                return False
         for a, b, ab in self.left_law[t]:
             if [join[u][w] for u, w in zip(full[a], full[b])] != full[ab]:
                 return False
-        values, maxpos = self.values, self.maxpos
-        for pq, k, p, q in islice(self.pairs, (t + 1) ** 2):
+        values, maxpos, pairs = self.values, self.maxpos, self.pairs
+        # A on the cells with p = t or q = t once full(x*y) is final, and
+        # on the earlier cells when it becomes final with this row
+        for k, p, q in pairs[t * t:(t + 1) ** 2]:
             xy = values[k]
-            if max(pq, maxpos[xy]) == t:
+            if maxpos[xy] <= t:
+                row_x = rows[p]
+                if [row_x[u] for u in rows[q]] != full[xy]:
+                    return False
+        for k, p, q in islice(pairs, t * t):
+            xy = values[k]
+            if maxpos[xy] == t:
                 row_x = rows[p]
                 if [row_x[u] for u in rows[q]] != full[xy]:
                     return False
@@ -527,11 +611,17 @@ class _IrreducibleTableSearch:
                 if s is not None:
                     hits.append((m, s))
                 return True
+            t = completes[k]
+            visit = None if t is None else self.row_visit(t)
+            if t is not None and visit is None:
+                # no value passes: charge the nodes the value loop would count
+                left = limit - nodes
+                nodes += min(len(domains[k]), left)
+                return len(domains[k]) <= left
             lo = bottom
             for k2 in lows[k]:
                 lo = join[lo][values[k2]]
-            above_lo, t = leq[lo], completes[k]
-            partial = None if t is None else self.partial_row(t)
+            above_lo = leq[lo]
             for v in domains[k]:
                 if nodes >= limit:
                     return False
@@ -539,7 +629,7 @@ class _IrreducibleTableSearch:
                 if not above_lo[v]:
                     continue
                 values[k] = v
-                if (t is None or self.row_ok(t, partial, v)) and not rec(k + 1):
+                if (t is None or self.row_ok(t, v, visit)) and not rec(k + 1):
                     return False
             return True
 

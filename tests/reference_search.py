@@ -61,6 +61,15 @@ called them; mixed in ahead of `_IrreducibleTableSearch` it shares only
 its leaf check, so with the same domains it must visit the same nodes as
 `PlainSearch` and find the same tables.
 
+The searcher before its visit checks.  `_IrreducibleTableSearch` used
+to run every check of a row's completion for each value of the row's
+last cell, where it now runs the checks that the last value cannot
+change once per visit of that cell and, when one fails, charges the
+nodes of the whole value loop.  `PerValueRows` restores that row
+completion and its loop; mixed in ahead of `_IrreducibleTableSearch` it
+shares the cells, domains and monotonicity bounds, so it must find the
+same tables in exactly as many nodes, at any budget.
+
 Each search runs one unit and returns its hits in search order.
 
 The searcher's numpy set-up.  `_IrreducibleTableSearch.__init__` used
@@ -232,8 +241,20 @@ def coatom_enumeration(max_n: int) -> Dict[int, List[tuple]]:
     return keys
 
 
+def incomparable_pairs(searcher) -> List[Tuple[int, int, int]]:
+    """(a, b, a \\/ b) for each incomparable pair a < b of the searcher's
+    lattice."""
+    leq, join, n = searcher.leq_rows, searcher.join_rows, searcher.l.n
+    return [(a, b, join[a][b]) for a in range(n) for b in range(a + 1, n)
+            if not (leq[a][b] or leq[b][a])]
+
+
 class PlainSearch:
     """_IrreducibleTableSearch without row-completion pruning."""
+
+    def __init__(self, l: FiniteLattice, e: int):
+        super().__init__(l, e)
+        self.incomparable = incomparable_pairs(self)
 
     def row_ok(self, i: int) -> bool:
         """Caches R_i; the unit column and the row's join consistency
@@ -414,6 +435,105 @@ class LoopUnitalSearch(LoopSearch, UnitPins, search._IrreducibleTableSearch):
     pass
 
 
+class PerValueRows:
+    """_IrreducibleTableSearch's row completion with every check per value."""
+
+    def __init__(self, l: FiniteLattice, e: int):
+        super().__init__(l, e)
+        r = len(self.irr)
+        self.incomparable = incomparable_pairs(self)
+        self.finals = [[] for _ in range(r)]
+        self.left_law = [[] for _ in range(r)]
+        for x, tops in enumerate(self.tops):
+            if tops:
+                self.finals[self.maxpos[x]].append((x, tops))
+        for a, b, ab in self.incomparable:
+            self.left_law[self.maxpos[ab]].append((a, b, ab))
+        # (max(p, q), cell index, p, q), by max(p, q)
+        self.pairs = []
+        for t in range(r):
+            self.pairs += [(t, t * r + s, t, s) for s in range(t)]
+            self.pairs += [(t, s * r + t, s, t) for s in range(t + 1)]
+
+    def partial_row(self, t: int) -> List[int]:
+        join, bottom, r = self.join_rows, self.l.bottom, len(self.irr)
+        products = self.values[t * r:(t + 1) * r]
+        row = []
+        for tops in self.tops_but_last:
+            acc = bottom
+            for s in tops:
+                acc = join[acc][products[s]]
+            row.append(acc)
+        return row
+
+    def row_ok(self, t: int, partial: List[int], v: int) -> bool:
+        join, rows, full = self.join_rows, self.rows, self.full
+        row, join_v = partial[:], join[v]
+        for y in self.above_last:
+            row[y] = join_v[row[y]]
+        if row[self.e] != self.irr[t]:
+            return False
+        for a, b, ab in self.incomparable:
+            if row[ab] != join[row[a]][row[b]]:
+                return False
+        rows[t] = row
+        for x, tops in self.finals[t]:
+            acc = rows[tops[0]]
+            for s in tops[1:]:
+                acc = [join[u][w] for u, w in zip(acc, rows[s])]
+            full[x] = acc
+        for a, b, ab in self.left_law[t]:
+            if [join[u][w] for u, w in zip(full[a], full[b])] != full[ab]:
+                return False
+        values, maxpos = self.values, self.maxpos
+        for pq, k, p, q in self.pairs[:(t + 1) ** 2]:
+            xy = values[k]
+            if max(pq, maxpos[xy]) == t:
+                row_x = rows[p]
+                if [row_x[u] for u in rows[q]] != full[xy]:
+                    return False
+        return True
+
+    def run(self, budget: Optional[int] = None):
+        cells, values, domains, lows = self.cells, self.values, self.domains, self.lows
+        leq, join, bottom, r = self.leq_rows, self.join_rows, self.l.bottom, len(self.irr)
+        limit = float("inf") if budget is None else budget
+        completes = [k // r if (k + 1) % r == 0 else None for k in range(len(cells))]
+        hits = []
+        nodes = 0
+
+        def rec(k: int) -> bool:
+            nonlocal nodes
+            if k == len(cells):
+                m = self.extension()
+                s = search._leaf(self.l, self.e, m)
+                if s is not None:
+                    hits.append((m, s))
+                return True
+            lo = bottom
+            for k2 in lows[k]:
+                lo = join[lo][values[k2]]
+            above_lo, t = leq[lo], completes[k]
+            partial = None if t is None else self.partial_row(t)
+            for v in domains[k]:
+                if nodes >= limit:
+                    return False
+                nodes += 1
+                if not above_lo[v]:
+                    continue
+                values[k] = v
+                if (t is None or self.row_ok(t, partial, v)) and not rec(k + 1):
+                    return False
+            return True
+
+        exhausted = rec(0)
+        return hits, exhausted, nodes
+
+
+class PerValueSearch(PerValueRows, search._IrreducibleTableSearch):
+    pass
+
+
 def per_unit_search(l, mode: str, units: List[int], budget: Optional[int]):
     """search._search without unit orbits: the searcher runs on each unit
     in turn, sharing the budget, and the hits are sorted by table."""
@@ -473,7 +593,7 @@ class NumpySetup:
         self.lows = [[c * r + s for c in covers[t]] + [t * r + c for c in covers[s]]
                      for t in range(r) for s in range(r)]
         a, b = np.nonzero(np.triu(~(l.leq | l.leq.T)))
-        self.incomparable = list(zip(a.tolist(), b.tolist(), l.join[a, b].tolist()))
+        incomparable = list(zip(a.tolist(), b.tolist(), l.join[a, b].tolist()))
         self.downs = _true_columns(l.leq.T)
         self.domains = [self.domain(i, j) for i, j in self.cells]
         self.values = [l.bottom] * len(self.cells)
@@ -485,17 +605,35 @@ class NumpySetup:
                               for tops, last in zip(self.tops, ends_last)]
         self.above_last = [y for y, last in enumerate(ends_last) if last]
         self.maxpos = [tops[-1] if tops else -1 for tops in self.tops]
+        # the elements above the last irreducible, as a boolean row
+        above = l.leq[self.irr[-1]].tolist() if r else [False] * l.n
+        self.unit_fixed = not above[e]
+        self.fixed_pairs = [(a, b, ab) for a, b, ab in incomparable if not above[ab]]
+        self.value_pairs = [(a, b, ab) for a, b, ab in incomparable if above[a] or above[b]]
+        joined: Dict[int, list] = {}
+        for a, b, ab in incomparable:
+            if above[ab] and not (above[a] or above[b]):
+                joined.setdefault(ab, []).append((a, b))
+        self.joined_pairs = list(joined.items())
+        maxpos = self.maxpos
         self.finals: List[list] = [[] for _ in range(r)]
+        self.left_fixed: List[list] = [[] for _ in range(r)]
         self.left_law: List[list] = [[] for _ in range(r)]
         for x, tops in enumerate(self.tops):
             if tops:
-                self.finals[self.maxpos[x]].append((x, tops))
-        for a, b, ab in self.incomparable:
-            self.left_law[self.maxpos[ab]].append((a, b, ab))
+                self.finals[maxpos[x]].append((x, tops[:-1]))
+        left_fixed: Dict[int, list] = {}
+        for a, b, ab in incomparable:
+            if maxpos[a] < maxpos[ab] and maxpos[b] < maxpos[ab]:
+                left_fixed.setdefault(ab, []).append((a, b))
+            else:
+                self.left_law[maxpos[ab]].append((a, b, ab))
+        for ab, pairs in left_fixed.items():
+            self.left_fixed[maxpos[ab]].append((ab, pairs))
         self.pairs = []
         for t in range(r):
-            self.pairs += [(t, t * r + s, t, s) for s in range(t)]
-            self.pairs += [(t, s * r + t, s, t) for s in range(t + 1)]
+            self.pairs += [(t * r + s, t, s) for s in range(t)]
+            self.pairs += [(s * r + t, s, t) for s in range(t + 1)]
 
     def domain(self, i: int, j: int) -> List[int]:
         e, below_irr, l = self.e, self.below_irr, self.l

@@ -6,14 +6,14 @@ import sys
 
 import pytest
 
-from girardlab import cli, girard, residuation, search
+from girardlab import cli, girard, residuation, search, structfile
 from girardlab.cli import main
 from girardlab.render import export_dot, render_report
 from girardlab.reports import law_fail, law_pass
 from girardlab.catalog import chain, diamond_m3
 from girardlab.residuation import AdjointnessFailure, godel_chain
 from girardlab.search import confirm_boolean_forcing
-from girardlab.structfile import from_lattice, parse, serialize
+from girardlab.structfile import build_lattice, from_lattice, load, parse, serialize
 from girardlab.subspaces import QuantaleContext
 
 
@@ -319,6 +319,25 @@ class TestSearchResiduation:
         for b in blockstexts:
             sf = parse(b[b.index("elements"):])
             assert sf.mul is not None and sf.unit == 2
+
+    def test_covers_found_once_per_run(self, capsys, structures_dir, monkeypatch):
+        # every solution is printed on the same carrier, with the covers
+        # from_lattice would give it
+        calls, real = [], structfile.hasse_covers
+
+        def hasse_covers(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(structfile, "hasse_covers", hasse_covers)
+        code, out, _ = run(capsys, "search-residuation", str(structures_dir / "boolean-4.struct"),
+                           "--mode", "unital")
+        blocks = [b[b.index("elements"):] for b in out.split("# solution")[1:]]
+        assert code == 0 and len(blocks) > 1 and len(calls) == 1
+        carrier = build_lattice(load(structures_dir / "boolean-4.struct"))
+        for b in blocks:
+            sf = parse(b.split("\nunit-downset:")[0])
+            assert sf.covers == tuple(real(carrier))
 
     def test_unital_needs_ortho(self, capsys, structures_dir):
         code, _, err = run(

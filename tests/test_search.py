@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from reference_search import LoopIntegralSearch, LoopUnitalSearch, NumpySetupSearch, \
-    PlainIntegralSearch, PlainUnitalSearch, UnitPinSearch, coatom_enumeration, eager_enumeration, \
-    is_lattice, join_irreducibles, per_unit_search, poset_frontiers, reference_enumeration, \
-    scan_grow
+    PerValueSearch, PlainIntegralSearch, PlainUnitalSearch, UnitPinSearch, coatom_enumeration, \
+    eager_enumeration, is_lattice, join_irreducibles, per_unit_search, poset_frontiers, \
+    reference_enumeration, scan_grow
 
 from girardlab import orders, search
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
@@ -511,19 +511,32 @@ class TestSearchBookkeeping:
     def test_setup_matches_numpy_setup(self):
         # the list and bitmask set-up against the numpy one, for every
         # unit of every lattice on at most 7 elements and of each file:
-        # the same bookkeeping, and the same run within a budget
-        fields = ("irr", "tops", "lows", "domains", "incomparable", "finals", "left_law",
-                  "pairs")
+        # the same bookkeeping, and the same run within a budget, also
+        # by the searcher that runs every row check per value
+        fields = ("irr", "tops", "lows", "domains", "unit_fixed", "fixed_pairs", "joined_pairs",
+                  "value_pairs", "finals", "left_fixed", "left_law", "pairs")
         files = [build_lattice(load(path)) for path in STRUCTURE_FILES]
         for lat in enumerate_lattices(7).lattices + files:
             for e in range(lat.n):
                 new, reference = search._IrreducibleTableSearch(lat, e), NumpySetupSearch(lat, e)
                 for name in fields:
                     assert getattr(new, name) == getattr(reference, name), (lat.n, e, name)
-                outcomes = [searcher.run(budget=2000) for searcher in (new, reference)]
-                (hits, exhausted, nodes), (ref_hits, ref_exhausted, ref_nodes) = outcomes
-                assert [m.tolist() for m, _ in hits] == [m.tolist() for m, _ in ref_hits]
-                assert (exhausted, nodes) == (ref_exhausted, ref_nodes)
+                searchers = (new, reference, PerValueSearch(lat, e))
+                (hits, exhausted, nodes), *references = [s.run(budget=2000) for s in searchers]
+                for ref_hits, ref_exhausted, ref_nodes in references:
+                    assert [m.tolist() for m, _ in hits] == [m.tolist() for m, _ in ref_hits]
+                    assert (exhausted, nodes) == (ref_exhausted, ref_nodes)
+
+    @pytest.mark.parametrize("name", ["mo2", "mo3"])
+    def test_failed_visits_charge_their_domain(self, name):
+        # budgets that run out inside the domain of a failed visit: a
+        # charge one node off, or a wrong verdict on a budget that ends
+        # exactly at the domain's end, changes nodes or `exhausted`
+        lat = build_lattice(load(STRUCTURES / f"{name}.struct"))
+        for e in range(lat.n):
+            for budget in [*range(301), search.DEFAULT_BUDGET]:
+                new = _run_outcome(search._IrreducibleTableSearch(lat, e).run, budget)
+                assert new == _run_outcome(PerValueSearch(lat, e).run, budget), (e, budget)
 
     def test_integral_on_every_lattice_to_six(self, lattices_to_six):
         for lat, reference in lattices_to_six:
