@@ -185,35 +185,40 @@ class FiniteLattice(FinitePoset):
     top: int
 
 
+def _masks(matrix: np.ndarray) -> List[int]:
+    """Row i of a boolean matrix as the int whose bit j is matrix[i, j]:
+    the up-set of i when the matrix is an order's leq, its down-set when
+    it is leq.T."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def compute_lattice(p: FinitePoset) -> FiniteLattice:
     """Derive meet/join tables, or raise NotALattice / NotBounded.
 
-    The join of {i, j} is the least of its common upper bounds and the
-    meet the greatest of its common lower bounds; a pair lacking either
-    is reported, the least upper bound first.
+    The join of {i, j} is the element whose up-set is the intersection
+    of theirs, and the meet the element whose down-set is; the least
+    pair lacking either is reported, the least upper bound first.
     """
-    n, leq = p.n, p.leq
-    lt = leq & ~np.eye(n, dtype=bool)
-    bottoms = np.flatnonzero(leq.all(axis=1))
-    if not bottoms.size:
-        raise NotBounded("bottom", np.flatnonzero(~lt.any(axis=0)).tolist())
-    tops = np.flatnonzero(leq.all(axis=0))
-    if not tops.size:
-        raise NotBounded("top", np.flatnonzero(~lt.any(axis=1)).tolist())
-
-    meet = np.empty((n, n), dtype=np.intp)
-    join = np.empty((n, n), dtype=np.intp)
-    for lo, (i, j, k) in index_slabs(n, 3):
-        ub, has_join = greatest(leq[i, k] & leq[j, k], leq.T)
-        lb, has_meet = greatest(leq[k, i] & leq[k, j], leq)
-        w = first_violation(~(has_join & has_meet))
-        if w is not None:
-            kind = "greatest lower bound" if has_join[w] else "least upper bound"
-            raise NotALattice((w[0] + lo, w[1]), kind)
-        join[lo:lo + len(i)] = ub
-        meet[lo:lo + len(i)] = lb
-    return FiniteLattice(n, leq, p.labels, _frozen(meet), _frozen(join),
-                         int(bottoms[0]), int(tops[0]))
+    n = p.n
+    ups, downs = _masks(p.leq), _masks(p.leq.T)
+    everything = (1 << n) - 1
+    if everything not in ups:
+        raise NotBounded("bottom", [i for i, d in enumerate(downs) if d == 1 << i])
+    if everything not in downs:
+        raise NotBounded("top", [i for i, u in enumerate(ups) if u == 1 << i])
+    up_of = {u: i for i, u in enumerate(ups)}
+    down_of = {d: i for i, d in enumerate(downs)}
+    join = [[up_of.get(u & w) for w in ups] for u in ups]
+    meet = [[down_of.get(d & w) for w in downs] for d in downs]
+    for i, (joins, meets) in enumerate(zip(join, meet)):
+        if None in joins or None in meets:
+            j = next(j for j in range(n) if joins[j] is None or meets[j] is None)
+            kind = "least upper bound" if joins[j] is None else "greatest lower bound"
+            raise NotALattice((i, j), kind)
+    return FiniteLattice(n, p.leq, p.labels, _frozen(np.array(meet, dtype=np.intp)),
+                         _frozen(np.array(join, dtype=np.intp)),
+                         ups.index(everything), downs.index(everything))
 
 
 def lattice_from_covers(covers, labels) -> FiniteLattice:
@@ -284,12 +289,6 @@ def hasse_covers(p: FinitePoset) -> list:
     return [(int(i), int(j)) for i, j in np.argwhere(lt & ~between)]
 
 
-def _up_masks(leq: np.ndarray) -> list:
-    """Row i of a boolean matrix as the bitmask of its True columns: the
-    up-set of i when the matrix is an order's leq."""
-    return [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in leq]
-
-
 def _order_classes(rows: Sequence[int]):
     """(cls, members): cls[i] is element i's class, its (up-set size,
     down-set size), for a poset given by the up-set bitmasks rows, and
@@ -357,5 +356,5 @@ def enumerate_inversions(p: FinitePoset) -> list:
     _order_automorphism yields onto it.  Intended for carriers of a dozen
     elements or so; the count explodes on large antichains.
     """
-    return [tuple(f) for f in _order_automorphism(_up_masks(p.leq), target=_up_masks(p.leq.T),
+    return [tuple(f) for f in _order_automorphism(_masks(p.leq), target=_masks(p.leq.T),
                                                    involutive=True)]

@@ -13,6 +13,7 @@ import numpy as np
 
 from .orders import (
     FiniteLattice,
+    _masks,
     as_order_map,
     check_inversion,
     compute_lattice,
@@ -122,7 +123,7 @@ def compatible(o: OrthoLattice, x, y):
 def _maximal_cliques(adj: np.ndarray) -> list:
     """Bron-Kerbosch with pivoting over a symmetric boolean matrix."""
     n = adj.shape[0]
-    nbr = [int(sum(1 << j for j in range(n) if adj[i, j] and j != i)) for i in range(n)]
+    nbr = _masks(adj & ~np.eye(n, dtype=bool))
     full = (1 << n) - 1
     out = []
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 import json
 from typing import List, Tuple
 
-import numpy as np
-
 from .orders import FinitePoset, hasse_covers
 from .reports import LawReport
 
@@ -25,18 +23,8 @@ def export_dot(p: FinitePoset) -> str:
 
 
 def _witness_text(witness) -> str:
-    def plain(x):
-        if isinstance(x, np.ndarray):
-            return x.tolist()
-        if isinstance(x, (tuple, list)):
-            return [plain(v) for v in x]
-        if isinstance(x, (np.integer,)):
-            return int(x)
-        if isinstance(x, (np.floating,)):
-            return float(x)
-        return x
-
-    return json.dumps(plain(list(witness)))
+    # numpy scalars and arrays, which json cannot write, as Python values
+    return json.dumps(list(witness), default=lambda x: x.tolist())
 
 
 def render_report(sections: Sections, fmt: str = "human") -> str:

@@ -61,8 +61,9 @@ have rows by then, and two laws every solution satisfies prune on them:
 L, the join law in the left argument, and A, associativity on pairs of
 irreducibles.  Both read only rows of the current branch.  The value of
 a row's last cell changes only the row's entries above the last
-irreducible, so the row checks that read none of them run once per
-visit of that cell, before its values, and the rest once per value.
+irreducible, so the row checks that read none of them, all but the
+unit column, run once per visit of that cell, before its values, and
+the rest once per value.
 When a check of the visit fails, no value passes: the visit charges the
 nodes its value loop would count and visits nothing.  Every
 solution a search emits is re-verified through derive_residua, which
@@ -81,7 +82,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .girard import check_unit_downset_boolean
-from .orders import FiniteLattice, _order_automorphism, _order_classes, _up_masks, \
+from .orders import FiniteLattice, _masks, _order_automorphism, _order_classes, \
     compute_lattice, hasse_covers, is_distributive, validate_poset
 from .ortho import OrthoLattice, is_orthomodular
 from .reports import InputError, LawReport, law_fail, law_pass
@@ -376,17 +377,16 @@ class _IrreducibleTableSearch:
     above it, and the value v of the row's last cell enters only the
     entries at those elements.  row_visit runs once per visit of the last
     cell: it joins the row without v, the partial row, and checks what v
-    cannot change: the unit column when e is not above, the consistency
-    of the incomparable pairs whose join is not above, that
-    partial[a] \\/ partial[b] is one element for each join a \\/ b above
-    a and b that are not, and that full(a) \\/ full(b) is one row for
-    each a \\/ b over the pairs of L final before t.  When one fails, no
-    value passes: the visit charges the nodes its value loop would
-    count, each value up to the budget, and visits nothing.  row_ok runs
-    the rest per value: one comparison for each such join, the pairs
-    with a member above, the other pairs of L, and A.  Each check is a
-    conjunct of the row's verdict, so the nodes are those of a search
-    that runs every check per value.
+    cannot change: the consistency of the incomparable pairs whose join
+    is not above, that partial[a] \\/ partial[b] is one element for each
+    join a \\/ b above a and b that are not, and that full(a) \\/ full(b)
+    is one row for each a \\/ b over the pairs of L final before t.  When
+    one fails, no value passes: the visit charges the nodes its value
+    loop would count, each value up to the budget, and visits nothing.
+    row_ok runs the rest per value: one comparison for each such join,
+    the unit column, the pairs with a member above, the other pairs of
+    L, and A.  Each check is a conjunct of the row's verdict, so the
+    nodes are those of a search that runs every check per value.
     """
 
     def __init__(self, l: FiniteLattice, e: int):
@@ -396,37 +396,30 @@ class _IrreducibleTableSearch:
         self.leq_rows, self.join_rows, self.meet_rows = leq, l.join.tolist(), l.meet.tolist()
         # downs[y]: the elements below y, in increasing order and as a bitmask
         self.downs = [[x for x, below in enumerate(col) if below] for col in l.leq.T.tolist()]
-        down_masks = [sum(1 << x for x in downs) for downs in self.downs]
-        # x is join-irreducible iff it has exactly one lower cover c, that is
-        # iff the elements strictly below it are the down-set of c
-        principal = set(down_masks)
-        irr = [x for x, mask in enumerate(down_masks) if mask & ~(1 << x) in principal]
-        self.irr = irr = sorted(irr, key=lambda i: (len(self.downs[i]), i))
+        down_masks = _masks(l.leq.T)
+        # x is join-irreducible iff it has exactly one lower cover, lower[x],
+        # that is iff the elements strictly below it are the down-set of one
+        down_of = {mask: x for x, mask in enumerate(down_masks)}
+        lower = {x: down_of[mask ^ 1 << x] for x, mask in enumerate(down_masks)
+                 if mask ^ 1 << x in down_of}
+        self.irr = irr = sorted(lower, key=lambda i: (len(self.downs[i]), i))
         r = len(irr)
         # below[x]: the positions in irr of the irreducibles below x, in
-        # increasing order and as a bitmask; above[s]: those strictly above irr[s]
+        # increasing order and as a bitmask; above[s]: those above irr[s], s too
         below = [[s for s, i in enumerate(irr) if mask >> i & 1] for mask in down_masks]
-        below_masks = [sum(1 << s for s in pos) for pos in below]
-        above = [sum(1 << t for t, i in enumerate(irr) if t != s and below_masks[i] >> s & 1)
-                 for s in range(r)]
+        below_masks, above = _masks(l.leq[irr].T), _masks(l.leq[irr][:, irr])
         self.below_irr = [[irr[s] for s in pos] for pos in below]
         # positions in irr of the greatest irreducibles below each element
-        self.tops = [[s for s in pos if not mask & above[s]] for pos, mask in zip(below, below_masks)]
+        self.tops = [[s for s in pos if mask & above[s] == 1 << s]
+                     for pos, mask in zip(below, below_masks)]
         self.cells = [(i, j) for i in self.irr for j in self.irr]
         # cell k is (irr[k // r], irr[k % r]); the greatest cells below cell
         # (t, s) are (c, s) and (t, c) for the lower covers c of t and of s
-        # among the irreducibles, and they come earlier, in increasing order
-        covers = [[s for s in below[i] if s != t and not below_masks[i] & ~(1 << t) & above[s]]
-                  for t, i in enumerate(irr)]
-        self.lows = [[] for _ in range(r * r)]
-        for t, lower in enumerate(covers):
-            for c in lower:
-                for s in range(r):
-                    self.lows[t * r + s].append(c * r + s)
-        for s, lower in enumerate(covers):
-            for c in lower:
-                for t in range(r):
-                    self.lows[t * r + s].append(t * r + c)
+        # among the irreducibles, the greatest below their lower covers in
+        # the lattice, and they come earlier, in increasing order
+        covers = [self.tops[lower[i]] for i in irr]
+        self.lows = [[c * r + s for c in covers[t]] + [t * r + c for c in covers[s]]
+                     for t in range(r) for s in range(r)]
         self.domains = [self.domain(i, j) for i, j in self.cells]
         self.values = [l.bottom] * len(self.cells)  # values[k]: the value of cell k
         self.rows: List[Optional[List[int]]] = [None] * r  # R_t, by position t
@@ -440,8 +433,6 @@ class _IrreducibleTableSearch:
                               for tops, last in zip(self.tops, ends_last)]
         self.above_last = [y for y, last in enumerate(ends_last) if last]
         self.maxpos = maxpos = [tops[-1] if tops else -1 for tops in self.tops]
-        # the unit column reads the last value only when e is above irr[r - 1]
-        self.unit_fixed = not ends_last[e]
         # only incomparable pairs (a, b) can break the join consistency of a
         # monotone row: for a <= b it reads row[b] = row[a] \/ row[b].  The
         # elements above irr[r - 1] are an up-set, so a pair reads the last
@@ -515,8 +506,6 @@ class _IrreducibleTableSearch:
             for s in tops:
                 acc = join[acc][products[s]]
             partial.append(acc)
-        if self.unit_fixed and partial[self.e] != self.irr[t]:
-            return None
         for a, b, ab in self.fixed_pairs:
             if partial[ab] != join[partial[a]][partial[b]]:
                 return None
@@ -684,8 +673,7 @@ def _search(l: FiniteLattice, mode: str, units: List[int],
     hits: List[Tuple[np.ndarray, ResiduatedStructure]] = []
     searched: Dict[int, List[Tuple[np.ndarray, ResiduatedStructure]]] = {}
     nodes, exhausted = 0, True
-    # the up-set bitmasks that orbit lookups read; one unit makes none
-    rows = _up_masks(l.leq) if len(units) > 1 else []
+    rows = _masks(l.leq)  # the up-set bitmasks that orbit lookups read
     for e in units:
         orbit = next(((rep, sigma) for rep in searched
                       for sigma in islice(_order_automorphism(rows, rep, e), 1)), None)

@@ -607,7 +607,6 @@ class NumpySetup:
         self.maxpos = [tops[-1] if tops else -1 for tops in self.tops]
         # the elements above the last irreducible, as a boolean row
         above = l.leq[self.irr[-1]].tolist() if r else [False] * l.n
-        self.unit_fixed = not above[e]
         self.fixed_pairs = [(a, b, ab) for a, b, ab in incomparable if not above[ab]]
         self.value_pairs = [(a, b, ab) for a, b, ab in incomparable if above[a] or above[b]]
         joined: Dict[int, list] = {}

@@ -5,7 +5,9 @@ tests/reference_laws.py: the verdict, the witness (down to its Python
 int type), the note, the returned tables and any raised exception's
 type, message, pair, kind and witness.  Tables are drawn from three
 families on carriers of at most six elements: arbitrary tables, valid
-tables with one mutated cell, and posets that are not lattices.
+tables and tables with one mutated cell.  Posets, most of them not
+lattices, have up to twelve elements, so their up-set masks can span
+two bytes.
 """
 import dataclasses
 
@@ -119,8 +121,8 @@ def mutated(draw):
 
 @st.composite
 def relations(draw):
-    """Reflexive antisymmetric relations, transitive or not, on n <= 6."""
-    n = draw(st.integers(1, 6))
+    """Reflexive antisymmetric relations, transitive or not, on n <= 10."""
+    n = draw(st.integers(1, 10))
     perm = draw(st.permutations(range(n)))
     upper = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
     rel = np.triu(upper, 1) | np.eye(n, dtype=bool)
@@ -169,6 +171,20 @@ def test_transitivity(rel):
 @given(posets())
 def test_lattice_construction(p):
     same(orders.compute_lattice, ref.compute_lattice, p)
+
+
+@pytest.mark.parametrize("build, join, meet", [
+    (lambda: chain(256), np.maximum, np.minimum),
+    (lambda: boolean_cube(8), np.bitwise_or, np.bitwise_and),  # element i is a set of atoms
+], ids=["chain-256", "boolean-cube-8"])
+def test_lattice_tables_in_closed_form(build, join, meet):
+    # 256 elements, so each up-set mask spans 32 bytes; the oracle is a
+    # formula, not an intersection of up-sets
+    lat = build()
+    x = np.arange(lat.n)
+    assert lat.join.tolist() == join.outer(x, x).tolist()
+    assert lat.meet.tolist() == meet.outer(x, x).tolist()
+    assert (lat.bottom, lat.top) == (0, lat.n - 1)
 
 
 @settings(max_examples=150, deadline=None)

@@ -513,8 +513,8 @@ class TestSearchBookkeeping:
         # unit of every lattice on at most 7 elements and of each file:
         # the same bookkeeping, and the same run within a budget, also
         # by the searcher that runs every row check per value
-        fields = ("irr", "tops", "lows", "domains", "unit_fixed", "fixed_pairs", "joined_pairs",
-                  "value_pairs", "finals", "left_fixed", "left_law", "pairs")
+        fields = ("irr", "tops", "lows", "domains", "fixed_pairs", "joined_pairs", "value_pairs",
+                  "finals", "left_fixed", "left_law", "pairs")
         files = [build_lattice(load(path)) for path in STRUCTURE_FILES]
         for lat in enumerate_lattices(7).lattices + files:
             for e in range(lat.n):
