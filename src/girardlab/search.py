@@ -216,7 +216,7 @@ def _grow(rows: Tuple[int, ...]):
 
 def _rows_to_lattice(rows: Tuple[int, ...]) -> FiniteLattice:
     n = len(rows)
-    leq = np.array([[bool(rows[i] >> j & 1) for j in range(n)] for i in range(n)])
+    leq = (np.array(rows)[:, None] >> np.arange(n) & 1).astype(bool)
     return compute_lattice(validate_poset(leq))
 
 

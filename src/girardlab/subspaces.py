@@ -2,8 +2,8 @@
 
 A subspace is held as an orthonormal basis (n x r matrix) together with
 an orthonormal basis of its orthogonal complement (n x (n - r)).  Both
-come from one SVD: the n x n factor U of a matrix A splits after its
-rank r into bases of range(A) and of range(A)^perp, so the
+come from one n x n orthogonal factor of a spanning matrix A, the U of
+an SVD or the Q of a QR, split after the rank r, so the
 orthocomplement is a swap of the two fields and costs no decomposition.
 Equality and containment are decided through orthogonal projectors,
 never through the bases themselves, which are non-canonical.  The
@@ -21,12 +21,11 @@ relative cutoff TAU_RANK = 1e-9, and subspace equality by projector
 Frobenius distance at tau_eq = 1e-8 * sqrt(n).  QuantaleContext holds
 only n and reads both as tau_rank and tau_eq; the dimension is capped
 because the product of an r-dimensional and an s-dimensional subspace
-spans r*s candidate vectors.  A product or join whose spanning matrix A
-has at least n columns is first tested for rank n on its n x n Gram
-matrix G = AA^T, P_S o P_T or P_S + P_T, without forming A: a Cholesky
-factorisation of G - cI, c just above tau_rank^2 tr(G), proves
-sigma_n(A) >= tau_rank * sigma_0(A) and gives R^n.  Otherwise one SVD
-of A decides.
+spans r*s candidate vectors.  A Cholesky factorisation of G - cI, c just
+above tau_rank^2 tr(G), certifies full rank on a Gram matrix: on the n x n
+AA^T (P_S o P_T or P_S + P_T, A unformed) of a product or join that may
+span R^n, which then is R^n, and on the k x k A^T A of a tall A with
+16 <= k < n columns, which one QR then splits.  Else one SVD decides.
 """
 from __future__ import annotations
 
@@ -40,6 +39,7 @@ from .reports import InputError, LawReport, law_fail, law_pass
 
 MAX_DIM = 64
 TAU_RANK = 1e-9
+QR_MIN_COLUMNS = 16  # below it, one SVD of a tall matrix beats a Gram Cholesky and a QR
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,11 @@ class Subspace:
         return self.basis.shape[1]
 
     def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
+        p = self.__dict__.get("_projector")
+        if p is None:  # computed once and shared by every caller
+            p = self.__dict__["_projector"] = self.basis @ self.basis.T
+            p.flags.writeable = False
+        return p
 
 
 def _check_same_ambient(ctx: QuantaleContext, *spaces: Subspace):
@@ -85,13 +89,13 @@ def _check_same_ambient(ctx: QuantaleContext, *spaces: Subspace):
 
 
 def _split(a: np.ndarray) -> Subspace:
-    """range(A) and its complement from one SVD of the n x k matrix A.
+    """range(A) and its complement from one decomposition of the n x k A.
 
-    The rank r is the number of singular values at least TAU_RANK times
-    the largest; an empty or all-zero A has rank 0.  U is n x n (full
-    when A is tall, thin otherwise): its first r columns span range(A)
-    and the rest span the complement.  Products and joins come here
-    only when _gram_certifies_full declines.
+    A tall A with QR_MIN_COLUMNS <= k < n, scaled exactly by a power of two
+    into [-1, 1] so that A^T A neither over- nor underflows, is split after
+    k by the n x n Q of one QR when certified of rank k.  Otherwise the U
+    of an SVD (n x n, full when A is tall) splits after the number of
+    singular values at least TAU_RANK times the largest (0 if A is zero).
 
     Near the cutoff, equality at tau_eq is tighter than the numerics can
     decide: a kept direction with sigma ratio rho is only determined to
@@ -101,31 +105,39 @@ def _split(a: np.ndarray) -> Subspace:
     n, k = a.shape
     if k == 0:
         return Subspace(np.zeros((n, 0)), np.eye(n))
+    if QR_MIN_COLUMNS <= k < n:
+        b = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
+        if _certifies_rank(b.T @ b, n + k + 3):
+            q, _ = np.linalg.qr(b, mode="complete")
+            return Subspace(q[:, :k], q[:, k:])
     u, sigma, _ = np.linalg.svd(a, full_matrices=k < n)
     r = int(np.count_nonzero(sigma >= TAU_RANK * sigma[0])) if sigma[0] > 0.0 else 0
     return Subspace(u[:, :r], u[:, r:])
 
 
-def _gram_certifies_full(ctx: QuantaleContext, s: Subspace, t: Subspace, g: np.ndarray) -> bool:
-    """Whether G = AA^T proves rank n for the spanning matrix A of a
-    product (G = P_S o P_T) or join (G = P_S + P_T) of s and t.
+def _certifies_rank(g: np.ndarray, m: int) -> bool:
+    """Whether the p x p Gram matrix G = AA^T, which it overwrites, proves
+    rank p for A by the SVD's rule sigma_p(A) >= tau_rank * sigma_0(A).
 
-    sigma_n(A)^2 = lambda_min(G) and sigma_0(A)^2 <= tr(G), so lambda_min(G)
-    >= tau_rank^2 tr(G) gives sigma_n(A) >= tau_rank * sigma_0(A), the
-    SVD's rule for rank n; a Cholesky factorisation of G - cI proves it
-    (Rump, BIT 2006).  With u the unit roundoff and m = n + dim s + dim t
-    + 3, G is formed to within gamma_{m-n-2} tr(G) in the 2-norm (entry ij
-    errs by at most that times z_i z_j, and sum z_i^2 = tr(G)), the shift
-    adds u tr(G), and a completed factorisation is exact for a matrix
-    within gamma_{n+1} tr(G) / (1 - gamma_{n+1}) (Higham, Thm 10.3).  So
-    c = (tau_rank^2 + 4mu) tr(G), plus 16m^2 subnormals for underflow,
-    covers them and its own rounding.  A G with lambda_min / tr(G) below
-    tau_rank^2 + 4mu (at most 9e-14 in R^64) is declined; the SVD decides.
+    sigma_p(A)^2 = lambda_min(G) and sigma_0(A)^2 <= tr(G), so lambda_min(G)
+    >= tau_rank^2 tr(G) suffices; a Cholesky factorisation of G - cI
+    proves it (Rump, BIT 2006).  G is formed to within gamma_{m-p-2} tr(G)
+    in the 2-norm (entry ij errs by at most that times z_i z_j, and sum
+    z_i^2 = tr(G)): m = n + dim s + dim t + 3 for P_S o P_T or P_S + P_T,
+    and n + k + 3 for the A^T A of an n x k A.  With u the unit roundoff
+    the shift adds u tr(G), and a completed factorisation is exact for a
+    matrix within gamma_{p+1} tr(G) / (1 - gamma_{p+1}) (Higham, Thm
+    10.3).  So c = (tau_rank^2 + 4mu) tr(G), plus 16m^2 subnormals for
+    underflow, covers them and its own rounding.  A G with lambda_min /
+    tr(G) below tau_rank^2 + 4mu (at most 9e-14 in R^64) is declined, and
+    so is one whose trace is not finite, since a Cholesky of NaNs completes.
     """
-    m, f = ctx.n + s.dim + t.dim + 3, np.finfo(float)
-    c = (TAU_RANK ** 2 + 2 * m * f.eps) * np.trace(g) + 16 * m * m * f.smallest_subnormal
+    f, trace = np.finfo(float), np.trace(g)
+    if not math.isfinite(trace):
+        return False
+    g.flat[::len(g) + 1] -= (TAU_RANK ** 2 + 2 * m * f.eps) * trace + 16 * m * m * f.smallest_subnormal
     try:
-        np.linalg.cholesky(g - c * np.eye(ctx.n))
+        np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -158,14 +170,16 @@ def full(ctx: QuantaleContext) -> Subspace:
 def leq(ctx: QuantaleContext, s: Subspace, t: Subspace) -> bool:
     """Containment: the residual of s's basis outside t is below tau_eq."""
     _check_same_ambient(ctx, s, t)
+    if s.dim > t.dim:  # the residual is at least 1
+        return False
     resid = s.basis - t.basis @ (t.basis.T @ s.basis)
     return float(np.linalg.norm(resid)) <= ctx.tau_eq
 
 
 def equal(ctx: QuantaleContext, s: Subspace, t: Subspace) -> bool:
-    """Projector Frobenius distance below tau_eq."""
+    """Projector Frobenius distance (at least 1 across dimensions) below tau_eq."""
     _check_same_ambient(ctx, s, t)
-    return float(np.linalg.norm(s.projector() - t.projector())) <= ctx.tau_eq
+    return s.dim == t.dim and float(np.linalg.norm(s.projector() - t.projector())) <= ctx.tau_eq
 
 
 def ortho(ctx: QuantaleContext, s: Subspace) -> Subspace:
@@ -178,7 +192,7 @@ def ortho(ctx: QuantaleContext, s: Subspace) -> Subspace:
 def join(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
     """Smallest subspace containing both: span of the stacked bases."""
     _check_same_ambient(ctx, s, t)
-    if s.dim + t.dim >= ctx.n and _gram_certifies_full(ctx, s, t, s.projector() + t.projector()):
+    if s.dim + t.dim >= ctx.n and _certifies_rank(s.projector() + t.projector(), ctx.n + s.dim + t.dim + 3):
         return full(ctx)
     return _split(np.hstack([s.basis, t.basis]))
 
@@ -191,7 +205,7 @@ def meet(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
 def mul(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
     """Quantale product: span of all Hadamard products of basis columns."""
     _check_same_ambient(ctx, s, t)
-    if s.dim * t.dim >= ctx.n and _gram_certifies_full(ctx, s, t, s.projector() * t.projector()):
+    if s.dim * t.dim >= ctx.n and _certifies_rank(s.projector() * t.projector(), ctx.n + s.dim + t.dim + 3):
         return full(ctx)
     products = (s.basis[:, :, None] * t.basis[:, None, :]).reshape(ctx.n, -1)
     return _split(products)

@@ -47,6 +47,14 @@ def residuum(s, t, tau_rank):
     return ortho(mul(s, ortho(t), tau_rank))
 
 
+def equal(s, t, tau_eq):
+    return np.linalg.norm(s @ s.T - t @ t.T) <= tau_eq
+
+
+def leq(s, t, tau_eq):
+    return np.linalg.norm(s - t @ (t.T @ s)) <= tau_eq
+
+
 def random_subspace_within(s, rng, tau_rank):
     n, r = s.shape
     k = int(rng.integers(0, r + 1))

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import reference_subspaces as ref
 from girardlab import cli, girard, residuation, search, structfile
 from girardlab.cli import main
 from girardlab.render import export_dot, render_report
@@ -471,6 +473,30 @@ class TestRnOp:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "dim: 0\n", "")
+
+    @pytest.mark.parametrize("scale", [1e308, 1e-300])
+    def test_tall_spans_at_extreme_scales(self, structures_dir, scale):
+        # 16 vectors in R^20 take the Gram-certified QR route, whose A^T A
+        # over- or underflows unless the vectors are rescaled.  At 1e308
+        # sigma_0 itself overflows, so the reference is taken at scale 1
+        k = 16
+        unit = np.random.default_rng(20).uniform(-1.0, 1.0, (20, k))
+        a = unit * scale
+        vectors = ";".join(",".join(repr(float(x)) for x in col) for col in a.T)
+        src = str(structures_dir.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "girardlab.cli", "rn-op", "--dim", "20",
+             "--op", "ortho", f"--a={vectors}"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        head, *rows = proc.stdout.splitlines()
+        want = 20 - ref.orthonormal_range(unit, QuantaleContext.tau_rank).shape[1]
+        assert head == f"dim: {want}" and len(rows) == want == 20 - k
+        basis = np.array([[float(x) for x in row.split(";")] for row in rows])
+        assert np.allclose(basis @ basis.T, np.eye(want), rtol=0, atol=1e-10)
+        assert np.abs(basis @ unit).max() <= 1e-10
 
     @pytest.mark.parametrize("a", ["1,inf", "1,nan"])
     def test_non_finite_coordinate_is_an_input_error(self, capsys, a):

@@ -114,6 +114,15 @@ class TestEnumeration:
         for rows in posets:
             assert list(search._grow(rows)) == list(scan_grow(rows)), rows
 
+    def test_rows_to_lattice_reads_every_bit(self):
+        """The order matrix built by one shift-and-mask is the one read
+        bit by bit, on every lattice of at most 9 elements."""
+        for rows in enumerate_lattices(9).posets:
+            n = len(rows)
+            want = np.array([[bool(rows[i] >> j & 1) for j in range(n)] for i in range(n)])
+            got = search._rows_to_lattice(rows).leq
+            assert got.dtype == bool and np.array_equal(got, want), rows
+
     def test_lattices_built_on_first_read(self, monkeypatch):
         """Enumerating builds no FiniteLattice; the first read of
         lattices builds one per poset, equal element for element and in

@@ -15,6 +15,7 @@ from girardlab.cli import main
 from girardlab.reports import InputError
 from girardlab.subspaces import (
     QuantaleContext,
+    _certifies_rank,
     dualizing,
     equal,
     full,
@@ -120,6 +121,36 @@ class TestOrtho:
             assert equal(ctx, ortho(ctx, ortho(ctx, s)), s)
             if leq(ctx, s, t):
                 assert leq(ctx, ortho(ctx, t), ortho(ctx, s))
+
+
+class TestCompareAcrossDimensions:
+    def test_projector_computed_once_and_read_only(self, r3):
+        s = span(r3, [(1.0, 2.0, 2.0)])
+        p = s.projector()
+        assert s.projector() is p and np.allclose(p, np.outer([1, 2, 2], [1, 2, 2]) / 9)
+        with pytest.raises(ValueError):
+            p[0, 0] = 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    def test_shortcut_agrees_with_projectors(self, n):
+        # equal and leq answer False from unequal dimensions alone; the
+        # projector formulas agree on pairs of every dimension, 0 and n
+        # included, the smaller one drawn inside the larger
+        ctx = QuantaleContext(n)
+        tau = ctx.tau_eq
+        rng = np.random.default_rng(n)
+        pairs = [(a, b) for a in range(n + 1) for b in range(n + 1) if a < b]
+        if n == 64:
+            pairs = [(0, 64), (0, 1), (63, 64)] + [tuple(sorted(rng.choice(65, 2, replace=False)))
+                                                  for _ in range(12)]
+        for a, b in pairs:
+            big = span(ctx, list(rng.standard_normal((n, b)).T))
+            small = span(ctx, list((big.basis @ rng.standard_normal((b, a))).T))
+            assert (small.dim, big.dim) == (a, b)
+            for s, t in ((small, big), (big, small)):
+                assert not equal(ctx, s, t) and not ref.equal(s.basis, t.basis, tau)
+            assert leq(ctx, small, big) and ref.leq(small.basis, big.basis, tau)
+            assert not leq(ctx, big, small) and not ref.leq(big.basis, small.basis, tau)
 
 
 class TestMeetJoin:
@@ -325,6 +356,105 @@ class TestKernelDifferential:
             seed = int(rng.integers(2**32))
             _same(ctx, random_subspace_within(ctx, s, np.random.default_rng(seed)),
                   ref.random_subspace_within(s.basis, np.random.default_rng(seed), tau))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_qr_route_operands(self, linalg_calls, n):
+        # operands chosen so that each operation splits a generic n x k
+        # matrix with 16 <= k < n columns, which takes the certified QR route
+        ctx = QuantaleContext(n)
+        tau = ctx.tau_rank
+        rng = np.random.default_rng(300 + n)
+
+        def drawn(k):
+            a = rng.standard_normal((n, k))
+            return span(ctx, list(a.T)), ref.orthonormal_range(a, tau)
+
+        for _ in range(6):
+            k = int(rng.integers(16, n))
+            i = int(rng.integers(1, k))
+            p = int(rng.integers(2, 5))
+            q = int(rng.integers(-(-16 // p), (n - 1) // p + 1))
+            (s, s0), (t, t0), (u, u0) = drawn(k), drawn(i), drawn(k - i)
+            (v, v0), (w, w0) = drawn(p), drawn(q)
+            seed = int(rng.integers(2**32))
+            linalg_calls.clear()
+            for got, want in (
+                (s, s0),
+                (join(ctx, t, u), ref.join(t0, u0, tau)),
+                (meet(ctx, ortho(ctx, t), ortho(ctx, u)), ref.meet(ref.ortho(t0), ref.ortho(u0), tau)),
+                (mul(ctx, v, w), ref.mul(v0, w0, tau)),
+                (residuum(ctx, v, ortho(ctx, w)), ref.residuum(v0, ref.ortho(w0), tau)),
+                (random_subspace_within(ctx, s, np.random.default_rng(seed)),
+                 ref.random_subspace_within(s.basis, np.random.default_rng(seed), tau)),
+            ):
+                _same(ctx, got, want)
+            splits = [shape for name, shape, _ in linalg_calls if name == "qr"]
+            # join and meet split n x k matrices, mul and residuum n x pq ones
+            assert splits[:4] == [(n, k), (n, k), (n, p * q), (n, p * q)]
+
+    def test_qr_route_calls(self, linalg_calls):
+        # a 64 x k spanning matrix with 16 <= k < 64 is certified of rank k
+        # on its k x k Gram matrix and split by one QR; below 16 columns one
+        # SVD decides.  The matrix is scaled first, so neither huge nor tiny
+        # coordinates keep it off the QR route
+        ctx = QuantaleContext(64)
+        a = np.random.default_rng(29).standard_normal((64, 20))
+        qr = [("cholesky", (20, 20), {}), ("qr", (64, 20), {"mode": "complete"})]
+        for scale in (1.0, 1e308 / 5, 1e-300):
+            linalg_calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = span(ctx, list(scale * a.T))
+            assert linalg_calls == qr
+            _same(ctx, got, ref.orthonormal_range(a, ctx.tau_rank))
+            assert np.allclose(got.complement.T @ got.complement, np.eye(44), rtol=0, atol=1e-12)
+        linalg_calls.clear()
+        assert span(ctx, list(a[:, :15].T)).dim == 15
+        assert linalg_calls == [("svd", (64, 15), {"full_matrices": True})]
+
+    @pytest.mark.parametrize("ratio, rank", [(1e-6, 20), (1e-7, 20), (3e-9, 20), (3e-10, 19),
+                                             (1e-10, 19)])
+    def test_qr_route_at_the_cutoff(self, linalg_calls, ratio, rank):
+        # 18 orthonormal columns and two unit columns at angle 2 atan(ratio)
+        # in their complement, mixed by a random rotation: sigma_min /
+        # sigma_max = ratio and tr(G) = 20 = 10 sigma_max^2, so lambda_min /
+        # tr(G) = ratio^2 / 10 passes the certificate's margin tau^2 + 4mu
+        # = 3.9e-14 (m = 87) at 1e-6 only; from 1e-7 down the SVD decides
+        ctx = QuantaleContext(64)
+        rng = np.random.default_rng(29)
+        q, _ = np.linalg.qr(rng.standard_normal((64, 20)))
+        angle = 2 * math.atan(ratio)
+        q[:, -1] = math.cos(angle) * q[:, -2] + math.sin(angle) * q[:, -1]
+        a = q @ np.linalg.qr(rng.standard_normal((20, 20)))[0]
+        spectrum = np.linalg.svd(a, compute_uv=False)
+        assert spectrum[-1] / spectrum[0] == pytest.approx(ratio, rel=1e-3)
+        linalg_calls.clear()
+        got = span(ctx, list(a.T))
+        route = ("qr", (64, 20), {"mode": "complete"}) if ratio == 1e-6 else \
+            ("svd", (64, 20), {"full_matrices": True})
+        assert linalg_calls == [("cholesky", (20, 20), {}), route]
+        want = ref.orthonormal_range(a, ctx.tau_rank)
+        assert got.dim == want.shape[1] == rank
+        tol = max(ctx.tau_eq, 100 * np.finfo(float).eps / ratio) if rank == 20 else ctx.tau_eq
+        assert np.linalg.norm(got.projector() - want @ want.T) <= tol
+
+    @pytest.mark.parametrize("g", [np.full((20, 20), np.nan), np.diag([np.inf] + [1.0] * 19)])
+    def test_certificate_declines_non_finite_gram(self, g):
+        # a Cholesky of NaNs completes without raising, so the trace guards it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _certifies_rank(g.copy(), 64 + 20 + 3)
+
+    @pytest.mark.parametrize("k, zero_columns, rank", [(16, slice(None), 0), (20, 7, 19)])
+    def test_qr_route_declines_zero_columns(self, linalg_calls, k, zero_columns, rank):
+        ctx = QuantaleContext(64)
+        a = np.random.default_rng(k).standard_normal((64, k))
+        a[:, zero_columns] = 0.0
+        linalg_calls.clear()
+        got = span(ctx, list(a.T))
+        assert linalg_calls == [("cholesky", (k, k), {}), ("svd", (64, k), {"full_matrices": True})]
+        assert got.dim == rank
+        _same(ctx, got, ref.orthonormal_range(a, ctx.tau_rank))
 
     @pytest.mark.parametrize("n", [2, 3, 8, 64])
     @pytest.mark.parametrize("ratio, rank", [(1e-8, 2), (3e-9, 2), (3e-10, 1), (1e-10, 1)])
