@@ -15,7 +15,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import structfile
 from .girard import (
     check_boolean_idempotent_criterion,
     check_dualizer_join_formula,
@@ -63,7 +62,7 @@ from .subspaces import (
 
 def _build_order(sf):
     """Lattice when the order admits one, otherwise the bare poset."""
-    poset = structfile.build_poset(sf)
+    poset = build_poset(sf)
     try:
         return compute_lattice(poset)
     except (NotALattice, NotBounded):
@@ -90,7 +89,7 @@ def cmd_verify(args) -> int:
     order_reports = []
     info = []
     try:
-        poset = structfile.build_poset(sf)
+        poset = build_poset(sf)
         order_reports.append(law_pass("poset-axioms"))
     except PosetViolation as exc:
         order_reports.append(law_fail("poset-axioms", exc.witness, exc.axiom))

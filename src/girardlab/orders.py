@@ -125,7 +125,8 @@ def _norm_labels(n: int, labels) -> Optional[tuple]:
 
 @dataclass(frozen=True, eq=False)
 class FinitePoset:
-    """Explicit finite partial order.  Construct through validate_poset."""
+    """Explicit finite partial order.  validate_poset checks those from outside;
+    derived ones (enumerated children, induced sub-orders) are built frozen."""
 
     n: int
     leq: np.ndarray

@@ -13,6 +13,8 @@ import numpy as np
 
 from .orders import (
     FiniteLattice,
+    FinitePoset,
+    _frozen,
     _masks,
     as_order_map,
     check_inversion,
@@ -20,7 +22,6 @@ from .orders import (
     first_violation,
     is_boolean,
     least_witness,
-    validate_poset,
 )
 from .reports import InputError, LawReport, law_fail, law_pass
 
@@ -108,8 +109,8 @@ def downset_oml(o: OrthoLattice, a: int) -> OrthoLattice:
     carrier = [u for u in range(lat.n) if lat.leq[u, a]]
     pos = {u: k for k, u in enumerate(carrier)}
     sub_leq = lat.leq[np.ix_(carrier, carrier)]
-    labels = [lat.label(u) for u in carrier]
-    sub = compute_lattice(validate_poset(sub_leq, labels))
+    labels = tuple(lat.label(u) for u in carrier)
+    sub = compute_lattice(FinitePoset(len(carrier), _frozen(sub_leq), labels))
     ortho = tuple(pos[int(lat.meet[a, o.ortho[u]])] for u in carrier)
     return OrthoLattice(sub, ortho)
 
@@ -165,7 +166,7 @@ def blocks(o: OrthoLattice) -> list:
     for b in result:
         pairs = np.ix_(b, b)
         generated = np.concatenate([lat.meet[pairs].ravel(), lat.join[pairs].ravel(), f[list(b)]])
-        sub = compute_lattice(validate_poset(lat.leq[pairs]))
+        sub = compute_lattice(FinitePoset(len(b), _frozen(lat.leq[pairs]), None))
         if not np.isin(generated, b).all() or not is_boolean(sub).passed:
             raise RuntimeError(f"internal error: block candidate {b} is not a Boolean subalgebra")
     return result

@@ -32,9 +32,11 @@ automorphisms and those isomorphisms, here and in the unital search.
 Within a size the lattices come in generation order.  The enumerator
 keeps each lattice as the up-set bitmasks of its order, and builds its
 FiniteLattice only when the result's lattices are first read, so a run
-that only counts builds none.  _grow lists the down-sets d that hold the
-bottom directly, by an include/exclude pass over the elements, so it
-visits no mask that is not a down-set.  The Boolean-forcing sweep
+that only counts builds none.  A grown order is a lattice by
+construction, so its FinitePoset is built directly and frozen: only
+orders from outside are validated.  _grow lists the down-sets d that
+hold the bottom directly, by an include/exclude pass over the elements,
+so it visits no mask that is not a down-set.  The Boolean-forcing sweep
 (confirm_boolean_forcing) works in that order too: complementation is
 tested on the bitmasks (_complemented), then only the complemented
 lattices are built, and only those are searched.  Counting them builds
@@ -74,7 +76,7 @@ passes preserves joins in each argument and needs no separate join scan.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
@@ -82,8 +84,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .girard import check_unit_downset_boolean
-from .orders import FiniteLattice, _masks, _order_automorphism, _order_classes, \
-    compute_lattice, hasse_covers, is_distributive, validate_poset
+from .orders import FiniteLattice, FinitePoset, _frozen, _masks, _order_automorphism, \
+    _order_classes, compute_lattice, hasse_covers, is_distributive
 from .ortho import OrthoLattice, is_orthomodular
 from .reports import InputError, LawReport, law_fail, law_pass
 from .residuation import ResiduatedStructure, ResiduationError, check_associative, \
@@ -217,7 +219,7 @@ def _grow(rows: Tuple[int, ...]):
 def _rows_to_lattice(rows: Tuple[int, ...]) -> FiniteLattice:
     n = len(rows)
     leq = (np.array(rows)[:, None] >> np.arange(n) & 1).astype(bool)
-    return compute_lattice(validate_poset(leq))
+    return compute_lattice(FinitePoset(n, _frozen(leq), None))
 
 
 def _complemented(rows: Tuple[int, ...]) -> bool:
@@ -236,20 +238,13 @@ class EnumerationResult:
     """posets holds each lattice as its up-set bitmasks, and
     complemented_posets those of the complemented ones, in the same
     order.  lattices and complemented build their FiniteLattice forms
-    when first read, each lattice at most once."""
+    when first read, each from its own masks."""
     posets: List[Tuple[int, ...]]
     counts: Dict[int, int]
-    _built: Dict[Tuple[int, ...], FiniteLattice] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def _lattice(self, rows: Tuple[int, ...]) -> FiniteLattice:
-        if rows not in self._built:
-            self._built[rows] = _rows_to_lattice(rows)
-        return self._built[rows]
 
     @cached_property
     def lattices(self) -> List[FiniteLattice]:
-        return [self._lattice(rows) for rows in self.posets]
+        return [_rows_to_lattice(rows) for rows in self.posets]
 
     @cached_property
     def complemented_posets(self) -> List[Tuple[int, ...]]:
@@ -257,7 +252,7 @@ class EnumerationResult:
 
     @cached_property
     def complemented(self) -> List[FiniteLattice]:
-        return [self._lattice(rows) for rows in self.complemented_posets]
+        return [_rows_to_lattice(rows) for rows in self.complemented_posets]
 
 
 def _orbit_least(rows: Tuple[int, ...]):
@@ -673,7 +668,7 @@ def _search(l: FiniteLattice, mode: str, units: List[int],
     hits: List[Tuple[np.ndarray, ResiduatedStructure]] = []
     searched: Dict[int, List[Tuple[np.ndarray, ResiduatedStructure]]] = {}
     nodes, exhausted = 0, True
-    rows = _masks(l.leq)  # the up-set bitmasks that orbit lookups read
+    rows = _masks(l.leq) if len(units) > 1 else None  # the up-set bitmasks orbits read
     for e in units:
         orbit = next(((rep, sigma) for rep in searched
                       for sigma in islice(_order_automorphism(rows, rep, e), 1)), None)

@@ -279,16 +279,11 @@ def build_ortholattice(sf: StructureFile) -> OrthoLattice:
 
 def from_lattice(l: FiniteLattice, ortho=None, mul=None, unit=None, dualizing=None) -> StructureFile:
     """Assemble a StructureFile from core objects, covers-based."""
-    labels = l.labels if l.labels is not None else tuple(str(i) for i in range(l.n))
-    mul_rows = None
-    if mul is not None:
-        m = np.asarray(mul)
-        mul_rows = tuple(tuple(int(v) for v in row) for row in m)
     return StructureFile(
-        tuple(labels),
+        tuple(l.label(i) for i in range(l.n)),
         covers=tuple(hasse_covers(l)),
         ortho=tuple(int(x) for x in ortho) if ortho is not None else None,
-        mul=mul_rows,
+        mul=None if mul is None else tuple(tuple(int(v) for v in row) for row in np.asarray(mul)),
         unit=unit,
         dualizing=dualizing,
     )

@@ -89,13 +89,14 @@ def _check_same_ambient(ctx: QuantaleContext, *spaces: Subspace):
 
 
 def _split(a: np.ndarray) -> Subspace:
-    """range(A) and its complement from one decomposition of the n x k A.
+    """range(A) and its complement from an orthogonal factor of the n x k A.
 
-    A tall A with QR_MIN_COLUMNS <= k < n, scaled exactly by a power of two
-    into [-1, 1] so that A^T A neither over- nor underflows, is split after
-    k by the n x n Q of one QR when certified of rank k.  Otherwise the U
-    of an SVD (n x n, full when A is tall) splits after the number of
-    singular values at least TAU_RANK times the largest (0 if A is zero).
+    A tall A with QR_MIN_COLUMNS <= k < n, scaled (see _scaled) so that
+    A^T A neither over- nor underflows, is split after k by the n x n Q of
+    one QR when certified of rank k.  Otherwise the U of an SVD (n x n,
+    full when A is tall), taken again of the scaled A when sigma_0
+    overflows to inf, splits after the number of singular values at
+    least TAU_RANK times the largest (0 if A is zero).
 
     Near the cutoff, equality at tau_eq is tighter than the numerics can
     decide: a kept direction with sigma ratio rho is only determined to
@@ -106,13 +107,20 @@ def _split(a: np.ndarray) -> Subspace:
     if k == 0:
         return Subspace(np.zeros((n, 0)), np.eye(n))
     if QR_MIN_COLUMNS <= k < n:
-        b = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
+        b = _scaled(a)
         if _certifies_rank(b.T @ b, n + k + 3):
             q, _ = np.linalg.qr(b, mode="complete")
             return Subspace(q[:, :k], q[:, k:])
     u, sigma, _ = np.linalg.svd(a, full_matrices=k < n)
+    if not math.isfinite(sigma[0]):
+        u, sigma, _ = np.linalg.svd(_scaled(a), full_matrices=k < n)
     r = int(np.count_nonzero(sigma >= TAU_RANK * sigma[0])) if sigma[0] > 0.0 else 0
     return Subspace(u[:, :r], u[:, r:])
+
+
+def _scaled(a: np.ndarray) -> np.ndarray:
+    """A times the power of two that brings its largest entry into [1/2, 1)."""
+    return np.ldexp(a, -np.frexp(np.abs(a).max())[1])
 
 
 def _certifies_rank(g: np.ndarray, m: int) -> bool:

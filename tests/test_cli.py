@@ -474,6 +474,18 @@ class TestRnOp:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "dim: 0\n", "")
 
+    @staticmethod
+    def ortho_under_warnings_as_errors(structures_dir, a):
+        """rn-op --op ortho in R^20 on the columns of a, run by python -W error."""
+        vectors = ";".join(",".join(repr(float(x)) for x in col) for col in a.T)
+        src = str(structures_dir.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "girardlab.cli", "rn-op", "--dim", "20",
+             "--op", "ortho", f"--a={vectors}"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+
     @pytest.mark.parametrize("scale", [1e308, 1e-300])
     def test_tall_spans_at_extreme_scales(self, structures_dir, scale):
         # 16 vectors in R^20 take the Gram-certified QR route, whose A^T A
@@ -481,15 +493,7 @@ class TestRnOp:
         # sigma_0 itself overflows, so the reference is taken at scale 1
         k = 16
         unit = np.random.default_rng(20).uniform(-1.0, 1.0, (20, k))
-        a = unit * scale
-        vectors = ";".join(",".join(repr(float(x)) for x in col) for col in a.T)
-        src = str(structures_dir.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "girardlab.cli", "rn-op", "--dim", "20",
-             "--op", "ortho", f"--a={vectors}"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-        )
+        proc = self.ortho_under_warnings_as_errors(structures_dir, unit * scale)
         assert (proc.returncode, proc.stderr) == (0, "")
         head, *rows = proc.stdout.splitlines()
         want = 20 - ref.orthonormal_range(unit, QuantaleContext.tau_rank).shape[1]
@@ -497,6 +501,15 @@ class TestRnOp:
         basis = np.array([[float(x) for x in row.split(";")] for row in rows])
         assert np.allclose(basis @ basis.T, np.eye(want), rtol=0, atol=1e-10)
         assert np.abs(basis @ unit).max() <= 1e-10
+
+    @pytest.mark.parametrize("k", [5, 10, 15])
+    def test_overflowing_largest_singular_value(self, structures_dir, k):
+        # fewer than 16 vectors in R^20 are split by one SVD, whose sigma_0
+        # overflows to inf at this scale; the rank is k all the same
+        a = np.random.default_rng(20).uniform(-1.0, 1.0, (20, k)) * 1e308
+        proc = self.ortho_under_warnings_as_errors(structures_dir, a)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[0] == f"dim: {20 - k}"
 
     @pytest.mark.parametrize("a", ["1,inf", "1,nan"])
     def test_non_finite_coordinate_is_an_input_error(self, capsys, a):

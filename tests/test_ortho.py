@@ -1,4 +1,5 @@
 """Ortholattice axioms, orthomodularity, downsets, compatibility, blocks."""
+import pathlib
 import sys
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 from girardlab.catalog import benzene_o6, boolean_ortho, diamond_m3, horizontal_sum_mo
 from girardlab.orders import is_boolean, compute_lattice, validate_poset
 from girardlab.reports import InputError
+from girardlab.structfile import build_ortholattice, load
 from girardlab.ortho import (
     OrthoLattice,
     blocks,
@@ -26,6 +28,13 @@ SHIPPED_OMLS = {
     "MO2": horizontal_sum_mo(2),
     "MO3": horizontal_sum_mo(3),
 }
+
+STRUCTURES = pathlib.Path(__file__).resolve().parent.parent / "structures"
+CHECKED_IN_OMLS = {}  # the checked-in structure files that are orthomodular lattices
+for path in sorted(STRUCTURES.glob("*.struct")):
+    sf = load(path)
+    if sf.ortho is not None and is_orthomodular(build_ortholattice(sf)):
+        CHECKED_IN_OMLS[path.name] = build_ortholattice(sf)
 
 
 class TestOrtholattice:
@@ -112,6 +121,24 @@ class TestDownset:
                     assert d.lattice.leq[ii, jj] == lat.leq[u, v]
                     assert carrier[d.lattice.meet[ii, jj]] == lat.meet[u, v]
                     assert carrier[d.lattice.join[ii, jj]] == lat.join[u, v]
+
+    @pytest.mark.parametrize("o", [horizontal_sum_mo(k) for k in (2, 3, 4)]
+                             + list(CHECKED_IN_OMLS.values()),
+                             ids=["MO2", "MO3", "MO4"] + list(CHECKED_IN_OMLS))
+    def test_matches_validated_build(self, o):
+        # the down-set's order is built without validate_poset; the
+        # validated build of the same sub-order gives the same lattice
+        lat = o.lattice
+        for a in range(o.n):
+            carrier = [u for u in range(o.n) if lat.leq[u, a]]
+            ref = compute_lattice(validate_poset(lat.leq[np.ix_(carrier, carrier)],
+                                                 [lat.label(u) for u in carrier]))
+            got = downset_oml(o, a).lattice
+            assert not got.leq.flags.writeable
+            for field in ("leq", "meet", "join"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field)), (a, field)
+            assert (got.n, got.bottom, got.top, got.labels) == (ref.n, ref.bottom, ref.top,
+                                                                 ref.labels), a
 
 
 class TestCompatible:

@@ -116,12 +116,18 @@ class TestEnumeration:
 
     def test_rows_to_lattice_reads_every_bit(self):
         """The order matrix built by one shift-and-mask is the one read
-        bit by bit, on every lattice of at most 9 elements."""
+        bit by bit, and the lattice built on it without validate_poset
+        has the tables and bounds of the validated build, on every
+        lattice of at most 9 elements."""
         for rows in enumerate_lattices(9).posets:
             n = len(rows)
             want = np.array([[bool(rows[i] >> j & 1) for j in range(n)] for i in range(n)])
-            got = search._rows_to_lattice(rows).leq
-            assert got.dtype == bool and np.array_equal(got, want), rows
+            got = search._rows_to_lattice(rows)
+            assert got.leq.dtype == bool and np.array_equal(got.leq, want), rows
+            assert not got.leq.flags.writeable
+            ref = compute_lattice(validate_poset(want))
+            assert np.array_equal(got.meet, ref.meet) and np.array_equal(got.join, ref.join), rows
+            assert (got.bottom, got.top, got.labels) == (ref.bottom, ref.top, ref.labels), rows
 
     def test_lattices_built_on_first_read(self, monkeypatch):
         """Enumerating builds no FiniteLattice; the first read of
@@ -160,7 +166,8 @@ class TestEnumeration:
     def test_complemented_built_alone(self, monkeypatch):
         """complemented builds the 100 complemented lattices of at most 8
         elements and nothing else, in the order of lattices; a later read
-        of lattices builds only the other 200 and reuses those objects."""
+        of lattices builds all 300 afresh, equal to those 100 where they
+        meet but sharing no object with them."""
         calls, real = [], search.compute_lattice
 
         def counted(poset):
@@ -173,11 +180,15 @@ class TestEnumeration:
         complemented = result.complemented
         assert len(complemented) == len(calls) == 100
         lattices = result.lattices
-        assert len(lattices) == 300 and len(calls) == 300
+        assert len(lattices) == 300 and len(calls) == 400
         wanted = set(result.complemented_posets)
         kept = [lat for rows, lat in zip(result.posets, lattices) if rows in wanted]
-        assert len(kept) == 100 and all(a is b for a, b in zip(kept, complemented))
-        assert result.complemented is complemented and len(calls) == 300
+        assert len(kept) == 100
+        assert not {id(lat) for lat in lattices} & {id(lat) for lat in complemented}
+        for a, b in zip(kept, complemented):
+            assert np.array_equal(a.leq, b.leq) and np.array_equal(a.meet, b.meet)
+        assert result.complemented is complemented and result.lattices is lattices
+        assert len(calls) == 400
 
     def test_bitmask_complementation_matches_is_complemented(self):
         # on every lattice of at most 9 elements

@@ -16,6 +16,7 @@ from girardlab.reports import InputError
 from girardlab.subspaces import (
     QuantaleContext,
     _certifies_rank,
+    _split,
     dualizing,
     equal,
     full,
@@ -411,6 +412,21 @@ class TestKernelDifferential:
         linalg_calls.clear()
         assert span(ctx, list(a[:, :15].T)).dim == 15
         assert linalg_calls == [("svd", (64, 15), {"full_matrices": True})]
+
+    @pytest.mark.parametrize("scale", [1e308, 1.7e308])
+    def test_overflowing_largest_singular_value(self, scale):
+        # k vectors uniform(-1, 1) * scale in R^20.  Where sigma_0 overflows
+        # to inf the SVD route (k < 16 and the square k = 20) counts the
+        # rank on the rescaled matrix; 16 <= k < 20 take the QR route
+        ctx = QuantaleContext(20)
+        for k in range(1, 21):
+            unit = np.random.default_rng(20).uniform(-1.0, 1.0, (20, k))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _split(unit * scale)
+            _same(ctx, got, ref.orthonormal_range(unit, ctx.tau_rank))
+            assert got.dim == k
+            assert np.allclose(got.complement.T @ got.complement, np.eye(20 - k), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("ratio, rank", [(1e-6, 20), (1e-7, 20), (3e-9, 20), (3e-10, 19),
                                              (1e-10, 19)])
