@@ -70,13 +70,12 @@ def _build_order(sf):
 
 
 def _print_table(name, table, labels):
-    print(f"{name}:")
     width = max(len(x) for x in labels)
-    header = " " * (width + 2) + " ".join(f"{x:>{width}}" for x in labels)
-    print(header)
-    for i, row in enumerate(np.asarray(table)):
-        cells = " ".join(f"{labels[v]:>{width}}" for v in row)
-        print(f"  {labels[i]:>{width}} {cells}")
+    padded = [x.rjust(width) for x in labels]
+    lines = [f"{name}:", " " * (width + 2) + " ".join(padded)]
+    lines += [f"  {padded[i]} " + " ".join([padded[v] for v in row])
+              for i, row in enumerate(np.asarray(table).tolist())]
+    print("\n".join(lines))
 
 
 def _labels(obj):

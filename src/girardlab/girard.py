@@ -70,8 +70,8 @@ def find_cyclic_dualizing(s: ResiduatedStructure) -> List[GirardCertificate]:
         w = first_violation((mul[e] != idx) | (mul[:, e] != idx))
         if w is not None:
             raise RuntimeError(f"neg(d)={e} fails the unit law at {w[0]}")
-        w = least_witness(lambda x, y: (rres[x, y] != neg[mul[x, neg[y]]])
-                          | (lres[y, x] != neg[mul[neg[y], x]]), s.n, 2)
+        w = least_witness(lambda r: (rres[r] != neg[mul[r][:, neg]])
+                          | (lres[:, r].T != neg[mul[neg, r].T]), s.n, 2)
         if w is not None:
             raise RuntimeError(f"residuum/negation identity fails at ({w[0]},{w[1]})")
         out.append(GirardCertificate(d, tuple(neg.tolist()), e))
@@ -107,6 +107,14 @@ def _candidate_inversions(s: ResiduatedStructure, inversion):
     return [f for f in dict.fromkeys(map(tuple, maps)) if check_inversion(s.poset, f).passed]
 
 
+def _exchange_witness(s: ResiduatedStructure, f):
+    """Least (t, x, y) where the exchange law t*x <= f(y) iff y*t <= f(x)
+    fails for the map f, or None."""
+    below, mul = s.poset.leq[:, np.asarray(f)], s.mul  # below[w, y]: w <= f(y)
+    return least_witness(lambda r: below.take(mul[r], axis=0)
+                         != below.take(mul.T[r], axis=0).transpose(0, 2, 1), s.n, 3)
+
+
 def girard_equivalences(s: ResiduatedStructure, inversion=None) -> GirardEquivalenceReport:
     """Run the three Girard recognitions independently and compare.
 
@@ -124,12 +132,11 @@ def girard_equivalences(s: ResiduatedStructure, inversion=None) -> GirardEquival
     if e is None:
         raise InputError("agreement check needs a unital structure")
     inversions = [np.array(f) for f in _candidate_inversions(s, inversion)]
-    leq, mul, rres, lres = s.poset.leq, s.mul, s.rres, s.lres
+    rres, lres = s.rres, s.lres
     certs = tuple(find_cyclic_dualizing(s))
     d1 = bool(certs)
     d2 = any(((f == rres[:, f[e]]) & (f == lres[f[e]])).all() for f in inversions)
-    d3 = any(least_witness(lambda t, x, y: leq[mul[t, x], f[y]] != leq[mul[y, t], f[x]],
-                           s.n, 3) is None for f in inversions)
+    d3 = any(_exchange_witness(s, f) is None for f in inversions)
 
     note = f"cyclic-dualizer={d1} negation-residuation={d2} exchange={d3}"
     if d1 == d2 == d3:
@@ -205,19 +212,13 @@ def check_quantale(l, m) -> LawReport:
     if w is not None:
         return law_fail("quantale", w, "zero law fails")
     join = l.join
-
-    def right(x, a, b):
-        return t[x, join[a, b]] != join[t[x, a], t[x, b]]
-
-    def left(x, a, b):
-        return t[join[a, b], x] != join[t[a, x], t[b, x]]
-
-    w = least_witness(lambda x, a, b: right(x, a, b) | left(x, a, b), l.n, 3)
+    w = least_witness(lambda s: orders.distribution_failures(t, join, s)
+                      | orders.distribution_failures(t.T, join, s), l.n, 3)
     if w is None:
         return law_pass("quantale")
-    if right(*w):
-        return law_fail("quantale", w, "join distribution fails on the right")
     x, a, b = w
+    if t[x, join[a, b]] != join[t[x, a], t[x, b]]:
+        return law_fail("quantale", w, "join distribution fails on the right")
     return law_fail("quantale", (a, b, x), "join distribution fails on the left")
 
 

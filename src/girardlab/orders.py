@@ -5,9 +5,11 @@ Elements are the indices 0..n-1.  A poset is an n x n boolean matrix
 join tables.  All containers are immutable after construction and safe to
 share between threads.
 
-Every law scan is one boolean mask over index tuples, built by numpy
-broadcasting from index grids (see `least_witness`), and reports the
-first True cell in C order: the lexicographically least witness.
+Every law scan is one boolean mask over index tuples, built slab by
+slab of first indices from row gathers: ``t.take(t[s], axis=0)`` is
+``t[t[x, y], z]`` and ``t[s].take(t, axis=1)`` is ``t[x, t[y, z]]`` for
+x in the slab s (see `least_witness`).  The scan reports the first True
+cell in C order: the lexicographically least witness.
 """
 from __future__ import annotations
 
@@ -70,48 +72,49 @@ def first_violation(mask: np.ndarray) -> Optional[tuple]:
 
 @functools.lru_cache(maxsize=64)
 def index_slabs(n: int, arity: int) -> tuple:
-    """Broadcast index grids over [0, n)^arity, cut along the first index.
-
-    Returns (lo, grids) pairs: grids[0] holds first indices lo, lo+1, ...
-    shaped (k, 1, ..., 1); grids[i] for i >= 1 holds 0..n-1 along axis i.
-    The arrays are read-only and shared between callers.
-    """
-    idx = np.arange(n)
-    idx.flags.writeable = False
-    rest = tuple(idx.reshape((n,) + (1,) * (arity - 1 - i)) for i in range(1, arity))
+    """Slices of first indices that cut [0, n)^arity into slabs of at
+    most _SLAB_CELLS cells (at least one first index each)."""
     step = max(1, _SLAB_CELLS // max(n, 1) ** (arity - 1))
-    return tuple(
-        (lo, (idx[lo:lo + step].reshape((-1,) + (1,) * (arity - 1)),) + rest)
-        for lo in range(0, n, step)
-    )
+    return tuple(slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def least_witness(law, n: int, arity: int) -> Optional[tuple]:
     """Least tuple in [0, n)^arity at which `law` marks a violation.
 
-    `law(*grids)` is the law's violation condition written with index
-    grids in place of loop variables, e.g. ``t[t[x, y], z] != t[x, t[y, z]]``
-    for associativity; it must return a mask of the full slab shape.
-    Slabs are scanned in order, so the first hit is the least witness.
+    `law(s)` is the law's violation condition for the first indices in
+    the slice s, written with row gathers, e.g.
+    ``t.take(t[s], axis=0) != t[s].take(t, axis=1)`` for associativity;
+    it must return a mask of shape (len of s, n, ..., n).  Slabs are
+    scanned in order, so the first hit is the least witness.
     """
-    for lo, grids in index_slabs(n, arity):
-        w = first_violation(law(*grids))
+    for s in index_slabs(n, arity):
+        w = first_violation(law(s))
         if w is not None:
-            return (w[0] + lo,) + w[1:]
+            return (w[0] + s.start,) + w[1:]
     return None
 
 
-def greatest(cand: np.ndarray, leq: np.ndarray):
-    """Greatest element of each candidate set, under the order `leq`.
+def distribution_failures(outer: np.ndarray, inner: np.ndarray, s: slice) -> np.ndarray:
+    """Mask over (x, a, b), x in the slice s, of where
+    outer[x, inner[a, b]] != inner[outer[x, a], outer[x, b]]."""
+    rows = outer[s]
+    n = len(inner)  # inner.take(i * n + j) is inner[i, j]
+    return rows.take(inner, axis=1) != inner.take(rows[:, :, None] * n + rows[:, None, :])
 
-    cand[..., c] marks c as a member of the set at index `...`.  Returns
-    (best, found): found says whether the set has a greatest element and
-    best is that element where it does.  A member m is greatest when no
-    member c has c </= m, which one matrix product counts for every m.
+
+def greatest(cand: np.ndarray, above: np.ndarray):
+    """Greatest element of each candidate set.
+
+    cand[c, ...] marks c as a member of the set at index `...`, and
+    above is (~leq).T as float32, so above[m, c] is 1 where c </= m.
+    Returns (best, found): found says whether the set has a greatest
+    element and best is that element where it does.  A member m is
+    greatest when no member c has c </= m, which one matrix product
+    counts for every m and every set.
     """
-    outside = cand @ (~leq).astype(np.float32)  # counts stay exact far past any n
+    outside = (above @ cand.reshape(len(cand), -1)).reshape(cand.shape)  # exact far past any n
     top = cand & (outside == 0)
-    return top.argmax(axis=-1), top.any(axis=-1)
+    return top.argmax(axis=0), top.any(axis=0)
 
 
 def _norm_labels(n: int, labels) -> Optional[tuple]:
@@ -156,7 +159,7 @@ def validate_poset(relation, labels=None) -> FinitePoset:
     w = first_violation(leq & leq.T & ~np.eye(n, dtype=bool))
     if w is not None:
         raise PosetViolation("antisymmetry", w)
-    w = least_witness(lambda i, j, k: leq[i, j] & leq[j, k] & ~leq[i, k], n, 3)
+    w = least_witness(lambda s: leq[s, :, None] & leq & ~leq[s, None, :], n, 3)
     if w is not None:
         raise PosetViolation("transitivity", w)
     return FinitePoset(n, _frozen(leq), _norm_labels(n, labels))
@@ -229,8 +232,7 @@ def lattice_from_covers(covers, labels) -> FiniteLattice:
 
 def is_distributive(l: FiniteLattice) -> LawReport:
     """PASS iff x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z) for all triples."""
-    meet, join = l.meet, l.join
-    w = least_witness(lambda x, y, z: meet[x, join[y, z]] != join[meet[x, y], meet[x, z]], l.n, 3)
+    w = least_witness(lambda s: distribution_failures(l.meet, l.join, s), l.n, 3)
     return law_pass("distributivity") if w is None else law_fail("distributivity", w)
 
 
@@ -277,7 +279,7 @@ def check_inversion(p: FinitePoset, f) -> LawReport:
     w = first_violation(f[f] != np.arange(p.n))
     if w is not None:
         return law_fail("inversion", w, "not involutive")
-    w = least_witness(lambda i, j: leq[i, j] != leq[f[j], f[i]], p.n, 2)
+    w = least_witness(lambda s: leq[s] != leq[f[:, None], f[s]].T, p.n, 2)
     if w is not None:
         return law_fail("inversion", w, "not order-reversing")
     return law_pass("inversion")

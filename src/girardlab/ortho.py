@@ -58,7 +58,7 @@ def check_ortholattice(l: FiniteLattice, f) -> LawReport:
     w = first_violation(no_zero | (join[x, f] != l.top))
     if w is not None:
         return law_fail("ortholattice", w, "x /\\ x' != 0" if no_zero[w] else "x \\/ x' != 1")
-    w = least_witness(lambda i, j: join[i, j] != f[meet[f[i], f[j]]], l.n, 2)
+    w = least_witness(lambda s: join[s] != f[meet[f[s, None], f]], l.n, 2)
     if w is not None:
         return law_fail("ortholattice", w, "join is not the De Morgan dual of meet")
     return law_pass("ortholattice")
@@ -73,9 +73,10 @@ def check_orthomodular(o: OrthoLattice) -> List[LawReport]:
     """
     lat, f = o.lattice, np.asarray(o.ortho)
     n, meet, join, leq = lat.n, lat.meet, lat.join, lat.leq
+    idx = np.arange(n)
 
     def scan(violates):
-        return least_witness(lambda x, y: leq[x, y] & violates(x, y), n, 2)
+        return least_witness(lambda s: leq[s] & violates(idx[s, None], idx), n, 2)
 
     w1 = scan(lambda x, y: join[x, meet[f[x], y]] != y)
     w2 = scan(lambda x, y: meet[y, join[f[y], x]] != x)

@@ -69,7 +69,7 @@ def as_mul_table(m, n: int) -> np.ndarray:
 def check_associative(m) -> LawReport:
     """PASS iff (x*y)*z = x*(y*z) for all triples."""
     t = np.asarray(m, dtype=np.intp)
-    w = least_witness(lambda x, y, z: t[t[x, y], z] != t[x, t[y, z]], t.shape[0], 3)
+    w = least_witness(lambda s: t.take(t[s], axis=0) != t[s].take(t, axis=1), t.shape[0], 3)
     return law_pass("associativity") if w is None else law_fail("associativity", w)
 
 
@@ -113,25 +113,29 @@ def derive_residua(order: FinitePoset, mul) -> Tuple[np.ndarray, np.ndarray]:
     """
     n, leq = order.n, order.leq
     t = as_mul_table(mul, n)
-    rres = _residuum(lambda y, z, x: leq[t[x, y], z], leq, "right")
-    lres = _residuum(lambda z, x, y: leq[t[x, y], z], leq, "left")
+    above = (~leq).T.astype(np.float32)
+    # candidates as [c, p, q] for p in the slab: right, x with x*y <= z at
+    # [x, y, z]; left, y with x*y <= z at [y, z, x]
+    rres = _residuum(lambda s: leq.take(t[:, s], axis=0), above, "right")
+    lres = _residuum(lambda s: leq[:, s].take(t.T, axis=0).transpose(0, 2, 1), above, "left")
     _check_adjointness(leq, t, rres, lres)
     return rres, lres
 
 
-def _residuum(candidate, leq: np.ndarray, kind: str) -> np.ndarray:
-    """res[p, q] = the maximum c with candidate(p, q, c), pairs in order;
-    raises NoResiduum at the first pair whose candidate set has none."""
-    n = len(leq)
+def _residuum(candidates, above: np.ndarray, kind: str) -> np.ndarray:
+    """res[p, q] = the greatest c with candidates(s)[c, p, q], for p in the
+    slab s, pairs in order; raises NoResiduum at the first pair whose
+    candidate set has none."""
+    n = len(above)
     res = np.empty((n, n), dtype=np.intp)
-    for lo, (p, q, c) in index_slabs(n, 3):
-        cand = candidate(p, q, c)
-        best, found = greatest(cand, leq)
+    for s in index_slabs(n, 3):
+        cand = candidates(s)
+        best, found = greatest(cand, above)
         w = first_violation(~found)
         if w is not None:
-            detail = "candidate set has no maximum" if cand[w].any() else "empty candidate set"
-            raise NoResiduum((w[0] + lo, w[1]), kind, detail)
-        res[lo:lo + len(p)] = best
+            detail = "candidate set has no maximum" if cand[:, w[0], w[1]].any() else "empty candidate set"
+            raise NoResiduum((w[0] + s.start, w[1]), kind, detail)
+        res[s] = best
     res.flags.writeable = False
     return res
 
@@ -139,9 +143,11 @@ def _residuum(candidate, leq: np.ndarray, kind: str) -> np.ndarray:
 def _check_adjointness(leq: np.ndarray, t: np.ndarray, rres: np.ndarray, lres: np.ndarray):
     """Raise AdjointnessFailure at the least (x, y, z) where x*y <= z,
     x <= y -> z and y <= z <- x do not all agree."""
-    def broken(x, y, z):
-        a = leq[t[x, y], z]
-        return (a != leq[x, rres[y, z]]) | (a != leq[y, lres[z, x]])
+    def broken(s):
+        a = leq.take(t[s], axis=0)  # x*y <= z
+        via_right = leq[s].take(rres, axis=1)  # x <= y -> z
+        via_left = leq.T.take(lres[:, s].T, axis=0).transpose(0, 2, 1)  # y <= z <- x
+        return (a != via_right) | (a != via_left)
 
     w = least_witness(broken, len(leq), 3)
     if w is not None:

@@ -13,12 +13,13 @@ in this fixed order; unknown keys are rejected:
     dualizing: i                        optional
 
 Label tokens may use any characters except whitespace, '#', ',', ':',
-'[' and ']'.  Values may span lines until their brackets balance.  The
-parser is the inverse of serialize up to formatting: parse(serialize(f))
-reproduces f.
+'[' and ']'; integers are ASCII, -?[0-9]+.  Values may span lines until
+their brackets balance.  The parser is the inverse of serialize up to
+formatting: parse(serialize(f)) reproduces f.
 """
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -39,6 +40,8 @@ from .reports import InputError
 KEYS = ("elements", "covers", "leq", "ortho", "mul", "unit", "dualizing")
 _LABEL_FORBIDDEN = set(" \t\n#,:[]")
 _TOKEN = re.compile(r"[\[\],]|[^\s\[\],]+")
+_INT = re.compile(r"-?[0-9]+")
+_INT_VALUE = re.compile(r"[-0-9 \t\n\[\],]*")  # what an integer section may hold
 
 
 class StructError(InputError):
@@ -114,13 +117,31 @@ def _parse_value(text: str, base_line: int):
     return value
 
 
+def _json_value(text: str):
+    """An integer section's value read by json in one C-level pass, or
+    None where json does not accept it.  Within _INT_VALUE's characters
+    json accepts a subset of what _parse_value does, with the same
+    lists and ints for tokens; whatever it rejects goes to _parse_value,
+    which reports the error."""
+    if not _INT_VALUE.fullmatch(text):
+        return None
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+
+
 def _as_int(v, line: int, what: str) -> int:
     if isinstance(v, list):
         raise ParseError(line, f"an integer for {what}")
+    if isinstance(v, int):
+        return v
     try:
-        return int(v)
-    except ValueError:
-        raise ParseError(line, f"an integer for {what}, not {v!r}") from None
+        if _INT.fullmatch(v):
+            return int(v)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ParseError(line, f"an integer for {what}, not {v!r}")
 
 
 def _as_index(v, n: int, line: int, what: str) -> int:
@@ -130,7 +151,21 @@ def _as_index(v, n: int, line: int, what: str) -> int:
     return i
 
 
+def _in_range(v, shape: tuple, n: int) -> bool:
+    """Whether v is a non-empty integer array of this shape with every
+    entry in 0..n-1: one C-level check of what json read, in place of
+    the item-by-item ones, which still find and report the first fault
+    of any other v (token strings and empty lists included)."""
+    try:
+        a = np.array(v)
+    except ValueError:  # ragged lists
+        return False
+    return a.dtype.kind == "i" and a.shape == shape and 0 <= a.min() <= a.max() < n
+
+
 def _as_pairs(v, n: int, line: int, what: str) -> tuple:
+    if isinstance(v, list) and _in_range(v, (len(v), 2), n):
+        return tuple(map(tuple, v))
     if not isinstance(v, list):
         raise ParseError(line, f"a list of [i, j] pairs for {what}")
     out = []
@@ -151,22 +186,24 @@ def parse(text: str) -> StructureFile:
         head = line.split(":", 1)
         if line and not line[0].isspace() and len(head) == 2 and head[0].strip().isidentifier():
             key = head[0].strip()
-            current = [key, lineno, head[1]]
+            current = [key, lineno, [head[1]]]
             sections.append(current)
         elif current is not None:
-            current[2] += "\n" + line  # blank lines too, so body lines stay file lines
+            current[2].append(line)  # blank lines too, so body lines stay file lines
         elif line:
             raise ParseError(lineno, "a 'key:' section header")
 
     fields: dict = {}
     lines: dict = {}
     order = []
-    for key, lineno, body in sections:
+    for key, lineno, body_lines in sections:
+        body = "\n".join(body_lines)
         if key not in KEYS:
             raise ParseError(lineno, f"one of {', '.join(KEYS)}, not {key!r}")
         if key in fields:
             raise ParseError(lineno, f"{key!r} only once")
-        fields[key] = _parse_value(body, lineno)
+        value = _json_value(body) if key != "elements" else None
+        fields[key] = _parse_value(body, lineno) if value is None else value
         lines[key] = lineno
         order.append(key)
 
@@ -200,21 +237,27 @@ def parse(text: str) -> StructureFile:
     ortho = None
     if "ortho" in fields:
         v, ln = fields["ortho"], lines["ortho"]
-        if not isinstance(v, list) or len(v) != n:
+        if _in_range(v, (n,), n):
+            ortho = tuple(v)
+        elif not isinstance(v, list) or len(v) != n:
             raise ParseError(ln, f"an ortho list of length {n}")
-        ortho = tuple(_as_index(x, n, ln, "ortho") for x in v)
+        else:
+            ortho = tuple(_as_index(x, n, ln, "ortho") for x in v)
 
     mul = None
     if "mul" in fields:
         v, ln = fields["mul"], lines["mul"]
-        if not isinstance(v, list) or len(v) != n:
+        if _in_range(v, (n, n), n):
+            mul = tuple(map(tuple, v))
+        elif not isinstance(v, list) or len(v) != n:
             raise ParseError(ln, f"{n} mul rows")
-        rows = []
-        for row in v:
-            if not isinstance(row, list) or len(row) != n:
-                raise ParseError(ln, f"mul rows of length {n}")
-            rows.append(tuple(_as_index(x, n, ln, "mul") for x in row))
-        mul = tuple(rows)
+        else:
+            rows = []
+            for row in v:
+                if not isinstance(row, list) or len(row) != n:
+                    raise ParseError(ln, f"mul rows of length {n}")
+                rows.append(tuple(_as_index(x, n, ln, "mul") for x in row))
+            mul = tuple(rows)
 
     unit = _as_index(fields["unit"], n, lines["unit"], "unit") if "unit" in fields else None
     dualizing = (

@@ -282,8 +282,8 @@ def exchange(s, f):
         for x in range(s.n):
             for y in range(s.n):
                 if leq[mul[t, x], f[y]] != leq[mul[y, t], f[x]]:
-                    return False
-    return True
+                    return (t, x, y)
+    return None
 
 
 def check_dualizer_join_formula(s, cert, certs):

@@ -153,7 +153,7 @@ class TestResiduumCandidates:
             report = girard_equivalences(s)
             reference = (bool(ref.find_cyclic_dualizing(s)),
                          any(ref.matches_residuation(s, f) for f in inversions),
-                         any(ref.exchange(s, f) for f in inversions))
+                         any(ref.exchange(s, f) is None for f in inversions))
             assert (report.has_cyclic_dualizer, report.has_negation_by_residuation,
                     report.has_exchange_inversion) == reference
             girard += reference[0]

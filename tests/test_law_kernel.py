@@ -5,15 +5,16 @@ tests/reference_laws.py: the verdict, the witness (down to its Python
 int type), the note, the returned tables and any raised exception's
 type, message, pair, kind and witness.  Tables are drawn from three
 families on carriers of at most six elements: arbitrary tables, valid
-tables and tables with one mutated cell.  Posets, most of them not
-lattices, have up to twelve elements, so their up-set masks can span
-two bytes.
+tables and tables with one mutated cell; explicit examples of up to 100
+elements put the witnesses in later slabs of the scans.  Posets, most
+of them not lattices, have up to twelve elements, so their up-set masks
+can span two bytes.
 """
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_laws as ref
@@ -88,13 +89,18 @@ def order_map(draw, n):
     return tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
 
 
-def relabelled(draw, order, mul=None):
-    """The same structure with its elements in a drawn order, so that
-    i <= j no longer implies i <= j as indices."""
-    q = np.array(draw(st.permutations(range(order.n))), dtype=np.intp)  # new i is old q[i]
+def permuted(order, mul, q):
+    """The same structure with new element i the old q[i]."""
+    q = np.array(q, dtype=np.intp)
     poset = orders.validate_poset(order.leq[np.ix_(q, q)])
     new = orders.compute_lattice(poset) if isinstance(order, orders.FiniteLattice) else poset
     return new, None if mul is None else np.argsort(q)[np.asarray(mul)[np.ix_(q, q)]]
+
+
+def relabelled(draw, order, mul=None):
+    """The same structure with its elements in a drawn order, so that
+    i <= j no longer implies i <= j as indices."""
+    return permuted(order, mul, draw(st.permutations(range(order.n))))
 
 
 @st.composite
@@ -158,6 +164,60 @@ def structure(order, mul) -> ResiduatedStructure:
 
 
 # ---------------------------------------------------------------------------
+# large inputs: n = 7 scans in one slab, n = 26 in a slab of 24 first
+# indices and a ragged one of 2, n = 64 in 16 slabs of 4 and n = 100 in
+# 100 slabs of 1; the witnesses lie in the last slab unless noted
+# ---------------------------------------------------------------------------
+
+def lukasiewicz(n, *cells):
+    """The n-element Lukasiewicz chain, with each (x, y, v) in cells
+    setting x*y = v."""
+    s = residuation.lukasiewicz_chain(n)
+    t = np.array(s.mul)
+    for x, y, v in cells:
+        t[x, y] = v
+    return s.lattice, t
+
+
+def late_residuation_failures(n):
+    top = n - 1
+    return [
+        lukasiewicz(n, (top, 0, 1)),  # associativity; left residuum empty at (0, top)
+        permuted(*lukasiewicz(n, (top, 0, 1)), range(n)[::-1]),  # left residuum empty at (top, 0)
+        lukasiewicz(n, (0, top, 1)),  # right residuum empty at (top, 0)
+        lukasiewicz(n, (top, top, n - 2)),  # residuated, associativity fails in the first slab
+        lukasiewicz(n, (top, 2, 0)),  # adjointness at (n - 2, 2, 0)
+    ]
+
+
+def boolean_without_residuum():
+    """The 64-element Boolean algebra under meet, but with 3*top = top:
+    the right residuum set at (top, 3) is {0, 1, 2}, which has no
+    maximum."""
+    lat = boolean_cube(6)
+    t = np.array(lat.meet)
+    t[3, 63] = 63
+    return lat, t
+
+
+def n5_on_a_chain(n):
+    """A chain 0 < ... < n-6 topped by the pentagon {n-6, n-5 < n-1,
+    n-4, n-3} and one element n-2 above it: only x = n-1 fails
+    distributivity."""
+    b = n - 6
+    covers = [(i, i + 1) for i in range(b)] + [(b, n - 5), (n - 5, n - 1), (n - 1, n - 3),
+                                               (b, n - 4), (n - 4, n - 3), (n - 3, n - 2)]
+    return orders.lattice_from_covers(covers, [str(i) for i in range(n)])
+
+
+def broken_girard(n):
+    """The Lukasiewicz chain with top*top = n-2 in its table only:
+    exchange fails for the reversal at (top, 1, top)."""
+    s = structure(*lukasiewicz(n))
+    return dataclasses.replace(s, mul=lukasiewicz(n, (n - 1, n - 1, n - 2))[1])
+
+
+# ---------------------------------------------------------------------------
 # orders and ortho
 # ---------------------------------------------------------------------------
 
@@ -187,8 +247,19 @@ def test_lattice_tables_in_closed_form(build, join, meet):
     assert (lat.bottom, lat.top) == (0, lat.n - 1)
 
 
+def _with_examples(cases):
+    def attach(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+    return attach
+
+
 @settings(max_examples=150, deadline=None)
 @given(arbitrary())
+@_with_examples([(lat, np.array(lat.meet), tuple(range(lat.n))[::-1])
+                 for lat in (n5_on_a_chain(26), n5_on_a_chain(100))]
+                + [(boolean_cube(6), np.array(boolean_cube(6).meet), tuple(63 - np.arange(64)))])
 def test_order_laws_on_arbitrary_maps(case):
     lat, _, f = case
     same(orders.is_distributive, ref.is_distributive, lat)
@@ -229,6 +300,9 @@ def test_residuation_on_arbitrary_tables(case):
 
 @settings(max_examples=200, deadline=None)
 @given(mutated())
+@_with_examples([(chain(1), np.zeros((1, 1), dtype=np.intp))]
+                + late_residuation_failures(7) + late_residuation_failures(26)
+                + [late_residuation_failures(64)[i] for i in (1, 4)] + [boolean_without_residuum()])
 def test_residuation_on_mutated_tables(case):
     residuation_laws(*case)
 
@@ -285,6 +359,7 @@ def test_girard_scans(s, data):
 
 @settings(max_examples=150, deadline=None)
 @given(broken_structures())
+@_with_examples([broken_girard(7), broken_girard(26), broken_girard(64)])
 def test_girard_recognitions(s):
     if s.flags.unit is None:
         return
@@ -293,7 +368,7 @@ def test_girard_recognitions(s):
     def old(*fs):
         d1 = bool(ref.find_cyclic_dualizing(s))
         d2 = any(ref.matches_residuation(s, f) for f in fs)
-        d3 = any(ref.exchange(s, f) for f in fs)
+        d3 = any(ref.exchange(s, f) is None for f in fs)
         return d1, d2, d3
 
     def new(*fs):
@@ -303,10 +378,13 @@ def test_girard_recognitions(s):
     same(new, old, *inversions)
     for f in inversions:  # one candidate at a time, so each verdict is seen
         same(new, old, f)
+        same(girard._exchange_witness, ref.exchange, s, f)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(arbitrary().map(lambda c: c[:2]), mutated()))
+@_with_examples([lukasiewicz(100, (99, 0, 1)),  # associativity at (99, 0, 0)
+                 (n5_on_a_chain(26), np.array(n5_on_a_chain(26).meet))])  # distribution, last slab
 def test_quantale_laws(case):
     order, t = case
     if not isinstance(order, orders.FiniteLattice):

@@ -1,7 +1,12 @@
 """Structure-file parsing, serialization, and the golden files."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from girardlab import structfile
 from girardlab.ortho import check_orthomodular, is_orthomodular
 from girardlab.structfile import (
     ParseError,
@@ -82,6 +87,19 @@ covers: [[0,1], [0,2],
         with pytest.raises(RangeError):
             parse("elements: [a, b]\ncovers: [[0,5]]\n")
 
+    @pytest.mark.parametrize("section, what", [
+        ("covers: [[0,1], [0,2]]", "covers"),
+        ("leq: [[0,0], [1,1], [-1,1]]", "leq"),
+        ("covers: []\northo: [1, 2]", "ortho"),
+        ("covers: []\nmul: [[0, 0], [0, 2]]", "mul"),
+        ("covers: []\nunit: 2", "unit"),
+    ])
+    def test_index_just_out_of_range(self, section, what):
+        with pytest.raises(RangeError) as exc:
+            parse("elements: [a, b]\n" + section + "\n")
+        bad = -1 if what == "leq" else 2
+        assert str(exc.value).endswith(f": {what} index {bad} out of range 0..1")
+
     def test_covers_or_leq_required(self):
         with pytest.raises(ParseError):
             parse("elements: [a]\n")
@@ -98,6 +116,19 @@ covers: [[0,1], [0,2],
             parse("# header\nelements: [0,\n  x:y, 1]\ncovers: [[0,1], [1,2]]\n")
         assert exc.value.line == 2
         assert str(exc.value) == "line 2: expected a label without ':', not 'x:y'"
+
+    @pytest.mark.parametrize("token", ["\u0662", "\uff11", "1_0", "+1", "1.0", "0x1", "--1"])
+    def test_integers_are_ascii_digits(self, token):
+        # int() would read the first four as 2, 1, 10 and 1
+        text = f"elements: [a, b]\ncovers: [[0,1]]\nmul: [[0, 0],\n  [0, {token}]]\n"
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"line 3: expected an integer for mul, not {token!r}"
+
+    @pytest.mark.parametrize("token, value", [("007", 7), ("-0", 0), ("00", 0)])
+    def test_leading_zeros_and_minus_zero(self, token, value):
+        sf = parse(f"elements: [a, b, c, d, e, f, g, h]\ncovers: []\nunit: {token}\n")
+        assert sf.unit == value
 
     def test_leq_taken_literally(self):
         text = "elements: [0, 1]\nleq: [[0,0], [0,1], [1,1]]\n"
@@ -155,3 +186,81 @@ class TestGoldenFiles:
         sf = load(structures_dir / "m3.struct")
         with pytest.raises(StructError):
             build_ortholattice(sf)
+
+
+# ---------------------------------------------------------------------------
+# the json pass for integer sections against the tokenizer alone
+# ---------------------------------------------------------------------------
+
+# integer tokens that are not -?[0-9]+, or not integers at all
+ODD_INTEGERS = ["+1", "1_0", "\u0662", "\uff11", "1.0", "1e1", "true", "null", "--1", "-", "0x1",
+                '"1"', "[]"]
+
+
+@st.composite
+def structure_texts(draw):
+    """Structure texts in the file syntax with random spacing, comments,
+    blank lines and line ends, lists without commas or with trailing
+    ones, and integers with leading zeros; in about half of them some
+    integers, commas and brackets out of place."""
+    n = draw(st.integers(1, 5))
+    index = st.integers(0, n - 1)
+    flawed = draw(st.booleans())
+
+    def flaw():
+        return flawed and draw(st.integers(0, 24)) == 0
+
+    def gap():
+        return draw(st.sampled_from(["", "", " ", "  ", "\t", "\n ", "\n\n  ", " # note\n ",
+                                     "\n# note\n"]))
+
+    def integer(v):
+        if flaw():
+            return draw(st.sampled_from([str(n), "-1", f"[{v}]"] + ODD_INTEGERS))  # [v] is one list too deep
+        return draw(st.sampled_from([str(v)] * 4 + [f"0{v}", "-0" if v == 0 else f"00{v}"]))
+
+    def listing(items):
+        sep = draw(st.sampled_from([",", ", ", ",\n  ", " ", "\n"]))  # the last two without commas
+        tail = draw(st.sampled_from(["", "", "", ",", " ,"])) if items else ""
+        return ("[" + gap() + ((",," if flaw() else sep).join(items)) + tail + gap()
+                + ("" if flaw() else "]"))
+
+    sections = ["elements: [" + ", ".join(f"e{i}" for i in range(n)) + "]"]
+    pairs = draw(st.lists(st.tuples(index, index), max_size=6))
+    sections.append(draw(st.sampled_from(["covers:", "leq:"])) + gap()
+                    + listing([listing([integer(i), integer(j)]) for i, j in pairs]))
+    if draw(st.booleans()):
+        sections.append("ortho:" + gap() + listing([integer(draw(index)) for _ in range(n)]))
+    if draw(st.booleans()):
+        rows = [listing([integer(draw(index)) for _ in range(n)]) for _ in range(n)]
+        sections.append("mul:" + gap() + listing(rows))
+    for key in ("unit", "dualizing"):
+        if draw(st.booleans()):
+            sections.append(f"{key}: " + gap() + integer(draw(index)) + gap())
+    if flaw():  # nested past the interpreter's recursion limit
+        sections.append("dualizing: " + "[" * 3000 + "0" + "]" * 3000)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(sections) + draw(st.sampled_from(["", eol, eol + eol]))
+
+
+def parsed(text):
+    try:
+        return "parsed", repr(parse(text))
+    except Exception as exc:  # the error itself is the result under comparison
+        return "raised", type(exc), getattr(exc, "line", None), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(structure_texts())
+def test_json_pass_matches_the_tokenizer(text):
+    fast = parsed(text)
+    with mock.patch.object(structfile, "_json_value", lambda body: None):
+        assert parsed(text) == fast
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_integer_sections_skip_the_tokenizer(structures_dir, name):
+    # only the elements section reaches the tokenizer
+    with mock.patch.object(structfile, "_parse_value", wraps=structfile._parse_value) as spy:
+        load(structures_dir / name)
+    assert spy.call_count == 1
