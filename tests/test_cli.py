@@ -679,6 +679,25 @@ class TestInputErrors:
         assert run(capsys, *argv) == (
             2, "", "error: line 1: expected a label without ':', not 'x:y'\n")
 
+    @pytest.mark.parametrize("key, message", [
+        pytest.param("elements", "line 1: expected flat label tokens", id="elements"),
+        pytest.param("covers", "line 2: expected [i, j] pairs in covers", id="covers"),
+        pytest.param("leq", "line 2: expected [i, j] pairs in leq", id="leq"),
+        pytest.param("ortho", "line 3: expected an ortho list of length 2", id="ortho"),
+        pytest.param("mul", "line 4: expected 2 mul rows", id="mul"),
+        pytest.param("unit", "line 5: expected an integer for unit", id="unit"),
+        pytest.param("dualizing", "line 6: expected an integer for dualizing", id="dualizing"),
+    ])
+    def test_value_nested_past_the_recursion_limit(self, capsys, tmp_path, key, message):
+        sections = {"elements": "[a, b]", "covers": "[[0, 1]]", "ortho": "[1, 0]",
+                    "mul": "[[0, 0], [0, 1]]", "unit": "1", "dualizing": "0"}
+        if key == "leq":
+            sections = {("leq" if k == "covers" else k): v for k, v in sections.items()}
+        sections[key] = "[" * 3000 + "0" + "]" * 3000
+        path = tmp_path / "deep.struct"
+        path.write_text("".join(f"{k}: {v}\n" for k, v in sections.items()))
+        assert run(capsys, "verify", str(path)) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("command", [["verify"], ["residuate"], ["girard"], ["blocks"],
                                          ["export-dot"], ["search-residuation", "--mode", "unital"]])
     def test_file_that_is_not_utf8(self, capsys, tmp_path, command):

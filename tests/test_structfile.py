@@ -1,11 +1,13 @@
 """Structure-file parsing, serialization, and the golden files."""
+import pathlib
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_structfile as ref
 from girardlab import structfile
 from girardlab.ortho import check_orthomodular, is_orthomodular
 from girardlab.structfile import (
@@ -21,6 +23,7 @@ from girardlab.structfile import (
     serialize,
 )
 
+STRUCTURES = pathlib.Path(__file__).resolve().parent.parent / "structures"
 MINIMAL = "elements: [x]\ncovers: []\n"
 
 GOLDEN = [
@@ -130,6 +133,17 @@ covers: [[0,1], [0,2],
         sf = parse(f"elements: [a, b, c, d, e, f, g, h]\ncovers: []\nunit: {token}\n")
         assert sf.unit == value
 
+    @pytest.mark.parametrize("text", [
+        "elements: [a, b]\ncovers: [[0,1]]\nunit: 1\n",
+        (STRUCTURES / "mo2.struct").read_text(),
+    ], ids=["elements-first", "comment-first"])
+    def test_byte_order_mark(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.struct", tmp_path / "marked.struct"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load(marked) == load(plain)
+
     def test_leq_taken_literally(self):
         text = "elements: [0, 1]\nleq: [[0,0], [0,1], [1,1]]\n"
         p = build_poset(parse(text))
@@ -189,7 +203,7 @@ class TestGoldenFiles:
 
 
 # ---------------------------------------------------------------------------
-# the json pass for integer sections against the tokenizer alone
+# the json pass against the tokenizer alone, and parse against the reference
 # ---------------------------------------------------------------------------
 
 # integer tokens that are not -?[0-9]+, or not integers at all
@@ -197,12 +211,17 @@ ODD_INTEGERS = ["+1", "1_0", "\u0662", "\uff11", "1.0", "1e1", "true", "null", "
                 '"1"', "[]"]
 
 
+def nested(v, depth):
+    return "[" * depth + str(v) + "]" * depth
+
+
 @st.composite
-def structure_texts(draw):
+def structure_texts(draw, deep=3000):
     """Structure texts in the file syntax with random spacing, comments,
     blank lines and line ends, lists without commas or with trailing
     ones, and integers with leading zeros; in about half of them some
-    integers, commas and brackets out of place."""
+    integers, commas and brackets out of place, and now and then a value
+    nested `deep` lists deep."""
     n = draw(st.integers(1, 5))
     index = st.integers(0, n - 1)
     flawed = draw(st.booleans())
@@ -215,15 +234,15 @@ def structure_texts(draw):
                                      "\n# note\n"]))
 
     def integer(v):
-        if flaw():
-            return draw(st.sampled_from([str(n), "-1", f"[{v}]"] + ODD_INTEGERS))  # [v] is one list too deep
+        if flaw():  # [v] is one list too deep, nested(v, deep) far too deep
+            return draw(st.sampled_from([str(n), "-1", f"[{v}]", nested(v, deep)] + ODD_INTEGERS))
         return draw(st.sampled_from([str(v)] * 4 + [f"0{v}", "-0" if v == 0 else f"00{v}"]))
 
     def listing(items):
         sep = draw(st.sampled_from([",", ", ", ",\n  ", " ", "\n"]))  # the last two without commas
         tail = draw(st.sampled_from(["", "", "", ",", " ,"])) if items else ""
-        return ("[" + gap() + ((",," if flaw() else sep).join(items)) + tail + gap()
-                + ("" if flaw() else "]"))
+        return ("[" + ("," if flaw() else "") + gap() + ((",," if flaw() else sep).join(items))
+                + tail + gap() + ("" if flaw() else "]"))
 
     sections = ["elements: [" + ", ".join(f"e{i}" for i in range(n)) + "]"]
     pairs = draw(st.lists(st.tuples(index, index), max_size=6))
@@ -237,13 +256,50 @@ def structure_texts(draw):
     for key in ("unit", "dualizing"):
         if draw(st.booleans()):
             sections.append(f"{key}: " + gap() + integer(draw(index)) + gap())
-    if flaw():  # nested past the interpreter's recursion limit
-        sections.append("dualizing: " + "[" * 3000 + "0" + "]" * 3000)
+    if flaw():
+        sections.append("dualizing: " + nested(0, deep))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     return eol.join(sections) + draw(st.sampled_from(["", eol, eol + eol]))
 
 
-def parsed(text):
+@st.composite
+def value_texts(draw):
+    """Structure texts whose integer sections hold random values: mostly
+    the right shape, else lists one item too short or too long, or nested
+    lists of any shape, with integers in and out of range and tokens that
+    are no integers; written with commas or without."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    leaf = st.one_of(st.integers(-1, n), st.sampled_from(["a", "1.0", "+1", "007", "-0"]))
+    wild = st.recursive(leaf, lambda inner: st.lists(inner, max_size=n + 1), max_leaves=12)
+
+    def lists(item, length):  # length items, or one less or one more
+        return st.lists(item, min_size=max(length - 1, 0), max_size=length + 1)
+
+    shapes = {  # (right shape, near miss)
+        "covers": (st.lists(st.lists(index, min_size=2, max_size=2), max_size=4),
+                   st.lists(lists(index, 2), max_size=4)),
+        "ortho": (st.lists(index, min_size=n, max_size=n), lists(index, n)),
+        "mul": (st.lists(st.lists(index, min_size=n, max_size=n), min_size=n, max_size=n),
+                lists(lists(index, n), n)),
+        "unit": (index, lists(index, 1)),
+        "dualizing": (index, lists(index, 1)),
+    }
+    sep = draw(st.sampled_from([", ", " "]))
+
+    def text(v):
+        return "[" + sep.join(map(text, v)) + "]" if isinstance(v, list) else str(v)
+
+    sections = ["elements: [" + " ".join(f"e{i}" for i in range(n)) + "]"]
+    for key, (shape, near) in shapes.items():
+        if key == "covers" or draw(st.booleans()):
+            name = draw(st.sampled_from(["covers", "leq"])) if key == "covers" else key
+            value = draw(st.one_of(shape, shape, shape, near, wild))
+            sections.append(f"{name}: {text(value)}")
+    return "\n".join(sections) + "\n"
+
+
+def parsed(text, parse=parse):
     try:
         return "parsed", repr(parse(text))
     except Exception as exc:  # the error itself is the result under comparison
@@ -254,8 +310,28 @@ def parsed(text):
 @given(structure_texts())
 def test_json_pass_matches_the_tokenizer(text):
     fast = parsed(text)
+    assert fast[0] == "parsed" or fast[1] in (ParseError, RangeError), fast
     with mock.patch.object(structfile, "_json_value", lambda body: None):
         assert parsed(text) == fast
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(structure_texts(deep=300), value_texts()))
+@example("elements: [a]\ncovers: [[0 0] [, 0 0]]\n")  # no comma may open a list
+def test_parse_matches_the_reference(text):
+    # the reference reads values recursively: 300 lists deep stays below the recursion limit
+    assert parsed(text) == parsed(text, ref.parse)
+
+
+def test_any_nesting_depth_is_read():
+    depth = 100000
+    value = structfile._parse_value(nested("x", depth), 7)
+    for _ in range(depth):  # == on the lists would recurse
+        (value,) = value
+    assert value == "x"
+    with pytest.raises(ParseError) as exc:
+        structfile._parse_value("\n" + "[" * depth, 7)
+    assert str(exc.value) == "line 8: expected ']'"
 
 
 @pytest.mark.parametrize("name", GOLDEN)
