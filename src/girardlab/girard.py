@@ -13,7 +13,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .orders import check_inversion, first_violation, is_boolean, least_witness
+from .orders import check_inversion, first_violation, index_slabs, is_boolean, least_witness
 from .ortho import OrthoLattice, blocks, compatible, downset_oml, is_orthomodular
 from .reports import InputError, LawReport, law_fail, law_pass, law_skip
 from .residuation import ResiduatedStructure, check_associative
@@ -47,8 +47,26 @@ def is_dualizing(s: ResiduatedStructure, d: int) -> LawReport:
     return law_pass("dualizing-element", f"d={d}")
 
 
+def _cyclic_dualizing(s: ResiduatedStructure) -> np.ndarray:
+    """The cyclic dualizing elements d, ascending, in one pass: two n^2
+    gathers give d <- (x -> d) and (d <- x) -> d for all (x, d), then
+    leq[mul[slab]] against leq[mul.T[slab]] decides cyclicity at the
+    dualizing d only.  Agrees with is_cyclic and is_dualizing."""
+    rres, lres, mul, idx = s.rres, s.lres, s.mul, np.arange(s.n)
+    x = idx[:, None]
+    cand = np.flatnonzero(((lres[idx, rres] == x) & (rres[lres.T, idx] == x)).all(axis=0))
+    below = s.poset.leq[:, cand]  # below[w, c]: w <= cand[c]
+    cyclic = np.ones(len(cand), dtype=bool)
+    for r in index_slabs(s.n, 3):
+        if not cyclic.any():
+            break
+        cyclic &= (below.take(mul[r], axis=0) == below.take(mul.T[r], axis=0)).all(axis=(0, 1))
+    return cand[cyclic]
+
+
 def find_cyclic_dualizing(s: ResiduatedStructure) -> List[GirardCertificate]:
-    """Scan every element; certify each cyclic dualizing one.
+    """Certify each cyclic dualizing element, found in one pass over all
+    elements (_cyclic_dualizing).
 
     Every certificate is fully verified: the negation is an inversion,
     e = neg(d) is a unit, and both residua agree with negation of the
@@ -57,9 +75,7 @@ def find_cyclic_dualizing(s: ResiduatedStructure) -> List[GirardCertificate]:
     """
     out = []
     mul, rres, lres, idx = s.mul, s.rres, s.lres, np.arange(s.n)
-    for d in range(s.n):
-        if is_cyclic(s, d).failed or is_dualizing(s, d).failed:
-            continue
+    for d in _cyclic_dualizing(s).tolist():
         neg = rres[:, d]
         w = first_violation(lres[d] != neg)
         if w is not None:

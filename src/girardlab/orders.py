@@ -3,18 +3,21 @@
 Elements are the indices 0..n-1.  A poset is an n x n boolean matrix
 ``leq`` with ``leq[i, j]`` meaning i <= j; a lattice adds integer meet and
 join tables.  All containers are immutable after construction and safe to
-share between threads.
+share between threads; a lattice's distributivity is computed at first
+use, the same value whichever thread asks.
 
 Every law scan is one boolean mask over index tuples, built slab by
 slab of first indices from row gathers: ``t.take(t[s], axis=0)`` is
 ``t[t[x, y], z]`` and ``t[s].take(t, axis=1)`` is ``t[x, t[y, z]]`` for
 x in the slab s (see `least_witness`).  The scan reports the first True
-cell in C order: the lexicographically least witness.
+cell in C order: the lexicographically least witness.  Boolean matrix
+products run in float32, on BLAS, where path counts stay exact.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -144,7 +147,9 @@ def validate_poset(relation, labels=None) -> FinitePoset:
 
     Returns the poset on success; raises PosetViolation carrying the
     offending axiom and the least witness tuple otherwise.  The relation
-    is taken literally, nothing is normalized.
+    is taken literally, nothing is normalized.  Transitivity fails where
+    leq @ leq reaches a pair outside leq, one float32 product; only then
+    does an n^3 scan look for the least witness.
     """
     leq = np.array(relation, dtype=bool)
     if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
@@ -159,21 +164,25 @@ def validate_poset(relation, labels=None) -> FinitePoset:
     w = first_violation(leq & leq.T & ~np.eye(n, dtype=bool))
     if w is not None:
         raise PosetViolation("antisymmetry", w)
-    w = least_witness(lambda s: leq[s, :, None] & leq & ~leq[s, None, :], n, 3)
-    if w is not None:
+    f = leq.astype(np.float32)
+    if ((f @ f > 0) & ~leq).any():
+        w = least_witness(lambda s: leq[s, :, None] & leq & ~leq[s, None, :], n, 3)
         raise PosetViolation("transitivity", w)
     return FinitePoset(n, _frozen(leq), _norm_labels(n, labels))
 
 
 def closure_from_covers(n: int, covers: Iterable[tuple]) -> np.ndarray:
-    """Reflexive-transitive closure of a cover list, as an leq matrix."""
+    """Reflexive-transitive closure of a cover list, as an leq matrix:
+    squared until it stops growing, each square a float32 product, whose
+    path counts (at most n) stay exact."""
     leq = np.eye(n, dtype=bool)
     for i, j in covers:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"cover ({i},{j}) out of range for n={n}")
         leq[i, j] = True
     while True:
-        more = leq | (leq @ leq)
+        f = leq.astype(np.float32)
+        more = f @ f > 0
         if (more == leq).all():
             return leq
         leq = more
@@ -188,6 +197,12 @@ class FiniteLattice(FinitePoset):
     bottom: int
     top: int
 
+    @cached_property
+    def distributivity(self) -> LawReport:
+        """is_distributive's report: checks sharing a lattice share its scan."""
+        w = least_witness(lambda s: distribution_failures(self.meet, self.join, s), self.n, 3)
+        return law_pass("distributivity") if w is None else law_fail("distributivity", w)
+
 
 def _masks(matrix: np.ndarray) -> List[int]:
     """Row i of a boolean matrix as the int whose bit j is matrix[i, j]:
@@ -201,8 +216,10 @@ def compute_lattice(p: FinitePoset) -> FiniteLattice:
     """Derive meet/join tables, or raise NotALattice / NotBounded.
 
     The join of {i, j} is the element whose up-set is the intersection
-    of theirs, and the meet the element whose down-set is; the least
-    pair lacking either is reported, the least upper bound first.
+    of theirs, and the meet the element whose down-set is.  Both are
+    symmetric, so only the pairs i <= j are looked up, then mirrored.
+    The least pair lacking either is reported, the least upper bound
+    first.
     """
     n = p.n
     ups, downs = _masks(p.leq), _masks(p.leq.T)
@@ -211,18 +228,33 @@ def compute_lattice(p: FinitePoset) -> FiniteLattice:
         raise NotBounded("bottom", [i for i, d in enumerate(downs) if d == 1 << i])
     if everything not in downs:
         raise NotBounded("top", [i for i, u in enumerate(ups) if u == 1 << i])
-    up_of = {u: i for i, u in enumerate(ups)}
-    down_of = {d: i for i, d in enumerate(downs)}
-    join = [[up_of.get(u & w) for w in ups] for u in ups]
-    meet = [[down_of.get(d & w) for w in downs] for d in downs]
-    for i, (joins, meets) in enumerate(zip(join, meet)):
-        if None in joins or None in meets:
-            j = next(j for j in range(n) if joins[j] is None or meets[j] is None)
-            kind = "least upper bound" if joins[j] is None else "greatest lower bound"
-            raise NotALattice((i, j), kind)
-    return FiniteLattice(n, p.leq, p.labels, _frozen(np.array(meet, dtype=np.intp)),
-                         _frozen(np.array(join, dtype=np.intp)),
+    upper, tables = np.tri(n, dtype=bool).T, []  # the pairs i <= j
+    for masks in (downs, ups):  # the meet, then the join
+        at = {m: i for i, m in enumerate(masks)}.get
+        t = np.empty((n, n), dtype=np.intp)
+        t[upper] = [at(m & w, -1) for i, m in enumerate(masks) for w in masks[i:]]
+        tables.append(_frozen(np.where(upper, t, t.T)))
+    meet, join = tables
+    w = first_violation((meet < 0) | (join < 0))
+    if w is not None:
+        raise NotALattice(w, "least upper bound" if join[w] < 0 else "greatest lower bound")
+    return FiniteLattice(n, p.leq, p.labels, meet, join,
                          ups.index(everything), downs.index(everything))
+
+
+def sublattice(l: FiniteLattice, members) -> FiniteLattice:
+    """The lattice on members, ascending elements of l closed under meet
+    and join (a down-set, a block), element k being members[k]: order,
+    tables and labels are l's restricted, not derived again.  All of l
+    is l itself."""
+    members = np.asarray(members, dtype=np.intp)
+    if len(members) == l.n:
+        return l
+    pairs = np.ix_(members, members)
+    leq = l.leq[pairs]
+    meet, join = (_frozen(np.searchsorted(members, t[pairs])) for t in (l.meet, l.join))
+    return FiniteLattice(len(members), _frozen(leq), tuple(l.label(k) for k in members), meet,
+                         join, int(leq.all(axis=1).argmax()), int(leq.all(axis=0).argmax()))
 
 
 def lattice_from_covers(covers, labels) -> FiniteLattice:
@@ -231,9 +263,9 @@ def lattice_from_covers(covers, labels) -> FiniteLattice:
 
 
 def is_distributive(l: FiniteLattice) -> LawReport:
-    """PASS iff x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z) for all triples."""
-    w = least_witness(lambda s: distribution_failures(l.meet, l.join, s), l.n, 3)
-    return law_pass("distributivity") if w is None else law_fail("distributivity", w)
+    """PASS iff x /\\ (y \\/ z) = (x /\\ y) \\/ (x /\\ z) for all triples,
+    scanned once per lattice (FiniteLattice.distributivity)."""
+    return l.distributivity
 
 
 def is_complemented(l: FiniteLattice):
@@ -288,7 +320,8 @@ def check_inversion(p: FinitePoset, f) -> LawReport:
 def hasse_covers(p: FinitePoset) -> list:
     """Pairs (i, j) with i < j and no element strictly between."""
     lt = p.leq & ~np.eye(p.n, dtype=bool)
-    between = lt @ lt
+    f = lt.astype(np.float32)
+    between = f @ f > 0  # a float32 product, as in closure_from_covers
     return [(int(i), int(j)) for i, j in np.argwhere(lt & ~between)]
 
 

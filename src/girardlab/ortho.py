@@ -7,21 +7,14 @@ and block (maximal Boolean subalgebra) enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List
 
 import numpy as np
 
 from .orders import (
-    FiniteLattice,
-    FinitePoset,
-    _frozen,
-    _masks,
-    as_order_map,
-    check_inversion,
-    compute_lattice,
-    first_violation,
-    is_boolean,
-    least_witness,
+    FiniteLattice, _masks, as_order_map, check_inversion, first_violation, is_boolean,
+    least_witness, sublattice,
 )
 from .reports import InputError, LawReport, law_fail, law_pass
 
@@ -44,6 +37,13 @@ class OrthoLattice:
 
     def label(self, i: int) -> str:
         return self.lattice.label(i)
+
+    @cached_property
+    def orthomodular(self) -> bool:
+        """is_orthomodular's verdict, decided on first use only."""
+        if check_ortholattice(self.lattice, self.ortho).failed:
+            return False
+        return all(r.passed for r in check_orthomodular(self))
 
 
 def check_ortholattice(l: FiniteLattice, f) -> LawReport:
@@ -92,28 +92,25 @@ def check_orthomodular(o: OrthoLattice) -> List[LawReport]:
 
 
 def is_orthomodular(o: OrthoLattice) -> bool:
-    if check_ortholattice(o.lattice, o.ortho).failed:
-        return False
-    return all(r.passed for r in check_orthomodular(o))
+    """Whether o is orthomodular, decided once per instance."""
+    return o.orthomodular
 
 
 def downset_oml(o: OrthoLattice, a: int) -> OrthoLattice:
     """The orthomodular lattice living on {u : u <= a}.
 
-    Order, meets and joins are the ambient ones restricted to the
-    downset; the orthocomplement of u becomes a /\\ u'.  Elements of the
-    result are the ambient downset members in ascending index order.
+    A down-set is closed under meet and join, so order, meets and joins
+    are the ambient ones restricted and re-indexed (orders.sublattice),
+    not derived again; the downset of the top is the carrier itself.
+    The orthocomplement of u becomes a /\\ u'.  Elements of the result
+    are the ambient downset members in ascending index order.
     """
     if not is_orthomodular(o):
         raise InputError("downset construction needs an orthomodular carrier")
     lat = o.lattice
-    carrier = [u for u in range(lat.n) if lat.leq[u, a]]
-    pos = {u: k for k, u in enumerate(carrier)}
-    sub_leq = lat.leq[np.ix_(carrier, carrier)]
-    labels = tuple(lat.label(u) for u in carrier)
-    sub = compute_lattice(FinitePoset(len(carrier), _frozen(sub_leq), labels))
-    ortho = tuple(pos[int(lat.meet[a, o.ortho[u]])] for u in carrier)
-    return OrthoLattice(sub, ortho)
+    carrier = np.flatnonzero(lat.leq[:, a])
+    ortho = np.searchsorted(carrier, lat.meet[a, np.asarray(o.ortho)[carrier]])
+    return OrthoLattice(sublattice(lat, carrier), tuple(ortho.tolist()))
 
 
 def compatible(o: OrthoLattice, x, y):
@@ -122,27 +119,33 @@ def compatible(o: OrthoLattice, x, y):
     return lat.join[lat.meet[x, y], lat.meet[x, f[y]]] == x
 
 
+def _bits(mask: int):
+    """The indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _maximal_cliques(adj: np.ndarray) -> list:
-    """Bron-Kerbosch with pivoting over a symmetric boolean matrix."""
+    """Bron-Kerbosch with pivoting over a symmetric boolean matrix.  The
+    pivot is the least member of P u X with the most neighbours in P,
+    found over P u X alone (Tomita, Tanaka & Takahashi, TCS 2006)."""
     n = adj.shape[0]
     nbr = _masks(adj & ~np.eye(n, dtype=bool))
-    full = (1 << n) - 1
     out = []
 
     def expand(r: int, p: int, x: int):
         if p == 0 and x == 0:
             out.append(r)
             return
-        pivot = max(range(n), key=lambda v: bin(nbr[v] & p).count("1") if (p | x) >> v & 1 else -1)
-        cand = p & ~nbr[pivot]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
+        pivot = max(_bits(p | x), key=lambda v: (nbr[v] & p).bit_count())
+        for v in _bits(p & ~nbr[pivot]):
             expand(r | 1 << v, p & nbr[v], x & nbr[v])
             p &= ~(1 << v)
             x |= 1 << v
-            cand &= cand - 1
 
-    expand(0, full, 0)
+    expand(0, (1 << n) - 1, 0)
     return out
 
 
@@ -153,7 +156,9 @@ def blocks(o: OrthoLattice) -> list:
     pairwise-compatible subsets (Kalmbach, Orthomodular Lattices, 1983),
     so they are read off as the maximal cliques of the compatibility
     relation.  Each is verified to be closed under meet, join and
-    orthocomplement and to be Boolean before being returned.
+    orthocomplement and to be Boolean before being returned; closed, it
+    is a sub-lattice, whose tables are the ambient ones restricted
+    (orders.sublattice), and a block of all elements is the carrier.
     """
     if not is_orthomodular(o):
         raise InputError("blocks are defined for orthomodular lattices")
@@ -162,12 +167,10 @@ def blocks(o: OrthoLattice) -> list:
     comp = compatible(o, idx[:, None], idx)
     comp &= comp.T
 
-    result = sorted(tuple(i for i in range(lat.n) if clique >> i & 1)
-                    for clique in _maximal_cliques(comp))
+    result = sorted(tuple(_bits(clique)) for clique in _maximal_cliques(comp))
     for b in result:
         pairs = np.ix_(b, b)
         generated = np.concatenate([lat.meet[pairs].ravel(), lat.join[pairs].ravel(), f[list(b)]])
-        sub = compute_lattice(FinitePoset(len(b), _frozen(lat.leq[pairs]), None))
-        if not np.isin(generated, b).all() or not is_boolean(sub).passed:
+        if not np.isin(generated, b).all() or not is_boolean(sublattice(lat, b)).passed:
             raise RuntimeError(f"internal error: block candidate {b} is not a Boolean subalgebra")
     return result

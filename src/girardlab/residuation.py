@@ -18,15 +18,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .orders import (
-    FiniteLattice,
-    FinitePoset,
-    first_violation,
-    greatest,
-    index_slabs,
-    is_boolean,
-    is_complemented,
-    lattice_from_covers,
-    least_witness,
+    FiniteLattice, FinitePoset, first_violation, greatest, index_slabs, is_boolean, is_complemented,
+    lattice_from_covers, least_witness,
 )
 from .reports import InputError, LawReport, law_fail, law_pass
 

@@ -578,7 +578,8 @@ class _IrreducibleTableSearch:
 
     def run(self, budget: Optional[int] = None):
         """(hits, exhausted, nodes): hits pairs each found table with its
-        verified structure, in search order."""
+        verified structure, in search order.  Open cells wait on an
+        explicit stack, so the recursion limit bounds no search depth."""
         cells, values, domains, lows = self.cells, self.values, self.domains, self.lows
         leq, join, bottom, r = self.leq_rows, self.join_rows, self.l.bottom, len(self.irr)
         limit = float("inf") if budget is None else budget
@@ -586,39 +587,45 @@ class _IrreducibleTableSearch:
         completes = [k // r if (k + 1) % r == 0 else None for k in range(len(cells))]
         hits: List[Tuple[np.ndarray, ResiduatedStructure]] = []
         nodes = 0
-
-        def rec(k: int) -> bool:
-            nonlocal nodes
+        frames: List[tuple] = []  # (k, values left to try, above_lo, t, visit) per open cell
+        k = 0
+        while True:
             if k == len(cells):
                 m = self.extension()
                 s = _leaf(self.l, self.e, m)
                 if s is not None:
                     hits.append((m, s))
-                return True
-            t = completes[k]
-            visit = None if t is None else self.row_visit(t)
-            if t is not None and visit is None:
-                # no value passes: charge the nodes the value loop would count
-                left = limit - nodes
-                nodes += min(len(domains[k]), left)
-                return len(domains[k]) <= left
-            lo = bottom
-            for k2 in lows[k]:
-                lo = join[lo][values[k2]]
-            above_lo = leq[lo]
-            for v in domains[k]:
-                if nodes >= limit:
-                    return False
-                nodes += 1
-                if not above_lo[v]:
+            else:
+                t = completes[k]
+                visit = None if t is None else self.row_visit(t)
+                if t is not None and visit is None:
+                    # no value passes: charge the nodes the value loop would count
+                    if nodes + len(domains[k]) > limit:
+                        return hits, False, limit
+                    nodes += len(domains[k])
+                else:
+                    lo = bottom
+                    for k2 in lows[k]:
+                        lo = join[lo][values[k2]]
+                    frames.append((k, iter(domains[k]), leq[lo], t, visit))
+            # the next value of the innermost open cell that passes, if any
+            while frames:
+                k, todo, above_lo, t, visit = frames[-1]
+                for v in todo:
+                    if nodes >= limit:
+                        return hits, False, nodes
+                    nodes += 1
+                    if above_lo[v]:
+                        values[k] = v
+                        if t is None or self.row_ok(t, v, visit):
+                            break
+                else:
+                    frames.pop()
                     continue
-                values[k] = v
-                if (t is None or self.row_ok(t, v, visit)) and not rec(k + 1):
-                    return False
-            return True
-
-        exhausted = rec(0)
-        return hits, exhausted, nodes
+                k += 1
+                break
+            else:
+                return hits, True, nodes
 
 
 def _leaf(l: FiniteLattice, e: int, m: np.ndarray) -> Optional[ResiduatedStructure]:

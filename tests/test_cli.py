@@ -220,6 +220,14 @@ class TestBlocks:
         code, _, err = run(capsys, "blocks", str(structures_dir / "o6.struct"))
         assert code == 2 and "orthomodular" in err
 
+    def test_boolean_256_is_one_block(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "gen", "boolean", "--atoms", "8")
+        f = tmp_path / "boolean-256.struct"
+        f.write_text(out)
+        code, out, _ = run(capsys, "blocks", str(f))
+        assert code == 0
+        assert [len(line.split()) for line in out.splitlines()] == [256]
+
 
 class TestEnumerate:
     def test_counts(self, capsys):
@@ -398,6 +406,26 @@ class TestSearchResiduation:
                            "--budget", "5000")
         assert code == 0
         assert out.splitlines()[0].endswith(" exhausted=False nodes=5000")
+
+    @pytest.mark.parametrize("family", ["lukasiewicz", "godel"])
+    def test_integral_search_deeper_than_the_recursion_limit(self, structures_dir, tmp_path,
+                                                            family):
+        # the 60-chain has 3481 cells, one search level each; as in a
+        # user's shell, a subprocess at the interpreter's default limit
+        src = str(structures_dir.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        cmd = [sys.executable, "-m", "girardlab.cli"]
+        f = tmp_path / f"{family}-60.struct"
+        f.write_text(subprocess.run(cmd + ["gen", family, "--size", "60"], capture_output=True,
+                                    text=True, env=env, check=True).stdout)
+        proc = subprocess.run(cmd + ["search-residuation", str(f), "--mode", "integral",
+                                     "--budget", "5000"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        head = proc.stdout.splitlines()[0]
+        assert head.startswith("mode=integral found=")
+        assert head.endswith(" exhausted=False nodes=5000")
 
 
 class TestRn:
