@@ -13,6 +13,7 @@ from girardlab import (
     search_unital_residuation,
 )
 from girardlab.catalog import boolean_cube, chain, diamond_m3, horizontal_sum_mo
+from girardlab.girard import check_unit_downset_boolean
 
 # ---------------------------------------------------------------------------
 # How many lattices are there?  (One representative per isomorphism class.)
@@ -47,11 +48,21 @@ print(confirm_boolean_forcing(result))
 # Boolean, yet admits hundreds of unital multiplications (248 at full
 # exploration, which takes 64244 search nodes, well within the default
 # budget of 200000); a smaller budget already finds several, each with
-# its unit sitting inside one block.
+# its unit sitting inside one block.  The search reads only the lattice;
+# the block proposition is a fact about the ortholattice, checked here
+# once per unit seen.
 # ---------------------------------------------------------------------------
-res = search_unital_residuation(horizontal_sum_mo(2), budget=50_000)
+mo2 = horizontal_sum_mo(2)
+res = search_unital_residuation(mo2.lattice, budget=50_000)
 print(f"\nMO2 unital search: found={len(res.found)} exhausted={res.exhausted}")
 units = sorted({s.flags.unit for s in res.structures})
 print(f"units seen so far: {units}")
+by_unit = {s.flags.unit: s for s in res.structures}
 print("every hit satisfies the unit-downset block conclusions:",
-      all(r.passed for r in res.downset_unit_reports))
+      all(check_unit_downset_boolean(mo2, s).passed for s in by_unit.values()))
+
+# The unital search runs on any lattice: M3 has no integral table, but
+# an atom can serve as a unit.
+res = search_unital_residuation(diamond_m3(), budget=None)
+print(f"\nM3 unital search: found={len(res.found)} exhausted={res.exhausted}, "
+      f"units {sorted({s.flags.unit for s in res.structures})}")

@@ -32,12 +32,11 @@ from .orders import (
     is_complemented,
     is_distributive,
 )
-from .ortho import OrthoLattice, blocks, check_ortholattice, check_orthomodular
+from .ortho import OrthoLattice, blocks, check_ortholattice, check_orthomodular, is_orthomodular
 from .render import exit_code, export_dot, render_report
 from .reports import InputError, law_fail, law_pass
 from .residuation import (
     ResiduationError,
-    boolean_residuation,
     check_associative,
     classify,
     godel_chain,
@@ -82,19 +81,31 @@ def _labels(obj):
     return [obj.label(i) for i in range(obj.n)]
 
 
+def _report(sections, fmt="human") -> int:
+    """Print the sections and return their exit code."""
+    print(render_report(sections, fmt), end="")
+    return exit_code(sections)
+
+
+def _residuation(order, m):
+    """(reports, s): the associativity report, then, if it passes, the
+    residuation report, with the verified structure s or None."""
+    assoc = check_associative(m)
+    if assoc.failed:
+        return [assoc], None
+    try:
+        return [assoc, law_pass("residuation")], residuated_structure(order, m)
+    except ResiduationError as exc:
+        return [assoc, law_fail("residuation", exc.witness, str(exc))], None
+
+
 def cmd_verify(args) -> int:
     sf = load(args.file)
-    sections = []
-    order_reports = []
-    info = []
     try:
         poset = build_poset(sf)
-        order_reports.append(law_pass("poset-axioms"))
     except PosetViolation as exc:
-        order_reports.append(law_fail("poset-axioms", exc.witness, exc.axiom))
-        sections.append(("order", order_reports))
-        print(render_report(sections, args.format), end="")
-        return exit_code(sections)
+        return _report([("order", [law_fail("poset-axioms", exc.witness, exc.axiom)])], args.format)
+    sections, order_reports, info = [], [law_pass("poset-axioms")], []
     lattice = None
     try:
         lattice = compute_lattice(poset)
@@ -122,15 +133,9 @@ def cmd_verify(args) -> int:
     if sf.mul is not None:
         order = lattice if lattice is not None else poset
         m = np.array(sf.mul, dtype=np.intp)
-        reports = [check_associative(m)]
+        reports, s = _residuation(order, m)
         if reports[0].passed:
-            try:
-                s = residuated_structure(order, m)
-                flags = s.flags
-                reports.append(law_pass("residuation"))
-            except ResiduationError as exc:
-                s, flags = None, classify(order, m)
-                reports.append(law_fail("residuation", exc.witness, str(exc)))
+            flags = classify(order, m) if s is None else s.flags
             info.append(f"flags: {flags}")
             if sf.unit is not None:
                 ok = flags.unit == sf.unit
@@ -145,12 +150,12 @@ def cmd_verify(args) -> int:
                 reports.append(dua if dua.failed else law_pass("declared-dualizer-dualizing"))
         sections.append(("multiplication", reports))
 
-    print(render_report(sections, args.format), end="")
+    code = _report(sections, args.format)
     if info and args.format == "human":
         print("classification:")
         for line in info:
             print(f"  {line}")
-    return exit_code(sections)
+    return code
 
 
 def _residuated(args):
@@ -160,14 +165,10 @@ def _residuated(args):
     order = _build_order(sf)
     if sf.mul is None:
         raise StructError("file has no mul section")
-    m = np.array(sf.mul, dtype=np.intp)
-    rep = check_associative(m)
-    if rep.passed:
-        try:
-            return sf, residuated_structure(order, m)
-        except ResiduationError as exc:
-            rep = law_fail("residuation", exc.witness, str(exc))
-    print(render_report([("multiplication", [rep])], "human"), end="")
+    reports, s = _residuation(order, np.array(sf.mul, dtype=np.intp))
+    if s is not None:
+        return sf, s
+    _report([("multiplication", reports[-1:])])
     return None
 
 
@@ -207,9 +208,7 @@ def cmd_girard(args) -> int:
     if sf.ortho is not None and s.lattice is not None:
         olat = OrthoLattice(s.lattice, sf.ortho)
         reports.append(check_unit_downset_boolean(olat, s))
-    sections = [("girard", reports)]
-    print(render_report(sections, "human"), end="")
-    return exit_code(sections)
+    return _report([("girard", reports)])
 
 
 def cmd_blocks(args) -> int:
@@ -230,10 +229,7 @@ def cmd_enumerate(args) -> int:
         print(f"n={size}: {count}")
     print(f"total: {sum(counts.values())}" + (" (filters: complemented)" if args.complemented else ""))
     if args.confirm_thm2:
-        report = confirm_boolean_forcing(result)
-        sections = [("search", [report])]
-        print(render_report(sections, "human"), end="")
-        return exit_code(sections)
+        return _report([("search", [confirm_boolean_forcing(result)])])
     return 0
 
 
@@ -244,28 +240,28 @@ def cmd_search_residuation(args) -> int:
         result = search_integral_residuation(lattice, budget=args.budget)
     else:
         o = build_ortholattice(sf)
+        if not is_orthomodular(o):  # the unit-downset reports need it
+            raise InputError("unital search expects an orthomodular carrier")
         lattice = o.lattice
-        result = search_unital_residuation(o, budget=args.budget)
-    print(f"mode={result.mode} found={len(result.found)} exhausted={result.exhausted} "
+        result = search_unital_residuation(lattice, budget=args.budget)
+    print(f"mode={args.mode} found={len(result.found)} exhausted={result.exhausted} "
           f"nodes={result.nodes}")
     # every solution shares the carrier, so its covers are found once
     carrier = from_lattice(lattice, ortho=sf.ortho)
-    for k, (table, s) in enumerate(zip(result.found, result.structures)):
-        out = replace(carrier, mul=tuple(map(tuple, table.tolist())), unit=s.flags.unit)
+    for k, s in enumerate(result.structures):
+        out = replace(carrier, mul=tuple(map(tuple, s.mul.tolist())), unit=s.flags.unit)
         print(f"# solution {k}")
         print(serialize(out))
-    if result.downset_unit_reports:
-        sections = [("unit-downset", result.downset_unit_reports)]
-        print(render_report(sections, "human"), end="")
-        return exit_code(sections)
-    return 0
+    if args.mode == "integral" or not result.structures:
+        return 0
+    by_unit = {s.flags.unit: s for s in result.structures}  # a report reads only the unit
+    reports = {e: check_unit_downset_boolean(o, s) for e, s in by_unit.items()}
+    return _report([("unit-downset", [reports[s.flags.unit] for s in result.structures])])
 
 
 def cmd_rn(args) -> int:
     reports = verify_quantale_laws(QuantaleContext(args.dim), args.trials, args.seed)
-    sections = [(f"subspace-quantale dim={args.dim}", reports)]
-    print(render_report(sections, args.format), end="")
-    return exit_code(sections)
+    return _report([(f"subspace-quantale dim={args.dim}", reports)], args.format)
 
 
 def _entries(text: str, convert, what: str, kind: str) -> list:
@@ -313,8 +309,7 @@ def cmd_gen(args) -> int:
         from .catalog import boolean_ortho
 
         o = boolean_ortho(args.atoms)
-        s = boolean_residuation(o.lattice)
-        sf = from_lattice(o.lattice, ortho=o.ortho, mul=s.mul,
+        sf = from_lattice(o.lattice, ortho=o.ortho, mul=o.lattice.meet,
                           unit=o.lattice.top, dualizing=o.lattice.bottom)
     print(serialize(sf), end="")
     return 0

@@ -51,10 +51,10 @@ search with its one unit at the top, where the bound is the meet.
 Unital mode searches only the least unit of each orbit under the order
 automorphisms of the lattice (see _search).  An order automorphism sigma
 carries the unit law, associativity and residuation, so the tables for
-the unit sigma[e] are those for e relabelled by sigma; the ortho map is
-never read, so the automorphisms need not preserve it.  Units are taken
-in index order, the searches share the budget, a mapped unit costs no
-node, and the run stops at the first search that runs out of budget.
+the unit sigma[e] are those for e relabelled by sigma.  Both modes read
+only the lattice, so they run on any lattice.  Units are taken in index
+order, the searches share the budget, a mapped unit costs no node, and
+the run stops at the first search that runs out of budget.
 A node costs a few list lookups: monotonicity is one lower bound
 precomputed per cell, and each irreducible's row is join-extended when
 it completes (see _IrreducibleTableSearch).  A completed row also
@@ -83,10 +83,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .girard import check_unit_downset_boolean
 from .orders import FiniteLattice, FinitePoset, _frozen, _masks, _order_automorphism, \
     _order_classes, compute_lattice, hasse_covers, is_distributive
-from .ortho import OrthoLattice, is_orthomodular
 from .reports import InputError, LawReport, law_fail, law_pass
 from .residuation import ResiduatedStructure, ResiduationError, check_associative, \
     residuated_structure
@@ -312,12 +310,14 @@ def enumerate_lattices(max_n: int) -> EnumerationResult:
 
 @dataclass
 class ResiduationSearchResult:
-    mode: str
-    found: List[np.ndarray]
     structures: List[ResiduatedStructure]
     exhausted: bool
     nodes: int = 0
-    downset_unit_reports: Optional[List[LawReport]] = None
+
+    @property
+    def found(self) -> List[np.ndarray]:
+        """The tables of the structures, in the same order."""
+        return [s.mul for s in self.structures]
 
 
 def _lattice_id(l: FiniteLattice) -> str:
@@ -577,24 +577,23 @@ class _IrreducibleTableSearch:
         return np.array(self.full, dtype=np.intp)
 
     def run(self, budget: Optional[int] = None):
-        """(hits, exhausted, nodes): hits pairs each found table with its
-        verified structure, in search order.  Open cells wait on an
-        explicit stack, so the recursion limit bounds no search depth."""
+        """(hits, exhausted, nodes): hits are the verified structures of
+        the tables found, in search order.  Open cells wait on an explicit
+        stack, so the recursion limit bounds no search depth."""
         cells, values, domains, lows = self.cells, self.values, self.domains, self.lows
         leq, join, bottom, r = self.leq_rows, self.join_rows, self.l.bottom, len(self.irr)
         limit = float("inf") if budget is None else budget
         # the position of the row cell k completes, or None
         completes = [k // r if (k + 1) % r == 0 else None for k in range(len(cells))]
-        hits: List[Tuple[np.ndarray, ResiduatedStructure]] = []
+        hits: List[ResiduatedStructure] = []
         nodes = 0
         frames: List[tuple] = []  # (k, values left to try, above_lo, t, visit) per open cell
         k = 0
         while True:
             if k == len(cells):
-                m = self.extension()
-                s = _leaf(self.l, self.e, m)
+                s = _leaf(self.l, self.e, self.extension())
                 if s is not None:
-                    hits.append((m, s))
+                    hits.append(s)
             else:
                 t = completes[k]
                 visit = None if t is None else self.row_visit(t)
@@ -641,8 +640,7 @@ def _leaf(l: FiniteLattice, e: int, m: np.ndarray) -> Optional[ResiduatedStructu
 
 
 def _mapped_hits(l: FiniteLattice, e: int, sigma: np.ndarray,
-                 hits: List[Tuple[np.ndarray, ResiduatedStructure]]
-                 ) -> List[Tuple[np.ndarray, ResiduatedStructure]]:
+                 hits: List[ResiduatedStructure]) -> List[ResiduatedStructure]:
     """The hits of the unit sigma^-1[e] carried to the unit e by the order
     automorphism sigma: table m becomes sigma[m[inverse, inverse]], which
     sends sigma[x] and sigma[y] to sigma[m[x, y]].  Unit, associativity
@@ -650,18 +648,13 @@ def _mapped_hits(l: FiniteLattice, e: int, sigma: np.ndarray,
     if not (l.leq[np.ix_(sigma, sigma)] == l.leq).all():
         raise RuntimeError(f"{sigma.tolist()} is not an order automorphism")
     inverse = np.argsort(sigma)
-    mapped = []
-    for m, _ in hits:
-        table = sigma[m[np.ix_(inverse, inverse)]]
-        s = _leaf(l, e, table)
-        if s is None:
-            raise RuntimeError(f"{sigma.tolist()} maps a table to one that fails for unit {e}")
-        mapped.append((table, s))
+    mapped = [_leaf(l, e, sigma[hit.mul[np.ix_(inverse, inverse)]]) for hit in hits]
+    if any(s is None for s in mapped):
+        raise RuntimeError(f"{sigma.tolist()} maps a table to one that fails for unit {e}")
     return mapped
 
 
-def _search(l: FiniteLattice, mode: str, units: List[int],
-            budget: Optional[int]) -> ResiduationSearchResult:
+def _search(l: FiniteLattice, units: List[int], budget: Optional[int]) -> ResiduationSearchResult:
     """The hits for the units, taken in index order, sorted by table.
 
     A unit is searched only when it is the least unit of its orbit under
@@ -672,8 +665,8 @@ def _search(l: FiniteLattice, mode: str, units: List[int],
     needs no node exhausts at any budget, and the run stops after the
     first search that runs out of it.  With one unit, as in integral
     mode, no automorphism is looked for."""
-    hits: List[Tuple[np.ndarray, ResiduatedStructure]] = []
-    searched: Dict[int, List[Tuple[np.ndarray, ResiduatedStructure]]] = {}
+    hits: List[ResiduatedStructure] = []
+    searched: Dict[int, List[ResiduatedStructure]] = {}
     nodes, exhausted = 0, True
     rows = _masks(l.leq) if len(units) > 1 else None  # the up-set bitmasks orbits read
     for e in units:
@@ -690,9 +683,8 @@ def _search(l: FiniteLattice, mode: str, units: List[int],
         nodes += unit_nodes
         if not exhausted:
             break
-    hits.sort(key=lambda hit: tuple(hit[0].ravel()))
-    return ResiduationSearchResult(mode, [m for m, _ in hits], [s for _, s in hits],
-                                   exhausted, nodes)
+    hits.sort(key=lambda hit: tuple(hit.mul.ravel()))
+    return ResiduationSearchResult(hits, exhausted, nodes)
 
 
 def search_integral_residuation(l: FiniteLattice,
@@ -701,28 +693,16 @@ def search_integral_residuation(l: FiniteLattice,
     lattice, the unit at the top: exhaustive without a budget, else
     exhausted=False once budget nodes are spent, with whatever was found
     so far."""
-    return _search(l, "integral", [l.top], budget)
+    return _search(l, [l.top], budget)
 
 
-def search_unital_residuation(o: OrthoLattice,
-                              budget: int = DEFAULT_BUDGET) -> ResiduationSearchResult:
-    """Budgeted search for unital join-preserving associative tables on
-    an orthomodular lattice, the unit anywhere in the carrier.
-
-    Every hit is listed with its unit's unit-downset report, made once
-    per unit; a consumed budget is reported as exhausted=False with
-    whatever was found so far."""
-    if not is_orthomodular(o):
-        raise InputError("unital search expects an orthomodular carrier")
-    l = o.lattice
+def search_unital_residuation(l: FiniteLattice,
+                              budget: Optional[int] = DEFAULT_BUDGET) -> ResiduationSearchResult:
+    """Search for unital residuated multiplications on any lattice, the
+    unit anywhere but at the bottom, which forces the one-element lattice:
+    exhaustive without a budget, else as search_integral_residuation."""
     units = [l.top] if l.n == 1 else [e for e in range(l.n) if e != l.bottom]
-    result = _search(l, "unital", units, budget)
-    reports: Dict[int, LawReport] = {}
-    for s in result.structures:
-        if s.flags.unit not in reports:
-            reports[s.flags.unit] = check_unit_downset_boolean(o, s)
-    result.downset_unit_reports = [reports[s.flags.unit] for s in result.structures]
-    return result
+    return _search(l, units, budget)
 
 
 def confirm_boolean_forcing(result: EnumerationResult) -> LawReport:

@@ -146,10 +146,9 @@ class RecursiveSearch(_IrreducibleTableSearch):
         def rec(k):
             nonlocal nodes
             if k == len(cells):
-                m = self.extension()
-                s = _leaf(self.l, self.e, m)
+                s = _leaf(self.l, self.e, self.extension())
                 if s is not None:
-                    hits.append((m, s))
+                    hits.append(s)
                 return True
             t = completes[k]
             visit = None if t is None else self.row_visit(t)

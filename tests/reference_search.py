@@ -91,8 +91,8 @@ The unital search before unit orbits.  `search._search` used to run the
 searcher on every unit, where it now searches one unit per orbit under
 the order automorphisms and maps that unit's tables to the rest of its
 orbit.  `per_unit_search` restores the loop over every unit; standing in
-for `search._search`, it must give the same tables, units, unit-downset
-reports and `exhausted` on every carrier whose search exhausts.
+for `search._search`, it must give the same tables, units and
+`exhausted` on every lattice whose search exhausts.
 """
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -301,10 +301,9 @@ class PlainSearch:
         def rec(k: int) -> bool:
             nonlocal nodes
             if k == len(cells):
-                m = self.extension()
-                s = search._leaf(self.l, self.e, m)
+                s = search._leaf(self.l, self.e, self.extension())
                 if s is not None:
-                    hits.append((m, s))
+                    hits.append(s)
                 return True
             lo = bottom
             for k2 in lows[k]:
@@ -403,10 +402,9 @@ class LoopSearch:
         def rec(k: int) -> bool:
             nonlocal nodes
             if k == len(self.cells):
-                m = self.extension()
-                s = search._leaf(self.l, self.e, m)
+                s = search._leaf(self.l, self.e, self.extension())
                 if s is not None:
-                    hits.append((m, s))
+                    hits.append(s)
                 return True
             i, j = self.cells[k]
             for v in self.domains[k]:
@@ -505,10 +503,9 @@ class PerValueRows:
         def rec(k: int) -> bool:
             nonlocal nodes
             if k == len(cells):
-                m = self.extension()
-                s = search._leaf(self.l, self.e, m)
+                s = search._leaf(self.l, self.e, self.extension())
                 if s is not None:
-                    hits.append((m, s))
+                    hits.append(s)
                 return True
             lo = bottom
             for k2 in lows[k]:
@@ -534,7 +531,7 @@ class PerValueSearch(PerValueRows, search._IrreducibleTableSearch):
     pass
 
 
-def per_unit_search(l, mode: str, units: List[int], budget: Optional[int]):
+def per_unit_search(l, units: List[int], budget: Optional[int]):
     """search._search without unit orbits: the searcher runs on each unit
     in turn, sharing the budget, and the hits are sorted by table."""
     hits = []
@@ -547,9 +544,8 @@ def per_unit_search(l, mode: str, units: List[int], budget: Optional[int]):
         nodes += unit_nodes
         if not exhausted:
             break
-    hits.sort(key=lambda hit: tuple(hit[0].ravel()))
-    return search.ResiduationSearchResult(mode, [m for m, _ in hits], [s for _, s in hits],
-                                          exhausted, nodes)
+    hits.sort(key=lambda hit: tuple(hit.mul.ravel()))
+    return search.ResiduationSearchResult(hits, exhausted, nodes)
 
 
 def join_irreducibles(l: FiniteLattice) -> list:

@@ -1,5 +1,6 @@
 """Command surface and exit-code contract."""
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,10 +13,11 @@ from girardlab import cli, girard, residuation, search, structfile
 from girardlab.cli import main
 from girardlab.render import export_dot, render_report
 from girardlab.reports import law_fail, law_pass
-from girardlab.catalog import chain, diamond_m3
-from girardlab.residuation import AdjointnessFailure, godel_chain
-from girardlab.search import confirm_boolean_forcing
-from girardlab.structfile import build_lattice, from_lattice, load, parse, serialize
+from girardlab.catalog import boolean_ortho, chain, diamond_m3
+from girardlab.residuation import AdjointnessFailure, boolean_residuation, godel_chain
+from girardlab.search import confirm_boolean_forcing, search_unital_residuation
+from girardlab.structfile import build_lattice, build_ortholattice, from_lattice, load, parse, \
+    serialize
 from girardlab.subspaces import QuantaleContext
 
 
@@ -310,6 +312,37 @@ class TestEnumerate:
         assert (code, out, err) == (2, "", "error: max_n must be in 1..10\n")
 
 
+EMPTY = hashlib.sha256(b"").hexdigest()
+# sha256 of stdout and the exit code of `search-residuation FILE --mode MODE` at the
+# default budget; a file the unital command rejects prints nothing on stdout
+SEARCH_PINS = {
+    ("integral", "boolean-2"): (0, "dbdf716b5a8ad90d47e473534a18447880686a62561ce6ec11ac6cefbf5245f4"),
+    ("integral", "boolean-4"): (0, "c160eadc954ec26e36bb3049480134a24bb55525a35962256e641de2090186d8"),
+    ("integral", "boolean-8"): (0, "337580e89803f8d8f15cdfb2bd1c381b856751ea0c29f6bdc08d5b4b04ca0222"),
+    ("integral", "godel-3"): (0, "491305c3f115dd670cc4808492a50618d27b7f3911f7761c5a6aa3d863a8b50b"),
+    ("integral", "lukasiewicz-3"): (0, "7f059707b641bf31fa3162723664acbe9c071f0358d33c75086c71810ad2e3a3"),
+    ("integral", "lukasiewicz-4"): (0, "588c432386f149a1cb0824e790b4390fa3dab8b181dd399bb30d375797c2d6a3"),
+    ("integral", "lukasiewicz-5"): (0, "1b1ecac4366932babf589bc5c80401f9f55b0e40b72735ac2adbbd336f7fcb20"),
+    ("integral", "m3"): (0, "1fdd1ff1c1569c85113128c4716d92a2ca4cb4db5377f9b536f0e41234ecab08"),
+    ("integral", "mo2"): (0, "3fc3c02f387880f2a3775c84af610f9b9f55e924b577de31f2806faf055c64aa"),
+    ("integral", "mo3"): (0, "1a2ce6d735c9b93dfaec5e1b042aa6a2d620514856609d94839f0be6ea8f9053"),
+    ("integral", "n5"): (0, "c2582dab63a973380b27e650bb0175bcf91a589fc5e0710440a48bebb5527df5"),
+    ("integral", "o6"): (0, "aec2968f0479a2b5fd9bed65dafcfc84fa66f78b388aabef2c439cf24ea4307f"),
+    ("unital", "boolean-2"): (0, "f4df48eb221dd1f661967a754e6729ea23f64fc23e24cce46cc0835dd9aeedeb"),
+    ("unital", "boolean-4"): (0, "294e26e1f8c2812bbbd3cde5f994134f9377ed3eb14739406de39dd83ec06357"),
+    ("unital", "boolean-8"): (0, "dc865765a9f85faf7767aa33b9c90f77bfde3a7428b4a50feb50ccfa78fd23ad"),
+    ("unital", "godel-3"): (2, EMPTY),
+    ("unital", "lukasiewicz-3"): (2, EMPTY),
+    ("unital", "lukasiewicz-4"): (2, EMPTY),
+    ("unital", "lukasiewicz-5"): (2, EMPTY),
+    ("unital", "m3"): (2, EMPTY),
+    ("unital", "mo2"): (0, "e9753825b6e96ac86f02fbd927d3d681d509205d1ba36e8f7c711071ec1fca74"),
+    ("unital", "mo3"): (0, "629a393cbccc6cb7f421448543ad05447b4329ff1f26de342e6b5b87cb71412d"),
+    ("unital", "n5"): (2, EMPTY),
+    ("unital", "o6"): (2, EMPTY),
+}
+
+
 class TestSearchResiduation:
     def test_integral_m3_empty(self, capsys, structures_dir):
         code, out, _ = run(
@@ -363,6 +396,27 @@ class TestSearchResiduation:
         )
         assert code == 0
         assert "exhausted=False" in out and "unit-downset-boolean-block" in out
+
+    def test_mo2_exhaustive_one_report_per_table(self, capsys, structures_dir):
+        # the unit-downset section lists the proposition's report for the
+        # unit of each table, in the order of the tables
+        path = structures_dir / "mo2.struct"
+        code, out, _ = run(capsys, "search-residuation", str(path), "--mode", "unital")
+        o = build_ortholattice(load(path))
+        result = search_unital_residuation(o.lattice)
+        assert code == 0 and result.exhausted and len(result.structures) == 248
+        reports = [girard.check_unit_downset_boolean(o, s) for s in result.structures]
+        section = render_report([("unit-downset", reports)], "human")
+        assert out.endswith("\n" + section) and out.count("unit-downset:") == 1
+
+    def test_output_pinned_on_every_file(self, capsys, structures_dir):
+        # both modes on the checked-in files, every byte of stdout
+        for (mode, name), pin in SEARCH_PINS.items():
+            code, out, _ = run(capsys, "search-residuation", str(structures_dir / f"{name}.struct"),
+                               "--mode", mode)
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == pin, (mode, name)
+        assert {name for _, name in SEARCH_PINS} == {
+            path.stem for path in structures_dir.glob("*.struct")}
 
     def test_closed_stdout_exits_one_silently(self, structures_dir):
         # the exhaustive MO2 search writes 89750 bytes, more than a pipe
@@ -567,6 +621,16 @@ class TestGen:
         assert code == 0
         sf = parse(out)
         assert sf.mul is not None and sf.unit is not None
+
+    @pytest.mark.parametrize("atoms", range(9))
+    def test_boolean_prints_the_canonical_residuation(self, capsys, atoms):
+        # the canonical multiplication is the meet, printed without
+        # deriving the residua it has
+        o = boolean_ortho(atoms)
+        lat = o.lattice
+        expected = serialize(from_lattice(lat, ortho=o.ortho, mul=boolean_residuation(lat).mul,
+                                          unit=lat.top, dualizing=lat.bottom))
+        assert run(capsys, "gen", "boolean", "--atoms", str(atoms)) == (0, expected, "")
 
     def test_boolean_atom_bound_is_an_input_error(self, capsys):
         code, out, err = run(capsys, "gen", "boolean", "--atoms", "9")

@@ -30,7 +30,7 @@ from girardlab.residuation import (
     ResiduationError,
 )
 from girardlab.search import search_unital_residuation
-from girardlab.structfile import build_ortholattice, load
+from girardlab.structfile import build_lattice, load
 
 # smallest non-commutative residuated monoid with a non-cyclic element,
 # found by exhaustive search over integral tables on chains (none exists
@@ -140,8 +140,8 @@ class TestResiduumCandidates:
 
     @pytest.fixture(scope="class", params=["mo2", "boolean-8"])
     def unital_tables(self, request, structures_dir):
-        o = build_ortholattice(load(structures_dir / f"{request.param}.struct"))
-        result = search_unital_residuation(o, budget=3_000_000)
+        lat = build_lattice(load(structures_dir / f"{request.param}.struct"))
+        result = search_unital_residuation(lat, budget=3_000_000)
         assert result.exhausted
         return result.structures
 

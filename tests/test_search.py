@@ -3,6 +3,7 @@ import itertools
 import pathlib
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from reference_search import LoopIntegralSearch, LoopUnitalSearch, NumpySetupSea
     reference_enumeration, scan_grow
 
 from girardlab import orders, search
-from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, chain, diamond_m3, \
+from girardlab.catalog import benzene_o6, boolean_cube, chain, diamond_m3, \
     horizontal_sum_mo, mo2_subspace_model
 from girardlab.girard import check_unit_downset_boolean, find_cyclic_dualizing
 from girardlab.orders import compute_lattice, is_complemented, validate_poset
-from girardlab.ortho import OrthoLattice, is_orthomodular
+from girardlab.ortho import is_orthomodular
 from girardlab.reports import InputError, law_pass
 from girardlab.residuation import check_associative, derive_residua, lukasiewicz_chain
 from girardlab.search import (
@@ -326,13 +327,11 @@ class TestConfirmBooleanForcing:
     @staticmethod
     def _tampered_sweep(monkeypatch, max_n, tamper):
         """The sweep to max_n with each search's tables replaced by
-        tamper(lattice, tables)."""
+        tamper(lattice, tables), which the sweep reads as `found`."""
         real = search.search_integral_residuation
 
         def tampered(lat, budget=None):
-            result = real(lat, budget)
-            result.found = tamper(lat, result.found)
-            return result
+            return SimpleNamespace(found=tamper(lat, real(lat, budget).found))
 
         monkeypatch.setattr(search, "search_integral_residuation", tampered)
         return sweep(max_n)
@@ -361,60 +360,54 @@ class TestConfirmBooleanForcing:
 
 class TestUnitalSearch:
     def test_boolean_square_includes_integral_meet(self):
-        o = boolean_ortho(2)
-        result = search_unital_residuation(o, budget=10_000)
+        lat = boolean_cube(2)
+        result = search_unital_residuation(lat, budget=10_000)
         assert result.exhausted
         hits = {tuple(m.ravel()) for m in result.found}
-        assert tuple(np.asarray(o.lattice.meet).ravel()) in hits
+        assert tuple(np.asarray(lat.meet).ravel()) in hits
         units = {s.flags.unit for s in result.structures}
-        assert o.lattice.top in units and len(units) > 1
+        assert lat.top in units and len(units) > 1
 
     def test_zero_budget(self):
-        result = search_unital_residuation(horizontal_sum_mo(2), budget=0)
+        result = search_unital_residuation(horizontal_sum_mo(2).lattice, budget=0)
         assert result.found == [] and not result.exhausted
 
     @pytest.mark.parametrize("mode", ["integral", "unital"])
     def test_zero_budget_on_one_element(self, mode):
         # the 1-element lattice's search needs no node, so it exhausts
-        o = boolean_ortho(0)
-        result = (search_integral_residuation(o.lattice, budget=0) if mode == "integral"
-                  else search_unital_residuation(o, budget=0))
+        lat = boolean_cube(0)
+        result = (search_integral_residuation(lat, budget=0) if mode == "integral"
+                  else search_unital_residuation(lat, budget=0))
         assert len(result.found) == 1 and result.exhausted and result.nodes == 0
 
     @pytest.mark.parametrize("budget", [1, 7, 13])  # the whole search takes 14 nodes
     def test_nodes_never_exceed_the_budget(self, budget):
-        result = search_unital_residuation(boolean_ortho(2), budget=budget)
+        result = search_unital_residuation(boolean_cube(2), budget=budget)
         assert not result.exhausted and result.nodes == budget
 
     def test_budget_cut_keeps_the_found_set(self):
         # a budget that runs out inside the last unit's search finds what
         # the unbounded search finds before that point
-        full = search_unital_residuation(boolean_ortho(2), budget=10_000)
-        cut = search_unital_residuation(boolean_ortho(2), budget=full.nodes - 1)
+        full = search_unital_residuation(boolean_cube(2), budget=10_000)
+        cut = search_unital_residuation(boolean_cube(2), budget=full.nodes - 1)
         assert full.exhausted and not cut.exhausted and cut.nodes == full.nodes - 1
         assert {m.tobytes() for m in cut.found} <= {m.tobytes() for m in full.found}
 
     def test_mo2_budgeted_hits_satisfy_downset_conclusions(self):
-        result = search_unital_residuation(horizontal_sum_mo(2), budget=20_000)
+        o = horizontal_sum_mo(2)
+        result = search_unital_residuation(o.lattice, budget=20_000)
         assert not result.exhausted  # full exploration needs 64244 nodes
         assert result.found  # non-Boolean orthomodular carriers with units exist
-        assert all(r.passed for r in result.downset_unit_reports)
+        assert all(check_unit_downset_boolean(o, s).passed for s in result.structures)
         for s in result.structures:
             assert s.flags.unit is not None and not s.flags.integral
-
-    def test_mo2_exhaustive_one_report_per_unit(self):
-        o = horizontal_sum_mo(2)
-        result = search_unital_residuation(o, budget=3_000_000)
-        assert result.exhausted and len(result.found) == 248
-        assert result.downset_unit_reports == [check_unit_downset_boolean(o, s)
-                                               for s in result.structures]
 
     def test_mo2_subspace_model_among_the_exhaustive_hits(self):
         # the multiplication MO2 inherits from the subspaces of R^2 is one
         # of the 248 unital tables: commutative and Girard, with the
         # orthocomplement as the negation of one cyclic dualizing element
         o, mul = mo2_subspace_model()
-        result = search_unital_residuation(o, budget=3_000_000)
+        result = search_unital_residuation(o.lattice, budget=3_000_000)
         assert result.exhausted and len(result.found) == 248
         (k,) = [k for k, m in enumerate(result.found) if m.tolist() == [list(r) for r in mul]]
         table, s = result.found[k], result.structures[k]
@@ -422,9 +415,23 @@ class TestUnitalSearch:
         certs = find_cyclic_dualizing(s)
         assert o.ortho in [cert.neg for cert in certs]
 
-    def test_requires_orthomodular(self):
-        with pytest.raises(InputError):
-            search_unital_residuation(benzene_o6(), budget=100)
+    def test_every_lattice_to_five_matches_per_unit_search(self):
+        # the search reads only the lattice, so it runs on lattices that
+        # are not orthomodular, M3, N5 and the chains among them; the
+        # reference searches every unit but the bottom without orbits
+        lattices = enumerate_lattices(5).lattices
+        assert len(lattices) == 10
+        for lat in lattices:
+            units = [lat.top] if lat.n == 1 else [e for e in range(lat.n) if e != lat.bottom]
+            new = _outcome(search_unital_residuation(lat, budget=None))
+            reference = _outcome(per_unit_search(lat, units, None))
+            assert new[2] and new[:3] == reference[:3], rows_of(lat)
+
+    def test_total_on_every_lattice_to_six(self):
+        results = [search_unital_residuation(lat, budget=None)
+                   for lat in enumerate_lattices(6).lattices]
+        assert len(results) == 25 and all(result.exhausted for result in results)
+        assert sum(len(result.structures) for result in results) == 2523
 
 
 def _outcome(result):
@@ -457,7 +464,7 @@ def _assert_same_tables(new, reference):
 def _run_outcome(run, budget=None):
     """The outcome of one searcher's run, its hits sorted."""
     hits, exhausted, nodes = run(budget=budget)
-    return sorted((m.tolist(), s.flags.unit) for m, s in hits), exhausted, nodes
+    return sorted((s.mul.tolist(), s.flags.unit) for s in hits), exhausted, nodes
 
 
 STRUCTURES = pathlib.Path(__file__).resolve().parent.parent / "structures"
@@ -476,7 +483,7 @@ def lattices_to_six():
 @pytest.fixture(scope="module")
 def mo2_tables():
     """The byte strings of the 248 tables of the exhaustive MO2 search."""
-    result = search_unital_residuation(build_ortholattice(load(STRUCTURES / "mo2.struct")),
+    result = search_unital_residuation(build_lattice(load(STRUCTURES / "mo2.struct")),
                                        budget=3_000_000)
     assert result.exhausted and len(result.found) == 248
     return {m.tobytes() for m in result.found}
@@ -544,7 +551,7 @@ class TestSearchBookkeeping:
                 searchers = (new, reference, PerValueSearch(lat, e))
                 (hits, exhausted, nodes), *references = [s.run(budget=2000) for s in searchers]
                 for ref_hits, ref_exhausted, ref_nodes in references:
-                    assert [m.tolist() for m, _ in hits] == [m.tolist() for m, _ in ref_hits]
+                    assert [s.mul.tolist() for s in hits] == [s.mul.tolist() for s in ref_hits]
                     assert (exhausted, nodes) == (ref_exhausted, ref_nodes)
 
     @pytest.mark.parametrize("name", ["mo2", "mo3"])
@@ -604,43 +611,38 @@ class TestSearchBookkeeping:
     def test_one_and_two_elements(self, monkeypatch, mode, atoms):
         # the 1-element lattice has no join-irreducibles, hence no cells;
         # on the 2-element lattice the unit pins the one cell in both modes
-        o = boolean_ortho(atoms)
-        run, carrier = ((search_integral_residuation, o.lattice) if mode == "integral"
-                        else (search_unital_residuation, o))
-        new = _outcome(run(carrier))
+        lat = boolean_cube(atoms)
+        run = search_integral_residuation if mode == "integral" else search_unital_residuation
+        new = _outcome(run(lat))
         assert len(new[0]) == 1 and new[2] and new[3] == atoms
-        _assert_same_tables(new, _reference_outcome(monkeypatch, PLAIN, run, carrier))
+        _assert_same_tables(new, _reference_outcome(monkeypatch, PLAIN, run, lat))
 
     @pytest.mark.parametrize("name", ["boolean-2", "boolean-4"])
     def test_unital_exhaustive(self, monkeypatch, name):
-        o = build_ortholattice(load(STRUCTURES / f"{name}.struct"))
-        new = _outcome(search_unital_residuation(o))
+        lat = build_lattice(load(STRUCTURES / f"{name}.struct"))
+        new = _outcome(search_unital_residuation(lat))
         assert new[2]  # exhausted
         _assert_same_tables(new, _reference_outcome(monkeypatch, LOOP,
-                                                    search_unital_residuation, o))
+                                                    search_unital_residuation, lat))
 
     @pytest.mark.parametrize("name", ["mo2", "mo3"])
     @pytest.mark.parametrize("budget", [1, 37, 5000, 20_000])
     def test_unital_budgeted(self, monkeypatch, mo2_tables, name, budget):
-        o = build_ortholattice(load(STRUCTURES / f"{name}.struct"))
-        result = search_unital_residuation(o, budget=budget)
+        lat = build_lattice(load(STRUCTURES / f"{name}.struct"))
+        result = search_unital_residuation(lat, budget=budget)
         assert result.nodes == budget and not result.exhausted
         tables = {m.tobytes() for m in result.found}
-        reference = _reference_outcome(monkeypatch, LOOP, search_unital_residuation, o, budget)
+        reference = _reference_outcome(monkeypatch, LOOP, search_unital_residuation, lat, budget)
         assert {np.array(m).tobytes() for m in reference[0]} <= tables
         if name == "mo2":
             assert tables <= mo2_tables
 
 
-def relabeled_ortho(o, perm):
-    """The ortholattice o with each element i renamed perm[i]."""
-    n = o.n
-    leq = np.zeros((n, n), dtype=bool)
-    leq[np.ix_(perm, perm)] = o.lattice.leq
-    ortho = [0] * n
-    for i in range(n):
-        ortho[perm[i]] = perm[o.ortho[i]]
-    return OrthoLattice(compute_lattice(validate_poset(leq)), tuple(ortho))
+def relabeled_lattice(lat, perm):
+    """The lattice lat with each element i renamed perm[i]."""
+    leq = np.zeros((lat.n, lat.n), dtype=bool)
+    leq[np.ix_(perm, perm)] = lat.leq
+    return compute_lattice(validate_poset(leq))
 
 
 def _is_automorphism(leq, sigma):
@@ -737,25 +739,21 @@ class TestOrderAutomorphism:
                 assert relabeled(p, sigma) == q, (p, q, sigma)
 
 
-def _orbit_outcome(result):
-    return ([m.tolist() for m in result.found], [s.flags.unit for s in result.structures],
-            result.downset_unit_reports, result.exhausted)
-
-
 def _orthomodular_files():
-    """(name, carrier) for each checked-in file whose ortholattice is orthomodular."""
+    """(name, lattice) for each checked-in file whose ortholattice is
+    orthomodular, the carriers the unital command accepts."""
     carriers = []
     for path in STRUCTURE_FILES:
         sf = load(path)
         if sf.ortho is not None and is_orthomodular(o := build_ortholattice(sf)):
-            carriers.append((path.stem, o))
+            carriers.append((path.stem, o.lattice))
     return carriers
 
 
 ORTHOMODULAR = _orthomodular_files()
 RELABELED = [(f"{name}-relabeled-{seed}",
-              relabeled_ortho(o, random.Random(seed).sample(range(o.n), o.n)))
-             for name, o in ORTHOMODULAR if name in ("mo2", "boolean-8") for seed in (1, 2, 3)]
+              relabeled_lattice(lat, random.Random(seed).sample(range(lat.n), lat.n)))
+             for name, lat in ORTHOMODULAR if name in ("mo2", "boolean-8") for seed in (1, 2, 3)]
 
 
 class TestUnitOrbits:
@@ -766,17 +764,17 @@ class TestUnitOrbits:
         assert [name for name, _ in ORTHOMODULAR] == ["boolean-2", "boolean-4", "boolean-8",
                                                        "mo2", "mo3"]
 
-    @pytest.mark.parametrize("name, o", ORTHOMODULAR + RELABELED,
+    @pytest.mark.parametrize("name, lat", ORTHOMODULAR + RELABELED,
                              ids=[name for name, _ in ORTHOMODULAR + RELABELED])
-    def test_matches_per_unit_search(self, monkeypatch, name, o):
+    def test_matches_per_unit_search(self, monkeypatch, name, lat):
         # every carrier but MO3 exhausts within the budget; on MO3 both
         # searches spend all of it on the first atom
         budget = 500_000
-        new = search_unital_residuation(o, budget=budget)
+        new = search_unital_residuation(lat, budget=budget)
         with monkeypatch.context() as patch:
             patch.setattr(search, "_search", per_unit_search)
-            reference = search_unital_residuation(o, budget=budget)
-        assert _orbit_outcome(new) == _orbit_outcome(reference)
+            reference = search_unital_residuation(lat, budget=budget)
+        assert _outcome(new)[:3] == _outcome(reference)[:3]
         assert new.exhausted == (name != "mo3")
         assert new.nodes <= reference.nodes
 
@@ -790,10 +788,10 @@ class TestUnitOrbits:
 
         monkeypatch.setattr(search, "_order_automorphism", swap)
         with pytest.raises(RuntimeError, match="not an order automorphism"):
-            search_unital_residuation(boolean_ortho(2), budget=10_000)
+            search_unital_residuation(boolean_cube(2), budget=10_000)
 
     def test_a_mapped_table_failing_its_leaf_is_an_internal_error(self, monkeypatch):
         leaf = search._leaf
         monkeypatch.setattr(search, "_leaf", lambda l, e, m: leaf(l, e, m) if e == 1 else None)
         with pytest.raises(RuntimeError, match="fails for unit 2"):
-            search_unital_residuation(boolean_ortho(2), budget=10_000)
+            search_unital_residuation(boolean_cube(2), budget=10_000)
