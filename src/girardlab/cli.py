@@ -383,8 +383,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rn-op", help="evaluate one subspace operation")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--op", choices=("mul", "meet", "join", "ortho", "residuum"), required=True)
-    p.add_argument("--a", required=True, help="vectors, semicolon-separated comma lists")
-    p.add_argument("--b", help="second operand, same syntax")
+    p.add_argument("--a", required=True,
+                   help="vectors, semicolon-separated comma lists; write --a=-1,0 when "
+                        "the value starts with a minus sign")
+    p.add_argument("--b", help="second operand, same syntax (--b=-1,0 likewise)")
     p.set_defaults(func=cmd_rn_op)
 
     p = sub.add_parser("gen", help="emit a structure file for a standard family")

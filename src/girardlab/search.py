@@ -61,13 +61,13 @@ it completes (see _IrreducibleTableSearch).  A completed row also
 finalises the full table rows of the elements whose irreducibles all
 have rows by then, and two laws every solution satisfies prune on them:
 L, the join law in the left argument, and A, associativity on pairs of
-irreducibles.  Both read only rows of the current branch.  The value of
-a row's last cell changes only the row's entries above the last
-irreducible, so the row checks that read none of them, all but the
-unit column, run once per visit of that cell, before its values, and
-the rest once per value.
-When a check of the visit fails, no value passes: the visit charges the
-nodes its value loop would count and visits nothing.  Every
+irreducibles.  Both read only rows of the current branch.  L and each
+row's join law read only pairs with an irreducible member, which imply
+the rest on monotone rows.  A row's last value changes only its entries
+above the last irreducible, so the checks that read none of them, all
+but the unit column, run once per visit of that cell and the rest per
+value.  When a check of the visit fails, no value passes: the visit
+charges the nodes its value loop would count and visits nothing.  Every
 solution a search emits is re-verified through derive_residua, which
 shares no code with the searcher's pruning.  A leaf is one check: the
 two-sided unit law, then associativity, then residuated_structure.
@@ -346,18 +346,18 @@ class _IrreducibleTableSearch:
       are equal;
     - when the row of the irreducible i at position t is complete, its
       join-extension R_t[y] = \\/ {a(i, j) : j <= y irreducible} is
-      computed and cached.  By monotonicity it is row i of the full
-      extension, and row x, full(x), is the join of R_s over the
-      positions s of the greatest irreducibles below x.
+      computed.  By monotonicity it is row i of the full extension, and
+      row x, full(x), is the join of R_s over the positions s of the
+      greatest irreducibles below x; R_t is kept only as full(i).
 
     full(x) is final once every irreducible below x has its row, that
     is when the row at position maxpos[x], the greatest position of an
-    irreducible below x, completes; it is cached then.  Every row and
-    full row read at position t was written on the current branch, as
-    only those at positions up to t are read.  A leaf table is the
-    join-extension, and _leaf rejects it unless it is associative and
-    residuated, hence join-preserving in each argument.  So two laws
-    that only final rows enter prune soundly when row t completes:
+    irreducible below x, completes; it is cached then.  Every full row
+    read at position t was written on the current branch, as only those
+    at positions up to t are read.  A leaf table is the join-extension,
+    and _leaf rejects it unless it is associative and residuated, hence
+    join-preserving in each argument.  So two laws that only final rows
+    enter prune soundly when row t completes:
 
     - L, the left law: full(a \\/ b) = full(a) \\/ full(b) for each
       incomparable pair a, b with maxpos[a \\/ b] = t (comparable pairs
@@ -367,21 +367,29 @@ class _IrreducibleTableSearch:
       max(p, q, maxpos[x*y]) = t.  Before that, one of the rows it reads
       is not final.
 
+    L and each row's join law are checked only on pairs with an
+    irreducible member: a monotone f, as R_t and full are, preserves
+    joins if f(x \\/ j) = f(x) \\/ f(j) for each irreducible j (join those
+    below b onto a in turn; each step is below a \\/ b, checked by row t).
+
     Row t completes in two steps.  The last irreducible has the greatest
     height, so it is one of the greatest irreducibles below each element
     above it, and the value v of the row's last cell enters only the
     entries at those elements.  row_visit runs once per visit of the last
     cell: it joins the row without v, the partial row, and checks what v
-    cannot change: the consistency of the incomparable pairs whose join
-    is not above, that partial[a] \\/ partial[b] is one element for each
-    join a \\/ b above a and b that are not, and that full(a) \\/ full(b)
-    is one row for each a \\/ b over the pairs of L final before t.  When
-    one fails, no value passes: the visit charges the nodes its value
-    loop would count, each value up to the budget, and visits nothing.
-    row_ok runs the rest per value: one comparison for each such join,
-    the unit column, the pairs with a member above, the other pairs of
-    L, and A.  Each check is a conjunct of the row's verdict, so the
-    nodes are those of a search that runs every check per value.
+    cannot change: that partial[a] \\/ partial[b] is one element over
+    the pairs with neither member above that share a \\/ b, and that
+    full(a) \\/ full(b) is one row over the pairs of L final before t
+    that share a \\/ b.  When one fails, no value passes: the visit
+    charges the nodes its value loop would count, each value up to the
+    budget, and visits nothing.  row_ok runs the rest per value: one
+    comparison for each join above, the unit column, the pairs with a
+    member above, the other pairs of L, and A.  Each check is a conjunct
+    of the row's verdict, so the nodes are those of a search that runs
+    every check per value.  Where a \\/ b is not above, the one element
+    is partial[a \\/ b], as each irreducible j below a \\/ b lies below a
+    member of a pair of the group: a or b, else j of (b, j) or b \\/ j of
+    (a, b \\/ j), taking a irreducible.
     """
 
     def __init__(self, l: FiniteLattice, e: int):
@@ -417,7 +425,6 @@ class _IrreducibleTableSearch:
                      for t in range(r) for s in range(r)]
         self.domains = [self.domain(i, j) for i, j in self.cells]
         self.values = [l.bottom] * len(self.cells)  # values[k]: the value of cell k
-        self.rows: List[Optional[List[int]]] = [None] * r  # R_t, by position t
         self.full: List[Optional[List[int]]] = [None] * l.n  # full(x), once final
         self.full[l.bottom] = [l.bottom] * l.n
         # the row without its last cell joins the other greatest irreducibles;
@@ -428,12 +435,10 @@ class _IrreducibleTableSearch:
                               for tops, last in zip(self.tops, ends_last)]
         self.above_last = [y for y, last in enumerate(ends_last) if last]
         self.maxpos = maxpos = [tops[-1] if tops else -1 for tops in self.tops]
-        # only incomparable pairs (a, b) can break the join consistency of a
-        # monotone row: for a <= b it reads row[b] = row[a] \/ row[b].  The
-        # elements above irr[r - 1] are an up-set, so a pair reads the last
-        # value at none of its entries (fixed_pairs), only at a \/ b
-        # (joined_pairs, by a \/ b) or at a or b (value_pairs)
-        self.fixed_pairs, self.value_pairs = [], []
+        # incomparable pairs with an irreducible member (class docstring);
+        # a pair reads the last value at a or b (value_pairs) or at most at
+        # a \/ b (joined_pairs, by a \/ b, flagged when it is above irr[r - 1])
+        self.value_pairs = []
         joined: Dict[int, list] = {}
         # what row t's completion finalises and checks, by position t: the
         # full rows and L by maxpos, L's pairs final before t by a \/ b
@@ -443,31 +448,29 @@ class _IrreducibleTableSearch:
         left_fixed: Dict[int, list] = {}
         join = self.join_rows
         for a, b, ab in [(a, b, join[a][b]) for a in range(n) for b in range(a + 1, n)
-                         if not (leq[a][b] or leq[b][a])]:
+                         if (a in lower or b in lower) and not (leq[a][b] or leq[b][a])]:
             if ends_last[a] or ends_last[b]:
                 self.value_pairs.append((a, b, ab))
-            elif ends_last[ab]:
-                joined.setdefault(ab, []).append((a, b))
             else:
-                self.fixed_pairs.append((a, b, ab))
+                joined.setdefault(ab, []).append((a, b))
             if maxpos[a] < maxpos[ab] > maxpos[b]:
                 left_fixed.setdefault(ab, []).append((a, b))
             else:
                 self.left_law[maxpos[ab]].append((a, b, ab))
-        self.joined_pairs = list(joined.items())
+        self.joined_pairs = [(ab, ends_last[ab], pairs) for ab, pairs in joined.items()]
         for ab, pairs in left_fixed.items():
             self.left_fixed[maxpos[ab]].append((ab, pairs))
-        # each element with the positions of its earlier rows
+        # each element with the irreducibles of its earlier rows
         for x, tops in enumerate(self.tops):
             if tops:
-                self.finals[tops[-1]].append((x, tops[:-1]))
-        # (cell index, p, q) by max(p, q): row t reads the first (t + 1) ** 2,
-        # the cells with p, q <= t, and its own from t ** 2 on, those with
-        # p = t or q = t
+                self.finals[tops[-1]].append((x, [irr[s] for s in tops[:-1]]))
+        # (cell index, irr[p], irr[q]) by max(p, q): row t reads the first
+        # (t + 1) ** 2, the cells with p, q <= t, and its own from t ** 2 on,
+        # those with p = t or q = t
         self.pairs = []
         for t in range(r):
-            self.pairs += [(t * r + s, t, s) for s in range(t)]
-            self.pairs += [(s * r + t, s, t) for s in range(t + 1)]
+            self.pairs += [(t * r + s, irr[t], irr[s]) for s in range(t)]
+            self.pairs += [(s * r + t, irr[s], irr[t]) for s in range(t + 1)]
 
     def domain(self, i: int, j: int) -> List[int]:
         """The values cell (i, j) ranges over, in search order.  The unit
@@ -489,11 +492,11 @@ class _IrreducibleTableSearch:
     def row_visit(self, t: int) -> Optional[tuple]:
         """Run once per visit of row t's last cell, before its values: the
         checks of row t that the last value cannot change.  None when one
-        fails, else what row_ok reads for each value: the row without
-        the last value, the join each of joined_pairs must reach, the full
+        fails, else what row_ok reads for each value: the partial row,
+        the join each moving group of joined_pairs must reach, the full
         row L asks of each of left_fixed[t], and the join of the earlier
         rows of each element the row finalises, or None when it has none."""
-        join, rows, full, r = self.join_rows, self.rows, self.full, len(self.irr)
+        join, full, r = self.join_rows, self.full, len(self.irr)
         bottom, products = self.l.bottom, self.values[t * r:(t + 1) * r]
         partial = []
         for tops in self.tops_but_last:
@@ -501,17 +504,15 @@ class _IrreducibleTableSearch:
             for s in tops:
                 acc = join[acc][products[s]]
             partial.append(acc)
-        for a, b, ab in self.fixed_pairs:
-            if partial[ab] != join[partial[a]][partial[b]]:
-                return None
         joins = []
-        for ab, pairs in self.joined_pairs:
+        for ab, moving, pairs in self.joined_pairs:
             a, b = pairs[0]
             target = join[partial[a]][partial[b]]
             for a, b in pairs[1:]:
                 if join[partial[a]][partial[b]] != target:
                     return None
-            joins.append((partial[ab], target))
+            if moving:
+                joins.append((partial[ab], target))
         laws = []
         for ab, pairs in self.left_fixed[t]:
             a, b = pairs[0]
@@ -522,18 +523,18 @@ class _IrreducibleTableSearch:
             laws.append((ab, target))
         earlier = []
         for x, tops in self.finals[t]:
-            acc = rows[tops[0]] if tops else None
-            for s in tops[1:]:
-                acc = [join[u][w] for u, w in zip(acc, rows[s])]
+            acc = full[tops[0]] if tops else None
+            for i in tops[1:]:
+                acc = [join[u][w] for u, w in zip(acc, full[i])]
             earlier.append((x, acc))
         return partial, joins, laws, earlier
 
     def row_ok(self, t: int, v: int, visit: tuple) -> bool:
         """Called when row t completes with last value v, after row_visit
         passed: the checks that read v.  Row t's join consistency and the
-        unit column must hold; then R_t and the full rows it finalises
-        are cached, and L and A must hold."""
-        join, rows, full = self.join_rows, self.rows, self.full
+        unit column must hold; then the full rows it finalises, R_t
+        among them, are cached, and L and A must hold."""
+        join, full = self.join_rows, self.full
         partial, joins, laws, earlier = visit
         join_v = join[v]
         for at_ab, target in joins:
@@ -547,7 +548,6 @@ class _IrreducibleTableSearch:
         for a, b, ab in self.value_pairs:
             if row[ab] != join[row[a]][row[b]]:
                 return False
-        rows[t] = row
         for x, acc in earlier:
             full[x] = row if acc is None else [join[u][w] for u, w in zip(acc, row)]
         for ab, target in laws:
@@ -559,17 +559,17 @@ class _IrreducibleTableSearch:
         values, maxpos, pairs = self.values, self.maxpos, self.pairs
         # A on the cells with p = t or q = t once full(x*y) is final, and
         # on the earlier cells when it becomes final with this row
-        for k, p, q in pairs[t * t:(t + 1) ** 2]:
+        for k, x, y in pairs[t * t:(t + 1) ** 2]:
             xy = values[k]
             if maxpos[xy] <= t:
-                row_x = rows[p]
-                if [row_x[u] for u in rows[q]] != full[xy]:
+                row_x = full[x]
+                if [row_x[u] for u in full[y]] != full[xy]:
                     return False
-        for k, p, q in islice(pairs, t * t):
+        for k, x, y in islice(pairs, t * t):
             xy = values[k]
             if maxpos[xy] == t:
-                row_x = rows[p]
-                if [row_x[u] for u in rows[q]] != full[xy]:
+                row_x = full[x]
+                if [row_x[u] for u in full[y]] != full[xy]:
                     return False
         return True
 

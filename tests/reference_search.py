@@ -68,7 +68,10 @@ change once per visit of that cell and, when one fails, charges the
 nodes of the whole value loop.  `PerValueRows` restores that row
 completion and its loop; mixed in ahead of `_IrreducibleTableSearch` it
 shares the cells, domains and monotonicity bounds, so it must find the
-same tables in exactly as many nodes, at any budget.
+same tables in exactly as many nodes, at any budget.  It checks each
+row's join law and the left law on every incomparable pair, where the
+searcher checks only the pairs with a join-irreducible member, so it is
+also the oracle of that reduction.
 
 Each search runs one unit and returns its hits in search order.
 
@@ -255,6 +258,7 @@ class PlainSearch:
     def __init__(self, l: FiniteLattice, e: int):
         super().__init__(l, e)
         self.incomparable = incomparable_pairs(self)
+        self.rows: List[Optional[List[int]]] = [None] * len(self.irr)  # R_t, by position t
 
     def row_ok(self, i: int) -> bool:
         """Caches R_i; the unit column and the row's join consistency
@@ -434,12 +438,14 @@ class LoopUnitalSearch(LoopSearch, UnitPins, search._IrreducibleTableSearch):
 
 
 class PerValueRows:
-    """_IrreducibleTableSearch's row completion with every check per value."""
+    """_IrreducibleTableSearch's row completion with every check per value,
+    on every incomparable pair."""
 
     def __init__(self, l: FiniteLattice, e: int):
         super().__init__(l, e)
         r = len(self.irr)
         self.incomparable = incomparable_pairs(self)
+        self.rows: List[Optional[List[int]]] = [None] * r  # R_t, by position t
         self.finals = [[] for _ in range(r)]
         self.left_law = [[] for _ in range(r)]
         for x, tops in enumerate(self.tops):
@@ -588,12 +594,14 @@ class NumpySetup:
         covers = _true_columns(_greatest(irr_lt.T, irr_lt))
         self.lows = [[c * r + s for c in covers[t]] + [t * r + c for c in covers[s]]
                      for t in range(r) for s in range(r)]
-        a, b = np.nonzero(np.triu(~(l.leq | l.leq.T)))
+        # the incomparable pairs with an irreducible member
+        member = np.zeros(l.n, dtype=bool)
+        member[irr] = True
+        a, b = np.nonzero(np.triu(~(l.leq | l.leq.T) & (member[:, None] | member)))
         incomparable = list(zip(a.tolist(), b.tolist(), l.join[a, b].tolist()))
         self.downs = _true_columns(l.leq.T)
         self.domains = [self.domain(i, j) for i, j in self.cells]
         self.values = [l.bottom] * len(self.cells)
-        self.rows: List[Optional[List[int]]] = [None] * r
         self.full: List[Optional[List[int]]] = [None] * l.n
         self.full[l.bottom] = [l.bottom] * l.n
         ends_last = [bool(tops) and tops[-1] == r - 1 for tops in self.tops]
@@ -603,20 +611,19 @@ class NumpySetup:
         self.maxpos = [tops[-1] if tops else -1 for tops in self.tops]
         # the elements above the last irreducible, as a boolean row
         above = l.leq[self.irr[-1]].tolist() if r else [False] * l.n
-        self.fixed_pairs = [(a, b, ab) for a, b, ab in incomparable if not above[ab]]
         self.value_pairs = [(a, b, ab) for a, b, ab in incomparable if above[a] or above[b]]
         joined: Dict[int, list] = {}
         for a, b, ab in incomparable:
-            if above[ab] and not (above[a] or above[b]):
+            if not (above[a] or above[b]):
                 joined.setdefault(ab, []).append((a, b))
-        self.joined_pairs = list(joined.items())
+        self.joined_pairs = [(ab, above[ab], pairs) for ab, pairs in joined.items()]
         maxpos = self.maxpos
         self.finals: List[list] = [[] for _ in range(r)]
         self.left_fixed: List[list] = [[] for _ in range(r)]
         self.left_law: List[list] = [[] for _ in range(r)]
         for x, tops in enumerate(self.tops):
             if tops:
-                self.finals[maxpos[x]].append((x, tops[:-1]))
+                self.finals[maxpos[x]].append((x, [self.irr[s] for s in tops[:-1]]))
         left_fixed: Dict[int, list] = {}
         for a, b, ab in incomparable:
             if maxpos[a] < maxpos[ab] and maxpos[b] < maxpos[ab]:
@@ -627,8 +634,8 @@ class NumpySetup:
             self.left_fixed[maxpos[ab]].append((ab, pairs))
         self.pairs = []
         for t in range(r):
-            self.pairs += [(t * r + s, t, s) for s in range(t)]
-            self.pairs += [(s * r + t, s, t) for s in range(t + 1)]
+            self.pairs += [(t * r + s, self.irr[t], self.irr[s]) for s in range(t)]
+            self.pairs += [(s * r + t, self.irr[s], self.irr[t]) for s in range(t + 1)]
 
     def domain(self, i: int, j: int) -> List[int]:
         e, below_irr, l = self.e, self.below_irr, self.l

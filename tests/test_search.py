@@ -15,7 +15,8 @@ from reference_search import LoopIntegralSearch, LoopUnitalSearch, NumpySetupSea
 from girardlab import orders, search
 from girardlab.catalog import benzene_o6, boolean_cube, chain, diamond_m3, \
     horizontal_sum_mo, mo2_subspace_model
-from girardlab.girard import check_unit_downset_boolean, find_cyclic_dualizing
+from girardlab.girard import check_unit_downset_boolean, find_cyclic_dualizing, \
+    girard_equivalences
 from girardlab.orders import compute_lattice, is_complemented, validate_poset
 from girardlab.ortho import is_orthomodular
 from girardlab.reports import InputError, law_pass
@@ -415,6 +416,18 @@ class TestUnitalSearch:
         certs = find_cyclic_dualizing(s)
         assert o.ortho in [cert.neg for cert in certs]
 
+    def test_mo2_census(self, mo2_search):
+        # the Girard census of the exhaustive MO2 search, from the flags,
+        # the Girard recognitions and their certificates alone
+        ortho = build_ortholattice(load(STRUCTURES / "mo2.struct")).ortho
+        structures = mo2_search.structures
+        reports = [girard_equivalences(s) for s in structures]
+        assert len(structures) == 248
+        assert sum(s.flags.commutative for s in structures) == 224
+        assert sum(report.has_cyclic_dualizer for report in reports) == 136
+        assert sum(any(cert.neg == ortho for cert in report.certificates)
+                   for report in reports) == 40
+
     def test_every_lattice_to_five_matches_per_unit_search(self):
         # the search reads only the lattice, so it runs on lattices that
         # are not orthomodular, M3, N5 and the chains among them; the
@@ -481,12 +494,18 @@ def lattices_to_six():
 
 
 @pytest.fixture(scope="module")
-def mo2_tables():
-    """The byte strings of the 248 tables of the exhaustive MO2 search."""
+def mo2_search():
+    """The exhaustive unital search on MO2, with its 248 tables."""
     result = search_unital_residuation(build_lattice(load(STRUCTURES / "mo2.struct")),
                                        budget=3_000_000)
     assert result.exhausted and len(result.found) == 248
-    return {m.tobytes() for m in result.found}
+    return result
+
+
+@pytest.fixture(scope="module")
+def mo2_tables(mo2_search):
+    """The byte strings of the 248 tables of the exhaustive MO2 search."""
+    return {m.tobytes() for m in mo2_search.found}
 
 
 class TestSearchBookkeeping:
@@ -540,8 +559,8 @@ class TestSearchBookkeeping:
         # unit of every lattice on at most 7 elements and of each file:
         # the same bookkeeping, and the same run within a budget, also
         # by the searcher that runs every row check per value
-        fields = ("irr", "tops", "lows", "domains", "fixed_pairs", "joined_pairs", "value_pairs",
-                  "finals", "left_fixed", "left_law", "pairs")
+        fields = ("irr", "tops", "lows", "domains", "joined_pairs", "value_pairs", "finals",
+                  "left_fixed", "left_law", "pairs")
         files = [build_lattice(load(path)) for path in STRUCTURE_FILES]
         for lat in enumerate_lattices(7).lattices + files:
             for e in range(lat.n):
@@ -553,6 +572,33 @@ class TestSearchBookkeeping:
                 for ref_hits, ref_exhausted, ref_nodes in references:
                     assert [s.mul.tolist() for s in hits] == [s.mul.tolist() for s in ref_hits]
                     assert (exhausted, nodes) == (ref_exhausted, ref_nodes)
+
+    def test_pairs_have_an_irreducible_member(self):
+        # the row law's pairs (value_pairs and joined_pairs) and the left
+        # law's (left_law and left_fixed) are each exactly the incomparable
+        # pairs with a join-irreducible member
+        for lat, count in [(boolean_cube(3), 6), (boolean_cube(6), 171), (boolean_cube(8), 988),
+                           (build_lattice(load(STRUCTURES / "mo3.struct")), 15)]:
+            searcher = search._IrreducibleTableSearch(lat, lat.top)
+            irr = set(join_irreducibles(lat))
+            want = sorted((a, b) for a, b in itertools.combinations(range(lat.n), 2)
+                          if not (lat.leq[a, b] or lat.leq[b, a]) and {a, b} & irr)
+            row_law = [(a, b) for a, b, _ in searcher.value_pairs]
+            row_law += [pair for _, _, pairs in searcher.joined_pairs for pair in pairs]
+            left_law = [(a, b) for law in searcher.left_law for a, b, _ in law]
+            left_law += [pair for law in searcher.left_fixed for _, pairs in law for pair in pairs]
+            assert len(want) == count and sorted(row_law) == sorted(left_law) == want
+
+    @pytest.mark.parametrize("unit", ["atom", "top"])
+    def test_irreducible_pairs_on_boolean_64(self, unit):
+        # where the reduction drops most pairs (171 of 1351): the same run
+        # as the searcher that checks every incomparable pair
+        lat = boolean_cube(6)
+        e = _atoms(lat)[0] if unit == "atom" else lat.top
+        new, reference = [searcher.run(budget=300) for searcher in
+                          (search._IrreducibleTableSearch(lat, e), PerValueSearch(lat, e))]
+        assert [s.mul.tolist() for s in new[0]] == [s.mul.tolist() for s in reference[0]]
+        assert new[1:] == reference[1:]
 
     @pytest.mark.parametrize("name", ["mo2", "mo3"])
     def test_failed_visits_charge_their_domain(self, name):
@@ -636,6 +682,74 @@ class TestSearchBookkeeping:
         assert {np.array(m).tobytes() for m in reference[0]} <= tables
         if name == "mo2":
             assert tables <= mo2_tables
+
+
+def _join_closures(lat, rng, members):
+    """Batches of 150 maps f(x) = \\/ {g(y) : y <= x, y in members}, each
+    monotone, from random maps g with 1, 2, 3 or all values off the
+    bottom; a sparse g often gives an f that preserves joins."""
+    for off_bottom in (1, 2, 3, lat.n):
+        keep = rng.permuted(np.arange(lat.n) < np.full((150, 1), off_bottom), axis=1)
+        g = np.where(keep, rng.integers(lat.n, size=(150, lat.n)), lat.bottom)
+        f = np.full_like(g, lat.bottom)
+        for y in members:
+            f = np.where(lat.leq[y], lat.join[f, g[:, [y]]], f)
+        yield f
+
+
+class TestJoinLemma:
+    """Why the searcher checks its join laws only on pairs with a
+    join-irreducible member, apart from the searcher, on every lattice
+    with at most 7 elements."""
+
+    def test_irreducible_pairs_decide_join_preservation(self):
+        # a monotone self-map f preserves binary joins iff
+        # f(x \\/ j) = f(x) \\/ f(j) for each irreducible j incomparable with x
+        rng = np.random.default_rng(0)
+        maps = preserving = atoms_wrong = 0
+        for lat in enumerate_lattices(7).lattices:
+            join, incomparable = lat.join, ~(lat.leq | lat.leq.T)
+
+            def pairs(members):
+                xs, js = np.nonzero(incomparable[:, members])
+                return xs, members[js]
+
+            xs, js = pairs(np.array(join_irreducibles(lat), dtype=np.intp))
+            atom_xs, atom_js = pairs(np.array(_atoms(lat), dtype=np.intp))
+            for f in _join_closures(lat, rng, range(lat.n)):
+                every = (f[:, join] == join[f[:, :, None], f[:, None, :]]).all(axis=(1, 2))
+                some = (f[:, join[xs, js]] == join[f[:, xs], f[:, js]]).all(axis=1)
+                assert (every == some).all(), rows_of(lat)
+                atoms = (f[:, join[atom_xs, atom_js]] == join[f[:, atom_xs], f[:, atom_js]])
+                atoms_wrong += (atoms.all(axis=1) != every).sum()
+                maps += len(f)
+                preserving += every.sum()
+        # both verdicts are common, and the atoms alone would not do
+        assert maps == 78 * 4 * 150  # the 78 lattices on at most 7 elements
+        assert maps / 4 < preserving < maps * 3 / 4 and atoms_wrong > 0
+
+    def test_agreeing_pairs_join_to_the_extension(self):
+        # why row_visit compares no partial[a \\/ b] where a \\/ b is not
+        # above the last irreducible: for f joined up from values on the
+        # irreducibles, the incomparable pairs with an irreducible member
+        # and join c that agree on f(a) \\/ f(b) agree on f(c)
+        rng = np.random.default_rng(1)
+        agree = disagree = 0
+        for lat in enumerate_lattices(7).lattices:
+            irr = join_irreducibles(lat)
+            groups = {}
+            for a, b in itertools.combinations(range(lat.n), 2):
+                if not (lat.leq[a, b] or lat.leq[b, a]) and {a, b} & set(irr):
+                    groups.setdefault(lat.join[a, b], []).append((a, b))
+            for f in _join_closures(lat, rng, irr):
+                for c, pairs in groups.items():
+                    a, b = np.array(pairs).T
+                    joins = lat.join[f[:, a], f[:, b]]
+                    one = (joins == joins[:, :1]).all(axis=1)
+                    assert (joins[one, 0] == f[one, c]).all(), (rows_of(lat), c)
+                    agree += one.sum()
+                    disagree += (~one).sum()
+        assert agree > disagree > 0
 
 
 def relabeled_lattice(lat, perm):
