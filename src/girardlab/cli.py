@@ -120,7 +120,8 @@ def cmd_verify(args) -> int:
         info += [f"distributive: {dist}", f"complemented: {comp}", f"boolean: {dist and comp}"]
 
     if sf.ortho is not None:
-        reports = [check_inversion(poset, sf.ortho)]
+        # on the lattice when there is one, where check_ortholattice finds the report
+        reports = [check_inversion(poset if lattice is None else lattice, sf.ortho)]
         sections.append(("inversion", reports))
         if lattice is not None and reports[0].passed:
             olat = OrthoLattice(lattice, sf.ortho)

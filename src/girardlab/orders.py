@@ -3,8 +3,9 @@
 Elements are the indices 0..n-1.  A poset is an n x n boolean matrix
 ``leq`` with ``leq[i, j]`` meaning i <= j; a lattice adds integer meet and
 join tables.  All containers are immutable after construction and safe to
-share between threads; a lattice's distributivity is computed at first
-use, the same value whichever thread asks.
+share between threads; a lattice's distributivity and a poset's report
+on each inversion checked are computed at first use, the same value
+whichever thread asks.
 
 Every law scan is one boolean mask over index tuples, built slab by
 slab of first indices from row gathers: ``t.take(t[s], axis=0)`` is
@@ -140,6 +141,12 @@ class FinitePoset:
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
+
+    @cached_property
+    def _inversion_reports(self) -> Dict[tuple, LawReport]:
+        """check_inversion's report on each map checked on this poset, so
+        the checks of one command that share a poset scan a map once."""
+        return {}
 
 
 def validate_poset(relation, labels=None) -> FinitePoset:
@@ -305,8 +312,16 @@ def as_order_map(f, n: int) -> tuple:
 
 
 def check_inversion(p: FinitePoset, f) -> LawReport:
-    """PASS iff f is involutive and x <= y iff f(y) <= f(x)."""
-    f = np.array(as_order_map(f, p.n))
+    """PASS iff f is involutive and x <= y iff f(y) <= f(x); each map is
+    scanned once per poset."""
+    f = as_order_map(f, p.n)
+    reports = p._inversion_reports
+    if f not in reports:
+        reports[f] = _inversion_report(p, np.array(f))
+    return reports[f]
+
+
+def _inversion_report(p: FinitePoset, f: np.ndarray) -> LawReport:
     leq = p.leq
     w = first_violation(f[f] != np.arange(p.n))
     if w is not None:
@@ -338,28 +353,33 @@ def _order_classes(rows: Sequence[int]):
 
 
 def _order_automorphism(rows: Sequence[int], a: Optional[int] = None, b: Optional[int] = None,
-                        target: Optional[Sequence[int]] = None, involutive: bool = False):
+                        target: Optional[Sequence[int]] = None, involutive: bool = False,
+                        fixed: Sequence[int] = ()):
     """Yields every order isomorphism sigma from the poset of the up-set
     bitmasks rows onto that of target (rows itself by default, so the
     automorphisms), each as a new list of sigma[x] for every element x;
-    with a and b given, only those with sigma[a] = b, and with involutive
-    only those with sigma[sigma[x]] = x.  Backtracks over the images of
-    a, if given, then of the other elements in index order, each within
-    its own class in target, keeping x <= z iff sigma[x] <= sigma[z]
-    against every element already mapped.  An involution sends x to a
-    mapped y only when y is sent to x, and to an unmapped y only when x
-    is no image yet.  With a and b not given the maps come in
-    lexicographic order."""
-    target = rows if target is None else target
+    with a and b given, only those with sigma[a] = b, with fixed only
+    those with sigma[x] = x for each x in it, and with involutive only
+    those with sigma[sigma[x]] = x.  Backtracks over the images of a, if
+    given, then of the fixed elements, then of the others in index order,
+    each within its own class in target, keeping x <= z iff
+    sigma[x] <= sigma[z] against every element already mapped.  An
+    involution sends x to a mapped y only when y is sent to x, and to an
+    unmapped y only when x is no image yet.  With a, b and fixed not
+    given the maps come in lexicographic order."""
     n = len(rows)
-    cls, _ = _order_classes(rows)
-    target_cls, members = _order_classes(target)
+    cls, members = _order_classes(rows)
+    if target is None:
+        target, target_cls = rows, cls
+    else:
+        target_cls, members = _order_classes(target)
     if sorted(cls) != sorted(target_cls):
         return
     choices = [members[c] for c in cls]
-    if a is not None:
-        choices[a] = [b] if target_cls[b] == cls[a] else []
-    order = sorted(range(n), key=lambda x: x != a)  # a first
+    for x, y in [(x, x) for x in fixed] + ([] if a is None else [(a, b)]):
+        choices[x] = [y] if y in choices[x] else []
+    pinned = set(fixed)
+    order = sorted(range(n), key=lambda x: (x != a, x not in pinned))  # a, then fixed
     sigma, used = [-1] * n, [False] * n
 
     def rec(p: int):
@@ -381,6 +401,44 @@ def _order_automorphism(rows: Sequence[int], a: Optional[int] = None, b: Optiona
         yield from rec(0)
     finally:
         del rec  # frees the closure cycle, also when the caller stops early
+
+
+def _stabiliser_generators(rows: Sequence[int], e: int, base: Sequence[int]) -> List[List[int]]:
+    """Generators of G, the order automorphisms of the poset of the
+    up-set bitmasks rows that fix e, found without listing G (a
+    stabiliser chain, after Sims).  G must map base onto itself, and
+    only the identity in G may fix every point of it.  On a lattice the
+    join-irreducibles other than e will do: each element is the join of
+    those below it, so an automorphism that fixes them all is the
+    identity.
+
+    G_k, the members of G that fix base[:k], falls to the identity at
+    k = len(base).  From the last level up, the generators kept so far
+    generate G_{k+1}; at level k one automorphism in G_k from base[k]
+    to c is kept for each c of its class in base[k + 1:] that the orbit
+    of base[k] under those generators misses and G_k reaches.  They then
+    generate G_k: for each g in G_k some h they generate has
+    h[base[k]] = g[base[k]], and h^-1 g lies in G_{k+1}."""
+    cls, _ = _order_classes(rows)
+    gens: List[List[int]] = []
+    for k in reversed(range(len(base))):
+        b = base[k]
+        orbit = {b}  # the generators of later levels fix b
+        for c in base[k + 1:]:
+            if c in orbit or cls[c] != cls[b]:
+                continue
+            sigma = next(_order_automorphism(rows, b, c, fixed=[e, *base[:k]]), None)
+            if sigma is None:
+                continue
+            gens.append(sigma)
+            todo = list(orbit)
+            while todo:  # the orbit of b under gens
+                x = todo.pop()
+                for g in gens:
+                    if g[x] not in orbit:
+                        orbit.add(g[x])
+                        todo.append(g[x])
+    return gens
 
 
 def enumerate_inversions(p: FinitePoset) -> list:

@@ -51,10 +51,19 @@ search with its one unit at the top, where the bound is the meet.
 Unital mode searches only the least unit of each orbit under the order
 automorphisms of the lattice (see _search).  An order automorphism sigma
 carries the unit law, associativity and residuation, so the tables for
-the unit sigma[e] are those for e relabelled by sigma.  Both modes read
-only the lattice, so they run on any lattice.  Units are taken in index
-order, the searches share the budget, a mapped unit costs no node, and
-the run stops at the first search that runs out of budget.
+the unit sigma[e] are those for e relabelled by sigma.  The automorphisms
+that fix e permute e's own tables, so unital mode also hands the
+searcher a few generators of them, found by a stabiliser chain without
+listing the group (orders._stabiliser_generators).  The searcher prunes
+a table that is lexicographically greater than its image by one of them
+(lex-leader symmetry breaking: Crawford, Ginsberg, Luks & Roy, KR 1996),
+and _search rebuilds each orbit by mapping the tables found with the
+generators, so a budgeted search returns the whole orbit of each table
+it finds.  Integral mode has one unit and looks for no automorphism.
+Both modes read only the lattice, so they run on any lattice.  Units
+are taken in index order, the searches share the budget, a mapped unit
+or table costs no node, and the run stops at the first search that runs
+out of budget.
 A node costs a few list lookups: monotonicity is one lower bound
 precomputed per cell, and each irreducible's row is join-extended when
 it completes (see _IrreducibleTableSearch).  A completed row also
@@ -76,15 +85,16 @@ passes preserves joins in each argument and needs no separate join scan.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate, islice
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .orders import FiniteLattice, FinitePoset, _frozen, _masks, _order_automorphism, \
-    _order_classes, compute_lattice, hasse_covers, is_distributive
+    _order_classes, _stabiliser_generators, compute_lattice, hasse_covers, is_distributive
 from .reports import InputError, LawReport, law_fail, law_pass
 from .residuation import ResiduatedStructure, ResiduationError, check_associative, \
     residuated_structure
@@ -324,6 +334,16 @@ def _lattice_id(l: FiniteLattice) -> str:
     return f"n={l.n};covers={hasse_covers(l)}"
 
 
+def _lower_covers(down_masks: List[int]) -> Dict[int, int]:
+    """lower[x] for each join-irreducible x of a lattice, in index order,
+    from its down-set bitmasks: x is join-irreducible iff it has exactly
+    one lower cover, lower[x], that is iff the elements strictly below it
+    are the down-set of one."""
+    down_of = {mask: x for x, mask in enumerate(down_masks)}
+    return {x: down_of[mask ^ 1 << x] for x, mask in enumerate(down_masks)
+            if mask ^ 1 << x in down_of}
+
+
 class _IrreducibleTableSearch:
     """Backtracking over products of join-irreducible pairs, for the unit e.
 
@@ -372,6 +392,21 @@ class _IrreducibleTableSearch:
     joins if f(x \\/ j) = f(x) \\/ f(j) for each irreducible j (join those
     below b onto a in turn; each step is below a \\/ b, checked by row t).
 
+    The symmetries S, order automorphisms that fix e, prune as well.
+    sigma in S maps a solution T to the solution sigma.T, whose cell
+    (i, j) holds sigma[T(sigma^-1 i, sigma^-1 j)], again a cell, as sigma
+    maps irreducibles to irreducibles.  When row t completes, the table
+    is rejected if it is greater than its image, comparing values in
+    cell order up to the first cell that rows 0 to t leave open in
+    either.  Any S is sound: let H be the group S generates and T* the
+    least table of the orbit H.T of a solution T.  T* <= sigma.T* for
+    each sigma in S, so no decided prefix rejects it, and every other
+    check removes only subtrees without a solution, so T* is found.
+    Its closure under S is H.T*, which holds T, so _search closes the
+    tables found under S and drops repeats by their bytes.  Values are
+    compared in search order, so a budgeted search reaches T* no later
+    than one without symmetries reaches any table of its orbit.
+
     Row t completes in two steps.  The last irreducible has the greatest
     height, so it is one of the greatest irreducibles below each element
     above it, and the value v of the row's last cell enters only the
@@ -392,7 +427,7 @@ class _IrreducibleTableSearch:
     (a, b \\/ j), taking a irreducible.
     """
 
-    def __init__(self, l: FiniteLattice, e: int):
+    def __init__(self, l: FiniteLattice, e: int, symmetries: Sequence[List[int]] = ()):
         self.l = l
         self.e = e  # the unit
         n, leq = l.n, l.leq.tolist()
@@ -400,11 +435,7 @@ class _IrreducibleTableSearch:
         # downs[y]: the elements below y, in increasing order and as a bitmask
         self.downs = [[x for x, below in enumerate(col) if below] for col in l.leq.T.tolist()]
         down_masks = _masks(l.leq.T)
-        # x is join-irreducible iff it has exactly one lower cover, lower[x],
-        # that is iff the elements strictly below it are the down-set of one
-        down_of = {mask: x for x, mask in enumerate(down_masks)}
-        lower = {x: down_of[mask ^ 1 << x] for x, mask in enumerate(down_masks)
-                 if mask ^ 1 << x in down_of}
+        lower = _lower_covers(down_masks)
         self.irr = irr = sorted(lower, key=lambda i: (len(self.downs[i]), i))
         r = len(irr)
         # below[x]: the positions in irr of the irreducibles below x, in
@@ -471,6 +502,18 @@ class _IrreducibleTableSearch:
         for t in range(r):
             self.pairs += [(t * r + s, irr[t], irr[s]) for s in range(t)]
             self.pairs += [(s * r + t, irr[s], irr[t]) for s in range(t + 1)]
+        # (sigma, pre, reach) for each symmetry: cell k of sigma's image
+        # of the table is sigma[values[pre[k]]], and row t's completion
+        # decides the first reach[t] cells of both
+        pos = {i: p for p, i in enumerate(irr)}
+        self.symmetries = []
+        for sigma in symmetries:
+            inverse = [pos[x] for x in np.argsort(sigma)[irr].tolist()]
+            pre = [inverse[p] * r + inverse[q] for p in range(r) for q in range(r)]
+            # decided[k]: the row whose completion decides cells 0 to k
+            decided = list(accumulate((max(k, p) // r for k, p in enumerate(pre)), max))
+            reach = [bisect_right(decided, t) for t in range(r)]
+            self.symmetries.append((sigma, pre, reach))
 
     def domain(self, i: int, j: int) -> List[int]:
         """The values cell (i, j) ranges over, in search order.  The unit
@@ -571,6 +614,15 @@ class _IrreducibleTableSearch:
                 row_x = full[x]
                 if [row_x[u] for u in full[y]] != full[xy]:
                     return False
+        # the table must not come after its image by a symmetry in cell
+        # order, as far as rows 0 to t decide the comparison
+        for sigma, pre, reach in self.symmetries:
+            for k in range(reach[t]):
+                v, image = values[k], sigma[values[pre[k]]]
+                if v != image:
+                    if v > image:
+                        return False
+                    break
         return True
 
     def extension(self) -> np.ndarray:
@@ -639,19 +691,42 @@ def _leaf(l: FiniteLattice, e: int, m: np.ndarray) -> Optional[ResiduatedStructu
         return None
 
 
-def _mapped_hits(l: FiniteLattice, e: int, sigma: np.ndarray,
-                 hits: List[ResiduatedStructure]) -> List[ResiduatedStructure]:
-    """The hits of the unit sigma^-1[e] carried to the unit e by the order
-    automorphism sigma: table m becomes sigma[m[inverse, inverse]], which
-    sends sigma[x] and sigma[y] to sigma[m[x, y]].  Unit, associativity
-    and residuation carry over, so each mapped table must pass _leaf."""
+def _carrier(l: FiniteLattice, sigma: List[int]):
+    """The map that carries a table by the order automorphism sigma of
+    l: table m becomes sigma[m[inverse, inverse]], which sends sigma[x]
+    and sigma[y] to sigma[m[x, y]]."""
+    sigma = np.array(sigma, dtype=np.intp)
     if not (l.leq[np.ix_(sigma, sigma)] == l.leq).all():
         raise RuntimeError(f"{sigma.tolist()} is not an order automorphism")
     inverse = np.argsort(sigma)
-    mapped = [_leaf(l, e, sigma[hit.mul[np.ix_(inverse, inverse)]]) for hit in hits]
-    if any(s is None for s in mapped):
-        raise RuntimeError(f"{sigma.tolist()} maps a table to one that fails for unit {e}")
-    return mapped
+    return lambda m: sigma[m[np.ix_(inverse, inverse)]]
+
+
+def _verified(l: FiniteLattice, e: int, sigma: List[int], m: np.ndarray) -> ResiduatedStructure:
+    """The structure of the table m that sigma mapped to the unit e.
+    Unit, associativity and residuation carry over along an order
+    automorphism, so m must pass _leaf."""
+    s = _leaf(l, e, m)
+    if s is None:
+        raise RuntimeError(f"{list(sigma)} maps a table to one that fails for unit {e}")
+    return s
+
+
+def _closure(l: FiniteLattice, e: int, symmetries: List[List[int]],
+             hits: List[ResiduatedStructure]) -> List[ResiduatedStructure]:
+    """hits, then each other table the symmetries, automorphisms that
+    fix e, reach from them, verified, in the order first reached."""
+    carriers = [(sigma, _carrier(l, sigma)) for sigma in symmetries]
+    seen = {hit.mul.tobytes() for hit in hits}
+    closed = list(hits)
+    for hit in closed:  # closed grows as the loop runs
+        for sigma, carry in carriers:
+            m = carry(hit.mul)
+            key = m.tobytes()
+            if key not in seen:
+                seen.add(key)
+                closed.append(_verified(l, e, sigma, m))
+    return closed
 
 
 def _search(l: FiniteLattice, units: List[int], budget: Optional[int]) -> ResiduationSearchResult:
@@ -659,27 +734,34 @@ def _search(l: FiniteLattice, units: List[int], budget: Optional[int]) -> Residu
 
     A unit is searched only when it is the least unit of its orbit under
     the order automorphisms of l: a unit sigma[rep] for an earlier
-    searched unit rep takes rep's hits, mapped by sigma and verified
-    (see _mapped_hits).  The searches share the budget, and mapping costs
-    no node.  Each search is left the budget that remains, so one that
-    needs no node exhausts at any budget, and the run stops after the
-    first search that runs out of it.  With one unit, as in integral
-    mode, no automorphism is looked for."""
+    searched unit rep takes rep's hits, each mapped by sigma and
+    verified.  A searched unit e gets generators of the automorphisms
+    that fix e as its searcher's symmetries, and its hits are closed
+    under them (see _IrreducibleTableSearch).  The searches share the
+    budget, and mapping costs no node.  Each search is left the budget
+    that remains, so one that needs no node exhausts at any budget, and
+    the run stops after the first search that runs out of it.  With one
+    unit, as in integral mode, no automorphism is looked for."""
     hits: List[ResiduatedStructure] = []
     searched: Dict[int, List[ResiduatedStructure]] = {}
     nodes, exhausted = 0, True
-    rows = _masks(l.leq) if len(units) > 1 else None  # the up-set bitmasks orbits read
+    unital = len(units) > 1
+    rows = _masks(l.leq) if unital else None  # the up-set bitmasks orbits read
+    irreducibles = list(_lower_covers(_masks(l.leq.T))) if unital else []
     for e in units:
         orbit = next(((rep, sigma) for rep in searched
                       for sigma in islice(_order_automorphism(rows, rep, e), 1)), None)
         if orbit is not None:
             rep, sigma = orbit
-            hits += _mapped_hits(l, e, np.array(sigma, dtype=np.intp), searched[rep])
+            carry = _carrier(l, sigma)
+            hits += [_verified(l, e, sigma, carry(hit.mul)) for hit in searched[rep]]
             continue
+        symmetries = _stabiliser_generators(rows, e, [x for x in irreducibles if x != e]) \
+            if unital else []
         remaining = None if budget is None else budget - nodes
-        unit_hits, exhausted, unit_nodes = _IrreducibleTableSearch(l, e).run(budget=remaining)
-        searched[e] = unit_hits
-        hits += unit_hits
+        found, exhausted, unit_nodes = _IrreducibleTableSearch(l, e, symmetries).run(budget=remaining)
+        searched[e] = _closure(l, e, symmetries, found)
+        hits += searched[e]
         nodes += unit_nodes
         if not exhausted:
             break

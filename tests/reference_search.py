@@ -90,12 +90,17 @@ module once did; the searcher keeps the elements whose down-set less
 themselves is a principal down-set, and `NumpySetup` below uses this
 form.
 
+`PlainSearch`, `LoopSearch`, `PerValueRows` and `NumpySetup` break no
+symmetry: they accept the symmetries `search._search` hands a searcher
+and never read them, so what they find stays an independent oracle of
+the pruned search.
+
 The unital search before unit orbits.  `search._search` used to run the
 searcher on every unit, where it now searches one unit per orbit under
 the order automorphisms and maps that unit's tables to the rest of its
-orbit.  `per_unit_search` restores the loop over every unit; standing in
-for `search._search`, it must give the same tables, units and
-`exhausted` on every lattice whose search exhausts.
+orbit.  `per_unit_search` restores the loop over every unit, without
+symmetries; standing in for `search._search`, it must give the same
+tables, units and `exhausted` on every lattice whose search exhausts.
 """
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -253,9 +258,10 @@ def incomparable_pairs(searcher) -> List[Tuple[int, int, int]]:
 
 
 class PlainSearch:
-    """_IrreducibleTableSearch without row-completion pruning."""
+    """_IrreducibleTableSearch without row-completion pruning, and without
+    symmetries: it drops those it is given."""
 
-    def __init__(self, l: FiniteLattice, e: int):
+    def __init__(self, l: FiniteLattice, e: int, symmetries=()):
         super().__init__(l, e)
         self.incomparable = incomparable_pairs(self)
         self.rows: List[Optional[List[int]]] = [None] * len(self.irr)  # R_t, by position t
@@ -439,9 +445,10 @@ class LoopUnitalSearch(LoopSearch, UnitPins, search._IrreducibleTableSearch):
 
 class PerValueRows:
     """_IrreducibleTableSearch's row completion with every check per value,
-    on every incomparable pair."""
+    on every incomparable pair, and without symmetries: it drops those
+    it is given."""
 
-    def __init__(self, l: FiniteLattice, e: int):
+    def __init__(self, l: FiniteLattice, e: int, symmetries=()):
         super().__init__(l, e)
         r = len(self.irr)
         self.incomparable = incomparable_pairs(self)
@@ -576,11 +583,13 @@ def _greatest(members: np.ndarray, lt: np.ndarray) -> np.ndarray:
 
 
 class NumpySetup:
-    """_IrreducibleTableSearch's set-up, from boolean matrices."""
+    """_IrreducibleTableSearch's set-up, from boolean matrices, without
+    symmetries: it drops those it is given."""
 
-    def __init__(self, l: FiniteLattice, e: int):
+    def __init__(self, l: FiniteLattice, e: int, symmetries=()):
         self.l = l
         self.e = e
+        self.symmetries = []
         heights = l.leq.sum(axis=0).tolist()
         self.irr = sorted(join_irreducibles(l), key=lambda i: (heights[i], i))
         r = len(self.irr)

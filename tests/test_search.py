@@ -277,8 +277,8 @@ class TestIntegralSearch:
         # admits extra tables, every one of which still satisfies
         # adjointness and is rejected only by that law
         class NoPartialAssociativity(search._IrreducibleTableSearch):
-            def __init__(self, l, e):
-                super().__init__(l, e)
+            def __init__(self, l, e, symmetries=()):
+                super().__init__(l, e, symmetries)
                 self.pairs = []
 
         lat = chain(4)
@@ -397,7 +397,7 @@ class TestUnitalSearch:
     def test_mo2_budgeted_hits_satisfy_downset_conclusions(self):
         o = horizontal_sum_mo(2)
         result = search_unital_residuation(o.lattice, budget=20_000)
-        assert not result.exhausted  # full exploration needs 64244 nodes
+        assert not result.exhausted  # full exploration needs 22027 nodes
         assert result.found  # non-Boolean orthomodular carriers with units exist
         assert all(check_unit_downset_boolean(o, s).passed for s in result.structures)
         for s in result.structures:
@@ -768,6 +768,26 @@ def _atoms(lat):
     return [x for x in range(lat.n) if lat.leq[:, x].sum() == 2]
 
 
+def _generators(lat, e):
+    """The unital search's symmetries for the unit e: generators of the
+    automorphisms that fix e, over the other join-irreducibles."""
+    base = [x for x in join_irreducibles(lat) if x != e]
+    return orders._stabiliser_generators(rows_of(lat), e, base)
+
+
+def _generated(gens, n):
+    """The group of permutations of n points that gens generate."""
+    group, todo = {tuple(range(n))}, [tuple(range(n))]
+    while todo:
+        g = todo.pop()
+        for h in gens:
+            image = tuple(h[x] for x in g)
+            if image not in group:
+                group.add(image)
+                todo.append(image)
+    return group
+
+
 class TestOrderAutomorphism:
     """orders._order_automorphism, which yields the group that reduces
     each parent's down-sets in enumeration, the first sigma with
@@ -827,6 +847,38 @@ class TestOrderAutomorphism:
         group = list(orders._order_automorphism(rows_of(lat)))
         assert len(group) == order
         assert all(_is_automorphism(lat.leq, np.array(sigma)) for sigma in group)
+
+    def test_fixed_points_match_brute_force(self):
+        # with fixed, the sigmas yielded are those of the brute-force
+        # group that also fix each point of fixed: one point on every
+        # lattice of at most 5 elements, one and two points on MO2
+        mo2 = horizontal_sum_mo(2).lattice
+        cases = [(lat, [e]) for lat in enumerate_lattices(5).lattices for e in range(lat.n)]
+        cases += [(mo2, list(fixed)) for k in (1, 2) for fixed in itertools.combinations(range(6), k)]
+        for lat, fixed in cases:
+            group = [p for p in itertools.permutations(range(lat.n))
+                     if _is_automorphism(lat.leq, np.array(p))]
+            for a in range(lat.n):
+                for b in range(lat.n):
+                    got = [tuple(sigma) for sigma in
+                           orders._order_automorphism(rows_of(lat), a, b, fixed=fixed)]
+                    assert sorted(got) == [g for g in group
+                                           if g[a] == b and all(g[x] == x for x in fixed)]
+
+    def test_stabiliser_generators_generate_the_stabiliser(self):
+        # for each unit e of every lattice of at most 7 elements, of MO3
+        # and of Boolean-64 at an atom: the generators fix e, and the
+        # group they generate is the whole listed stabiliser of e
+        cases = [(lat, e) for lat in enumerate_lattices(7).lattices for e in range(lat.n)]
+        mo3, cube = build_lattice(load(STRUCTURES / "mo3.struct")), boolean_cube(6)
+        cases += [(mo3, e) for e in range(mo3.n)] + [(cube, _atoms(cube)[0])]
+        for lat, e in cases:
+            gens = _generators(lat, e)
+            assert all(sigma[e] == e for sigma in gens)
+            stabiliser = {tuple(sigma) for sigma in orders._order_automorphism(rows_of(lat), e, e)}
+            assert _generated(gens, lat.n) == stabiliser, (rows_of(lat), e)
+        # the last case: Boolean-64's 120 automorphisms that fix an atom
+        assert len(stabiliser) == 120 and len(gens) <= 4
 
     def test_isomorphism_onto_target_iff_keys_equal(self):
         """A map onto a target is found exactly when the canonical keys
@@ -909,3 +961,70 @@ class TestUnitOrbits:
         monkeypatch.setattr(search, "_leaf", lambda l, e, m: leaf(l, e, m) if e == 1 else None)
         with pytest.raises(RuntimeError, match="fails for unit 2"):
             search_unital_residuation(boolean_cube(2), budget=10_000)
+
+
+def _unit_search(lat, e, symmetries, budget=None):
+    """The tables of one unit's search with the given symmetries, closed
+    under them as _search closes them, and `exhausted`."""
+    found, exhausted, nodes = search._IrreducibleTableSearch(lat, e, symmetries).run(budget=budget)
+    closed = search._closure(lat, e, symmetries, found)
+    return {s.mul.tobytes() for s in closed}, exhausted, nodes
+
+
+def _reference_unit_search(lat, e, budget=None):
+    """The tables and `exhausted` of one unit's search without symmetries."""
+    result = per_unit_search(lat, [e], budget)
+    return {m.tobytes() for m in result.found}, result.exhausted
+
+
+class TestSymmetryBreaking:
+    """The unital searcher rejects a partial table that comes after its
+    image by one of its symmetries, automorphisms that fix the unit, and
+    _search closes the tables found under them.  The least table of each
+    orbit is never rejected, so the closure holds every table, and a
+    budgeted search reaches that least table no later than a search
+    without symmetries reaches any table of its orbit."""
+
+    def test_every_unit_to_six_matches_per_unit_search(self):
+        for lat in enumerate_lattices(6).lattices:
+            for e in range(lat.n):
+                if e != lat.bottom or lat.n == 1:
+                    new = _unit_search(lat, e, _generators(lat, e))
+                    assert new[:2] == _reference_unit_search(lat, e), (rows_of(lat), e)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["mo2", "boolean-8", "o6"])
+    def test_relabelled_carriers_match_per_unit_search(self, name, seed):
+        lat = build_lattice(load(STRUCTURES / f"{name}.struct"))
+        lat = relabeled_lattice(lat, random.Random(seed).sample(range(lat.n), lat.n))
+        for e in range(lat.n):
+            if e != lat.bottom:
+                new = _unit_search(lat, e, _generators(lat, e))
+                assert new[:2] == _reference_unit_search(lat, e), e
+
+    @pytest.mark.parametrize("name, units", [("mo2", [1, 5]), ("boolean-8", [1, 3, 7])])
+    def test_any_symmetries_in_the_stabiliser_give_the_same_tables(self, name, units):
+        # none, one generator, the generating set and the whole stabiliser
+        # of each unit the unital search searches: the same tables, in
+        # as many nodes or fewer the more there are
+        lat = build_lattice(load(STRUCTURES / f"{name}.struct"))
+        pruned = False
+        for e in units:
+            gens = _generators(lat, e)
+            stabiliser = list(orders._order_automorphism(rows_of(lat), e, e))
+            outcomes = [_unit_search(lat, e, symmetries)
+                        for symmetries in ([], gens[:1], gens, stabiliser)]
+            assert all(outcome[:2] == outcomes[0][:2] for outcome in outcomes), e
+            nodes = [outcome[2] for outcome in outcomes]
+            assert nodes == sorted(nodes, reverse=True), e
+            pruned |= nodes[-1] < nodes[0]
+        assert pruned
+
+    @pytest.mark.parametrize("budget", [10, 100, 1000, 10_000])
+    def test_budgeted_mo2_finds_what_the_reference_finds(self, budget):
+        lat = build_lattice(load(STRUCTURES / "mo2.struct"))
+        units = [e for e in range(lat.n) if e != lat.bottom]
+        new = {m.tobytes() for m in search_unital_residuation(lat, budget).found}
+        reference = {m.tobytes() for m in per_unit_search(lat, units, budget).found}
+        assert reference <= new
+        assert budget < 10_000 or reference < new
