@@ -106,21 +106,6 @@ def distribution_failures(outer: np.ndarray, inner: np.ndarray, s: slice) -> np.
     return rows.take(inner, axis=1) != inner.take(rows[:, :, None] * n + rows[:, None, :])
 
 
-def greatest(cand: np.ndarray, above: np.ndarray):
-    """Greatest element of each candidate set.
-
-    cand[c, ...] marks c as a member of the set at index `...`, and
-    above is (~leq).T as float32, so above[m, c] is 1 where c </= m.
-    Returns (best, found): found says whether the set has a greatest
-    element and best is that element where it does.  A member m is
-    greatest when no member c has c </= m, which one matrix product
-    counts for every m and every set.
-    """
-    outside = (above @ cand.reshape(len(cand), -1)).reshape(cand.shape)  # exact far past any n
-    top = cand & (outside == 0)
-    return top.argmax(axis=0), top.any(axis=0)
-
-
 def _norm_labels(n: int, labels) -> Optional[tuple]:
     if labels is None:
         return None

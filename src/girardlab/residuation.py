@@ -5,9 +5,11 @@ table through the adjointness condition
 
     x*y <= z  iff  x <= rres[y][z]  iff  y <= lres[z][x]
 
-by taking the maximum of each candidate set, and the full triple
-biconditional is re-verified afterwards, since pointwise maxima alone do
-not imply it.
+A greatest member of a candidate set has every other member strictly
+below it, so it is the one member with the largest down-set; each set's
+residuum is that member exactly when every member lies below it.  The
+full triple biconditional is re-verified afterwards, since pointwise
+maxima alone do not imply it.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .orders import (
-    FiniteLattice, FinitePoset, first_violation, greatest, index_slabs, is_boolean, is_complemented,
-    lattice_from_covers, least_witness,
+    FiniteLattice, FinitePoset, first_violation, index_slabs, is_boolean, lattice_from_covers,
+    least_witness,
 )
 from .reports import InputError, LawReport, law_fail, law_pass
 
@@ -106,26 +108,31 @@ def derive_residua(order: FinitePoset, mul) -> Tuple[np.ndarray, np.ndarray]:
     """
     n, leq = order.n, order.leq
     t = as_mul_table(mul, n)
-    above = (~leq).T.astype(np.float32)
+    down = (-leq.sum(axis=0)).argsort(kind="stable")  # largest down-set first
     # candidates as [c, p, q] for p in the slab: right, x with x*y <= z at
     # [x, y, z]; left, y with x*y <= z at [y, z, x]
-    rres = _residuum(lambda s: leq.take(t[:, s], axis=0), above, "right")
-    lres = _residuum(lambda s: leq[:, s].take(t.T, axis=0).transpose(0, 2, 1), above, "left")
+    rres = _residuum(lambda s: leq.take(t[:, s], axis=0), leq, down, "right")
+    lres = _residuum(lambda s: leq[:, s].take(t.T, axis=0).transpose(0, 2, 1), leq, down, "left")
     _check_adjointness(leq, t, rres, lres)
     return rres, lres
 
 
-def _residuum(candidates, above: np.ndarray, kind: str) -> np.ndarray:
+def _residuum(candidates, leq: np.ndarray, down: np.ndarray, kind: str) -> np.ndarray:
     """res[p, q] = the greatest c with candidates(s)[c, p, q], for p in the
     slab s, pairs in order; raises NoResiduum at the first pair whose
-    candidate set has none."""
-    n = len(above)
+    candidate set has none.  `down` lists the elements by decreasing
+    down-set size: a set's greatest member is its first member there."""
+    n = len(leq)
     res = np.empty((n, n), dtype=np.intp)
     for s in index_slabs(n, 3):
         cand = candidates(s)
-        best, found = greatest(cand, above)
-        w = first_violation(~found)
-        if w is not None:
+        ranked = cand.take(down, axis=0)
+        first = ranked.argmax(axis=0)
+        best = down[first]
+        found = ranked[0] | (first > 0)  # best is a member: argmax is 0 on an empty set
+        found &= (cand <= leq.take(best, axis=1)).all(axis=0)  # and bounds every member
+        if not found.all():
+            w = first_violation(~found)
             detail = "candidate set has no maximum" if cand[:, w[0], w[1]].any() else "empty candidate set"
             raise NoResiduum((w[0] + s.start, w[1]), kind, detail)
         res[s] = best
@@ -173,14 +180,7 @@ def boolean_residuation(l: FiniteLattice) -> ResiduatedStructure:
     report = is_boolean(l)
     if not report.passed:
         raise NotBoolean(report.note or "lattice is not Boolean")
-    _, comps = is_complemented(l)
-    rres = l.join[list(comps)]  # rres[y, z] = y' \/ z
-    lres = rres.T.copy()  # lres[z, y] = y' \/ z
-    _check_adjointness(l.leq, l.meet, rres, lres)
-    rres.flags.writeable = False
-    lres.flags.writeable = False
-    flags = Flags(commutative=True, idempotent=True, unit=l.top, integral=True)
-    return ResiduatedStructure(l, l.meet, rres, lres, flags)
+    return residuated_structure(l, l.meet)
 
 
 def _chain_with_fraction_labels(m: int) -> FiniteLattice:

@@ -321,6 +321,7 @@ def test_boolean_residuation(k):
     lat = boolean_cube(k)
     s = residuation.boolean_residuation(lat)
     assert normal((s.rres, s.lres)) == normal(ref.boolean_residua(lat))
+    assert s.flags == residuation.Flags(commutative=True, idempotent=True, unit=lat.top, integral=True)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fixtures import drastic_chain
 from girardlab.catalog import boolean_cube, chain, diamond_m3, mo2_subspace_model
-from girardlab.orders import is_complemented
+from girardlab.orders import is_complemented, lattice_from_covers
 from girardlab.reports import InputError
 from girardlab.residuation import (
     AdjointnessFailure,
@@ -81,6 +81,22 @@ class TestDeriveResidua:
         with pytest.raises(NoResiduum) as exc:
             derive_residua(lat, lat.join)
         assert exc.value.pair == (1, 0)
+
+    @pytest.mark.parametrize("lat", [
+        # N5: 2 has the largest down-set among 0..3, but 3 is not below it
+        lattice_from_covers([(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)], "01234"),
+        # the Boolean square: the atoms 1 and 2 tie on down-set size
+        boolean_cube(2),
+    ], ids=["n5", "tie"])
+    def test_largest_down_set_that_is_not_greatest(self, lat):
+        # x*y = 0 except top*y = top: every element but the top is a
+        # candidate for 0 -> 0, and that set has no maximum
+        t = np.zeros((lat.n, lat.n), dtype=np.intp)
+        t[lat.top] = lat.top
+        with pytest.raises(NoResiduum) as exc:
+            derive_residua(lat, t)
+        assert (exc.value.kind, exc.value.pair) == ("right", (0, 0))
+        assert "candidate set has no maximum" in str(exc.value)
 
     def test_pointwise_maxima_without_biconditional(self):
         # non-monotone table on a chain: every candidate set is non-empty,
