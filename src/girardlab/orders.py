@@ -325,21 +325,37 @@ def hasse_covers(p: FinitePoset) -> list:
     return [(int(i), int(j)) for i, j in np.argwhere(lt & ~between)]
 
 
-def _order_classes(rows: Sequence[int]):
-    """(cls, members): cls[i] is element i's class, its (up-set size,
-    down-set size), for a poset given by the up-set bitmasks rows, and
-    members maps each class to its elements in index order.  An order
-    isomorphism maps every element to one of the same class."""
-    cls = [(r.bit_count(), sum(s >> i & 1 for s in rows)) for i, r in enumerate(rows)]
+def _classes(rows: Sequence[int], downs: Optional[Sequence[int]] = None) -> List[Tuple[int, int]]:
+    """cls[i]: element i's class, its (up-set size, down-set size), for a
+    poset given by the up-set bitmasks rows.  With the down-set bitmasks
+    downs given, the classes are bit counts; without, each down-set size
+    is counted over rows, n^2 steps.  An order isomorphism maps every
+    element to one of the same class."""
+    if downs is None:
+        return [(r.bit_count(), sum(s >> i & 1 for s in rows)) for i, r in enumerate(rows)]
+    return list(zip(map(int.bit_count, rows), map(int.bit_count, downs)))
+
+
+def _members(cls: Sequence[Tuple[int, int]]) -> Dict[Tuple[int, int], List[int]]:
+    """Each class of cls with its elements in index order."""
     members: Dict[Tuple[int, int], List[int]] = {}
     for i, c in enumerate(cls):
         members.setdefault(c, []).append(i)
-    return cls, members
+    return members
+
+
+def _order_classes(rows: Sequence[int]):
+    """(cls, members): the classes of the poset of the up-set bitmasks
+    rows (see _classes), and each class with its elements in index
+    order."""
+    cls = _classes(rows)
+    return cls, _members(cls)
 
 
 def _order_automorphism(rows: Sequence[int], a: Optional[int] = None, b: Optional[int] = None,
                         target: Optional[Sequence[int]] = None, involutive: bool = False,
-                        fixed: Sequence[int] = ()):
+                        fixed: Sequence[int] = (), classes: Optional[Sequence[tuple]] = None,
+                        target_classes: Optional[Sequence[tuple]] = None):
     """Yields every order isomorphism sigma from the poset of the up-set
     bitmasks rows onto that of target (rows itself by default, so the
     automorphisms), each as a new list of sigma[x] for every element x;
@@ -351,15 +367,18 @@ def _order_automorphism(rows: Sequence[int], a: Optional[int] = None, b: Optiona
     sigma[x] <= sigma[z] against every element already mapped.  An
     involution sends x to a mapped y only when y is sent to x, and to an
     unmapped y only when x is no image yet.  With a, b and fixed not
-    given the maps come in lexicographic order."""
+    given the maps come in lexicographic order.  A caller that has the
+    classes of rows, or of target, passes them (see _classes) as
+    classes, resp. target_classes, and they are not counted again."""
     n = len(rows)
-    cls, members = _order_classes(rows)
+    cls = _classes(rows) if classes is None else classes
     if target is None:
         target, target_cls = rows, cls
     else:
-        target_cls, members = _order_classes(target)
+        target_cls = _classes(target) if target_classes is None else target_classes
     if sorted(cls) != sorted(target_cls):
         return
+    members = _members(target_cls)
     choices = [members[c] for c in cls]
     for x, y in [(x, x) for x in fixed] + ([] if a is None else [(a, b)]):
         choices[x] = [y] if y in choices[x] else []
@@ -388,7 +407,8 @@ def _order_automorphism(rows: Sequence[int], a: Optional[int] = None, b: Optiona
         del rec  # frees the closure cycle, also when the caller stops early
 
 
-def _stabiliser_generators(rows: Sequence[int], e: int, base: Sequence[int]) -> List[List[int]]:
+def _stabiliser_generators(rows: Sequence[int], e: int, base: Sequence[int],
+                           classes: Optional[Sequence[tuple]] = None) -> List[List[int]]:
     """Generators of G, the order automorphisms of the poset of the
     up-set bitmasks rows that fix e, found without listing G (a
     stabiliser chain, after Sims).  G must map base onto itself, and
@@ -403,8 +423,9 @@ def _stabiliser_generators(rows: Sequence[int], e: int, base: Sequence[int]) -> 
     to c is kept for each c of its class in base[k + 1:] that the orbit
     of base[k] under those generators misses and G_k reaches.  They then
     generate G_k: for each g in G_k some h they generate has
-    h[base[k]] = g[base[k]], and h^-1 g lies in G_{k+1}."""
-    cls, _ = _order_classes(rows)
+    h[base[k]] = g[base[k]], and h^-1 g lies in G_{k+1}.  classes, when
+    given, are the classes of rows (see _order_automorphism)."""
+    cls = _classes(rows) if classes is None else classes
     gens: List[List[int]] = []
     for k in reversed(range(len(base))):
         b = base[k]
@@ -412,7 +433,7 @@ def _stabiliser_generators(rows: Sequence[int], e: int, base: Sequence[int]) -> 
         for c in base[k + 1:]:
             if c in orbit or cls[c] != cls[b]:
                 continue
-            sigma = next(_order_automorphism(rows, b, c, fixed=[e, *base[:k]]), None)
+            sigma = next(_order_automorphism(rows, b, c, fixed=[e, *base[:k]], classes=cls), None)
             if sigma is None:
                 continue
             gens.append(sigma)

@@ -168,9 +168,12 @@ def classify(order: FinitePoset, mul) -> Flags:
 
 
 def residuated_structure(order: FinitePoset, mul) -> ResiduatedStructure:
-    """Derive residua, classify, and assemble a verified structure."""
-    t = as_mul_table(mul, order.n)
-    rres, lres = derive_residua(order, t)
+    """Derive residua, classify, and assemble a verified structure.
+    derive_residua validates mul, so the table the structure keeps is a
+    plain read-only copy."""
+    rres, lres = derive_residua(order, mul)
+    t = np.array(mul, dtype=np.intp)
+    t.flags.writeable = False
     return ResiduatedStructure(order, t, rres, lres, classify(order, t))
 
 

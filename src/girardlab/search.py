@@ -7,11 +7,15 @@ d of P.  Deleting a coatom, which is meet-irreducible, from a finite
 lattice leaves a lattice, so every lattice is a child.  A child is
 grown only when c has the largest down-set among its coatoms (see
 _grow), and each orbit of masks d under the automorphisms of P gives
-only its least.  When c is the only coatom with that down-set size, the
-child is kept outright; when another coatom ties with c, it is kept
-unless an earlier kept tie child of its size is isomorphic to it.  Each
-class is kept exactly once, given one parent per class of the size
-below:
+only its least.  The orbits are built from a few generators of Aut(P),
+found by a stabiliser chain (orders._stabiliser_generators), so no
+parent's group is listed: the masks are walked by increasing d, and
+each one not seen yet is closed under the generators, so the first
+mask met of an orbit is its least (see _orbit_least).  When c is the
+only coatom with that down-set size, the child is kept outright; when
+another coatom ties with c, it is kept unless an earlier kept tie child
+of its size is isomorphic to it.  Each class is kept exactly once,
+given one parent per class of the size below:
 - kept: a lattice L has a coatom c with the largest down-set; L - c is
   a lattice, isomorphic to a parent P, so L is isomorphic to a child
   P + c on some d.  sigma in Aut(P) maps d to the least mask of its
@@ -27,20 +31,22 @@ below:
 Isomorphic posets have the same sorted classes, each element's (up-set
 size, down-set size), so the kept tie children are bucketed by them and
 a new one is tested only against its bucket, up to the first
-isomorphism found.  One routine (orders._order_automorphism) gives the
-automorphisms and those isomorphisms, here and in the unital search.
+isomorphism found.  One routine (orders._order_automorphism) finds the
+generators' maps and those isomorphisms, here and in the unital search.
 Within a size the lattices come in generation order.  The enumerator
 keeps each lattice as the up-set bitmasks of its order, and builds its
 FiniteLattice only when the result's lattices are first read, so a run
-that only counts builds none.  A grown order is a lattice by
-construction, so its FinitePoset is built directly and frozen: only
-orders from outside are validated.  _grow lists the down-sets d that
-hold the bottom directly, by an include/exclude pass over the elements,
-so it visits no mask that is not a down-set.  The Boolean-forcing sweep
-(confirm_boolean_forcing) works in that order too: complementation is
-tested on the bitmasks (_complemented), then only the complemented
-lattices are built, and only those are searched.  Counting them builds
-nothing.
+that only counts builds none.  While a lattice may still grow, its
+down-set bitmasks travel beside it: a child's follow from its parent's
+in O(n), and its classes are their bit counts (see _frontiers).  A
+grown order is a lattice by construction, so its FinitePoset is built
+directly and frozen: only orders from outside are validated.  _grow
+lists the down-sets d that hold the bottom directly, by an
+include/exclude pass over the elements, so it visits no mask that is
+not a down-set.  The Boolean-forcing sweep (confirm_boolean_forcing)
+works in that order too: complementation is tested on the bitmasks
+(_complemented), then only the complemented lattices are built, and
+only those are searched.  Counting them builds nothing.
 
 Residuation searches backtrack only over products of join-irreducible
 pairs: a residuated multiplication preserves joins, so it is determined
@@ -93,13 +99,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .orders import FiniteLattice, FinitePoset, _frozen, _masks, _order_automorphism, \
+from .orders import FiniteLattice, FinitePoset, _classes, _frozen, _masks, _order_automorphism, \
     _order_classes, _stabiliser_generators, compute_lattice, hasse_covers, is_distributive
 from .reports import InputError, LawReport, law_fail, law_pass
 from .residuation import ResiduatedStructure, ResiduationError, check_associative, \
     residuated_structure
 
-MAX_ENUM = 10
+MAX_ENUM = 12
 DEFAULT_BUDGET = 200_000  # nodes of a unital search, and of the CLI's searches
 
 
@@ -159,16 +165,17 @@ def canonical_key(rows: Tuple[int, ...]) -> tuple:
     return best
 
 
-def _grow(rows: Tuple[int, ...]):
+def _grow(rows: Tuple[int, ...], downs: Tuple[int, ...]):
     """(d, child, tie) for the one-larger lattices with a new coatom c
     that has the greatest down-set among the child's coatoms, in
     increasing order of d.  c sits under the top, element 0 of every
     grown lattice, above a down-closed set d of non-top elements, and d
-    is its mask.  The child's other coatoms are the parent's coatoms
-    outside d, with their parent down-sets, and c's down-set has |d| + 1
-    elements; tie is True when one of those others has as many.  This
-    test is cheap, so it runs first.  The module docstring shows how the
-    tie flag and the orbits of d keep each class once.
+    is its mask; downs are the parent's down-set bitmasks.  The child's
+    other coatoms are the parent's coatoms outside d, with their parent
+    down-sets, and c's down-set has |d| + 1 elements; tie is True when
+    one of those others has as many.  This test is cheap, so it runs
+    first.  The module docstring shows how the tie flag and the orbits
+    of d keep each class once.
 
     The child is a lattice exactly when d holds the bottom (any d when
     the parent has one element) and the join of any two members of d is
@@ -190,9 +197,9 @@ def _grow(rows: Tuple[int, ...]):
     is excluded.
     """
     n = len(rows)
-    downs = _down_masks(rows)
     up_of = {r: i for i, r in enumerate(rows)}
     bottom, new_bit = rows.index((1 << n) - 1), 1 << n
+    coatom = (new_bit | 1,)  # c's up-set, one object for all the children
     # the parent's coatoms, the greatest down-set first
     coatoms = sorted((downs[i].bit_count(), i) for i in range(1, n) if rows[i] == 1 << i | 1)[::-1]
     # each incomparable pair as the mask of the two, with its join; a
@@ -220,8 +227,9 @@ def _grow(rows: Tuple[int, ...]):
             continue
         allowed = d | 1  # d and the top
         if all(allowed >> j & 1 for both, j in pairs if d & both == both):
-            child = tuple(rows[i] | (new_bit if d >> i & 1 else 0) for i in range(n))
-            yield d, child + (new_bit | 1,), size == rival
+            # a row outside d is the parent's own int object
+            child = tuple(r | new_bit if d >> i & 1 else r for i, r in enumerate(rows))
+            yield d, child + coatom, size == rival
 
 
 def _rows_to_lattice(rows: Tuple[int, ...]) -> FiniteLattice:
@@ -263,26 +271,86 @@ class EnumerationResult:
         return [_rows_to_lattice(rows) for rows in self.complemented_posets]
 
 
-def _orbit_least(rows: Tuple[int, ...]):
-    """(child, tie) from _grow for the least mask d of each orbit under
-    the parent's automorphisms, in increasing order of d."""
-    grown = list(_grow(rows))
-    # the masks grown are a union of orbits, so a lone mask is one
-    autos = list(_order_automorphism(rows)) if len(grown) > 1 else [list(range(len(rows)))]
+def _orbit_least(rows: Tuple[int, ...], downs: Tuple[int, ...]):
+    """(d, child, tie) from _grow for the least mask d of each orbit under
+    the parent's automorphisms, in increasing order of d.
+
+    The orbits come from a few generators of Aut(P), found by a
+    stabiliser chain without listing the group
+    (orders._stabiliser_generators) over the join-irreducibles but the
+    top: every automorphism fixes the top, element 0, and one that fixes
+    those is the identity, as each element is the join of the
+    join-irreducibles below it.  The group is finite, so the orbit of d
+    is its closure under the generators.
+    The masks grown are a union of orbits, and the masks seen are a
+    union of whole orbits, each closed when its first mask is met.  So
+    when the walk by increasing d meets an unseen d, no member of its
+    orbit came before it: d is the least."""
+    grown = list(_grow(rows, downs))
+    if len(grown) < 2:  # a lone mask is an orbit
+        yield from grown
+        return
+    base = [x for x in _lower_covers(downs) if x != 0]
+    generators = _stabiliser_generators(rows, 0, base, _classes(rows, downs))
+    images = [[1 << y for y in sigma] for sigma in generators]  # each bit's image
     seen = set()
-    for d, child, tie in grown:  # by increasing d, so each orbit's least comes first
-        if d not in seen:
-            members = [i for i in range(len(rows)) if d >> i & 1]
-            seen.update(sum(1 << sigma[i] for i in members) for sigma in autos)
-            yield child, tie
+    for d, child, tie in grown:
+        if d in seen:
+            continue
+        seen.add(d)
+        todo = [d]
+        while todo:  # the orbit of d
+            mask = todo.pop()
+            for bits in images:
+                image = sum(bit for i, bit in enumerate(bits) if mask >> i & 1)
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(image)
+        yield d, child, tie
+
+
+def _frontiers(max_n: int):
+    """(posets, downs) for each size through max_n: the lattices of that
+    size in generation order, as the up-set bitmasks of their orders,
+    and beside them their down-set bitmasks, or None at max_n, where
+    none is grown and only the tie children keep theirs, for the
+    isomorphism test, until the size is done.  A child's down-sets are its parent's, but the top
+    gains the new coatom and the new coatom's is d and itself; the
+    classes are the bit counts of the two.  A child whose new coatom
+    ties is kept when no earlier kept tie child of its size is
+    isomorphic to it, any other outright (see the module docstring)."""
+    posets, downs_of = [(1,)], [(1,)] if max_n > 1 else None
+    yield posets, downs_of
+    for size in range(2, max_n + 1):
+        new_bit, last = 1 << size - 1, size == max_n
+        grown: List[Tuple[int, ...]] = []
+        grown_downs: Optional[list] = None if last else []
+        # the kept tie children with their down-sets, by their sorted classes
+        ties: Dict[tuple, list] = {}
+        for rows, downs in zip(posets, downs_of):
+            top = (downs[0] | new_bit,)
+            for d, child, tie in _orbit_least(rows, downs):
+                child_downs = top + downs[1:] + (d | new_bit,)
+                if tie:
+                    cls = _classes(child, child_downs)
+                    kept = ties.setdefault(tuple(sorted(cls)), [])
+                    if any(next(_order_automorphism(child, target=other, classes=cls,
+                                                    target_classes=_classes(other, other_downs)),
+                                None) is not None
+                           for other, other_downs in kept):
+                        continue
+                    kept.append((child, child_downs))
+                grown.append(child)
+                if not last:
+                    grown_downs.append(child_downs)
+        posets, downs_of = grown, grown_downs
+        yield posets, downs_of
 
 
 def enumerate_lattices(max_n: int) -> EnumerationResult:
     """All lattices on at most max_n elements, one per isomorphism class,
     by size and in generation order within a size: each parent's kept
-    children follow those of the parents before it.  A child whose new
-    coatom ties is kept when no earlier kept tie child of its size is
-    isomorphic to it, any other outright (see the module docstring).
+    children follow those of the parents before it (see _frontiers).
     Every lattice grown is returned, as the up-set bitmasks of its order
     in posets; no FiniteLattice is built until the result's lattices are
     first read.
@@ -293,24 +361,9 @@ def enumerate_lattices(max_n: int) -> EnumerationResult:
 
     posets: List[Tuple[int, ...]] = []
     counts: Dict[int, int] = {}
-    frontier: List[Tuple[int, ...]] = [(1,)]
-    for size in range(1, max_n + 1):
+    for size, (frontier, _) in enumerate(_frontiers(max_n), 1):
         posets += frontier
         counts[size] = len(frontier)
-        if size < max_n:
-            grown: List[Tuple[int, ...]] = []
-            # the kept tie children, by their sorted classes
-            ties: Dict[tuple, List[Tuple[int, ...]]] = {}
-            for rows in frontier:
-                for child, tie in _orbit_least(rows):
-                    if tie:
-                        kept = ties.setdefault(tuple(sorted(_order_classes(child)[0])), [])
-                        if any(next(_order_automorphism(child, target=other), None) is not None
-                               for other in kept):
-                            continue
-                        kept.append(child)
-                    grown.append(child)
-            frontier = grown
     return EnumerationResult(posets, counts)
 
 
@@ -746,18 +799,21 @@ def _search(l: FiniteLattice, units: List[int], budget: Optional[int]) -> Residu
     searched: Dict[int, List[ResiduatedStructure]] = {}
     nodes, exhausted = 0, True
     unital = len(units) > 1
-    rows = _masks(l.leq) if unital else None  # the up-set bitmasks orbits read
-    irreducibles = list(_lower_covers(_masks(l.leq.T))) if unital else []
+    rows, classes, irreducibles = None, None, []
+    if unital:  # the up-set bitmasks and the classes that orbits read, counted once
+        rows, downs = _masks(l.leq), _masks(l.leq.T)
+        classes, irreducibles = _classes(rows, downs), list(_lower_covers(downs))
     for e in units:
         orbit = next(((rep, sigma) for rep in searched
-                      for sigma in islice(_order_automorphism(rows, rep, e), 1)), None)
+                      for sigma in islice(_order_automorphism(rows, rep, e, classes=classes), 1)),
+                     None)
         if orbit is not None:
             rep, sigma = orbit
             carry = _carrier(l, sigma)
             hits += [_verified(l, e, sigma, carry(hit.mul)) for hit in searched[rep]]
             continue
-        symmetries = _stabiliser_generators(rows, e, [x for x in irreducibles if x != e]) \
-            if unital else []
+        symmetries = _stabiliser_generators(rows, e, [x for x in irreducibles if x != e],
+                                            classes) if unital else []
         remaining = None if budget is None else budget - nodes
         found, exhausted, unit_nodes = _IrreducibleTableSearch(l, e, symmetries).run(budget=remaining)
         searched[e] = _closure(l, e, symmetries, found)

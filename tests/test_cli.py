@@ -324,8 +324,8 @@ class TestEnumerate:
         assert len(calls) == 2
 
     def test_enumeration_bound_still_reported_first(self, capsys):
-        code, out, err = run(capsys, "enumerate", "--max-n", "11", "--confirm-thm2")
-        assert (code, out, err) == (2, "", "error: max_n must be in 1..10\n")
+        code, out, err = run(capsys, "enumerate", "--max-n", "13", "--confirm-thm2")
+        assert (code, out, err) == (2, "", "error: max_n must be in 1..12\n")
 
 
 EMPTY = hashlib.sha256(b"").hexdigest()

@@ -121,7 +121,7 @@ def argument_lists(draw):
         else:
             argv = ["gen", family, f"--size={draw(small(2, 8, -2, 0, 1, 257, 10**11))}"]
     elif command == "enumerate":
-        argv = ["enumerate", f"--max-n={draw(small(1, 6, -1, 0, 11, 10**6))}"]
+        argv = ["enumerate", f"--max-n={draw(small(1, 6, -1, 0, 13, 10**6))}"]
         argv += [flag for flag in ("--complemented", "--confirm-thm2") if draw(st.booleans())]
     else:
         path = draw(st.sampled_from(sorted(SIZES)))

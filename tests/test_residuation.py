@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import drastic_chain
+from girardlab import residuation
 from girardlab.catalog import boolean_cube, chain, diamond_m3, mo2_subspace_model
 from girardlab.orders import is_complemented, lattice_from_covers
 from girardlab.reports import InputError
@@ -58,6 +59,19 @@ class TestAssociativity:
         assert t[t[x, y], z] != t[x, t[y, z]]
 
 
+@pytest.fixture
+def validations(monkeypatch):
+    """The table size of each as_mul_table call, as they happen."""
+    calls, real = [], residuation.as_mul_table
+
+    def counted(m, n):
+        calls.append(n)
+        return real(m, n)
+
+    monkeypatch.setattr(residuation, "as_mul_table", counted)
+    return calls
+
+
 class TestDeriveResidua:
     def test_boolean_square_formula(self):
         lat = boolean_cube(2)
@@ -97,6 +111,29 @@ class TestDeriveResidua:
             derive_residua(lat, t)
         assert (exc.value.kind, exc.value.pair) == ("right", (0, 0))
         assert "candidate set has no maximum" in str(exc.value)
+
+    @pytest.mark.parametrize("table, message", [
+        ([[0, 0], [0, 1]], "multiplication table must be 3x3, got (2, 2)"),
+        ([[0, 0, 0], [0, 1, 1], [0, 1, 3]], "multiplication table entry out of range"),
+        ([[0, 0, 0], [0, 1, 1], [0, 1, -1]], "multiplication table entry out of range"),
+    ], ids=["shape", "above", "below"])
+    def test_a_bad_table_is_rejected_once(self, validations, table, message):
+        # derive_residua validates a table it is called with directly, and
+        # residuated_structure raises the same error after one validation
+        for build in (derive_residua, residuated_structure):
+            validations.clear()
+            with pytest.raises(ValueError) as exc:
+                build(chain(3), table)
+            assert str(exc.value) == message and validations == [3], build
+
+    def test_structure_keeps_a_read_only_copy(self, validations):
+        lat = chain(3)
+        m = np.array(lat.meet)
+        s = residuated_structure(lat, m)
+        m[2, 2] = 0
+        assert validations == [3]
+        assert (s.mul == lat.meet).all() and s.mul.dtype == np.intp
+        assert not s.mul.flags.writeable
 
     def test_pointwise_maxima_without_biconditional(self):
         # non-monotone table on a chain: every candidate set is non-empty,

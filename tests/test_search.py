@@ -1,4 +1,5 @@
 """Lattice enumeration and the residuation searches."""
+import hashlib
 import itertools
 import pathlib
 import random
@@ -63,6 +64,62 @@ class TestEnumeration:
     def test_count_at_ten_matches_a006966(self):
         assert enumerate_lattices(10).counts == {**LATTICE_COUNTS, 10: 5994}
 
+    def test_count_at_eleven_matches_a006966(self):
+        assert enumerate_lattices(11).counts == {**LATTICE_COUNTS, 10: 5994, 11: 37622}
+
+    def test_posets_to_ten_are_pinned(self):
+        # the lattices through 10 elements and their order, as generated
+        # when each parent's whole automorphism group was listed
+        posets = repr(enumerate_lattices(10).posets).encode()
+        assert hashlib.sha256(posets).hexdigest() == \
+            "20c515aafc1df47eca560621a82f3946de14532b710c38e43b4613437cf96288"
+
+    def test_orbit_least_matches_the_listed_group(self):
+        """The masks _orbit_least keeps, from generators of Aut(P), are
+        the least of each orbit under the whole listed group, in the same
+        order, on all 1378 parents of at most 9 elements; and each comes
+        with what _grow yields for it."""
+        posets = enumerate_lattices(9).posets
+        assert len(posets) == 1378
+        for rows in posets:
+            downs = tuple(search._down_masks(rows))
+            grown = list(search._grow(rows, downs))
+            group = list(orders._order_automorphism(rows))
+            seen, expected = set(), []
+            for item in grown:
+                d = item[0]
+                if d not in seen:
+                    members = [i for i in range(len(rows)) if d >> i & 1]
+                    seen.update(sum(1 << sigma[i] for i in members) for sigma in group)
+                    expected.append(item)
+            assert list(search._orbit_least(rows, downs)) == expected, rows
+
+    def test_carried_down_sets_and_classes(self):
+        # every lattice of at most 10 elements carries its own down-sets
+        # to its children, and its classes are their bit counts; levels
+        # through 10 of an enumeration to 11, which stops before growing 11
+        for size, (posets, downs_of) in zip(range(1, 11), search._frontiers(11)):
+            assert len(posets) == len(downs_of) == {**LATTICE_COUNTS, 10: 5994}[size]
+            for rows, downs in zip(posets, downs_of):
+                assert list(downs) == search._down_masks(rows), rows
+                assert orders._classes(rows, downs) == orders._order_classes(rows)[0], rows
+        # the last size grows nothing and carries no down-sets
+        assert [downs is None for _, downs in search._frontiers(4)] == [False] * 3 + [True]
+
+    def test_no_parent_lists_its_group(self, monkeypatch):
+        """Enumerating asks _order_automorphism only for maps with a given
+        image of one element or onto a given target, never for a whole
+        automorphism group."""
+        real = orders._order_automorphism
+
+        def guarded(rows, a=None, b=None, target=None, **kwargs):
+            assert a is not None or target is not None, rows
+            return real(rows, a, b, target, **kwargs)
+
+        monkeypatch.setattr(orders, "_order_automorphism", guarded)
+        monkeypatch.setattr(search, "_order_automorphism", guarded)
+        assert enumerate_lattices(9).counts == LATTICE_COUNTS
+
     def test_matches_key_per_child_enumerator(self):
         """Canonical augmentation emits, size by size, the classes that
         labelling every child and keeping one per key did, each once."""
@@ -105,7 +162,7 @@ class TestEnumeration:
                 rival = max((downs[x] for x in range(1, n) if leq[x].sum() == 2), default=0)
                 if downs[n] >= rival:
                     expected.append((d, ext, downs[n] == rival))
-            assert list(search._grow(rows)) == expected
+            assert list(search._grow(rows, tuple(search._down_masks(rows)))) == expected
 
     def test_growth_matches_mask_scan(self):
         """Listing the down-sets directly yields what scanning every mask
@@ -114,7 +171,8 @@ class TestEnumeration:
         posets = enumerate_lattices(9).posets
         assert len(posets) == 1378
         for rows in posets:
-            assert list(search._grow(rows)) == list(scan_grow(rows)), rows
+            downs = tuple(search._down_masks(rows))
+            assert list(search._grow(rows, downs)) == list(scan_grow(rows)), rows
 
     def test_rows_to_lattice_reads_every_bit(self):
         """The order matrix built by one shift-and-mask is the one read
@@ -209,7 +267,7 @@ class TestEnumeration:
 
     def test_bound(self):
         with pytest.raises(InputError):
-            enumerate_lattices(11)
+            enumerate_lattices(13)
         with pytest.raises(InputError):
             enumerate_lattices(0)
 
@@ -947,7 +1005,7 @@ class TestUnitOrbits:
     def test_a_wrong_automorphism_is_an_internal_error(self, monkeypatch):
         # on the 4-element Boolean algebra, swapping the two atoms keeps
         # the order and swapping the first atom with the top does not
-        def swap(rows, a, b):
+        def swap(rows, a, b, classes):
             sigma = list(range(len(rows)))
             sigma[a], sigma[b] = b, a
             yield sigma
