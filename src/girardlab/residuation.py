@@ -5,11 +5,11 @@ table through the adjointness condition
 
     x*y <= z  iff  x <= rres[y][z]  iff  y <= lres[z][x]
 
-A greatest member of a candidate set has every other member strictly
-below it, so it is the one member with the largest down-set; each set's
-residuum is that member exactly when every member lies below it.  The
-full triple biconditional is re-verified afterwards, since pointwise
-maxima alone do not imply it.
+Adjointness says that each candidate set {x : x*y <= z} is the
+down-set of rres[y][z], and {y : x*y <= z} that of lres[z][x].  A
+greatest member is the member with the largest down-set, so comparing
+each set with that member's down-set decides both the residuum and
+adjointness in one pass.
 """
 from __future__ import annotations
 
@@ -103,55 +103,53 @@ def derive_residua(order: FinitePoset, mul) -> Tuple[np.ndarray, np.ndarray]:
     """Compute both residua tables from adjointness, or fail loudly.
 
     Raises NoResiduum when some candidate set is empty or has no maximum,
-    and AdjointnessFailure when the tables exist pointwise but the triple
-    biconditional does not hold (multiplication not monotone, say).
+    and AdjointnessFailure at the least (x, y, z) where both tables exist
+    but the triple biconditional fails (multiplication not monotone, say).
     """
     n, leq = order.n, order.leq
     t = as_mul_table(mul, n)
     down = (-leq.sum(axis=0)).argsort(kind="stable")  # largest down-set first
     # candidates as [c, p, q] for p in the slab: right, x with x*y <= z at
     # [x, y, z]; left, y with x*y <= z at [y, z, x]
-    rres = _residuum(lambda s: leq.take(t[:, s], axis=0), leq, down, "right")
-    lres = _residuum(lambda s: leq[:, s].take(t.T, axis=0).transpose(0, 2, 1), leq, down, "left")
-    _check_adjointness(leq, t, rres, lres)
+    rres, right = _residuum(lambda s: leq.take(t[:, s], axis=0), leq, down, "right", (0, 1, 2))
+    lres, left = _residuum(lambda s: leq[:, s].take(t.T, axis=0).transpose(0, 2, 1), leq, down,
+                           "left", (2, 0, 1))
+    if right or left:
+        raise AdjointnessFailure(min(right + left))
     return rres, lres
 
 
-def _residuum(candidates, leq: np.ndarray, down: np.ndarray, kind: str) -> np.ndarray:
-    """res[p, q] = the greatest c with candidates(s)[c, p, q], for p in the
-    slab s, pairs in order; raises NoResiduum at the first pair whose
-    candidate set has none.  `down` lists the elements by decreasing
+def _residuum(candidates, leq: np.ndarray, down: np.ndarray, kind: str, xyz: tuple):
+    """res[p, q] = the greatest c with candidates(s)[c, p, q], for p in
+    the slab s, and per slab the least (x, y, z) at which a candidate
+    set and the down-set of that c differ (cand.transpose(xyz) is
+    indexed [x, y, z]).  Raises NoResiduum at the first pair whose set
+    has no greatest member.  `down` lists the elements by decreasing
     down-set size: a set's greatest member is its first member there."""
     n = len(leq)
     res = np.empty((n, n), dtype=np.intp)
+    mismatches = []
     for s in index_slabs(n, 3):
         cand = candidates(s)
         ranked = cand.take(down, axis=0)
         first = ranked.argmax(axis=0)
         best = down[first]
+        res[s] = best
+        below = leq.take(best, axis=1)
+        differs = cand != below
+        if not differs.any():
+            continue
         found = ranked[0] | (first > 0)  # best is a member: argmax is 0 on an empty set
-        found &= (cand <= leq.take(best, axis=1)).all(axis=0)  # and bounds every member
+        found &= (cand <= below).all(axis=0)  # and bounds every member
         if not found.all():
             w = first_violation(~found)
             detail = "candidate set has no maximum" if cand[:, w[0], w[1]].any() else "empty candidate set"
             raise NoResiduum((w[0] + s.start, w[1]), kind, detail)
-        res[s] = best
+        w = list(first_violation(differs.transpose(xyz)))
+        w[xyz.index(1)] += s.start
+        mismatches.append(tuple(w))
     res.flags.writeable = False
-    return res
-
-
-def _check_adjointness(leq: np.ndarray, t: np.ndarray, rres: np.ndarray, lres: np.ndarray):
-    """Raise AdjointnessFailure at the least (x, y, z) where x*y <= z,
-    x <= y -> z and y <= z <- x do not all agree."""
-    def broken(s):
-        a = leq.take(t[s], axis=0)  # x*y <= z
-        via_right = leq[s].take(rres, axis=1)  # x <= y -> z
-        via_left = leq.T.take(lres[:, s].T, axis=0).transpose(0, 2, 1)  # y <= z <- x
-        return (a != via_right) | (a != via_left)
-
-    w = least_witness(broken, len(leq), 3)
-    if w is not None:
-        raise AdjointnessFailure(w)
+    return res, mismatches
 
 
 def classify(order: FinitePoset, mul) -> Flags:

@@ -848,10 +848,11 @@ def confirm_boolean_forcing(result: EnumerationResult) -> LawReport:
     residuated multiplication exists exactly when the lattice is Boolean,
     and on Boolean lattices the only one is the meet (hence idempotent:
     the meet's diagonal is the identity).  Verified by exhaustive search
-    on result.complemented, so only the complemented lattices are built;
-    the counts per size run over the sizes of result.counts."""
-    complemented = result.complemented
-    for idx, lat in enumerate(complemented):
+    on result.complemented_posets, building each lattice only while it
+    is searched; the counts per size run over the sizes of result.counts."""
+    complemented = result.complemented_posets
+    for idx, rows in enumerate(complemented):
+        lat = _rows_to_lattice(rows)
         res = search_integral_residuation(lat)
         boolean = is_distributive(lat).passed  # a complemented lattice is Boolean iff distributive
         if bool(res.found) != boolean:
@@ -866,7 +867,7 @@ def confirm_boolean_forcing(result: EnumerationResult) -> LawReport:
                 (lat.n, idx),
                 f"Boolean lattice admits {len(res.found)} tables, expected only the meet",
             )
-    sizes = ", ".join(f"{size}:{sum(lat.n == size for lat in complemented)}"
+    sizes = ", ".join(f"{size}:{sum(len(rows) == size for rows in complemented)}"
                       for size in result.counts)
     return law_pass(
         "complemented-integral-iff-boolean",

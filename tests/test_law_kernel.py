@@ -190,13 +190,15 @@ def late_residuation_failures(n):
     ]
 
 
-def boolean_without_residuum():
+def boolean_without_residuum(*cells):
     """The 64-element Boolean algebra under meet, but with 3*top = top:
     the right residuum set at (top, 3) is {0, 1, 2}, which has no
-    maximum."""
+    maximum.  Each (x, y, v) in cells also sets x*y = v."""
     lat = boolean_cube(6)
     t = np.array(lat.meet)
     t[3, 63] = 63
+    for x, y, v in cells:
+        t[x, y] = v
     return lat, t
 
 
@@ -302,7 +304,14 @@ def test_residuation_on_arbitrary_tables(case):
 @given(mutated())
 @_with_examples([(chain(1), np.zeros((1, 1), dtype=np.intp))]
                 + late_residuation_failures(7) + late_residuation_failures(26)
-                + [late_residuation_failures(64)[i] for i in (1, 4)] + [boolean_without_residuum()])
+                + [late_residuation_failures(64)[i] for i in (1, 4)] + [boolean_without_residuum()]
+                # the mismatch at (0, 1, 0), in the first slab, must not hide the missing residuum
+                + [boolean_without_residuum((0, 1, 1))]
+                # adjointness at (30, 32, 0), though the first slab with a mismatch holds y = 2
+                + [lukasiewicz(64, (30, 32, 48), (60, 2, 9)),
+                   lukasiewicz(64, (6, 52, 0), (63, 13, 39)),  # at (63, 13, 14), left half only
+                   # at (15, 63, 16), in the second mismatching slab of either half
+                   lukasiewicz(64, (17, 8, 32), (15, 63, 57))])
 def test_residuation_on_mutated_tables(case):
     residuation_laws(*case)
 

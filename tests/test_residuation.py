@@ -145,6 +145,19 @@ class TestDeriveResidua:
         x, y, z = exc.value.witness
         assert (x, y, z) == (1, 0, 0)
 
+    @pytest.mark.parametrize("s", [boolean_residuation(boolean_cube(6)), lukasiewicz_chain(60)],
+                             ids=["boolean-64", "lukasiewicz-60"])
+    def test_no_triple_scan(self, monkeypatch, s):
+        # the residuum pass decides adjointness too: no law scan follows
+        def refuse(*args):
+            raise AssertionError("a triple scan ran")
+
+        monkeypatch.setattr(residuation, "least_witness", refuse)
+        rres, lres = derive_residua(s.poset, s.mul)
+        for y in range(0, s.n, 7):
+            for z in range(0, s.n, 5):  # both tables are commutative
+                assert rres[y, z] == lres[z, y] == candidate_maximum(s.poset, s.mul, y, z)
+
 
 class TestClassify:
     def test_boolean_square(self):

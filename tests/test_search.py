@@ -377,6 +377,13 @@ class TestConfirmBooleanForcing:
     def test_max_six(self):
         assert sweep(6).passed
 
+    def test_sweep_keeps_no_list_of_lattices(self):
+        # each lattice is built while it is searched, so the sweep leaves
+        # no cached list of all complemented FiniteLattices behind
+        result = enumerate_lattices(7)
+        report = confirm_boolean_forcing(result)
+        assert report.passed and "complemented" not in result.__dict__
+
     def test_monotone_in_bound(self):
         # a pass at six implies the smaller sweeps pass as sub-reports
         assert sweep(6).passed
