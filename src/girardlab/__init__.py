@@ -5,6 +5,8 @@ ortholattices and residuated structures; exhaustive enumeration/search
 confirming that complemented lattices carry integral residuations only
 when Boolean; and a numerical realization of the subspaces of R^n as a
 commutative quantale whose orthocomplement is the linear negation.
+The subspace operations are imported from girardlab.subspaces; the
+package does not re-export them, so girardlab.ortho is the module.
 """
 
 from .reports import InputError, LawReport, Verdict, law_fail, law_pass, law_skip
@@ -27,16 +29,12 @@ from .girard import (
     check_dualizer_join_formula, check_quantale, check_unit_downset_boolean, find_cyclic_dualizing,
     girard_equivalences, is_cyclic, is_dualizing,
 )
-from .subspaces import (
-    QuantaleContext, Subspace, dualizing, equal, full, join, leq, meet, mul, ortho, random_subspace,
-    random_subspace_within, residuum, span, unit, verify_quantale_laws, zero,
-)
 from .search import (
     EnumerationResult, ResiduationSearchResult, confirm_boolean_forcing, enumerate_lattices,
     search_integral_residuation, search_unital_residuation,
 )
 from .structfile import ParseError, RangeError, StructError, StructureFile, parse, serialize
 from .render import export_dot, render_report
-from . import catalog
+from . import catalog, subspaces
 
 __version__ = "0.1.0"

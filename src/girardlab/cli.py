@@ -48,7 +48,7 @@ from .search import DEFAULT_BUDGET, confirm_boolean_forcing, enumerate_lattices,
 from .structfile import StructError, build_lattice, build_ortholattice, build_poset, from_lattice, \
     load, serialize
 from .subspaces import (
-    QuantaleContext,
+    check_dimension,
     join,
     meet,
     mul,
@@ -261,7 +261,7 @@ def cmd_search_residuation(args) -> int:
 
 
 def cmd_rn(args) -> int:
-    reports = verify_quantale_laws(QuantaleContext(args.dim), args.trials, args.seed)
+    reports = verify_quantale_laws(args.dim, args.trials, args.seed)
     return _report([(f"subspace-quantale dim={args.dim}", reports)], args.format)
 
 
@@ -276,22 +276,22 @@ def _entries(text: str, convert, what: str, kind: str) -> list:
     return values
 
 
-def _parse_vectors(text: str, ctx: QuantaleContext):
+def _parse_vectors(text: str, n: int):
     parts = [part.strip() for part in text.split(";")]
-    return span(ctx, [_entries(part, float, "vector", "a number") for part in parts if part])
+    return span(n, [_entries(part, float, "vector", "a number") for part in parts if part])
 
 
 def cmd_rn_op(args) -> int:
-    ctx = QuantaleContext(args.dim)
-    a = _parse_vectors(args.a, ctx)
+    n = check_dimension(args.dim)  # before any vector is parsed
+    a = _parse_vectors(args.a, n)
     ops = {"mul": mul, "meet": meet, "join": join, "residuum": residuum}
     if args.op == "ortho":
-        result = ortho(ctx, a)
+        result = ortho(a)
     else:
         if args.b is None:
             raise InputError(f"op {args.op} needs --b")
-        b = _parse_vectors(args.b, ctx)
-        result = ops[args.op](ctx, a, b)
+        b = _parse_vectors(args.b, n)
+        result = ops[args.op](a, b)
     print(f"dim: {result.dim}")
     for row in result.basis.T:
         print(";".join(f"{x:.12g}" for x in row))

@@ -17,15 +17,19 @@ commutative Girard structure whose orthocomplement is the linear
 negation.
 
 Numerical policy, fixed: ranks are decided by singular values at the
-relative cutoff TAU_RANK = 1e-9, and subspace equality by projector
-Frobenius distance at tau_eq = 1e-8 * sqrt(n).  QuantaleContext holds
-only n and reads both as tau_rank and tau_eq; the dimension is capped
-because the product of an r-dimensional and an s-dimensional subspace
-spans r*s candidate vectors.  A Cholesky factorisation of G - cI, c just
-above tau_rank^2 tr(G), certifies full rank on a Gram matrix: on the n x n
-AA^T (P_S o P_T or P_S + P_T, A unformed) of a product or join that may
-span R^n, which then is R^n, and on the k x k A^T A of a tall A with
-16 <= k < n columns, which one QR then splits.  Else one SVD decides.
+relative cutoff tau_rank = TAU_RANK = 1e-9, and subspace equality by
+projector Frobenius distance at tau_eq(n) = 1e-8 * sqrt(n).  Neither is
+an option.  The constructors span, zero, full, unit, dualizing and
+random_subspace, and verify_quantale_laws, take the dimension n and
+check it against MAX_DIM; every other operation reads n from its
+operands, and two operands from different ambients are an InputError.
+The dimension is capped because the product of an r-dimensional and an
+s-dimensional subspace spans r*s candidate vectors.  A Cholesky
+factorisation of G - cI, c just above tau_rank^2 tr(G), certifies full
+rank on a Gram matrix: on the n x n AA^T (P_S o P_T or P_S + P_T, A
+unformed) of a product or join that may span R^n, which then is R^n,
+and on the k x k A^T A of a tall A with 16 <= k < n columns, which one
+QR then splits.  Else one SVD decides.
 """
 from __future__ import annotations
 
@@ -42,20 +46,16 @@ TAU_RANK = 1e-9
 QR_MIN_COLUMNS = 16  # below it, one SVD of a tall matrix beats a Gram Cholesky and a QR
 
 
-@dataclass(frozen=True)
-class QuantaleContext:
-    """The ambient dimension n, with the fixed tolerances it implies."""
+def check_dimension(n: int) -> int:
+    """n itself, when R^n is an ambient space the engine takes."""
+    if not 1 <= n <= MAX_DIM:
+        raise InputError(f"dimension must be in 1..{MAX_DIM}")
+    return n
 
-    n: int
-    tau_rank = TAU_RANK
 
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_DIM:
-            raise InputError(f"dimension must be in 1..{MAX_DIM}")
-
-    @property
-    def tau_eq(self) -> float:
-        return 1e-8 * math.sqrt(self.n)
+def tau_eq(n: int) -> float:
+    """Tolerance of subspace equality and containment in R^n."""
+    return 1e-8 * math.sqrt(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,10 +82,9 @@ class Subspace:
         return p
 
 
-def _check_same_ambient(ctx: QuantaleContext, *spaces: Subspace):
-    for s in spaces:
-        if s.n != ctx.n:
-            raise InputError(f"subspace lives in R^{s.n}, context is R^{ctx.n}")
+def _check_same_ambient(s: Subspace, t: Subspace):
+    if s.n != t.n:
+        raise InputError(f"operands live in R^{s.n} and R^{t.n}")
 
 
 def _split(a: np.ndarray) -> Subspace:
@@ -151,98 +150,98 @@ def _certifies_rank(g: np.ndarray, m: int) -> bool:
     return True
 
 
-def span(ctx: QuantaleContext, vectors: Sequence[Sequence[float]]) -> Subspace:
+def span(n: int, vectors: Sequence[Sequence[float]]) -> Subspace:
     """Orthonormal basis of the span of the given n-vectors.
 
-    Rank is the number of singular values at least tau_rank times the
+    Rank is the number of singular values at least TAU_RANK times the
     largest; an empty list (or all-zero vectors) gives the zero subspace.
     """
+    check_dimension(n)
     rows = [np.asarray(v, dtype=float) for v in vectors]
     for v in rows:
-        if v.shape != (ctx.n,):
-            raise InputError(f"expected vectors of length {ctx.n}")
-    a = np.stack(rows, axis=1) if rows else np.zeros((ctx.n, 0))
+        if v.shape != (n,):
+            raise InputError(f"expected vectors of length {n}")
+    a = np.stack(rows, axis=1) if rows else np.zeros((n, 0))
     if not np.isfinite(a).all():
         raise InputError("vector coordinates must be finite")
     return _split(a)
 
 
-def zero(ctx: QuantaleContext) -> Subspace:
-    return Subspace(np.zeros((ctx.n, 0)), np.eye(ctx.n))
+def zero(n: int) -> Subspace:
+    return Subspace(np.zeros((check_dimension(n), 0)), np.eye(n))
 
 
-def full(ctx: QuantaleContext) -> Subspace:
-    return Subspace(np.eye(ctx.n), np.zeros((ctx.n, 0)))
+def full(n: int) -> Subspace:
+    return Subspace(np.eye(check_dimension(n)), np.zeros((n, 0)))
 
 
-def leq(ctx: QuantaleContext, s: Subspace, t: Subspace) -> bool:
+def leq(s: Subspace, t: Subspace) -> bool:
     """Containment: the residual of s's basis outside t is below tau_eq."""
-    _check_same_ambient(ctx, s, t)
+    _check_same_ambient(s, t)
     if s.dim > t.dim:  # the residual is at least 1
         return False
     resid = s.basis - t.basis @ (t.basis.T @ s.basis)
-    return float(np.linalg.norm(resid)) <= ctx.tau_eq
+    return float(np.linalg.norm(resid)) <= tau_eq(s.n)
 
 
-def equal(ctx: QuantaleContext, s: Subspace, t: Subspace) -> bool:
+def equal(s: Subspace, t: Subspace) -> bool:
     """Projector Frobenius distance (at least 1 across dimensions) below tau_eq."""
-    _check_same_ambient(ctx, s, t)
-    return s.dim == t.dim and float(np.linalg.norm(s.projector() - t.projector())) <= ctx.tau_eq
+    _check_same_ambient(s, t)
+    return s.dim == t.dim and float(np.linalg.norm(s.projector() - t.projector())) <= tau_eq(s.n)
 
 
-def ortho(ctx: QuantaleContext, s: Subspace) -> Subspace:
+def ortho(s: Subspace) -> Subspace:
     """Orthogonal complement: the two carried bases swap places, so the
     dimensions add up to n exactly and no decomposition is taken."""
-    _check_same_ambient(ctx, s)
     return Subspace(s.complement, s.basis)
 
 
-def join(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
+def join(s: Subspace, t: Subspace) -> Subspace:
     """Smallest subspace containing both: span of the stacked bases."""
-    _check_same_ambient(ctx, s, t)
-    if s.dim + t.dim >= ctx.n and _certifies_rank(s.projector() + t.projector(), ctx.n + s.dim + t.dim + 3):
-        return full(ctx)
+    _check_same_ambient(s, t)
+    if s.dim + t.dim >= s.n and _certifies_rank(s.projector() + t.projector(), s.n + s.dim + t.dim + 3):
+        return full(s.n)
     return _split(np.hstack([s.basis, t.basis]))
 
 
-def meet(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
+def meet(s: Subspace, t: Subspace) -> Subspace:
     """Intersection: the complement of the join of complements, at most one SVD."""
-    return ortho(ctx, join(ctx, ortho(ctx, s), ortho(ctx, t)))
+    return ortho(join(ortho(s), ortho(t)))
 
 
-def mul(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
+def mul(s: Subspace, t: Subspace) -> Subspace:
     """Quantale product: span of all Hadamard products of basis columns."""
-    _check_same_ambient(ctx, s, t)
-    if s.dim * t.dim >= ctx.n and _certifies_rank(s.projector() * t.projector(), ctx.n + s.dim + t.dim + 3):
-        return full(ctx)
-    products = (s.basis[:, :, None] * t.basis[:, None, :]).reshape(ctx.n, -1)
+    _check_same_ambient(s, t)
+    if s.dim * t.dim >= s.n and _certifies_rank(s.projector() * t.projector(), s.n + s.dim + t.dim + 3):
+        return full(s.n)
+    products = (s.basis[:, :, None] * t.basis[:, None, :]).reshape(s.n, -1)
     return _split(products)
 
 
-def unit(ctx: QuantaleContext) -> Subspace:
+def unit(n: int) -> Subspace:
     """The line through (1, ..., 1), neutral for the Hadamard product."""
-    ones = np.ones((ctx.n, 1)) / math.sqrt(ctx.n)
+    ones = np.ones((check_dimension(n), 1)) / math.sqrt(n)
     return Subspace(ones, _split(ones).complement)
 
 
-def dualizing(ctx: QuantaleContext) -> Subspace:
+def dualizing(n: int) -> Subspace:
     """Complement of the unit: vectors with coordinate sum zero."""
-    return ortho(ctx, unit(ctx))
+    return ortho(unit(n))
 
 
-def residuum(ctx: QuantaleContext, s: Subspace, t: Subspace) -> Subspace:
+def residuum(s: Subspace, t: Subspace) -> Subspace:
     """s -> t as the complement of s * complement(t) (commutative case);
     at most one SVD."""
-    return ortho(ctx, mul(ctx, s, ortho(ctx, t)))
+    return ortho(mul(s, ortho(t)))
 
 
-def random_subspace(ctx: QuantaleContext, rng: np.random.Generator) -> Subspace:
-    """Rotation-invariant random subspace; dimension uniform on 0..n."""
-    dim = int(rng.integers(0, ctx.n + 1))
-    return _split(rng.standard_normal((ctx.n, dim)))
+def random_subspace(n: int, rng: np.random.Generator) -> Subspace:
+    """Rotation-invariant random subspace of R^n; dimension uniform on 0..n."""
+    dim = int(rng.integers(0, check_dimension(n) + 1))
+    return _split(rng.standard_normal((n, dim)))
 
 
-def random_subspace_within(ctx: QuantaleContext, s: Subspace, rng: np.random.Generator) -> Subspace:
+def random_subspace_within(s: Subspace, rng: np.random.Generator) -> Subspace:
     """Random subspace of s, of dimension uniform on 0..dim(s)."""
     k = int(rng.integers(0, s.dim + 1))
     return _split(s.basis @ rng.standard_normal((s.dim, k)))
@@ -261,7 +260,7 @@ _LAWS = (
 )
 
 
-def verify_quantale_laws(ctx: QuantaleContext, trials: int, seed: int) -> List[LawReport]:
+def verify_quantale_laws(n: int, trials: int, seed: int) -> List[LawReport]:
     """Seeded random verification of every law family of the subspace
     quantale of R^n.
 
@@ -275,39 +274,37 @@ def verify_quantale_laws(ctx: QuantaleContext, trials: int, seed: int) -> List[L
     from (seed, trial), so a FAIL's witness (seed, trial) names the
     first failing trial and replays it exactly.
     """
+    check_dimension(n)
     if trials < 1:
         raise InputError("need at least one trial")
-    e = unit(ctx)
-    d = dualizing(ctx)
+    e = unit(n)
+    d = dualizing(n)
     first_failure = {}
 
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-        s = random_subspace(ctx, rng)
-        t = random_subspace(ctx, rng)
-        u = random_subspace(ctx, rng)
-        st = mul(ctx, s, t)
-        ortho_s, ortho_u = ortho(ctx, s), ortho(ctx, u)
-        uc = random_subspace_within(ctx, ortho(ctx, st), rng)
-        r = residuum(ctx, s, t)
-        x = random_subspace(ctx, rng)
-        x_in = random_subspace_within(ctx, r, rng)
-        neg_s = residuum(ctx, s, d)
-        x_om = random_subspace_within(ctx, t, rng)
+        s = random_subspace(n, rng)
+        t = random_subspace(n, rng)
+        u = random_subspace(n, rng)
+        st = mul(s, t)
+        ortho_s, ortho_u = ortho(s), ortho(u)
+        uc = random_subspace_within(ortho(st), rng)
+        r = residuum(s, t)
+        x = random_subspace(n, rng)
+        x_in = random_subspace_within(r, rng)
+        neg_s = residuum(s, d)
+        x_om = random_subspace_within(t, rng)
 
         verdicts = (
-            equal(ctx, st, mul(ctx, t, s)),
-            equal(ctx, mul(ctx, st, u), mul(ctx, s, mul(ctx, t, u))),
-            equal(ctx, mul(ctx, e, s), s),
-            equal(ctx, mul(ctx, s, join(ctx, t, u)), join(ctx, st, mul(ctx, s, u))),
-            leq(ctx, st, ortho_u) == leq(ctx, mul(ctx, u, t), ortho_s)
-            and leq(ctx, mul(ctx, uc, t), ortho_s),
-            leq(ctx, mul(ctx, x, s), t) == leq(ctx, x, r)
-            and leq(ctx, mul(ctx, x_in, s), t)
-            and leq(ctx, mul(ctx, r, s), t),
-            equal(ctx, residuum(ctx, neg_s, d), s),
-            equal(ctx, ortho_s, neg_s),
-            equal(ctx, t, join(ctx, x_om, meet(ctx, ortho(ctx, x_om), t))),
+            equal(st, mul(t, s)),
+            equal(mul(st, u), mul(s, mul(t, u))),
+            equal(mul(e, s), s),
+            equal(mul(s, join(t, u)), join(st, mul(s, u))),
+            leq(st, ortho_u) == leq(mul(u, t), ortho_s) and leq(mul(uc, t), ortho_s),
+            leq(mul(x, s), t) == leq(x, r) and leq(mul(x_in, s), t) and leq(mul(r, s), t),
+            equal(residuum(neg_s, d), s),
+            equal(ortho_s, neg_s),
+            equal(t, join(x_om, meet(ortho(x_om), t))),
         )
         for law, ok in zip(_LAWS, verdicts):
             if not ok:

@@ -28,7 +28,6 @@ from girardlab.search import confirm_boolean_forcing, enumerate_lattices, \
     search_integral_residuation
 from girardlab.structfile import build_ortholattice, load
 from girardlab.subspaces import (
-    QuantaleContext,
     dualizing,
     equal,
     join,
@@ -36,6 +35,7 @@ from girardlab.subspaces import (
     mul,
     random_subspace,
     residuum,
+    tau_eq,
     verify_quantale_laws,
     zero,
 )
@@ -78,9 +78,8 @@ def test_criterion_3_subspace_quantale_laws():
     started = time.monotonic()
     checked = 0
     for n in (1, 2, 3, 4, 6, 8):
-        ctx = QuantaleContext(n)
-        assert ctx.tau_eq == pytest.approx(1e-8 * math.sqrt(n))
-        reports = verify_quantale_laws(ctx, trials=1000, seed=42)
+        assert tau_eq(n) == pytest.approx(1e-8 * math.sqrt(n))
+        reports = verify_quantale_laws(n, trials=1000, seed=42)
         assert len(reports) == 9
         bad = [str(r) for r in reports if not r.passed]
         assert not bad, f"n={n}: {bad}"
@@ -99,16 +98,15 @@ def test_criterion_4_dualizer_join_formula():
         assert cert.d == s.lattice.bottom
         assert check_dualizer_join_formula(s, cert, [cert]).passed
 
-    ctx = QuantaleContext(2)
-    d = dualizing(ctx)
-    acc = zero(ctx)
+    d = dualizing(2)
+    acc = zero(2)
     for trial in range(100):
         rng = np.random.default_rng(np.random.SeedSequence((271828, trial)))
-        s = random_subspace(ctx, rng)
-        product = mul(ctx, s, residuum(ctx, s, d))
-        assert leq(ctx, product, d)
-        acc = join(ctx, acc, product)
-    assert equal(ctx, acc, d)
+        s = random_subspace(2, rng)
+        product = mul(s, residuum(s, d))
+        assert leq(product, d)
+        acc = join(acc, product)
+    assert equal(acc, d)
     announce(4, "exact join formula on MV chains and Boolean cubes; "
                 "sampled join over 100 self-products equals d on R^2")
 
@@ -160,13 +158,12 @@ def test_criterion_7_orthomodularity_conditions_agree(structures_dir):
 
 def test_criterion_8_product_basis_independence():
     failures = 0
-    ctx = QuantaleContext(8)
-    assert ctx.tau_eq == pytest.approx(1e-8 * math.sqrt(8))
+    assert tau_eq(8) == pytest.approx(1e-8 * math.sqrt(8))
     for trial in range(500):
         rng = np.random.default_rng(np.random.SeedSequence((314159, trial)))
-        s = random_subspace(ctx, rng)
-        t = random_subspace(ctx, rng)
-        if not equal(ctx, mul(ctx, s, t), mul(ctx, rebased(s, rng), rebased(t, rng))):
+        s = random_subspace(8, rng)
+        t = random_subspace(8, rng)
+        if not equal(mul(s, t), mul(rebased(s, rng), rebased(t, rng))):
             failures += 1
     assert failures == 0
     announce(8, "500 random orthogonal re-basings leave the product unchanged "

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reference_subspaces as ref
-from girardlab import cli, girard, orders, residuation, search, structfile
+from girardlab import cli, girard, orders, residuation, search, structfile, subspaces
 from girardlab.cli import main
 from girardlab.render import export_dot, render_report
 from girardlab.reports import law_fail, law_pass
@@ -18,7 +18,6 @@ from girardlab.residuation import AdjointnessFailure, boolean_residuation, godel
 from girardlab.search import confirm_boolean_forcing, search_unital_residuation
 from girardlab.structfile import build_lattice, build_ortholattice, from_lattice, load, parse, \
     serialize
-from girardlab.subspaces import QuantaleContext
 
 
 def run(capsys, *argv):
@@ -527,7 +526,7 @@ class TestRn:
         # an equality tolerance of 1e-300 fails every law whose two sides
         # are different bases of one subspace; trial 1 compares the unit
         # times a 2-dimensional s with s itself
-        monkeypatch.setattr(QuantaleContext, "tau_eq", 1e-300)
+        monkeypatch.setattr(subspaces, "tau_eq", lambda n: 1e-300)
         argv = ["rn", "--dim", "3", "--trials", "2", "--seed", "1", "--format", fmt]
         code, out, _ = run(capsys, *argv)
         assert code == 1
@@ -594,7 +593,7 @@ class TestRnOp:
         proc = self.ortho_under_warnings_as_errors(structures_dir, unit * scale)
         assert (proc.returncode, proc.stderr) == (0, "")
         head, *rows = proc.stdout.splitlines()
-        want = 20 - ref.orthonormal_range(unit, QuantaleContext.tau_rank).shape[1]
+        want = 20 - ref.orthonormal_range(unit, subspaces.TAU_RANK).shape[1]
         assert head == f"dim: {want}" and len(rows) == want == 20 - k
         basis = np.array([[float(x) for x in row.split(";")] for row in rows])
         assert np.allclose(basis @ basis.T, np.eye(want), rtol=0, atol=1e-10)
@@ -720,7 +719,12 @@ INPUT_ERRORS = [
     pytest.param(["gen", "godel", "--size", "100000000000"], "at most 256 elements are supported",
                  id="residuation._chain_with_fraction_labels-too-large"),
     pytest.param(["rn", "--dim", "65"], "dimension must be in 1..64",
-                 id="subspaces.QuantaleContext-dimension"),
+                 id="subspaces.check_dimension"),
+    # the dimension is checked before the trial count and before the vectors
+    pytest.param(["rn", "--dim", "65", "--trials", "0"], "dimension must be in 1..64",
+                 id="subspaces.check_dimension-before-trials"),
+    pytest.param(["rn-op", "--dim", "65", "--op", "ortho", "--a=x"], "dimension must be in 1..64",
+                 id="subspaces.check_dimension-before-vectors"),
     pytest.param(["rn-op", "--dim", "2", "--op", "ortho", "--a=1,2,3"],
                  "expected vectors of length 2", id="subspaces.span-length"),
     pytest.param(["rn", "--dim", "3", "--trials", "0"], "need at least one trial",

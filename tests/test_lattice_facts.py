@@ -322,7 +322,6 @@ def test_girard_derives_each_fact_once(monkeypatch, tmp_path):
     path = tmp_path / "boolean-64.struct"
     path.write_text(text.getvalue())
     # every module that binds a function gets the counting wrapper
-    # (girardlab.ortho is shadowed on the package by subspaces.ortho)
     modules = [sys.modules[f"girardlab.{m}"]
                for m in ("cli", "girard", "orders", "ortho", "search", "structfile")]
     calls = Counter()

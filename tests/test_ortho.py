@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import girardlab
 from girardlab.catalog import benzene_o6, boolean_ortho, diamond_m3, horizontal_sum_mo
 from girardlab.orders import is_boolean, compute_lattice, validate_poset
 from girardlab.reports import InputError
@@ -35,6 +36,12 @@ for path in sorted(STRUCTURES.glob("*.struct")):
     sf = load(path)
     if sf.ortho is not None and is_orthomodular(build_ortholattice(sf)):
         CHECKED_IN_OMLS[path.name] = build_ortholattice(sf)
+
+
+def test_package_attribute_is_the_module():
+    # the package re-exports no subspace operation, so subspaces.ortho
+    # does not shadow this module on it
+    assert girardlab.ortho is sys.modules["girardlab.ortho"]
 
 
 class TestOrtholattice:

@@ -14,9 +14,10 @@ from girardlab.catalog import mo2_subspace_model
 from girardlab.cli import main
 from girardlab.reports import InputError
 from girardlab.subspaces import (
-    QuantaleContext,
+    TAU_RANK,
     _certifies_rank,
     _split,
+    check_dimension,
     dualizing,
     equal,
     full,
@@ -29,6 +30,7 @@ from girardlab.subspaces import (
     random_subspace_within,
     residuum,
     span,
+    tau_eq,
     unit,
     verify_quantale_laws,
     zero,
@@ -37,12 +39,12 @@ from girardlab.subspaces import (
 
 @pytest.fixture
 def r2():
-    return QuantaleContext(2)
+    return 2
 
 
 @pytest.fixture
 def r3():
-    return QuantaleContext(3)
+    return 3
 
 
 class TestSpan:
@@ -52,7 +54,7 @@ class TestSpan:
     def test_collinear_vectors(self, r2):
         s = span(r2, [(1.0, 1.0), (2.0, 2.0)])
         assert s.dim == 1
-        assert equal(r2, s, span(r2, [(1.0, 1.0)]))
+        assert equal(s, span(r2, [(1.0, 1.0)]))
 
     def test_near_degenerate_direction_dropped(self, r2):
         assert span(r2, [(1.0, 0.0), (1.0, 1e-12)]).dim == 1
@@ -62,9 +64,14 @@ class TestSpan:
         with pytest.raises(InputError):
             span(r2, [(1.0, 2.0, 3.0)])
 
-    def test_operand_from_another_ambient(self, r2, r3):
-        with pytest.raises(InputError, match=r"subspace lives in R\^3, context is R\^2"):
-            meet(r2, full(r2), full(r3))
+    @pytest.mark.parametrize("op", [leq, equal, join, meet, mul, residuum])
+    def test_operands_from_different_ambients(self, r2, r3, op):
+        # two lines, of one dimension: equal raises rather than compare them
+        for s, t in ((span(r3, [(1, 0, 0)]), span(r2, [(1, 0)])), (full(r3), full(r2))):
+            with pytest.raises(InputError, match=r"^operands live in R\^3 and R\^2$"):
+                op(s, t)
+            with pytest.raises(InputError, match=r"^operands live in R\^2 and R\^3$"):
+                op(t, s)
 
     def test_huge_and_tiny_coordinates(self, r2):
         # squares of these entries over- or underflow; the rank decision
@@ -72,7 +79,7 @@ class TestSpan:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             huge = span(r2, [(1e308, 1e308), (1e308, -1e308)])
-            assert huge.dim == 2 and ortho(r2, huge).dim == 0
+            assert huge.dim == 2 and ortho(huge).dim == 0
             assert span(r2, [(1e308, 0.0), (1e308, 1e296)]).dim == 1
             assert span(r2, [(1e-200, 0.0), (1e-200, 1e-212)]).dim == 1
             assert span(r2, [(1e-200, 0.0), (1e-200, 1e-203)]).dim == 2
@@ -86,42 +93,42 @@ class TestSpan:
 class TestOrderOps:
     def test_zero_below_everything(self, r2):
         for t in (zero(r2), span(r2, [(1, 0)]), full(r2)):
-            assert leq(r2, zero(r2), t)
+            assert leq(zero(r2), t)
 
     def test_line_below_plane(self, r2):
-        assert leq(r2, span(r2, [(1, 0)]), full(r2))
+        assert leq(span(r2, [(1, 0)]), full(r2))
 
     def test_skew_lines_incomparable(self, r2):
         s, t = span(r2, [(1, 1)]), span(r2, [(1, -1)])
-        assert not equal(r2, s, t)
-        assert not leq(r2, s, t) and not leq(r2, t, s)
+        assert not equal(s, t)
+        assert not leq(s, t) and not leq(t, s)
 
 
 class TestOrtho:
     def test_full_to_zero(self, r3):
-        assert ortho(r3, full(r3)).dim == 0
+        assert ortho(full(r3)).dim == 0
 
     def test_diagonal_line(self, r2):
-        assert equal(r2, ortho(r2, span(r2, [(1, 1)])), span(r2, [(1, -1)]))
+        assert equal(ortho(span(r2, [(1, 1)])), span(r2, [(1, -1)]))
 
     def test_weighted_line(self, r2):
-        assert equal(r2, ortho(r2, span(r2, [(1, 2)])), span(r2, [(2, -1)]))
+        assert equal(ortho(span(r2, [(1, 2)])), span(r2, [(2, -1)]))
 
     def test_dimensions_add_exactly(self, r3):
         rng = np.random.default_rng(3)
         for _ in range(200):
             s = random_subspace(r3, rng)
-            assert s.dim + ortho(r3, s).dim == 3
+            assert s.dim + ortho(s).dim == 3
 
     def test_involutive_and_order_reversing(self):
-        ctx = QuantaleContext(5)
+        n = 5
         rng = np.random.default_rng(5)
         for _ in range(100):
-            s = random_subspace(ctx, rng)
-            t = random_subspace(ctx, rng)
-            assert equal(ctx, ortho(ctx, ortho(ctx, s)), s)
-            if leq(ctx, s, t):
-                assert leq(ctx, ortho(ctx, t), ortho(ctx, s))
+            s = random_subspace(n, rng)
+            t = random_subspace(n, rng)
+            assert equal(ortho(ortho(s)), s)
+            if leq(s, t):
+                assert leq(ortho(t), ortho(s))
 
 
 class TestCompareAcrossDimensions:
@@ -137,82 +144,81 @@ class TestCompareAcrossDimensions:
         # equal and leq answer False from unequal dimensions alone; the
         # projector formulas agree on pairs of every dimension, 0 and n
         # included, the smaller one drawn inside the larger
-        ctx = QuantaleContext(n)
-        tau = ctx.tau_eq
+        tau = tau_eq(n)
         rng = np.random.default_rng(n)
         pairs = [(a, b) for a in range(n + 1) for b in range(n + 1) if a < b]
         if n == 64:
             pairs = [(0, 64), (0, 1), (63, 64)] + [tuple(sorted(rng.choice(65, 2, replace=False)))
                                                   for _ in range(12)]
         for a, b in pairs:
-            big = span(ctx, list(rng.standard_normal((n, b)).T))
-            small = span(ctx, list((big.basis @ rng.standard_normal((b, a))).T))
+            big = span(n, list(rng.standard_normal((n, b)).T))
+            small = span(n, list((big.basis @ rng.standard_normal((b, a))).T))
             assert (small.dim, big.dim) == (a, b)
             for s, t in ((small, big), (big, small)):
-                assert not equal(ctx, s, t) and not ref.equal(s.basis, t.basis, tau)
-            assert leq(ctx, small, big) and ref.leq(small.basis, big.basis, tau)
-            assert not leq(ctx, big, small) and not ref.leq(big.basis, small.basis, tau)
+                assert not equal(s, t) and not ref.equal(s.basis, t.basis, tau)
+            assert leq(small, big) and ref.leq(small.basis, big.basis, tau)
+            assert not leq(big, small) and not ref.leq(big.basis, small.basis, tau)
 
 
 class TestMeetJoin:
     def test_plane_intersection(self, r3):
-        m = meet(r3, span(r3, [(1, 0, 0), (0, 1, 0)]), span(r3, [(0, 1, 0), (0, 0, 1)]))
-        assert equal(r3, m, span(r3, [(0, 1, 0)]))
+        m = meet(span(r3, [(1, 0, 0), (0, 1, 0)]), span(r3, [(0, 1, 0), (0, 0, 1)]))
+        assert equal(m, span(r3, [(0, 1, 0)]))
 
     def test_join_with_zero(self, r3):
         s = span(r3, [(1, 2, 0)])
-        assert equal(r3, join(r3, s, zero(r3)), s)
+        assert equal(join(s, zero(r3)), s)
 
     def test_meet_with_complement_is_zero(self):
-        ctx = QuantaleContext(4)
+        n = 4
         for trial in range(1000):
             rng = np.random.default_rng((11, trial))
-            s = random_subspace(ctx, rng)
-            assert meet(ctx, s, ortho(ctx, s)).dim == 0
-            assert join(ctx, s, ortho(ctx, s)).dim == 4
+            s = random_subspace(n, rng)
+            assert meet(s, ortho(s)).dim == 0
+            assert join(s, ortho(s)).dim == 4
 
     def test_modular_dimension_law(self):
-        ctx = QuantaleContext(6)
+        n = 6
         rng = np.random.default_rng(17)
         for _ in range(300):
-            s = random_subspace(ctx, rng)
-            t = random_subspace(ctx, rng)
-            assert join(ctx, s, t).dim + meet(ctx, s, t).dim == s.dim + t.dim
+            s = random_subspace(n, rng)
+            t = random_subspace(n, rng)
+            assert join(s, t).dim + meet(s, t).dim == s.dim + t.dim
 
 
 class TestMul:
     def test_disjoint_supports(self, r2):
-        assert mul(r2, span(r2, [(1, 0)]), span(r2, [(0, 1)])).dim == 0
+        assert mul(span(r2, [(1, 0)]), span(r2, [(0, 1)])).dim == 0
 
     def test_unit_neutral_on_samples(self):
-        ctx = QuantaleContext(5)
-        e = unit(ctx)
+        n = 5
+        e = unit(n)
         rng = np.random.default_rng(23)
         for _ in range(100):
-            s = random_subspace(ctx, rng)
-            assert equal(ctx, mul(ctx, e, s), s)
-            assert equal(ctx, mul(ctx, s, e), s)
+            s = random_subspace(n, rng)
+            assert equal(mul(e, s), s)
+            assert equal(mul(s, e), s)
 
     def test_antidiagonal_squares_to_unit(self, r2):
         d = span(r2, [(1, -1)])
-        assert equal(r2, mul(r2, d, d), unit(r2))
+        assert equal(mul(d, d), unit(r2))
 
     def test_basis_independent(self):
-        ctx = QuantaleContext(6)
+        n = 6
         rng = np.random.default_rng(29)
         for _ in range(100):
-            s = random_subspace(ctx, rng)
-            t = random_subspace(ctx, rng)
-            assert equal(ctx, mul(ctx, s, t), mul(ctx, rebased(s, rng), rebased(t, rng)))
+            s = random_subspace(n, rng)
+            t = random_subspace(n, rng)
+            assert equal(mul(s, t), mul(rebased(s, rng), rebased(t, rng)))
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_zero_operand(self, r3, side):
         # no Hadamard products at all: an n x 0 matrix splits to the zero subspace
         s = span(r3, [(1, 2, 3), (0, 1, 1)])
-        product = mul(r3, zero(r3), s) if side == "left" else mul(r3, s, zero(r3))
+        product = mul(zero(r3), s) if side == "left" else mul(s, zero(r3))
         assert product.basis.shape == (3, 0)
-        assert equal(r3, product, zero(r3))
-        _same(r3, product, np.zeros((3, 0)))
+        assert equal(product, zero(r3))
+        _same(product, np.zeros((3, 0)))
 
 
 class TestRandomSubspaceWithin:
@@ -223,56 +229,56 @@ class TestRandomSubspaceWithin:
         # a size-0 normal draw leaves the generator where the dimension draw left it
         s = span(r3, list(dims))
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = random_subspace_within(r3, s, rng)
+        got = random_subspace_within(s, rng)
         assert int(twin.integers(0, s.dim + 1)) == 0
-        assert got.dim == 0 and equal(r3, got, zero(r3))
+        assert got.dim == 0 and equal(got, zero(r3))
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestUnitDualizing:
     def test_dimension_one_degenerates(self):
-        ctx = QuantaleContext(1)
-        assert equal(ctx, unit(ctx), full(ctx))
-        assert dualizing(ctx).dim == 0
+        n = 1
+        assert equal(unit(n), full(n))
+        assert dualizing(n).dim == 0
 
     def test_r2_antidiagonal(self, r2):
-        assert equal(r2, dualizing(r2), span(r2, [(1, -1)]))
+        assert equal(dualizing(r2), span(r2, [(1, -1)]))
 
     def test_r3_sum_zero_plane(self, r3):
         d = dualizing(r3)
         assert d.dim == 2
-        assert equal(r3, d, span(r3, [(1, -1, 0), (1, 0, -1)]))
+        assert equal(d, span(r3, [(1, -1, 0), (1, 0, -1)]))
 
 
 class TestResiduum:
     def test_into_top_is_top(self, r3):
         s = span(r3, [(1, 1, 0)])
-        assert equal(r3, residuum(r3, s, full(r3)), full(r3))
+        assert equal(residuum(s, full(r3)), full(r3))
 
     def test_line_into_itself(self, r2):
         s = span(r2, [(1, 0)])
-        assert equal(r2, residuum(r2, s, s), full(r2))
+        assert equal(residuum(s, s), full(r2))
 
     def test_unit_is_left_neutral_for_residuum(self):
-        ctx = QuantaleContext(4)
+        n = 4
         rng = np.random.default_rng(31)
         for _ in range(100):
-            t = random_subspace(ctx, rng)
-            assert equal(ctx, residuum(ctx, unit(ctx), t), t)
+            t = random_subspace(n, rng)
+            assert equal(residuum(unit(n), t), t)
 
     def test_linear_negation_of_axis(self, r2):
         s = span(r2, [(1, 0)])
-        assert equal(r2, residuum(r2, s, dualizing(r2)), ortho(r2, s))
+        assert equal(residuum(s, dualizing(r2)), ortho(s))
 
 
 class TestVerifyLaws:
     def test_all_pass_small(self):
         for n in (1, 2, 3):
-            reports = verify_quantale_laws(QuantaleContext(n), 150, 42)
+            reports = verify_quantale_laws(n, 150, 42)
             assert all(r.passed for r in reports), [str(r) for r in reports if r.failed]
 
     def test_law_names(self):
-        reports = verify_quantale_laws(QuantaleContext(2), 5, 0)
+        reports = verify_quantale_laws(2, 5, 0)
         assert [r.law for r in reports] == [
             "mul-commutative",
             "mul-associative",
@@ -287,26 +293,32 @@ class TestVerifyLaws:
 
     def test_requires_trials(self):
         with pytest.raises(InputError):
-            verify_quantale_laws(QuantaleContext(2), 0, 1)
+            verify_quantale_laws(2, 0, 1)
 
 
-class TestContext:
+class TestDimension:
     def test_default_equality_tolerance(self):
         for n in (1, 2, 8):
-            assert QuantaleContext(n).tau_eq == pytest.approx(1e-8 * math.sqrt(n))
+            assert tau_eq(n) == pytest.approx(1e-8 * math.sqrt(n))
 
-    def test_dimension_cap(self):
-        with pytest.raises(InputError):
-            QuantaleContext(65)
-        with pytest.raises(InputError):
-            QuantaleContext(0)
+    @pytest.mark.parametrize("n", [0, 65])
+    def test_dimension_cap(self, n):
+        # every constructor checks n first: before the trial count and
+        # before the vectors
+        assert check_dimension(1) == 1 and check_dimension(64) == 64
+        for make in (check_dimension, zero, full, unit, dualizing,
+                     lambda n: span(n, [(1.0, "x")]),
+                     lambda n: random_subspace(n, np.random.default_rng(0)),
+                     lambda n: verify_quantale_laws(n, 0, 1)):
+            with pytest.raises(InputError, match=r"^dimension must be in 1\.\.64$"):
+                make(n)
 
 
-def _same(ctx, got, want):
+def _same(got, want):
     """got (a Subspace) and want (a reference basis) are the same subspace."""
     assert got.dim == want.shape[1]
-    assert got.complement.shape == (ctx.n, ctx.n - got.dim)
-    assert np.linalg.norm(got.projector() - want @ want.T) <= ctx.tau_eq
+    assert got.complement.shape == (got.n, got.n - got.dim)
+    assert np.linalg.norm(got.projector() - want @ want.T) <= tau_eq(got.n)
 
 
 def _near_parallel(n, ratio, rng):
@@ -339,36 +351,34 @@ class TestKernelDifferential:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
     def test_random_operands(self, n):
-        ctx = QuantaleContext(n)
-        tau = ctx.tau_rank
+        tau = TAU_RANK
         rng = np.random.default_rng(n)
         for _ in range(8 if n == 64 else 40):
             # vectors, not bases: span takes the rank decision in both kernels
             a = rng.standard_normal((n, int(rng.integers(0, n + 1))))
             b = rng.standard_normal((n, int(rng.integers(0, n + 1))))
-            s, t = span(ctx, list(a.T)), span(ctx, list(b.T))
+            s, t = span(n, list(a.T)), span(n, list(b.T))
             s0, t0 = ref.orthonormal_range(a, tau), ref.orthonormal_range(b, tau)
-            _same(ctx, s, s0)
-            _same(ctx, ortho(ctx, s), ref.ortho(s0))
-            _same(ctx, join(ctx, s, t), ref.join(s0, t0, tau))
-            _same(ctx, meet(ctx, s, t), ref.meet(s0, t0, tau))
-            _same(ctx, mul(ctx, s, t), ref.mul(s0, t0, tau))
-            _same(ctx, residuum(ctx, s, t), ref.residuum(s0, t0, tau))
+            _same(s, s0)
+            _same(ortho(s), ref.ortho(s0))
+            _same(join(s, t), ref.join(s0, t0, tau))
+            _same(meet(s, t), ref.meet(s0, t0, tau))
+            _same(mul(s, t), ref.mul(s0, t0, tau))
+            _same(residuum(s, t), ref.residuum(s0, t0, tau))
             seed = int(rng.integers(2**32))
-            _same(ctx, random_subspace_within(ctx, s, np.random.default_rng(seed)),
+            _same(random_subspace_within(s, np.random.default_rng(seed)),
                   ref.random_subspace_within(s.basis, np.random.default_rng(seed), tau))
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_qr_route_operands(self, linalg_calls, n):
         # operands chosen so that each operation splits a generic n x k
         # matrix with 16 <= k < n columns, which takes the certified QR route
-        ctx = QuantaleContext(n)
-        tau = ctx.tau_rank
+        tau = TAU_RANK
         rng = np.random.default_rng(300 + n)
 
         def drawn(k):
             a = rng.standard_normal((n, k))
-            return span(ctx, list(a.T)), ref.orthonormal_range(a, tau)
+            return span(n, list(a.T)), ref.orthonormal_range(a, tau)
 
         for _ in range(6):
             k = int(rng.integers(16, n))
@@ -381,14 +391,14 @@ class TestKernelDifferential:
             linalg_calls.clear()
             for got, want in (
                 (s, s0),
-                (join(ctx, t, u), ref.join(t0, u0, tau)),
-                (meet(ctx, ortho(ctx, t), ortho(ctx, u)), ref.meet(ref.ortho(t0), ref.ortho(u0), tau)),
-                (mul(ctx, v, w), ref.mul(v0, w0, tau)),
-                (residuum(ctx, v, ortho(ctx, w)), ref.residuum(v0, ref.ortho(w0), tau)),
-                (random_subspace_within(ctx, s, np.random.default_rng(seed)),
+                (join(t, u), ref.join(t0, u0, tau)),
+                (meet(ortho(t), ortho(u)), ref.meet(ref.ortho(t0), ref.ortho(u0), tau)),
+                (mul(v, w), ref.mul(v0, w0, tau)),
+                (residuum(v, ortho(w)), ref.residuum(v0, ref.ortho(w0), tau)),
+                (random_subspace_within(s, np.random.default_rng(seed)),
                  ref.random_subspace_within(s.basis, np.random.default_rng(seed), tau)),
             ):
-                _same(ctx, got, want)
+                _same(got, want)
             splits = [shape for name, shape, _ in linalg_calls if name == "qr"]
             # join and meet split n x k matrices, mul and residuum n x pq ones
             assert splits[:4] == [(n, k), (n, k), (n, p * q), (n, p * q)]
@@ -398,19 +408,19 @@ class TestKernelDifferential:
         # on its k x k Gram matrix and split by one QR; below 16 columns one
         # SVD decides.  The matrix is scaled first, so neither huge nor tiny
         # coordinates keep it off the QR route
-        ctx = QuantaleContext(64)
+        n = 64
         a = np.random.default_rng(29).standard_normal((64, 20))
         qr = [("cholesky", (20, 20), {}), ("qr", (64, 20), {"mode": "complete"})]
         for scale in (1.0, 1e308 / 5, 1e-300):
             linalg_calls.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = span(ctx, list(scale * a.T))
+                got = span(n, list(scale * a.T))
             assert linalg_calls == qr
-            _same(ctx, got, ref.orthonormal_range(a, ctx.tau_rank))
+            _same(got, ref.orthonormal_range(a, TAU_RANK))
             assert np.allclose(got.complement.T @ got.complement, np.eye(44), rtol=0, atol=1e-12)
         linalg_calls.clear()
-        assert span(ctx, list(a[:, :15].T)).dim == 15
+        assert span(n, list(a[:, :15].T)).dim == 15
         assert linalg_calls == [("svd", (64, 15), {"full_matrices": True})]
 
     @pytest.mark.parametrize("scale", [1e308, 1.7e308])
@@ -418,13 +428,12 @@ class TestKernelDifferential:
         # k vectors uniform(-1, 1) * scale in R^20.  Where sigma_0 overflows
         # to inf the SVD route (k < 16 and the square k = 20) counts the
         # rank on the rescaled matrix; 16 <= k < 20 take the QR route
-        ctx = QuantaleContext(20)
         for k in range(1, 21):
             unit = np.random.default_rng(20).uniform(-1.0, 1.0, (20, k))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = _split(unit * scale)
-            _same(ctx, got, ref.orthonormal_range(unit, ctx.tau_rank))
+            _same(got, ref.orthonormal_range(unit, TAU_RANK))
             assert got.dim == k
             assert np.allclose(got.complement.T @ got.complement, np.eye(20 - k), rtol=0, atol=1e-12)
 
@@ -436,7 +445,7 @@ class TestKernelDifferential:
         # sigma_max = ratio and tr(G) = 20 = 10 sigma_max^2, so lambda_min /
         # tr(G) = ratio^2 / 10 passes the certificate's margin tau^2 + 4mu
         # = 3.9e-14 (m = 87) at 1e-6 only; from 1e-7 down the SVD decides
-        ctx = QuantaleContext(64)
+        n = 64
         rng = np.random.default_rng(29)
         q, _ = np.linalg.qr(rng.standard_normal((64, 20)))
         angle = 2 * math.atan(ratio)
@@ -445,13 +454,13 @@ class TestKernelDifferential:
         spectrum = np.linalg.svd(a, compute_uv=False)
         assert spectrum[-1] / spectrum[0] == pytest.approx(ratio, rel=1e-3)
         linalg_calls.clear()
-        got = span(ctx, list(a.T))
+        got = span(n, list(a.T))
         route = ("qr", (64, 20), {"mode": "complete"}) if ratio == 1e-6 else \
             ("svd", (64, 20), {"full_matrices": True})
         assert linalg_calls == [("cholesky", (20, 20), {}), route]
-        want = ref.orthonormal_range(a, ctx.tau_rank)
+        want = ref.orthonormal_range(a, TAU_RANK)
         assert got.dim == want.shape[1] == rank
-        tol = max(ctx.tau_eq, 100 * np.finfo(float).eps / ratio) if rank == 20 else ctx.tau_eq
+        tol = max(tau_eq(n), 100 * np.finfo(float).eps / ratio) if rank == 20 else tau_eq(n)
         assert np.linalg.norm(got.projector() - want @ want.T) <= tol
 
     @pytest.mark.parametrize("g", [np.full((20, 20), np.nan), np.diag([np.inf] + [1.0] * 19)])
@@ -463,36 +472,35 @@ class TestKernelDifferential:
 
     @pytest.mark.parametrize("k, zero_columns, rank", [(16, slice(None), 0), (20, 7, 19)])
     def test_qr_route_declines_zero_columns(self, linalg_calls, k, zero_columns, rank):
-        ctx = QuantaleContext(64)
+        n = 64
         a = np.random.default_rng(k).standard_normal((64, k))
         a[:, zero_columns] = 0.0
         linalg_calls.clear()
-        got = span(ctx, list(a.T))
+        got = span(n, list(a.T))
         assert linalg_calls == [("cholesky", (k, k), {}), ("svd", (64, k), {"full_matrices": True})]
         assert got.dim == rank
-        _same(ctx, got, ref.orthonormal_range(a, ctx.tau_rank))
+        _same(got, ref.orthonormal_range(a, TAU_RANK))
 
     @pytest.mark.parametrize("n", [2, 3, 8, 64])
     @pytest.mark.parametrize("ratio, rank", [(1e-8, 2), (3e-9, 2), (3e-10, 1), (1e-10, 1)])
     def test_near_parallel_lines(self, n, ratio, rank):
         # the join's second singular value sits within a factor 10 of tau_rank = 1e-9
-        ctx = QuantaleContext(n)
-        tau = ctx.tau_rank
+        tau = TAU_RANK
         va, vb = _near_parallel(n, ratio, np.random.default_rng(n))
         a, b = np.array(va).T, np.array(vb).T
-        s, t = span(ctx, va), span(ctx, vb)
+        s, t = span(n, va), span(n, vb)
         s0, t0 = ref.orthonormal_range(a, tau), ref.orthonormal_range(b, tau)
         # A kept direction with sigma ratio rho is only determined to about
         # eps / rho (Wedin's theorem), so near the cutoff both kernels, and one
         # kernel under swapped operands, agree only to a few times that.
-        tol = 100 * np.finfo(float).eps / ratio if rank == 2 else ctx.tau_eq
+        tol = 100 * np.finfo(float).eps / ratio if rank == 2 else tau_eq(n)
         pairs = [
-            (span(ctx, va + vb), ref.orthonormal_range(np.hstack([a, b]), tau)),
-            (join(ctx, s, t), ref.join(s0, t0, tau)),
+            (span(n, va + vb), ref.orthonormal_range(np.hstack([a, b]), tau)),
+            (join(s, t), ref.join(s0, t0, tau)),
             # nearly parallel hyperplanes: their meet decides the same rank
-            (meet(ctx, ortho(ctx, s), ortho(ctx, t)), ref.meet(ref.ortho(s0), ref.ortho(t0), tau)),
-            (mul(ctx, s, t), ref.mul(s0, t0, tau)),
-            (residuum(ctx, s, t), ref.residuum(s0, t0, tau)),
+            (meet(ortho(s), ortho(t)), ref.meet(ref.ortho(s0), ref.ortho(t0), tau)),
+            (mul(s, t), ref.mul(s0, t0, tau)),
+            (residuum(s, t), ref.residuum(s0, t0, tau)),
         ]
         assert [got.dim for got, _ in pairs[:3]] == [rank, rank, n - rank]
         for got, want in pairs:
@@ -502,10 +510,10 @@ class TestKernelDifferential:
     def test_svd_calls(self, linalg_calls):
         # a product or join that may span R^n first factors its n x n Gram
         # matrix; the SVD decides only what that Cholesky does not certify
-        ctx = QuantaleContext(8)
+        n = 8
         rng = np.random.default_rng(5)
-        s = span(ctx, list(rng.standard_normal((8, 3)).T))
-        t = span(ctx, list(rng.standard_normal((8, 5)).T))
+        s = span(n, list(rng.standard_normal((8, 3)).T))
+        t = span(n, list(rng.standard_normal((8, 5)).T))
         certificate = ("cholesky", (8, 8), {})
         for op, operands, want in (
             (ortho, (s,), []),
@@ -517,10 +525,10 @@ class TestKernelDifferential:
             (meet, (s, s), [certificate, ("svd", (8, 10), {"full_matrices": False})]),
             (join, (s, s), [("svd", (8, 6), {"full_matrices": True})]),
             # span takes one SVD of its raw vectors, whatever their number
-            (span, (list(rng.standard_normal((8, 8))),), [("svd", (8, 8), {"full_matrices": False})]),
+            (span, (8, list(rng.standard_normal((8, 8)))), [("svd", (8, 8), {"full_matrices": False})]),
         ):
             linalg_calls.clear()
-            op(ctx, *operands)
+            op(*operands)
             assert linalg_calls == want, op.__name__
 
     @pytest.mark.parametrize("n", [2, 8, 64])
@@ -532,20 +540,19 @@ class TestKernelDifferential:
         # 0.1, ..., ratio), so A = diag(v / |v|) Q.  join: a hyperplane and
         # a line at angle 2 atan(ratio) to it, so sigma^2 = 1 +- cos(angle)
         # on their plane and 1 elsewhere.
-        ctx = QuantaleContext(n)
-        tau = ctx.tau_rank
+        tau = TAU_RANK
         rng = np.random.default_rng([n, len(op)])
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         if op == "mul":
             v = np.full(n, 0.1)
             v[0], v[-1] = 1.0, ratio
-            s, t = span(ctx, list(q.T)), span(ctx, [v])
+            s, t = span(n, list(q.T)), span(n, [v])
             a = (s.basis[:, :, None] * t.basis[:, None, :]).reshape(n, -1)
             want = ref.mul(s.basis, t.basis, tau)
         else:
             angle = 2 * math.atan(ratio)
-            s = span(ctx, [q[:, 0]] + list(q[:, 2:].T))
-            t = span(ctx, [math.cos(angle) * q[:, 0] + math.sin(angle) * q[:, 1]])
+            s = span(n, [q[:, 0]] + list(q[:, 2:].T))
+            t = span(n, [math.cos(angle) * q[:, 0] + math.sin(angle) * q[:, 1]])
             a = np.hstack([s.basis, t.basis])
             want = ref.join(s.basis, t.basis, tau)
         spectrum = np.linalg.svd(a, compute_uv=False)
@@ -560,7 +567,7 @@ class TestKernelDifferential:
         # in R^64 falls short of the margin
         assert certified == (ratio == 1e-2 or ratio == 1e-6 and (n < 64 or op == "mul"))
         linalg_calls.clear()
-        got = mul(ctx, s, t) if op == "mul" else join(ctx, s, t)
+        got = mul(s, t) if op == "mul" else join(s, t)
         certificate = ("cholesky", (n, n), {})
         if certified:
             assert linalg_calls == [certificate]
@@ -568,7 +575,7 @@ class TestKernelDifferential:
         else:
             assert linalg_calls == [certificate, ("svd", a.shape, {"full_matrices": False})]
         assert got.dim == want.shape[1] == (n if ratio >= tau else n - 1)
-        _same(ctx, got, want)
+        _same(got, want)
 
     # Spanning matrices with at least n columns, laid out to defeat
     # shortcuts that read only some columns or sums of column blocks: span
@@ -576,31 +583,29 @@ class TestKernelDifferential:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
     def test_random_spanning_matrices(self, n):
-        ctx = QuantaleContext(n)
         rng = np.random.default_rng(200 + n)
         widths = {n, n * n, min(8 * n, n * n), min(8 * n + 1, n * n)}
         widths |= {int(k) for k in rng.integers(n, n * n + 1, size=6)}
         for k in sorted(widths):
             a = rng.standard_normal((n, k))
-            _same(ctx, span(ctx, list(a.T)), ref.orthonormal_range(a, ctx.tau_rank))
+            _same(span(n, list(a.T)), ref.orthonormal_range(a, TAU_RANK))
 
     def test_zero_product(self):
         # coordinate subspaces on disjoint index sets: 64 Hadamard products,
         # every one exactly zero
-        ctx = QuantaleContext(16)
-        s, t = span(ctx, list(np.eye(16)[:8])), span(ctx, list(np.eye(16)[8:]))
+        n = 16
+        s, t = span(n, list(np.eye(16)[:8])), span(n, list(np.eye(16)[8:]))
         assert not (s.basis[:, :, None] * t.basis[:, None, :]).any()
-        product = mul(ctx, s, t)
+        product = mul(s, t)
         assert product.dim == 0
-        _same(ctx, product, ref.mul(s.basis, t.basis, ctx.tau_rank))
-        _same(ctx, residuum(ctx, s, ortho(ctx, t)), ref.residuum(s.basis, t.complement, ctx.tau_rank))
+        _same(product, ref.mul(s.basis, t.basis, TAU_RANK))
+        _same(residuum(s, ortho(t)), ref.residuum(s.basis, t.complement, TAU_RANK))
 
     @pytest.mark.parametrize("n, k", [(3, 6), (8, 16), (8, 80), (16, 200), (64, 600)])
     def test_full_rank_behind_deficient_leading_columns(self, n, k):
         # the first n columns span one line and the n-wide column blocks
         # sum to a matrix of rank n - 1; the decomposition of all k columns
         # must still find rank n
-        ctx = QuantaleContext(n)
         rng = np.random.default_rng(n + k)
         a = rng.standard_normal((n, k))
         a[:, :n] = rng.standard_normal((n, 1)) * rng.standard_normal(n)
@@ -611,35 +616,35 @@ class TestKernelDifferential:
         a[:, n:2 * n] += rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, n)) - block_sum(a)
         assert np.linalg.matrix_rank(a[:, :n]) == 1
         assert np.linalg.matrix_rank(block_sum(a)) == n - 1
-        got = span(ctx, list(a.T))
+        got = span(n, list(a.T))
         assert got.dim == n
-        _same(ctx, got, ref.orthonormal_range(a, ctx.tau_rank))
+        _same(got, ref.orthonormal_range(a, TAU_RANK))
 
     def test_small_leading_columns(self):
         # the first 3 columns, and the sum of the 3-wide column blocks,
         # where the two copies of the plane cancel, are well conditioned
         # but 1e-15 of the rest, which span a plane
-        ctx = QuantaleContext(3)
+        n = 3
         rng = np.random.default_rng(0)
         plane = 1e3 * rng.standard_normal((3, 2)) @ rng.standard_normal((2, 3))
         a = np.hstack([1e-12 * np.eye(3), plane, -plane])
-        got = span(ctx, list(a.T))
+        got = span(n, list(a.T))
         assert got.dim == 2
-        _same(ctx, got, ref.orthonormal_range(a, ctx.tau_rank))
+        _same(got, ref.orthonormal_range(a, TAU_RANK))
 
     def test_underflowing_squares(self):
         # sigma_1 / sigma_0 = 5e-10, so A has rank 1; most squares of its
         # entries underflow to 0, and the computed ||A||_F = 1e-161 falls
         # far below sigma_0 = 1.5e-160.  Row 1 alternates in sign, so the
         # sum of the 2-wide column blocks keeps its direction
-        ctx = QuantaleContext(2)
+        n = 2
         a = np.zeros((2, 10000))
         a[0] = 1.5e-162
         a[0, 0] = 1e-161
         a[1] = 7.5e-172 * (-1.0) ** np.arange(10000)
-        got = span(ctx, list(a.T))
+        got = span(n, list(a.T))
         assert got.dim == 1
-        _same(ctx, got, ref.orthonormal_range(a, ctx.tau_rank))
+        _same(got, ref.orthonormal_range(a, TAU_RANK))
 
     @pytest.mark.parametrize("n", [4, 64])
     @pytest.mark.parametrize("wide", [False, True], ids=["n-8n", "over-8n"])
@@ -650,7 +655,6 @@ class TestKernelDifferential:
         # A has sigma_n / sigma_0 = ratio.  "leading" is [B, 1e-3 B, ...],
         # whose n-wide column blocks all span range(B); "generic" is
         # U diag(sigma) V^T for a random V.  span takes one SVD of either.
-        ctx = QuantaleContext(n)
         rng = np.random.default_rng([n, int(wide)])
         copies = 10 if wide else 3
         k = copies * n
@@ -668,11 +672,11 @@ class TestKernelDifferential:
         spectrum = np.linalg.svd(a, compute_uv=False)
         assert spectrum[n - 1] / spectrum[0] == pytest.approx(ratio, rel=1e-3)
         linalg_calls.clear()
-        got = span(ctx, list(a.T))
+        got = span(n, list(a.T))
         assert linalg_calls == [("svd", (n, k), {"full_matrices": False})]
-        want = ref.orthonormal_range(a, ctx.tau_rank)
+        want = ref.orthonormal_range(a, TAU_RANK)
         assert got.dim == want.shape[1] == (n if kept else n - 1)
-        _same(ctx, got, want)
+        _same(got, want)
 
     @pytest.mark.parametrize("n", [4, 64])
     @pytest.mark.parametrize("ratio, kept", [(2e-9, True), (5e-10, False)])
@@ -680,34 +684,32 @@ class TestKernelDifferential:
         # A = [C, ..., C] ten times: its blocks sum to 10 C, whose sigma_n is
         # sqrt(10) times A's, so at ratio 5e-10 a rule read off that sum
         # would keep a direction the SVD of A drops
-        ctx = QuantaleContext(n)
         rng = np.random.default_rng(n)
         u, _ = np.linalg.qr(rng.standard_normal((n, n)))
         v, _ = np.linalg.qr(rng.standard_normal((n, n)))
         sigma = np.full(n, 1e-6)
         sigma[0], sigma[-1] = 1.0, ratio
         a = np.hstack([(u * sigma) @ v.T] * 10)
-        got, want = span(ctx, list(a.T)), ref.orthonormal_range(a, ctx.tau_rank)
+        got, want = span(n, list(a.T)), ref.orthonormal_range(a, TAU_RANK)
         assert got.dim == want.shape[1] == (n if kept else n - 1)
-        _same(ctx, got, want)
+        _same(got, want)
 
     # Products with more than 8n spanning columns.
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_wide_random_products(self, n):
-        ctx = QuantaleContext(n)
-        tau = ctx.tau_rank
+        tau = TAU_RANK
         rng = np.random.default_rng(100 + n)
         for _ in range(6):
             r = int(rng.integers(9, n + 1))
             k = int(rng.integers(8 * n // r + 1, n + 1))
             a, b = rng.standard_normal((n, r)), rng.standard_normal((n, k))
-            s, t = span(ctx, list(a.T)), span(ctx, list(b.T))
+            s, t = span(n, list(a.T)), span(n, list(b.T))
             s0, t0 = ref.orthonormal_range(a, tau), ref.orthonormal_range(b, tau)
             assert s.dim * t.dim > 8 * n
-            _same(ctx, mul(ctx, s, t), ref.mul(s0, t0, tau))
+            _same(mul(s, t), ref.mul(s0, t0, tau))
             # s -> complement(t) is the complement of s * t
-            _same(ctx, residuum(ctx, s, ortho(ctx, t)), ref.residuum(s0, ref.ortho(t0), tau))
+            _same(residuum(s, ortho(t)), ref.residuum(s0, ref.ortho(t0), tau))
 
     @pytest.mark.parametrize("n, a, b", [(16, range(0, 12), range(4, 16)),
                                          (32, range(0, 24), range(8, 32)),
@@ -716,17 +718,16 @@ class TestKernelDifferential:
     def test_wide_rank_deficient_products(self, n, a, b):
         # coordinate subspaces in rotated bases: their product is exactly the
         # coordinate subspace on the common indices, from |a| * |b| columns
-        ctx = QuantaleContext(n)
-        tau = ctx.tau_rank
+        tau = TAU_RANK
         rng = np.random.default_rng(n + len(a))
-        s = rebased(span(ctx, list(np.eye(n)[list(a)])), rng)
-        t = rebased(span(ctx, list(np.eye(n)[list(b)])), rng)
+        s = rebased(span(n, list(np.eye(n)[list(a)])), rng)
+        t = rebased(span(n, list(np.eye(n)[list(b)])), rng)
         common = sorted(set(a) & set(b))
-        product = mul(ctx, s, t)
+        product = mul(s, t)
         assert len(a) * len(b) > 8 * n and product.dim == len(common)
-        _same(ctx, product, ref.mul(s.basis, t.basis, tau))
-        _same(ctx, product, np.eye(n)[:, common])
-        _same(ctx, residuum(ctx, s, ortho(ctx, t)), ref.residuum(s.basis, t.complement, tau))
+        _same(product, ref.mul(s.basis, t.basis, tau))
+        _same(product, np.eye(n)[:, common])
+        _same(residuum(s, ortho(t)), ref.residuum(s.basis, t.complement, tau))
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     @pytest.mark.parametrize("ratio, kept", [(1e-8, True), (3e-9, True), (3e-10, False),
@@ -736,50 +737,49 @@ class TestKernelDifferential:
         # subspace of e_0's complement whose first basis vector is tilted towards
         # e_0.  The product is spanned by those e_i with singular values
         # |P_t e_i|, so e_0 sits at the given sigma ratio to the largest.
-        ctx = QuantaleContext(n)
-        tau = ctx.tau_rank
+        tau = TAU_RANK
         m = 3 * n // 4
         rng = np.random.default_rng(n)
-        s = rebased(span(ctx, list(np.eye(n)[:m])), rng)
+        s = rebased(span(n, list(np.eye(n)[:m])), rng)
         t_basis, _ = np.linalg.qr(rng.standard_normal((n, m)) * (np.arange(n) > 0)[:, None])
         largest = np.linalg.norm(t_basis[1:m], axis=1).max()
         angle = math.asin(ratio * largest)
         t_basis[:, 0] = math.cos(angle) * t_basis[:, 0] + math.sin(angle) * np.eye(n)[0]
-        t = span(ctx, list(t_basis.T))
+        t = span(n, list(t_basis.T))
         products = (s.basis[:, :, None] * t.basis[:, None, :]).reshape(n, -1)
         sigma = np.linalg.svd(products, compute_uv=False)
         assert products.shape[1] > 8 * n
         assert sigma[m - 1] / sigma[0] == pytest.approx(ratio, rel=1e-3)
-        got, want = mul(ctx, s, t), ref.mul(s.basis, t.basis, tau)
+        got, want = mul(s, t), ref.mul(s.basis, t.basis, tau)
         assert got.dim == want.shape[1] == (m if kept else m - 1)
-        tol = 100 * np.finfo(float).eps / ratio if kept else ctx.tau_eq
+        tol = 100 * np.finfo(float).eps / ratio if kept else tau_eq(n)
         assert np.linalg.norm(got.projector() - want @ want.T) <= tol
-        neg = residuum(ctx, s, ortho(ctx, t))
+        neg = residuum(s, ortho(t))
         assert neg.dim == n - got.dim
         assert np.linalg.norm(neg.projector() - (np.eye(n) - want @ want.T)) <= tol
 
     def test_wide_product_decompositions(self, linalg_calls):
-        ctx = QuantaleContext(16)
+        n = 16
         rng = np.random.default_rng(7)
-        s = span(ctx, list(rng.standard_normal((16, 12)).T))
-        t = span(ctx, list(rng.standard_normal((16, 12)).T))
+        s = span(n, list(rng.standard_normal((16, 12)).T))
+        t = span(n, list(rng.standard_normal((16, 12)).T))
         # one Cholesky factorisation of the 16 x 16 Gram matrix, P_s o P_t
         # or P_s + P_t, certifies rank 16; the product's 144 columns are
         # never formed
         certificate = ("cholesky", (16, 16), {})
         linalg_calls.clear()
-        assert mul(ctx, s, t).dim == 16
+        assert mul(s, t).dim == 16
         assert linalg_calls == [certificate]
         linalg_calls.clear()
-        assert join(ctx, s, t).dim == 16
+        assert join(s, t).dim == 16
         assert linalg_calls == [certificate]
         # coordinate subspaces on 0..11 and 4..15: their product is the one on
         # 4..11, so the certificate fails and one thin SVD of the 16 x 144
         # spanning matrix decides
-        s = rebased(span(ctx, list(np.eye(16)[:12])), rng)
-        t = rebased(span(ctx, list(np.eye(16)[4:])), rng)
+        s = rebased(span(n, list(np.eye(16)[:12])), rng)
+        t = rebased(span(n, list(np.eye(16)[4:])), rng)
         linalg_calls.clear()
-        assert mul(ctx, s, t).dim == 8
+        assert mul(s, t).dim == 8
         assert linalg_calls == [certificate, ("svd", (16, 144), {"full_matrices": False})]
         linalg_calls.clear()
         assert main(["rn", "--dim", "16", "--trials", "20", "--seed", "1"]) == 0
@@ -789,12 +789,12 @@ class TestKernelDifferential:
         # a certified result is R^n in the standard basis.  As an operand of
         # a product its projector is I, so the Gram matrix is I o P_t, the
         # diagonal of P_t, and one Cholesky still certifies rank n
-        ctx = QuantaleContext(16)
+        n = 16
         rng = np.random.default_rng(11)
-        e, t = full(ctx), span(ctx, list(rng.standard_normal((16, 12)).T))
-        for s, u in ((e, t), (t, e), (e, e), (mul(ctx, t, t), t)):
+        e, t = full(n), span(n, list(rng.standard_normal((16, 12)).T))
+        for s, u in ((e, t), (t, e), (e, e), (mul(t, t), t)):
             linalg_calls.clear()
-            assert mul(ctx, s, u).dim == 16
+            assert mul(s, u).dim == 16
             assert linalg_calls == [("cholesky", (16, 16), {})]
 
 
@@ -827,7 +827,6 @@ class TestExactRank:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_never_full_below_exact_rank(self, n):
-        ctx = QuantaleContext(n)
         rng = np.random.default_rng(40 + n)
         i = np.arange(n)
         tried = 0
@@ -840,11 +839,11 @@ class TestExactRank:
             for _ in range(40):
                 u = [pool[j] for j in rng.choice(len(pool), int(rng.integers(1, 4)), replace=False)]
                 v = [pool[j] for j in rng.choice(len(pool), int(rng.integers(1, 4)), replace=False)]
-                s, t = span(ctx, u), span(ctx, v)
+                s, t = span(n, u), span(n, v)
                 products = _exact_rank([x * y for x in u for y in v])
                 stacked = _exact_rank(u + v)
-                assert mul(ctx, s, t).dim <= products
-                assert join(ctx, s, t).dim <= stacked
+                assert mul(s, t).dim <= products
+                assert join(s, t).dim <= stacked
                 tried += (s.dim * t.dim >= n and products < n) + (s.dim + t.dim >= n and stacked < n)
         # the certificate is tried, and must decline, on rank-deficient cases
         assert tried >= 10
@@ -858,20 +857,20 @@ class TestMO2Bridge:
         elements = [zero(r2), span(r2, [(1, 1)]), span(r2, [(1, -1)]), x, span(r2, [(0, 1)]), one]
 
         def index(a):
-            (k,) = [j for j, b in enumerate(elements) if equal(r2, a, b)]
+            (k,) = [j for j, b in enumerate(elements) if equal(a, b)]
             return k
 
-        assert tuple(tuple(index(mul(r2, a, b)) for b in elements) for a in elements) == table
-        assert tuple(index(ortho(r2, a)) for a in elements) == o.ortho
-        assert np.array_equal([[leq(r2, a, b) for b in elements] for a in elements], o.lattice.leq)
+        assert tuple(tuple(index(mul(a, b)) for b in elements) for a in elements) == table
+        assert tuple(index(ortho(a)) for a in elements) == o.ortho
+        assert np.array_equal([[leq(a, b) for b in elements] for a in elements], o.lattice.leq)
         # 1 * 1 has Gram matrix I and is certified; x * 1 has diag(1, 0), so
         # the certificate declines and the SVD decides
         certificate = ("cholesky", (2, 2), {})
         linalg_calls.clear()
-        mul(r2, one, one)
+        mul(one, one)
         assert linalg_calls == [certificate]
         linalg_calls.clear()
-        mul(r2, x, one)
+        mul(x, one)
         assert linalg_calls == [certificate, ("svd", (2, 2), {"full_matrices": False})]
 
 
@@ -882,10 +881,9 @@ class TestMO2Bridge:
 )
 def test_span_properties(n, vecs):
     """Integer-coordinate spans: rank bounds and complement arithmetic."""
-    ctx = QuantaleContext(n)
     rows = [v[:n] + [0] * (n - len(v)) for v in vecs]
-    s = span(ctx, [list(map(float, r)) for r in rows])
+    s = span(n, [list(map(float, r)) for r in rows])
     assert 0 <= s.dim <= min(n, len(rows))
-    assert s.dim + ortho(ctx, s).dim == n
-    assert equal(ctx, ortho(ctx, ortho(ctx, s)), s)
-    assert leq(ctx, s, full(ctx)) and leq(ctx, zero(ctx), s)
+    assert s.dim + ortho(s).dim == n
+    assert equal(ortho(ortho(s)), s)
+    assert leq(s, full(n)) and leq(zero(n), s)
