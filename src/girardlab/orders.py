@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -352,24 +352,24 @@ def _order_classes(rows: Sequence[int]):
     return cls, _members(cls)
 
 
-def _order_automorphism(rows: Sequence[int], a: Optional[int] = None, b: Optional[int] = None,
+def _order_automorphism(rows: Sequence[int], pins: Sequence[Tuple[int, int]] = (),
                         target: Optional[Sequence[int]] = None, involutive: bool = False,
-                        fixed: Sequence[int] = (), classes: Optional[Sequence[tuple]] = None,
+                        classes: Optional[Sequence[tuple]] = None,
                         target_classes: Optional[Sequence[tuple]] = None):
     """Yields every order isomorphism sigma from the poset of the up-set
     bitmasks rows onto that of target (rows itself by default, so the
     automorphisms), each as a new list of sigma[x] for every element x;
-    with a and b given, only those with sigma[a] = b, with fixed only
-    those with sigma[x] = x for each x in it, and with involutive only
-    those with sigma[sigma[x]] = x.  Backtracks over the images of a, if
-    given, then of the fixed elements, then of the others in index order,
-    each within its own class in target, keeping x <= z iff
-    sigma[x] <= sigma[z] against every element already mapped.  An
-    involution sends x to a mapped y only when y is sent to x, and to an
-    unmapped y only when x is no image yet.  With a, b and fixed not
-    given the maps come in lexicographic order.  A caller that has the
-    classes of rows, or of target, passes them (see _classes) as
-    classes, resp. target_classes, and they are not counted again."""
+    only those with sigma[x] = y for each pair (x, y) of pins, and with
+    involutive only those with sigma[sigma[x]] = x.  Backtracks over the
+    images of the pinned elements, in the order of pins, then of the
+    others in index order, each within its own class in target, keeping
+    x <= z iff sigma[x] <= sigma[z] against every element already mapped.
+    An involution sends x to a mapped y only when y is sent to x, and to
+    an unmapped y only when x is no image yet.  The maps come in
+    lexicographic order of the images of the elements not pinned.  A
+    caller that has the classes of rows, or of target, passes them (see
+    _classes) as classes, resp. target_classes, and they are not counted
+    again."""
     n = len(rows)
     cls = _classes(rows) if classes is None else classes
     if target is None:
@@ -380,10 +380,10 @@ def _order_automorphism(rows: Sequence[int], a: Optional[int] = None, b: Optiona
         return
     members = _members(target_cls)
     choices = [members[c] for c in cls]
-    for x, y in [(x, x) for x in fixed] + ([] if a is None else [(a, b)]):
+    for x, y in pins:
         choices[x] = [y] if y in choices[x] else []
-    pinned = set(fixed)
-    order = sorted(range(n), key=lambda x: (x != a, x not in pinned))  # a, then fixed
+    pinned = dict.fromkeys(x for x, _ in pins)
+    order = [*pinned, *(x for x in range(n) if x not in pinned)]
     sigma, used = [-1] * n, [False] * n
 
     def rec(p: int):
@@ -407,6 +407,20 @@ def _order_automorphism(rows: Sequence[int], a: Optional[int] = None, b: Optiona
         del rec  # frees the closure cycle, also when the caller stops early
 
 
+def _orbit(x, maps: Sequence[Callable]) -> set:
+    """The orbit of x under the group that the invertible maps generate:
+    its closure under them, as the group is finite."""
+    orbit, todo = {x}, [x]
+    while todo:
+        y = todo.pop()
+        for f in maps:
+            z = f(y)
+            if z not in orbit:
+                orbit.add(z)
+                todo.append(z)
+    return orbit
+
+
 def _stabiliser_generators(rows: Sequence[int], e: int, base: Sequence[int],
                            classes: Optional[Sequence[tuple]] = None) -> List[List[int]]:
     """Generators of G, the order automorphisms of the poset of the
@@ -415,7 +429,8 @@ def _stabiliser_generators(rows: Sequence[int], e: int, base: Sequence[int],
     only the identity in G may fix every point of it.  On a lattice the
     join-irreducibles other than e will do: each element is the join of
     those below it, so an automorphism that fixes them all is the
-    identity.
+    identity.  Every automorphism of a lattice fixes its top, so with e
+    the top G is the whole automorphism group.
 
     G_k, the members of G that fix base[:k], falls to the identity at
     k = len(base).  From the last level up, the generators kept so far
@@ -433,17 +448,11 @@ def _stabiliser_generators(rows: Sequence[int], e: int, base: Sequence[int],
         for c in base[k + 1:]:
             if c in orbit or cls[c] != cls[b]:
                 continue
-            sigma = next(_order_automorphism(rows, b, c, fixed=[e, *base[:k]], classes=cls), None)
-            if sigma is None:
-                continue
-            gens.append(sigma)
-            todo = list(orbit)
-            while todo:  # the orbit of b under gens
-                x = todo.pop()
-                for g in gens:
-                    if g[x] not in orbit:
-                        orbit.add(g[x])
-                        todo.append(g[x])
+            pins = [(b, c), (e, e), *((x, x) for x in base[:k])]
+            sigma = next(_order_automorphism(rows, pins, classes=cls), None)
+            if sigma is not None:
+                gens.append(sigma)
+                orbit = _orbit(b, [g.__getitem__ for g in gens])
     return gens
 
 

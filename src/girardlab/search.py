@@ -32,7 +32,8 @@ Isomorphic posets have the same sorted classes, each element's (up-set
 size, down-set size), so the kept tie children are bucketed by them and
 a new one is tested only against its bucket, up to the first
 isomorphism found.  One routine (orders._order_automorphism) finds the
-generators' maps and those isomorphisms, here and in the unital search.
+generators' maps and those isomorphisms; orders._orbit closes a point or
+a mask under generators, here and in the unital search.
 Within a size the lattices come in generation order.  The enumerator
 keeps each lattice as the up-set bitmasks of its order, and builds its
 FiniteLattice only when the result's lattices are first read, so a run
@@ -54,22 +55,23 @@ by those values and the search stays exhaustive.  One searcher serves
 both modes, one unit at a time: the unit e bounds each product,
 x*y <= y when x <= e and x*y <= x when y <= e, so integral mode is the
 search with its one unit at the top, where the bound is the meet.
-Unital mode searches only the least unit of each orbit under the order
-automorphisms of the lattice (see _search).  An order automorphism sigma
+Unital mode finds a few generators of Aut(L), the order automorphisms
+of the lattice, once, by a stabiliser chain without listing the group
+(orders._stabiliser_generators), and searches only the least unit of
+each orbit under them (see _search).  An order automorphism sigma
 carries the unit law, associativity and residuation, so the tables for
 the unit sigma[e] are those for e relabelled by sigma.  The automorphisms
-that fix e permute e's own tables, so unital mode also hands the
-searcher a few generators of them, found by a stabiliser chain without
-listing the group (orders._stabiliser_generators).  The searcher prunes
-a table that is lexicographically greater than its image by one of them
-(lex-leader symmetry breaking: Crawford, Ginsberg, Luks & Roy, KR 1996),
-and _search rebuilds each orbit by mapping the tables found with the
-generators, so a budgeted search returns the whole orbit of each table
-it finds.  Integral mode has one unit and looks for no automorphism.
-Both modes read only the lattice, so they run on any lattice.  Units
-are taken in index order, the searches share the budget, a mapped unit
-or table costs no node, and the run stops at the first search that runs
-out of budget.
+that fix e permute e's own tables, so the searcher also gets generators
+of them, from a chain of their own.  It prunes a table that is
+lexicographically greater than its image by one of them (lex-leader
+symmetry breaking: Crawford, Ginsberg, Luks & Roy, KR 1996), and _search
+closes the tables found under the generators of Aut(L), so a budgeted
+search returns the whole Aut(L)-orbit of each table it finds, the
+tables of the skipped units among them.  Integral mode has one unit and
+looks for no automorphism.  Both modes read only the lattice, so they
+run on any lattice.  Units are taken in index order, the searches share
+the budget, a skipped unit or a carried table costs no node, and the
+run stops at the first search that runs out of budget.
 A node costs a few list lookups: monotonicity is one lower bound
 precomputed per cell, and each irreducible's row is join-extended when
 it completes (see _IrreducibleTableSearch).  A completed row also
@@ -99,8 +101,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .orders import FiniteLattice, FinitePoset, _classes, _frozen, _masks, _order_automorphism, \
-    _order_classes, _stabiliser_generators, compute_lattice, hasse_covers, is_distributive
+from .orders import FiniteLattice, FinitePoset, _classes, _frozen, _masks, _orbit, \
+    _order_automorphism, _order_classes, _stabiliser_generators, compute_lattice, hasse_covers, \
+    is_distributive
 from .reports import InputError, LawReport, law_fail, law_pass
 from .residuation import ResiduatedStructure, ResiduationError, check_associative, \
     residuated_structure
@@ -253,8 +256,7 @@ def _complemented(rows: Tuple[int, ...]) -> bool:
 class EnumerationResult:
     """posets holds each lattice as its up-set bitmasks, and
     complemented_posets those of the complemented ones, in the same
-    order.  lattices and complemented build their FiniteLattice forms
-    when first read, each from its own masks."""
+    order.  lattices builds their FiniteLattice forms when first read."""
     posets: List[Tuple[int, ...]]
     counts: Dict[int, int]
 
@@ -265,10 +267,6 @@ class EnumerationResult:
     @cached_property
     def complemented_posets(self) -> List[Tuple[int, ...]]:
         return [rows for rows in self.posets if _complemented(rows)]
-
-    @cached_property
-    def complemented(self) -> List[FiniteLattice]:
-        return [_rows_to_lattice(rows) for rows in self.complemented_posets]
 
 
 def _orbit_least(rows: Tuple[int, ...], downs: Tuple[int, ...]):
@@ -292,40 +290,38 @@ def _orbit_least(rows: Tuple[int, ...], downs: Tuple[int, ...]):
         return
     base = [x for x in _lower_covers(downs) if x != 0]
     generators = _stabiliser_generators(rows, 0, base, _classes(rows, downs))
-    images = [[1 << y for y in sigma] for sigma in generators]  # each bit's image
+    # each generator as a map of masks: the bits i with one shift
+    # sigma[i] - i move together, by that shift plus n and then back by n
+    n, maps = len(rows), []
+    for sigma in generators:
+        shifts = [y - i + n for i, y in enumerate(sigma)]
+        moves = [(s, sum(1 << i for i, t in enumerate(shifts) if t == s)) for s in set(shifts)]
+        maps.append(lambda mask, moves=moves: sum([(mask & m) << s for s, m in moves]) >> n)
     seen = set()
     for d, child, tie in grown:
-        if d in seen:
-            continue
-        seen.add(d)
-        todo = [d]
-        while todo:  # the orbit of d
-            mask = todo.pop()
-            for bits in images:
-                image = sum(bit for i, bit in enumerate(bits) if mask >> i & 1)
-                if image not in seen:
-                    seen.add(image)
-                    todo.append(image)
-        yield d, child, tie
+        if d not in seen:
+            seen |= _orbit(d, maps)
+            yield d, child, tie
 
 
 def _frontiers(max_n: int):
     """(posets, downs) for each size through max_n: the lattices of that
     size in generation order, as the up-set bitmasks of their orders,
     and beside them their down-set bitmasks, or None at max_n, where
-    none is grown and only the tie children keep theirs, for the
-    isomorphism test, until the size is done.  A child's down-sets are its parent's, but the top
+    none is grown.  A child's down-sets are its parent's, but the top
     gains the new coatom and the new coatom's is d and itself; the
     classes are the bit counts of the two.  A child whose new coatom
     ties is kept when no earlier kept tie child of its size is
-    isomorphic to it, any other outright (see the module docstring)."""
+    isomorphic to it, any other outright (see the module docstring); the
+    kept tie children keep their classes for that test until the size
+    is done."""
     posets, downs_of = [(1,)], [(1,)] if max_n > 1 else None
     yield posets, downs_of
     for size in range(2, max_n + 1):
         new_bit, last = 1 << size - 1, size == max_n
         grown: List[Tuple[int, ...]] = []
         grown_downs: Optional[list] = None if last else []
-        # the kept tie children with their down-sets, by their sorted classes
+        # the kept tie children with their classes, by their sorted classes
         ties: Dict[tuple, list] = {}
         for rows, downs in zip(posets, downs_of):
             top = (downs[0] | new_bit,)
@@ -335,11 +331,10 @@ def _frontiers(max_n: int):
                     cls = _classes(child, child_downs)
                     kept = ties.setdefault(tuple(sorted(cls)), [])
                     if any(next(_order_automorphism(child, target=other, classes=cls,
-                                                    target_classes=_classes(other, other_downs)),
-                                None) is not None
-                           for other, other_downs in kept):
+                                                    target_classes=other_cls), None) is not None
+                           for other, other_cls in kept):
                         continue
-                    kept.append((child, child_downs))
+                    kept.append((child, cls))
                 grown.append(child)
                 if not last:
                     grown_downs.append(child_downs)
@@ -455,8 +450,9 @@ class _IrreducibleTableSearch:
     least table of the orbit H.T of a solution T.  T* <= sigma.T* for
     each sigma in S, so no decided prefix rejects it, and every other
     check removes only subtrees without a solution, so T* is found.
-    Its closure under S is H.T*, which holds T, so _search closes the
-    tables found under S and drops repeats by their bytes.  Values are
+    Its closure under S is H.T*, which holds T, so closing the tables
+    found under S, or under generators of Aut(L) as _search does, loses
+    none; repeats are dropped by their bytes.  Values are
     compared in search order, so a budgeted search reaches T* no later
     than one without symmetries reaches any table of its orbit.
 
@@ -752,24 +748,18 @@ def _carrier(l: FiniteLattice, sigma: List[int]):
     if not (l.leq[np.ix_(sigma, sigma)] == l.leq).all():
         raise RuntimeError(f"{sigma.tolist()} is not an order automorphism")
     inverse = np.argsort(sigma)
-    return lambda m: sigma[m[np.ix_(inverse, inverse)]]
+    cells = np.ix_(inverse, inverse)  # built once, for every table the map carries
+    return lambda m: sigma[m[cells]]
 
 
-def _verified(l: FiniteLattice, e: int, sigma: List[int], m: np.ndarray) -> ResiduatedStructure:
-    """The structure of the table m that sigma mapped to the unit e.
-    Unit, associativity and residuation carry over along an order
-    automorphism, so m must pass _leaf."""
-    s = _leaf(l, e, m)
-    if s is None:
-        raise RuntimeError(f"{list(sigma)} maps a table to one that fails for unit {e}")
-    return s
-
-
-def _closure(l: FiniteLattice, e: int, symmetries: List[List[int]],
+def _closure(l: FiniteLattice, generators: List[List[int]],
              hits: List[ResiduatedStructure]) -> List[ResiduatedStructure]:
-    """hits, then each other table the symmetries, automorphisms that
-    fix e, reach from them, verified, in the order first reached."""
-    carriers = [(sigma, _carrier(l, sigma)) for sigma in symmetries]
+    """hits, then each other table that the generators, order
+    automorphisms of l, reach from them, in the order first reached.
+    sigma carries the unit law, associativity and residuation, so a table
+    it carries from the unit u must pass _leaf at the unit sigma[u]; one
+    that fails is an internal error."""
+    carriers = [(sigma, _carrier(l, sigma)) for sigma in generators]
     seen = {hit.mul.tobytes() for hit in hits}
     closed = list(hits)
     for hit in closed:  # closed grows as the loop runs
@@ -778,46 +768,46 @@ def _closure(l: FiniteLattice, e: int, symmetries: List[List[int]],
             key = m.tobytes()
             if key not in seen:
                 seen.add(key)
-                closed.append(_verified(l, e, sigma, m))
+                unit = sigma[hit.flags.unit]
+                s = _leaf(l, unit, m)
+                if s is None:
+                    raise RuntimeError(f"{sigma} maps a table to one that fails for unit {unit}")
+                closed.append(s)
     return closed
 
 
 def _search(l: FiniteLattice, units: List[int], budget: Optional[int]) -> ResiduationSearchResult:
     """The hits for the units, taken in index order, sorted by table.
 
-    A unit is searched only when it is the least unit of its orbit under
-    the order automorphisms of l: a unit sigma[rep] for an earlier
-    searched unit rep takes rep's hits, each mapped by sigma and
-    verified.  A searched unit e gets generators of the automorphisms
-    that fix e as its searcher's symmetries, and its hits are closed
-    under them (see _IrreducibleTableSearch).  The searches share the
-    budget, and mapping costs no node.  Each search is left the budget
-    that remains, so one that needs no node exhausts at any budget, and
-    the run stops after the first search that runs out of it.  With one
-    unit, as in integral mode, no automorphism is looked for."""
+    Generators of Aut(l), the order automorphisms of l, are found once,
+    as those that fix the top.  A unit is searched only when it is the
+    least of its orbit under them, with generators of the automorphisms
+    that fix it as its searcher's symmetries, and its hits are closed
+    under the generators of Aut(l) (see _IrreducibleTableSearch).  The
+    tables of the unit sigma[e] are those of e carried by sigma, so the
+    closure holds the tables of every unit of e's orbit.  The searches
+    share the budget, and closing costs no node.  Each search is left the
+    budget that remains, so one that needs no node exhausts at any
+    budget, and the run stops after the first search that runs out of
+    it, whose hits are closed as well: a budgeted run returns whole
+    orbits.  With one unit, as in integral mode, no automorphism is
+    looked for."""
     hits: List[ResiduatedStructure] = []
-    searched: Dict[int, List[ResiduatedStructure]] = {}
     nodes, exhausted = 0, True
-    unital = len(units) > 1
-    rows, classes, irreducibles = None, None, []
-    if unital:  # the up-set bitmasks and the classes that orbits read, counted once
+    unital, generators = len(units) > 1, []
+    if unital:  # the up-set bitmasks and the classes the chains read, counted once
         rows, downs = _masks(l.leq), _masks(l.leq.T)
         classes, irreducibles = _classes(rows, downs), list(_lower_covers(downs))
-    for e in units:
-        orbit = next(((rep, sigma) for rep in searched
-                      for sigma in islice(_order_automorphism(rows, rep, e, classes=classes), 1)),
-                     None)
-        if orbit is not None:
-            rep, sigma = orbit
-            carry = _carrier(l, sigma)
-            hits += [_verified(l, e, sigma, carry(hit.mul)) for hit in searched[rep]]
-            continue
+        generators = _stabiliser_generators(rows, l.top, [x for x in irreducibles if x != l.top],
+                                            classes)
+    # the least unit of each orbit; the closure of its hits holds the others' tables
+    least = [e for e in units if min(_orbit(e, [g.__getitem__ for g in generators])) == e]
+    for e in least:
         symmetries = _stabiliser_generators(rows, e, [x for x in irreducibles if x != e],
                                             classes) if unital else []
         remaining = None if budget is None else budget - nodes
         found, exhausted, unit_nodes = _IrreducibleTableSearch(l, e, symmetries).run(budget=remaining)
-        searched[e] = _closure(l, e, symmetries, found)
-        hits += searched[e]
+        hits += _closure(l, generators, found)
         nodes += unit_nodes
         if not exhausted:
             break

@@ -107,14 +107,14 @@ class TestEnumeration:
         assert [downs is None for _, downs in search._frontiers(4)] == [False] * 3 + [True]
 
     def test_no_parent_lists_its_group(self, monkeypatch):
-        """Enumerating asks _order_automorphism only for maps with a given
-        image of one element or onto a given target, never for a whole
-        automorphism group."""
+        """Enumerating asks _order_automorphism only for maps with pinned
+        images or onto a given target, never for a whole automorphism
+        group."""
         real = orders._order_automorphism
 
-        def guarded(rows, a=None, b=None, target=None, **kwargs):
-            assert a is not None or target is not None, rows
-            return real(rows, a, b, target, **kwargs)
+        def guarded(rows, pins=(), target=None, **kwargs):
+            assert pins or target is not None, rows
+            return real(rows, pins, target, **kwargs)
 
         monkeypatch.setattr(orders, "_order_automorphism", guarded)
         monkeypatch.setattr(search, "_order_automorphism", guarded)
@@ -224,10 +224,9 @@ class TestEnumeration:
         assert enumerate_lattices(9).counts == LATTICE_COUNTS
 
     def test_complemented_built_alone(self, monkeypatch):
-        """complemented builds the 100 complemented lattices of at most 8
-        elements and nothing else, in the order of lattices; a later read
-        of lattices builds all 300 afresh, equal to those 100 where they
-        meet but sharing no object with them."""
+        """complemented_posets picks the 100 complemented lattices of at
+        most 8 elements, in the order of posets, and builds no lattice; a
+        later read of lattices builds all 300, once."""
         calls, real = [], search.compute_lattice
 
         def counted(poset):
@@ -236,19 +235,17 @@ class TestEnumeration:
 
         monkeypatch.setattr(search, "compute_lattice", counted)
         result = enumerate_lattices(8)
-        assert len(result.complemented_posets) == 100 and calls == []
-        complemented = result.complemented
-        assert len(complemented) == len(calls) == 100
+        complemented = result.complemented_posets
+        assert len(complemented) == 100 and calls == []
+        wanted = set(complemented)
+        assert [rows for rows in result.posets if rows in wanted] == complemented
         lattices = result.lattices
-        assert len(lattices) == 300 and len(calls) == 400
-        wanted = set(result.complemented_posets)
+        assert len(lattices) == len(calls) == 300
         kept = [lat for rows, lat in zip(result.posets, lattices) if rows in wanted]
-        assert len(kept) == 100
-        assert not {id(lat) for lat in lattices} & {id(lat) for lat in complemented}
-        for a, b in zip(kept, complemented):
-            assert np.array_equal(a.leq, b.leq) and np.array_equal(a.meet, b.meet)
-        assert result.complemented is complemented and result.lattices is lattices
-        assert len(calls) == 400
+        assert [rows_of(lat) for lat in kept] == complemented
+        assert all(is_complemented(lat)[0].passed for lat in kept)
+        assert result.complemented_posets is complemented and result.lattices is lattices
+        assert len(calls) == 300
 
     def test_bitmask_complementation_matches_is_complemented(self):
         # on every lattice of at most 9 elements
@@ -854,24 +851,24 @@ def _generated(gens, n):
 
 
 class TestOrderAutomorphism:
-    """orders._order_automorphism, which yields the group that reduces
-    each parent's down-sets in enumeration, the first sigma with
-    sigma[a] = b that maps one unit's tables to another's in the unital
-    search, and the first isomorphism onto an earlier kept tie child."""
+    """orders._order_automorphism, which yields the maps with pinned
+    images that the stabiliser chains keep as generators, for the
+    parents in enumeration and for the units of the unital search, and
+    the first isomorphism onto an earlier kept tie child."""
 
     @pytest.mark.parametrize("lat", [diamond_m3(), horizontal_sum_mo(2).lattice, boolean_cube(3)],
                              ids=["m3", "mo2", "boolean-8"])
     def test_atoms_map_to_atoms(self, lat):
         for a in _atoms(lat):
             for b in _atoms(lat):
-                sigma = np.array(next(orders._order_automorphism(rows_of(lat), a, b)))
+                sigma = np.array(next(orders._order_automorphism(rows_of(lat), [(a, b)])))
                 assert sigma[a] == b and _is_automorphism(lat.leq, sigma)
 
     def test_no_atom_maps_to_a_coatom_on_boolean_8(self):
         lat = boolean_cube(3)
         coatoms = [x for x in range(lat.n) if lat.leq[x].sum() == 2]
         assert len(coatoms) == 3
-        assert not any(list(orders._order_automorphism(rows_of(lat), a, c))
+        assert not any(list(orders._order_automorphism(rows_of(lat), [(a, c)]))
                        for a in _atoms(lat) for c in coatoms)
 
     @pytest.mark.parametrize("lat", [build_lattice(load(STRUCTURES / "n5.struct"))]
@@ -882,7 +879,7 @@ class TestOrderAutomorphism:
         assert list(orders._order_automorphism(rows_of(lat))) == [identity]
         for a in range(lat.n):
             for b in range(lat.n):
-                got = list(orders._order_automorphism(rows_of(lat), a, b))
+                got = list(orders._order_automorphism(rows_of(lat), [(a, b)]))
                 assert got == ([identity] if a == b else [])
 
     def test_matches_brute_force_on_every_lattice_to_six(self):
@@ -894,7 +891,7 @@ class TestOrderAutomorphism:
                      if _is_automorphism(lat.leq, np.array(p))]
             for a in range(lat.n):
                 for b in range(lat.n):
-                    got = [tuple(sigma) for sigma in orders._order_automorphism(rows_of(lat), a, b)]
+                    got = [tuple(sigma) for sigma in orders._order_automorphism(rows_of(lat), [(a, b)])]
                     assert sorted(got) == [g for g in group if g[a] == b]
 
     def test_group_matches_brute_force_on_every_lattice_to_seven(self):
@@ -914,9 +911,11 @@ class TestOrderAutomorphism:
         assert all(_is_automorphism(lat.leq, np.array(sigma)) for sigma in group)
 
     def test_fixed_points_match_brute_force(self):
-        # with fixed, the sigmas yielded are those of the brute-force
-        # group that also fix each point of fixed: one point on every
-        # lattice of at most 5 elements, one and two points on MO2
+        # with (a, b) and a point (x, x) for each x of fixed pinned, the
+        # sigmas yielded are those of the brute-force group that send a
+        # to b and fix each point of fixed, in the same order whichever
+        # pin comes first: one point on every lattice of at most 5
+        # elements, one and two points on MO2
         mo2 = horizontal_sum_mo(2).lattice
         cases = [(lat, [e]) for lat in enumerate_lattices(5).lattices for e in range(lat.n)]
         cases += [(mo2, list(fixed)) for k in (1, 2) for fixed in itertools.combinations(range(6), k)]
@@ -925,10 +924,12 @@ class TestOrderAutomorphism:
                      if _is_automorphism(lat.leq, np.array(p))]
             for a in range(lat.n):
                 for b in range(lat.n):
-                    got = [tuple(sigma) for sigma in
-                           orders._order_automorphism(rows_of(lat), a, b, fixed=fixed)]
+                    pins = [(a, b)] + [(x, x) for x in fixed]
+                    got = [tuple(sigma) for sigma in orders._order_automorphism(rows_of(lat), pins)]
                     assert sorted(got) == [g for g in group
                                            if g[a] == b and all(g[x] == x for x in fixed)]
+                    assert [tuple(sigma) for sigma in
+                            orders._order_automorphism(rows_of(lat), pins[::-1])] == got
 
     def test_stabiliser_generators_generate_the_stabiliser(self):
         # for each unit e of every lattice of at most 7 elements, of MO3
@@ -940,7 +941,7 @@ class TestOrderAutomorphism:
         for lat, e in cases:
             gens = _generators(lat, e)
             assert all(sigma[e] == e for sigma in gens)
-            stabiliser = {tuple(sigma) for sigma in orders._order_automorphism(rows_of(lat), e, e)}
+            stabiliser = {tuple(sigma) for sigma in orders._order_automorphism(rows_of(lat), [(e, e)])}
             assert _generated(gens, lat.n) == stabiliser, (rows_of(lat), e)
         # the last case: Boolean-64's 120 automorphisms that fix an atom
         assert len(stabiliser) == 120 and len(gens) <= 4
@@ -988,8 +989,9 @@ RELABELED = [(f"{name}-relabeled-{seed}",
 
 
 class TestUnitOrbits:
-    """The unital search maps the tables of one unit per orbit to the
-    rest of the orbit, where it used to search every unit."""
+    """The unital search finds generators of Aut(L) once, searches the
+    least unit of each orbit under them and closes its tables under
+    them, where it used to search every unit."""
 
     def test_orthomodular_files(self):
         assert [name for name, _ in ORTHOMODULAR] == ["boolean-2", "boolean-4", "boolean-8",
@@ -1009,17 +1011,39 @@ class TestUnitOrbits:
         assert new.exhausted == (name != "mo3")
         assert new.nodes <= reference.nodes
 
-    def test_a_wrong_automorphism_is_an_internal_error(self, monkeypatch):
-        # on the 4-element Boolean algebra, swapping the two atoms keeps
-        # the order and swapping the first atom with the top does not
-        def swap(rows, a, b, classes):
-            sigma = list(range(len(rows)))
-            sigma[a], sigma[b] = b, a
-            yield sigma
+    @pytest.mark.parametrize("name, budget, found",
+                             [("mo2", 1000, 12), ("mo2", 20_000, 208), ("boolean-8", 1000, 288)])
+    def test_budgeted_results_are_closed_under_the_group(self, name, budget, found):
+        # a search cut by its budget returns whole orbits under the whole
+        # listed Aut(L), the tables of units it never searched among them
+        lat = build_lattice(load(STRUCTURES / f"{name}.struct"))
+        result = search_unital_residuation(lat, budget)
+        assert (len(result.found), result.exhausted, result.nodes) == (found, False, budget)
+        tables = {tuple(m.ravel().tolist()) for m in result.found}
+        for sigma in orders._order_automorphism(rows_of(lat)):
+            sigma, inverse = np.array(sigma), np.argsort(sigma)
+            assert {tuple(sigma[m[np.ix_(inverse, inverse)]].ravel().tolist())
+                    for m in result.found} == tables, sigma
 
-        monkeypatch.setattr(search, "_order_automorphism", swap)
+    def test_a_wrong_automorphism_is_an_internal_error(self, monkeypatch):
+        # on the 4-element Boolean algebra, swapping the first atom with
+        # the top does not keep the order; given as a generator of Aut(L),
+        # the automorphisms that fix the top, it is caught before it
+        # carries a table
+        lat, real = boolean_cube(2), orders._stabiliser_generators
+        atom = _atoms(lat)[0]
+
+        def wrong(rows, e, base, classes=None):
+            gens = real(rows, e, base, classes)
+            if e == lat.top:
+                swap = list(range(lat.n))
+                swap[atom], swap[lat.top] = lat.top, atom
+                gens.append(swap)
+            return gens
+
+        monkeypatch.setattr(search, "_stabiliser_generators", wrong)
         with pytest.raises(RuntimeError, match="not an order automorphism"):
-            search_unital_residuation(boolean_cube(2), budget=10_000)
+            search_unital_residuation(lat, budget=10_000)
 
     def test_a_mapped_table_failing_its_leaf_is_an_internal_error(self, monkeypatch):
         leaf = search._leaf
@@ -1030,9 +1054,9 @@ class TestUnitOrbits:
 
 def _unit_search(lat, e, symmetries, budget=None):
     """The tables of one unit's search with the given symmetries, closed
-    under them as _search closes them, and `exhausted`."""
+    under them, and `exhausted`."""
     found, exhausted, nodes = search._IrreducibleTableSearch(lat, e, symmetries).run(budget=budget)
-    closed = search._closure(lat, e, symmetries, found)
+    closed = search._closure(lat, symmetries, found)
     return {s.mul.tobytes() for s in closed}, exhausted, nodes
 
 
@@ -1045,7 +1069,7 @@ def _reference_unit_search(lat, e, budget=None):
 class TestSymmetryBreaking:
     """The unital searcher rejects a partial table that comes after its
     image by one of its symmetries, automorphisms that fix the unit, and
-    _search closes the tables found under them.  The least table of each
+    _closure closes the tables found under them.  The least table of each
     orbit is never rejected, so the closure holds every table, and a
     budgeted search reaches that least table no later than a search
     without symmetries reaches any table of its orbit."""
@@ -1076,7 +1100,7 @@ class TestSymmetryBreaking:
         pruned = False
         for e in units:
             gens = _generators(lat, e)
-            stabiliser = list(orders._order_automorphism(rows_of(lat), e, e))
+            stabiliser = list(orders._order_automorphism(rows_of(lat), [(e, e)]))
             outcomes = [_unit_search(lat, e, symmetries)
                         for symmetries in ([], gens[:1], gens, stabiliser)]
             assert all(outcome[:2] == outcomes[0][:2] for outcome in outcomes), e
