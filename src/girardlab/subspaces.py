@@ -30,12 +30,21 @@ rank on a Gram matrix: on the n x n AA^T (P_S o P_T or P_S + P_T, A
 unformed) of a product or join that may span R^n, which then is R^n,
 and on the k x k A^T A of a tall A with 16 <= k < n columns, which one
 QR then splits.  Else one SVD decides.
+
+The lattice bounds are decided from the dimensions.  zero(n) and full(n)
+are one shared instance each per n, with read-only arrays.  A product
+with 0 is 0.  A product with R^n, in any basis, has Gram matrix I o P =
+diag(P) for the other operand's projector P, so it is certified on that
+diagonal with no factorisation.  A join with R^n is R^n.  Two operands
+both 0 or both R^n are equal, and s <= t holds when s is 0 or t is R^n.
+meet and residuum inherit these rules through ortho.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import List, Sequence
+from dataclasses import dataclass, field
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +53,8 @@ from .reports import InputError, LawReport, law_fail, law_pass
 MAX_DIM = 64
 TAU_RANK = 1e-9
 QR_MIN_COLUMNS = 16  # below it, one SVD of a tall matrix beats a Gram Cholesky and a QR
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 
 def check_dimension(n: int) -> int:
@@ -61,18 +72,16 @@ def tau_eq(n: int) -> float:
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of R^n: an orthonormal n x r basis of it and an
-    orthonormal n x (n - r) basis of its orthogonal complement."""
+    orthonormal n x (n - r) basis of its orthogonal complement.  n and
+    dim = r are read off the basis once, at construction."""
 
     basis: np.ndarray
     complement: np.ndarray
+    n: int = field(init=False)
+    dim: int = field(init=False)
 
-    @property
-    def n(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
+    def __post_init__(self):
+        self.__dict__["n"], self.__dict__["dim"] = self.basis.shape  # the class is frozen
 
     def projector(self) -> np.ndarray:
         p = self.__dict__.get("_projector")
@@ -104,7 +113,7 @@ def _split(a: np.ndarray) -> Subspace:
     """
     n, k = a.shape
     if k == 0:
-        return Subspace(np.zeros((n, 0)), np.eye(n))
+        return zero(n)
     if QR_MIN_COLUMNS <= k < n:
         b = _scaled(a)
         if _certifies_rank(b.T @ b, n + k + 3):
@@ -125,6 +134,9 @@ def _scaled(a: np.ndarray) -> np.ndarray:
 def _certifies_rank(g: np.ndarray, m: int) -> bool:
     """Whether the p x p Gram matrix G = AA^T, which it overwrites, proves
     rank p for A by the SVD's rule sigma_p(A) >= tau_rank * sigma_0(A).
+    A diagonal G may be passed as the vector of its diagonal: a Cholesky
+    factorisation of a diagonal matrix completes iff every entry stays
+    positive after the shift, so no factorisation is taken.
 
     sigma_p(A)^2 = lambda_min(G) and sigma_0(A)^2 <= tr(G), so lambda_min(G)
     >= tau_rank^2 tr(G) suffices; a Cholesky factorisation of G - cI
@@ -139,10 +151,13 @@ def _certifies_rank(g: np.ndarray, m: int) -> bool:
     tr(G) below tau_rank^2 + 4mu (at most 9e-14 in R^64) is declined, and
     so is one whose trace is not finite, since a Cholesky of NaNs completes.
     """
-    f, trace = np.finfo(float), np.trace(g)
+    trace = np.trace(g) if g.ndim == 2 else g.sum()
     if not math.isfinite(trace):
         return False
-    g.flat[::len(g) + 1] -= (TAU_RANK ** 2 + 2 * m * f.eps) * trace + 16 * m * m * f.smallest_subnormal
+    shift = (TAU_RANK ** 2 + 2 * m * _EPS) * trace + 16 * m * m * _TINY
+    if g.ndim == 1:
+        return bool((g > shift).all())
+    g.flat[::len(g) + 1] -= shift
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -167,27 +182,45 @@ def span(n: int, vectors: Sequence[Sequence[float]]) -> Subspace:
     return _split(a)
 
 
+@functools.cache
+def _bounds(n: int) -> Tuple[Subspace, Subspace]:
+    """The zero subspace and R^n, one shared pair per n: the basis of R^n
+    is I, and the arrays of both are read-only."""
+    none, eye = np.zeros((n, 0)), np.eye(n)
+    none.flags.writeable = eye.flags.writeable = False
+    return Subspace(none, eye), Subspace(eye, none)
+
+
 def zero(n: int) -> Subspace:
-    return Subspace(np.zeros((check_dimension(n), 0)), np.eye(n))
+    """The zero subspace of R^n: one shared, read-only instance per n."""
+    return _bounds(check_dimension(n))[0]
 
 
 def full(n: int) -> Subspace:
-    return Subspace(np.eye(check_dimension(n)), np.zeros((n, 0)))
+    """R^n with the standard basis: one shared, read-only instance per n,
+    so its projector I is formed once."""
+    return _bounds(check_dimension(n))[1]
 
 
 def leq(s: Subspace, t: Subspace) -> bool:
-    """Containment: the residual of s's basis outside t is below tau_eq."""
+    """Containment: the residual of s's basis outside t is below tau_eq.
+    True without arithmetic when s is 0 or t is R^n."""
     _check_same_ambient(s, t)
     if s.dim > t.dim:  # the residual is at least 1
         return False
+    if s.dim == 0 or t.dim == t.n:
+        return True
     resid = s.basis - t.basis @ (t.basis.T @ s.basis)
     return float(np.linalg.norm(resid)) <= tau_eq(s.n)
 
 
 def equal(s: Subspace, t: Subspace) -> bool:
-    """Projector Frobenius distance (at least 1 across dimensions) below tau_eq."""
+    """Projector Frobenius distance (at least 1 across dimensions) below
+    tau_eq.  Two operands both 0 or both R^n are equal without arithmetic."""
     _check_same_ambient(s, t)
-    return s.dim == t.dim and float(np.linalg.norm(s.projector() - t.projector())) <= tau_eq(s.n)
+    if s.dim != t.dim:
+        return False
+    return s.dim in (0, s.n) or float(np.linalg.norm(s.projector() - t.projector())) <= tau_eq(s.n)
 
 
 def ortho(s: Subspace) -> Subspace:
@@ -197,10 +230,13 @@ def ortho(s: Subspace) -> Subspace:
 
 
 def join(s: Subspace, t: Subspace) -> Subspace:
-    """Smallest subspace containing both: span of the stacked bases."""
+    """Smallest subspace containing both: span of the stacked bases.  A
+    join with R^n is R^n without a decomposition."""
     _check_same_ambient(s, t)
-    if s.dim + t.dim >= s.n and _certifies_rank(s.projector() + t.projector(), s.n + s.dim + t.dim + 3):
-        return full(s.n)
+    n = s.n
+    if (s.dim == n or t.dim == n
+            or s.dim + t.dim >= n and _certifies_rank(s.projector() + t.projector(), n + s.dim + t.dim + 3)):
+        return full(n)
     return _split(np.hstack([s.basis, t.basis]))
 
 
@@ -210,11 +246,25 @@ def meet(s: Subspace, t: Subspace) -> Subspace:
 
 
 def mul(s: Subspace, t: Subspace) -> Subspace:
-    """Quantale product: span of all Hadamard products of basis columns."""
+    """Quantale product: span of all Hadamard products of basis columns.
+
+    A product with 0 is 0.  A product with R^n, whatever its basis, has
+    Gram matrix I o P = diag(P) for the other operand's projector P, so
+    it is certified R^n on that diagonal without a factorisation; where
+    the certificate declines, the product matrix decides as for any pair.
+    """
     _check_same_ambient(s, t)
-    if s.dim * t.dim >= s.n and _certifies_rank(s.projector() * t.projector(), s.n + s.dim + t.dim + 3):
-        return full(s.n)
-    products = (s.basis[:, :, None] * t.basis[:, None, :]).reshape(s.n, -1)
+    n = s.n
+    if s.dim == 0 or t.dim == 0:
+        return zero(n)
+    m = n + s.dim + t.dim + 3
+    if s.dim == n or t.dim == n:
+        certified = _certifies_rank((t if s.dim == n else s).projector().diagonal(), m)
+    else:
+        certified = s.dim * t.dim >= n and _certifies_rank(s.projector() * t.projector(), m)
+    if certified:
+        return full(n)
+    products = (s.basis[:, :, None] * t.basis[:, None, :]).reshape(n, -1)
     return _split(products)
 
 

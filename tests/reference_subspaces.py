@@ -5,6 +5,8 @@ a thin SVD of the spanning matrix, and the orthocomplement takes its own
 full SVD of the basis, so meet costs four SVDs and residuum three.
 girardlab.subspaces carries each complement from the SVD that found the
 basis; tests/test_subspaces.py holds it to these functions.
+residuum_by_definition computes s -> t from its definition instead,
+as the largest x with x * s <= t, and takes no product at all.
 """
 import numpy as np
 
@@ -61,3 +63,17 @@ def random_subspace_within(s, rng, tau_rank):
     if k == 0 or r == 0:
         return np.zeros((n, 0))
     return orthonormal_range(s @ rng.standard_normal((r, k)), tau_rank)
+
+
+def residuum_by_definition(s, t, cutoff):
+    """s -> t from its definition: the x with x o b in t for every basis
+    vector b of s, the kernel of the stacked maps (I - P_t) diag(b).  Each
+    block has norm at most 1, so the cutoff on the singular values is
+    absolute; one relative to sigma_0 fails when t = R^n and every block
+    is 0."""
+    n = s.shape[0]
+    if s.shape[1] == 0:
+        return np.eye(n)
+    outside = np.eye(n) - t @ t.T
+    _, sigma, vt = np.linalg.svd(np.vstack([outside * b for b in s.T]), full_matrices=False)
+    return vt[np.count_nonzero(sigma > cutoff):].T.copy()

@@ -537,9 +537,10 @@ class TestKernelDifferential:
     def test_gram_certificate_margin(self, linalg_calls, n, op, ratio):
         # operands whose spanning matrix A spans R^n with sigma_n / sigma_0 =
         # ratio.  mul: a rotated basis of R^n times the line through v = (1,
-        # 0.1, ..., ratio), so A = diag(v / |v|) Q.  join: a hyperplane and
-        # a line at angle 2 atan(ratio) to it, so sigma^2 = 1 +- cos(angle)
-        # on their plane and 1 elsewhere.
+        # 0.1, ..., ratio), so A = diag(v / |v|) Q and the certificate reads
+        # the diagonal of the line's projector, with no factorisation.  join:
+        # a hyperplane and a line at angle 2 atan(ratio) to it, so sigma^2 =
+        # 1 +- cos(angle) on their plane and 1 elsewhere.
         tau = TAU_RANK
         rng = np.random.default_rng([n, len(op)])
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -568,12 +569,48 @@ class TestKernelDifferential:
         assert certified == (ratio == 1e-2 or ratio == 1e-6 and (n < 64 or op == "mul"))
         linalg_calls.clear()
         got = mul(s, t) if op == "mul" else join(s, t)
-        certificate = ("cholesky", (n, n), {})
+        certificate = [] if op == "mul" else [("cholesky", (n, n), {})]
         if certified:
-            assert linalg_calls == [certificate]
+            assert linalg_calls == certificate
             assert np.array_equal(got.basis, np.eye(n))
         else:
-            assert linalg_calls == [certificate, ("svd", a.shape, {"full_matrices": False})]
+            assert linalg_calls == certificate + [("svd", a.shape, {"full_matrices": False})]
+        assert got.dim == want.shape[1] == (n if ratio >= tau else n - 1)
+        _same(got, want)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("ratio", [1e-2, 1e-6, 3e-9, 3e-10])
+    def test_product_certificate_margin(self, linalg_calls, n, ratio):
+        # neither operand is R^n, so the n x n Gram matrix P_S o P_T is
+        # factorised.  S is spanned by f_i = e_i + e_{i+n/2}, T by the unit
+        # vector g on the first n/2 coordinates and h = v / |v| on the last,
+        # v = (1, 0.1, ..., ratio): f_i o g and f_i o h are orthogonal
+        # columns of norms sqrt(2 / n) and |h_i|, so A's singular values are
+        # those, and sigma_n / sigma_0 = ratio
+        tau = TAU_RANK
+        k = n // 2
+        v = np.full(k, 0.1)
+        v[0], v[-1] = 1.0, ratio
+        s = span(n, list(np.hstack([np.eye(k), np.eye(k)])))
+        t = span(n, [np.r_[np.ones(k), np.zeros(k)], np.r_[np.zeros(k), v]])
+        assert (s.dim, t.dim) == (k, 2)
+        a = (s.basis[:, :, None] * t.basis[:, None, :]).reshape(n, -1)
+        spectrum = np.linalg.svd(a, compute_uv=False)
+        assert spectrum[-1] / spectrum[0] == pytest.approx(ratio, rel=1e-3)
+        margin = tau ** 2 + 2 * (n + k + 2 + 3) * np.finfo(float).eps
+        rho = spectrum[-1] ** 2 / (spectrum ** 2).sum()
+        assert abs(rho - margin) > 0.1 * margin
+        certified = rho > margin
+        assert certified == (ratio >= 1e-6)
+        linalg_calls.clear()
+        got = mul(s, t)
+        certificate = [("cholesky", (n, n), {})]
+        if certified:
+            assert linalg_calls == certificate
+            assert np.array_equal(got.basis, np.eye(n))
+        else:
+            assert linalg_calls == certificate + [("svd", (n, n), {"full_matrices": False})]
+        want = ref.mul(s.basis, t.basis, tau)
         assert got.dim == want.shape[1] == (n if ratio >= tau else n - 1)
         _same(got, want)
 
@@ -787,15 +824,141 @@ class TestKernelDifferential:
 
     def test_full_operand_products(self, linalg_calls):
         # a certified result is R^n in the standard basis.  As an operand of
-        # a product its projector is I, so the Gram matrix is I o P_t, the
-        # diagonal of P_t, and one Cholesky still certifies rank n
+        # a product R^n in any basis has projector I, so the Gram matrix is
+        # I o P_t, the diagonal of P_t, which certifies rank n without a
+        # factorisation
         n = 16
         rng = np.random.default_rng(11)
         e, t = full(n), span(n, list(rng.standard_normal((16, 12)).T))
-        for s, u in ((e, t), (t, e), (e, e), (mul(t, t), t)):
+        rotated = span(n, list(rng.standard_normal((16, 16)).T))
+        assert rotated.dim == 16 and not np.array_equal(rotated.basis, np.eye(16))
+        for s, u in ((e, t), (t, e), (e, e), (mul(t, t), t), (rotated, t), (t, rotated)):
             linalg_calls.clear()
-            assert mul(s, u).dim == 16
-            assert linalg_calls == [("cholesky", (16, 16), {})]
+            got = mul(s, u)
+            assert got.dim == 16
+            assert linalg_calls == []
+            _same(got, ref.mul(s.basis, u.basis, TAU_RANK))
+
+
+def _bound_operands(n, rng):
+    """0 and R^n as operations meet them: the shared bounds, bounds from
+    factorisations (an SVD's U spans R^n, zero vectors span 0) and rebased
+    bounds."""
+    generic = span(n, list(rng.standard_normal((n, n)).T))
+    assert generic.dim == n and not np.array_equal(generic.basis, np.eye(n))
+    return [full(n), zero(n), generic, span(n, [np.zeros(n)] * 2), rebased(full(n), rng),
+            rebased(generic, rng)]
+
+
+class TestBoundOperands:
+    """Operations with an operand of dimension 0 or n take no factorisation
+    where the dimensions decide; each is held to the former kernel."""
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_shared_read_only_bounds(self, n):
+        assert full(n) is full(n) and zero(n) is zero(n)
+        assert np.array_equal(full(n).basis, np.eye(n)) and zero(n).basis.shape == (n, 0)
+        assert _split(np.zeros((n, 0))) is zero(n)
+        for a in (full(n).basis, full(n).projector(), zero(n).complement):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+        s = span(n, [np.ones(n)])
+        assert mul(zero(n), s) is zero(n) and mul(s, zero(n)) is zero(n)
+        assert join(full(n), s) is full(n) and join(s, full(n)) is full(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+    def test_against_reference(self, linalg_calls, n):
+        tau, tol = TAU_RANK, tau_eq(n)
+        rng = np.random.default_rng(500 + n)
+        bounds = _bound_operands(n, rng)
+        dims = range(n + 1) if n <= 8 else (0, 1, 2, 63)
+        others = bounds + [span(n, list(rng.standard_normal((n, k)).T)) for k in dims]
+        for b in bounds:
+            for o in others:
+                for s, t in ((b, o), (o, b)):
+                    assert equal(s, t) == ref.equal(s.basis, t.basis, tol)
+                    assert leq(s, t) == ref.leq(s.basis, t.basis, tol)
+                    linalg_calls.clear()
+                    join_st = join(s, t)
+                    if n in (s.dim, t.dim):  # R^n without a decomposition
+                        assert join_st is full(n) and linalg_calls == []
+                    _same(join_st, ref.join(s.basis, t.basis, tau))
+                    _same(meet(s, t), ref.meet(s.basis, t.basis, tau))
+                    _same(mul(s, t), ref.mul(s.basis, t.basis, tau))
+                    _same(residuum(s, t), ref.residuum(s.basis, t.basis, tau))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_vanishing_coordinate(self, linalg_calls, n):
+        # t spans the coordinate hyperplane x_j = 0, so diag(P_t) has a 0:
+        # the certificate declines, and the SVD of the product matrix gives
+        # that hyperplane
+        rng = np.random.default_rng(600 + n)
+        j = int(rng.integers(n))
+        vectors = rng.standard_normal((n, n - 1))
+        vectors[j] = 0.0
+        t = span(n, list(vectors.T))
+        hyperplane = np.delete(np.eye(n), j, axis=1)
+        for b in _bound_operands(n, rng):
+            for s, u in ((b, t), (t, b)):
+                linalg_calls.clear()
+                got = mul(s, u)
+                if b.dim == n:
+                    assert linalg_calls == [("svd", (n, n * (n - 1)), {"full_matrices": False})]
+                    _same(got, hyperplane)
+                _same(got, ref.mul(s.basis, u.basis, TAU_RANK))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    @pytest.mark.parametrize("ratio", [1e-2, 1e-6, 3e-9, 3e-10])
+    def test_diagonal_certificate_at_the_margin(self, linalg_calls, n, ratio):
+        # the line through v = (1, 0.1, ..., ratio) times R^n: the
+        # certificate on the diagonal of the line's projector gives the
+        # verdict of the dense Cholesky of P_S o P_T
+        v = np.full(n, 0.1)
+        v[0], v[-1] = 1.0, ratio
+        t = span(n, [v])
+        for b in _bound_operands(n, np.random.default_rng(700 + n)):
+            if b.dim < n:
+                continue
+            dense = _certifies_rank(b.projector() * t.projector(), n + n + 1 + 3)
+            assert dense == (ratio >= 1e-6)
+            for s, u in ((b, t), (t, b)):
+                linalg_calls.clear()
+                got = mul(s, u)
+                assert (got is full(n)) == dense
+                assert linalg_calls == ([] if dense else [("svd", (n, n), {"full_matrices": False})])
+                assert got.dim == (n if ratio >= TAU_RANK else n - 1)
+                _same(got, ref.mul(s.basis, u.basis, TAU_RANK))
+
+
+class TestResiduumByDefinition:
+    """residuum(s, t) = ortho(s * ortho(t)) against the kernel of the
+    stacked (I - P_t) diag(b), b over s's basis (reference_subspaces)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_seeded_samples(self, n):
+        rng = np.random.default_rng(800 + n)
+        bounds = _bound_operands(n, rng)
+        pairs = [(b, c) for b in bounds[:3] for c in bounds[:3]]
+        pairs += [(b, random_subspace(n, rng)) for b in bounds] + [(random_subspace(n, rng), b)
+                                                                    for b in bounds]
+        pairs += [(random_subspace(n, rng), random_subspace(n, rng)) for _ in range(8 if n == 64 else 30)]
+        pairs += [(unit(n), random_subspace(n, rng)), (dualizing(n), dualizing(n))]
+        for _ in range(6):
+            # coordinate subspaces on A and B in rotated bases: s -> t is the
+            # coordinate subspace off A \ B, a proper one in general
+            a, b = rng.random(n) < 0.5, rng.random(n) < 0.5
+            pairs.append((rebased(span(n, list(np.eye(n)[a])), rng),
+                          rebased(span(n, list(np.eye(n)[b])), rng)))
+        proper = 0
+        for s, t in pairs:
+            want = ref.residuum_by_definition(s.basis, t.basis, 1e-8)
+            # the kernel is the same at cutoffs 100 times either side
+            assert ref.residuum_by_definition(s.basis, t.basis, 1e-6).shape == want.shape
+            assert ref.residuum_by_definition(s.basis, t.basis, 1e-10).shape == want.shape
+            got = residuum(s, t)
+            _same(got, want)
+            proper += 0 < got.dim < n
+        assert proper >= 3
 
 
 def _exact_rank(vectors) -> int:
@@ -863,15 +1026,14 @@ class TestMO2Bridge:
         assert tuple(tuple(index(mul(a, b)) for b in elements) for a in elements) == table
         assert tuple(index(ortho(a)) for a in elements) == o.ortho
         assert np.array_equal([[leq(a, b) for b in elements] for a in elements], o.lattice.leq)
-        # 1 * 1 has Gram matrix I and is certified; x * 1 has diag(1, 0), so
-        # the certificate declines and the SVD decides
-        certificate = ("cholesky", (2, 2), {})
+        # 1 * 1 has Gram matrix I and is certified on its diagonal; x * 1 has
+        # diag(1, 0), so the certificate declines and the SVD decides
         linalg_calls.clear()
-        mul(one, one)
-        assert linalg_calls == [certificate]
+        assert mul(one, one) is one
+        assert linalg_calls == []
         linalg_calls.clear()
-        mul(x, one)
-        assert linalg_calls == [certificate, ("svd", (2, 2), {"full_matrices": False})]
+        assert equal(mul(x, one), x)
+        assert linalg_calls == [("svd", (2, 2), {"full_matrices": False})]
 
 
 @settings(max_examples=50, deadline=None)
