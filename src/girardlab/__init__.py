@@ -20,9 +20,9 @@ from .ortho import (
     is_orthomodular,
 )
 from .residuation import (
-    AdjointnessFailure, Flags, NoResiduum, NotBoolean, ResiduatedStructure, ResiduationError,
-    boolean_residuation, check_associative, classify, derive_residua, godel_chain,
-    lukasiewicz_chain, residuated_structure,
+    AdjointnessFailure, Flags, NoResiduum, ResiduatedStructure, ResiduationError,
+    check_associative, classify, derive_residua, godel_chain, lukasiewicz_chain,
+    residuated_structure,
 )
 from .girard import (
     GirardCertificate, GirardEquivalenceReport, check_boolean_idempotent_criterion,

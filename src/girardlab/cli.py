@@ -34,7 +34,7 @@ from .orders import (
 )
 from .ortho import OrthoLattice, blocks, check_ortholattice, check_orthomodular, is_orthomodular
 from .render import exit_code, export_dot, render_report
-from .reports import InputError, law_fail, law_pass
+from .reports import InputError, law_fail, law_pass, law_skip
 from .residuation import (
     ResiduationError,
     check_associative,
@@ -131,25 +131,30 @@ def cmd_verify(args) -> int:
                 omod = all(r.passed for r in check_orthomodular(olat))
                 info.append(f"orthomodular: {omod}")
 
+    # each declaration is checked, or reported SKIPPED with the hypothesis it lacks
+    reports, s, flags, missing = [], None, None, "needs a multiplication table"
     if sf.mul is not None:
         order = lattice if lattice is not None else poset
         m = np.array(sf.mul, dtype=np.intp)
         reports, s = _residuation(order, m)
+        missing = "needs an associative multiplication"
         if reports[0].passed:
             flags = classify(order, m) if s is None else s.flags
             info.append(f"flags: {flags}")
-            if sf.unit is not None:
-                ok = flags.unit == sf.unit
-                reports.append(
-                    law_pass("declared-unit") if ok
-                    else law_fail("declared-unit", (sf.unit,), f"actual unit is {flags.unit}")
-                )
-            if sf.dualizing is not None and s is not None:
-                cyc = is_cyclic(s, sf.dualizing)
-                dua = is_dualizing(s, sf.dualizing)
-                reports.append(cyc if cyc.failed else law_pass("declared-dualizer-cyclic"))
-                reports.append(dua if dua.failed else law_pass("declared-dualizer-dualizing"))
-        sections.append(("multiplication", reports))
+            missing = "needs a residuated multiplication"
+    if sf.unit is not None:
+        if flags is None:
+            reports.append(law_skip("declared-unit", missing))
+        elif flags.unit == sf.unit:
+            reports.append(law_pass("declared-unit"))
+        else:
+            reports.append(law_fail("declared-unit", (sf.unit,), f"actual unit is {flags.unit}"))
+    if sf.dualizing is not None:
+        for law, check in (("declared-dualizer-cyclic", is_cyclic),
+                           ("declared-dualizer-dualizing", is_dualizing)):
+            report = law_skip(law, missing) if s is None else check(s, sf.dualizing)
+            reports.append(law_pass(law) if report.passed else report)
+    sections.append(("multiplication", reports))
 
     code = _report(sections, args.format)
     if info and args.format == "human":

@@ -325,14 +325,27 @@ def hasse_covers(p: FinitePoset) -> list:
     return [(int(i), int(j)) for i, j in np.argwhere(lt & ~between)]
 
 
-def _classes(rows: Sequence[int], downs: Optional[Sequence[int]] = None) -> List[Tuple[int, int]]:
-    """cls[i]: element i's class, its (up-set size, down-set size), for a
-    poset given by the up-set bitmasks rows.  With the down-set bitmasks
-    downs given, the classes are bit counts; without, each down-set size
-    is counted over rows, n^2 steps.  An order isomorphism maps every
-    element to one of the same class."""
-    if downs is None:
-        return [(r.bit_count(), sum(s >> i & 1 for s in rows)) for i, r in enumerate(rows)]
+def _down_masks(rows: Sequence[int]) -> List[int]:
+    """The down-set bitmasks of the poset of the up-set bitmasks rows:
+    bit i of the j-th is set iff i <= j."""
+    n = len(rows)
+    return [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
+
+
+def _lower_covers(downs: Sequence[int]) -> Dict[int, int]:
+    """lower[x] for each join-irreducible x of a lattice, in index order,
+    from its down-set bitmasks: x is join-irreducible iff it has exactly
+    one lower cover, lower[x], that is iff the elements strictly below it
+    are the down-set of one."""
+    down_of = {mask: x for x, mask in enumerate(downs)}
+    return {x: down_of[mask ^ 1 << x] for x, mask in enumerate(downs) if mask ^ 1 << x in down_of}
+
+
+def _classes(rows: Sequence[int], downs: Sequence[int]) -> List[Tuple[int, int]]:
+    """cls[i]: element i's class, its (up-set size, down-set size), the
+    bit counts of the up-set bitmasks rows and the down-set bitmasks
+    downs of a poset.  An order isomorphism maps every element to one of
+    the same class."""
     return list(zip(map(int.bit_count, rows), map(int.bit_count, downs)))
 
 
@@ -342,14 +355,6 @@ def _members(cls: Sequence[Tuple[int, int]]) -> Dict[Tuple[int, int], List[int]]
     for i, c in enumerate(cls):
         members.setdefault(c, []).append(i)
     return members
-
-
-def _order_classes(rows: Sequence[int]):
-    """(cls, members): the classes of the poset of the up-set bitmasks
-    rows (see _classes), and each class with its elements in index
-    order."""
-    cls = _classes(rows)
-    return cls, _members(cls)
 
 
 def _order_automorphism(rows: Sequence[int], pins: Sequence[Tuple[int, int]] = (),
@@ -368,14 +373,15 @@ def _order_automorphism(rows: Sequence[int], pins: Sequence[Tuple[int, int]] = (
     an unmapped y only when x is no image yet.  The maps come in
     lexicographic order of the images of the elements not pinned.  A
     caller that has the classes of rows, or of target, passes them (see
-    _classes) as classes, resp. target_classes, and they are not counted
-    again."""
+    _classes) as classes, resp. target_classes; otherwise they are read
+    from the down-sets that _down_masks lists."""
     n = len(rows)
-    cls = _classes(rows) if classes is None else classes
+    cls = _classes(rows, _down_masks(rows)) if classes is None else classes
     if target is None:
         target, target_cls = rows, cls
     else:
-        target_cls = _classes(target) if target_classes is None else target_classes
+        target_cls = _classes(target, _down_masks(target)) if target_classes is None \
+            else target_classes
     if sorted(cls) != sorted(target_cls):
         return
     members = _members(target_cls)
@@ -421,26 +427,26 @@ def _orbit(x, maps: Sequence[Callable]) -> set:
     return orbit
 
 
-def _stabiliser_generators(rows: Sequence[int], e: int, base: Sequence[int],
-                           classes: Optional[Sequence[tuple]] = None) -> List[List[int]]:
-    """Generators of G, the order automorphisms of the poset of the
-    up-set bitmasks rows that fix e, found without listing G (a
-    stabiliser chain, after Sims).  G must map base onto itself, and
-    only the identity in G may fix every point of it.  On a lattice the
-    join-irreducibles other than e will do: each element is the join of
-    those below it, so an automorphism that fixes them all is the
-    identity.  Every automorphism of a lattice fixes its top, so with e
-    the top G is the whole automorphism group.
+def _stabiliser_generators(rows: Sequence[int], downs: Sequence[int], e: int) -> List[List[int]]:
+    """Generators of G, the order automorphisms that fix e of the lattice
+    of the up-set bitmasks rows and down-set bitmasks downs, found
+    without listing G (a stabiliser chain, after Sims).  Every
+    automorphism fixes the top, so with e the top G is the whole
+    automorphism group.
 
-    G_k, the members of G that fix base[:k], falls to the identity at
-    k = len(base).  From the last level up, the generators kept so far
-    generate G_{k+1}; at level k one automorphism in G_k from base[k]
-    to c is kept for each c of its class in base[k + 1:] that the orbit
-    of base[k] under those generators misses and G_k reaches.  They then
-    generate G_k: for each g in G_k some h they generate has
-    h[base[k]] = g[base[k]], and h^-1 g lies in G_{k+1}.  classes, when
-    given, are the classes of rows (see _order_automorphism)."""
-    cls = _classes(rows) if classes is None else classes
+    The base is the join-irreducibles other than e and the top, in index
+    order.  G maps it onto itself, and only the identity in G fixes each
+    of its points: each element is the join of the join-irreducibles
+    below it, and G fixes e and the top.  G_k, the members of G that fix
+    base[:k], falls to the identity at k = len(base).  From the last
+    level up, the generators kept so far generate G_{k+1}; at level k one
+    automorphism in G_k from base[k] to c is kept for each c of its class
+    (see _classes) in base[k + 1:] that the orbit of base[k] under those
+    generators misses and G_k reaches.  They then generate G_k: for each
+    g in G_k some h they generate has h[base[k]] = g[base[k]], and
+    h^-1 g lies in G_{k+1}."""
+    cls, everything = _classes(rows, downs), (1 << len(rows)) - 1
+    base = [x for x in _lower_covers(downs) if x != e and downs[x] != everything]
     gens: List[List[int]] = []
     for k in reversed(range(len(base))):
         b = base[k]

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .orders import (
-    FiniteLattice, FinitePoset, first_violation, index_slabs, is_boolean, lattice_from_covers,
+    FiniteLattice, FinitePoset, first_violation, index_slabs, lattice_from_covers,
     least_witness,
 )
 from .reports import InputError, LawReport, law_fail, law_pass
@@ -44,10 +44,6 @@ class AdjointnessFailure(ResiduationError):
     def __init__(self, witness: tuple):
         self.witness = tuple(witness)
         super().__init__(f"adjointness biconditional fails at {self.witness}")
-
-
-class NotBoolean(Exception):
-    pass
 
 
 def as_mul_table(m, n: int) -> np.ndarray:
@@ -173,15 +169,6 @@ def residuated_structure(order: FinitePoset, mul) -> ResiduatedStructure:
     t = np.array(mul, dtype=np.intp)
     t.flags.writeable = False
     return ResiduatedStructure(order, t, rres, lres, classify(order, t))
-
-
-def boolean_residuation(l: FiniteLattice) -> ResiduatedStructure:
-    """The canonical residuation of a Boolean algebra: x*y = x /\\ y and
-    y -> z = y' \\/ z.  Raises NotBoolean otherwise."""
-    report = is_boolean(l)
-    if not report.passed:
-        raise NotBoolean(report.note or "lattice is not Boolean")
-    return residuated_structure(l, l.meet)
 
 
 def _chain_with_fraction_labels(m: int) -> FiniteLattice:

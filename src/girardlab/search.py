@@ -101,9 +101,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .orders import FiniteLattice, FinitePoset, _classes, _frozen, _masks, _orbit, \
-    _order_automorphism, _order_classes, _stabiliser_generators, compute_lattice, hasse_covers, \
-    is_distributive
+from .orders import FiniteLattice, FinitePoset, _classes, _down_masks, _frozen, _lower_covers, \
+    _masks, _members, _orbit, _order_automorphism, _stabiliser_generators, compute_lattice, \
+    hasse_covers, is_distributive
 from .reports import InputError, LawReport, law_fail, law_pass
 from .residuation import ResiduatedStructure, ResiduationError, check_associative, \
     residuated_structure
@@ -115,11 +115,6 @@ DEFAULT_BUDGET = 200_000  # nodes of a unital search, and of the CLI's searches
 # ---------------------------------------------------------------------------
 # posets as tuples of upset bitmasks: rows[i] has bit j set iff i <= j
 # ---------------------------------------------------------------------------
-
-def _down_masks(rows: Tuple[int, ...]) -> List[int]:
-    n = len(rows)
-    return [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
-
 
 def canonical_key(rows: Tuple[int, ...]) -> tuple:
     """The minimum lexicographic relation encoding over the relabelings
@@ -133,7 +128,8 @@ def canonical_key(rows: Tuple[int, ...]) -> tuple:
     isomorphism directly.  It stays as the complete invariant the tests
     compare enumerations by, and perfbench/spans.py traces it by name."""
     n = len(rows)
-    cls, members = _order_classes(rows)
+    cls = _classes(rows, _down_masks(rows))
+    members = _members(cls)
     slot_class = sorted(cls)
 
     best: Optional[tuple] = None
@@ -273,13 +269,10 @@ def _orbit_least(rows: Tuple[int, ...], downs: Tuple[int, ...]):
     """(d, child, tie) from _grow for the least mask d of each orbit under
     the parent's automorphisms, in increasing order of d.
 
-    The orbits come from a few generators of Aut(P), found by a
-    stabiliser chain without listing the group
-    (orders._stabiliser_generators) over the join-irreducibles but the
-    top: every automorphism fixes the top, element 0, and one that fixes
-    those is the identity, as each element is the join of the
-    join-irreducibles below it.  The group is finite, so the orbit of d
-    is its closure under the generators.
+    The orbits come from a few generators of Aut(P), the automorphisms
+    that fix the top, element 0, found by a stabiliser chain without
+    listing the group (orders._stabiliser_generators).  The group is
+    finite, so the orbit of d is its closure under the generators.
     The masks grown are a union of orbits, and the masks seen are a
     union of whole orbits, each closed when its first mask is met.  So
     when the walk by increasing d meets an unseen d, no member of its
@@ -288,8 +281,7 @@ def _orbit_least(rows: Tuple[int, ...], downs: Tuple[int, ...]):
     if len(grown) < 2:  # a lone mask is an orbit
         yield from grown
         return
-    base = [x for x in _lower_covers(downs) if x != 0]
-    generators = _stabiliser_generators(rows, 0, base, _classes(rows, downs))
+    generators = _stabiliser_generators(rows, downs, 0)
     # each generator as a map of masks: the bits i with one shift
     # sigma[i] - i move together, by that shift plus n and then back by n
     n, maps = len(rows), []
@@ -380,16 +372,6 @@ class ResiduationSearchResult:
 
 def _lattice_id(l: FiniteLattice) -> str:
     return f"n={l.n};covers={hasse_covers(l)}"
-
-
-def _lower_covers(down_masks: List[int]) -> Dict[int, int]:
-    """lower[x] for each join-irreducible x of a lattice, in index order,
-    from its down-set bitmasks: x is join-irreducible iff it has exactly
-    one lower cover, lower[x], that is iff the elements strictly below it
-    are the down-set of one."""
-    down_of = {mask: x for x, mask in enumerate(down_masks)}
-    return {x: down_of[mask ^ 1 << x] for x, mask in enumerate(down_masks)
-            if mask ^ 1 << x in down_of}
 
 
 class _IrreducibleTableSearch:
@@ -795,16 +777,13 @@ def _search(l: FiniteLattice, units: List[int], budget: Optional[int]) -> Residu
     hits: List[ResiduatedStructure] = []
     nodes, exhausted = 0, True
     unital, generators = len(units) > 1, []
-    if unital:  # the up-set bitmasks and the classes the chains read, counted once
+    if unital:
         rows, downs = _masks(l.leq), _masks(l.leq.T)
-        classes, irreducibles = _classes(rows, downs), list(_lower_covers(downs))
-        generators = _stabiliser_generators(rows, l.top, [x for x in irreducibles if x != l.top],
-                                            classes)
+        generators = _stabiliser_generators(rows, downs, l.top)
     # the least unit of each orbit; the closure of its hits holds the others' tables
     least = [e for e in units if min(_orbit(e, [g.__getitem__ for g in generators])) == e]
     for e in least:
-        symmetries = _stabiliser_generators(rows, e, [x for x in irreducibles if x != e],
-                                            classes) if unital else []
+        symmetries = _stabiliser_generators(rows, downs, e) if unital else []
         remaining = None if budget is None else budget - nodes
         found, exhausted, unit_nodes = _IrreducibleTableSearch(l, e, symmetries).run(budget=remaining)
         hits += _closure(l, generators, found)

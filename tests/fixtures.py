@@ -1,9 +1,22 @@
 """Structures and helpers that only the tests use."""
 import numpy as np
 
-from girardlab.orders import validate_poset
+from girardlab.orders import FiniteLattice, is_boolean, validate_poset
 from girardlab.residuation import ResiduatedStructure, lukasiewicz_chain, residuated_structure
 from girardlab.subspaces import Subspace
+
+
+class NotBoolean(Exception):
+    pass
+
+
+def boolean_residuation(l: FiniteLattice) -> ResiduatedStructure:
+    """The canonical residuation of a Boolean algebra: x*y = x /\\ y and
+    y -> z = y' \\/ z.  Raises NotBoolean otherwise."""
+    report = is_boolean(l)
+    if not report.passed:
+        raise NotBoolean(report.note or "lattice is not Boolean")
+    return residuated_structure(l, l.meet)
 
 
 def drastic_chain(m: int) -> ResiduatedStructure:

@@ -16,7 +16,7 @@ girardlab grew lattices one coatom at a time as it does now, but it
 labelled every child that passed the lattice test and kept one child per
 canonical key, sorted by key within a size.  `grow_coatom` is that
 growth and `coatom_enumeration` that loop.  Of the current enumerator's
-code they share only `_down_masks`, which lists the down-sets.  The
+code they share only `orders._down_masks`, which lists the down-sets.  The
 enumerator keeps the least down-set of each orbit under the parent's
 automorphisms and, when the new coatom ties with another on down-set
 size, tests the child for isomorphism with the tie children kept before
@@ -95,6 +95,16 @@ symmetry: they accept the symmetries `search._search` hands a searcher
 and never read them, so what they find stays an independent oracle of
 the pruned search.
 
+The stabiliser chain with its base built by its callers.
+`orders._stabiliser_generators` used to take a base and the classes
+from its callers, who passed the join-irreducibles other than the fixed
+point, the top among them when it is join-irreducible, and the classes
+counted over the up-sets alone.  `explicit_base_generators` restores
+that call on a lattice and keeps the chain as it was, sharing only
+`_order_automorphism` and `_orbit` with it; the chain that now picks
+its own base and classes must return the same generators in the same
+order.
+
 The unital search before unit orbits.  `search._search` used to run the
 searcher on every unit, where it now searches one unit per orbit under
 the order automorphisms and maps that unit's tables to the rest of its
@@ -108,9 +118,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from girardlab import search
-from girardlab.orders import FiniteLattice, NotALattice, NotBounded, _order_automorphism, \
-    compute_lattice, validate_poset
-from girardlab.search import _down_masks, canonical_key
+from girardlab.orders import FiniteLattice, NotALattice, NotBounded, _down_masks, _masks, _orbit, \
+    _order_automorphism, compute_lattice, validate_poset
+from girardlab.search import canonical_key
 
 
 def grow_bounded_poset(rows: Tuple[int, ...]):
@@ -566,6 +576,34 @@ def join_irreducibles(l: FiniteLattice) -> list:
     lt = l.leq & ~np.eye(l.n, dtype=bool)
     n_lower = (lt & ~(lt @ lt)).sum(axis=0)
     return np.flatnonzero(n_lower == 1).tolist()
+
+
+def counted_classes(rows: Tuple[int, ...]) -> List[Tuple[int, int]]:
+    """Each element's (up-set size, down-set size), the down-set size
+    counted over the up-set bitmasks rows, n^2 steps."""
+    return [(r.bit_count(), sum(s >> i & 1 for s in rows)) for i, r in enumerate(rows)]
+
+
+def explicit_base_generators(l: FiniteLattice, e: int) -> List[List[int]]:
+    """orders._stabiliser_generators as its callers once drove it: the
+    base built outside, the join-irreducibles other than e (the top among
+    them when it is one), and the classes counted over the up-sets."""
+    rows = tuple(_masks(l.leq))
+    base = [x for x in join_irreducibles(l) if x != e]
+    cls = counted_classes(rows)
+    gens: List[List[int]] = []
+    for k in reversed(range(len(base))):
+        b = base[k]
+        orbit = {b}
+        for c in base[k + 1:]:
+            if c in orbit or cls[c] != cls[b]:
+                continue
+            pins = [(b, c), (e, e), *((x, x) for x in base[:k])]
+            sigma = next(_order_automorphism(rows, pins, classes=cls), None)
+            if sigma is not None:
+                gens.append(sigma)
+                orbit = _orbit(b, [g.__getitem__ for g in gens])
+    return gens
 
 
 def _true_columns(mask: np.ndarray) -> List[List[int]]:

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from fixtures import drastic_chain, rebased
+from fixtures import boolean_residuation, drastic_chain, rebased
 from girardlab.catalog import benzene_o6, boolean_cube, boolean_ortho, diamond_m3, \
     horizontal_sum_mo
 from girardlab.cli import main
@@ -18,7 +18,6 @@ from girardlab.girard import check_dualizer_join_formula, find_cyclic_dualizing,
 from girardlab.ortho import check_ortholattice, check_orthomodular, downset_oml
 from girardlab.residuation import (
     ResiduationError,
-    boolean_residuation,
     check_associative,
     derive_residua,
     godel_chain,

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import reference_subspaces as ref
+from fixtures import boolean_residuation
 from girardlab import cli, girard, orders, residuation, search, structfile, subspaces
 from girardlab.cli import main
 from girardlab.render import export_dot, render_report
 from girardlab.reports import law_fail, law_pass
 from girardlab.catalog import boolean_ortho, chain, diamond_m3
-from girardlab.residuation import AdjointnessFailure, boolean_residuation, godel_chain
+from girardlab.residuation import AdjointnessFailure, godel_chain
 from girardlab.search import confirm_boolean_forcing, search_unital_residuation
 from girardlab.structfile import build_lattice, build_ortholattice, from_lattice, load, parse, \
     serialize
@@ -74,6 +75,32 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(bad))
         assert code == 1
         assert "inversion" in out and "FAIL" in out
+
+    @pytest.mark.parametrize("mul, code, hypothesis, unit, unit_verdict", [
+        ("", 0, "needs a multiplication table",
+         "[  --] declared-unit  (needs a multiplication table)", "SKIPPED"),
+        ("mul: [[1,0],[0,0]]\n", 1, "needs an associative multiplication",
+         "[  --] declared-unit  (needs an associative multiplication)", "SKIPPED"),
+        ("mul: [[1,1],[1,1]]\n", 1, "needs a residuated multiplication",
+         "[FAIL] declared-unit  witness=[1]  (actual unit is None)", "FAIL"),
+    ], ids=["no-mul", "not-associative", "not-residuated"])
+    def test_declarations_it_cannot_check_are_skipped(self, capsys, tmp_path, mul, code,
+                                                      hypothesis, unit, unit_verdict):
+        # a declared unit and dualizer are reported every time: checked
+        # where their hypotheses hold, else SKIPPED with the one missing
+        path = tmp_path / "declared.struct"
+        path.write_text(f"elements: [a, b]\ncovers: [[0,1]]\n{mul}unit: 1\ndualizing: 0\n")
+        got, out, _ = run(capsys, "verify", str(path))
+        assert got == code
+        lines = out.splitlines()
+        assert f"  {unit}" in lines
+        for law in ("declared-dualizer-cyclic", "declared-dualizer-dualizing"):
+            assert f"  [  --] {law}  ({hypothesis})" in lines
+        got, out, _ = run(capsys, "verify", str(path), "--format", "machine")
+        assert got == code
+        verdicts = dict(line.split("\t")[:2] for line in out.splitlines())
+        assert (verdicts["declared-unit"], verdicts["declared-dualizer-cyclic"],
+                verdicts["declared-dualizer-dualizing"]) == (unit_verdict, "SKIPPED", "SKIPPED")
 
     def test_input_error_exit_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "missing.struct"))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import reference_laws as ref
-from fixtures import drastic_chain
+from fixtures import boolean_residuation, drastic_chain
 from girardlab.catalog import boolean_cube, boolean_ortho, chain, diamond_m3, mo2_subspace_model
 from girardlab.girard import (
     check_boolean_idempotent_criterion,
@@ -21,7 +21,6 @@ from girardlab.orders import check_inversion, enumerate_inversions
 from girardlab.ortho import OrthoLattice, check_orthomodular
 from girardlab.reports import InputError
 from girardlab.residuation import (
-    boolean_residuation,
     check_associative,
     derive_residua,
     godel_chain,

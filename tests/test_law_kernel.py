@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_laws as ref
-from fixtures import discrete_cyclic_group, drastic_chain
+from fixtures import boolean_residuation, discrete_cyclic_group, drastic_chain
 from girardlab import girard, orders, residuation, search
 from girardlab.catalog import boolean_cube, chain, mo2_subspace_model
 from girardlab.girard import GirardCertificate
@@ -328,7 +328,7 @@ def test_residuation_on_non_lattice_posets(p, data):
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_boolean_residuation(k):
     lat = boolean_cube(k)
-    s = residuation.boolean_residuation(lat)
+    s = boolean_residuation(lat)
     assert normal((s.rres, s.lres)) == normal(ref.boolean_residua(lat))
     assert s.flags == residuation.Flags(commutative=True, idempotent=True, unit=lat.top, integral=True)
 

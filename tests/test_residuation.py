@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import drastic_chain
+from fixtures import NotBoolean, boolean_residuation, drastic_chain
 from girardlab import residuation
 from girardlab.catalog import boolean_cube, chain, diamond_m3, mo2_subspace_model
 from girardlab.orders import is_complemented, lattice_from_covers
@@ -14,8 +14,6 @@ from girardlab.reports import InputError
 from girardlab.residuation import (
     AdjointnessFailure,
     NoResiduum,
-    NotBoolean,
-    boolean_residuation,
     check_associative,
     classify,
     derive_residua,

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from reference_search import LoopIntegralSearch, LoopUnitalSearch, NumpySetupSearch, \
     PerValueSearch, PlainIntegralSearch, PlainUnitalSearch, UnitPinSearch, coatom_enumeration, \
-    eager_enumeration, is_lattice, join_irreducibles, per_unit_search, poset_frontiers, \
-    reference_enumeration, scan_grow
+    counted_classes, eager_enumeration, explicit_base_generators, is_lattice, join_irreducibles, \
+    per_unit_search, poset_frontiers, reference_enumeration, scan_grow
 
 from girardlab import orders, search
 from girardlab.catalog import benzene_o6, boolean_cube, chain, diamond_m3, \
@@ -82,7 +82,7 @@ class TestEnumeration:
         posets = enumerate_lattices(9).posets
         assert len(posets) == 1378
         for rows in posets:
-            downs = tuple(search._down_masks(rows))
+            downs = tuple(orders._down_masks(rows))
             grown = list(search._grow(rows, downs))
             group = list(orders._order_automorphism(rows))
             seen, expected = set(), []
@@ -101,8 +101,8 @@ class TestEnumeration:
         for size, (posets, downs_of) in zip(range(1, 11), search._frontiers(11)):
             assert len(posets) == len(downs_of) == {**LATTICE_COUNTS, 10: 5994}[size]
             for rows, downs in zip(posets, downs_of):
-                assert list(downs) == search._down_masks(rows), rows
-                assert orders._classes(rows, downs) == orders._order_classes(rows)[0], rows
+                assert list(downs) == orders._down_masks(rows), rows
+                assert orders._classes(rows, downs) == counted_classes(rows), rows
         # the last size grows nothing and carries no down-sets
         assert [downs is None for _, downs in search._frontiers(4)] == [False] * 3 + [True]
 
@@ -162,7 +162,7 @@ class TestEnumeration:
                 rival = max((downs[x] for x in range(1, n) if leq[x].sum() == 2), default=0)
                 if downs[n] >= rival:
                     expected.append((d, ext, downs[n] == rival))
-            assert list(search._grow(rows, tuple(search._down_masks(rows)))) == expected
+            assert list(search._grow(rows, tuple(orders._down_masks(rows)))) == expected
 
     def test_growth_matches_mask_scan(self):
         """Listing the down-sets directly yields what scanning every mask
@@ -171,7 +171,7 @@ class TestEnumeration:
         posets = enumerate_lattices(9).posets
         assert len(posets) == 1378
         for rows in posets:
-            downs = tuple(search._down_masks(rows))
+            downs = tuple(orders._down_masks(rows))
             assert list(search._grow(rows, downs)) == list(scan_grow(rows)), rows
 
     def test_rows_to_lattice_reads_every_bit(self):
@@ -832,9 +832,8 @@ def _atoms(lat):
 
 def _generators(lat, e):
     """The unital search's symmetries for the unit e: generators of the
-    automorphisms that fix e, over the other join-irreducibles."""
-    base = [x for x in join_irreducibles(lat) if x != e]
-    return orders._stabiliser_generators(rows_of(lat), e, base)
+    automorphisms that fix e."""
+    return orders._stabiliser_generators(rows_of(lat), orders._masks(lat.leq.T), e)
 
 
 def _generated(gens, n):
@@ -946,6 +945,27 @@ class TestOrderAutomorphism:
         # the last case: Boolean-64's 120 automorphisms that fix an atom
         assert len(stabiliser) == 120 and len(gens) <= 4
 
+    def test_stabiliser_generators_match_the_explicit_base(self):
+        # the chain that picks its own base and classes returns, list for
+        # list, the generators of the chain its callers once gave their
+        # base and counted classes, for every unit of every lattice of at
+        # most 7 elements and of MO3, MO4 and Boolean-64: the top, the
+        # bottom and units that are not join-irreducible included
+        lattices = enumerate_lattices(7).lattices + [
+            build_lattice(load(STRUCTURES / "mo3.struct")), horizontal_sum_mo(4).lattice,
+            boolean_cube(6)]
+        cases = top_in_base = 0
+        for lat in lattices:
+            irreducibles = join_irreducibles(lat)
+            for e in range(lat.n):
+                gens = _generators(lat, e)
+                assert gens == explicit_base_generators(lat, e), (rows_of(lat), e)
+                cases += 1
+                # where the old base held the top, and the chain found generators
+                top_in_base += lat.top in irreducibles and e != lat.top and bool(gens)
+        assert cases == sum(n * count for n, count in LATTICE_COUNTS.items() if n <= 7) + 8 + 10 + 64
+        assert top_in_base > 0
+
     def test_isomorphism_onto_target_iff_keys_equal(self):
         """A map onto a target is found exactly when the canonical keys
         are equal: onto itself, never onto another, for each lattice of
@@ -956,7 +976,7 @@ class TestOrderAutomorphism:
         isomorphism onto the target."""
         by_classes = {}
         for rows in enumerate_lattices(9).posets:
-            by_classes.setdefault(tuple(sorted(orders._order_classes(rows)[0])), []).append(rows)
+            by_classes.setdefault(tuple(sorted(counted_classes(rows))), []).append(rows)
         pairs = [(p, q) for bucket in by_classes.values() for p in bucket for q in bucket]
         assert sum(p != q for p, q in pairs) == 168
         rng = random.Random(26)
@@ -1033,8 +1053,8 @@ class TestUnitOrbits:
         lat, real = boolean_cube(2), orders._stabiliser_generators
         atom = _atoms(lat)[0]
 
-        def wrong(rows, e, base, classes=None):
-            gens = real(rows, e, base, classes)
+        def wrong(rows, downs, e):
+            gens = real(rows, downs, e)
             if e == lat.top:
                 swap = list(range(lat.n))
                 swap[atom], swap[lat.top] = lat.top, atom
