@@ -35,14 +35,7 @@ from .orders import (
 from .ortho import OrthoLattice, blocks, check_ortholattice, check_orthomodular, is_orthomodular
 from .render import exit_code, export_dot, render_report
 from .reports import InputError, law_fail, law_pass, law_skip
-from .residuation import (
-    ResiduationError,
-    check_associative,
-    classify,
-    godel_chain,
-    lukasiewicz_chain,
-    residuated_structure,
-)
+from .residuation import classify, godel_chain, lukasiewicz_chain
 from .search import DEFAULT_BUDGET, confirm_boolean_forcing, enumerate_lattices, \
     search_integral_residuation, search_unital_residuation
 from .structfile import StructError, build_lattice, build_ortholattice, build_poset, from_lattice, \
@@ -57,6 +50,7 @@ from .subspaces import (
     span,
     verify_quantale_laws,
 )
+from . import residuation
 
 
 def _build_order(sf):
@@ -87,18 +81,6 @@ def _report(sections, fmt="human") -> int:
     return exit_code(sections)
 
 
-def _residuation(order, m):
-    """(reports, s): the associativity report, then, if it passes, the
-    residuation report, with the verified structure s or None."""
-    assoc = check_associative(m)
-    if assoc.failed:
-        return [assoc], None
-    try:
-        return [assoc, law_pass("residuation")], residuated_structure(order, m)
-    except ResiduationError as exc:
-        return [assoc, law_fail("residuation", exc.witness, str(exc))], None
-
-
 def cmd_verify(args) -> int:
     sf = load(args.file)
     try:
@@ -120,8 +102,7 @@ def cmd_verify(args) -> int:
         info += [f"distributive: {dist}", f"complemented: {comp}", f"boolean: {dist and comp}"]
 
     if sf.ortho is not None:
-        # on the lattice when there is one, where check_ortholattice finds the report
-        reports = [check_inversion(poset if lattice is None else lattice, sf.ortho)]
+        reports = [check_inversion(poset, sf.ortho)]
         sections.append(("inversion", reports))
         if lattice is not None and reports[0].passed:
             olat = OrthoLattice(lattice, sf.ortho)
@@ -136,7 +117,7 @@ def cmd_verify(args) -> int:
     if sf.mul is not None:
         order = lattice if lattice is not None else poset
         m = np.array(sf.mul, dtype=np.intp)
-        reports, s = _residuation(order, m)
+        reports, s = residuation.check_residuated(order, m)
         missing = "needs an associative multiplication"
         if reports[0].passed:
             flags = classify(order, m) if s is None else s.flags
@@ -171,7 +152,7 @@ def _residuated(args):
     order = _build_order(sf)
     if sf.mul is None:
         raise StructError("file has no mul section")
-    reports, s = _residuation(order, np.array(sf.mul, dtype=np.intp))
+    reports, s = residuation.check_residuated(order, np.array(sf.mul, dtype=np.intp))
     if s is not None:
         return sf, s
     _report([("multiplication", reports[-1:])])
@@ -290,13 +271,9 @@ def cmd_rn_op(args) -> int:
     n = check_dimension(args.dim)  # before any vector is parsed
     a = _parse_vectors(args.a, n)
     ops = {"mul": mul, "meet": meet, "join": join, "residuum": residuum}
-    if args.op == "ortho":
-        result = ortho(a)
-    else:
-        if args.b is None:
-            raise InputError(f"op {args.op} needs --b")
-        b = _parse_vectors(args.b, n)
-        result = ops[args.op](a, b)
+    if (args.op in ops) != (args.b is not None):
+        raise InputError(f"op {args.op} {'needs' if args.b is None else 'takes no'} --b")
+    result = ops[args.op](a, _parse_vectors(args.b, n)) if args.op in ops else ortho(a)
     print(f"dim: {result.dim}")
     for row in result.basis.T:
         print(";".join(f"{x:.12g}" for x in row))

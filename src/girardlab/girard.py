@@ -113,7 +113,10 @@ def _candidate_inversions(s: ResiduatedStructure, inversion):
     inversion that deciders (2) and (3) of girard_equivalences accept:
     in (2), f is x -> f(e) by definition; in (3), the exchange law at
     x = e reads t <= f(y) iff y*t <= f(e), so f(y) is the greatest t
-    with y*t <= f(e), which is f(e) <- y."""
+    with y*t <= f(e), which is f(e) <- y.  The rows alone would do when
+    lres is the residuum of mul, since f in (2) is also f(e) <- x; the
+    columns keep (3), which reads only mul, exact when a cell of lres is
+    wrong."""
     if inversion is not None:
         inv = orders.as_order_map(inversion, s.n)
         if check_inversion(s.poset, inv).failed:

@@ -3,9 +3,8 @@
 Elements are the indices 0..n-1.  A poset is an n x n boolean matrix
 ``leq`` with ``leq[i, j]`` meaning i <= j; a lattice adds integer meet and
 join tables.  All containers are immutable after construction and safe to
-share between threads; a lattice's distributivity and a poset's report
-on each inversion checked are computed at first use, the same value
-whichever thread asks.
+share between threads; a lattice's distributivity is computed at first
+use, the same value whichever thread asks.
 
 Every law scan is one boolean mask over index tuples, built slab by
 slab of first indices from row gathers: ``t.take(t[s], axis=0)`` is
@@ -126,12 +125,6 @@ class FinitePoset:
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
-
-    @cached_property
-    def _inversion_reports(self) -> Dict[tuple, LawReport]:
-        """check_inversion's report on each map checked on this poset, so
-        the checks of one command that share a poset scan a map once."""
-        return {}
 
 
 def validate_poset(relation, labels=None) -> FinitePoset:
@@ -297,17 +290,9 @@ def as_order_map(f, n: int) -> tuple:
 
 
 def check_inversion(p: FinitePoset, f) -> LawReport:
-    """PASS iff f is involutive and x <= y iff f(y) <= f(x); each map is
-    scanned once per poset."""
-    f = as_order_map(f, p.n)
-    reports = p._inversion_reports
-    if f not in reports:
-        reports[f] = _inversion_report(p, np.array(f))
-    return reports[f]
-
-
-def _inversion_report(p: FinitePoset, f: np.ndarray) -> LawReport:
-    leq = p.leq
+    """PASS iff f is involutive and x <= y iff f(y) <= f(x): one
+    validation of the map, then one scan."""
+    f, leq = np.array(as_order_map(f, p.n)), p.leq
     w = first_violation(f[f] != np.arange(p.n))
     if w is not None:
         return law_fail("inversion", w, "not involutive")

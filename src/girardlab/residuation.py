@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -169,6 +169,20 @@ def residuated_structure(order: FinitePoset, mul) -> ResiduatedStructure:
     t = np.array(mul, dtype=np.intp)
     t.flags.writeable = False
     return ResiduatedStructure(order, t, rres, lres, classify(order, t))
+
+
+def check_residuated(order: FinitePoset, m) -> Tuple[List[LawReport], Optional[ResiduatedStructure]]:
+    """(reports, s): the associativity report, then, if it passes, the
+    residuation report, with the verified structure s or None.  The one
+    check of a table: `verify`, `residuate`, `girard` and the search
+    leaf all decide through it."""
+    assoc = check_associative(m)
+    if assoc.failed:
+        return [assoc], None
+    try:
+        return [assoc, law_pass("residuation")], residuated_structure(order, m)
+    except ResiduationError as exc:
+        return [assoc, law_fail("residuation", exc.witness, str(exc))], None
 
 
 def _chain_with_fraction_labels(m: int) -> FiniteLattice:

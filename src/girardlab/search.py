@@ -86,8 +86,9 @@ but the unit column, run once per visit of that cell and the rest per
 value.  When a check of the visit fails, no value passes: the visit
 charges the nodes its value loop would count and visits nothing.  Every
 solution a search emits is re-verified through derive_residua, which
-shares no code with the searcher's pruning.  A leaf is one check: the
-two-sided unit law, then associativity, then residuated_structure.
+shares no code with the searcher's pruning.  A leaf is the two-sided
+unit law, then residuation.check_residuated, the CLI's check of a table:
+associativity, then the derived residua.
 Adjointness makes each one-sided product a left adjoint, so a table that
 passes preserves joins in each argument and needs no separate join scan.
 """
@@ -105,8 +106,8 @@ from .orders import FiniteLattice, FinitePoset, _classes, _down_masks, _frozen, 
     _masks, _members, _orbit, _order_automorphism, _stabiliser_generators, compute_lattice, \
     hasse_covers, is_distributive
 from .reports import InputError, LawReport, law_fail, law_pass
-from .residuation import ResiduatedStructure, ResiduationError, check_associative, \
-    residuated_structure
+from .residuation import ResiduatedStructure
+from . import residuation
 
 MAX_ENUM = 12
 DEFAULT_BUDGET = 200_000  # nodes of a unital search, and of the CLI's searches
@@ -712,14 +713,12 @@ class _IrreducibleTableSearch:
 
 def _leaf(l: FiniteLattice, e: int, m: np.ndarray) -> Optional[ResiduatedStructure]:
     """The verified structure of a leaf table, or None when the table has
-    no two-sided unit e, is not associative or is not residuated."""
+    no two-sided unit e or fails residuation.check_residuated, the check
+    `verify` and `residuate` make."""
     x = np.arange(l.n)
-    if not ((m[:, e] == x) & (m[e] == x)).all() or check_associative(m).failed:
+    if not ((m[:, e] == x) & (m[e] == x)).all():
         return None
-    try:
-        return residuated_structure(l, m)
-    except ResiduationError:
-        return None
+    return residuation.check_residuated(l, m)[1]
 
 
 def _carrier(l: FiniteLattice, sigma: List[int]):

@@ -10,7 +10,7 @@ import pytest
 
 import reference_subspaces as ref
 from fixtures import boolean_residuation
-from girardlab import cli, girard, orders, residuation, search, structfile, subspaces
+from girardlab import cli, girard, residuation, search, structfile, subspaces
 from girardlab.cli import main
 from girardlab.render import export_dot, render_report
 from girardlab.reports import law_fail, law_pass
@@ -129,6 +129,16 @@ class TestResiduate:
         code, out, _ = run(capsys, "residuate", str(bad))
         assert code == 1 and "FAIL" in out
 
+    def test_the_search_leaf_and_the_cli_share_one_table_check(self, capsys, monkeypatch,
+                                                               structures_dir):
+        assert search.search_integral_residuation(chain(3)).found
+        stub = law_fail("residuation", (0, 0, 0), "stub rejects every table")
+        monkeypatch.setattr(residuation, "check_residuated",
+                            lambda order, m: ([law_pass("associativity"), stub], None))
+        assert not search.search_integral_residuation(chain(3)).found
+        code, out, _ = run(capsys, "residuate", str(structures_dir / "godel-3.struct"))
+        assert (code, out) == (1, render_report([("multiplication", [stub])], "human"))
+
 
 class TestGirard:
     def test_lukasiewicz_certificates(self, capsys, structures_dir):
@@ -149,22 +159,6 @@ class TestGirard:
         monkeypatch.setattr(girard, "find_cyclic_dualizing", counted)
         code, _, _ = run(capsys, "girard", str(structures_dir / f"{name}.struct"))
         assert code == 0 and len(calls) == 1
-
-    @pytest.mark.parametrize("argv", [["girard"], ["girard", "--inversion", "7,6,5,4,3,2,1,0"],
-                                      ["verify"]])
-    def test_each_map_scanned_once(self, capsys, monkeypatch, structures_dir, argv):
-        # the candidate inversions, the certificate's negation and the
-        # ortholattice check of one command share the scan of each map
-        scans, real = [], orders._inversion_report
-
-        def counted(p, f):
-            scans.append(tuple(f.tolist()))
-            return real(p, f)
-
-        monkeypatch.setattr(orders, "_inversion_report", counted)
-        code, _, _ = run(capsys, argv[0], str(structures_dir / "boolean-8.struct"), *argv[1:])
-        assert code == 0 and scans and len(scans) == len(set(scans))
-        assert len(scans) == (8 if argv == ["girard"] else 1)
 
     def test_godel_negative(self, capsys, structures_dir):
         code, out, _ = run(capsys, "girard", str(structures_dir / "godel-3.struct"))
@@ -732,6 +726,8 @@ L3 = "{structures}/lukasiewicz-3.struct"
 INPUT_ERRORS = [
     pytest.param(["rn-op", "--dim", "2", "--op", "mul", "--a=1,-1"], "op mul needs --b",
                  id="cli.cmd_rn_op"),
+    pytest.param(["rn-op", "--dim", "3", "--op", "ortho", "--a", "1,1,1", "--b", "garbage"],
+                 "op ortho takes no --b", id="cli.cmd_rn_op-ortho-with-b"),
     pytest.param(["girard", L3, "--inversion", "0,1,5"], "map value 5 at 2 out of range",
                  id="orders.as_order_map-range"),
     pytest.param(["girard", L3, "--inversion", "0,1,2"],
@@ -758,7 +754,7 @@ INPUT_ERRORS = [
                  id="subspaces.verify_quantale_laws"),
     pytest.param(["search-residuation", "{structures}/o6.struct", "--mode", "unital"],
                  "unital search expects an orthomodular carrier",
-                 id="search.search_unital_residuation"),
+                 id="cli.cmd_search_residuation"),
     pytest.param(["blocks", "{structures}/o6.struct"],
                  "blocks are defined for orthomodular lattices", id="ortho.blocks"),
     pytest.param(["blocks", "{tmp}/antichain.struct"], "no bottom element; extremes (0, 1)",

@@ -219,6 +219,18 @@ def broken_girard(n):
     return dataclasses.replace(s, mul=lukasiewicz(n, (n - 1, n - 1, n - 2))[1])
 
 
+def broken_negation(k, table):
+    """The Boolean algebra with 2^k elements under meet, with 0 -> 0 = 0
+    in rres or 0 <- 0 = 0 in lres only: the negation, which alone passes
+    the exchange law, is then the map x -> 0 or the map 0 <- x of the
+    other table only."""
+    lat = boolean_cube(k)
+    s = structure(lat, lat.meet)
+    t = np.array(getattr(s, table))
+    t[0, 0] = 0
+    return dataclasses.replace(s, **{table: t})
+
+
 # ---------------------------------------------------------------------------
 # orders and ortho
 # ---------------------------------------------------------------------------
@@ -369,7 +381,8 @@ def test_girard_scans(s, data):
 
 @settings(max_examples=150, deadline=None)
 @given(broken_structures())
-@_with_examples([broken_girard(7), broken_girard(26), broken_girard(64)])
+@_with_examples([broken_girard(7), broken_girard(26), broken_girard(64),
+                 broken_negation(3, "rres"), broken_negation(3, "lres")])
 def test_girard_recognitions(s):
     if s.flags.unit is None:
         return

@@ -20,6 +20,7 @@ from girardlab.orders import (
     is_distributive,
     validate_poset,
 )
+from girardlab.reports import InputError
 from girardlab.search import enumerate_lattices
 from girardlab.structfile import build_lattice, load
 
@@ -198,6 +199,17 @@ class TestInversion:
         assert check_inversion(p, (2, 1, 0)).passed
         report = check_inversion(p, (1, 2, 0))
         assert report.failed and report.note == "not involutive"
+
+    def test_order_preserving_map_fails_with_replayable_witness(self):
+        p = chain(3)
+        report = check_inversion(p, (0, 1, 2))
+        assert report.failed and report.note == "not order-reversing"
+        i, j = report.witness
+        assert p.leq[i, j] != p.leq[j, i]
+
+    def test_out_of_range_map_is_an_input_error(self):
+        with pytest.raises(InputError, match="map value 5 at 2 out of range"):
+            check_inversion(chain(3), (0, 1, 5))
 
     def test_enumerate_inversions_chain(self):
         assert enumerate_inversions(chain(4)) == [(3, 2, 1, 0)]

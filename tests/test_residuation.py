@@ -15,6 +15,7 @@ from girardlab.residuation import (
     AdjointnessFailure,
     NoResiduum,
     check_associative,
+    check_residuated,
     classify,
     derive_residua,
     godel_chain,
@@ -55,6 +56,35 @@ class TestAssociativity:
         assert report.failed
         x, y, z = report.witness
         assert t[t[x, y], z] != t[x, t[y, z]]
+
+
+class TestCheckResiduated:
+    def test_non_associative_table_stops_at_associativity(self):
+        t = np.array(chain(3).meet)
+        t[1, 2] = 0
+        reports, s = check_residuated(chain(3), t)
+        assert s is None and [r.law for r in reports] == ["associativity"]
+        assert reports[0].failed and reports[0].witness == check_associative(t).witness
+
+    def test_unresiduated_table_reports_the_residuation_error(self):
+        # join is associative but x \/ 0 = x, so it is not residuated
+        lat = chain(3)
+        reports, s = check_residuated(lat, lat.join)
+        assert s is None and [r.law for r in reports] == ["associativity", "residuation"]
+        assert reports[0].passed and reports[1].failed
+        with pytest.raises(NoResiduum) as exc:
+            residuated_structure(lat, lat.join)
+        assert (reports[1].witness, reports[1].note) == (exc.value.witness, str(exc.value))
+
+    @pytest.mark.parametrize("lat", [chain(4), boolean_cube(2), boolean_cube(3)])
+    def test_residuated_table_returns_the_structure(self, lat):
+        reports, s = check_residuated(lat, lat.meet)
+        assert [(r.law, r.passed) for r in reports] == [("associativity", True),
+                                                         ("residuation", True)]
+        expected = residuated_structure(lat, lat.meet)
+        for table in ("mul", "rres", "lres"):
+            assert np.array_equal(getattr(s, table), getattr(expected, table))
+        assert s.flags == expected.flags
 
 
 @pytest.fixture
