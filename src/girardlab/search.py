@@ -442,21 +442,28 @@ class _IrreducibleTableSearch:
     Row t completes in two steps.  The last irreducible has the greatest
     height, so it is one of the greatest irreducibles below each element
     above it, and the value v of the row's last cell enters only the
-    entries at those elements.  row_visit runs once per visit of the last
-    cell: it joins the row without v, the partial row, and checks what v
-    cannot change: that partial[a] \\/ partial[b] is one element over
-    the pairs with neither member above that share a \\/ b, and that
-    full(a) \\/ full(b) is one row over the pairs of L final before t
-    that share a \\/ b.  When one fails, no value passes: the visit
-    charges the nodes its value loop would count, each value up to the
-    budget, and visits nothing.  row_ok runs the rest per value: one
-    comparison for each join above, the unit column, the pairs with a
-    member above, the other pairs of L, and A.  Each check is a conjunct
-    of the row's verdict, so the nodes are those of a search that runs
-    every check per value.  Where a \\/ b is not above, the one element
-    is partial[a \\/ b], as each irreducible j below a \\/ b lies below a
-    member of a pair of the group: a or b, else j of (b, j) or b \\/ j of
-    (a, b \\/ j), taking a irreducible.
+    entries at those elements.  The row without v, the partial row, is
+    built cell by cell: when the cell at position p < r - 1 takes its
+    value, a copy of the previous cell's partial row (all bottom at p = 0)
+    joins it in at raises[p], the elements with p among their greatest
+    irreducibles.  Each cell keeps its own copy, so a row the search
+    backtracks into reads its current cells.  row_visit runs once per
+    visit of the last cell and checks what v cannot change: that
+    partial[a] \\/ partial[b] is one element over the pairs with neither
+    member above that share a \\/ b, and that full(a) \\/ full(b) is one
+    row over the pairs of L final before t that share a \\/ b.  Those rows
+    stay put while row t is searched, so the second check, and the join of
+    the earlier rows of each element the row finalises, is made once per
+    entry into row t and kept, a failure too.  When a check fails, no
+    value passes: the visit charges the nodes its value loop would count,
+    each value up to the budget, and visits nothing.  row_ok runs the rest
+    per value: one comparison for each join above, the unit column, the
+    pairs with a member above, the other pairs of L, and A.  Each check is
+    a conjunct of the row's verdict, so the nodes are those of a search
+    that runs every check per value.  Where a \\/ b is not above, the one
+    element is partial[a \\/ b], as each irreducible j below a \\/ b lies
+    below a member of a pair of the group: a or b, else j of (b, j) or
+    b \\/ j of (a, b \\/ j), taking a irreducible.
     """
 
     def __init__(self, l: FiniteLattice, e: int, symmetries: Sequence[List[int]] = ()):
@@ -497,6 +504,11 @@ class _IrreducibleTableSearch:
         self.tops_but_last = [tops[:-1] if last else tops
                               for tops, last in zip(self.tops, ends_last)]
         self.above_last = [y for y, last in enumerate(ends_last) if last]
+        # raises[p]: the elements whose partial row joins in position p's value
+        self.raises: List[List[int]] = [[] for _ in range(r)]
+        for x, tops in enumerate(self.tops_but_last):
+            for s in tops:
+                self.raises[s].append(x)
         self.maxpos = maxpos = [tops[-1] if tops else -1 for tops in self.tops]
         # incomparable pairs with an irreducible member (class docstring);
         # a pair reads the last value at a or b (value_pairs) or at most at
@@ -570,15 +582,31 @@ class _IrreducibleTableSearch:
         fails, else what row_ok reads for each value: the partial row,
         the join each moving group of joined_pairs must reach, the full
         row L asks of each of left_fixed[t], and the join of the earlier
-        rows of each element the row finalises, or None when it has none."""
-        join, full, r = self.join_rows, self.full, len(self.irr)
-        bottom, products = self.l.bottom, self.values[t * r:(t + 1) * r]
-        partial = []
-        for tops in self.tops_but_last:
-            acc = bottom
-            for s in tops:
-                acc = join[acc][products[s]]
-            partial.append(acc)
+        rows of each element the row finalises, or None when it has none.
+        The last two read only rows final before row t, so they are made
+        once per entry into row t and kept in fixed[t], False on failure."""
+        join, full = self.join_rows, self.full
+        fixed = self.fixed[t]
+        if fixed is None:
+            self.fixed[t] = False
+            laws = []
+            for ab, pairs in self.left_fixed[t]:
+                a, b = pairs[0]
+                target = [join[u][w] for u, w in zip(full[a], full[b])]
+                for a, b in pairs[1:]:
+                    if [join[u][w] for u, w in zip(full[a], full[b])] != target:
+                        return None
+                laws.append((ab, target))
+            earlier = []
+            for x, tops in self.finals[t]:
+                acc = full[tops[0]] if tops else None
+                for i in tops[1:]:
+                    acc = [join[u][w] for u, w in zip(acc, full[i])]
+                earlier.append((x, acc))
+            fixed = self.fixed[t] = laws, earlier
+        elif not fixed:
+            return None
+        partial = self.prefix[(t + 1) * len(self.irr) - 2]
         joins = []
         for ab, moving, pairs in self.joined_pairs:
             a, b = pairs[0]
@@ -588,21 +616,7 @@ class _IrreducibleTableSearch:
                     return None
             if moving:
                 joins.append((partial[ab], target))
-        laws = []
-        for ab, pairs in self.left_fixed[t]:
-            a, b = pairs[0]
-            target = [join[u][w] for u, w in zip(full[a], full[b])]
-            for a, b in pairs[1:]:
-                if [join[u][w] for u, w in zip(full[a], full[b])] != target:
-                    return None
-            laws.append((ab, target))
-        earlier = []
-        for x, tops in self.finals[t]:
-            acc = full[tops[0]] if tops else None
-            for i in tops[1:]:
-                acc = [join[u][w] for u, w in zip(acc, full[i])]
-            earlier.append((x, acc))
-        return partial, joins, laws, earlier
+        return (partial, joins, *fixed)
 
     def row_ok(self, t: int, v: int, visit: tuple) -> bool:
         """Called when row t completes with last value v, after row_visit
@@ -669,6 +683,13 @@ class _IrreducibleTableSearch:
         limit = float("inf") if budget is None else budget
         # the position of the row cell k completes, or None
         completes = [k // r if (k + 1) % r == 0 else None for k in range(len(cells))]
+        # prefix[k]: the partial row as far as cell k, built when k takes its
+        # value and never changed after, as a visit may hold it; a row's last
+        # cell keeps the all-bottom row, which the next row's first cell
+        # (cell 0 through prefix[-1]) and, when r = 1, row_visit start from
+        bottom_row, raises = [bottom] * self.l.n, self.raises
+        self.prefix = prefix = [None if t is None else bottom_row for t in completes]
+        self.fixed = fixed = [None] * (r + 1)  # by row; reset on entry into the row
         hits: List[ResiduatedStructure] = []
         nodes = 0
         frames: List[tuple] = []  # (k, values left to try, above_lo, t, visit) per open cell
@@ -700,7 +721,14 @@ class _IrreducibleTableSearch:
                     nodes += 1
                     if above_lo[v]:
                         values[k] = v
-                        if t is None or self.row_ok(t, v, visit):
+                        if t is None:
+                            row = prefix[k - 1][:]
+                            for x in raises[k % r]:
+                                row[x] = join[row[x]][v]
+                            prefix[k] = row
+                            break
+                        if self.row_ok(t, v, visit):
+                            fixed[t + 1] = None
                             break
                 else:
                     frames.pop()

@@ -10,12 +10,13 @@ computed once per command, kept as the oracle of tests/test_lattice_facts.py:
   vertices;
 - cyclic_dualizing tests each element with is_cyclic and is_dualizing;
 - RecursiveSearch runs the residuation search with one interpreter frame
-  per cell.
+  per cell, rebuilding each visit's partial row and fixed checks.
 
 Each must agree with its replacement exactly: the same arrays, verdicts,
 hits and node counts, or the same exception class and witness.
 """
 import numpy as np
+from reference_search import RebuiltVisit
 
 from girardlab.girard import is_cyclic, is_dualizing
 from girardlab.orders import (
@@ -132,8 +133,9 @@ def cyclic_dualizing(s):
     return [d for d in range(s.n) if is_cyclic(s, d).passed and is_dualizing(s, d).passed]
 
 
-class RecursiveSearch(_IrreducibleTableSearch):
-    """The searcher with the recursive run it had."""
+class RecursiveSearch(RebuiltVisit, _IrreducibleTableSearch):
+    """The searcher with the recursive run it had, and the visit it had
+    then (reference_search.RebuiltVisit)."""
 
     def run(self, budget=None):
         cells, values, domains, lows = self.cells, self.values, self.domains, self.lows

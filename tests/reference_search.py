@@ -90,6 +90,17 @@ module once did; the searcher keeps the elements whose down-set less
 themselves is a principal down-set, and `NumpySetup` below uses this
 form.
 
+The searcher's visit before prefix rows.  `row_visit` used to join the
+partial row of the visited row from its cells, and to check the left
+law on the rows final before it and join each finalised element's
+earlier rows, at every visit of the row's last cell, where it now reads
+the partial row that `run` built cell by cell and makes the rest once
+per entry into the row.  `RebuiltVisit` restores that visit; every
+reference searcher with its own `run` (`PlainSearch`, `LoopSearch`,
+`PerValueRows` and `RecursiveSearch` of tests/reference_lattice.py)
+takes it, so none reads state that only the current `run` keeps, and
+tests/test_search.py holds the current visit to it at every visit.
+
 `PlainSearch`, `LoopSearch`, `PerValueRows` and `NumpySetup` break no
 symmetry: they accept the symmetries `search._search` hands a searcher
 and never read them, so what they find stays an independent oracle of
@@ -267,7 +278,58 @@ def incomparable_pairs(searcher) -> List[Tuple[int, int, int]]:
             if not (leq[a][b] or leq[b][a])]
 
 
-class PlainSearch:
+class RebuiltVisit:
+    """_IrreducibleTableSearch.row_visit rebuilt from the cells and the
+    full rows at every visit."""
+
+    def partial_row(self, t: int) -> List[int]:
+        """Row t without its last cell's value, joined from its cells."""
+        join, bottom, r = self.join_rows, self.l.bottom, len(self.irr)
+        products = self.values[t * r:(t + 1) * r]
+        row = []
+        for tops in self.tops_but_last:
+            acc = bottom
+            for s in tops:
+                acc = join[acc][products[s]]
+            row.append(acc)
+        return row
+
+    def fixed_part(self, t: int) -> Optional[tuple]:
+        """(laws, earlier) of row t's visit, or None when the left law
+        fails on the rows final before row t."""
+        join, full = self.join_rows, self.full
+        laws = []
+        for ab, pairs in self.left_fixed[t]:
+            a, b = pairs[0]
+            target = [join[u][w] for u, w in zip(full[a], full[b])]
+            for a, b in pairs[1:]:
+                if [join[u][w] for u, w in zip(full[a], full[b])] != target:
+                    return None
+            laws.append((ab, target))
+        earlier = []
+        for x, tops in self.finals[t]:
+            acc = full[tops[0]] if tops else None
+            for i in tops[1:]:
+                acc = [join[u][w] for u, w in zip(acc, full[i])]
+            earlier.append((x, acc))
+        return laws, earlier
+
+    def row_visit(self, t: int) -> Optional[tuple]:
+        join, partial = self.join_rows, self.partial_row(t)
+        joins = []
+        for ab, moving, pairs in self.joined_pairs:
+            a, b = pairs[0]
+            target = join[partial[a]][partial[b]]
+            for a, b in pairs[1:]:
+                if join[partial[a]][partial[b]] != target:
+                    return None
+            if moving:
+                joins.append((partial[ab], target))
+        fixed = self.fixed_part(t)
+        return None if fixed is None else (partial, joins, *fixed)
+
+
+class PlainSearch(RebuiltVisit):
     """_IrreducibleTableSearch without row-completion pruning, and without
     symmetries: it drops those it is given."""
 
@@ -377,7 +439,7 @@ class PlainUnitalSearch(PlainSearch, UnitPins, search._IrreducibleTableSearch):
     pass
 
 
-class LoopSearch:
+class LoopSearch(RebuiltVisit):
     """_IrreducibleTableSearch's bookkeeping, loop form."""
 
     def _partial_row(self, i: int, y: int) -> int:
@@ -453,7 +515,7 @@ class LoopUnitalSearch(LoopSearch, UnitPins, search._IrreducibleTableSearch):
     pass
 
 
-class PerValueRows:
+class PerValueRows(RebuiltVisit):
     """_IrreducibleTableSearch's row completion with every check per value,
     on every incomparable pair, and without symmetries: it drops those
     it is given."""
@@ -475,17 +537,6 @@ class PerValueRows:
         for t in range(r):
             self.pairs += [(t, t * r + s, t, s) for s in range(t)]
             self.pairs += [(t, s * r + t, s, t) for s in range(t + 1)]
-
-    def partial_row(self, t: int) -> List[int]:
-        join, bottom, r = self.join_rows, self.l.bottom, len(self.irr)
-        products = self.values[t * r:(t + 1) * r]
-        row = []
-        for tops in self.tops_but_last:
-            acc = bottom
-            for s in tops:
-                acc = join[acc][products[s]]
-            row.append(acc)
-        return row
 
     def row_ok(self, t: int, partial: List[int], v: int) -> bool:
         join, rows, full = self.join_rows, self.rows, self.full
@@ -635,7 +686,13 @@ class NumpySetup:
         below, irr_leq = l.leq[irr].T, l.leq[np.ix_(irr, irr)]
         self.below_irr = [[self.irr[s] for s in pos] for pos in _true_columns(below)]
         irr_lt = irr_leq & ~np.eye(r, dtype=bool)
-        self.tops = _true_columns(_greatest(below, irr_lt))
+        greatest = _greatest(below, irr_lt)
+        self.tops = _true_columns(greatest)
+        # the elements with each position among their greatest irreducibles,
+        # the last position left out: its value joins in after the partial row
+        raises = greatest.T.copy()
+        raises[r - 1:] = False
+        self.raises = _true_columns(raises)
         self.cells = [(i, j) for i in self.irr for j in self.irr]
         self.leq_rows, self.join_rows = l.leq.tolist(), l.join.tolist()
         covers = _true_columns(_greatest(irr_lt.T, irr_lt))

@@ -9,9 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from reference_search import LoopIntegralSearch, LoopUnitalSearch, NumpySetupSearch, \
-    PerValueSearch, PlainIntegralSearch, PlainUnitalSearch, UnitPinSearch, coatom_enumeration, \
-    counted_classes, eager_enumeration, explicit_base_generators, is_lattice, join_irreducibles, \
-    per_unit_search, poset_frontiers, reference_enumeration, scan_grow
+    PerValueSearch, PlainIntegralSearch, PlainUnitalSearch, RebuiltVisit, UnitPinSearch, \
+    coatom_enumeration, counted_classes, eager_enumeration, explicit_base_generators, \
+    is_lattice, join_irreducibles, per_unit_search, poset_frontiers, reference_enumeration, \
+    scan_grow
 
 from girardlab import orders, residuation, search
 from girardlab.catalog import benzene_o6, boolean_cube, chain, diamond_m3, \
@@ -570,6 +571,25 @@ def mo2_tables(mo2_search):
     return {m.tobytes() for m in mo2_search.found}
 
 
+class CheckedVisit(search._IrreducibleTableSearch, RebuiltVisit):
+    """The searcher with each visit held to the one rebuilt from scratch:
+    the prefix row it reads, the fixed part it keeps for the row, and the
+    visit it returns.  visited counts the visits."""
+
+    def __init__(self, l, e, symmetries=()):
+        super().__init__(l, e, symmetries)
+        self.visited = 0
+
+    def row_visit(self, t):
+        visit = super().row_visit(t)
+        r = len(self.irr)
+        assert self.prefix[(t + 1) * r - 2] == self.partial_row(t), t
+        assert (self.fixed[t] or None) == self.fixed_part(t), t
+        assert visit == RebuiltVisit.row_visit(self, t), t
+        self.visited += 1
+        return visit
+
+
 class TestSearchBookkeeping:
     """The searcher against the reference searchers of
     tests/reference_search.py: the loop form of its bookkeeping, and the
@@ -621,8 +641,8 @@ class TestSearchBookkeeping:
         # unit of every lattice on at most 7 elements and of each file:
         # the same bookkeeping, and the same run within a budget, also
         # by the searcher that runs every row check per value
-        fields = ("irr", "tops", "lows", "domains", "joined_pairs", "value_pairs", "finals",
-                  "left_fixed", "left_law", "pairs")
+        fields = ("irr", "tops", "lows", "domains", "raises", "joined_pairs", "value_pairs",
+                  "finals", "left_fixed", "left_law", "pairs")
         files = [build_lattice(load(path)) for path in STRUCTURE_FILES]
         for lat in enumerate_lattices(7).lattices + files:
             for e in range(lat.n):
@@ -662,7 +682,7 @@ class TestSearchBookkeeping:
         assert [s.mul.tolist() for s in new[0]] == [s.mul.tolist() for s in reference[0]]
         assert new[1:] == reference[1:]
 
-    @pytest.mark.parametrize("name", ["mo2", "mo3"])
+    @pytest.mark.parametrize("name", ["mo2", "mo3", "boolean-8", "n5"])
     def test_failed_visits_charge_their_domain(self, name):
         # budgets that run out inside the domain of a failed visit: a
         # charge one node off, or a wrong verdict on a budget that ends
@@ -672,6 +692,37 @@ class TestSearchBookkeeping:
             for budget in [*range(301), search.DEFAULT_BUDGET]:
                 new = _run_outcome(search._IrreducibleTableSearch(lat, e).run, budget)
                 assert new == _run_outcome(PerValueSearch(lat, e).run, budget), (e, budget)
+
+    def test_visits_match_the_rebuilt_visit(self):
+        # the prefix rows and the fixed part kept per row entry against the
+        # visit rebuilt from scratch, at every visit, for every unit of
+        # every lattice on at most 7 elements and of each file; the run
+        # matches the reference searcher's too
+        files = [build_lattice(load(path)) for path in STRUCTURE_FILES]
+        visited = 0
+        for lat in enumerate_lattices(7).lattices + files:
+            for e in range(lat.n):
+                searcher = CheckedVisit(lat, e)
+                outcome = _run_outcome(searcher.run, 2000)
+                assert outcome == _run_outcome(PerValueSearch(lat, e).run, 2000), (lat.n, e)
+                visited += searcher.visited
+        assert visited > 90_000  # 93874: the checks above are not vacuous
+
+    @pytest.mark.parametrize("lat", [boolean_cube(0), boolean_cube(1), chain(2)],
+                             ids=["one-element", "boolean-2", "2-chain"])
+    def test_prefix_rows_without_cells_before_the_last(self, lat):
+        # r = 0: no cells, no prefix and no visit; r = 1: the one cell is
+        # its row's last, so no prefix is built and each visit reads the
+        # all-bottom row
+        for e in range(lat.n):
+            searcher = CheckedVisit(lat, e)
+            hits, exhausted, nodes = searcher.run()
+            r = len(searcher.irr)
+            assert r == lat.n - 1 and exhausted
+            assert searcher.prefix == [[lat.bottom] * lat.n] * r
+            assert searcher.visited == r
+            if lat.n == 1:
+                assert (len(hits), nodes) == (1, 0)
 
     def test_integral_on_every_lattice_to_six(self, lattices_to_six):
         for lat, reference in lattices_to_six:
