@@ -52,9 +52,9 @@ only those are searched.  Counting them builds nothing.
 Residuation searches backtrack only over products of join-irreducible
 pairs: a residuated multiplication preserves joins, so it is determined
 by those values and the search stays exhaustive.  One searcher serves
-both modes, one unit at a time: the unit e bounds each product,
-x*y <= y when x <= e and x*y <= x when y <= e, so integral mode is the
-search with its one unit at the top, where the bound is the meet.
+both modes, one unit at a time: the unit e bounds each product on both
+sides, x*y <= y when x <= e and x*y >= y when x >= e, likewise by x, so
+integral mode is the search with e the top, each cell below the meet.
 Unital mode finds a few generators of Aut(L), the order automorphisms
 of the lattice, once, by a stabiliser chain without listing the group
 (orders._stabiliser_generators), and searches only the least unit of
@@ -381,13 +381,13 @@ class _IrreducibleTableSearch:
     The full table is the join-extension of the cells' values.  Cells
     are visited in one fixed order, row by row over the irreducibles
     sorted by height, and each cell's bookkeeping is set up once per
-    search.  A cell (i, j) ranges over the values its unit allows (see
-    domain): those below j when i <= e and below i when j <= e, so below
-    the meet when e is the top, and only i or j where the unit law pins
-    the cell.  The search keeps the cells' values monotone:
-    a(i, j) <= a(i2, j2) whenever i <= i2 and j <= j2.  So only the
-    greatest members of a set of cells or irreducibles count in a join
-    over their values:
+    search.  A cell (i, j) ranges over the interval its unit allows (see
+    domain): below j when i <= e and above j when i >= e, likewise with i
+    when j <= e or j >= e; so below the meet when e is the top, and fixed
+    on e's row and column when e is join-irreducible.  The search keeps
+    the cells' values monotone: a(i, j) <= a(i2, j2) whenever i <= i2 and
+    j <= j2.  So only the greatest members of a set of cells or
+    irreducibles count in a join over their values:
 
     - a value v of a cell passes the monotonicity test iff lo <= v, lo
       the join of the values of the greatest cells below it: (c, j) and
@@ -476,12 +476,11 @@ class _IrreducibleTableSearch:
         down_masks = _masks(l.leq.T)
         lower = _lower_covers(down_masks)
         self.irr = irr = sorted(lower, key=lambda i: (len(self.downs[i]), i))
-        r = len(irr)
+        self.r = r = len(irr)
         # below[x]: the positions in irr of the irreducibles below x, in
         # increasing order and as a bitmask; above[s]: those above irr[s], s too
         below = [[s for s, i in enumerate(irr) if mask >> i & 1] for mask in down_masks]
         below_masks, above = _masks(l.leq[irr].T), _masks(l.leq[irr][:, irr])
-        self.below_irr = [[irr[s] for s in pos] for pos in below]
         # positions in irr of the greatest irreducibles below each element
         self.tops = [[s for s in pos if mask & above[s] == 1 << s]
                      for pos, mask in zip(below, below_masks)]
@@ -560,21 +559,20 @@ class _IrreducibleTableSearch:
             self.symmetries.append((sigma, pre, reach))
 
     def domain(self, i: int, j: int) -> List[int]:
-        """The values cell (i, j) ranges over, in search order.  The unit
-        law pins a lone extension cell outright; otherwise the unit bounds
-        the cell: x <= e gives x*y <= e*y = y, and likewise on the right."""
-        e, below_irr, leq = self.e, self.below_irr, self.leq_rows
-        if below_irr[e] == [e]:
-            if j == e and below_irr[i] == [i]:
-                return [i]
-            if i == e and below_irr[j] == [j]:
-                return [j]
-        bound = self.l.top
-        if leq[i][e]:
-            bound = j
+        """The values cell (i, j) ranges over, in search order: those from
+        lower to upper, the two-sided unit bound.  A residuated product is
+        monotone, so x <= e gives x*y <= e*y = y and x >= e gives x*y >= y,
+        and likewise y <= e or y >= e bounds x*y by x."""
+        e, leq, bottom = self.e, self.leq_rows, self.l.bottom
+        upper = j if leq[i][e] else self.l.top
         if leq[j][e]:
-            bound = self.meet_rows[bound][i]
-        return self.downs[bound]
+            upper = self.meet_rows[upper][i]
+        lower = j if leq[e][i] else bottom
+        if leq[e][j]:
+            lower = self.join_rows[lower][i]
+        if lower == bottom:
+            return self.downs[upper]
+        return [v for v in self.downs[upper] if leq[lower][v]]
 
     def row_visit(self, t: int) -> Optional[tuple]:
         """Run once per visit of row t's last cell, before its values: the
@@ -606,7 +604,7 @@ class _IrreducibleTableSearch:
             fixed = self.fixed[t] = laws, earlier
         elif not fixed:
             return None
-        partial = self.prefix[(t + 1) * len(self.irr) - 2]
+        partial = self.prefix[(t + 1) * self.r - 2]
         joins = []
         for ab, moving, pairs in self.joined_pairs:
             a, b = pairs[0]
@@ -679,10 +677,11 @@ class _IrreducibleTableSearch:
         the tables found, in search order.  Open cells wait on an explicit
         stack, so the recursion limit bounds no search depth."""
         cells, values, domains, lows = self.cells, self.values, self.domains, self.lows
-        leq, join, bottom, r = self.leq_rows, self.join_rows, self.l.bottom, len(self.irr)
+        leq, join, bottom, r = self.leq_rows, self.join_rows, self.l.bottom, self.r
         limit = float("inf") if budget is None else budget
+        end, sizes = len(cells), [len(domain) for domain in domains]
         # the position of the row cell k completes, or None
-        completes = [k // r if (k + 1) % r == 0 else None for k in range(len(cells))]
+        completes = [k // r if (k + 1) % r == 0 else None for k in range(end)]
         # prefix[k]: the partial row as far as cell k, built when k takes its
         # value and never changed after, as a visit may hold it; a row's last
         # cell keeps the all-bottom row, which the next row's first cell
@@ -695,7 +694,7 @@ class _IrreducibleTableSearch:
         frames: List[tuple] = []  # (k, values left to try, above_lo, t, visit) per open cell
         k = 0
         while True:
-            if k == len(cells):
+            if k == end:
                 s = _leaf(self.l, self.e, self.extension())
                 if s is not None:
                     hits.append(s)
@@ -704,9 +703,9 @@ class _IrreducibleTableSearch:
                 visit = None if t is None else self.row_visit(t)
                 if t is not None and visit is None:
                     # no value passes: charge the nodes the value loop would count
-                    if nodes + len(domains[k]) > limit:
+                    if nodes + sizes[k] > limit:
                         return hits, False, limit
-                    nodes += len(domains[k])
+                    nodes += sizes[k]
                 else:
                     lo = bottom
                     for k2 in lows[k]:

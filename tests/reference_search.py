@@ -34,14 +34,16 @@ canonical key is new at its size, where the enumerator now looks for an
 isomorphism onto an earlier kept tie child; the key is a complete
 invariant, so both keep the same children.
 
-The searcher's value domains before the unit bound.  Integral mode
-capped each cell by the meet of its irreducibles, and unital mode let
-each cell range over the whole carrier unless the unit law pinned it.
-`MeetBound` and `UnitPins` restore those domains, and `UnitPinSearch`
-is the unital searcher as it was: the current one with `UnitPins`.  The
-unit bound removes only values that lie on no solution and keeps the
-order of the rest, so the current searcher must find the same tables in
-as many nodes or fewer.
+The searcher's value domains before the two-sided unit bound.  Integral
+mode capped each cell by the meet of its irreducibles, and unital mode
+let each cell range over the whole carrier unless the unit law pinned
+it, which it did only for a cell of an atom unit and another atom, read
+through a `below_irr` field the searcher no longer keeps.  `MeetBound`
+and `UnitPins` restore those domains, `UnitPins` with `below_irr`
+derived by `BelowIrr`, and `UnitPinSearch` is the unital searcher as it
+was: the current one with `UnitPins`.  The unit bound removes only
+values that lie on no solution and keeps the order of the rest, so the
+current searcher must find the same tables in as many nodes or fewer.
 
 The searcher before row-completion pruning.  `_IrreducibleTableSearch`
 used to rebuild a row's whole join-extension for every value of the
@@ -79,8 +81,9 @@ The searcher's numpy set-up.  `_IrreducibleTableSearch.__init__` used
 to derive the irreducibles' order, their greatest members below each
 element and each cell's lower neighbours from boolean matrices, with
 about fifteen small numpy calls per searcher, where it now reads nested
-lists and position bitmasks.  `NumpySetup` restores that set-up and its
-`domain`; mixed in ahead of `_IrreducibleTableSearch` it shares the
+lists and position bitmasks.  `NumpySetup` restores that set-up, with a
+`domain` that takes the unit interval of each cell from the order
+matrix; mixed in ahead of `_IrreducibleTableSearch` it shares the
 search loop, so it must set up the same bookkeeping and visit the same
 nodes.
 
@@ -123,7 +126,7 @@ orbit.  `per_unit_search` restores the loop over every unit, without
 symmetries; standing in for `search._search`, it must give the same
 tables, units and `exhausted` on every lattice whose search exhausts.
 """
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -414,7 +417,16 @@ class MeetBound:
         return self.downs[self.l.meet[i, j]]
 
 
-class UnitPins:
+class BelowIrr:
+    """below_irr[x]: the irreducibles below x, in search order, as the
+    searcher once kept them."""
+
+    @cached_property
+    def below_irr(self) -> List[List[int]]:
+        return [[i for i in self.irr if self.leq_rows[i][x]] for x in range(self.l.n)]
+
+
+class UnitPins(BelowIrr):
     """Unital mode's domains before the unit bound: the whole carrier
     except where the unit law pins a lone extension cell outright."""
 
@@ -439,7 +451,7 @@ class PlainUnitalSearch(PlainSearch, UnitPins, search._IrreducibleTableSearch):
     pass
 
 
-class LoopSearch(RebuiltVisit):
+class LoopSearch(RebuiltVisit, BelowIrr):
     """_IrreducibleTableSearch's bookkeeping, loop form."""
 
     def _partial_row(self, i: int, y: int) -> int:
@@ -681,10 +693,9 @@ class NumpySetup:
         self.symmetries = []
         heights = l.leq.sum(axis=0).tolist()
         self.irr = sorted(join_irreducibles(l), key=lambda i: (heights[i], i))
-        r = len(self.irr)
+        self.r = r = len(self.irr)
         irr = np.array(self.irr, dtype=np.intp)
         below, irr_leq = l.leq[irr].T, l.leq[np.ix_(irr, irr)]
-        self.below_irr = [[self.irr[s] for s in pos] for pos in _true_columns(below)]
         irr_lt = irr_leq & ~np.eye(r, dtype=bool)
         greatest = _greatest(below, irr_lt)
         self.tops = _true_columns(greatest)
@@ -742,18 +753,12 @@ class NumpySetup:
             self.pairs += [(s * r + t, self.irr[s], self.irr[t]) for s in range(t + 1)]
 
     def domain(self, i: int, j: int) -> List[int]:
-        e, below_irr, l = self.e, self.below_irr, self.l
-        if below_irr[e] == [e]:
-            if j == e and below_irr[i] == [i]:
-                return [i]
-            if i == e and below_irr[j] == [j]:
-                return [j]
-        bound = l.top
-        if l.leq[i, e]:
-            bound = j
-        if l.leq[j, e]:
-            bound = l.meet[bound, i]
-        return self.downs[bound]
+        # below the other factor of each factor at or below the unit, and
+        # above the other factor of each factor at or above it
+        leq, e = self.l.leq, self.e
+        caps = [x for x, y in ((j, i), (i, j)) if leq[y, e]]
+        floors = [x for x, y in ((j, i), (i, j)) if leq[e, y]]
+        return np.flatnonzero(leq[:, caps].all(axis=1) & leq[floors].all(axis=0)).tolist()
 
 
 class NumpySetupSearch(NumpySetup, search._IrreducibleTableSearch):

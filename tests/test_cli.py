@@ -355,10 +355,10 @@ SEARCH_PINS = {
     ("integral", "boolean-2"): (0, "dbdf716b5a8ad90d47e473534a18447880686a62561ce6ec11ac6cefbf5245f4"),
     ("integral", "boolean-4"): (0, "c160eadc954ec26e36bb3049480134a24bb55525a35962256e641de2090186d8"),
     ("integral", "boolean-8"): (0, "337580e89803f8d8f15cdfb2bd1c381b856751ea0c29f6bdc08d5b4b04ca0222"),
-    ("integral", "godel-3"): (0, "491305c3f115dd670cc4808492a50618d27b7f3911f7761c5a6aa3d863a8b50b"),
-    ("integral", "lukasiewicz-3"): (0, "7f059707b641bf31fa3162723664acbe9c071f0358d33c75086c71810ad2e3a3"),
-    ("integral", "lukasiewicz-4"): (0, "588c432386f149a1cb0824e790b4390fa3dab8b181dd399bb30d375797c2d6a3"),
-    ("integral", "lukasiewicz-5"): (0, "1b1ecac4366932babf589bc5c80401f9f55b0e40b72735ac2adbbd336f7fcb20"),
+    ("integral", "godel-3"): (0, "d71e42ef437fd72859b4ec4b9018d9659129e83c64f50924f337c1eea52ef8bc"),
+    ("integral", "lukasiewicz-3"): (0, "19bb32aa1808c3910e7f4a9ed2f3dcfb658523c409dcfc1740ae46b4c69c227b"),
+    ("integral", "lukasiewicz-4"): (0, "0388bfd2fe8e7c938de0293265d135f3e7c69af20675c060c0987503bb20adb0"),
+    ("integral", "lukasiewicz-5"): (0, "d6f8afd1888524bee51223dc4357eba4eb26c50b93457cabd6e5db9242577112"),
     ("integral", "m3"): (0, "1fdd1ff1c1569c85113128c4716d92a2ca4cb4db5377f9b536f0e41234ecab08"),
     ("integral", "mo2"): (0, "3fc3c02f387880f2a3775c84af610f9b9f55e924b577de31f2806faf055c64aa"),
     ("integral", "mo3"): (0, "1a2ce6d735c9b93dfaec5e1b042aa6a2d620514856609d94839f0be6ea8f9053"),

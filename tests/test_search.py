@@ -641,7 +641,7 @@ class TestSearchBookkeeping:
         # unit of every lattice on at most 7 elements and of each file:
         # the same bookkeeping, and the same run within a budget, also
         # by the searcher that runs every row check per value
-        fields = ("irr", "tops", "lows", "domains", "raises", "joined_pairs", "value_pairs",
+        fields = ("r", "irr", "tops", "lows", "domains", "raises", "joined_pairs", "value_pairs",
                   "finals", "left_fixed", "left_law", "pairs")
         files = [build_lattice(load(path)) for path in STRUCTURE_FILES]
         for lat in enumerate_lattices(7).lattices + files:
@@ -764,6 +764,44 @@ class TestSearchBookkeeping:
                     _assert_same_tables(new, reference)
                 else:
                     assert all(hit in new[0] for hit in reference[0])
+
+    def test_domains_are_the_unit_interval(self):
+        # each cell (i, j) ranges over {v : lower <= v <= upper} in index
+        # order, by brute force over the unit law's four bounds, for every
+        # unit of every lattice on at most 7 elements and of each file; a
+        # cell with no lower bound keeps its shared down-set
+        files = [build_lattice(load(path)) for path in STRUCTURE_FILES]
+        floored = 0
+        for lat in enumerate_lattices(7).lattices + files:
+            leq = lat.leq.tolist()
+            for e in range(lat.n):
+                searcher = search._IrreducibleTableSearch(lat, e)
+                for (i, j), domain in zip(searcher.cells, searcher.domains):
+                    want = [v for v in range(lat.n)
+                            if (leq[v][j] or not leq[i][e]) and (leq[j][v] or not leq[e][i])
+                            and (leq[v][i] or not leq[j][e]) and (leq[i][v] or not leq[e][j])]
+                    assert domain == want, (lat.n, e, i, j)
+                    if leq[e][i] or leq[e][j]:
+                        floored += 1
+                    else:
+                        assert any(domain is down for down in searcher.downs), (lat.n, e, i, j)
+        assert floored > 6000  # 6096 of 10516 cells have a lower bound
+
+    def test_public_searches_against_unit_pins(self, monkeypatch):
+        # both public searches against the domains before the two-sided
+        # bound, on every lattice on at most 7 elements: where the
+        # reference exhausts within the budget the tables, their units and
+        # `exhausted` agree; the nodes are never more, and fewer in total
+        budget, nodes, reference_nodes = 10_000, 0, 0
+        for lat in enumerate_lattices(7).lattices:
+            for run in (search_integral_residuation, search_unital_residuation):
+                new = _outcome(run(lat, budget=budget))
+                reference = _reference_outcome(monkeypatch, {run: UnitPinSearch}, run, lat, budget)
+                if reference[2]:
+                    _assert_same_tables(new, reference)
+                assert new[-1] <= reference[-1], (rows_of(lat), run.__name__)
+                nodes, reference_nodes = nodes + new[-1], reference_nodes + reference[-1]
+        assert nodes < reference_nodes
 
     @pytest.mark.parametrize("mode", ["integral", "unital"])
     @pytest.mark.parametrize("atoms", [0, 1])
