@@ -16,6 +16,7 @@ products run in float32, on BLAS, where path counts stay exact.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -279,8 +280,16 @@ def is_boolean(l: FiniteLattice) -> LawReport:
 
 
 def as_order_map(f, n: int) -> tuple:
-    """Validate a total self-map given as a sequence of element indices."""
-    f = tuple(int(x) for x in f)
+    """Validate a total self-map given as a sequence of element indices.
+    Each entry goes through operator.index, so one that is not an
+    integer is refused, not truncated."""
+    entries = []
+    for i, x in enumerate(f):
+        try:
+            entries.append(operator.index(x))
+        except TypeError:
+            raise InputError(f"map value {x!r} at {i} not an integer") from None
+    f = tuple(entries)
     if len(f) != n:
         raise InputError(f"map must have length {n}, got {len(f)}")
     for i, x in enumerate(f):

@@ -46,9 +46,18 @@ class AdjointnessFailure(ResiduationError):
         super().__init__(f"adjointness biconditional fails at {self.witness}")
 
 
+def _indices(m) -> np.ndarray:
+    """m as an array, refused unless its entries are integers: a float,
+    string or object table is not truncated to one."""
+    t = np.asarray(m)
+    if t.dtype.kind not in "iu":
+        raise ValueError(f"multiplication table entries must be integers, got {t.dtype}")
+    return t
+
+
 def as_mul_table(m, n: int) -> np.ndarray:
     """Validate an n x n multiplication table of element indices."""
-    t = np.array(m, dtype=np.intp)
+    t = np.array(_indices(m), dtype=np.intp)
     if t.shape != (n, n):
         raise ValueError(f"multiplication table must be {n}x{n}, got {t.shape}")
     if t.min() < 0 or t.max() >= n:
@@ -59,7 +68,7 @@ def as_mul_table(m, n: int) -> np.ndarray:
 
 def check_associative(m) -> LawReport:
     """PASS iff (x*y)*z = x*(y*z) for all triples."""
-    t = np.asarray(m, dtype=np.intp)
+    t = _indices(m).astype(np.intp, copy=False)
     w = least_witness(lambda s: t.take(t[s], axis=0) != t[s].take(t, axis=1), t.shape[0], 3)
     return law_pass("associativity") if w is None else law_fail("associativity", w)
 

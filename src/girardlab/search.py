@@ -73,8 +73,9 @@ run on any lattice.  Units are taken in index order, the searches share
 the budget, a skipped unit or a carried table costs no node, and the
 run stops at the first search that runs out of budget.
 A node costs a few list lookups: monotonicity is one lower bound
-precomputed per cell, and each irreducible's row is join-extended when
-it completes (see _IrreducibleTableSearch).  A completed row also
+precomputed per cell, and each value is joined into a copy of its row
+so far, so an irreducible's row is join-extended when its last cell
+takes a value (see _IrreducibleTableSearch).  A completed row also
 finalises the full table rows of the elements whose irreducibles all
 have rows by then, and two laws every solution satisfies prune on them:
 L, the join law in the left argument, and A, associativity on pairs of
@@ -83,8 +84,9 @@ row's join law read only pairs with an irreducible member, which imply
 the rest on monotone rows.  A row's last value changes only its entries
 above the last irreducible, so the checks that read none of them, all
 but the unit column, run once per visit of that cell and the rest per
-value.  When a check of the visit fails, no value passes: the visit
-charges the nodes its value loop would count and visits nothing.  Every
+value, on the row that value completes.  When a check of the visit
+fails, no value passes: the visit charges the nodes its value loop
+would count and visits nothing.  Every
 solution a search emits is re-verified through derive_residua, which
 shares no code with the searcher's pruning.  A leaf is the two-sided
 unit law, then residuation.check_residuated, the CLI's check of a table:
@@ -97,7 +99,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -439,16 +441,16 @@ class _IrreducibleTableSearch:
     compared in search order, so a budgeted search reaches T* no later
     than one without symmetries reaches any table of its orbit.
 
-    Row t completes in two steps.  The last irreducible has the greatest
-    height, so it is one of the greatest irreducibles below each element
-    above it, and the value v of the row's last cell enters only the
-    entries at those elements.  The row without v, the partial row, is
-    built cell by cell: when the cell at position p < r - 1 takes its
-    value, a copy of the previous cell's partial row (all bottom at p = 0)
+    Row t is built one cell at a time: when the cell at position p takes
+    its value, a copy of the previous cell's row (all bottom at p = 0)
     joins it in at raises[p], the elements with p among their greatest
     irreducibles.  Each cell keeps its own copy, so a row the search
-    backtracks into reads its current cells.  row_visit runs once per
-    visit of the last cell and checks what v cannot change: that
+    backtracks into reads its current cells, and the last cell's copy is
+    R_t.  The last irreducible has the greatest height, so it is one of
+    the greatest irreducibles below each element above it, and the value
+    v of the row's last cell enters only the entries at those elements.
+    row_visit runs once per visit of the last cell and checks what v
+    cannot change, on the row without v, the partial row: that
     partial[a] \\/ partial[b] is one element over the pairs with neither
     member above that share a \\/ b, and that full(a) \\/ full(b) is one
     row over the pairs of L final before t that share a \\/ b.  Those rows
@@ -457,13 +459,14 @@ class _IrreducibleTableSearch:
     entry into row t and kept, a failure too.  When a check fails, no
     value passes: the visit charges the nodes its value loop would count,
     each value up to the budget, and visits nothing.  row_ok runs the rest
-    per value: one comparison for each join above, the unit column, the
-    pairs with a member above, the other pairs of L, and A.  Each check is
-    a conjunct of the row's verdict, so the nodes are those of a search
-    that runs every check per value.  Where a \\/ b is not above, the one
-    element is partial[a \\/ b], as each irreducible j below a \\/ b lies
-    below a member of a pair of the group: a or b, else j of (b, j) or
-    b \\/ j of (a, b \\/ j), taking a irreducible.
+    per value, on the R_t that v completes: R_t[a \\/ b] against the join
+    of each group above, the unit column, the pairs with a member above,
+    the other pairs of L, and A.  Each check is a conjunct of the row's
+    verdict, so the nodes are those of a search that runs every check per
+    value.  Where a \\/ b is not above, the one element is partial[a \\/ b],
+    as each irreducible j below a \\/ b lies below a member of a pair of
+    the group: a or b, else j of (b, j) or b \\/ j of (a, b \\/ j), taking a
+    irreducible.
     """
 
     def __init__(self, l: FiniteLattice, e: int, symmetries: Sequence[List[int]] = ()):
@@ -496,18 +499,14 @@ class _IrreducibleTableSearch:
         self.values = [l.bottom] * len(self.cells)  # values[k]: the value of cell k
         self.full: List[Optional[List[int]]] = [None] * l.n  # full(x), once final
         self.full[l.bottom] = [l.bottom] * l.n
-        # the row without its last cell joins the other greatest irreducibles;
-        # the last cell's value joins in at the elements above irr[r - 1]
-        # (tops lists positions in increasing order)
-        ends_last = [bool(tops) and tops[-1] == r - 1 for tops in self.tops]
-        self.tops_but_last = [tops[:-1] if last else tops
-                              for tops, last in zip(self.tops, ends_last)]
-        self.above_last = [y for y, last in enumerate(ends_last) if last]
-        # raises[p]: the elements whose partial row joins in position p's value
+        # raises[p]: the elements whose row joins in position p's value,
+        # those with p among their greatest irreducibles
         self.raises: List[List[int]] = [[] for _ in range(r)]
-        for x, tops in enumerate(self.tops_but_last):
+        for x, tops in enumerate(self.tops):
             for s in tops:
                 self.raises[s].append(x)
+        # tops lists positions in increasing order, so maxpos[x] = r - 1
+        # exactly when x is above irr[r - 1]
         self.maxpos = maxpos = [tops[-1] if tops else -1 for tops in self.tops]
         # incomparable pairs with an irreducible member (class docstring);
         # a pair reads the last value at a or b (value_pairs) or at most at
@@ -523,7 +522,7 @@ class _IrreducibleTableSearch:
         join = self.join_rows
         for a, b, ab in [(a, b, join[a][b]) for a in range(n) for b in range(a + 1, n)
                          if (a in lower or b in lower) and not (leq[a][b] or leq[b][a])]:
-            if ends_last[a] or ends_last[b]:
+            if maxpos[a] == r - 1 or maxpos[b] == r - 1:
                 self.value_pairs.append((a, b, ab))
             else:
                 joined.setdefault(ab, []).append((a, b))
@@ -531,20 +530,19 @@ class _IrreducibleTableSearch:
                 left_fixed.setdefault(ab, []).append((a, b))
             else:
                 self.left_law[maxpos[ab]].append((a, b, ab))
-        self.joined_pairs = [(ab, ends_last[ab], pairs) for ab, pairs in joined.items()]
+        self.joined_pairs = [(ab, maxpos[ab] == r - 1, pairs) for ab, pairs in joined.items()]
         for ab, pairs in left_fixed.items():
             self.left_fixed[maxpos[ab]].append((ab, pairs))
         # each element with the irreducibles of its earlier rows
         for x, tops in enumerate(self.tops):
             if tops:
                 self.finals[tops[-1]].append((x, [irr[s] for s in tops[:-1]]))
-        # (cell index, irr[p], irr[q]) by max(p, q): row t reads the first
-        # (t + 1) ** 2, the cells with p, q <= t, and its own from t ** 2 on,
-        # those with p = t or q = t
+        # (max(p, q), cell index, irr[p], irr[q]) by max(p, q): row t reads
+        # the first (t + 1) ** 2, the cells with p, q <= t
         self.pairs = []
         for t in range(r):
-            self.pairs += [(t * r + s, irr[t], irr[s]) for s in range(t)]
-            self.pairs += [(s * r + t, irr[s], irr[t]) for s in range(t + 1)]
+            self.pairs += [(t, t * r + s, irr[t], irr[s]) for s in range(t)]
+            self.pairs += [(t, s * r + t, irr[s], irr[t]) for s in range(t + 1)]
         # (sigma, pre, reach) for each symmetry: cell k of sigma's image
         # of the table is sigma[values[pre[k]]], and row t's completion
         # decides the first reach[t] cells of both
@@ -577,12 +575,12 @@ class _IrreducibleTableSearch:
     def row_visit(self, t: int) -> Optional[tuple]:
         """Run once per visit of row t's last cell, before its values: the
         checks of row t that the last value cannot change.  None when one
-        fails, else what row_ok reads for each value: the partial row,
-        the join each moving group of joined_pairs must reach, the full
-        row L asks of each of left_fixed[t], and the join of the earlier
-        rows of each element the row finalises, or None when it has none.
-        The last two read only rows final before row t, so they are made
-        once per entry into row t and kept in fixed[t], False on failure."""
+        fails, else what row_ok reads for each value: the join each moving
+        group of joined_pairs must reach at its a \\/ b, the full row L
+        asks of each of left_fixed[t], and the join of the earlier rows of
+        each element the row finalises, or None when it has none.  The
+        last two read only rows final before row t, so they are made once
+        per entry into row t and kept in fixed[t], False on failure."""
         join, full = self.join_rows, self.full
         fixed = self.fixed[t]
         if fixed is None:
@@ -613,23 +611,19 @@ class _IrreducibleTableSearch:
                 if join[partial[a]][partial[b]] != target:
                     return None
             if moving:
-                joins.append((partial[ab], target))
-        return (partial, joins, *fixed)
+                joins.append((ab, target))
+        return (joins, *fixed)
 
-    def row_ok(self, t: int, v: int, visit: tuple) -> bool:
-        """Called when row t completes with last value v, after row_visit
-        passed: the checks that read v.  Row t's join consistency and the
-        unit column must hold; then the full rows it finalises, R_t
-        among them, are cached, and L and A must hold."""
+    def row_ok(self, t: int, visit: tuple, row: List[int]) -> bool:
+        """Called when row t completes, with row = R_t, after row_visit
+        passed: the checks that read the last value.  Row t's join
+        consistency and the unit column must hold; then the full rows it
+        finalises, R_t among them, are cached, and L and A must hold."""
         join, full = self.join_rows, self.full
-        partial, joins, laws, earlier = visit
-        join_v = join[v]
-        for at_ab, target in joins:
-            if join_v[at_ab] != target:
+        joins, laws, earlier = visit
+        for ab, target in joins:
+            if row[ab] != target:
                 return False
-        row = partial[:]
-        for y in self.above_last:
-            row[y] = join_v[row[y]]
         if row[self.e] != self.irr[t]:
             return False
         for a, b, ab in self.value_pairs:
@@ -643,18 +637,14 @@ class _IrreducibleTableSearch:
         for a, b, ab in self.left_law[t]:
             if [join[u][w] for u, w in zip(full[a], full[b])] != full[ab]:
                 return False
-        values, maxpos, pairs = self.values, self.maxpos, self.pairs
+        values, maxpos = self.values, self.maxpos
         # A on the cells with p = t or q = t once full(x*y) is final, and
-        # on the earlier cells when it becomes final with this row
-        for k, x, y in pairs[t * t:(t + 1) ** 2]:
+        # on the earlier cells when it becomes final with this row; row t's
+        # own cells, last in pairs, fail most often, so they go first
+        for pq, k, x, y in reversed(self.pairs[:(t + 1) ** 2]):
             xy = values[k]
-            if maxpos[xy] <= t:
-                row_x = full[x]
-                if [row_x[u] for u in full[y]] != full[xy]:
-                    return False
-        for k, x, y in islice(pairs, t * t):
-            xy = values[k]
-            if maxpos[xy] == t:
+            m = maxpos[xy]
+            if m == t or pq == t and m < t:
                 row_x = full[x]
                 if [row_x[u] for u in full[y]] != full[xy]:
                     return False
@@ -682,10 +672,11 @@ class _IrreducibleTableSearch:
         end, sizes = len(cells), [len(domain) for domain in domains]
         # the position of the row cell k completes, or None
         completes = [k // r if (k + 1) % r == 0 else None for k in range(end)]
-        # prefix[k]: the partial row as far as cell k, built when k takes its
-        # value and never changed after, as a visit may hold it; a row's last
-        # cell keeps the all-bottom row, which the next row's first cell
-        # (cell 0 through prefix[-1]) and, when r = 1, row_visit start from
+        # prefix[k]: the row as far as cell k, built from a copy of
+        # prefix[k - 1] when k takes its value; a row's last cell hands its
+        # row, R_t, to row_ok and keeps the all-bottom row, which the next
+        # row's first cell (cell 0 through prefix[-1]) and, when r = 1,
+        # row_visit start from
         bottom_row, raises = [bottom] * self.l.n, self.raises
         self.prefix = prefix = [None if t is None else bottom_row for t in completes]
         self.fixed = fixed = [None] * (r + 1)  # by row; reset on entry into the row
@@ -720,13 +711,13 @@ class _IrreducibleTableSearch:
                     nodes += 1
                     if above_lo[v]:
                         values[k] = v
+                        row = prefix[k - 1][:]
+                        for x in raises[k % r]:
+                            row[x] = join[row[x]][v]
                         if t is None:
-                            row = prefix[k - 1][:]
-                            for x in raises[k % r]:
-                                row[x] = join[row[x]][v]
                             prefix[k] = row
                             break
-                        if self.row_ok(t, v, visit):
+                        if self.row_ok(t, visit, row):
                             fixed[t + 1] = None
                             break
                 else:
@@ -790,7 +781,8 @@ def _search(l: FiniteLattice, units: List[int], budget: Optional[int]) -> Residu
     Generators of Aut(l), the order automorphisms of l, are found once,
     as those that fix the top.  A unit is searched only when it is the
     least of its orbit under them, with generators of the automorphisms
-    that fix it as its searcher's symmetries, and its hits are closed
+    that fix it as its searcher's symmetries (for the top, alone in its
+    orbit, those of Aut(l) already found), and its hits are closed
     under the generators of Aut(l) (see _IrreducibleTableSearch).  The
     tables of the unit sigma[e] are those of e carried by sigma, so the
     closure holds the tables of every unit of e's orbit.  The searches
@@ -802,14 +794,14 @@ def _search(l: FiniteLattice, units: List[int], budget: Optional[int]) -> Residu
     looked for."""
     hits: List[ResiduatedStructure] = []
     nodes, exhausted = 0, True
-    unital, generators = len(units) > 1, []
-    if unital:
+    generators: List[List[int]] = []
+    if len(units) > 1:
         rows, downs = _masks(l.leq), _masks(l.leq.T)
         generators = _stabiliser_generators(rows, downs, l.top)
     # the least unit of each orbit; the closure of its hits holds the others' tables
     least = [e for e in units if min(_orbit(e, [g.__getitem__ for g in generators])) == e]
     for e in least:
-        symmetries = _stabiliser_generators(rows, downs, e) if unital else []
+        symmetries = generators if e == l.top else _stabiliser_generators(rows, downs, e)
         remaining = None if budget is None else budget - nodes
         found, exhausted, unit_nodes = _IrreducibleTableSearch(l, e, symmetries).run(budget=remaining)
         hits += _closure(l, generators, found)

@@ -135,7 +135,8 @@ def cyclic_dualizing(s):
 
 class RecursiveSearch(RebuiltVisit, _IrreducibleTableSearch):
     """The searcher with the recursive run it had, and the visit it had
-    then (reference_search.RebuiltVisit)."""
+    then (reference_search.RebuiltVisit); row_ok gets R_t rebuilt from
+    the row's cells."""
 
     def run(self, budget=None):
         cells, values, domains, lows = self.cells, self.values, self.domains, self.lows
@@ -169,7 +170,8 @@ class RecursiveSearch(RebuiltVisit, _IrreducibleTableSearch):
                 if not above_lo[v]:
                     continue
                 values[k] = v
-                if (t is None or self.row_ok(t, v, visit)) and not rec(k + 1):
+                if (t is None or self.row_ok(t, visit, self.completed_row(t))) \
+                        and not rec(k + 1):
                     return False
             return True
 

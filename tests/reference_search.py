@@ -98,11 +98,14 @@ partial row of the visited row from its cells, and to check the left
 law on the rows final before it and join each finalised element's
 earlier rows, at every visit of the row's last cell, where it now reads
 the partial row that `run` built cell by cell and makes the rest once
-per entry into the row.  `RebuiltVisit` restores that visit; every
+per entry into the row.  `RebuiltVisit` restores that visit, and
+rebuilds from the row's cells the row R_t that `run` hands `row_ok`
+when the last cell takes a value (`completed_row`); every
 reference searcher with its own `run` (`PlainSearch`, `LoopSearch`,
 `PerValueRows` and `RecursiveSearch` of tests/reference_lattice.py)
 takes it, so none reads state that only the current `run` keeps, and
-tests/test_search.py holds the current visit to it at every visit.
+tests/test_search.py holds the current visit to it at every visit, and
+the row `row_ok` receives to `completed_row` at every row completion.
 
 `PlainSearch`, `LoopSearch`, `PerValueRows` and `NumpySetup` break no
 symmetry: they accept the symmetries `search._search` hands a searcher
@@ -283,19 +286,30 @@ def incomparable_pairs(searcher) -> List[Tuple[int, int, int]]:
 
 class RebuiltVisit:
     """_IrreducibleTableSearch.row_visit rebuilt from the cells and the
-    full rows at every visit."""
+    full rows at every visit, and the row R_t that row_ok receives
+    rebuilt from the row's cells."""
 
-    def partial_row(self, t: int) -> List[int]:
-        """Row t without its last cell's value, joined from its cells."""
+    def joined_row(self, t: int, last: bool) -> List[int]:
+        """Row t joined from its cells, with its last cell's value when
+        last is True, else without it."""
         join, bottom, r = self.join_rows, self.l.bottom, len(self.irr)
         products = self.values[t * r:(t + 1) * r]
         row = []
-        for tops in self.tops_but_last:
+        for tops in self.tops:
             acc = bottom
             for s in tops:
-                acc = join[acc][products[s]]
+                if last or s < r - 1:
+                    acc = join[acc][products[s]]
             row.append(acc)
         return row
+
+    def partial_row(self, t: int) -> List[int]:
+        """Row t without its last cell's value, joined from its cells."""
+        return self.joined_row(t, False)
+
+    def completed_row(self, t: int) -> List[int]:
+        """R_t, joined from all of row t's cells."""
+        return self.joined_row(t, True)
 
     def fixed_part(self, t: int) -> Optional[tuple]:
         """(laws, earlier) of row t's visit, or None when the left law
@@ -327,9 +341,9 @@ class RebuiltVisit:
                 if join[partial[a]][partial[b]] != target:
                     return None
             if moving:
-                joins.append((partial[ab], target))
+                joins.append((ab, target))
         fixed = self.fixed_part(t)
-        return None if fixed is None else (partial, joins, *fixed)
+        return None if fixed is None else (joins, *fixed)
 
 
 class PlainSearch(RebuiltVisit):
@@ -544,6 +558,9 @@ class PerValueRows(RebuiltVisit):
                 self.finals[self.maxpos[x]].append((x, tops))
         for a, b, ab in self.incomparable:
             self.left_law[self.maxpos[ab]].append((a, b, ab))
+        # the elements above the last irreducible, whose entries the last
+        # cell's value joins into
+        self.above_last = [y for y, tops in enumerate(self.tops) if tops and tops[-1] == r - 1]
         # (max(p, q), cell index, p, q), by max(p, q)
         self.pairs = []
         for t in range(r):
@@ -699,11 +716,8 @@ class NumpySetup:
         irr_lt = irr_leq & ~np.eye(r, dtype=bool)
         greatest = _greatest(below, irr_lt)
         self.tops = _true_columns(greatest)
-        # the elements with each position among their greatest irreducibles,
-        # the last position left out: its value joins in after the partial row
-        raises = greatest.T.copy()
-        raises[r - 1:] = False
-        self.raises = _true_columns(raises)
+        # the elements with each position among their greatest irreducibles
+        self.raises = _true_columns(greatest.T)
         self.cells = [(i, j) for i in self.irr for j in self.irr]
         self.leq_rows, self.join_rows = l.leq.tolist(), l.join.tolist()
         covers = _true_columns(_greatest(irr_lt.T, irr_lt))
@@ -719,10 +733,6 @@ class NumpySetup:
         self.values = [l.bottom] * len(self.cells)
         self.full: List[Optional[List[int]]] = [None] * l.n
         self.full[l.bottom] = [l.bottom] * l.n
-        ends_last = [bool(tops) and tops[-1] == r - 1 for tops in self.tops]
-        self.tops_but_last = [tops[:-1] if last else tops
-                              for tops, last in zip(self.tops, ends_last)]
-        self.above_last = [y for y, last in enumerate(ends_last) if last]
         self.maxpos = [tops[-1] if tops else -1 for tops in self.tops]
         # the elements above the last irreducible, as a boolean row
         above = l.leq[self.irr[-1]].tolist() if r else [False] * l.n
@@ -749,8 +759,8 @@ class NumpySetup:
             self.left_fixed[maxpos[ab]].append((ab, pairs))
         self.pairs = []
         for t in range(r):
-            self.pairs += [(t * r + s, self.irr[t], self.irr[s]) for s in range(t)]
-            self.pairs += [(s * r + t, self.irr[s], self.irr[t]) for s in range(t + 1)]
+            self.pairs += [(t, t * r + s, self.irr[t], self.irr[s]) for s in range(t)]
+            self.pairs += [(t, s * r + t, self.irr[s], self.irr[t]) for s in range(t + 1)]
 
     def domain(self, i: int, j: int) -> List[int]:
         # below the other factor of each factor at or below the unit, and

@@ -119,6 +119,11 @@ class TestRecognitionAgreement:
         with pytest.raises(InputError):
             girard_equivalences(lukasiewicz_chain(3), inversion=(0, 1, 2))
 
+    def test_rejects_an_inversion_with_entries_that_are_not_integers(self):
+        # truncated, [2.9, 1.2, 0] would be the inversion (2, 1, 0)
+        with pytest.raises(InputError, match=r"^map value 2\.9 at 0 not an integer$"):
+            girard_equivalences(lukasiewicz_chain(3), inversion=[2.9, 1.2, 0])
+
     @pytest.mark.parametrize("s, expected",
                              [(lukasiewicz_chain(13), True), (godel_chain(13), False)],
                              ids=["luk13", "godel13"])

@@ -211,6 +211,24 @@ class TestInversion:
         with pytest.raises(InputError, match="map value 5 at 2 out of range"):
             check_inversion(chain(3), (0, 1, 5))
 
+    @pytest.mark.parametrize("f, message", [
+        ((2.7, 1, 0), "map value 2.7 at 0 not an integer"),
+        (("2", "1", "0"), "map value '2' at 0 not an integer"),
+        ((2, 1.0, 0), "map value 1.0 at 1 not an integer"),
+        (np.array([2.0, 1.0, 0.0]), "map value np.float64(2.0) at 0 not an integer"),
+    ], ids=["float", "string", "integral-float", "float-array"])
+    def test_entries_that_are_not_integers_are_input_errors(self, f, message):
+        # each would pass truncated to the flip (2, 1, 0)
+        with pytest.raises(InputError) as exc:
+            check_inversion(chain(3), f)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind", [tuple, list, np.array, lambda f: np.array(f, dtype=np.uint8)],
+                             ids=["tuple", "list", "int64", "uint8"])
+    @pytest.mark.parametrize("f", [(2, 1, 0), (1, 2, 0), (0, 1, 2)])
+    def test_integer_maps_give_the_same_report(self, kind, f):
+        assert check_inversion(chain(3), kind(f)) == check_inversion(chain(3), f)
+
     def test_enumerate_inversions_chain(self):
         assert enumerate_inversions(chain(4)) == [(3, 2, 1, 0)]
 

@@ -49,6 +49,21 @@ class TestAssociativity:
     def test_lukasiewicz_table(self):
         assert check_associative(lukasiewicz_chain(3).mul).passed
 
+    @pytest.mark.parametrize("table", [[[0.0, 0.0], [0.0, 1.0]], [["0", "0"], ["0", "1"]],
+                                       np.array([[0, 0], [0, 1]], dtype=object)],
+                             ids=["float", "string", "object"])
+    def test_a_table_of_non_integers_is_refused(self, table):
+        with pytest.raises(ValueError, match="^multiplication table entries must be integers"):
+            check_associative(table)
+
+    @pytest.mark.parametrize("kind", [tuple, list, np.array, lambda m: np.array(m, dtype=np.uint8)],
+                             ids=["tuple", "list", "int64", "uint8"])
+    def test_integer_tables_give_the_same_report(self, kind):
+        t = np.array(chain(3).meet)
+        t[1, 2] = 0
+        for m in (t, chain(3).meet):
+            assert check_associative(kind(m.tolist())) == check_associative(m)
+
     def test_mutated_table_fails_with_replayable_witness(self):
         t = np.array(chain(3).meet)
         t[1, 2] = 0  # now (1*2)*1 = 0 but 1*(2*1) = 1
@@ -59,6 +74,15 @@ class TestAssociativity:
 
 
 class TestCheckResiduated:
+    def test_a_table_of_non_integers_is_refused_before_any_scan(self, monkeypatch):
+        # truncated, the table would be the meet of the 2-chain, residuated
+        def scan(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(residuation, "least_witness", scan)
+        with pytest.raises(ValueError, match="^multiplication table entries must be integers"):
+            check_residuated(chain(2), [[0, 0.9], [0.2, 1.7]])
+
     def test_non_associative_table_stops_at_associativity(self):
         t = np.array(chain(3).meet)
         t[1, 2] = 0
@@ -144,7 +168,13 @@ class TestDeriveResidua:
         ([[0, 0], [0, 1]], "multiplication table must be 3x3, got (2, 2)"),
         ([[0, 0, 0], [0, 1, 1], [0, 1, 3]], "multiplication table entry out of range"),
         ([[0, 0, 0], [0, 1, 1], [0, 1, -1]], "multiplication table entry out of range"),
-    ], ids=["shape", "above", "below"])
+        ([[0, 0, 0], [0, 1, 1], [0, 1, 2.5]],
+         "multiplication table entries must be integers, got float64"),
+        ([["0", "0", "0"], ["0", "1", "1"], ["0", "1", "2"]],
+         "multiplication table entries must be integers, got <U1"),
+        (np.array([[0, 0, 0], [0, 1, 1], [0, 1, 2]], dtype=object),
+         "multiplication table entries must be integers, got object"),
+    ], ids=["shape", "above", "below", "float", "string", "object"])
     def test_a_bad_table_is_rejected_once(self, validations, table, message):
         # derive_residua validates a table it is called with directly, and
         # residuated_structure raises the same error after one validation

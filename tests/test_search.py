@@ -574,11 +574,18 @@ def mo2_tables(mo2_search):
 class CheckedVisit(search._IrreducibleTableSearch, RebuiltVisit):
     """The searcher with each visit held to the one rebuilt from scratch:
     the prefix row it reads, the fixed part it keeps for the row, and the
-    visit it returns.  visited counts the visits."""
+    visit it returns; and with each row row_ok receives held to R_t
+    rebuilt from the row's cells.  visited counts the visits, completed
+    the row completions."""
 
     def __init__(self, l, e, symmetries=()):
         super().__init__(l, e, symmetries)
-        self.visited = 0
+        self.visited = self.completed = 0
+
+    def row_ok(self, t, visit, row):
+        assert row == self.completed_row(t), t
+        self.completed += 1
+        return super().row_ok(t, visit, row)
 
     def row_visit(self, t):
         visit = super().row_visit(t)
@@ -695,18 +702,23 @@ class TestSearchBookkeeping:
 
     def test_visits_match_the_rebuilt_visit(self):
         # the prefix rows and the fixed part kept per row entry against the
-        # visit rebuilt from scratch, at every visit, for every unit of
-        # every lattice on at most 7 elements and of each file; the run
-        # matches the reference searcher's too
+        # visit rebuilt from scratch, at every visit, and the row row_ok
+        # receives against R_t rebuilt from the row's cells, at every row
+        # completion, for every unit of every lattice on at most 7
+        # elements and of each file; the run matches the reference
+        # searcher's too
         files = [build_lattice(load(path)) for path in STRUCTURE_FILES]
-        visited = 0
+        visited = completed = 0
         for lat in enumerate_lattices(7).lattices + files:
             for e in range(lat.n):
                 searcher = CheckedVisit(lat, e)
                 outcome = _run_outcome(searcher.run, 2000)
                 assert outcome == _run_outcome(PerValueSearch(lat, e).run, 2000), (lat.n, e)
                 visited += searcher.visited
-        assert visited > 90_000  # 93874: the checks above are not vacuous
+                completed += searcher.completed
+        # 115400 visits and 123285 row completions: the checks above are
+        # not vacuous
+        assert visited > 90_000 and completed > 120_000
 
     @pytest.mark.parametrize("lat", [boolean_cube(0), boolean_cube(1), chain(2)],
                              ids=["one-element", "boolean-2", "2-chain"])
@@ -1119,6 +1131,33 @@ class TestUnitOrbits:
         assert _outcome(new)[:3] == _outcome(reference)[:3]
         assert new.exhausted == (name != "mo3")
         assert new.nodes <= reference.nodes
+
+    @pytest.mark.parametrize("name, calls, nodes", [("mo2", 2, 22027), ("boolean-8", 3, 3255)])
+    def test_the_chain_of_aut_l_is_built_once(self, monkeypatch, name, calls, nodes):
+        # the top is alone in its orbit and Aut(L) is its stabiliser, so
+        # its searcher takes the generators of Aut(L) found first: one
+        # chain for Aut(L), then one per other unit searched (the atom on
+        # MO2, an atom and a coatom on Boolean-8); the tables are the
+        # reference's and the nodes those of a chain built for the top
+        lat, real = build_lattice(load(STRUCTURES / f"{name}.struct")), orders._stabiliser_generators
+        chains, symmetries = [], {}
+
+        def counted(rows, downs, e):
+            chains.append(e)
+            return real(rows, downs, e)
+
+        class Spy(search._IrreducibleTableSearch):
+            def __init__(self, l, e, given=()):
+                super().__init__(l, e, given)
+                symmetries[e] = given
+
+        monkeypatch.setattr(search, "_stabiliser_generators", counted)
+        monkeypatch.setattr(search, "_IrreducibleTableSearch", Spy)
+        new = search_unital_residuation(lat, budget=3_000_000)
+        assert len(chains) == calls and chains.count(lat.top) == 1
+        assert symmetries[lat.top] == _generators(lat, lat.top)
+        units = [e for e in range(lat.n) if e != lat.bottom]
+        assert _outcome(new) == (*_outcome(per_unit_search(lat, units, None))[:3], nodes)
 
     @pytest.mark.parametrize("name, budget, found",
                              [("mo2", 1000, 12), ("mo2", 20_000, 208), ("boolean-8", 1000, 288)])
